@@ -2,7 +2,7 @@
 // harness (internal/chaos, internal/oracle) from the command line: it runs
 // N seeded scenarios, each executed eight ways (SMPE batched, SMPE
 // unbatched, SMPE under an armed chaos schedule, SMPE over a real
-// networked data plane — loopback lakenode servers behind pooled, hedged
+// networked data plane — loopback lakenode servers behind multiplexed, hedged
 // nodenet clients, clean and under transport chaos — SMPE as a 9:3:1
 // three-tenant mix on one shared weighted-fair scheduler, clean and under
 // chaos — SMPE against a lifecycle-managed rebuild of the scenario's index
@@ -86,7 +86,7 @@ func main() {
 	if opts.Net {
 		fmt.Printf("chaosbench: net arm: %d hedged attempts, %d leaked connections\n", hedges, leaks)
 		// A sweep that never hedged would leave the tail-latency path
-		// untested; a leaked connection is a pool bug. Both fail the run
+		// untested; a leaked connection is a client bug. Both fail the run
 		// even with matching answers.
 		if *n >= 10 && hedges == 0 {
 			fmt.Fprintln(os.Stderr, "chaosbench: net arm fired no hedged requests across the sweep")

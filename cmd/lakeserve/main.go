@@ -44,11 +44,11 @@
 //
 // With -nodes host:port,... the data plane is real: each address is a
 // running lakenode process (cmd/lakenode) and partition data lives behind
-// pooled, hedged nodenet clients instead of in-process sim nodes. The
+// multiplexed, hedged nodenet clients instead of in-process sim nodes. The
 // catalog stays local to lakeserve; -data and -snapshot are rejected in
 // this mode because durability belongs with the partition owners.
 // /debug/metrics then additionally exposes lakeharbor_net_* series —
-// connection-pool occupancy, hedge fires/wins/suppressed duplicates, and
+// open connections, attempts in flight, hedge fires/wins/suppressed duplicates, and
 // an RPC latency quantile summary.
 //
 // With -scrape host:port,... (the lakenodes' -debug sidecar addresses) the
@@ -354,10 +354,10 @@ func main() {
 
 // buildCluster interprets -nodes. An integer means an in-process simulated
 // cluster with that many nodes (the historical behavior, byte-for-byte). A
-// comma-separated host:port list means a networked data plane: one pooled,
-// hedged nodenet client per lakenode address, all sharing one stats block
-// so /debug/metrics can report pool occupancy, hedge counters, and RPC
-// latency across the fleet. The stats pointer is nil for sim clusters.
+// comma-separated host:port list means a networked data plane: one
+// multiplexed, hedged nodenet client per lakenode address, all sharing one
+// stats block so /debug/metrics can report attempts in flight, hedge
+// counters, and RPC latency across the fleet. The stats pointer is nil for sim clusters.
 // parseTenants turns a -tenants spec — comma-separated
 // name:weight[:maxInFlight[:maxJobs]] entries — into scheduler tenant
 // configs. Validation beyond syntax (positive weights, duplicate names)

@@ -1,0 +1,100 @@
+package nodenet
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"lakeharbor/internal/lake"
+)
+
+var benchSink atomic.Int64 // keeps results live; callers run concurrently
+
+// BenchmarkFrameEncodeDecode prices the codec alone: one 64-key lookup
+// request and its 64-group response, encoded and decoded, with and without
+// the trace-context block on the request.
+func BenchmarkFrameEncodeDecode(b *testing.B) {
+	keys := make([]lake.Key, 64)
+	resp := &response{Status: statusOK, ReqID: 7, Groups: make([][]lake.Record, 64)}
+	for i := range keys {
+		keys[i] = fmt.Sprintf("order-%08d", i)
+		resp.Groups[i] = []lake.Record{{Key: keys[i], Data: make([]byte, 96)}}
+	}
+	for name, tc := range map[string]TraceContext{
+		"plain": {},
+		"ctx":   {Job: "q5-asia-0007", Tenant: "bench", Stage: 2, Attempt: 1},
+	} {
+		req := &request{Op: opLookupBatch, ReqID: 7, File: "orders", Partition: 3, Keys: keys, Ctx: tc}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				gotReq, err := decodeRequest(req.encode())
+				if err != nil {
+					b.Fatal(err)
+				}
+				gotResp, err := decodeResponse(resp.encode(req.Op), req.Op)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink.Add(int64(len(gotReq.Keys) + len(gotResp.Groups)))
+			}
+		})
+	}
+}
+
+// BenchmarkClientRTT prices one point lookup over a loopback server: a lone
+// caller (serial) and 16 or 256 callers sharing the client, with hedging
+// off and with the derived hedge delay on. writes/op is client socket
+// writes per lookup — 1 for a lone caller, well under 1 once concurrent
+// callers' frames coalesce.
+func BenchmarkClientRTT(b *testing.B) {
+	const keys = 1024
+	addr, cluster, _ := startNode(b)
+	seedKeys(b, cluster, keys)
+	for _, hedge := range []struct {
+		name  string
+		after time.Duration
+	}{{"hedge-off", -1}, {"hedge-on", 0}} {
+		for _, callers := range []int{1, 16, 256} {
+			name := fmt.Sprintf("%s/parallel-%d", hedge.name, callers)
+			if callers == 1 {
+				name = hedge.name + "/serial"
+			}
+			b.Run(name, func(b *testing.B) {
+				c := Dial(addr, Options{HedgeAfter: hedge.after}, nil)
+				defer c.Close()
+				writes := countWrites(c, nil)
+				lookup := func(i int) {
+					recs, err := c.Lookup(context.Background(), "f", 0, fmt.Sprintf("k%d", i%keys))
+					if err != nil {
+						b.Error(err)
+					}
+					benchSink.Add(int64(len(recs)))
+				}
+				for i := 0; i < 2*hedgeRefresh; i++ { // dial, and warm the hedge delay up
+					lookup(i)
+				}
+				writes.Store(0)
+				b.ReportAllocs()
+				b.ResetTimer()
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				for w := 0; w < callers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := int(next.Add(1)); i <= b.N; i = int(next.Add(1)) {
+							lookup(i)
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				b.ReportMetric(float64(writes.Load())/float64(b.N), "writes/op")
+			})
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package nodenet
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -16,20 +18,20 @@ import (
 
 // Options tunes one per-node client.
 type Options struct {
-	// MaxConns bounds concurrent connections (and therefore concurrent
-	// RPCs) to the node. Default 4.
+	// MaxConns bounds the sockets open to the node. Requests are multiplexed
+	// over them, so it does not bound requests in flight — the executor's
+	// Threads already does. Default 4.
 	MaxConns int
 	// DialTimeout bounds one TCP dial attempt. Default 1s.
 	DialTimeout time.Duration
 	// RequestTimeout is the per-request deadline (dial retries, write, and
-	// response read all fit inside it); a sooner context deadline wins.
-	// Default 10s.
+	// the wait for the response all fit inside it); a sooner context
+	// deadline wins. Default 10s.
 	RequestTimeout time.Duration
 	// HedgeAfter fixes the hedge delay: an idempotent request still
-	// unanswered after this long launches a second attempt on another
-	// connection, first response wins. Zero derives the delay from the
-	// observed p95 RPC latency instead (see hedgeDelay). Negative disables
-	// hedging.
+	// unanswered this long after its frame was written launches a second
+	// attempt, first response wins. Zero derives the delay from the observed
+	// p95 RPC latency instead (see hedgeDelay). Negative disables hedging.
 	HedgeAfter time.Duration
 	// HedgeMin floors the derived hedge delay so a string of microsecond
 	// RPCs cannot make the client hedge everything. Default 1ms.
@@ -60,26 +62,39 @@ const hedgeWarmup = 32
 // recomputed from the latency histogram.
 const hedgeRefresh = 64
 
+var errClosed = errors.New("nodenet: client closed")
+
 // Client is the networked dfs.NodeTransport: it speaks the frame protocol
-// to one lakenode server through a bounded connection pool, applies
-// per-request deadlines, retries dials with backoff inside the deadline,
-// and hedges slow idempotent requests.
+// to one lakenode server over up to MaxConns multiplexed connections — any
+// number of requests in flight per socket, replies matched to callers by
+// request id — applies per-request deadlines, retries dials with backoff
+// inside the deadline, and hedges slow idempotent requests.
 type Client struct {
 	addr  string
 	opts  Options
 	stats *Stats
+	dial  func(addr string, timeout time.Duration) (net.Conn, error) // net.DialTimeout outside tests
 
-	sem      chan struct{} // MaxConns slots; holding a slot = may hold a conn
-	closedCh chan struct{} // closed by Close so waiters fail fast
+	closedCh chan struct{} // closed by Close so dial waits fail fast
 	reqID    atomic.Uint64
+	calls    sync.WaitGroup // logical calls in progress; Close waits them out
+	readers  sync.WaitGroup // per-connection reader goroutines
 
 	mu     sync.Mutex
-	idle   []net.Conn
+	slots  []slot
 	closed bool
 
 	lat        trace.Histogram // per-client latency feed for the hedge delay
 	hedgeNs    atomic.Int64    // current derived hedge delay, 0 = not ready
 	latSamples atomic.Int64
+}
+
+// slot is one of the MaxConns places a connection can live. mc and users
+// are guarded by Client.mu.
+type slot struct {
+	dialing chan struct{} // cap 1, held while dialing: one dial per slot at a time
+	mc      *muxConn      // nil until dialed, nil again once the connection fails
+	users   int           // attempts assigned here and not yet let go
 }
 
 var _ dfs.NodeTransport = (*Client)(nil)
@@ -88,21 +103,26 @@ var _ dfs.NodeTransport = (*Client)(nil)
 // the first request; stats may be nil (or shared across clients).
 func Dial(addr string, opts Options, stats *Stats) *Client {
 	opts = opts.withDefaults()
-	return &Client{
+	c := &Client{
 		addr:     addr,
 		opts:     opts,
 		stats:    stats,
-		sem:      make(chan struct{}, opts.MaxConns),
+		dial:     func(addr string, d time.Duration) (net.Conn, error) { return net.DialTimeout("tcp", addr, d) },
 		closedCh: make(chan struct{}),
+		slots:    make([]slot, opts.MaxConns),
 	}
+	for i := range c.slots {
+		c.slots[i].dialing = make(chan struct{}, 1)
+	}
+	return c
 }
 
 // Addr returns the server address the client targets.
 func (c *Client) Addr() string { return c.addr }
 
-// Close drains the pool and closes every idle connection. It blocks until
-// in-flight requests (including losing hedge attempts) release their slots,
-// so after Close returns the client holds zero connections.
+// Close refuses new requests, waits for the calls in progress to return
+// (each is bounded by its deadline), then closes every connection and waits
+// for its reader, so after Close returns the client holds zero connections.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -112,19 +132,17 @@ func (c *Client) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	close(c.closedCh)
-	// Acquiring every slot waits out in-flight attempts; new requests fail
-	// fast on closedCh instead of queueing behind the drained pool.
-	for i := 0; i < cap(c.sem); i++ {
-		c.sem <- struct{}{}
+	c.calls.Wait()
+	// No call is left to dial, so the slots are stable from here on.
+	for i := range c.slots {
+		c.mu.Lock()
+		mc := c.slots[i].mc
+		c.mu.Unlock()
+		if mc != nil {
+			mc.fail(errClosed)
+		}
 	}
-	c.mu.Lock()
-	idle := c.idle
-	c.idle = nil
-	c.mu.Unlock()
-	for _, conn := range idle {
-		conn.Close()
-		c.stats.connClosed()
-	}
+	c.readers.Wait()
 	return nil
 }
 
@@ -210,70 +228,202 @@ func idempotent(op byte) bool {
 	return false
 }
 
-// call runs one logical request, hedging idempotent ops that outlive the
-// hedge delay: a second attempt starts on another pooled connection and the
-// first response wins; the loser's response is counted as a suppressed
-// duplicate and its connection returns to the pool untainted.
+// attempt is one request frame on one connection. A logical call makes one,
+// or two when it hedges.
+type attempt struct {
+	id     uint64
+	ch     chan<- reply // the call's channel
+	mc     *muxConn
+	sent   time.Time // when the frame was written: the hedge and latency clocks start here
+	active bool      // launched and not yet settled; touched by the calling goroutine only
+
+	// Guarded by mc.mu while the attempt is in mc.pending.
+	abandoned bool // the caller stopped waiting; the reply is dropped when it comes
+	dup       bool // abandoned because the other attempt of the pair won
+}
+
+// call is the caller's side of one logical request.
+type call struct {
+	ch  chan reply // cap 2: each attempt delivers exactly once
+	att [2]attempt // primary, hedge
+}
+
+// reply is what a connection hands an attempt's caller: the response frame,
+// still undecoded, or the error that failed the connection.
+type reply struct {
+	att     *attempt
+	payload []byte
+	err     error
+}
+
+// call runs one logical request. An idempotent request still unanswered a
+// hedge delay after its frame was written is sent again — with a fresh
+// request id, on another connection when more than one is open — and the
+// first success wins; the loser's reply is counted as a suppressed duplicate
+// when it arrives. A caller that gives up (context, deadline) abandons its
+// attempts and leaves the connections to everyone else.
 func (c *Client) call(ctx context.Context, req *request) (*response, error) {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, errClosed
+	}
+	c.calls.Add(1)
+	c.mu.Unlock()
+	defer c.calls.Done()
+
 	// Forward the executor's RPC trace identity on the wire (flagCtx frame)
 	// so the node attributes its spans to the originating job. Untraced
 	// callers leave Ctx zero and the frame stays old-format byte-identical.
 	if rc := trace.RPCFrom(ctx); rc.Job != "" {
 		req.Ctx = TraceContext{Job: rc.Job, Tenant: rc.Tenant, Stage: max(rc.Stage, 0), Attempt: max(rc.Attempt, 0)}
 	}
-	delay := c.hedgeDelay()
-	if !idempotent(req.Op) || delay <= 0 {
-		resp, err, _ := c.attempt(ctx, req)
-		return resp, err
+	payload := req.encode()
+	// Checked here, not left to the frame writer: there the error would
+	// fail the connection under every other caller.
+	if len(payload) > MaxFrame {
+		return nil, lake.AsPermanent(fmt.Errorf("nodenet: %s: request: %w (%d bytes)", c.addr, errFrameTooBig, len(payload)))
+	}
+	// The request deadline is armed on the call's timer; a sooner context
+	// deadline is the context's to signal, and bounds the dial.
+	timeout := time.Now().Add(c.opts.RequestTimeout)
+	dialBy := timeout
+	if d, ok := ctx.Deadline(); ok && d.Before(dialBy) {
+		dialBy = d
 	}
 
-	type outcome struct {
-		resp *response
-		err  error
-	}
-	results := make(chan outcome, 2)
-	var won atomic.Bool
-	launch := func(hedged bool) {
-		// Each attempt re-encodes with a fresh request id so a stale
-		// response on a desynced conn can never satisfy the other attempt.
-		resp, err, served := c.attempt(ctx, req)
-		if served && err == nil {
-			if !won.CompareAndSwap(false, true) {
-				c.stats.hedgeDup() // the losing attempt's answer, suppressed
-			} else if hedged {
-				c.stats.hedgeWon()
-			}
+	cl := &call{ch: make(chan reply, 2)}
+	primary, hedge := &cl.att[0], &cl.att[1]
+	primary.ch, hedge.ch = cl.ch, cl.ch
+	won := false
+	defer func() { c.letGo(cl, won) }()
+
+	s, mc := c.pick(nil)
+	if mc == nil {
+		var err error
+		if mc, err = c.connect(ctx, s, dialBy); err != nil {
+			c.release(s)
+			return nil, err // dial failures are transient
 		}
-		results <- outcome{resp, err}
+	}
+	if err := c.launch(primary, mc, payload); err != nil {
+		return nil, err
 	}
 
-	go launch(false)
-	timer := time.NewTimer(delay)
+	// One timer serves both waits: first the hedge delay, then the timeout.
+	hedgeDue := false
+	wait := time.Until(timeout)
+	if delay := c.hedgeDelay(); delay > 0 && delay < wait && idempotent(req.Op) {
+		hedgeDue, wait = true, delay
+	}
+	timer := time.NewTimer(wait)
 	defer timer.Stop()
-	launched, failures := 1, 0
+
+	outstanding := 1
 	var firstErr error
 	for {
 		select {
-		case <-timer.C:
-			if launched == 1 {
-				c.stats.hedgeFired()
-				go launch(true)
-				launched = 2
+		case r := <-cl.ch:
+			outstanding--
+			r.att.active = false
+			c.release(r.att.mc.slot)
+			resp, err := c.settle(r, req.Op)
+			if err == nil {
+				won = true
+				if r.att == hedge {
+					c.stats.hedgeWon()
+				}
+				return resp, nil
 			}
-		case out := <-results:
-			if out.err == nil {
-				return out.resp, nil
-			}
-			failures++
 			if firstErr == nil {
-				firstErr = out.err
+				firstErr = err
 			}
 			// Every launched attempt failed (a primary failing before the
 			// hedge timer is not hedged: its error was not slowness).
-			if failures == launched {
+			if outstanding == 0 {
 				return nil, firstErr
 			}
+		case <-timer.C:
+			if !hedgeDue {
+				return nil, fmt.Errorf("nodenet: %s: no response within %v", c.addr, c.opts.RequestTimeout)
+			}
+			hedgeDue = false
+			timer.Reset(time.Until(timeout))
+			// A hedge never dials: blocking here would delay the primary's
+			// answer. It takes another open connection, or shares the
+			// primary's when there is none. The primary's frame is already
+			// written, so launch re-stamps the same payload in place.
+			if hs, hmc := c.pick(primary.mc.slot); hmc == nil {
+				c.release(hs) // the primary's connection just failed; its error is on the way
+			} else if c.launch(hedge, hmc, payload) == nil {
+				c.stats.hedgeFired()
+				outstanding++
+			}
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
+	}
+}
+
+// launch sends a's frame on mc, whose slot was already picked for it.
+func (c *Client) launch(a *attempt, mc *muxConn, payload []byte) error {
+	if err := mc.send(a, payload, c.reqID.Add(1)); err != nil {
+		c.release(mc.slot)
+		return err
+	}
+	a.active = true
+	return nil
+}
+
+// settle turns a delivered reply into the call's result and accounts the
+// attempt.
+func (c *Client) settle(r reply, op byte) (*response, error) {
+	if r.err != nil {
+		c.stats.rpcDone(0, true)
+		return nil, r.err
+	}
+	resp, err := decodeResponse(r.payload, op)
+	if err != nil {
+		// The header passed the reader's checks but the body is not a
+		// response to this op: the peer is not speaking our protocol.
+		c.stats.rpcDone(0, true)
+		err = lake.AsPermanent(fmt.Errorf("nodenet: %s: malformed response: %w", c.addr, err))
+		r.att.mc.fail(err)
+		return nil, err
+	}
+	elapsed := time.Since(r.att.sent)
+	statusErr := statusToError(resp)
+	c.stats.rpcDone(int64(elapsed), statusErr != nil)
+	if statusErr == nil {
+		c.observeLatency(elapsed)
+	}
+	return resp, statusErr
+}
+
+// letGo abandons whatever attempts of a returning call are still in flight.
+// An attempt whose reply was already taken off its connection has it (or is
+// about to have it) in the call's channel; it is accounted here instead.
+func (c *Client) letGo(cl *call, won bool) {
+	for i := range cl.att {
+		a := &cl.att[i]
+		if !a.active {
+			continue
+		}
+		c.release(a.mc.slot)
+		if a.mc.abandon(a, won) {
+			continue // the reader accounts it when the reply comes
+		}
+		r := <-cl.ch
+		c.dropped(r.payload, r.err, won)
+	}
+}
+
+// dropped accounts an attempt that finished with nobody waiting for it.
+func (c *Client) dropped(payload []byte, err error, dup bool) {
+	failed := err != nil || payload[0] != statusOK
+	c.stats.rpcDropped(failed)
+	if dup && !failed {
+		c.stats.hedgeDup() // the losing attempt's answer, suppressed
 	}
 }
 
@@ -291,7 +441,8 @@ func (c *Client) hedgeDelay() time.Duration {
 }
 
 // observeLatency feeds the per-client histogram and refreshes the derived
-// hedge delay.
+// hedge delay. d runs from frame written to reply in the caller's hands —
+// the interval the hedge timer covers.
 func (c *Client) observeLatency(d time.Duration) {
 	c.lat.RecordDur(d)
 	n := c.latSamples.Add(1)
@@ -303,114 +454,6 @@ func (c *Client) observeLatency(d time.Duration) {
 		p95 = floor
 	}
 	c.hedgeNs.Store(p95)
-}
-
-// attempt performs one RPC on one pooled connection. served reports whether
-// a response frame actually came back (used for hedge win/dup accounting —
-// an attempt that lost the dial race did no server work).
-func (c *Client) attempt(ctx context.Context, req *request) (_ *response, _ error, served bool) {
-	// A slot bounds both connections and concurrent RPCs.
-	select {
-	case c.sem <- struct{}{}:
-	case <-c.closedCh:
-		return nil, errors.New("nodenet: client closed"), false
-	case <-ctx.Done():
-		return nil, ctx.Err(), false
-	}
-	c.stats.slot(1)
-	defer func() {
-		c.stats.slot(-1)
-		<-c.sem
-	}()
-
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return nil, errors.New("nodenet: client closed"), false
-	}
-
-	deadline := time.Now().Add(c.opts.RequestTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	conn, err := c.conn(ctx, deadline)
-	if err != nil {
-		return nil, err, false // dial failures are transient
-	}
-	healthy := false
-	defer func() {
-		if healthy {
-			c.putIdle(conn)
-		} else {
-			conn.Close()
-			c.stats.connClosed()
-		}
-	}()
-
-	conn.SetDeadline(deadline) //nolint:errcheck
-	// A context cancelled mid-I/O yanks the deadline to now so the blocked
-	// read returns; the conn is then discarded as unhealthy.
-	stop := make(chan struct{})
-	if done := ctx.Done(); done != nil {
-		go func() {
-			select {
-			case <-done:
-				conn.SetDeadline(time.Now()) //nolint:errcheck
-			case <-stop:
-			}
-		}()
-	}
-	defer close(stop)
-
-	// Encode from a shallow copy: hedged attempts share *req concurrently,
-	// so the per-attempt id must not be written through the shared pointer.
-	id := c.reqID.Add(1)
-	attempt := *req
-	attempt.ReqID = id
-	payload := attempt.encode()
-	t0 := time.Now()
-	if err := writeFrame(conn, payload); err != nil {
-		c.stats.rpcDone(0, true)
-		return nil, transportErr(ctx, "write", err), false
-	}
-	raw, err := readFrame(conn)
-	if err != nil {
-		c.stats.rpcDone(0, true)
-		if errors.Is(err, errFrameTooBig) {
-			// The peer is not speaking our protocol; retrying cannot help.
-			return nil, lake.AsPermanent(fmt.Errorf("nodenet: %s: %w", c.addr, err)), false
-		}
-		return nil, transportErr(ctx, "read", err), false
-	}
-	resp, err := decodeResponse(raw, req.Op)
-	if err != nil {
-		c.stats.rpcDone(0, true)
-		return nil, lake.AsPermanent(fmt.Errorf("nodenet: %s: malformed response: %w", c.addr, err)), true
-	}
-	if resp.ReqID != id && !(resp.Status == statusPermanent && resp.ReqID == 0) {
-		// id 0 is the server's "could not decode your request" answer; any
-		// other mismatch means the stream desynchronised.
-		c.stats.rpcDone(0, true)
-		return nil, lake.AsPermanent(fmt.Errorf("nodenet: %s: response id %d for request %d", c.addr, resp.ReqID, id)), true
-	}
-	elapsed := time.Since(t0)
-	statusErr := statusToError(resp)
-	c.stats.rpcDone(int64(elapsed), statusErr != nil)
-	if statusErr == nil {
-		c.observeLatency(elapsed)
-	}
-	healthy = true // protocol stayed in sync; conn is reusable either way
-	return resp, statusErr, true
-}
-
-// transportErr wraps a connection-level failure, preferring the context's
-// own error when the deadline watcher caused it. The result is transient.
-func transportErr(ctx context.Context, stage string, err error) error {
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return fmt.Errorf("nodenet: %s: %w", stage, err)
 }
 
 // statusToError converts an error status into the Go error class the retry
@@ -430,19 +473,82 @@ func statusToError(resp *response) error {
 	}
 }
 
-// conn returns an idle pooled connection or dials a new one, retrying
-// refused/unreachable dials with exponential backoff until the deadline.
-// The caller already holds a pool slot.
-func (c *Client) conn(ctx context.Context, deadline time.Time) (net.Conn, error) {
-	c.mu.Lock()
-	if n := len(c.idle); n > 0 {
-		conn := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		c.mu.Unlock()
-		return conn, nil
-	}
-	c.mu.Unlock()
+// --- connections ---
 
+// pick assigns an attempt to a slot and returns it with its connection, if
+// it has one. A primary (avoid nil) takes the least-used slot, an open
+// connection winning a tie, so a lone caller stays on one socket and
+// concurrent callers spread over up to MaxConns. A hedge takes the
+// least-used open connection other than avoid, or avoid itself.
+func (c *Client) pick(avoid *slot) (*slot, *muxConn) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var best *slot
+	for i := range c.slots {
+		s := &c.slots[i]
+		if avoid != nil && (s == avoid || s.mc == nil) {
+			continue // a hedge never dials
+		}
+		if best == nil || s.users < best.users || (s.users == best.users && s.mc != nil && best.mc == nil) {
+			best = s
+		}
+	}
+	if best == nil {
+		best = avoid
+	}
+	best.users++
+	c.stats.slot(1)
+	return best, best.mc
+}
+
+func (c *Client) release(s *slot) {
+	c.mu.Lock()
+	s.users--
+	c.mu.Unlock()
+	c.stats.slot(-1)
+}
+
+// connect returns the slot's connection, dialing it if no other caller has.
+func (c *Client) connect(ctx context.Context, s *slot, deadline time.Time) (*muxConn, error) {
+	select {
+	case s.dialing <- struct{}{}:
+	case <-c.closedCh:
+		return nil, errClosed
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-s.dialing }()
+	c.mu.Lock()
+	mc := s.mc
+	c.mu.Unlock()
+	if mc != nil {
+		return mc, nil
+	}
+	conn, err := c.dialRetry(ctx, deadline)
+	if err != nil {
+		return nil, err
+	}
+	mc = &muxConn{
+		c:       c,
+		slot:    s,
+		conn:    conn,
+		w:       frameWriter{bw: bufio.NewWriterSize(conn, connBufSize)},
+		pending: make(map[uint64]*attempt),
+	}
+	c.stats.dialed()
+	c.mu.Lock()
+	s.mc = mc
+	c.mu.Unlock()
+	// The caller is a call in progress, so Close has not reached
+	// readers.Wait yet.
+	c.readers.Add(1)
+	go mc.readLoop()
+	return mc, nil
+}
+
+// dialRetry dials the node, retrying refused/unreachable dials with
+// exponential backoff until the deadline.
+func (c *Client) dialRetry(ctx context.Context, deadline time.Time) (net.Conn, error) {
 	backoff := 2 * time.Millisecond
 	for {
 		d := c.opts.DialTimeout
@@ -452,9 +558,8 @@ func (c *Client) conn(ctx context.Context, deadline time.Time) (net.Conn, error)
 		if d <= 0 {
 			return nil, fmt.Errorf("nodenet: dial %s: deadline exhausted", c.addr)
 		}
-		conn, err := net.DialTimeout("tcp", c.addr, d)
+		conn, err := c.dial(c.addr, d)
 		if err == nil {
-			c.stats.dialed()
 			return conn, nil
 		}
 		if time.Now().Add(backoff).After(deadline) {
@@ -462,6 +567,8 @@ func (c *Client) conn(ctx context.Context, deadline time.Time) (net.Conn, error)
 		}
 		select {
 		case <-time.After(backoff):
+		case <-c.closedCh:
+			return nil, errClosed
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -471,17 +578,138 @@ func (c *Client) conn(ctx context.Context, deadline time.Time) (net.Conn, error)
 	}
 }
 
-// putIdle returns a healthy connection to the pool (or closes it if the
-// client shut down meanwhile).
-func (c *Client) putIdle(conn net.Conn) {
-	conn.SetDeadline(time.Time{}) //nolint:errcheck
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		c.stats.connClosed()
+// muxConn is one multiplexed connection: callers register an attempt in
+// pending and write its frame through w; one reader goroutine routes each
+// reply frame to the attempt that owns its request id. Replies may come back
+// in any order.
+type muxConn struct {
+	c    *Client
+	slot *slot
+	conn net.Conn
+	w    frameWriter
+
+	mu      sync.Mutex
+	pending map[uint64]*attempt // sent and unanswered, including abandoned ones
+	err     error               // set once by fail; the connection is dead from then on
+}
+
+// send registers the attempt under id and writes its frame. An error means
+// the attempt was never registered; a write failure fails the connection,
+// which delivers the error to this attempt along with every other one.
+func (mc *muxConn) send(a *attempt, payload []byte, id uint64) error {
+	a.id, a.mc = id, mc
+	setRequestID(payload, id)
+	mc.mu.Lock()
+	if mc.err != nil {
+		err := mc.err
+		mc.mu.Unlock()
+		return err
+	}
+	mc.pending[id] = a
+	mc.mu.Unlock()
+	// Every writer pushes the deadline out, so whichever of them ends up
+	// flushing has at least a full RequestTimeout.
+	mc.conn.SetWriteDeadline(time.Now().Add(mc.c.opts.RequestTimeout)) //nolint:errcheck
+	if err := mc.w.write(payload); err != nil {
+		mc.fail(fmt.Errorf("nodenet: write: %w", err))
+	}
+	a.sent = time.Now()
+	return nil
+}
+
+// abandon marks a's reply as unwanted. It reports false when the reply has
+// already been taken out of pending, i.e. is in (or on its way into) the
+// call's channel.
+func (mc *muxConn) abandon(a *attempt, dup bool) bool {
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	if mc.pending[a.id] != a {
+		return false
+	}
+	a.abandoned, a.dup = true, dup
+	return true
+}
+
+func (mc *muxConn) readLoop() {
+	defer mc.c.readers.Done()
+	br := bufio.NewReaderSize(mc.conn, connBufSize)
+	for {
+		payload, err := readFrame(br)
+		if err != nil && !errors.Is(err, errFrameTooBig) {
+			mc.fail(fmt.Errorf("nodenet: read: %w", err)) // connection-level: transient
+			return
+		}
+		if err == nil {
+			err = mc.route(payload)
+		}
+		if err != nil {
+			// The peer is not speaking our protocol; retrying cannot help.
+			mc.fail(lake.AsPermanent(fmt.Errorf("nodenet: %s: %w", mc.c.addr, err)))
+			return
+		}
+	}
+}
+
+// route hands one reply frame to the attempt that owns its id. Any frame
+// that cannot be a reply to something sent on this connection is a protocol
+// violation: with replies out of order it cannot be blamed on one request,
+// so the error fails the connection and reaches every pending caller.
+func (mc *muxConn) route(payload []byte) error {
+	if len(payload) < 9 {
+		return fmt.Errorf("malformed response: %d-byte frame has no status and id", len(payload))
+	}
+	status, id := payload[0], binary.BigEndian.Uint64(payload[1:9])
+	if status > statusNoPartition {
+		return fmt.Errorf("malformed response: unknown status %d", status)
+	}
+	mc.mu.Lock()
+	a, ok := mc.pending[id]
+	delete(mc.pending, id)
+	abandoned := ok && a.abandoned
+	mc.mu.Unlock()
+	switch {
+	case abandoned:
+		// A late reply to a caller that gave up, or a hedge's loser.
+		mc.c.dropped(payload, nil, a.dup)
+	case ok:
+		a.ch <- reply{att: a, payload: payload}
+	case id == 0 && status == statusPermanent:
+		// The server could not decode one of our requests — it cannot say
+		// which — and is dropping the connection.
+		d := &decoder{buf: payload, off: 9}
+		return fmt.Errorf("server rejected a request frame: %s", d.string())
+	default:
+		return fmt.Errorf("response id %d was never issued on this connection", id)
+	}
+	return nil
+}
+
+// fail kills the connection once: the first error sticks, the socket is
+// closed, the slot is freed for a fresh dial, and every attempt still
+// pending gets the error.
+func (mc *muxConn) fail(err error) {
+	mc.mu.Lock()
+	if mc.err != nil {
+		mc.mu.Unlock()
 		return
 	}
-	c.idle = append(c.idle, conn)
-	c.mu.Unlock()
+	mc.err = err
+	pending := mc.pending
+	mc.pending = nil
+	mc.mu.Unlock()
+
+	mc.conn.Close()
+	mc.c.stats.connClosed()
+	mc.c.mu.Lock()
+	if mc.slot.mc == mc {
+		mc.slot.mc = nil
+	}
+	mc.c.mu.Unlock()
+	for _, a := range pending {
+		if a.abandoned {
+			mc.c.dropped(nil, err, false)
+		} else {
+			a.ch <- reply{att: a, err: err}
+		}
+	}
 }

@@ -8,9 +8,15 @@ package nodenet
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"net"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
+	"lakeharbor/internal/dfs"
 	"lakeharbor/internal/lake"
 )
 
@@ -171,5 +177,135 @@ func TestContextBoundsRejected(t *testing.T) {
 	e.string("file")
 	if _, err := decodeRequest(e.buf); err == nil {
 		t.Fatal("absurd trace stage accepted")
+	}
+}
+
+// serveSerialFrozen is the pre-multiplexing server loop, kept verbatim as a
+// compatibility peer: one request at a time per connection, unbuffered
+// frame I/O, replies strictly in arrival order.
+func serveSerialFrozen(conn net.Conn, backend dfs.NodeTransport) {
+	defer conn.Close()
+	s := &Server{backend: backend}
+	for {
+		payload, err := readFrame(conn)
+		if err != nil {
+			return
+		}
+		req, err := decodeRequest(payload)
+		if err != nil {
+			resp := &response{Status: statusPermanent, Msg: err.Error()}
+			writeFrame(conn, resp.encode(0)) //nolint:errcheck
+			return
+		}
+		resp := s.execute(req)
+		if err := writeFrame(conn, resp.encode(req.Op)); err != nil {
+			return
+		}
+	}
+}
+
+// seedKeys creates file "f" (one btree partition) on cluster holding keys
+// k0..k{n-1}, key ki carrying the single byte i.
+func seedKeys(t testing.TB, cluster *dfs.Cluster, n int) {
+	t.Helper()
+	f, err := cluster.CreateFile("f", dfs.Btree, 1, lake.HashPartitioner{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		rec := lake.Record{Key: fmt.Sprintf("k%d", i), Data: []byte{byte(i)}}
+		if err := f.Append(context.Background(), 0, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestNewClientAgainstSerialServer: the multiplexing client pipelines many
+// requests per socket; a server that answers them one at a time, in order,
+// is just a slow multiplexing server and every caller gets its answer.
+func TestNewClientAgainstSerialServer(t *testing.T) {
+	const keys = 32
+	cluster := dfs.NewCluster(dfs.Config{Nodes: 1})
+	seedKeys(t, cluster, keys)
+	backend := dfs.Local(cluster)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served sync.WaitGroup
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			served.Add(1)
+			go func() {
+				defer served.Done()
+				serveSerialFrozen(conn, backend)
+			}()
+		}
+	}()
+	stats := NewStats()
+	c := Dial(ln.Addr().String(), Options{MaxConns: 2, HedgeAfter: 50 * time.Microsecond}, stats)
+	var wg sync.WaitGroup
+	for i := 0; i < keys; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 8; round++ {
+				recs, err := c.Lookup(context.Background(), "f", 0, fmt.Sprintf("k%d", i))
+				if err != nil {
+					t.Errorf("lookup k%d: %v", i, err)
+					return
+				}
+				if len(recs) != 1 || recs[0].Data[0] != byte(i) {
+					t.Errorf("lookup k%d: wrong answer %+v", i, recs)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	c.Close()
+	ln.Close()
+	served.Wait()
+	if open := stats.OpenConns(); open != 0 {
+		t.Fatalf("%d connections leaked", open)
+	}
+}
+
+// TestSerialClientAgainstNewServer: a pre-multiplexing client — one request
+// on the socket at a time, header and payload in separate writes, ids that
+// restart per connection — gets each answer before it sends the next.
+func TestSerialClientAgainstNewServer(t *testing.T) {
+	const keys = 32
+	addr, cluster, _ := startNode(t)
+	seedKeys(t, cluster, keys)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	for i := 0; i < keys; i++ {
+		req := &request{Op: opLookupBatch, ReqID: uint64(i + 1), File: "f", Keys: []lake.Key{fmt.Sprintf("k%d", i)}}
+		if err := writeFrame(conn, req.encode()); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		resp, err := decodeResponse(raw, req.Op)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if resp.ReqID != req.ReqID || resp.Status != statusOK {
+			t.Fatalf("request %d answered with id %d status %d", i, resp.ReqID, resp.Status)
+		}
+		if len(resp.Groups) != 1 || len(resp.Groups[0]) != 1 || resp.Groups[0][0].Data[0] != byte(i) {
+			t.Fatalf("request %d: wrong answer %+v", i, resp.Groups)
+		}
 	}
 }

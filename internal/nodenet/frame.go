@@ -6,23 +6,29 @@
 //
 // Framing: every message is a 4-byte big-endian payload length followed by
 // the payload, capped at MaxFrame. Requests carry an op byte and a request
-// id; responses echo the id with a status byte. Strings and byte slices are
+// id; responses echo the id with a status byte, which is all that ties a
+// reply to its request: a connection carries any number of requests at once
+// and replies come back in completion order. Strings and byte slices are
 // uvarint-length-prefixed; small integers are uvarints.
 //
 // Error classification is part of the protocol contract (see ISSUE 7 /
 // DESIGN.md §10): connection-level failures (refused, reset, timeout, short
 // read) stay transient so the executor's retry machinery re-drives them,
 // while a *malformed* frame — oversize length prefix, undecodable payload,
-// mismatched request id, unknown status — is marked lake.AsPermanent,
-// because resending the same bytes can never heal a protocol bug.
+// a response id never issued on the connection, unknown status — is marked
+// lake.AsPermanent, because resending the same bytes can never heal a
+// protocol bug.
 package nodenet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"lakeharbor/internal/lake"
 )
@@ -118,6 +124,33 @@ func readFrame(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// connBufSize sizes the buffered reader and writer each end keeps per
+// connection: room for a few hundred point-lookup frames per syscall.
+const connBufSize = 32 << 10
+
+// frameWriter lets any number of goroutines write frames to one connection.
+// A frame goes into the shared buffer, and the writer that finds nobody
+// queued behind it flushes: a lone frame leaves at once (there is no timer),
+// a burst of N frames leaves in about one syscall.
+type frameWriter struct {
+	queued atomic.Int32 // writers holding or waiting for mu
+	mu     sync.Mutex
+	bw     *bufio.Writer
+}
+
+// write queues one frame. An error is sticky (bufio.Writer keeps it), so the
+// connection is finished for every later writer too.
+func (w *frameWriter) write(payload []byte) error {
+	w.queued.Add(1)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	err := writeFrame(w.bw, payload)
+	if w.queued.Add(-1) == 0 && err == nil {
+		err = w.bw.Flush()
+	}
+	return err
 }
 
 // encoder builds a payload in memory; nothing it writes can fail.
@@ -279,8 +312,29 @@ type request struct {
 	Recs   []lake.Record // opAppend
 }
 
+// setRequestID re-stamps an encoded request (the id sits right after the op
+// byte), so a hedge can resend the primary's payload under its own id.
+func setRequestID(payload []byte, id uint64) {
+	binary.BigEndian.PutUint64(payload[1:9], id)
+}
+
+// sizeHint is the encoded length of a lookup or append, slightly
+// over-estimated (every length prefix counted at 5 bytes), so encode
+// allocates its buffer once. A range partitioner's bounds are not counted;
+// opCreate may still grow.
+func (r *request) sizeHint() int {
+	n := 64 + len(r.File) + len(r.Ctx.Job) + len(r.Ctx.Tenant) + len(r.Lo) + len(r.Hi)
+	for _, k := range r.Keys {
+		n += len(k) + 5
+	}
+	for _, rec := range r.Recs {
+		n += len(rec.Key) + len(rec.Data) + 10
+	}
+	return n
+}
+
 func (r *request) encode() []byte {
-	e := &encoder{}
+	e := &encoder{buf: make([]byte, 0, r.sizeHint())}
 	op := r.Op
 	hasCtx := r.Ctx != (TraceContext{})
 	if hasCtx {

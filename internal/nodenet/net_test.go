@@ -20,7 +20,7 @@ func discard(string, ...any) {}
 
 // startNode spins a lakenode-shaped server (Local over a 1-node cluster) on
 // a loopback port and returns its address plus the backing cluster.
-func startNode(t *testing.T) (string, *dfs.Cluster, *Server) {
+func startNode(t testing.TB) (string, *dfs.Cluster, *Server) {
 	t.Helper()
 	cluster := dfs.NewCluster(dfs.Config{Nodes: 1})
 	srv := NewServer(dfs.Local(cluster), discard)

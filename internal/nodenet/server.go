@@ -1,6 +1,7 @@
 package nodenet
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -20,10 +21,13 @@ import (
 // single-node cluster (the lakenode binary), but any transport works, which
 // is how tests stack a chaos wrapper under a real socket.
 //
-// Each connection is served by one goroutine handling requests serially;
-// concurrency comes from the client opening multiple pooled connections.
-// That keeps the protocol trivially ordered (no response interleaving) and
-// makes a hedged request a genuinely independent server-side execution.
+// Connections are multiplexed: one goroutine per connection decodes request
+// frames and starts each request in a goroutine of its own, up to
+// maxConnInflight per connection, and replies are written as requests finish
+// — in completion order, not arrival order — each echoing its request id. A
+// slow request therefore delays nobody behind it, and a hedged request is an
+// independent execution even when it shares its primary's socket. A client
+// that sends one request at a time sees the old strictly ordered exchange.
 type Server struct {
 	backend dfs.NodeTransport
 	logf    func(format string, args ...any)
@@ -85,11 +89,12 @@ func (s *Server) Draining() bool {
 }
 
 // Drain gracefully shuts the server down: it stops accepting, lets every
-// in-flight request finish and write its response, then closes. Idle
-// connections are poked with an immediate read deadline so their blocked
-// reads return; a connection mid-execute is untouched (only reads are
-// deadlined) and exits after answering. If the drain outlives grace the
-// remaining connections are closed hard. Safe to call more than once.
+// in-flight request finish and write its response, then closes. Each
+// connection's frame reader is poked with an immediate read deadline so its
+// blocked read returns; requests already executing are untouched (only reads
+// are deadlined) and the connection closes after the last of them has
+// answered. If the drain outlives grace the remaining connections are closed
+// hard. Safe to call more than once.
 func (s *Server) Drain(grace time.Duration) error {
 	s.mu.Lock()
 	if s.draining || s.closed {
@@ -159,19 +164,31 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
+// maxConnInflight bounds the requests executing at once on behalf of one
+// connection. At the bound the connection's reader stops reading frames, so
+// the back-pressure reaches the client through TCP. Four connections' worth
+// covers the executor's default of 1000 threads per node.
+const maxConnInflight = 256
+
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	obs := s.obs.Load()
 	obs.connOpened()
+	w := &frameWriter{bw: bufio.NewWriterSize(conn, connBufSize)}
+	slots := make(chan struct{}, maxConnInflight)
+	var inflight sync.WaitGroup
+	var writeFailed sync.Once // the writer's error is sticky: log it and hang up once
 	defer func() {
+		inflight.Wait() // requests already started still answer (Drain's contract)
 		conn.Close()
 		obs.connClosed()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	br := bufio.NewReaderSize(conn, connBufSize)
 	for {
-		payload, err := readFrame(conn)
+		payload, err := readFrame(br)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
 				s.logf("nodenet: %s: read: %v", conn.RemoteAddr(), err)
@@ -185,18 +202,31 @@ func (s *Server) handleConn(conn net.Conn) {
 			// connection so the client re-dials cleanly.
 			s.logf("nodenet: %s: %v", conn.RemoteAddr(), err)
 			resp := &response{Status: statusPermanent, Msg: err.Error()}
-			writeFrame(conn, resp.encode(0)) //nolint:errcheck
+			w.write(resp.encode(0)) //nolint:errcheck
 			return
 		}
-		t0 := time.Now()
-		resp := s.execute(req)
-		s.served.Add(1)
-		out := resp.encode(req.Op)
-		s.obs.Load().record(req, resp, time.Since(t0), len(payload), len(out))
-		if err := writeFrame(conn, out); err != nil {
-			s.logf("nodenet: %s: write: %v", conn.RemoteAddr(), err)
-			return
-		}
+		slots <- struct{}{}
+		inflight.Add(1)
+		bytesIn := len(payload)
+		go func() {
+			defer func() {
+				<-slots
+				inflight.Done()
+			}()
+			t0 := time.Now()
+			resp := s.execute(req)
+			s.served.Add(1)
+			out := resp.encode(req.Op)
+			s.obs.Load().record(req, resp, time.Since(t0), bytesIn, len(out))
+			if err := w.write(out); err != nil {
+				writeFailed.Do(func() {
+					if !errors.Is(err, net.ErrClosed) {
+						s.logf("nodenet: %s: write: %v", conn.RemoteAddr(), err)
+					}
+					conn.Close() // unblocks the reader
+				})
+			}
+		}()
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // concurrent use.
 type Stats struct {
 	dials       atomic.Int64 // TCP connections opened
-	connsClosed atomic.Int64 // TCP connections closed (discard, idle drain)
-	inFlight    atomic.Int64 // pool slots currently held (occupancy gauge)
+	connsClosed atomic.Int64 // TCP connections closed (failure, Close)
+	inFlight    atomic.Int64 // RPC attempts sent (or dialing) and not yet let go
 
 	rpcs      atomic.Int64 // completed RPC attempts (any status)
 	rpcErrors atomic.Int64 // attempts that returned an error
@@ -39,8 +39,8 @@ func (s *Stats) OpenConns() int64 {
 	return s.dials.Load() - s.connsClosed.Load()
 }
 
-// InFlight is the pool-occupancy gauge: requests currently holding a
-// connection slot.
+// InFlight is the attempts-in-flight gauge: primaries and hedges a caller is
+// still waiting on.
 func (s *Stats) InFlight() int64 {
 	if s == nil {
 		return 0
@@ -121,6 +121,19 @@ func (s *Stats) rpcDone(latencyNs int64, failed bool) {
 	}
 }
 
+// rpcDropped counts an attempt whose reply nobody was waiting for: the
+// caller gave up, or its other attempt won. No latency is recorded — no
+// caller experienced one.
+func (s *Stats) rpcDropped(failed bool) {
+	if s == nil {
+		return
+	}
+	s.rpcs.Add(1)
+	if failed {
+		s.rpcErrors.Add(1)
+	}
+}
+
 func (s *Stats) hedgeFired() {
 	if s != nil {
 		s.hedgeFires.Add(1)
@@ -146,7 +159,7 @@ func (s *Stats) WriteMetrics(w io.Writer) {
 		return
 	}
 	obs.Gauge(w, "lakeharbor_net_conns_open", "live TCP connections to lakenode servers", s.OpenConns())
-	obs.Gauge(w, "lakeharbor_net_pool_inflight", "requests currently holding a connection-pool slot", s.InFlight())
+	obs.Gauge(w, "lakeharbor_net_pool_inflight", "node RPC attempts in flight", s.InFlight())
 	obs.Counter(w, "lakeharbor_net_conns_dialed_total", "TCP connections dialed", s.dials.Load())
 	obs.Counter(w, "lakeharbor_net_rpcs_total", "node RPC attempts completed", s.rpcs.Load())
 	obs.Counter(w, "lakeharbor_net_rpc_errors_total", "node RPC attempts that failed", s.rpcErrors.Load())

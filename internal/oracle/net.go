@@ -4,11 +4,11 @@ package oracle
 // networked data plane — one lakenode-shaped server per node on loopback
 // TCP, one nodenet client per node, each client wrapped in a (dormant)
 // chaos transport proxy — and the same job runs twice: once clean with an
-// aggressive hedge delay (so tail-latency hedging actually fires over the
-// pool), once with the transport chaos armed (injected drops + delays, the
-// executor retrying through them). Both runs must reproduce the oracle
-// answer; the clean run must also match the sim's per-stage emit counts,
-// and at the end the client pools must drain to zero open connections.
+// aggressive hedge delay (so tail-latency hedging actually fires), once
+// with the transport chaos armed (injected drops + delays, the executor
+// retrying through them). Both runs must reproduce the oracle answer; the
+// clean run must also match the sim's per-stage emit counts, and at the end
+// the clients must close down to zero open connections.
 
 import (
 	"context"
@@ -23,10 +23,13 @@ import (
 	"lakeharbor/internal/trace"
 )
 
-// netHedgeAfter is the fixed hedge delay for the net arm. Over loopback an
-// RPC completes in tens of microseconds, but under pool contention (the
-// hedge timer starts before the slot is acquired) waits routinely exceed
-// it, so hedges fire reliably without a warmed-up latency profile.
+// netHedgeAfter is the fixed hedge delay for the net arm. The hedge clock
+// runs from the moment a request's frame is written, and a lone loopback
+// RPC answers in tens of microseconds — but a stage's whole fan-out is in
+// flight at once on a few cores, so replies routinely take longer than this
+// to reach their callers and hedges fire reliably without a warmed-up
+// latency profile (several hundred per 30-seed sweep). Lower it if a sweep
+// ever stops hedging; "zero hedges fails the sweep" stays.
 const netHedgeAfter = 200 * time.Microsecond
 
 // netStats is what the arm reports upward for the acceptance assertions.
@@ -125,8 +128,8 @@ func runNetArm(ctx context.Context, sc *scenario) (*core.Result, []string, netSt
 		fails = append(fails, f)
 	}
 
-	// Teardown before the leak check: Close drains each pool, so anything
-	// still open afterwards is a real leak.
+	// Teardown before the leak check: Close closes every connection of each
+	// client, so anything still open afterwards is a real leak.
 	closeAll()
 	ns.HedgeFires = stats.HedgeFires()
 	ns.HedgeWins = stats.HedgeWins()

@@ -50,8 +50,8 @@ type Options struct {
 	// uninterrupted run — without starting a single build.
 	Restart bool
 	// Net enables the seventh arm: the scenario is mirrored onto real
-	// loopback lakenode servers (one per node, nodenet clients with pooled
-	// connections and hedging in front) and the job runs there twice —
+	// loopback lakenode servers (one per node, nodenet clients with
+	// multiplexed connections and hedging in front) and the job runs there twice —
 	// clean, and under armed transport chaos. Answers, emits, pointer
 	// conservation, and a zero-leak pool drain are all asserted.
 	Net bool
