@@ -6,9 +6,8 @@
 // queried with schema-on-read — no joins). Numbers are normalized to the
 // warehouse system, as in the paper.
 //
-// With -json the per-query access counts — plus batching stats and latency
-// quantiles aggregated over the ReDe runs — are written to a file for
-// machine consumption (CI uploads it as BENCH_claims.json).
+// The repository's benchmark — seeded, repeated, with spreads — is
+// lakebench/; this command only prints the figure.
 //
 // With -budget N, the lake arm's disease index is built through the
 // lifecycle manager under a residency budget of N modeled bytes: the index
@@ -21,12 +20,11 @@
 // Usage:
 //
 //	go run ./cmd/claimsbench [-claims 20000] [-nodes 4] [-seed 2024]
-//	    [-sched 0] [-budget 0] [-json BENCH_claims.json]
+//	    [-sched 0] [-budget 0]
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -38,30 +36,7 @@ import (
 	"lakeharbor/internal/dfs"
 	"lakeharbor/internal/indexer"
 	"lakeharbor/internal/sched"
-	"lakeharbor/internal/trace"
 )
-
-// queryResult is one query row of the JSON report.
-type queryResult struct {
-	Query          string  `json:"query"`
-	Claims         int     `json:"claims"`
-	Expense        int     `json:"expense"`
-	DWAccesses     int64   `json:"dwAccesses"`
-	ReDeAccesses   int64   `json:"redeAccesses"`
-	ReDeNormalized float64 `json:"redeNormalized"`
-}
-
-// jsonReport is the -json output: the figure's rows plus aggregate executor
-// stats over the ReDe arms.
-type jsonReport struct {
-	Bench     string                 `json:"bench"`
-	Config    map[string]any         `json:"config"`
-	Results   []queryResult          `json:"results"`
-	Totals    trace.Totals           `json:"totals"`
-	Latencies trace.LatencySummaries `json:"latencies"`
-	// Lifecycle carries the structure lifecycle counters when -budget is set.
-	Lifecycle *indexer.LifecycleCounters `json:"lifecycle,omitempty"`
-}
 
 func main() {
 	var (
@@ -73,7 +48,6 @@ func main() {
 		budget   = flag.Int64("budget", 0, "structure residency budget in modeled bytes; >0 manages the disease index's lifecycle")
 		datalake = flag.Bool("datalake", false, "also run the full-scan data-lake arm the paper's footnote omits")
 		showTr   = flag.Bool("trace", false, "print the per-stage execution trace of each ReDe run")
-		jsonOut  = flag.String("json", "", "write machine-readable results to this file")
 	)
 	flag.Parse()
 	ctx := context.Background()
@@ -103,7 +77,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "loaded both systems in %v\n\n", time.Since(t0).Round(time.Millisecond))
 
-	reg := trace.NewRegistry(0)
 	var sharedOpts core.Options
 	if *schedW > 0 {
 		scheduler, err := sched.New(sched.Options{Workers: *schedW, ShedDepth: -1},
@@ -116,7 +89,6 @@ func main() {
 		sharedOpts.Scheduler = scheduler
 		fmt.Fprintf(os.Stderr, "both arms share a %d-worker scheduler (tenant %q)\n\n", *schedW, "bench")
 	}
-	var results []queryResult
 
 	fmt.Printf("# Figure 9: record accesses, normalized to the warehouse system (DW = 1.00)\n")
 	fmt.Printf("%-4s %-10s %-14s %16s %16s %12s %12s\n",
@@ -146,17 +118,6 @@ func main() {
 				q.Name, wh.Claims, wh.Expense, rd.Claims, rd.Expense, wantClaims, wantExpense)
 		}
 		norm := float64(rd.RecordAccesses) / float64(wh.RecordAccesses)
-		if rd.Trace != nil {
-			reg.Add(rd.Trace)
-		}
-		results = append(results, queryResult{
-			Query:          q.Name,
-			Claims:         int(rd.Claims),
-			Expense:        int(rd.Expense),
-			DWAccesses:     int64(wh.RecordAccesses),
-			ReDeAccesses:   int64(rd.RecordAccesses),
-			ReDeNormalized: norm,
-		})
 		fmt.Printf("%-4s %-10d %-14d %16d %16d %12.2f %12.3f\n",
 			q.Name, rd.Claims, rd.Expense, wh.RecordAccesses, rd.RecordAccesses, 1.0, norm)
 		if *showTr {
@@ -184,30 +145,5 @@ func main() {
 		c := mgr.Counters()
 		fmt.Fprintf(os.Stderr, "\nlifecycle: builds=%d deduped=%d rebuilds=%d evictions=%d resident=%d bytes (budget %d)\n",
 			c.BuildsStarted, c.BuildsDeduped, c.Rebuilds, c.Evictions, mgr.ResidentBytes(), *budget)
-	}
-
-	if *jsonOut != "" {
-		rep := jsonReport{
-			Bench: "claimsbench",
-			Config: map[string]any{
-				"claims": *nClaims, "nodes": *nodes, "seed": *seed, "batch": *batch,
-				"budget": *budget,
-			},
-			Results:   results,
-			Totals:    reg.Totals(),
-			Latencies: reg.Latencies().Summaries(),
-		}
-		if mgr != nil {
-			c := mgr.Counters()
-			rep.Lifecycle = &c
-		}
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*jsonOut, append(buf, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
 	}
 }

@@ -11,9 +11,8 @@
 // It prints one row per selectivity with the three execution times and the
 // ReDe-vs-baseline speedup. Absolute times are simulator times; the paper's
 // claims are about the relative shape (who wins where, the crossover at
-// high selectivity). With -json the same results — plus batching stats and
-// latency quantiles aggregated over the SMPE runs — are written to a file
-// for machine consumption (CI uploads it as BENCH_rede.json).
+// high selectivity). The repository's benchmark — seeded, repeated, with
+// spreads — is lakebench/; this command only prints the figure.
 //
 // With -budget N, the structures are built through the lifecycle manager
 // under a residency budget of N modeled bytes instead of eagerly: cold
@@ -29,12 +28,11 @@
 //
 //	go run ./cmd/redebench [-sf 0.2] [-nodes 4] [-cores 16] [-threads 1000]
 //	    [-sched 0] [-region ASIA] [-sels 0.0001,0.001,...] [-seed 1] [-free]
-//	    [-budget 0] [-json BENCH_rede.json]
+//	    [-budget 0]
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -51,41 +49,7 @@ import (
 	"lakeharbor/internal/sched"
 	"lakeharbor/internal/sim"
 	"lakeharbor/internal/tpch"
-	"lakeharbor/internal/trace"
 )
-
-// selResult is one selectivity row of the JSON report.
-type selResult struct {
-	Selectivity float64 `json:"selectivity"`
-	Rows        int64   `json:"rows"`
-	ImpalaNs    int64   `json:"impalaNs"`
-	NoSMPENs    int64   `json:"nosmpeNs"`
-	SMPENs      int64   `json:"smpeNs"`
-	Speedup     float64 `json:"speedup"`
-}
-
-// jsonReport is the -json output: the figure's rows plus aggregate executor
-// stats over the SMPE arms.
-type jsonReport struct {
-	Bench     string                 `json:"bench"`
-	Config    map[string]any         `json:"config"`
-	Results   []selResult            `json:"results"`
-	Totals    trace.Totals           `json:"totals"`
-	Latencies trace.LatencySummaries `json:"latencies"`
-	// Lifecycle carries the structure lifecycle counters when -budget is set.
-	Lifecycle *indexer.LifecycleCounters `json:"lifecycle,omitempty"`
-}
-
-func writeReport(path string, rep jsonReport) {
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-}
 
 func main() {
 	var (
@@ -102,7 +66,6 @@ func main() {
 		budget  = flag.Int64("budget", 0, "structure residency budget in modeled bytes; >0 builds through the lifecycle manager")
 		showTr  = flag.Bool("trace", false, "print the per-stage execution trace of each SMPE run")
 		slow    = flag.Duration("slow", 0, "flag tasks slower than this in the trace (0 = off)")
-		jsonOut = flag.String("json", "", "write machine-readable results to this file")
 	)
 	flag.Parse()
 
@@ -147,7 +110,6 @@ func main() {
 	}
 
 	eng := baseline.New(cluster, *cores)
-	reg := trace.NewRegistry(0)
 	var scheduler *sched.Scheduler
 	if *schedW > 0 {
 		scheduler, err = sched.New(sched.Options{Workers: *schedW, ShedDepth: -1},
@@ -158,7 +120,6 @@ func main() {
 		defer scheduler.Close()
 		fmt.Fprintf(os.Stderr, "SMPE runs share a %d-worker scheduler (tenant %q)\n", *schedW, "bench")
 	}
-	var results []selResult
 
 	fmt.Printf("# Figure 7: TPC-H Q5' execution time vs selectivity (%s, SF=%g, %d nodes)\n",
 		*region, *sf, *nodes)
@@ -213,15 +174,6 @@ func main() {
 			log.Fatalf("sel=%g: result mismatch: impala=%d nosmpe=%d smpe=%d",
 				sel, baseRows, plain.Count, smpe.Count)
 		}
-		reg.Add(smpe.Trace)
-		results = append(results, selResult{
-			Selectivity: sel,
-			Rows:        baseRows,
-			ImpalaNs:    int64(tImpala),
-			NoSMPENs:    int64(plain.Elapsed),
-			SMPENs:      int64(smpe.Elapsed),
-			Speedup:     float64(tImpala) / float64(smpe.Elapsed),
-		})
 		fmt.Printf("%-12g %-8d %14s %16s %14s %9.1fx\n",
 			sel, baseRows,
 			tImpala.Round(time.Microsecond),
@@ -237,25 +189,6 @@ func main() {
 		c := mgr.Counters()
 		fmt.Fprintf(os.Stderr, "\nlifecycle: builds=%d deduped=%d rebuilds=%d evictions=%d resident=%d bytes (budget %d)\n",
 			c.BuildsStarted, c.BuildsDeduped, c.Rebuilds, c.Evictions, mgr.ResidentBytes(), *budget)
-	}
-
-	if *jsonOut != "" {
-		rep := jsonReport{
-			Bench: "redebench",
-			Config: map[string]any{
-				"sf": *sf, "nodes": *nodes, "cores": *cores, "threads": *threads,
-				"batch": *batch, "region": *region, "seed": *seed, "free": *free,
-				"budget": *budget,
-			},
-			Results:   results,
-			Totals:    reg.Totals(),
-			Latencies: reg.Latencies().Summaries(),
-		}
-		if mgr != nil {
-			c := mgr.Counters()
-			rep.Lifecycle = &c
-		}
-		writeReport(*jsonOut, rep)
 	}
 }
 

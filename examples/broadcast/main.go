@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"strings"
 
 	"lakeharbor"
 )
@@ -52,8 +51,8 @@ func main() {
 			lakeharbor.Record{Key: k, Data: []byte(fmt.Sprintf("%d,%d", i, i%12))}))
 	}
 
-	interpUser := csvInterp("user_id", "country_id")
-	interpCountry := csvInterp("country_id", "country", "continent_id")
+	interpUser := lakeharbor.Delimited("user", ',', "user_id", "country_id")
+	interpCountry := lakeharbor.Delimited("country", ',', "country_id", "country", "continent_id")
 	interpUC := lakeharbor.Composite(interpUser, interpCountry)
 
 	// All users, seeded as a broadcast scan of the users file.
@@ -104,10 +103,14 @@ func main() {
 	}
 
 	// Show a composite result row interpreted with schema-on-read.
-	interpAll := lakeharbor.Composite(interpUser, interpCountry, csvInterp("continent_id", "continent"))
+	interpAll := lakeharbor.Composite(interpUser, interpCountry,
+		lakeharbor.Delimited("continent", ',', "continent_id", "continent"))
 	f, err := interpAll(r3.Records[0])
 	must(err)
-	fmt.Printf("sample row: user %s lives in %s (%s)\n", f["user_id"], f["country"], f["continent"])
+	user, _ := f.Get("user_id")
+	country, _ := f.Get("country")
+	continent, _ := f.Get("continent")
+	fmt.Printf("sample row: user %s lives in %s (%s)\n", user, country, continent)
 }
 
 func mustCreate(e *lakeharbor.Engine, name string) {
@@ -128,19 +131,4 @@ func encInt(v string) (lakeharbor.Key, error) {
 		return "", err
 	}
 	return lakeharbor.KeyInt64(n), nil
-}
-
-// csvInterp builds an interpreter naming comma-separated fields.
-func csvInterp(names ...string) lakeharbor.Interpreter {
-	return func(rec lakeharbor.Record) (lakeharbor.Fields, error) {
-		parts := strings.Split(string(rec.Data), ",")
-		if len(parts) != len(names) {
-			return nil, fmt.Errorf("record %q has %d fields, want %d", rec.Data, len(parts), len(names))
-		}
-		f := lakeharbor.Fields{}
-		for i, n := range names {
-			f[n] = parts[i]
-		}
-		return f, nil
-	}
 }

@@ -57,7 +57,8 @@ func main() {
 			DriverLo:    keycodec.Int64(int64(lo)),
 			DriverHi:    keycodec.Int64(int64(hi - 1)),
 			DriverPred: func(f core.Fields) (bool, error) {
-				d, err := tpch.EncodeInt(f["o_orderdate"])
+				day, _ := f.Get("o_orderdate")
+				d, err := tpch.EncodeInt(day)
 				if err != nil {
 					return false, err
 				}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"strconv"
-	"strings"
 
 	"lakeharbor"
 )
@@ -42,14 +41,9 @@ func main() {
 		}
 	}
 
-	// A schema-on-read interpreter: the only workload-specific code.
-	interp := func(rec lakeharbor.Record) (lakeharbor.Fields, error) {
-		f := strings.Split(string(rec.Data), ",")
-		if len(f) != 3 {
-			return nil, fmt.Errorf("malformed reading %q", rec.Data)
-		}
-		return lakeharbor.Fields{"sensor_id": f[0], "temp": f[1], "city": f[2]}, nil
-	}
+	// A schema-on-read interpreter, declared once: the only
+	// workload-specific code.
+	interp := lakeharbor.Delimited("reading", ',', "sensor_id", "temp", "city")
 
 	// 2. Make a structure a first-class citizen: register an access
 	// method for a temperature index. Nothing is built yet — structures
@@ -62,11 +56,11 @@ func main() {
 			return rec.Key, nil // readings are partitioned by their key
 		},
 		Keys: func(rec lakeharbor.Record) ([]lakeharbor.Key, error) {
-			f, err := interp(rec)
+			temp, err := interp.Field(rec, "temp")
 			if err != nil {
 				return nil, err
 			}
-			t, err := strconv.ParseInt(f["temp"], 10, 64)
+			t, err := strconv.ParseInt(temp, 10, 64)
 			if err != nil {
 				return nil, err
 			}
@@ -84,11 +78,8 @@ func main() {
 	// 3. Query through the structure: readings hotter than 35 °C, in
 	// tokyo, fetched with a Reference-Dereference job.
 	onlyTokyo := func(rec lakeharbor.Record) (bool, error) {
-		f, err := interp(rec)
-		if err != nil {
-			return false, err
-		}
-		return f["city"] == "tokyo", nil
+		city, err := interp.Field(rec, "city")
+		return city == "tokyo", err
 	}
 	seeds, err := lakeharbor.SeedRange(engine, "readings_by_temp",
 		lakeharbor.KeyInt64(36), lakeharbor.KeyInt64(99))
@@ -119,6 +110,9 @@ func main() {
 			break
 		}
 		f, _ := interp(r)
-		fmt.Printf("  sensor %s: %s°C in %s\n", f["sensor_id"], f["temp"], f["city"])
+		id, _ := f.Get("sensor_id")
+		temp, _ := f.Get("temp")
+		city, _ := f.Get("city")
+		fmt.Printf("  sensor %s: %s°C in %s\n", id, temp, city)
 	}
 }

@@ -74,11 +74,11 @@ func main() {
 	// scanning both tables and hash-joining them.
 	eng := baseline.New(cluster, 0)
 	parts, err := eng.Scan(ctx, tpch.FilePart, func(rec lake.Record) (bool, error) {
-		f, err := tpch.InterpPart(rec)
+		price, err := tpch.InterpPart.Field(rec, "p_retailprice")
 		if err != nil {
 			return false, err
 		}
-		k, err := tpch.EncodeFloat(f["p_retailprice"])
+		k, err := tpch.EncodeFloat(price)
 		if err != nil {
 			return false, err
 		}
@@ -94,19 +94,19 @@ func main() {
 	joined, err := baseline.HashJoin(
 		baseline.TuplesOf(lineitems),
 		baseline.TupleKey(0, func(rec lake.Record) (string, error) {
-			f, err := tpch.InterpLineitem(rec)
+			v, err := tpch.InterpLineitem.Field(rec, "l_partkey")
 			if err != nil {
 				return "", err
 			}
-			return tpch.EncodeInt(f["l_partkey"])
+			return tpch.EncodeInt(v)
 		}),
 		parts,
 		func(rec lake.Record) (string, error) {
-			f, err := tpch.InterpPart(rec)
+			v, err := tpch.InterpPart.Field(rec, "p_partkey")
 			if err != nil {
 				return "", err
 			}
-			return tpch.EncodeInt(f["p_partkey"])
+			return tpch.EncodeInt(v)
 		},
 	)
 	if err != nil {

@@ -179,6 +179,10 @@ func (t *Tree) GetBatch(keys []string) [][][]byte {
 	}
 	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
 
+	// Every key's values are sub-slices of one array, sized for the common
+	// case of one value per key. When it grows, results already handed out
+	// keep pointing into the array it outgrew, which still holds them.
+	flat := make([][]byte, 0, len(keys))
 	var cur *leaf // leaf holding the first entry >= the previous key
 	last := -1    // index into keys of the previous distinct key
 	for _, i := range order {
@@ -191,7 +195,7 @@ func (t *Tree) GetBatch(keys []string) [][][]byte {
 		cur, li = t.seekFrom(cur, k)
 		// Collect every value stored under k, walking the leaf chain for
 		// duplicate runs that span leaves.
-		var vals [][]byte
+		start := len(flat)
 	scan:
 		for l, j := cur, li; l != nil; l, j = l.next, 0 {
 			cur = l // advance the cursor past duplicate runs
@@ -199,10 +203,12 @@ func (t *Tree) GetBatch(keys []string) [][][]byte {
 				if l.keys[j] != k {
 					break scan
 				}
-				vals = append(vals, l.vals[j])
+				flat = append(flat, l.vals[j])
 			}
 		}
-		out[i] = vals
+		if len(flat) > start { // a miss stays nil
+			out[i] = flat[start:len(flat):len(flat)]
+		}
 		last = i
 	}
 	return out

@@ -116,101 +116,183 @@ func (c *Claim) Raw() string {
 // Parse interprets a raw claim with schema-on-read. id is the record key's
 // claim id (the claim body does not repeat it).
 func Parse(id int64, data []byte) (*Claim, error) {
-	c := &Claim{ID: id}
+	c, err := parse(id, data, keepSI|keepIY|keepSY)
+	if err != nil {
+		return nil, err
+	}
+	return &c, nil
+}
+
+// subRecords selects which repeated sub-records parse materializes.
+type subRecords uint8
+
+const (
+	keepSI subRecords = 1 << iota
+	keepIY
+	keepSY
+)
+
+// parse is Parse keeping only the selected repeated sub-records. Every line
+// is validated whatever is kept, so a query that needs one kind of
+// sub-record rejects exactly the claims Parse rejects. The payload is copied
+// once and every string of the claim is a substring of that copy.
+func parse(id int64, data []byte, keep subRecords) (Claim, error) {
+	c := Claim{ID: id}
+	s := string(data)
+	if keep&keepSI != 0 {
+		c.SI = sized[SI](s, "\nSI,")
+	}
+	if keep&keepIY != 0 {
+		c.IY = sized[IY](s, "\nIY,")
+	}
+	if keep&keepSY != 0 {
+		c.SY = sized[SY](s, "\nSY,")
+	}
 	var sawIR, sawRE, sawHO bool
-	for lineNo, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
+	var f [5]string
+	lineNo := 0
+	fail := func(err error) (Claim, error) {
+		return Claim{}, fmt.Errorf("claims: line %d: %w", lineNo, err)
+	}
+	bad := func(what string) (Claim, error) {
+		return Claim{}, fmt.Errorf("claims: line %d: %s", lineNo, what)
+	}
+	for s != "" {
+		lineNo++
+		line := s
+		if i := strings.IndexByte(s, '\n'); i >= 0 {
+			line, s = s[:i], s[i+1:]
+		} else {
+			s = ""
+		}
 		if line == "" {
 			continue
 		}
-		f := strings.Split(line, ",")
+		n := splitCommas(line, &f)
 		switch f[0] {
 		case "IR":
-			if len(f) < 4 {
-				return nil, fmt.Errorf("claims: line %d: short IR record", lineNo+1)
+			if n < 4 {
+				return bad("short IR record")
 			}
 			inst, err := strconv.ParseInt(f[1], 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("claims: line %d: %w", lineNo+1, err)
+				return fail(err)
 			}
 			typ, err := strconv.Atoi(f[2])
 			if err != nil {
-				return nil, fmt.Errorf("claims: line %d: %w", lineNo+1, err)
+				return fail(err)
 			}
 			c.IR = IR{InstitutionID: inst, Type: typ, Name: f[3]}
 			if typ == TypeDPC {
-				if len(f) < 5 {
-					return nil, fmt.Errorf("claims: line %d: DPC claim missing DPC code", lineNo+1)
+				if n < 5 {
+					return bad("DPC claim missing DPC code")
 				}
 				c.IR.DPCCode = f[4]
 			}
 			sawIR = true
 		case "RE":
-			if len(f) != 5 {
-				return nil, fmt.Errorf("claims: line %d: bad RE record", lineNo+1)
+			if n != 5 {
+				return bad("bad RE record")
 			}
 			pid, err := strconv.ParseInt(f[1], 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("claims: line %d: %w", lineNo+1, err)
+				return fail(err)
 			}
 			age, err := strconv.Atoi(f[3])
 			if err != nil {
-				return nil, fmt.Errorf("claims: line %d: %w", lineNo+1, err)
+				return fail(err)
 			}
 			c.RE = RE{PatientID: pid, Category: f[2], Age: age, Sex: f[4]}
 			sawRE = true
 		case "HO":
-			if len(f) != 3 {
-				return nil, fmt.Errorf("claims: line %d: bad HO record", lineNo+1)
+			if n != 3 {
+				return bad("bad HO record")
 			}
 			ins, err := strconv.ParseInt(f[1], 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("claims: line %d: %w", lineNo+1, err)
+				return fail(err)
 			}
 			pts, err := strconv.ParseInt(f[2], 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("claims: line %d: %w", lineNo+1, err)
+				return fail(err)
 			}
 			c.HO = HO{InsurerID: ins, Points: pts}
 			sawHO = true
 		case "SI":
-			if len(f) != 4 {
-				return nil, fmt.Errorf("claims: line %d: bad SI record", lineNo+1)
+			if n != 4 {
+				return bad("bad SI record")
 			}
 			pts, err := strconv.ParseInt(f[2], 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("claims: line %d: %w", lineNo+1, err)
+				return fail(err)
 			}
 			cnt, err := strconv.Atoi(f[3])
 			if err != nil {
-				return nil, fmt.Errorf("claims: line %d: %w", lineNo+1, err)
+				return fail(err)
 			}
-			c.SI = append(c.SI, SI{Code: f[1], Points: pts, Count: cnt})
+			if keep&keepSI != 0 {
+				c.SI = append(c.SI, SI{Code: f[1], Points: pts, Count: cnt})
+			}
 		case "IY":
-			if len(f) != 5 {
-				return nil, fmt.Errorf("claims: line %d: bad IY record", lineNo+1)
+			if n != 5 {
+				return bad("bad IY record")
 			}
 			pts, err := strconv.ParseInt(f[3], 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("claims: line %d: %w", lineNo+1, err)
+				return fail(err)
 			}
 			cnt, err := strconv.Atoi(f[4])
 			if err != nil {
-				return nil, fmt.Errorf("claims: line %d: %w", lineNo+1, err)
+				return fail(err)
 			}
-			c.IY = append(c.IY, IY{Code: f[1], Class: f[2], Points: pts, Count: cnt})
+			if keep&keepIY != 0 {
+				c.IY = append(c.IY, IY{Code: f[1], Class: f[2], Points: pts, Count: cnt})
+			}
 		case "SY":
-			if len(f) != 4 {
-				return nil, fmt.Errorf("claims: line %d: bad SY record", lineNo+1)
+			if n != 4 {
+				return bad("bad SY record")
 			}
-			c.SY = append(c.SY, SY{Code: f[1], Name: f[2], Main: f[3] == "1"})
+			if keep&keepSY != 0 {
+				c.SY = append(c.SY, SY{Code: f[1], Name: f[2], Main: f[3] == "1"})
+			}
 		default:
-			return nil, fmt.Errorf("claims: line %d: unknown sub-record kind %q", lineNo+1, f[0])
+			return bad(fmt.Sprintf("unknown sub-record kind %q", f[0]))
 		}
 	}
 	if !sawIR || !sawRE || !sawHO {
-		return nil, fmt.Errorf("claims: claim %d missing mandatory sub-records (IR=%v RE=%v HO=%v)", id, sawIR, sawRE, sawHO)
+		return Claim{}, fmt.Errorf("claims: claim %d missing mandatory sub-records (IR=%v RE=%v HO=%v)", id, sawIR, sawRE, sawHO)
 	}
 	return c, nil
+}
+
+// sized returns an empty list with room for every line of s that starts a
+// sub-record of one kind (a hint: a claim opening with that kind is one
+// short, and grows), or nil when there is none.
+func sized[T any](s, lineStart string) []T {
+	if n := strings.Count(s, lineStart); n > 0 {
+		return make([]T, 0, n)
+	}
+	return nil
+}
+
+// splitCommas stores line's comma-separated fields in f and returns how many
+// the line has; fields beyond len(f) are counted, not stored.
+func splitCommas(line string, f *[5]string) int {
+	n := 0
+	for ; ; n++ {
+		i := strings.IndexByte(line, ',')
+		if i < 0 {
+			break
+		}
+		if n < len(f) {
+			f[n] = line[:i]
+		}
+		line = line[i+1:]
+	}
+	if n < len(f) {
+		f[n] = line
+	}
+	return n + 1
 }
 
 // HasDisease reports whether any SY sub-record carries the code.

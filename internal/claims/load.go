@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"lakeharbor/internal/core"
 	"lakeharbor/internal/dfs"
@@ -78,11 +77,7 @@ func DiseaseIndexSpec() indexer.Spec {
 			return rec.Key, nil // claims are partitioned by their own key
 		},
 		Keys: func(rec lake.Record) ([]lake.Key, error) {
-			id, err := keycodec.DecodeInt64(rec.Key)
-			if err != nil {
-				return nil, err
-			}
-			c, err := Parse(id, rec.Data)
+			c, err := parseRecord(rec, keepSY)
 			if err != nil {
 				return nil, err
 			}
@@ -98,6 +93,16 @@ func DiseaseIndexSpec() indexer.Spec {
 			return keys, nil
 		},
 	}
+}
+
+// parseRecord parses a stored claim — the claim id is its record key —
+// keeping only the selected repeated sub-records.
+func parseRecord(rec lake.Record, keep subRecords) (Claim, error) {
+	id, err := keycodec.DecodeInt64(rec.Key)
+	if err != nil {
+		return Claim{}, err
+	}
+	return parse(id, rec.Data, keep)
 }
 
 // Warehouse row renderers (comma-separated normalized rows).
@@ -124,42 +129,11 @@ func wTreatRow(c *Claim, s SI) string {
 
 // Warehouse row interpreters (schema-on-read over the normalized rows; the
 // warehouse engine itself is the same fine-grained parallel executor).
-
-func splitCSV(rec lake.Record, n int, table string) ([]string, error) {
-	f := strings.Split(string(rec.Data), ",")
-	if len(f) != n {
-		return nil, fmt.Errorf("claims: %s row has %d fields, want %d: %q", table, len(f), n, rec.Data)
-	}
-	return f, nil
-}
-
-// InterpWClaim interprets w_claims rows: claim_id,institution,patient,expense.
-func InterpWClaim(rec lake.Record) (core.Fields, error) {
-	f, err := splitCSV(rec, 4, FileWClaims)
-	if err != nil {
-		return nil, err
-	}
-	return core.Fields{"claim_id": f[0], "institution": f[1], "patient": f[2], "expense": f[3]}, nil
-}
-
-// InterpWDisease interprets w_diseases rows: claim_id,disease_code,main.
-func InterpWDisease(rec lake.Record) (core.Fields, error) {
-	f, err := splitCSV(rec, 3, FileWDiseases)
-	if err != nil {
-		return nil, err
-	}
-	return core.Fields{"claim_id": f[0], "disease_code": f[1], "main": f[2]}, nil
-}
-
-// InterpWMedicine interprets w_medicines rows:
-// claim_id,med_code,med_class,med_points,med_count.
-func InterpWMedicine(rec lake.Record) (core.Fields, error) {
-	f, err := splitCSV(rec, 5, FileWMedicines)
-	if err != nil {
-		return nil, err
-	}
-	return core.Fields{"claim_id": f[0], "med_code": f[1], "med_class": f[2], "med_points": f[3], "med_count": f[4]}, nil
-}
+var (
+	InterpWClaim    = core.Delimited(FileWClaims, ',', "claim_id", "institution", "patient", "expense")
+	InterpWDisease  = core.Delimited(FileWDiseases, ',', "claim_id", "disease_code", "main")
+	InterpWMedicine = core.Delimited(FileWMedicines, ',', "claim_id", "med_code", "med_class", "med_points", "med_count")
+)
 
 // EncodeClaimID encodes the claim_id field value as a key.
 func EncodeClaimID(v string) (lake.Key, error) {
@@ -228,18 +202,18 @@ func LoadWarehouse(ctx context.Context, cluster *dfs.Cluster, corpus *Corpus, pa
 		Base: FileWDiseases,
 		Kind: indexer.Global,
 		PartKey: func(rec lake.Record) (lake.Key, error) {
-			f, err := InterpWDisease(rec)
+			id, err := InterpWDisease.Field(rec, "claim_id")
 			if err != nil {
 				return "", err
 			}
-			return EncodeClaimID(f["claim_id"])
+			return EncodeClaimID(id)
 		},
 		Keys: func(rec lake.Record) ([]lake.Key, error) {
-			f, err := InterpWDisease(rec)
+			code, err := InterpWDisease.Field(rec, "disease_code")
 			if err != nil {
 				return nil, err
 			}
-			return []lake.Key{DiseaseKey(f["disease_code"])}, nil
+			return []lake.Key{DiseaseKey(code)}, nil
 		},
 	})
 	return err

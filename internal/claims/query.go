@@ -10,7 +10,6 @@ import (
 	"lakeharbor/internal/baseline"
 	"lakeharbor/internal/core"
 	"lakeharbor/internal/dfs"
-	"lakeharbor/internal/keycodec"
 	"lakeharbor/internal/lake"
 	"lakeharbor/internal/trace"
 )
@@ -57,15 +56,8 @@ type Result struct {
 // predicate with schema-on-read inside the claim — no joins.
 func RunReDe(ctx context.Context, cluster *dfs.Cluster, q Query, opts core.Options) (*Result, error) {
 	medFilter := func(rec lake.Record) (bool, error) {
-		id, err := keycodec.DecodeInt64(rec.Key)
-		if err != nil {
-			return false, err
-		}
-		c, err := Parse(id, rec.Data)
-		if err != nil {
-			return false, err
-		}
-		return c.HasMedicineClass(q.MedicineClass), nil
+		c, err := parseRecord(rec, keepIY)
+		return c.HasMedicineClass(q.MedicineClass), err
 	}
 	k := DiseaseKey(q.Disease)
 	job, err := core.NewJob("claims-"+q.Name,
@@ -82,11 +74,7 @@ func RunReDe(ctx context.Context, cluster *dfs.Cluster, q Query, opts core.Optio
 	expense := int64(0)
 	count := int64(0)
 	opts.Each = func(_ int, rec lake.Record) error {
-		id, err := keycodec.DecodeInt64(rec.Key)
-		if err != nil {
-			return err
-		}
-		c, err := Parse(id, rec.Data)
+		c, err := parseRecord(rec, 0) // the expense is in the mandatory HO
 		if err != nil {
 			return err
 		}
@@ -122,11 +110,8 @@ func RunReDe(ctx context.Context, cluster *dfs.Cluster, q Query, opts core.Optio
 func RunWarehouse(ctx context.Context, cluster *dfs.Cluster, q Query, opts core.Options) (*Result, error) {
 	interpDM := core.Composite(InterpWDisease, InterpWMedicine)
 	classFilter := func(rec lake.Record) (bool, error) {
-		f, err := interpDM(rec)
-		if err != nil {
-			return false, err
-		}
-		return f["med_class"] == q.MedicineClass, nil
+		class, err := interpDM.Field(rec, "med_class")
+		return class == q.MedicineClass, err
 	}
 	k := DiseaseKey(q.Disease)
 	job, err := core.NewJob("warehouse-"+q.Name,
@@ -157,15 +142,17 @@ func RunWarehouse(ctx context.Context, cluster *dfs.Cluster, q Query, opts core.
 		if err != nil {
 			return err
 		}
+		id, _ := f.Get("claim_id")
+		raw, _ := f.Get("expense")
 		mu.Lock()
 		defer mu.Unlock()
-		if seen[f["claim_id"]] {
+		if seen[id] {
 			return nil
 		}
-		seen[f["claim_id"]] = true
-		e, err := strconv.ParseInt(f["expense"], 10, 64)
+		seen[id] = true
+		e, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
-			return fmt.Errorf("claims: bad expense %q: %w", f["expense"], err)
+			return fmt.Errorf("claims: bad expense %q: %w", raw, err)
 		}
 		expense += e
 		return nil
@@ -203,11 +190,7 @@ func RunDataLake(ctx context.Context, cluster *dfs.Cluster, q Query, coresPerNod
 		expense int64
 	)
 	_, err := eng.Scan(ctx, FileClaims, func(rec lake.Record) (bool, error) {
-		id, err := keycodec.DecodeInt64(rec.Key)
-		if err != nil {
-			return false, err
-		}
-		c, err := Parse(id, rec.Data)
+		c, err := parseRecord(rec, keepIY|keepSY)
 		if err != nil {
 			return false, err
 		}

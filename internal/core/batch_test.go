@@ -73,7 +73,7 @@ func TestBatchedEquivalence(t *testing.T) {
 			if err != nil {
 				return false, err
 			}
-			pk, err := strconv.ParseInt(f["l_partkey"], 10, 64)
+			pk, err := strconv.ParseInt(get(f, "l_partkey"), 10, 64)
 			if err != nil {
 				return false, err
 			}
@@ -248,5 +248,42 @@ func TestMaxBatchNegativeRejected(t *testing.T) {
 	job := fx.joinJob(0, 1000, false)
 	if _, err := Execute(fx.ctx, job, fx.cluster, fx.cluster, Options{MaxBatch: -1}); err == nil {
 		t.Fatal("negative MaxBatch accepted")
+	}
+}
+
+// TestDerefBatchAllocationBudget: one combining LookupDeref.DerefBatch on the
+// zero-cost sim allocates a fixed number of slices for the batch — results,
+// routing, keys, and one backing array each in dfs and the B-tree — plus one
+// combined payload per key: no slice of records, keys or values per key.
+func TestDerefBatchAllocationBudget(t *testing.T) {
+	fx := newFixture(t, 1, 400, 1)
+	part, err := fx.cluster.File(fPart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := &TaskCtx{Ctx: fx.cluster.Bind(fx.ctx, 0), Node: 0, Nodes: 1, Catalog: fx.cluster, Owner: fx.cluster.OwnerNode}
+	carry := lake.EncodeSegments([]byte("7|1|3"))
+	var ptrs []lake.Pointer // 64 distinct keys of one partition, as the executor coalesces them
+	for i := int64(0); len(ptrs) < 64; i++ {
+		k := keycodec.Int64(i)
+		if part.Partitioner().Partition(k, part.NumPartitions()) == 0 {
+			ptrs = append(ptrs, lake.Pointer{File: fPart, PartKey: k, Key: k, Carry: carry})
+		}
+	}
+	d := LookupDeref{File: fPart, Combine: true}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(100, func() {
+			out, err := d.DerefBatch(tc, ptrs[:n])
+			if err != nil || len(out) != n || len(out[n-1]) != 1 {
+				t.Fatal(out, err)
+			}
+		})
+	}
+	a16, a64 := allocs(16), allocs(64)
+	if perKey := (a64 - a16) / 48; perKey > 1 {
+		t.Errorf("DerefBatch allocates %.2f times per extra key (%.0f for 16 keys, %.0f for 64), budget 1: the combined payload", perKey, a16, a64)
+	}
+	if fixed := a16 - 16; fixed > 16 {
+		t.Errorf("DerefBatch allocates %.0f times per batch beyond its combined payloads, budget 16", fixed)
 	}
 }

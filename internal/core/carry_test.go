@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"lakeharbor/internal/dfs"
@@ -49,19 +48,7 @@ func carryFixture(t testing.TB) (*dfs.Cluster, context.Context) {
 	return c, ctx
 }
 
-func interpCSV(names ...string) Interpreter {
-	return func(rec lake.Record) (Fields, error) {
-		parts := strings.Split(string(rec.Data), "|")
-		if len(parts) != len(names) {
-			return nil, fmt.Errorf("record %q has %d fields, want %d", rec.Data, len(parts), len(names))
-		}
-		f := Fields{}
-		for i, n := range names {
-			f[n] = parts[i]
-		}
-		return f, nil
-	}
-}
+func interpCSV(names ...string) Interpreter { return Delimited("row", '|', names...) }
 
 func encInt(v string) (lake.Key, error) {
 	var n int64
@@ -105,13 +92,13 @@ func TestThreeWayCarriedJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Join keys consistent end to end.
-		if f["gname"] != "group-"+f["gid"] {
+		if get(f, "gname") != "group-"+get(f, "gid") {
 			t.Fatalf("row joins wrong group: %v", f)
 		}
 		var uid int64
-		fmt.Sscanf(f["uid"], "%d", &uid)
+		fmt.Sscanf(get(f, "uid"), "%d", &uid)
 		var gid int64
-		fmt.Sscanf(f["gid"], "%d", &gid)
+		fmt.Sscanf(get(f, "gid"), "%d", &gid)
 		if uid%3 != gid {
 			t.Fatalf("user %d joined to group %d", uid, gid)
 		}
@@ -132,7 +119,7 @@ func TestCrossBranchFilterOnComposite(t *testing.T) {
 			return false, err
 		}
 		var uid int64
-		fmt.Sscanf(f["uid"], "%d", &uid)
+		fmt.Sscanf(get(f, "uid"), "%d", &uid)
 		return uid%3 == 1, nil
 	}
 	seeds := []lake.Pointer{{File: "users", NoPart: true, Key: keycodec.Int64(0), EndKey: keycodec.Int64(1 << 40)}}
@@ -193,7 +180,7 @@ func TestEntryRefFromComposite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("carried context lost across index hop: %v", err)
 		}
-		if f["uid"] == "" || f["gname"] == "" {
+		if get(f, "uid") == "" || get(f, "gname") == "" {
 			t.Fatalf("incomplete composite: %v", f)
 		}
 	}

@@ -39,20 +39,15 @@ const (
 	fLPartIdx = "lineitem_partkey_idx"
 )
 
-func interpPart(rec lake.Record) (Fields, error) {
-	parts := strings.Split(string(rec.Data), "|")
-	if len(parts) != 2 {
-		return nil, fmt.Errorf("bad part record %q", rec.Data)
-	}
-	return Fields{"p_key": parts[0], "p_price": parts[1]}, nil
-}
+var (
+	interpPart = Delimited("part", '|', "p_key", "p_price")
+	interpLine = Delimited("lineitem", '|', "l_order", "l_line", "l_partkey")
+)
 
-func interpLine(rec lake.Record) (Fields, error) {
-	parts := strings.Split(string(rec.Data), "|")
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("bad lineitem record %q", rec.Data)
-	}
-	return Fields{"l_order": parts[0], "l_line": parts[1], "l_partkey": parts[2]}, nil
+// get reads one field of an interpreted record; a missing field reads "".
+func get(f Fields, name string) string {
+	v, _ := f.Get(name)
+	return v
 }
 
 func encodeIntField(v string) (lake.Key, error) {
@@ -220,7 +215,7 @@ func TestSelectionJob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		price, _ := strconv.ParseInt(f["p_price"], 10, 64)
+		price, _ := strconv.ParseInt(get(f, "p_price"), 10, 64)
 		if price < 50 || price > 120 {
 			t.Errorf("record with price %d escaped the range", price)
 		}
@@ -295,7 +290,7 @@ func TestFilterDropsRecords(t *testing.T) {
 		if err != nil {
 			return false, err
 		}
-		k, _ := strconv.ParseInt(f["p_key"], 10, 64)
+		k, _ := strconv.ParseInt(get(f, "p_key"), 10, 64)
 		return k%2 == 0, nil
 	}
 	seeds := []lake.Pointer{{File: fPriceIdx, NoPart: true, Key: keycodec.Int64(0), EndKey: keycodec.Int64(1000)}}

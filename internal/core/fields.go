@@ -1,0 +1,124 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+
+	"lakeharbor/internal/lake"
+)
+
+// Fields is the result of interpreting a raw record with schema-on-read: a
+// read-only view that names the pieces of a payload without copying them.
+// Building one allocates nothing per field; Get copies out the one value that
+// is asked for.
+//
+// A view aliases the record it was made from — and the storage layer shares
+// Record.Data with its B-trees — so it is valid only for the current call and
+// must never be written through. The strings Get returns are copies and may
+// be kept.
+type Fields struct {
+	// names holds the field names, declared once per interpreter and shared
+	// by every view it returns. Exactly one of the following backs them.
+	names []string
+	// Delimited: names[i] is the i-th sep-separated piece of data.
+	sep  byte
+	data []byte
+	// NewFields: names[i] has values[i].
+	values []string
+	// MergeFields: one view per segment of a composite record; names unused.
+	parts []Fields
+}
+
+// Get returns the value of the named field and whether the view has it. When
+// several parts of a composite name the same field, the last one wins — the
+// most recently joined record.
+func (f Fields) Get(name string) (string, bool) {
+	for i := len(f.parts) - 1; i >= 0; i-- {
+		if v, ok := f.parts[i].Get(name); ok {
+			return v, true
+		}
+	}
+	for i := len(f.names) - 1; i >= 0; i-- {
+		if f.names[i] != name {
+			continue
+		}
+		if f.values != nil {
+			return f.values[i], true
+		}
+		data := f.data
+		for ; i > 0; i-- {
+			data = data[bytes.IndexByte(data, f.sep)+1:]
+		}
+		if end := bytes.IndexByte(data, f.sep); end >= 0 {
+			data = data[:end]
+		}
+		return string(data), true
+	}
+	return "", false
+}
+
+// Field interprets rec and returns the one named field. A record that does
+// not have the field is an error.
+func (in Interpreter) Field(rec lake.Record, name string) (string, error) {
+	f, err := in(rec)
+	if err != nil {
+		return "", err
+	}
+	v, ok := f.Get(name)
+	if !ok {
+		return "", fmt.Errorf("record has no field %q", name)
+	}
+	return v, nil
+}
+
+// NewFields returns a view in which names[i] has values[i], for interpreters
+// whose records are not delimited text. A name listed twice takes its last
+// value. The slices are not copied.
+func NewFields(names, values []string) Fields {
+	if len(names) != len(values) {
+		panic(fmt.Sprintf("core: NewFields: %d names for %d values", len(names), len(values)))
+	}
+	return Fields{names: names, values: values}
+}
+
+// MergeFields returns one view over the views of a composite record's
+// segments, in join order. The slice is not copied.
+func MergeFields(parts []Fields) Fields { return Fields{parts: parts} }
+
+// Delimited declares a schema-on-read interpreter for delimited text records:
+// the separator and the field names in order, once. what names the record
+// kind in errors ("orders"). Every record is checked to have exactly
+// len(names) fields.
+func Delimited(what string, sep byte, names ...string) Interpreter {
+	sepBytes := []byte{sep}
+	return func(rec lake.Record) (Fields, error) {
+		if n := bytes.Count(rec.Data, sepBytes) + 1; n != len(names) {
+			return Fields{}, fmt.Errorf("core: %s record has %d fields, want %d: %q", what, n, len(names), rec.Data)
+		}
+		return Fields{names: names, sep: sep, data: rec.Data}, nil
+	}
+}
+
+// Composite builds an Interpreter over composite (segment-list) records: it
+// splits the payload and applies one interpreter per segment. The resulting
+// view searches the segments last to first, so a field name two segments
+// share reads the later one.
+func Composite(interps ...Interpreter) Interpreter {
+	return func(rec lake.Record) (Fields, error) {
+		var buf [4][]byte // segment headers stay on the stack up to Q5′'s width
+		segs, err := lake.SplitSegments(buf[:0], rec.Data)
+		if err != nil {
+			return Fields{}, err
+		}
+		if len(segs) != len(interps) {
+			return Fields{}, fmt.Errorf("core: composite record has %d segments, interpreter expects %d", len(segs), len(interps))
+		}
+		parts := make([]Fields, len(segs))
+		for i, seg := range segs {
+			if parts[i], err = interps[i](lake.Record{Key: rec.Key, Data: seg}); err != nil {
+				return Fields{}, err
+			}
+		}
+		return MergeFields(parts), nil
+	}
+}

@@ -111,7 +111,11 @@ func (d LookupDeref) DerefBatch(tc *TaskCtx, ptrs []lake.Pointer) ([][]lake.Reco
 		return nil, err
 	}
 	out := make([][]lake.Record, len(ptrs))
-	groups := make(map[int][]int) // partition -> indices into ptrs
+	// parts[i] is the partition ptrs[i] routes to, or -1 once it is served.
+	// The groups below take their keys and indices from two arrays shared
+	// by the whole batch, so a batch costs a fixed number of slices however
+	// many keys or partitions it holds.
+	parts := make([]int, len(ptrs))
 	for i, ptr := range ptrs {
 		part, broadcast := lake.ResolvePartition(f, ptr)
 		if broadcast {
@@ -119,21 +123,29 @@ func (d LookupDeref) DerefBatch(tc *TaskCtx, ptrs []lake.Pointer) ([][]lake.Reco
 			if err != nil {
 				return nil, err
 			}
-			out[i] = recs
+			out[i], part = recs, -1
+		}
+		parts[i] = part
+	}
+	keys := make([]lake.Key, 0, len(ptrs))
+	idxs := make([]int, 0, len(ptrs))
+	for first, part := range parts {
+		if part < 0 {
 			continue
 		}
-		groups[part] = append(groups[part], i)
-	}
-	for part, idxs := range groups {
-		keys := make([]lake.Key, len(idxs))
-		for j, i := range idxs {
-			keys[j] = ptrs[i].Key
+		start := len(keys)
+		for i := first; i < len(ptrs); i++ {
+			if parts[i] == part {
+				keys = append(keys, ptrs[i].Key)
+				idxs = append(idxs, i)
+				parts[i] = -1
+			}
 		}
-		res, err := lake.LookupBatch(tc.Ctx, f, part, keys)
+		res, err := lake.LookupBatch(tc.Ctx, f, part, keys[start:])
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: %w", d.Name(), err)
 		}
-		for j, i := range idxs {
+		for j, i := range idxs[start:] {
 			recs := combine(d.Combine, ptrs[i], res[j])
 			if recs, err = applyFilter(d.Filter, recs); err != nil {
 				return nil, err
@@ -317,13 +329,9 @@ func (r FieldRef) Name() string { return "FieldRef(" + r.Field + "→" + r.Targe
 
 // Ref implements Referencer.
 func (r FieldRef) Ref(tc *TaskCtx, rec lake.Record) ([]lake.Pointer, error) {
-	fields, err := r.Interp(rec)
+	v, err := r.Interp.Field(rec, r.Field)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
-	}
-	v, ok := fields[r.Field]
-	if !ok {
-		return nil, fmt.Errorf("core: %s: record has no field %q", r.Name(), r.Field)
 	}
 	k, err := r.Encode(v)
 	if err != nil {
@@ -345,33 +353,6 @@ func (r FieldRef) Ref(tc *TaskCtx, rec lake.Record) ([]lake.Pointer, error) {
 		p.Carry = rec.Data
 	}
 	return []lake.Pointer{p}, nil
-}
-
-// Composite builds an Interpreter over composite (segment-list) records: it
-// splits the payload and applies one interpreter per segment, merging the
-// field maps. Field names must be distinct across segments (they are in
-// TPC-H and the claims schema).
-func Composite(interps ...Interpreter) Interpreter {
-	return func(rec lake.Record) (Fields, error) {
-		segs, err := lake.DecodeSegments(rec.Data)
-		if err != nil {
-			return nil, err
-		}
-		if len(segs) != len(interps) {
-			return nil, fmt.Errorf("core: composite record has %d segments, interpreter expects %d", len(segs), len(interps))
-		}
-		out := Fields{}
-		for i, seg := range segs {
-			f, err := interps[i](lake.Record{Key: rec.Key, Data: seg})
-			if err != nil {
-				return nil, err
-			}
-			for k, v := range f {
-				out[k] = v
-			}
-		}
-		return out, nil
-	}
 }
 
 // FuncRef adapts an arbitrary function to the Referencer interface, for

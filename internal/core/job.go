@@ -20,12 +20,10 @@ import (
 	"lakeharbor/internal/lake"
 )
 
-// Fields is the result of interpreting a raw record with schema-on-read: a
-// named view over the payload, valid only for the current call.
-type Fields map[string]string
-
 // Interpreter interprets a raw record with schema-on-read (paper §III-B).
-// Interpreters are the only job-specific code users normally write.
+// Interpreters are the only job-specific code users normally write — for
+// delimited text, one Delimited declaration. See Fields for what the returned
+// view aliases and how long it is valid.
 type Interpreter func(rec lake.Record) (Fields, error)
 
 // Filter decides whether a record emitted by a Dereferencer flows to the

@@ -270,6 +270,7 @@ func Execute(ctx context.Context, job *Job, catalog lake.Catalog, topo Topology,
 	n := topo.NumNodes()
 	e.results = make([]nodeResult, n)
 	e.tcs = make([]*TaskCtx, n)
+	e.derefTcs = make([][]*TaskCtx, n)
 	for node := 0; node < n; node++ {
 		e.tcs[node] = &TaskCtx{
 			Ctx:     trace.WithIO(topo.Bind(ctx, node), e.tr.NodeIO(node)),
@@ -277,6 +278,20 @@ func Execute(ctx context.Context, job *Job, catalog lake.Catalog, topo Topology,
 			Nodes:   n,
 			Catalog: catalog,
 			Owner:   topo.OwnerNode,
+		}
+		// Dereferences hit storage, so their context carries the RPC trace
+		// identity (job, tenant, stage; attempt 0 — derefWithRetry re-stamps
+		// retries): remote transports forward it on the wire and attribute
+		// node-side spans to this job. One context per (node, stage), built
+		// here rather than per dereference task.
+		e.derefTcs[node] = make([]*TaskCtx, len(job.Stages))
+		for stage, s := range job.Stages {
+			if s.Deref == nil {
+				continue
+			}
+			tc := *e.tcs[node]
+			tc.Ctx = trace.WithRPC(tc.Ctx, trace.RPCInfo{Job: job.Name, Tenant: opts.Tenant, Stage: stage})
+			e.derefTcs[node][stage] = &tc
 		}
 	}
 
@@ -370,8 +385,9 @@ type executor struct {
 
 	queues   []*taskQueue
 	pools    []*nodePool
-	tcs      []*TaskCtx
-	sjob     SchedJob // non-nil on the shared-scheduler path
+	tcs      []*TaskCtx   // per node
+	derefTcs [][]*TaskCtx // per node and Dereferencer stage: tcs[node] plus the RPC trace identity
+	sjob     SchedJob     // non-nil on the shared-scheduler path
 	inflight atomic.Int64
 	results  []nodeResult
 
@@ -558,15 +574,20 @@ type batchKey struct {
 // in-flight weight and can never strand: completion is only detected after
 // the flush has dispatched them. Pointers that cannot batch — broadcasts,
 // ranges, catalog misses — pass straight through as singleton tasks.
+//
+// One task's pointers go to one stage and, nearly always, one file, so its
+// buffers number at most that file's partitions: a short list searched
+// linearly, and the last resolved file remembered, instead of two maps.
 type batcher struct {
-	e     *executor
-	node  int
-	bufs  map[batchKey][]lake.Pointer
-	files map[string]lake.File // per-task cache for partition routing
+	e    *executor
+	node int
+	bufs []batchBuf
+	file lake.File // the file the last pointer routed through
 }
 
-func (e *executor) newBatcher(node int) *batcher {
-	return &batcher{e: e, node: node}
+type batchBuf struct {
+	key  batchKey
+	ptrs []lake.Pointer
 }
 
 // add routes one emitted pointer: buffered under its (stage, file,
@@ -577,30 +598,30 @@ func (b *batcher) add(stage int, ptr lake.Pointer) {
 		b.e.enqueuePointer(b.node, stage, ptr, false)
 		return
 	}
-	f, ok := b.files[ptr.File]
-	if !ok {
-		var err error
-		f, err = b.e.catalog.File(ptr.File)
+	if b.file == nil || b.file.Name() != ptr.File {
+		f, err := b.e.catalog.File(ptr.File)
 		if err != nil {
 			// Unknown file: dispatch as a singleton so the stage's
 			// Dereferencer reports the error on the normal path.
 			b.e.enqueuePointer(b.node, stage, ptr, false)
 			return
 		}
-		if b.files == nil {
-			b.files = make(map[string]lake.File)
-		}
-		b.files[ptr.File] = f
+		b.file = f
 	}
-	part, _ := lake.ResolvePartition(f, ptr) // never broadcast: NoPart checked above
+	part, _ := lake.ResolvePartition(b.file, ptr) // never broadcast: NoPart checked above
 	k := batchKey{stage: stage, file: ptr.File, partition: part}
-	if b.bufs == nil {
-		b.bufs = make(map[batchKey][]lake.Pointer)
+	i := 0
+	for i < len(b.bufs) && b.bufs[i].key != k {
+		i++
 	}
-	b.bufs[k] = append(b.bufs[k], ptr)
-	if len(b.bufs[k]) >= b.e.opts.MaxBatch {
-		b.e.dispatch(b.node, task{stage: k.stage, ptrs: b.bufs[k]})
-		delete(b.bufs, k)
+	if i == len(b.bufs) {
+		b.bufs = append(b.bufs, batchBuf{key: k})
+	}
+	buf := &b.bufs[i]
+	buf.ptrs = append(buf.ptrs, ptr)
+	if len(buf.ptrs) >= b.e.opts.MaxBatch {
+		b.e.dispatch(b.node, task{stage: stage, ptrs: buf.ptrs})
+		buf.ptrs = nil // the task owns the slice now
 	}
 }
 
@@ -609,15 +630,15 @@ func (b *batcher) add(stage int, ptr lake.Pointer) {
 func (b *batcher) flush() {
 	if len(b.bufs) > 0 && failpoint(FailpointDropTailFlush) {
 		// Deliberate bug for the differential oracle: strand the tail.
-		for k := range b.bufs {
-			delete(b.bufs, k)
-		}
+		b.bufs = nil
 		return
 	}
-	for k, ptrs := range b.bufs {
-		b.e.dispatch(b.node, task{stage: k.stage, ptrs: ptrs})
-		delete(b.bufs, k)
+	for _, buf := range b.bufs {
+		if len(buf.ptrs) > 0 {
+			b.e.dispatch(b.node, task{stage: buf.key.stage, ptrs: buf.ptrs})
+		}
 	}
+	b.bufs = nil
 }
 
 // process executes one task: a Dereferencer invocation on a pointer batch,
@@ -652,7 +673,7 @@ func (e *executor) process(tc *TaskCtx, t task, worker int) {
 			return
 		}
 		e.tr.AddEmits(t.stage, len(ptrs))
-		b := e.newBatcher(tc.Node)
+		b := batcher{e: e, node: tc.Node}
 		for _, p := range ptrs {
 			b.add(t.stage+1, p)
 		}
@@ -661,10 +682,7 @@ func (e *executor) process(tc *TaskCtx, t task, worker int) {
 	}
 
 	e.tr.AddBatch(t.stage, len(t.ptrs))
-	// Dereferences hit storage, so their context carries the RPC trace
-	// identity (job, tenant, stage); remote transports forward it on the
-	// wire and attribute node-side spans to this job.
-	recs, err := e.derefTask(e.rpcCtx(tc, t.stage), t.stage, stage.Deref, t.ptrs)
+	recs, err := e.derefTask(e.derefTcs[tc.Node][t.stage], t.stage, stage.Deref, t.ptrs)
 	if err != nil {
 		e.tr.AddError(t.stage)
 		e.fail(err)
@@ -686,7 +704,7 @@ func (e *executor) process(tc *TaskCtx, t task, worker int) {
 	// Inline the next Referencer on this worker (the paper avoids thread
 	// switches for CPU-light referencers).
 	ref := e.job.Stages[next].Ref
-	b := e.newBatcher(tc.Node)
+	b := batcher{e: e, node: tc.Node}
 	for _, r := range recs {
 		ptrs, err := ref.Ref(tc, r)
 		if err != nil {
@@ -715,7 +733,11 @@ func (e *executor) derefTask(tc *TaskCtx, stage int, d Dereferencer, ptrs []lake
 	if bd, ok := d.(BatchDereferencer); ok {
 		groups, err := bd.DerefBatch(tc, ptrs)
 		if err == nil {
-			var out []lake.Record
+			n := 0
+			for _, recs := range groups {
+				n += len(recs)
+			}
+			out := make([]lake.Record, 0, n)
 			for _, recs := range groups {
 				out = append(out, recs...)
 			}
@@ -736,19 +758,6 @@ func (e *executor) derefTask(tc *TaskCtx, stage int, d Dereferencer, ptrs []lake
 		out = append(out, recs...)
 	}
 	return out, nil
-}
-
-// rpcCtx returns a TaskCtx whose context carries the RPC trace identity for
-// one dereference task: this job's name and tenant plus the issuing stage
-// (attempt 0; derefWithRetry re-stamps retries). The copy is shallow — one
-// small allocation per dereference task — and the sim fast path ignores the
-// value entirely.
-func (e *executor) rpcCtx(tc *TaskCtx, stage int) *TaskCtx {
-	out := *tc
-	out.Ctx = trace.WithRPC(tc.Ctx, trace.RPCInfo{
-		Job: e.job.Name, Tenant: e.opts.Tenant, Stage: stage,
-	})
-	return &out
 }
 
 // derefWithRetry runs a Dereferencer, retrying per Options.MaxRetries.

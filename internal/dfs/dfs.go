@@ -533,17 +533,20 @@ func (f *file) LookupBatch(ctx context.Context, partitionIdx int, keys []lake.Ke
 	groups := p.tree.GetBatch(keys)
 	out := make([][]lake.Record, len(keys))
 	read, bytes := 0, 0
+	for _, vals := range groups {
+		read += len(vals)
+	}
+	flat := make([]lake.Record, 0, read) // one array for the batch; out[i] is key i's part of it
 	for i, vals := range groups {
 		if len(vals) == 0 {
 			continue
 		}
-		recs := make([]lake.Record, len(vals))
-		for j, v := range vals {
-			recs[j] = lake.Record{Key: keys[i], Data: v}
+		start := len(flat)
+		for _, v := range vals {
+			flat = append(flat, lake.Record{Key: keys[i], Data: v})
 			bytes += len(v)
 		}
-		out[i] = recs
-		read += len(recs)
+		out[i] = flat[start:len(flat):len(flat)]
 	}
 	owner.counters.AddRecordsRead(read)
 	owner.counters.AddBytesRead(bytes)

@@ -23,6 +23,7 @@
 package keycodec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -101,49 +102,100 @@ const (
 	strEsc2  = 0xFF
 )
 
+// smallKey is the size of the stack buffer the escape paths of String and
+// DecodeString work in: the values that need escaping are mostly fixed-width
+// keys wrapped in an index entry, and those fit, so the only allocation left
+// is the result.
+const smallKey = 64
+
 // String encodes s with escaping and a terminator so that concatenated
 // tuple encodings remain order-preserving.
 func String(s string) string {
-	var b strings.Builder
-	b.Grow(len(s) + 2)
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == 0x00 {
-			b.WriteByte(0x00)
-			b.WriteByte(strEsc2)
-			continue
-		}
-		b.WriteByte(c)
+	if strings.IndexByte(s, strTerm1) < 0 {
+		return s + "\x00\x01"
 	}
-	b.WriteByte(strTerm1)
-	b.WriteByte(strTerm2)
-	return b.String()
+	var buf [smallKey]byte
+	return string(AppendString(buf[:0], s))
+}
+
+// AppendString appends the String encoding of s — a string or a byte slice —
+// to dst and returns the extended slice, so callers assembling a payload
+// size one buffer and encode straight into it.
+func AppendString[T ~string | ~[]byte](dst []byte, s T) []byte {
+	start := 0 // s[start:i] is the run since the last escape, copied in one piece
+	for i := 0; i < len(s); i++ {
+		if s[i] == strTerm1 {
+			dst = append(append(dst, s[start:i]...), strTerm1, strEsc2)
+			start = i + 1
+		}
+	}
+	return append(append(dst, s[start:]...), strTerm1, strTerm2)
 }
 
 // DecodeString reverses String, returning the decoded value and the number
-// of encoded bytes consumed (so tuples can be decoded element-wise).
+// of encoded bytes consumed (so tuples can be decoded element-wise). When the
+// value holds no escape — its first 0x00 is the terminator's — the result is
+// a substring of enc; otherwise it is decoded into fresh memory.
 func DecodeString(enc string) (val string, n int, err error) {
-	var b strings.Builder
+	if i := strings.IndexByte(enc, strTerm1); i >= 0 && i+1 < len(enc) && enc[i+1] == strTerm2 {
+		return enc[:i], i + 2, nil
+	}
+	end, _, err := scanEscaped(enc)
+	if err != nil {
+		return "", 0, err
+	}
+	var buf [smallKey]byte
+	return string(unescape(buf[:0], enc[:end])), end + 2, nil
+}
+
+// DecodeBytes is DecodeString over a byte slice. When the value holds no
+// escape the result aliases enc (capacity clipped, so appending to it cannot
+// write into enc): it is valid only while enc is, and read-only whenever enc
+// is. A value with an escape is decoded into fresh memory, byte-identical.
+func DecodeBytes(enc []byte) (val []byte, n int, err error) {
+	if i := bytes.IndexByte(enc, strTerm1); i >= 0 && i+1 < len(enc) && enc[i+1] == strTerm2 {
+		return enc[:i:i], i + 2, nil
+	}
+	end, escapes, err := scanEscaped(enc)
+	if err != nil {
+		return nil, 0, err
+	}
+	return unescape(make([]byte, 0, end-escapes), enc[:end]), end + 2, nil
+}
+
+// scanEscaped finds the terminator of the encoded value at the start of enc,
+// counting its escapes and reporting malformed input.
+func scanEscaped[T ~string | ~[]byte](enc T) (end, escapes int, err error) {
 	for i := 0; i < len(enc); i++ {
-		c := enc[i]
-		if c != 0x00 {
-			b.WriteByte(c)
+		if enc[i] != strTerm1 {
 			continue
 		}
 		if i+1 >= len(enc) {
-			return "", 0, fmt.Errorf("keycodec: truncated string key")
+			return 0, 0, fmt.Errorf("keycodec: truncated string key")
 		}
 		switch enc[i+1] {
 		case strTerm2:
-			return b.String(), i + 2, nil
+			return i, escapes, nil
 		case strEsc2:
-			b.WriteByte(0x00)
+			escapes++
 			i++
 		default:
-			return "", 0, fmt.Errorf("keycodec: invalid escape 0x00 0x%02x", enc[i+1])
+			return 0, 0, fmt.Errorf("keycodec: invalid escape 0x00 0x%02x", enc[i+1])
 		}
 	}
-	return "", 0, fmt.Errorf("keycodec: unterminated string key")
+	return 0, 0, fmt.Errorf("keycodec: unterminated string key")
+}
+
+// unescape appends to dst the value whose escaped body (terminator excluded,
+// already validated by scanEscaped) is body.
+func unescape[T ~string | ~[]byte](dst []byte, body T) []byte {
+	for i := 0; i < len(body); i++ {
+		dst = append(dst, body[i])
+		if body[i] == strTerm1 {
+			i++ // skip the escape's second byte
+		}
+	}
+	return dst
 }
 
 // Tuple concatenates already-encoded elements into a composite key. It is a

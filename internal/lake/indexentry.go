@@ -22,17 +22,16 @@ func EncodeIndexEntry(partKey, primaryKey Key) []byte {
 
 // DecodeIndexEntry unpacks a payload written by EncodeIndexEntry.
 func DecodeIndexEntry(data []byte) (partKey, primaryKey Key, err error) {
-	s := string(data)
-	pk, n, err := keycodec.DecodeString(s)
+	pk, n, err := keycodec.DecodeBytes(data)
 	if err != nil {
 		return "", "", fmt.Errorf("lake: bad index entry: %w", err)
 	}
-	rk, m, err := keycodec.DecodeString(s[n:])
+	rk, m, err := keycodec.DecodeBytes(data[n:])
 	if err != nil {
 		return "", "", fmt.Errorf("lake: bad index entry: %w", err)
 	}
-	if n+m != len(s) {
-		return "", "", fmt.Errorf("lake: index entry has %d trailing bytes", len(s)-n-m)
+	if n+m != len(data) {
+		return "", "", fmt.Errorf("lake: index entry has %d trailing bytes", len(data)-n-m)
 	}
-	return pk, rk, nil
+	return string(pk), string(rk), nil
 }

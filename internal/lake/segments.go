@@ -22,31 +22,52 @@ import (
 
 // EncodeSegments packs payloads into one segment-list payload.
 func EncodeSegments(segs ...[]byte) []byte {
-	var out []byte
+	if len(segs) == 0 {
+		return nil
+	}
+	n := 0
 	for _, s := range segs {
-		out = append(out, keycodec.String(string(s))...)
+		n += len(s) + 2
+	}
+	out := make([]byte, 0, n) // exact unless a payload holds 0x00
+	for _, s := range segs {
+		out = keycodec.AppendString(out, s)
 	}
 	return out
 }
 
-// AppendSegment appends one more payload to an existing segment list.
+// AppendSegment appends one more payload to an existing segment list. The
+// result is fresh memory: list is not modified and not aliased.
 func AppendSegment(list []byte, seg []byte) []byte {
-	return append(append([]byte{}, list...), keycodec.String(string(seg))...)
+	out := make([]byte, len(list), len(list)+len(seg)+2) // exact unless seg holds 0x00
+	copy(out, list)
+	return keycodec.AppendString(out, seg)
 }
 
-// DecodeSegments splits a segment-list payload into its payloads.
+// DecodeSegments splits a segment-list payload into its payloads. A segment
+// stored without an escape — any payload free of 0x00 bytes — is returned as
+// a sub-slice of data: valid only while data is, and read-only whenever data
+// is (dfs shares Record.Data with its B-trees). A segment with an escape is
+// decoded into fresh memory.
 func DecodeSegments(data []byte) ([][]byte, error) {
-	var out [][]byte
-	s := string(data)
-	for len(s) > 0 {
-		seg, n, err := keycodec.DecodeString(s)
+	if len(data) == 0 {
+		return nil, nil
+	}
+	return SplitSegments(make([][]byte, 0, 4), data) // Q5′'s widest composite; longer lists grow
+}
+
+// SplitSegments is DecodeSegments appending to dst, so a caller that only
+// looks at the segments can keep their headers on its stack.
+func SplitSegments(dst [][]byte, data []byte) ([][]byte, error) {
+	for len(data) > 0 {
+		seg, n, err := keycodec.DecodeBytes(data)
 		if err != nil {
 			return nil, fmt.Errorf("lake: bad segment list: %w", err)
 		}
-		out = append(out, []byte(seg))
-		s = s[n:]
+		dst = append(dst, seg)
+		data = data[n:]
 	}
-	return out, nil
+	return dst, nil
 }
 
 // PrefixRange returns the inclusive key range [lo, hi] covering every key

@@ -157,3 +157,53 @@ func TestDecodeIndexEntryErrors(t *testing.T) {
 		t.Error("empty index entry accepted")
 	}
 }
+
+// q5Row is a Q5′ result: {order ⊕ customer ⊕ lineitem ⊕ supplier}.
+var q5Row = [][]byte{
+	[]byte("1|2|1995|310.00"),
+	[]byte("2|Customer#000000002|7|4520.11|BUILDING"),
+	[]byte("1|3|155|4|17|21168.23"),
+	[]byte("4|Supplier#000000004|7|4641.08"),
+}
+
+// TestSegmentAllocationBudgets: a list of escape-free payloads decodes into
+// one slice of views, and appending a segment builds the new list in one
+// allocation.
+func TestSegmentAllocationBudgets(t *testing.T) {
+	list := EncodeSegments(q5Row...)
+	if got := testing.AllocsPerRun(200, func() {
+		if segs, err := DecodeSegments(list); err != nil || len(segs) != len(q5Row) {
+			t.Fatal(segs, err)
+		}
+	}); got > 1 {
+		t.Errorf("DecodeSegments allocates %.0f times without escapes, budget 1", got)
+	}
+	carry := EncodeSegments(q5Row[:3]...)
+	if got := testing.AllocsPerRun(200, func() {
+		if out := AppendSegment(carry, q5Row[3]); len(out) != len(list) {
+			t.Fatal(len(out))
+		}
+	}); got != 1 {
+		t.Errorf("AppendSegment allocates %.0f times, want exactly 1", got)
+	}
+}
+
+var sinkSegs [][]byte
+var sinkList []byte
+
+func BenchmarkDecodeSegments(b *testing.B) {
+	list := EncodeSegments(q5Row...)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(list)))
+	for i := 0; i < b.N; i++ {
+		sinkSegs, _ = DecodeSegments(list)
+	}
+}
+
+func BenchmarkAppendSegment(b *testing.B) {
+	carry := EncodeSegments(q5Row[:3]...)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkList = AppendSegment(carry, q5Row[3])
+	}
+}

@@ -107,7 +107,7 @@ func TestChaosDivergenceShrinksToEmptySchedule(t *testing.T) {
 		}
 		return // one shrunk repro is enough
 	}
-	t.Skip("no seed tripped the chaos arm within the budget; bug-catching is covered by TestOracleCatchesInjectedExecutorBug")
+	t.Fatal("40 seeds ran with the tail-flush bug planted and none tripped the chaos arm, so the shrinker was never exercised")
 }
 
 // TestGenerateDeterministic: the scenario generator is as reproducible as

@@ -90,13 +90,7 @@ func parseVal(data []byte) (int, error) {
 }
 
 // interpBase is the schema-on-read interpreter for base rows.
-func interpBase(rec lake.Record) (core.Fields, error) {
-	i := bytes.IndexByte(rec.Data, '|')
-	if i < 0 {
-		return nil, fmt.Errorf("oracle: payload %q has no field separator", rec.Data)
-	}
-	return core.Fields{"id": string(rec.Data[:i]), "val": string(rec.Data[i+1:])}, nil
-}
+var interpBase = core.Delimited("base", '|', "id", "val")
 
 // encodeVal encodes the val column as an ordered key (the index key).
 func encodeVal(value string) (lake.Key, error) {

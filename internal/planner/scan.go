@@ -41,21 +41,21 @@ func (pl *Planner) executeScan(ctx context.Context, q *Query) (*core.Result, err
 			toField = j.To.Key
 		}
 		buildKey := func(rec lake.Record) (string, error) {
-			f, err := j.To.Interp(rec)
+			v, err := j.To.Interp.Field(rec, toField)
 			if err != nil {
-				return "", err
-			}
-			v, ok := f[toField]
-			if !ok {
-				return "", fmt.Errorf("planner: %s has no field %q", j.To.Name, toField)
+				return "", fmt.Errorf("planner: %s: %w", j.To.Name, err)
 			}
 			return j.To.Encode(v)
 		}
 		probeInterps := append([]core.Interpreter(nil), interps...)
 		probeKey := func(t baseline.Tuple) (string, error) {
-			v, err := fieldOfTuple(t, probeInterps, j.FromField)
+			f, err := tupleFields(t, probeInterps)
 			if err != nil {
 				return "", err
+			}
+			v, ok := f.Get(j.FromField)
+			if !ok {
+				return "", fmt.Errorf("planner: no joined table has field %q", j.FromField)
 			}
 			return j.To.Encode(v)
 		}
@@ -87,47 +87,27 @@ func (pl *Planner) executeScan(ctx context.Context, q *Query) (*core.Result, err
 	return res, nil
 }
 
-// fieldOfTuple finds the named field in a tuple's merged schema-on-read
-// view, searching the most recently joined table first.
-func fieldOfTuple(t baseline.Tuple, interps []core.Interpreter, field string) (string, error) {
-	for i := len(t) - 1; i >= 0; i-- {
-		if i >= len(interps) {
-			continue
-		}
-		f, err := interps[i](t[i])
-		if err != nil {
-			return "", err
-		}
-		if v, ok := f[field]; ok {
-			return v, nil
-		}
+// tupleFields interprets every record of the tuple and returns the view the
+// index plan's Composite interpreter gives of the same row: the most
+// recently joined table wins a shared field name.
+func tupleFields(t baseline.Tuple, interps []core.Interpreter) (core.Fields, error) {
+	if len(t) != len(interps) {
+		return core.Fields{}, fmt.Errorf("planner: tuple of %d records, %d tables joined", len(t), len(interps))
 	}
-	return "", fmt.Errorf("planner: no joined table has field %q", field)
-}
-
-// mergedFields interprets every record of the tuple and merges the maps
-// (later tables win on collisions, matching Composite).
-func mergedFields(t baseline.Tuple, interps []core.Interpreter) (core.Fields, error) {
-	out := core.Fields{}
+	parts := make([]core.Fields, len(t))
 	for i, rec := range t {
-		if i >= len(interps) {
-			break
-		}
-		f, err := interps[i](rec)
-		if err != nil {
-			return nil, err
-		}
-		for k, v := range f {
-			out[k] = v
+		var err error
+		if parts[i], err = interps[i](rec); err != nil {
+			return core.Fields{}, err
 		}
 	}
-	return out, nil
+	return core.MergeFields(parts), nil
 }
 
 func filterTuples(tuples []baseline.Tuple, interps []core.Interpreter, pred func(core.Fields) (bool, error)) ([]baseline.Tuple, error) {
 	out := tuples[:0]
 	for _, t := range tuples {
-		f, err := mergedFields(t, interps)
+		f, err := tupleFields(t, interps)
 		if err != nil {
 			return nil, err
 		}

@@ -55,7 +55,7 @@ func (p *Program) NewInterpreter(fn string, lim Limits) (core.Interpreter, error
 		return nil, err
 	}
 	return func(rec lake.Record) (core.Fields, error) {
-		fields := core.Fields{}
+		var names, values []string
 		host := map[string]Builtin{
 			"set": func(args []Value) (Value, error) {
 				if len(args) != 2 {
@@ -65,14 +65,15 @@ func (p *Program) NewInterpreter(fn string, lim Limits) (core.Interpreter, error
 				if !ok {
 					return Value{}, fmt.Errorf("set field name is %s, want string", args[0].kind)
 				}
-				fields[name] = args[1].Text()
+				names = append(names, name)
+				values = append(values, args[1].Text())
 				return Value{}, nil
 			},
 		}
 		if _, err := p.Call(fn, lim, host, Str(string(rec.Key)), Str(string(rec.Data))); err != nil {
-			return nil, err
+			return core.Fields{}, err
 		}
-		return fields, nil
+		return core.NewFields(names, values), nil
 	}, nil
 }
 

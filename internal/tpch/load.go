@@ -152,11 +152,11 @@ func intKeysFromField(i int) func(lake.Record) ([]lake.Key, error) {
 // foreign keys. They are what a user "injects" post hoc under LakeHarbor.
 func StructureSpecs() []indexer.Spec {
 	priceKeys := func(rec lake.Record) ([]lake.Key, error) {
-		f, err := InterpPart(rec)
+		price, err := InterpPart.Field(rec, "p_retailprice")
 		if err != nil {
 			return nil, err
 		}
-		k, err := EncodeFloat(f["p_retailprice"])
+		k, err := EncodeFloat(price)
 		if err != nil {
 			return nil, err
 		}

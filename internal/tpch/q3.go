@@ -32,11 +32,8 @@ func Q3Job(segment string, hiDay int) (*core.Job, error) {
 	}
 	interpOC := core.Composite(InterpOrders, InterpCustomer)
 	segmentFilter := func(rec lake.Record) (bool, error) {
-		f, err := interpOC(rec)
-		if err != nil {
-			return false, err
-		}
-		return f["c_mktsegment"] == segment, nil
+		seg, err := interpOC.Field(rec, "c_mktsegment")
+		return seg == segment, err
 	}
 	seeds := []lake.Pointer{{
 		File:   IdxOrdersDate,
@@ -71,11 +68,8 @@ func RunQ3Baseline(ctx context.Context, eng *baseline.Engine, segment string, hi
 		return 0, err
 	}
 	customers, err := eng.Scan(ctx, FileCustomer, func(rec lake.Record) (bool, error) {
-		f, err := InterpCustomer(rec)
-		if err != nil {
-			return false, err
-		}
-		return f["c_mktsegment"] == segment, nil
+		seg, err := InterpCustomer.Field(rec, "c_mktsegment")
+		return seg == segment, err
 	})
 	if err != nil {
 		return 0, err

@@ -50,8 +50,8 @@ func NationsOfRegionLake(ctx context.Context, catalog lake.Catalog, region strin
 			if err != nil {
 				return err
 			}
-			if f["r_name"] == region {
-				regionKey = f["r_regionkey"]
+			if name, _ := f.Get("r_name"); name == region {
+				regionKey, _ = f.Get("r_regionkey")
 			}
 			return nil
 		})
@@ -73,8 +73,9 @@ func NationsOfRegionLake(ctx context.Context, catalog lake.Catalog, region strin
 			if err != nil {
 				return err
 			}
-			if f["n_regionkey"] == regionKey {
-				nations[f["n_nationkey"]] = true
+			if rk, _ := f.Get("n_regionkey"); rk == regionKey {
+				nk, _ := f.Get("n_nationkey")
+				nations[nk] = true
 			}
 			return nil
 		})
@@ -106,18 +107,17 @@ func Q5Job(ctx context.Context, catalog lake.Catalog, region string, loDay, hiDa
 	interpOCLS := core.Composite(InterpOrders, InterpCustomer, InterpLineitem, InterpSupplier)
 
 	customerInRegion := func(rec lake.Record) (bool, error) {
-		f, err := interpOC(rec)
-		if err != nil {
-			return false, err
-		}
-		return nations[f["c_nationkey"]], nil
+		cn, err := interpOC.Field(rec, "c_nationkey")
+		return nations[cn], err
 	}
 	supplierMatches := func(rec lake.Record) (bool, error) {
 		f, err := interpOCLS(rec)
 		if err != nil {
 			return false, err
 		}
-		return f["s_nationkey"] == f["c_nationkey"] && nations[f["s_nationkey"]], nil
+		sn, _ := f.Get("s_nationkey")
+		cn, _ := f.Get("c_nationkey")
+		return sn == cn && nations[sn], nil
 	}
 
 	seeds := []lake.Pointer{{
@@ -194,11 +194,7 @@ func RunQ5Baseline(ctx context.Context, eng *baseline.Engine, catalog lake.Catal
 	// Region semi-join on the customer's nation (pruning early, as the
 	// ReDe plan does).
 	nationOfCust := baseline.TupleKey(1, func(rec lake.Record) (string, error) {
-		f, err := InterpCustomer(rec)
-		if err != nil {
-			return "", err
-		}
-		return f["c_nationkey"], nil
+		return InterpCustomer.Field(rec, "c_nationkey")
 	})
 	t, err = baseline.SemiJoinFilter(t, nationOfCust, nations)
 	if err != nil {

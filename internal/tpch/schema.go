@@ -13,9 +13,9 @@
 package tpch
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"lakeharbor/internal/core"
@@ -55,94 +55,18 @@ func FormatDate(day int) string {
 	return Epoch.AddDate(0, 0, day).Format("2006-01-02")
 }
 
-// splitFields splits a raw '|'-delimited record payload.
-func splitFields(rec lake.Record, n int, table string) ([]string, error) {
-	f := strings.Split(string(rec.Data), "|")
-	if len(f) != n {
-		return nil, fmt.Errorf("tpch: %s record has %d fields, want %d: %q", table, len(f), n, rec.Data)
-	}
-	return f, nil
-}
-
-// Interpreters (schema-on-read). Each maps a raw payload to named fields.
-
-// InterpRegion interprets region records: r_regionkey|r_name.
-func InterpRegion(rec lake.Record) (core.Fields, error) {
-	f, err := splitFields(rec, 2, "region")
-	if err != nil {
-		return nil, err
-	}
-	return core.Fields{"r_regionkey": f[0], "r_name": f[1]}, nil
-}
-
-// InterpNation interprets nation records: n_nationkey|n_name|n_regionkey.
-func InterpNation(rec lake.Record) (core.Fields, error) {
-	f, err := splitFields(rec, 3, "nation")
-	if err != nil {
-		return nil, err
-	}
-	return core.Fields{"n_nationkey": f[0], "n_name": f[1], "n_regionkey": f[2]}, nil
-}
-
-// InterpSupplier interprets supplier records: s_suppkey|s_name|s_nationkey|s_acctbal.
-func InterpSupplier(rec lake.Record) (core.Fields, error) {
-	f, err := splitFields(rec, 4, "supplier")
-	if err != nil {
-		return nil, err
-	}
-	return core.Fields{"s_suppkey": f[0], "s_name": f[1], "s_nationkey": f[2], "s_acctbal": f[3]}, nil
-}
-
-// InterpCustomer interprets customer records:
-// c_custkey|c_name|c_nationkey|c_acctbal|c_mktsegment.
-func InterpCustomer(rec lake.Record) (core.Fields, error) {
-	f, err := splitFields(rec, 5, "customer")
-	if err != nil {
-		return nil, err
-	}
-	return core.Fields{"c_custkey": f[0], "c_name": f[1], "c_nationkey": f[2], "c_acctbal": f[3], "c_mktsegment": f[4]}, nil
-}
-
-// InterpPartSupp interprets partsupp records:
-// ps_partkey|ps_suppkey|ps_availqty|ps_supplycost.
-func InterpPartSupp(rec lake.Record) (core.Fields, error) {
-	f, err := splitFields(rec, 4, "partsupp")
-	if err != nil {
-		return nil, err
-	}
-	return core.Fields{"ps_partkey": f[0], "ps_suppkey": f[1], "ps_availqty": f[2], "ps_supplycost": f[3]}, nil
-}
-
-// InterpPart interprets part records: p_partkey|p_name|p_retailprice.
-func InterpPart(rec lake.Record) (core.Fields, error) {
-	f, err := splitFields(rec, 3, "part")
-	if err != nil {
-		return nil, err
-	}
-	return core.Fields{"p_partkey": f[0], "p_name": f[1], "p_retailprice": f[2]}, nil
-}
-
-// InterpOrders interprets orders records: o_orderkey|o_custkey|o_orderdate|o_totalprice.
-func InterpOrders(rec lake.Record) (core.Fields, error) {
-	f, err := splitFields(rec, 4, "orders")
-	if err != nil {
-		return nil, err
-	}
-	return core.Fields{"o_orderkey": f[0], "o_custkey": f[1], "o_orderdate": f[2], "o_totalprice": f[3]}, nil
-}
-
-// InterpLineitem interprets lineitem records:
-// l_orderkey|l_linenumber|l_partkey|l_suppkey|l_quantity|l_extendedprice.
-func InterpLineitem(rec lake.Record) (core.Fields, error) {
-	f, err := splitFields(rec, 6, "lineitem")
-	if err != nil {
-		return nil, err
-	}
-	return core.Fields{
-		"l_orderkey": f[0], "l_linenumber": f[1], "l_partkey": f[2],
-		"l_suppkey": f[3], "l_quantity": f[4], "l_extendedprice": f[5],
-	}, nil
-}
+// Interpreters (schema-on-read): each table's record format, declared once.
+// Every record is checked to have exactly the declared number of fields.
+var (
+	InterpRegion   = core.Delimited("region", '|', "r_regionkey", "r_name")
+	InterpNation   = core.Delimited("nation", '|', "n_nationkey", "n_name", "n_regionkey")
+	InterpSupplier = core.Delimited("supplier", '|', "s_suppkey", "s_name", "s_nationkey", "s_acctbal")
+	InterpCustomer = core.Delimited("customer", '|', "c_custkey", "c_name", "c_nationkey", "c_acctbal", "c_mktsegment")
+	InterpPartSupp = core.Delimited("partsupp", '|', "ps_partkey", "ps_suppkey", "ps_availqty", "ps_supplycost")
+	InterpPart     = core.Delimited("part", '|', "p_partkey", "p_name", "p_retailprice")
+	InterpOrders   = core.Delimited("orders", '|', "o_orderkey", "o_custkey", "o_orderdate", "o_totalprice")
+	InterpLineitem = core.Delimited("lineitem", '|', "l_orderkey", "l_linenumber", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice")
+)
 
 // EncodeInt encodes a decimal integer field value as an ordered key.
 func EncodeInt(v string) (lake.Key, error) {
@@ -165,9 +89,16 @@ func EncodeFloat(v string) (lake.Key, error) {
 // fieldInt extracts field i of a raw record as int64 (loader/oracle
 // convenience; queries use Interpreters instead).
 func fieldInt(rec lake.Record, i int) (int64, error) {
-	f := strings.Split(string(rec.Data), "|")
-	if i >= len(f) {
-		return 0, fmt.Errorf("tpch: record has %d fields, want index %d", len(f), i)
+	data := rec.Data
+	for k := 0; k < i; k++ {
+		j := bytes.IndexByte(data, '|')
+		if j < 0 {
+			return 0, fmt.Errorf("tpch: record has %d fields, want index %d", k+1, i)
+		}
+		data = data[j+1:]
 	}
-	return strconv.ParseInt(f[i], 10, 64)
+	if end := bytes.IndexByte(data, '|'); end >= 0 {
+		data = data[:end]
+	}
+	return strconv.ParseInt(string(data), 10, 64)
 }

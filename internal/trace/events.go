@@ -61,15 +61,20 @@ type Event struct {
 // report the overwritten count.
 const DefaultEventCap = 8192
 
-// EventRing is a bounded ring of timeline events. When full, the oldest
-// event is overwritten and counted as dropped, so a job's event memory is
-// capped regardless of how long it runs. Methods are safe for concurrent
-// use.
+// eventRingStart is the capacity a ring starts with: memory follows the
+// events a job actually records (Q5′ at the benchmark's scale records under
+// a thousand), not the cap.
+const eventRingStart = 256
+
+// EventRing is a bounded ring of timeline events. It grows on demand up to
+// its capacity; once full, the oldest event is overwritten and counted as
+// dropped, so a job's event memory is capped regardless of how long it
+// runs. Methods are safe for concurrent use.
 type EventRing struct {
 	mu      sync.Mutex
-	buf     []Event
-	head    int // index of the oldest retained event
-	n       int
+	buf     []Event // every retained event; a ring once len(buf) == limit
+	limit   int
+	head    int // index of the oldest retained event (0 until the ring is full)
 	dropped int64
 }
 
@@ -79,18 +84,17 @@ func NewEventRing(capacity int) *EventRing {
 	if capacity <= 0 {
 		capacity = DefaultEventCap
 	}
-	return &EventRing{buf: make([]Event, capacity)}
+	return &EventRing{buf: make([]Event, 0, min(capacity, eventRingStart)), limit: capacity}
 }
 
 // Add appends one event, overwriting the oldest when the ring is full.
 func (r *EventRing) Add(ev Event) {
 	r.mu.Lock()
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = ev
-		r.n++
+	if len(r.buf) < r.limit {
+		r.buf = append(r.buf, ev)
 	} else {
 		r.buf[r.head] = ev
-		r.head = (r.head + 1) % len(r.buf)
+		r.head = (r.head + 1) % r.limit
 		r.dropped++
 	}
 	r.mu.Unlock()
@@ -101,10 +105,9 @@ func (r *EventRing) Add(ev Event) {
 func (r *EventRing) Snapshot() (events []Event, dropped int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	events = make([]Event, r.n)
-	for i := 0; i < r.n; i++ {
-		events[i] = r.buf[(r.head+i)%len(r.buf)]
-	}
+	events = make([]Event, len(r.buf))
+	n := copy(events, r.buf[r.head:])
+	copy(events[n:], r.buf[:r.head])
 	return events, r.dropped
 }
 

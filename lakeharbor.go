@@ -81,7 +81,8 @@ type (
 	Dereferencer = core.Dereferencer
 	// Interpreter applies a schema to a raw record on read.
 	Interpreter = core.Interpreter
-	// Fields is an interpreted record.
+	// Fields is an interpreted record: a read-only view over the raw
+	// payload, valid for the current call (see Fields.Get).
 	Fields = core.Fields
 	// Filter drops records at a Dereferencer.
 	Filter = core.Filter
@@ -169,8 +170,20 @@ func NewJob(name string, seeds []Pointer, funcs ...any) (*Job, error) {
 	return core.NewJob(name, seeds, funcs...)
 }
 
+// Delimited declares an Interpreter for delimited text records — the
+// separator and the field names in order. what names the record kind in
+// errors. Records with any other number of fields are rejected.
+func Delimited(what string, sep byte, names ...string) Interpreter {
+	return core.Delimited(what, sep, names...)
+}
+
+// NewFields builds the Fields a hand-written Interpreter returns for records
+// that are not delimited text: names[i] has values[i].
+func NewFields(names, values []string) Fields { return core.NewFields(names, values) }
+
 // Composite builds an Interpreter over composite (multi-way join) records:
-// one interpreter per joined segment, field maps merged.
+// one interpreter per joined segment; a field name two segments share reads
+// the most recently joined one.
 func Composite(interps ...Interpreter) Interpreter { return core.Composite(interps...) }
 
 // SeedRange builds seed pointers for a key-range dereference over an index

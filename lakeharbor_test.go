@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 	"testing"
 
 	"lakeharbor/internal/lake"
@@ -33,12 +32,10 @@ func TestEngineEndToEnd(t *testing.T) {
 		}
 	}
 
-	interp := func(rec Record) (Fields, error) {
-		f := strings.Split(string(rec.Data), ",")
-		if len(f) != 3 {
-			return nil, fmt.Errorf("bad event %q", rec.Data)
-		}
-		return Fields{"id": f[0], "severity": f[1], "message": f[2]}, nil
+	interp := Delimited("event", ',', "id", "severity", "message")
+	get := func(f Fields, name string) string {
+		v, _ := f.Get(name)
+		return v
 	}
 
 	// Post hoc access method: a global index on severity.
@@ -54,7 +51,7 @@ func TestEngineEndToEnd(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			sev, err := strconv.ParseInt(f["severity"], 10, 64)
+			sev, err := strconv.ParseInt(get(f, "severity"), 10, 64)
 			if err != nil {
 				return nil, err
 			}
@@ -94,7 +91,7 @@ func TestEngineEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sev, _ := strconv.Atoi(f["severity"]); sev < 7 || sev > 9 {
+		if sev, _ := strconv.Atoi(get(f, "severity")); sev < 7 || sev > 9 {
 			t.Fatalf("record with severity %d escaped", sev)
 		}
 	}
