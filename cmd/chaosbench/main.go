@@ -22,9 +22,12 @@
 //
 // Usage:
 //
-//	go run ./cmd/chaosbench [-seed 1] [-n 25] [-no-chaos] [-no-net]
-//	    [-no-tenants] [-no-script] [-no-lifecycle] [-no-restart]
+//	go run ./cmd/chaosbench [-seed 1] [-n 25]
+//	    [-arms chaos,lifecycle,restart,net,tenants,script]
 //	    [-no-shrink] [-v] [-timeline chaos-artifacts]
+//
+// -arms names the optional arms to run beside the three that always do (SMPE
+// batched, SMPE unbatched, baseline scan); the default is all of them.
 package main
 
 import (
@@ -39,24 +42,46 @@ import (
 	"lakeharbor/internal/oracle"
 )
 
+// allArms is the default of -arms: every optional oracle arm.
+const allArms = "chaos,lifecycle,restart,net,tenants,script"
+
+// parseArms turns a comma-separated -arms value into the oracle options that
+// enable exactly the named arms. An empty list selects none of them.
+func parseArms(list string) (oracle.Options, error) {
+	var o oracle.Options
+	arm := map[string]*bool{
+		"chaos": &o.Chaos, "lifecycle": &o.Lifecycle, "restart": &o.Restart,
+		"net": &o.Net, "tenants": &o.Tenants, "script": &o.Script,
+	}
+	for _, name := range strings.FieldsFunc(list, func(r rune) bool { return r == ',' }) {
+		on, ok := arm[strings.TrimSpace(name)]
+		if !ok {
+			return o, fmt.Errorf("unknown arm %q (arms: %s)", name, allArms)
+		}
+		*on = true
+	}
+	return o, nil
+}
+
 func main() {
 	var (
 		seed    = flag.Int64("seed", 1, "first scenario seed; scenario i uses seed+i")
 		n       = flag.Int("n", 25, "number of seeded scenarios to run")
-		noChaos = flag.Bool("no-chaos", false, "skip the chaos arm (clean differential only)")
-		noNet   = flag.Bool("no-net", false, "skip the networked data-plane (smpe-net) arm")
-		noTen   = flag.Bool("no-tenants", false, "skip the multi-tenant scheduler (smpe-tenants) arm")
-		noScr   = flag.Bool("no-script", false, "skip the scripted access-method (smpe-script) arm")
-		noLifec = flag.Bool("no-lifecycle", false, "skip the structure-lifecycle arm")
-		noRest  = flag.Bool("no-restart", false, "skip the crash-recovery (smpe-restart) arm")
+		arms    = flag.String("arms", allArms, "comma-separated optional arms to run (empty: the clean differential only)")
 		noShrnk = flag.Bool("no-shrink", false, "report chaos divergences without shrinking the schedule")
 		verbose = flag.Bool("v", false, "print every scenario, not only divergent ones")
 		tlDir   = flag.String("timeline", "", "write failing-arm timelines and repro files into this directory")
 	)
 	flag.Parse()
 
+	opts, err := parseArms(*arms)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "chaosbench: -arms: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	opts.Shrink = opts.Chaos && !*noShrnk
 	ctx := context.Background()
-	opts := oracle.Options{Chaos: !*noChaos, Shrink: !*noChaos && !*noShrnk, Net: !*noNet, Tenants: !*noTen, Script: !*noScr, Lifecycle: !*noLifec, Restart: !*noRest}
 	start := time.Now()
 	diverged := 0
 	var hedges, leaks int64

@@ -11,6 +11,27 @@ import (
 	"lakeharbor/internal/trace"
 )
 
+func TestParseArms(t *testing.T) {
+	all := oracle.Options{Chaos: true, Lifecycle: true, Restart: true, Net: true, Tenants: true, Script: true}
+	for list, want := range map[string]oracle.Options{
+		allArms:              all,
+		"tenants":            {Tenants: true},
+		"lifecycle, restart": {Lifecycle: true, Restart: true},
+		"net,net,script":     {Net: true, Script: true},
+		"":                   {},
+	} {
+		got, err := parseArms(list)
+		if err != nil || got != want {
+			t.Errorf("parseArms(%q) = %+v, %v; want %+v", list, got, err, want)
+		}
+	}
+	for _, bad := range []string{"tenant", "chaos,no-net", "all"} {
+		if _, err := parseArms(bad); err == nil {
+			t.Errorf("parseArms(%q) accepted an unknown arm", bad)
+		}
+	}
+}
+
 func TestWriteArtifacts(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "chaos-artifacts")
 	rep := &oracle.Report{

@@ -352,12 +352,6 @@ func main() {
 	log.Fatal(http.ListenAndServe(*addr, handler))
 }
 
-// buildCluster interprets -nodes. An integer means an in-process simulated
-// cluster with that many nodes (the historical behavior, byte-for-byte). A
-// comma-separated host:port list means a networked data plane: one
-// multiplexed, hedged nodenet client per lakenode address, all sharing one
-// stats block so /debug/metrics can report attempts in flight, hedge
-// counters, and RPC latency across the fleet. The stats pointer is nil for sim clusters.
 // parseTenants turns a -tenants spec — comma-separated
 // name:weight[:maxInFlight[:maxJobs]] entries — into scheduler tenant
 // configs. Validation beyond syntax (positive weights, duplicate names)
@@ -390,6 +384,12 @@ func parseTenants(spec string) ([]sched.TenantConfig, error) {
 	return cfgs, nil
 }
 
+// buildCluster interprets -nodes. An integer means an in-process simulated
+// cluster with that many nodes. A comma-separated host:port list means a
+// networked data plane: one multiplexed, hedged nodenet client per lakenode
+// address, all sharing one stats block so /debug/metrics can report attempts
+// in flight, hedge counters, and RPC latency across the fleet. The stats
+// pointer is nil for sim clusters.
 func buildCluster(spec string) (*dfs.Cluster, *nodenet.Stats, error) {
 	if n, err := strconv.Atoi(spec); err == nil {
 		if n <= 0 {

@@ -57,7 +57,7 @@ func main() {
 		nodes   = flag.Int("nodes", 4, "simulated cluster nodes")
 		cores   = flag.Int("cores", 16, "baseline static per-node parallelism")
 		threads = flag.Int("threads", core.DefaultThreads, "SMPE per-node worker pool size")
-		schedW  = flag.Int("sched", 0, "route SMPE runs through a shared weighted-fair scheduler with this cluster-wide worker ceiling (0 = historical per-job pools)")
+		schedW  = flag.Int("sched", 0, "route SMPE runs through a shared weighted-fair scheduler with this cluster-wide worker ceiling (0 = per-job pools)")
 		batch   = flag.Int("batch", core.DefaultMaxBatch, "max pointers coalesced per dereference task (1 = unbatched)")
 		region  = flag.String("region", "ASIA", "Q5' region predicate")
 		selsArg = flag.String("sels", "0.0001,0.001,0.01,0.05,0.1,0.3,1.0", "comma-separated selectivities")

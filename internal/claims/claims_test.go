@@ -66,6 +66,23 @@ func TestDPCClaimDynamicLayout(t *testing.T) {
 	}
 }
 
+// TestSubRecordsFitNoFlatSchema keeps §IV's negative result: the sub-record
+// lines of a seeded corpus do not share one field count, so no fixed flat
+// (columnar) schema fits them — the lake must keep them schema-on-read.
+func TestSubRecordsFitNoFlatSchema(t *testing.T) {
+	corpus := Generate(Config{Claims: 50, Seed: 4})
+	widths := map[int]string{} // field count → a sub-record kind that has it
+	for _, c := range corpus.Claims {
+		for _, line := range strings.Split(strings.TrimRight(c.Raw(), "\n"), "\n") {
+			fields := strings.Split(line, ",")
+			widths[len(fields)] = fields[0]
+		}
+	}
+	if len(widths) < 2 {
+		t.Fatalf("every sub-record line has the same field count (%v): a fixed flat schema would fit, which §IV says it cannot", widths)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := map[string]string{
 		"unknown kind":     "XX,1,2\n",

@@ -91,18 +91,7 @@ func TestFailedJobLeavesNoGoroutines(t *testing.T) {
 	}
 	// Workers exit before Execute returns (wg.Wait), but give the runtime
 	// a moment to reap anything racing its own exit.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		after := runtime.NumGoroutine()
-		if after <= before+3 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before, %d after failed jobs", before, after)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitGoroutines(t, before+3)
 }
 
 // TestPermanentErrorNotRetried checks derefWithRetry fails fast on errors

@@ -13,7 +13,8 @@ import (
 // import — sched imports core). It runs every submitted task on its own
 // goroutine and records admissions so the executor's scheduler seam can be
 // tested in isolation: admission errors surface before any task runs, tasks
-// flow through Submit, Finish joins them, and the nil path stays untouched.
+// flow through Submit, and Finish joins them and — like sched.Job — refuses
+// every later Submit.
 type fakeSched struct {
 	mu       sync.Mutex
 	rejectAs error // when set, StartJob fails with this
@@ -33,11 +34,15 @@ func (f *fakeSched) StartJob(tenant string) (SchedJob, error) {
 }
 
 type fakeJob struct {
-	s  *fakeSched
-	wg sync.WaitGroup
+	s        *fakeSched
+	wg       sync.WaitGroup
+	finished atomic.Bool
 }
 
 func (j *fakeJob) Submit(run func(worker int)) (int, error) {
+	if j.finished.Load() {
+		return 0, errors.New("submit on a finished job")
+	}
 	j.s.tasks.Add(1)
 	j.wg.Add(1)
 	go func() {
@@ -48,12 +53,13 @@ func (j *fakeJob) Submit(run func(worker int)) (int, error) {
 }
 
 func (j *fakeJob) Finish() {
+	j.finished.Store(true)
 	j.wg.Wait()
 	j.s.finished.Add(1)
 }
 
-// TestSchedulerSeamEquivalence runs the same join once on the historical
-// per-job pool and once through a scheduler, and requires identical answers,
+// TestSchedulerSeamEquivalence runs the same join once on the job's own
+// pools and once through a scheduler, and requires identical answers,
 // tenant attribution in the trace, and every task routed via Submit.
 func TestSchedulerSeamEquivalence(t *testing.T) {
 	fx := newFixture(t, 3, 30, 3)

@@ -95,8 +95,8 @@ type Options struct {
 	// would otherwise spawn N×1000 goroutines). Admission (tenant quotas,
 	// load shedding) happens before any task is enqueued; an over-quota
 	// or overloaded submission fails the job up front with the
-	// scheduler's admission error. nil keeps the historical per-job pool
-	// path byte-for-byte.
+	// scheduler's admission error. nil gives the job its own per-node pools;
+	// either way every task takes the one path in dispatch.go.
 	Scheduler TaskScheduler
 }
 
@@ -118,7 +118,8 @@ type SchedJob interface {
 	// Submit schedules run on the shared pool; run is invoked exactly once
 	// with the executing worker's id. depth is the tenant's queue depth
 	// after the enqueue (for queue telemetry). Submit never blocks on
-	// execution — queued work waits in the tenant's fair queue.
+	// execution — queued work waits in the tenant's fair queue. Once Finish
+	// has been called, Submit refuses with an error and never invokes run.
 	Submit(run func(worker int)) (depth int, err error)
 	// Finish marks the job complete: it waits for every submitted task to
 	// run, then releases the job's admission slot. It must be called
@@ -143,9 +144,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Threads == 0 {
 		o.Threads = DefaultThreads
-	}
-	if o.Scheduler != nil && o.Tenant == "" {
-		return o, fmt.Errorf("Options.Tenant is required when Options.Scheduler is set")
 	}
 	return o, nil
 }
@@ -233,82 +231,14 @@ func Execute(ctx context.Context, job *Job, catalog lake.Catalog, topo Topology,
 			return nil, fmt.Errorf("core: job %q: unknown file %q in seed: %w", job.Name, seed.File, err)
 		}
 	}
-	// Admission to the shared scheduler happens before any task exists:
-	// an over-quota tenant or an overloaded cluster rejects the whole job
-	// here, cheaply, instead of shedding half-dispatched work.
-	var sjob SchedJob
-	if opts.Scheduler != nil {
-		var err error
-		if sjob, err = opts.Scheduler.StartJob(opts.Tenant); err != nil {
-			return nil, fmt.Errorf("core: job %q: admission: %w", job.Name, err)
-		}
-	}
 	start := time.Now()
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	e := &executor{
-		job:     job,
-		catalog: catalog,
-		topo:    topo,
-		opts:    opts,
-		sjob:    sjob,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		tr:      trace.New(job.Name, traceInfo(job), topo.NumNodes()),
-	}
-	if opts.Tenant != "" {
-		e.tr.SetTenant(opts.Tenant)
-	}
-	if opts.SlowTaskThreshold > 0 {
-		e.tr.SetSlowTask(opts.SlowTaskThreshold, opts.TraceLog)
-	}
-	if opts.EventCap >= 0 {
-		e.tr.EnableEvents(opts.EventCap) // 0 selects trace.DefaultEventCap
-	}
-	n := topo.NumNodes()
-	e.results = make([]nodeResult, n)
-	e.tcs = make([]*TaskCtx, n)
-	e.derefTcs = make([][]*TaskCtx, n)
-	for node := 0; node < n; node++ {
-		e.tcs[node] = &TaskCtx{
-			Ctx:     trace.WithIO(topo.Bind(ctx, node), e.tr.NodeIO(node)),
-			Node:    node,
-			Nodes:   n,
-			Catalog: catalog,
-			Owner:   topo.OwnerNode,
-		}
-		// Dereferences hit storage, so their context carries the RPC trace
-		// identity (job, tenant, stage; attempt 0 — derefWithRetry re-stamps
-		// retries): remote transports forward it on the wire and attribute
-		// node-side spans to this job. One context per (node, stage), built
-		// here rather than per dereference task.
-		e.derefTcs[node] = make([]*TaskCtx, len(job.Stages))
-		for stage, s := range job.Stages {
-			if s.Deref == nil {
-				continue
-			}
-			tc := *e.tcs[node]
-			tc.Ctx = trace.WithRPC(tc.Ctx, trace.RPCInfo{Job: job.Name, Tenant: opts.Tenant, Stage: stage})
-			e.derefTcs[node][stage] = &tc
-		}
-	}
-
-	// Register the per-node pools ("distributing the data processing job
-	// to all the computing nodes"). Workers are spawned on demand up to
-	// Options.Threads per node — the paper reuses a standing pool; here
-	// each job grows its own, so a tiny job does not pay for a thousand
-	// idle workers. Under a shared scheduler the job owns no pools at
-	// all: its tasks ride the scheduler's cluster-wide workers.
-	var wg sync.WaitGroup
-	if sjob == nil {
-		e.queues = make([]*taskQueue, n)
-		e.pools = make([]*nodePool, n)
-		for node := 0; node < n; node++ {
-			e.queues[node] = newTaskQueue()
-			e.pools[node] = &nodePool{max: int32(opts.Threads), wg: &wg, tc: e.tcs[node], e: e, node: node}
-		}
+	e, err := newExecutor(ctx, cancel, job, catalog, topo, opts)
+	if err != nil {
+		return nil, fmt.Errorf("core: job %q: %w", job.Name, err)
 	}
 
 	// Seed the initial stage. Seeds without partition information are
@@ -324,23 +254,15 @@ func Execute(ctx context.Context, job *Job, catalog lake.Catalog, topo Topology,
 	}
 	e.finishN(1)
 
-	// Wait for global completion or failure, then stop the pools.
+	// Wait for global completion or failure, then stop the workers: tasks
+	// still queued are run, and drain cheaply through the ctx check in
+	// process when the job was cancelled.
 	select {
 	case <-e.done:
 	case <-ctx.Done():
 		e.fail(ctx.Err())
 	}
-	if sjob != nil {
-		// Shared-scheduler path: wait for every submitted task to run
-		// (cancelled jobs drain cheaply through the ctx check in process),
-		// then release the job's admission slot.
-		sjob.Finish()
-	} else {
-		for _, q := range e.queues {
-			q.close()
-		}
-		wg.Wait()
-	}
+	e.disp.finish()
 
 	if err := e.firstErr(); err != nil {
 		return nil, fmt.Errorf("core: job %q: %w", job.Name, err)
@@ -383,11 +305,9 @@ type executor struct {
 	cancel  context.CancelFunc
 	tr      *trace.Trace
 
-	queues   []*taskQueue
-	pools    []*nodePool
+	disp     dispatcher   // the one path tasks take to workers (dispatch.go)
 	tcs      []*TaskCtx   // per node
 	derefTcs [][]*TaskCtx // per node and Dereferencer stage: tcs[node] plus the RPC trace identity
-	sjob     SchedJob     // non-nil on the shared-scheduler path
 	inflight atomic.Int64
 	results  []nodeResult
 
@@ -398,52 +318,61 @@ type executor struct {
 	err      error
 }
 
-// nodePool grows a node's worker set on demand, capped at max workers.
-type nodePool struct {
-	e       *executor
-	tc      *TaskCtx
-	wg      *sync.WaitGroup
-	node    int
-	max     int32
-	spawned atomic.Int32
-	idle    atomic.Int32
-}
-
-// maybeSpawn starts a new worker when no worker is idle and the pool has
-// headroom. It is called after every enqueue, so pools grow exactly as fast
-// as the queue outpaces them.
-func (p *nodePool) maybeSpawn() {
-	for {
-		if p.idle.Load() > 0 {
-			return
-		}
-		n := p.spawned.Load()
-		if n >= p.max {
-			return
-		}
-		if !p.spawned.CompareAndSwap(n, n+1) {
-			continue // raced with another spawner; re-check
-		}
-		p.e.tr.WorkerSpawned(p.node)
-		p.wg.Add(1)
-		go p.worker(int(n)) // spawn order doubles as the worker's timeline track id
-		return
+// newExecutor builds the state of one run of job: its dispatcher first —
+// under a shared scheduler that is the admission check, so a rejected job
+// costs nothing else — then the trace and the per-node task contexts. ctx is
+// the job's own context, cancel cancels it, opts have been through withDefaults.
+func newExecutor(ctx context.Context, cancel context.CancelFunc, job *Job, catalog lake.Catalog, topo Topology, opts Options) (*executor, error) {
+	n := topo.NumNodes()
+	e := &executor{
+		job:     job,
+		catalog: catalog,
+		topo:    topo,
+		opts:    opts,
+		cancel:  cancel,
+		done:    make(chan struct{}),
+		results: make([]nodeResult, n),
+		tcs:     make([]*TaskCtx, n),
 	}
-}
-
-func (p *nodePool) worker(id int) {
-	defer p.wg.Done()
-	q := p.e.queues[p.node]
-	for {
-		p.idle.Add(1)
-		t, ok := q.pop()
-		p.idle.Add(-1)
-		if !ok {
-			return
-		}
-		p.e.process(p.tc, t, id)
-		p.e.finishN(t.weight())
+	var err error
+	if e.disp, err = e.newDispatcher(); err != nil {
+		return nil, err
 	}
+	e.tr = trace.New(job.Name, traceInfo(job), n)
+	if opts.Tenant != "" {
+		e.tr.SetTenant(opts.Tenant)
+	}
+	if opts.SlowTaskThreshold > 0 {
+		e.tr.SetSlowTask(opts.SlowTaskThreshold, opts.TraceLog)
+	}
+	if opts.EventCap >= 0 {
+		e.tr.EnableEvents(opts.EventCap) // 0 selects trace.DefaultEventCap
+	}
+	e.derefTcs = make([][]*TaskCtx, n)
+	for node := 0; node < n; node++ {
+		e.tcs[node] = &TaskCtx{
+			Ctx:     trace.WithIO(topo.Bind(ctx, node), e.tr.NodeIO(node)),
+			Node:    node,
+			Nodes:   n,
+			Catalog: catalog,
+			Owner:   topo.OwnerNode,
+		}
+		// Dereferences hit storage, so their context carries the RPC trace
+		// identity (job, tenant, stage; attempt 0 — derefWithRetry re-stamps
+		// retries): remote transports forward it on the wire and attribute
+		// node-side spans to this job. One context per (node, stage), built
+		// here rather than per dereference task.
+		e.derefTcs[node] = make([]*TaskCtx, len(job.Stages))
+		for stage, s := range job.Stages {
+			if s.Deref == nil {
+				continue
+			}
+			tc := *e.tcs[node]
+			tc.Ctx = trace.WithRPC(tc.Ctx, trace.RPCInfo{Job: job.Name, Tenant: opts.Tenant, Stage: stage})
+			e.derefTcs[node][stage] = &tc
+		}
+	}
+	return e, nil
 }
 
 // nodeResult is padded per-node result state to avoid cross-node
@@ -481,8 +410,7 @@ func (e *executor) firstErr() error {
 func (e *executor) enqueuePointer(fromNode, stage int, ptr lake.Pointer, isSeed bool) {
 	if ptr.NoPart {
 		// BROADCAST: enqueue to every node; each node will treat it as
-		// addressing its local partitions. Ranges over e.tcs (one per
-		// node on both paths) — e.queues is nil under a shared scheduler.
+		// addressing its local partitions.
 		for node := range e.tcs {
 			e.dispatch(node, task{stage: stage, ptrs: []lake.Pointer{ptr}})
 		}
@@ -501,62 +429,6 @@ func (e *executor) enqueuePointer(fromNode, stage int, ptr lake.Pointer, isSeed 
 		node = e.topo.OwnerNode(part)
 	}
 	e.dispatch(node, task{stage: stage, ptrs: []lake.Pointer{ptr}})
-}
-
-func (e *executor) enqueueRecord(node, stage int, rec lake.Record) {
-	e.dispatch(node, task{stage: stage, isRec: true, rec: rec})
-}
-
-// dispatch pushes one task onto a node's queue with balanced in-flight
-// accounting: the task's weight is added before the push (a worker may pop
-// and finish the task before push even returns), and rolled back if the
-// queue rejected the task because the job already completed or failed.
-func (e *executor) dispatch(node int, t task) {
-	w := t.weight()
-	t.enq = time.Now().UnixNano()
-	e.inflight.Add(w)
-	if e.sjob != nil {
-		e.dispatchShared(node, t, w)
-		return
-	}
-	ok, depth := e.queues[node].push(t)
-	if !ok {
-		e.finishN(w) // dropped on a closed queue; roll the counter back
-		return
-	}
-	e.tr.Enqueue(node, depth)
-	e.tr.Mark(trace.EvEnqueue, t.stage, node, depth)
-	e.pools[node].maybeSpawn()
-}
-
-// dispatchShared submits one task to the shared scheduler instead of a
-// per-node queue. The closure carries the producing node's TaskCtx, so
-// storage attribution (local vs remote I/O, trace spans) is identical to the
-// pool path; the worker id is the scheduler's, making timeline tracks show
-// which shared worker ran the task. The reported depth is the tenant's fair
-// queue, recorded against the producing node's high-water telemetry.
-func (e *executor) dispatchShared(node int, t task, w int64) {
-	tc := e.tcs[node]
-	depth, err := e.sjob.Submit(func(worker int) {
-		e.process(tc, t, worker)
-		e.finishN(t.weight())
-	})
-	if err != nil {
-		e.finishN(w) // never enqueued; roll the counter back
-		e.fail(err)
-		return
-	}
-	e.tr.Enqueue(node, depth)
-	e.tr.Mark(trace.EvEnqueue, t.stage, node, depth)
-}
-
-// finishN decrements the in-flight counter after a task (and everything it
-// enqueued) is accounted for; global completion is the counter reaching
-// zero ("until all tasks are finished").
-func (e *executor) finishN(n int64) {
-	if e.inflight.Add(-n) == 0 {
-		e.doneOnce.Do(func() { close(e.done) })
-	}
 }
 
 // batchKey groups coalescible pointers: same stage, same target file, same
@@ -653,68 +525,56 @@ func (e *executor) process(tc *TaskCtx, t task, worker int) {
 		return // job already failed or cancelled; drain cheaply
 	}
 	begin := e.tr.TaskBegin(t.stage)
-	var wait time.Duration
-	if t.enq != 0 {
-		if wait = begin.Sub(time.Unix(0, t.enq)); wait < 0 {
-			wait = 0
-		}
-		e.tr.ObserveQueueWait(wait)
-	}
+	wait := max(begin.Sub(time.Unix(0, t.enq)), 0) // dispatch stamped enq
+	e.tr.ObserveQueueWait(wait)
 	defer func() {
 		dur := e.tr.TaskEnd(t.stage, begin)
 		e.tr.TaskEvent(t.stage, tc.Node, worker, begin, dur, wait, len(t.ptrs))
 	}()
-	stage := e.job.Stages[t.stage]
 	if t.isRec {
-		ptrs, err := stage.Ref.Ref(tc, t.rec)
-		if err != nil {
-			e.tr.AddError(t.stage)
-			e.fail(err)
-			return
-		}
-		e.tr.AddEmits(t.stage, len(ptrs))
-		b := batcher{e: e, node: tc.Node}
-		for _, p := range ptrs {
-			b.add(t.stage+1, p)
-		}
-		b.flush()
+		e.refer(tc, t.stage, t.rec)
 		return
 	}
 
 	e.tr.AddBatch(t.stage, len(t.ptrs))
-	recs, err := e.derefTask(e.derefTcs[tc.Node][t.stage], t.stage, stage.Deref, t.ptrs)
+	recs, err := e.derefTask(e.derefTcs[tc.Node][t.stage], t.stage, e.job.Stages[t.stage].Deref, t.ptrs)
 	if err != nil {
 		e.tr.AddError(t.stage)
 		e.fail(err)
 		return
 	}
 	e.tr.AddEmits(t.stage, len(recs))
-	last := t.stage == len(e.job.Stages)-1
-	if last {
+	if t.stage == len(e.job.Stages)-1 {
 		e.collect(tc.Node, recs)
 		return
 	}
 	next := t.stage + 1
 	if !e.opts.InlineReferencers {
 		for _, r := range recs {
-			e.enqueueRecord(tc.Node, next, r)
+			e.dispatch(tc.Node, task{stage: next, isRec: true, rec: r})
 		}
 		return
 	}
 	// Inline the next Referencer on this worker (the paper avoids thread
 	// switches for CPU-light referencers).
-	ref := e.job.Stages[next].Ref
+	e.refer(tc, next, recs...)
+}
+
+// refer runs stage's Referencer over recs on the calling worker and hands the
+// pointers it emits to the next stage through one batcher.
+func (e *executor) refer(tc *TaskCtx, stage int, recs ...lake.Record) {
+	ref := e.job.Stages[stage].Ref
 	b := batcher{e: e, node: tc.Node}
 	for _, r := range recs {
 		ptrs, err := ref.Ref(tc, r)
 		if err != nil {
-			e.tr.AddError(next)
+			e.tr.AddError(stage)
 			e.fail(err)
 			return
 		}
-		e.tr.AddEmits(next, len(ptrs))
+		e.tr.AddEmits(stage, len(ptrs))
 		for _, p := range ptrs {
-			b.add(next+1, p)
+			b.add(stage+1, p)
 		}
 	}
 	b.flush()
@@ -815,9 +675,6 @@ func (e *executor) collect(node int, recs []lake.Record) {
 // ExecuteSMPE runs the job with the paper's default massive parallelism,
 // plus pointer batching at DefaultMaxBatch unless the caller chose a size.
 func ExecuteSMPE(ctx context.Context, job *Job, catalog lake.Catalog, topo Topology, opts Options) (*Result, error) {
-	if opts.Threads == 0 {
-		opts.Threads = DefaultThreads
-	}
 	if opts.MaxBatch == 0 {
 		opts.MaxBatch = DefaultMaxBatch
 	}

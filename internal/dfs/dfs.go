@@ -165,9 +165,6 @@ func (c *Cluster) NumNodes() int { return len(c.nodes) }
 // Cost returns the cluster's cost model.
 func (c *Cluster) Cost() sim.CostModel { return c.cost }
 
-// NodeCounters returns node i's counters for inspection.
-func (c *Cluster) NodeCounters(i int) *metrics.Counters { return &c.nodes[i].counters }
-
 // TotalMetrics aggregates a snapshot across all nodes.
 func (c *Cluster) TotalMetrics() metrics.Snapshot {
 	var s metrics.Snapshot

@@ -254,14 +254,5 @@ func (s *Server) handleDebugMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Write(obs.Sanitize(buf.Bytes())) //nolint:errcheck
 }
 
-// RecordTrace lets callers that execute jobs against the same cluster
-// outside the HTTP surface (embedding servers, tools) publish their traces
-// to this server's /debug/jobs.
-func (s *Server) RecordTrace(snap *JobTrace) {
-	if snap != nil {
-		s.traces.Add(snap)
-	}
-}
-
 // JobTrace is the execution-trace snapshot type served by /debug/jobs.
 type JobTrace = trace.Snapshot

@@ -117,9 +117,6 @@ func Dial(addr string, opts Options, stats *Stats) *Client {
 	return c
 }
 
-// Addr returns the server address the client targets.
-func (c *Client) Addr() string { return c.addr }
-
 // Close refuses new requests, waits for the calls in progress to return
 // (each is bounded by its deadline), then closes every connection and waits
 // for its reader, so after Close returns the client holds zero connections.

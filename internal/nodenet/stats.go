@@ -81,14 +81,6 @@ func (s *Stats) RPCs() int64 {
 	return s.rpcs.Load()
 }
 
-// Latency returns a snapshot of the RPC round-trip latency distribution.
-func (s *Stats) Latency() trace.HistSnapshot {
-	if s == nil {
-		return trace.HistSnapshot{}
-	}
-	return s.lat.Snapshot()
-}
-
 // nil-safe recording helpers (a Client may run without Stats in tests).
 
 func (s *Stats) dialed() {

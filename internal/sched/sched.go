@@ -30,9 +30,10 @@
 //     429 without guessing.
 //
 // The executor reaches the scheduler through core.TaskScheduler /
-// core.SchedJob (set core.Options.Scheduler and core.Options.Tenant); a nil
-// scheduler keeps the historical per-job pools byte-for-byte. Stats and
-// WriteMetrics expose per-tenant slices (in-flight, queue depth and wait
+// core.SchedJob (set core.Options.Scheduler and core.Options.Tenant): a Job
+// is one of the two implementations behind the executor's single dispatch
+// path, the other being the job's own per-node pools (DESIGN.md §11). Stats
+// and WriteMetrics expose per-tenant slices (in-flight, queue depth and wait
 // quantiles, shed counts, fair-share deficit) as lakeharbor_tenant_* series.
 package sched
 
@@ -453,14 +454,6 @@ func (s *Scheduler) taskDone(tk schedTask) {
 	}
 	s.mu.Unlock()
 	s.cond.Signal()
-}
-
-// QueueDepth reports the total queued, undispatched task count — the load
-// signal admission shedding runs on.
-func (s *Scheduler) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queueDepth
 }
 
 // Close shuts the pool down for tests and process exit: no further jobs are

@@ -203,9 +203,6 @@ func (p *Program) Source() string { return p.src }
 // Funcs lists the program's function names in declaration order.
 func (p *Program) Funcs() []string { return append([]string(nil), p.order...) }
 
-// Has reports whether the program declares fn.
-func (p *Program) Has(fn string) bool { _, ok := p.fns[fn]; return ok }
-
 // Params returns the parameter count of fn (-1 when undeclared).
 func (p *Program) Params(fn string) int {
 	d, ok := p.fns[fn]

@@ -86,9 +86,6 @@ func NewRegistry(lim Limits) *Registry {
 	}
 }
 
-// Limits returns the registry's per-invocation sandbox budgets.
-func (r *Registry) Limits() Limits { return r.limits }
-
 func validName(name string) error {
 	if name == "" || len(name) > 128 {
 		return fmt.Errorf("script: name must be 1–128 characters")

@@ -177,9 +177,6 @@ func (v Value) IsStr() (string, bool) { return v.s, v.kind == kindStr }
 // IsBool reports whether the value is a bool, returning it.
 func (v Value) IsBool() (bool, bool) { return v.b, v.kind == kindBool }
 
-// IsInt reports whether the value is an int, returning it.
-func (v Value) IsInt() (int64, bool) { return v.i, v.kind == kindInt }
-
 // Package-wide counters, exported to /debug/metrics as lakeharbor_script_*.
 var counters struct {
 	compiles      atomic.Int64

@@ -81,9 +81,6 @@ func (h *Histogram) Record(v int64) {
 // RecordDur records a duration in nanoseconds.
 func (h *Histogram) RecordDur(d time.Duration) { h.Record(int64(d)) }
 
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Snapshot copies the live counters into an immutable HistSnapshot. It may
 // run concurrently with Record; the result is a consistent-enough view (a
 // racing Record may or may not be included).

@@ -381,28 +381,6 @@ func (l Latencies) Merge(o Latencies) Latencies {
 	}
 }
 
-// LatencySummaries digests each latency distribution to its quantile
-// summary, for JSON bench reports. Time-valued summaries are in nanoseconds;
-// Batch is in pointers.
-type LatencySummaries struct {
-	TaskNs      HistSummary `json:"taskNs"`
-	QueueWaitNs HistSummary `json:"queueWaitNs"`
-	BatchPtrs   HistSummary `json:"batchPtrs"`
-	IOLocalNs   HistSummary `json:"ioLocalNs"`
-	IORemoteNs  HistSummary `json:"ioRemoteNs"`
-}
-
-// Summaries digests the latency set into per-distribution quantile digests.
-func (l Latencies) Summaries() LatencySummaries {
-	return LatencySummaries{
-		TaskNs:      l.Task.Summary(),
-		QueueWaitNs: l.QueueWait.Summary(),
-		BatchPtrs:   l.Batch.Summary(),
-		IOLocalNs:   l.IOLocal.Summary(),
-		IORemoteNs:  l.IORemote.Summary(),
-	}
-}
-
 // StageSnapshot reports one stage of an executed job.
 type StageSnapshot struct {
 	// Stage is the stage index.
