@@ -1,9 +1,10 @@
 package main
 
 // lakectl script — manage scripted access methods on a live lakeserve over
-// its /v1/scripts endpoints: upload (validate-at-POST), list, fetch source,
-// and delete. The server compiles the script once at upload; compile errors
-// come back verbatim with the failing line.
+// its /v1/scripts endpoints: upload (validate-at-POST), list, fetch source
+// (with what each function has cost so far), and delete. The server compiles
+// the script once at upload; compile errors come back verbatim with the
+// failing line.
 
 import (
 	"bytes"
@@ -163,11 +164,22 @@ func cmdScriptGet(args []string) {
 	}
 	var got struct {
 		Source string `json:"source"`
+		Stats  []struct {
+			Name  string `json:"name"`
+			Calls int64  `json:"calls"`
+			Steps int64  `json:"steps"`
+		} `json:"stats"`
 	}
 	if err := json.Unmarshal(body, &got); err != nil {
 		log.Fatalf("script get: decode response: %v", err)
 	}
 	fmt.Println(got.Source)
+	// Totals go to stderr: stdout stays the source alone, so get | put round-trips.
+	fmt.Fprintf(os.Stderr, "%-24s %-12s %-14s %s\n", "fn", "calls", "steps", "steps/call")
+	for _, f := range got.Stats {
+		fmt.Fprintf(os.Stderr, "%-24s %-12d %-14d %.1f\n", f.Name, f.Calls, f.Steps,
+			float64(f.Steps)/float64(max(f.Calls, 1)))
+	}
 }
 
 func cmdScriptRm(args []string) {

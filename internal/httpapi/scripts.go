@@ -5,7 +5,8 @@ package httpapi
 //
 //	POST   /v1/scripts          compile-and-register a script (validate at POST)
 //	GET    /v1/scripts          list registered scripts
-//	GET    /v1/scripts/{name}   one script's info plus its source
+//	GET    /v1/scripts/{name}   one script's info, source, and per-function
+//	                            calls and steps
 //	DELETE /v1/scripts/{name}   drop a script (and its structure bindings)
 //	POST   /v1/structures       register + build a structure whose partition-key
 //	                            and index-key extractors are script functions
@@ -95,6 +96,7 @@ func (s *Server) handleScriptGet(w http.ResponseWriter, r *http.Request) {
 		"version": h.Version,
 		"funcs":   h.Program().Funcs(),
 		"source":  h.Program().Source(),
+		"stats":   h.Program().Stats(),
 	})
 }
 
@@ -172,6 +174,7 @@ func (s *Server) writeScriptMetrics(w io.Writer) {
 	obs.Counter(w, "lakeharbor_script_compiles_total", "Script sources compiled (POSTs and recoveries).", c.Compiles)
 	obs.Counter(w, "lakeharbor_script_compile_errors_total", "Script sources rejected at compile time.", c.CompileErrors)
 	obs.Counter(w, "lakeharbor_script_invocations_total", "Scripted function invocations across all contracts.", c.Invocations)
+	obs.Counter(w, "lakeharbor_script_steps_total", "Evaluation steps charged by scripted function invocations.", c.Steps)
 	obs.Counter(w, "lakeharbor_script_step_budget_trips_total", "Invocations terminated by the step budget.", c.StepTrips)
 	obs.Counter(w, "lakeharbor_script_alloc_budget_trips_total", "Invocations terminated by the allocation budget.", c.AllocTrips)
 	obs.Gauge(w, "lakeharbor_script_registered", "Scripts currently registered.", int64(s.scripts.Len()))

@@ -148,6 +148,23 @@ func TestScriptEndpointsFullLifecycle(t *testing.T) {
 		t.Fatalf("scripted index answered %d entries for val=3, want 9", found)
 	}
 
+	// The build ran both extractors once per row, and GET shows what that
+	// cost per function.
+	var cost struct {
+		Stats []script.FuncStats `json:"stats"`
+	}
+	if code := doJSON(t, "GET", srv.URL+"/v1/scripts/validx", nil, &cost); code != 200 {
+		t.Fatalf("GET one script: status %d", code)
+	}
+	if len(cost.Stats) != 2 || cost.Stats[0].Name != "partkey" || cost.Stats[1].Name != "keys" {
+		t.Fatalf("stats = %+v, want partkey then keys", cost.Stats)
+	}
+	for _, f := range cost.Stats {
+		if f.Calls != 80 || f.Steps < f.Calls {
+			t.Fatalf("%s: %d calls, %d steps after indexing 80 rows", f.Name, f.Calls, f.Steps)
+		}
+	}
+
 	// A bad binding never registers anything.
 	if code := doJSON(t, "POST", srv.URL+"/v1/structures", script.SpecBinding{
 		Structure: "x", Base: "orders", Script: "validx", PartKeyFn: "partkey", KeysFn: "nope",
@@ -166,6 +183,7 @@ func TestScriptEndpointsFullLifecycle(t *testing.T) {
 		"lakeharbor_script_compiles_total",
 		"lakeharbor_script_compile_errors_total",
 		"lakeharbor_script_invocations_total",
+		"lakeharbor_script_steps_total",
 		"lakeharbor_script_step_budget_trips_total",
 		"lakeharbor_script_alloc_budget_trips_total",
 		"lakeharbor_script_registered 1",

@@ -1,20 +1,22 @@
 package script_test
 
-// Fuzz targets for the whole interpreter pipeline. Three properties, none
+// Fuzz targets for the whole interpreter pipeline. Four properties, none
 // of which any input may break:
 //
-//  1. No panics: lexer, parser, printer, and evaluator only ever return
-//     typed errors, whatever bytes arrive.
+//  1. No panics: lexer, parser, printer, lowering and the lowered code only
+//     ever return typed errors, whatever bytes arrive.
 //  2. Termination: with a step budget set, every call returns — loops
 //     cannot outlive their budget.
 //  3. Canonical stability: Compile ∘ Canonical is a fixed point — printing
 //     a compiled program and recompiling the print yields the same print.
+//  4. Lowered ≡ reference: every call returns what the tree-walking
+//     reference evaluator returns — value, or error class, function, line
+//     and message — having charged the same number of steps.
 //
 // The seed corpus is the oracle's generated mirror programs (the exact
 // sources the differential arm runs) plus hand-picked grammar edges.
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -38,27 +40,16 @@ func FuzzScript(f *testing.F) {
 	for _, src := range oracle.ScriptCorpus() {
 		f.Add(src)
 	}
-	for _, src := range []string{
-		`fn f(a) { return -a * 2 + 1 }`,
-		`fn f() { let s = "x" while len(s) < 100 { s = s + s } return s }`,
-		`fn f(a, b) { if a == b { return 1 } else { if a < b { return 2 } } return 3 }`,
-		`fn f() { return 1 && true }`,
-		`fn f() { return (1 + 2) * (3 - 4) / 5 % 6 }`,
-		`fn f() { return "a\"b\\c\nd\te" }`,
-		`fn f() { return 9223372036854775807 }`,
-		`fn loop() { while true { } }`,
-		`fn f(key, data) { return substr(data, find(data, "|"), len(data)) }`,
-		"fn f() { # comment\n\treturn 0\n}",
-	} {
+	for _, src := range handSeeds {
+		f.Add(src)
+	}
+	f.Add(script.Q5Source)
+	for _, src := range edgeSeeds {
 		f.Add(src)
 	}
 
 	lim := script.Limits{Steps: 5000, AllocBytes: 1 << 16}
 	host := fuzzHost()
-	args := []script.Value{
-		script.Str("7|3"), script.Str(""), script.Int(-1), script.Bool(true),
-		script.Str("x\x00y"), script.Int(42), script.Str("|"), script.Int(0),
-	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := script.Compile(src)
 		if err != nil {
@@ -75,22 +66,26 @@ func FuzzScript(f *testing.F) {
 			t.Fatalf("canonical form is not stable:\nfirst:  %q\nsecond: %q", canon, again)
 		}
 
-		// Properties 1 and 2: call every declared function with every arity-
-		// matching argument window; each call must return (budget at worst),
-		// never hang, never panic.
+		// Properties 1, 2 and 4: call every declared function with every
+		// arity-matching argument window; each call must return (budget at
+		// worst), never hang, never panic, and agree with the reference
+		// evaluator — which also makes every error a typed one.
 		for _, fn := range p.Funcs() {
 			n := p.Params(fn)
-			if n < 0 || n > len(args) {
-				continue
-			}
-			if _, err := p.Call(fn, lim, host, args[:n]...); err != nil {
-				var serr *script.Error
-				if !errors.As(err, &serr) {
-					t.Fatalf("call %s: untyped error %T: %v", fn, err, err)
+			for from := 0; from+n <= len(fuzzArgs); from++ {
+				sameAsReference(t, p, fn, lim, host, fuzzArgs[from:from+n])
+				if n == 0 {
+					break // every window is the same empty one
 				}
 			}
 		}
 	})
+}
+
+// fuzzArgs is the pool argument windows are cut from.
+var fuzzArgs = []script.Value{
+	script.Str("7|3"), script.Str(""), script.Int(-1), script.Bool(true),
+	script.Str("x\x00y"), script.Int(42), script.Str("|"), script.Int(0),
 }
 
 // TestFuzzCorpusRunsClean sanity-checks the seed corpus outside fuzzing

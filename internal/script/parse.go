@@ -27,8 +27,9 @@ import (
 //	         | IDENT "(" [ expr ("," expr)* ] ")" | "(" expr ")"
 //
 // There are no user-defined function calls: a call resolves to a pure
-// builtin or a host builtin at evaluation time, so a program cannot recurse
-// and the only loop construct is while — which the step budget bounds.
+// builtin when the program is lowered or to a host builtin when it runs, so
+// a program cannot recurse and the only loop construct is while — which the
+// step budget bounds.
 
 // maxDepth bounds recursive nesting (parenthesized expressions, call
 // arguments, unary chains, nested blocks) so hostile input cannot blow the
@@ -43,6 +44,7 @@ type fnDecl struct {
 	params []string
 	body   []stmt
 	line   int
+	low    *loweredFn // what runs; the AST stays for the tests' printer and reference
 }
 
 type stmt interface{ stmtLine() int }
@@ -145,7 +147,7 @@ var keywords = map[string]bool{
 
 // Program is one compiled, immutable script: a set of named functions. A
 // Program is safe for concurrent Call invocations — evaluation state lives
-// entirely in the call.
+// entirely in the call's frame.
 type Program struct {
 	src   string
 	fns   map[string]*fnDecl
@@ -164,15 +166,6 @@ func Compile(src string) (*Program, error) {
 	return p, nil
 }
 
-// MustCompile is Compile for sources known good (tests, generated mirrors).
-func MustCompile(src string) *Program {
-	p, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func compile(src string) (*Program, *Error) {
 	toks, lerr := lex(src)
 	if lerr != nil {
@@ -188,6 +181,7 @@ func compile(src string) (*Program, *Error) {
 		if _, dup := prog.fns[fn.name]; dup {
 			return nil, &Error{Class: ClassCompile, Line: fn.line, Msg: "duplicate function " + fn.name}
 		}
+		fn.low = lowerFn(fn)
 		prog.fns[fn.name] = fn
 		prog.order = append(prog.order, fn.name)
 	}
@@ -203,13 +197,22 @@ func (p *Program) Source() string { return p.src }
 // Funcs lists the program's function names in declaration order.
 func (p *Program) Funcs() []string { return append([]string(nil), p.order...) }
 
-// Params returns the parameter count of fn (-1 when undeclared).
-func (p *Program) Params(fn string) int {
-	d, ok := p.fns[fn]
-	if !ok {
-		return -1
+// FuncStats is one function's invocations, and the evaluation steps they
+// charged, since its program was compiled (a re-Put starts a new program).
+type FuncStats struct {
+	Name  string `json:"name"`
+	Calls int64  `json:"calls"`
+	Steps int64  `json:"steps"`
+}
+
+// Stats reports every function's totals, in declaration order.
+func (p *Program) Stats() []FuncStats {
+	out := make([]FuncStats, len(p.order))
+	for i, name := range p.order {
+		lf := p.fns[name].low
+		out[i] = FuncStats{Name: name, Calls: lf.calls.Load(), Steps: lf.steps.Load()}
 	}
-	return len(d.params)
+	return out
 }
 
 type parser struct {

@@ -9,6 +9,9 @@ import (
 // to the same AST (Canonical is a fixed point of Compile∘Canonical). The
 // fuzz targets assert that, which pins the grammar and the printer to each
 // other: a precedence bug in either shows up as an unstable round trip.
+// Nothing in the product prints programs — scripts persist and travel as
+// the source text they were POSTed as — so the printer lives with the tests
+// it exists for.
 
 // Canonical renders the program in canonical form: one fn per block, tab
 // indentation, minimal parentheses, escaped string literals.
@@ -39,9 +42,47 @@ func printFn(b *strings.Builder, fn *fnDecl) {
 }
 
 func printStmts(b *strings.Builder, stmts []stmt, depth int) {
-	for _, s := range stmts {
-		printStmt(b, s, depth)
+	// opens[i]: statement i prints starting with "(" — an expression
+	// statement led by a parenthesized operand, by a unary minus, or by a bare
+	// name that lastExpr parenthesizes because statement i+1 opens the same
+	// way; hence back to front.
+	opens := make([]bool, len(stmts)+1)
+	for i := len(stmts) - 1; i >= 0; i-- {
+		if es, ok := stmts[i].(*exprStmt); ok {
+			opens[i] = lastExpr(es.x, true, opens[i+1])[0] == '('
+		}
 	}
+	for i, s := range stmts {
+		printStmt(b, s, depth, opens[i+1])
+	}
+}
+
+// lastExpr renders the expression a statement ends in. The grammar has no
+// statement separator, so the text must not run on into its neighbours: an
+// expression statement that would start with "-" is parenthesized (after
+// `a`, `-b` reads as a - b), and when the next statement opens with "(" so
+// is a trailing bare name (after `f`, `(x)` reads as the call f(x)).
+func lastExpr(e expr, isStmt, nextOpensParen bool) string {
+	var b strings.Builder
+	printExpr(&b, e, 0, false)
+	t := b.String()
+	if isStmt && t[0] == '-' {
+		t = "(" + t + ")"
+	}
+	last := e
+	for {
+		if bin, ok := last.(*binExpr); ok {
+			last = bin.y
+		} else if un, ok := last.(*unaryExpr); ok {
+			last = un.x
+		} else {
+			break
+		}
+	}
+	if name, ok := last.(*varRef); ok && nextOpensParen && strings.HasSuffix(t, name.name) {
+		t = t[:len(t)-len(name.name)] + "(" + name.name + ")"
+	}
+	return t
 }
 
 func indent(b *strings.Builder, depth int) {
@@ -50,19 +91,19 @@ func indent(b *strings.Builder, depth int) {
 	}
 }
 
-func printStmt(b *strings.Builder, s stmt, depth int) {
+func printStmt(b *strings.Builder, s stmt, depth int, nextOpensParen bool) {
 	indent(b, depth)
 	switch s := s.(type) {
 	case *letStmt:
 		b.WriteString("let ")
 		b.WriteString(s.name)
 		b.WriteString(" = ")
-		printExpr(b, s.x, 0, false)
+		b.WriteString(lastExpr(s.x, false, nextOpensParen))
 		b.WriteByte('\n')
 	case *assignStmt:
 		b.WriteString(s.name)
 		b.WriteString(" = ")
-		printExpr(b, s.x, 0, false)
+		b.WriteString(lastExpr(s.x, false, nextOpensParen))
 		b.WriteByte('\n')
 	case *ifStmt:
 		printIf(b, s, depth)
@@ -77,11 +118,11 @@ func printStmt(b *strings.Builder, s stmt, depth int) {
 		b.WriteString("return")
 		if s.x != nil {
 			b.WriteByte(' ')
-			printExpr(b, s.x, 0, false)
+			b.WriteString(lastExpr(s.x, false, nextOpensParen))
 		}
 		b.WriteByte('\n')
 	case *exprStmt:
-		printExpr(b, s.x, 0, false)
+		b.WriteString(lastExpr(s.x, true, nextOpensParen))
 		b.WriteByte('\n')
 	}
 }

@@ -10,60 +10,50 @@ import (
 	"lakeharbor/internal/lake"
 )
 
-// The evaluator: a tree walker with two meters. Every statement executed and
-// every expression node evaluated charges one step, and data-proportional
-// work (string comparison, find) charges a step per byte touched; every
-// string byte a program produces charges the allocation budget. Exceeding
-// either budget aborts the invocation with a typed, permanent *Error, so
-// the worst a hostile script costs is the budget — never a hung worker,
-// never a retried task.
+// The reference evaluator: the tree walker that ran every script before
+// programs were lowered to closures (lower.go), kept here as moved so the
+// differential tests (TestLoweredMatchesReference, FuzzScript) can hold the
+// lowered code to it — same value or same *Error class, function, line and
+// message, and the same step total, for every program, argument list and
+// budget. Only its entry point changed: refCall reports the steps charged
+// and leaves the package counters, which describe production invocations,
+// alone. No non-test code can reach this file.
+//
+// The evaluator is a tree walker with two meters. Every statement executed
+// and every expression node evaluated charges one step, and
+// data-proportional work (string comparison, find) charges a step per byte
+// touched; every string byte a program produces charges the allocation
+// budget. Exceeding either budget aborts the invocation with a typed,
+// permanent *Error.
 
-// Builtin is one host-provided function, installed per invocation for the
-// contract being served (set for interpreters, emit/carry for referencers,
-// …). Argument validation is the builtin's job; a plain error return is
-// wrapped into a *Error at the call site.
-type Builtin func(args []Value) (Value, error)
-
-// Call evaluates fn with the given sandbox limits, host builtins, and
-// arguments, returning the function's return value (the zero Value for a
-// bare or missing return). Programs are immutable, so concurrent Calls on
-// one Program are safe; each call meters itself independently.
-func (p *Program) Call(fn string, lim Limits, host map[string]Builtin, args ...Value) (ret Value, err error) {
-	counters.invocations.Add(1)
-	// Last line of the sandbox: a panic escaping Call — an evaluator bug or
-	// a faulting host builtin — would crash the whole serving process from a
-	// user-POSTed script. Convert it into a permanent runtime *Error so the
-	// guarantee that a hostile script costs at most its budget holds even
-	// against bugs below this point.
+// refCall evaluates fn the way Program.Call did before lowering, and also
+// returns the steps the evaluation charged.
+func (p *Program) refCall(fn string, lim Limits, host map[string]Builtin, args ...Value) (ret Value, steps int64, err error) {
+	ev := &evalState{fn: fn, host: host, lim: lim.withDefaults()}
 	defer func() {
 		if r := recover(); r != nil {
-			ret = Value{}
+			ret, steps = Value{}, ev.steps
 			err = &Error{Class: ClassRuntime, Fn: fn, Line: 1,
 				Msg: fmt.Sprintf("internal panic: %v", r)}
 		}
 	}()
 	d, ok := p.fns[fn]
 	if !ok {
-		return Value{}, &Error{Class: ClassRuntime, Fn: fn, Line: 1, Msg: "no such function"}
+		return Value{}, 0, &Error{Class: ClassRuntime, Fn: fn, Line: 1, Msg: "no such function"}
 	}
 	if len(args) != len(d.params) {
-		return Value{}, &Error{Class: ClassRuntime, Fn: fn, Line: d.line,
+		return Value{}, 0, &Error{Class: ClassRuntime, Fn: fn, Line: d.line,
 			Msg: fmt.Sprintf("%s takes %d arguments, got %d", fn, len(d.params), len(args))}
 	}
-	ev := &evalState{
-		fn:   fn,
-		host: host,
-		lim:  lim.withDefaults(),
-		vars: make(map[string]Value, len(d.params)+4),
-	}
+	ev.vars = make(map[string]Value, len(d.params)+4)
 	for i, name := range d.params {
 		ev.vars[name] = args[i]
 	}
 	out, _, eerr := ev.execBlock(d.body)
 	if eerr != nil {
-		return Value{}, eerr
+		return Value{}, ev.steps, eerr
 	}
-	return out, nil
+	return out, ev.steps, nil
 }
 
 type evalState struct {
@@ -88,7 +78,6 @@ func (ev *evalState) step(line int) *Error { return ev.stepN(1, line) }
 func (ev *evalState) stepN(n int64, line int) *Error {
 	ev.steps += n
 	if ev.steps > ev.lim.Steps {
-		counters.stepTrips.Add(1)
 		return &Error{Class: ClassStepBudget, Fn: ev.fn, Line: line,
 			Msg: fmt.Sprintf("step budget of %d exhausted", ev.lim.Steps)}
 	}
@@ -99,7 +88,6 @@ func (ev *evalState) stepN(n int64, line int) *Error {
 func (ev *evalState) charge(n int, line int) *Error {
 	ev.alloc += int64(n)
 	if ev.alloc > ev.lim.AllocBytes {
-		counters.allocTrips.Add(1)
 		return &Error{Class: ClassAllocBudget, Fn: ev.fn, Line: line,
 			Msg: fmt.Sprintf("allocation budget of %d bytes exhausted", ev.lim.AllocBytes)}
 	}

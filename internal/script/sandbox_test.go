@@ -102,6 +102,58 @@ func TestAllocationBombHitsAllocBudget(t *testing.T) {
 	}
 }
 
+// TestEmitBombHitsAllocBudget: output handed to the adapters is the host's
+// memory, so it is metered like the strings a program produces. A loop around
+// emit (or set) under the default step budget would otherwise append tens of
+// thousands of pointers — megabytes — without ever touching AllocBytes.
+func TestEmitBombHitsAllocBudget(t *testing.T) {
+	p := MustCompile(`fn ref(key, data) { while true { emit("f", key, key) } }
+fn keys(key, data) { while true { emit(key) } }
+fn interpret(key, data) { while true { set("k", 7) } }`)
+	lim := Limits{AllocBytes: 1 << 14}
+	rec := lake.Record{Key: "k", Data: []byte("d")}
+	ref, err := p.NewReferencer("bomb", "ref", lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := p.KeysFunc("keys", lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interp, err := p.NewInterpreter("interpret", lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func() error{
+		"emit pointer": func() error { _, err := ref.Ref(&core.TaskCtx{}, rec); return err },
+		"emit key":     func() error { _, err := keys(rec); return err },
+		"set":          func() error { _, err := interp(rec); return err },
+	} {
+		before := Counters()
+		err := call()
+		var serr *Error
+		if !errors.As(err, &serr) || serr.Class != ClassAllocBudget {
+			t.Fatalf("%s bomb ended in %v, want an alloc-budget *script.Error", name, err)
+		}
+		if !lake.IsPermanent(err) {
+			t.Fatalf("%s bomb: %v does not classify as permanent", name, err)
+		}
+		if after := Counters(); after.AllocTrips != before.AllocTrips+1 {
+			t.Fatalf("%s bomb: AllocTrips moved by %d, want 1", name, after.AllocTrips-before.AllocTrips)
+		}
+	}
+	// The default budgets leave room for any real fan-out: a thousand
+	// pointers from one record is ~100 KB of the 1 MiB.
+	fan := MustCompile(`fn ref(key, data) { let i = 0 while i < 1000 { emit("f", key, key) i = i + 1 } }`)
+	wide, err := fan.NewReferencer("fan", "ref", Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ptrs, err := wide.Ref(&core.TaskCtx{}, rec); err != nil || len(ptrs) != 1000 {
+		t.Fatalf("1000-pointer fan-out = %d pointers, %v", len(ptrs), err)
+	}
+}
+
 // TestHostPanicIsContained: the sandbox promises typed errors, never process
 // death — a panic below Call (a faulting host builtin, or an evaluator bug)
 // must surface as a permanent runtime *Error, not crash the server.

@@ -19,8 +19,8 @@
 //     the specific contract being served;
 //   - deterministic evaluation (integer arithmetic, strings, booleans; no
 //     floats, no clocks, no randomness, no map iteration);
-//   - per-invocation step and allocation budgets (Limits) so a runaway loop
-//     or an allocation bomb terminates with a typed error;
+//   - per-invocation step and allocation budgets (Limits) so a runaway loop,
+//     an allocation bomb or an emit bomb terminates with a typed error;
 //   - every error — compile, runtime, or budget — is a *Error, which
 //     classifies as permanent (core.Permanent), so the executor fails fast
 //     instead of retrying a script that will fail identically forever.
@@ -40,7 +40,8 @@ const (
 	// and every expression node evaluated costs one step.
 	DefaultSteps = 100_000
 	// DefaultAllocBytes is the allocation budget: every byte of string a
-	// program produces (concatenation, substr, str, key encoding) counts.
+	// program produces (concatenation, substr, str, key encoding) counts, as
+	// does what it hands the adapters (emitted pointers and keys, set fields).
 	DefaultAllocBytes = 1 << 20
 )
 
@@ -49,7 +50,7 @@ const (
 type Limits struct {
 	// Steps bounds evaluation steps per invocation.
 	Steps int64
-	// AllocBytes bounds string bytes produced per invocation.
+	// AllocBytes bounds string bytes produced or emitted per invocation.
 	AllocBytes int64
 }
 
@@ -120,7 +121,7 @@ func (e *Error) Error() string {
 func (e *Error) Permanent() bool { return true }
 
 // kind is a Value's dynamic type.
-type kind int
+type kind int8
 
 const (
 	kindInt kind = iota
@@ -143,9 +144,9 @@ func (k kind) String() string {
 // Keys (lake.Key) travel as strings, which the key* builtins produce in
 // order-preserving encoded form.
 type Value struct {
-	kind kind
-	i    int64
 	s    string
+	i    int64
+	kind kind
 	b    bool
 }
 
@@ -182,6 +183,7 @@ var counters struct {
 	compiles      atomic.Int64
 	compileErrors atomic.Int64
 	invocations   atomic.Int64
+	steps         atomic.Int64
 	stepTrips     atomic.Int64
 	allocTrips    atomic.Int64
 }
@@ -192,9 +194,11 @@ type CounterSnapshot struct {
 	Compiles int64
 	// CompileErrors counts sources rejected at compile time.
 	CompileErrors int64
-	// Invocations counts program function calls (one per record interpreted,
-	// filtered, referenced, or indexed).
+	// Invocations counts program function calls that passed the name and arity
+	// checks (one per record interpreted, filtered, referenced, or indexed).
 	Invocations int64
+	// Steps totals the evaluation steps those invocations charged.
+	Steps int64
 	// StepTrips counts invocations killed by the step budget.
 	StepTrips int64
 	// AllocTrips counts invocations killed by the allocation budget.
@@ -207,6 +211,7 @@ func Counters() CounterSnapshot {
 		Compiles:      counters.compiles.Load(),
 		CompileErrors: counters.compileErrors.Load(),
 		Invocations:   counters.invocations.Load(),
+		Steps:         counters.steps.Load(),
 		StepTrips:     counters.stepTrips.Load(),
 		AllocTrips:    counters.allocTrips.Load(),
 	}
