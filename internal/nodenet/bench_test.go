@@ -13,21 +13,27 @@ import (
 
 var benchSink atomic.Int64 // keeps results live; callers run concurrently
 
-// BenchmarkFrameEncodeDecode prices the codec alone: one 64-key lookup
-// request and its 64-group response, encoded and decoded, with and without
-// the trace-context block on the request.
-func BenchmarkFrameEncodeDecode(b *testing.B) {
+// benchFrames is the codec benchmark's message pair: a 64-key lookup request
+// carrying tc and its 64-group reply.
+func benchFrames(tc TraceContext) (*request, *response) {
 	keys := make([]lake.Key, 64)
 	resp := &response{Status: statusOK, ReqID: 7, Groups: make([][]lake.Record, 64)}
 	for i := range keys {
 		keys[i] = fmt.Sprintf("order-%08d", i)
 		resp.Groups[i] = []lake.Record{{Key: keys[i], Data: make([]byte, 96)}}
 	}
+	return &request{Op: opLookupBatch, ReqID: 7, File: "orders", Partition: 3, Keys: keys, Ctx: tc}, resp
+}
+
+// BenchmarkFrameEncodeDecode prices the codec alone: one 64-key lookup
+// request and its 64-group response, encoded and decoded, with and without
+// the trace-context block on the request.
+func BenchmarkFrameEncodeDecode(b *testing.B) {
 	for name, tc := range map[string]TraceContext{
 		"plain": {},
 		"ctx":   {Job: "q5-asia-0007", Tenant: "bench", Stage: 2, Attempt: 1},
 	} {
-		req := &request{Op: opLookupBatch, ReqID: 7, File: "orders", Partition: 3, Keys: keys, Ctx: tc}
+		req, resp := benchFrames(tc)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -47,12 +53,13 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 
 // BenchmarkClientRTT prices one point lookup over a loopback server: a lone
 // caller (serial) and 16 or 256 callers sharing the client, with hedging
-// off and with the derived hedge delay on. writes/op is client socket
-// writes per lookup — 1 for a lone caller, well under 1 once concurrent
-// callers' frames coalesce.
+// off and with the derived hedge delay on. writes/op and srv-writes/op are
+// socket writes per lookup on the client's and the server's end: exactly 1
+// for a lone caller; measured on two cores with hedging off, 0.16 and 0.15
+// at 16 callers and 0.06 and 0.05 at 256 (EXPERIMENTS.md "PR 22").
 func BenchmarkClientRTT(b *testing.B) {
 	const keys = 1024
-	addr, cluster, _ := startNode(b)
+	addr, cluster, srvWrites := startCountedNode(b)
 	seedKeys(b, cluster, keys)
 	for _, hedge := range []struct {
 		name  string
@@ -66,7 +73,7 @@ func BenchmarkClientRTT(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				c := Dial(addr, Options{HedgeAfter: hedge.after}, nil)
 				defer c.Close()
-				writes := countWrites(c, nil)
+				writes := countWrites(c)
 				lookup := func(i int) {
 					recs, err := c.Lookup(context.Background(), "f", 0, fmt.Sprintf("k%d", i%keys))
 					if err != nil {
@@ -78,6 +85,7 @@ func BenchmarkClientRTT(b *testing.B) {
 					lookup(i)
 				}
 				writes.Store(0)
+				srvWrites.Store(0)
 				b.ReportAllocs()
 				b.ResetTimer()
 				var next atomic.Int64
@@ -94,6 +102,7 @@ func BenchmarkClientRTT(b *testing.B) {
 				wg.Wait()
 				b.StopTimer()
 				b.ReportMetric(float64(writes.Load())/float64(b.N), "writes/op")
+				b.ReportMetric(float64(srvWrites.Load())/float64(b.N), "srv-writes/op")
 			})
 		}
 	}

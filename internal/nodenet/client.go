@@ -20,7 +20,9 @@ import (
 type Options struct {
 	// MaxConns bounds the sockets open to the node. Requests are multiplexed
 	// over them, so it does not bound requests in flight — the executor's
-	// Threads already does. Default 4.
+	// Threads already does — and a socket is not a unit of concurrency:
+	// frames written together leave in one write only when they share a
+	// socket. Default 1.
 	MaxConns int
 	// DialTimeout bounds one TCP dial attempt. Default 1s.
 	DialTimeout time.Duration
@@ -40,7 +42,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.MaxConns <= 0 {
-		o.MaxConns = 4
+		o.MaxConns = 1
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = time.Second
@@ -65,8 +67,8 @@ const hedgeRefresh = 64
 var errClosed = errors.New("nodenet: client closed")
 
 // Client is the networked dfs.NodeTransport: it speaks the frame protocol
-// to one lakenode server over up to MaxConns multiplexed connections — any
-// number of requests in flight per socket, replies matched to callers by
+// to one lakenode server over one multiplexed connection (up to MaxConns) —
+// any number of requests in flight per socket, replies matched to callers by
 // request id — applies per-request deadlines, retries dials with backoff
 // inside the deadline, and hedges slow idempotent requests.
 type Client struct {
@@ -233,17 +235,29 @@ type attempt struct {
 	mc     *muxConn
 	sent   time.Time // when the frame was written: the hedge and latency clocks start here
 	active bool      // launched and not yet settled; touched by the calling goroutine only
-
-	// Guarded by mc.mu while the attempt is in mc.pending.
-	abandoned bool // the caller stopped waiting; the reply is dropped when it comes
-	dup       bool // abandoned because the other attempt of the pair won
 }
 
-// call is the caller's side of one logical request.
+// gaveUp and lostRace take an attempt's place in its connection's pending
+// table once its caller stops waiting — it gave up, or the pair's other
+// attempt won — so the reply stays expected and the call can be reused.
+var gaveUp, lostRace = new(attempt), new(attempt)
+
+// call is the caller's side of one logical request, pooled: it goes back
+// with its channel empty, its timer stopped with nothing left to read (or
+// dropped), and no connection holding a pointer to its attempts.
 type call struct {
-	ch  chan reply // cap 2: each attempt delivers exactly once
-	att [2]attempt // primary, hedge
+	ch    chan reply  // cap 2: each attempt delivers exactly once
+	timer *time.Timer // first the hedge delay, then the request timeout
+	armed bool        // timer set and its channel not yet read
+	att   [2]attempt  // primary, hedge
+	buf   []byte      // the request frame; every write of it copies
 }
+
+var callPool = sync.Pool{New: func() any {
+	cl := &call{ch: make(chan reply, 2)}
+	cl.att[0].ch, cl.att[1].ch = cl.ch, cl.ch
+	return cl
+}}
 
 // reply is what a connection hands an attempt's caller: the response frame,
 // still undecoded, or the error that failed the connection.
@@ -253,17 +267,13 @@ type reply struct {
 	err     error
 }
 
-// call runs one logical request. An idempotent request still unanswered a
-// hedge delay after its frame was written is sent again — with a fresh
-// request id, on another connection when more than one is open — and the
-// first success wins; the loser's reply is counted as a suppressed duplicate
-// when it arrives. A caller that gives up (context, deadline) abandons its
-// attempts and leaves the connections to everyone else.
-func (c *Client) call(ctx context.Context, req *request) (*response, error) {
+// call runs one logical request. A caller that gives up (context, deadline)
+// abandons its attempts and leaves the connections to everyone else.
+func (c *Client) call(ctx context.Context, req *request) (response, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, errClosed
+		return response{}, errClosed
 	}
 	c.calls.Add(1)
 	c.mu.Unlock()
@@ -275,12 +285,35 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 	if rc := trace.RPCFrom(ctx); rc.Job != "" {
 		req.Ctx = TraceContext{Job: rc.Job, Tenant: rc.Tenant, Stage: max(rc.Stage, 0), Attempt: max(rc.Attempt, 0)}
 	}
-	payload := req.encode()
-	// Checked here, not left to the frame writer: there the error would
-	// fail the connection under every other caller.
-	if len(payload) > MaxFrame {
-		return nil, lake.AsPermanent(fmt.Errorf("nodenet: %s: request: %w (%d bytes)", c.addr, errFrameTooBig, len(payload)))
+	cl := callPool.Get().(*call)
+	cl.buf = req.appendTo(cl.buf)
+	var resp response
+	var err error
+	if len(cl.buf) > MaxFrame {
+		// Checked here, not left to the frame writer: there the error would
+		// fail the connection under every other caller.
+		err = lake.AsPermanent(fmt.Errorf("nodenet: %s: request: %w (%d bytes)", c.addr, errFrameTooBig, len(cl.buf)))
+	} else {
+		resp, err = c.run(ctx, cl, req.Op, cl.buf)
+		c.letGo(cl, err == nil)
 	}
+	if cl.armed && !cl.timer.Stop() {
+		cl.timer = nil // fired unread: its value may still be on the way into C
+	}
+	cl.armed = false
+	if cap(cl.buf) > maxKeptBuf {
+		cl.buf = nil
+	}
+	callPool.Put(cl)
+	return resp, err
+}
+
+// run drives cl's attempts to the call's outcome. An idempotent request
+// still unanswered a hedge delay after its frame was written is sent again —
+// with a fresh request id, on another connection when more than one is open
+// — and the first success wins; the loser's reply is counted as a suppressed
+// duplicate when it arrives.
+func (c *Client) run(ctx context.Context, cl *call, op byte, payload []byte) (response, error) {
 	// The request deadline is armed on the call's timer; a sooner context
 	// deadline is the context's to signal, and bounds the dial.
 	timeout := time.Now().Add(c.opts.RequestTimeout)
@@ -288,33 +321,32 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 	if d, ok := ctx.Deadline(); ok && d.Before(dialBy) {
 		dialBy = d
 	}
-
-	cl := &call{ch: make(chan reply, 2)}
 	primary, hedge := &cl.att[0], &cl.att[1]
-	primary.ch, hedge.ch = cl.ch, cl.ch
-	won := false
-	defer func() { c.letGo(cl, won) }()
 
 	s, mc := c.pick(nil)
 	if mc == nil {
 		var err error
 		if mc, err = c.connect(ctx, s, dialBy); err != nil {
 			c.release(s)
-			return nil, err // dial failures are transient
+			return response{}, err // dial failures are transient
 		}
 	}
 	if err := c.launch(primary, mc, payload); err != nil {
-		return nil, err
+		return response{}, err
 	}
 
 	// One timer serves both waits: first the hedge delay, then the timeout.
 	hedgeDue := false
 	wait := time.Until(timeout)
-	if delay := c.hedgeDelay(); delay > 0 && delay < wait && idempotent(req.Op) {
+	if delay := c.hedgeDelay(); delay > 0 && delay < wait && idempotent(op) {
 		hedgeDue, wait = true, delay
 	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
+	if cl.timer == nil {
+		cl.timer = time.NewTimer(wait)
+	} else {
+		cl.timer.Reset(wait)
+	}
+	cl.armed = true
 
 	outstanding := 1
 	var firstErr error
@@ -324,9 +356,8 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 			outstanding--
 			r.att.active = false
 			c.release(r.att.mc.slot)
-			resp, err := c.settle(r, req.Op)
+			resp, err := c.settle(r, op)
 			if err == nil {
-				won = true
 				if r.att == hedge {
 					c.stats.hedgeWon()
 				}
@@ -338,14 +369,16 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 			// Every launched attempt failed (a primary failing before the
 			// hedge timer is not hedged: its error was not slowness).
 			if outstanding == 0 {
-				return nil, firstErr
+				return response{}, firstErr
 			}
-		case <-timer.C:
+		case <-cl.timer.C:
+			cl.armed = false
 			if !hedgeDue {
-				return nil, fmt.Errorf("nodenet: %s: no response within %v", c.addr, c.opts.RequestTimeout)
+				return response{}, fmt.Errorf("nodenet: %s: no response within %v", c.addr, c.opts.RequestTimeout)
 			}
 			hedgeDue = false
-			timer.Reset(time.Until(timeout))
+			cl.timer.Reset(time.Until(timeout))
+			cl.armed = true
 			// A hedge never dials: blocking here would delay the primary's
 			// answer. It takes another open connection, or shares the
 			// primary's when there is none. The primary's frame is already
@@ -357,7 +390,7 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 				outstanding++
 			}
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return response{}, ctx.Err()
 		}
 	}
 }
@@ -374,10 +407,10 @@ func (c *Client) launch(a *attempt, mc *muxConn, payload []byte) error {
 
 // settle turns a delivered reply into the call's result and accounts the
 // attempt.
-func (c *Client) settle(r reply, op byte) (*response, error) {
+func (c *Client) settle(r reply, op byte) (response, error) {
 	if r.err != nil {
 		c.stats.rpcDone(0, true)
-		return nil, r.err
+		return response{}, r.err
 	}
 	resp, err := decodeResponse(r.payload, op)
 	if err != nil {
@@ -386,10 +419,10 @@ func (c *Client) settle(r reply, op byte) (*response, error) {
 		c.stats.rpcDone(0, true)
 		err = lake.AsPermanent(fmt.Errorf("nodenet: %s: malformed response: %w", c.addr, err))
 		r.att.mc.fail(err)
-		return nil, err
+		return response{}, err
 	}
 	elapsed := time.Since(r.att.sent)
-	statusErr := statusToError(resp)
+	statusErr := statusToError(&resp)
 	c.stats.rpcDone(int64(elapsed), statusErr != nil)
 	if statusErr == nil {
 		c.observeLatency(elapsed)
@@ -406,6 +439,7 @@ func (c *Client) letGo(cl *call, won bool) {
 		if !a.active {
 			continue
 		}
+		a.active = false
 		c.release(a.mc.slot)
 		if a.mc.abandon(a, won) {
 			continue // the reader accounts it when the reply comes
@@ -529,7 +563,7 @@ func (c *Client) connect(ctx context.Context, s *slot, deadline time.Time) (*mux
 		c:       c,
 		slot:    s,
 		conn:    conn,
-		w:       frameWriter{bw: bufio.NewWriterSize(conn, connBufSize)},
+		w:       frameWriter{conn: conn, timeout: c.opts.RequestTimeout, bw: bufio.NewWriterSize(conn, connBufSize)},
 		pending: make(map[uint64]*attempt),
 	}
 	c.stats.dialed()
@@ -586,7 +620,7 @@ type muxConn struct {
 	w    frameWriter
 
 	mu      sync.Mutex
-	pending map[uint64]*attempt // sent and unanswered, including abandoned ones
+	pending map[uint64]*attempt // sent and unanswered; gaveUp or lostRace once abandoned
 	err     error               // set once by fail; the connection is dead from then on
 }
 
@@ -604,9 +638,6 @@ func (mc *muxConn) send(a *attempt, payload []byte, id uint64) error {
 	}
 	mc.pending[id] = a
 	mc.mu.Unlock()
-	// Every writer pushes the deadline out, so whichever of them ends up
-	// flushing has at least a full RequestTimeout.
-	mc.conn.SetWriteDeadline(time.Now().Add(mc.c.opts.RequestTimeout)) //nolint:errcheck
 	if err := mc.w.write(payload); err != nil {
 		mc.fail(fmt.Errorf("nodenet: write: %w", err))
 	}
@@ -623,15 +654,19 @@ func (mc *muxConn) abandon(a *attempt, dup bool) bool {
 	if mc.pending[a.id] != a {
 		return false
 	}
-	a.abandoned, a.dup = true, dup
+	stand := gaveUp
+	if dup {
+		stand = lostRace
+	}
+	mc.pending[a.id] = stand
 	return true
 }
 
 func (mc *muxConn) readLoop() {
 	defer mc.c.readers.Done()
-	br := bufio.NewReaderSize(mc.conn, connBufSize)
+	fr := frameReader{r: bufio.NewReaderSize(mc.conn, connBufSize)}
 	for {
-		payload, err := readFrame(br)
+		payload, err := fr.next()
 		if err != nil && !errors.Is(err, errFrameTooBig) {
 			mc.fail(fmt.Errorf("nodenet: read: %w", err)) // connection-level: transient
 			return
@@ -662,12 +697,11 @@ func (mc *muxConn) route(payload []byte) error {
 	mc.mu.Lock()
 	a, ok := mc.pending[id]
 	delete(mc.pending, id)
-	abandoned := ok && a.abandoned
 	mc.mu.Unlock()
 	switch {
-	case abandoned:
+	case a == gaveUp || a == lostRace:
 		// A late reply to a caller that gave up, or a hedge's loser.
-		mc.c.dropped(payload, nil, a.dup)
+		mc.c.dropped(payload, nil, a == lostRace)
 	case ok:
 		a.ch <- reply{att: a, payload: payload}
 	case id == 0 && status == statusPermanent:
@@ -703,7 +737,7 @@ func (mc *muxConn) fail(err error) {
 	}
 	mc.c.mu.Unlock()
 	for _, a := range pending {
-		if a.abandoned {
+		if a == gaveUp || a == lostRace {
 			mc.c.dropped(nil, err, false)
 		} else {
 			a.ch <- reply{att: a, err: err}

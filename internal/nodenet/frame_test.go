@@ -1,8 +1,12 @@
 package nodenet
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
+	"net"
 	"reflect"
 	"testing"
 
@@ -82,6 +86,8 @@ func normalizeRequest(r *request) *request {
 	if len(cp.Keys) == 0 {
 		cp.Keys = nil
 	}
+	cp.one = [1]lake.Key{} // where a decoded point lookup keeps its key; not part of the value
+	cp.Keys = append([]lake.Key(nil), cp.Keys...)
 	cp.Recs = normalizeRecords(cp.Recs)
 	return &cp
 }
@@ -118,7 +124,7 @@ func TestResponseRoundTrip(t *testing.T) {
 			t.Fatalf("op %d status %d: decode: %v", tc.op, tc.resp.Status, err)
 		}
 		want := normalizeResponse(tc.resp)
-		if !reflect.DeepEqual(normalizeResponse(got), want) {
+		if !reflect.DeepEqual(normalizeResponse(&got), want) {
 			t.Errorf("op %d: round trip mismatch:\n got %+v\nwant %+v", tc.op, got, want)
 		}
 	}
@@ -203,9 +209,68 @@ func TestDecodeTrailingGarbage(t *testing.T) {
 	}
 }
 
-// FuzzNodeFrame throws arbitrary payloads at both decoders; any input that
-// decodes must re-encode and decode back to the same value (round-trip
-// stability), and no input may panic or over-allocate.
+// sameOutcome is the differential property: the aliasing decoder and the
+// copying reference agree on every input — the same value, or the same error.
+func sameOutcome(t *testing.T, what string, got, ref any, err, refErr error) {
+	t.Helper()
+	switch {
+	case err != nil && refErr != nil:
+		if err.Error() != refErr.Error() {
+			t.Fatalf("%s: decode fails with %q, reference with %q", what, err, refErr)
+		}
+	case err != nil || refErr != nil:
+		t.Fatalf("%s: decode error %v, reference error %v", what, err, refErr)
+	case !reflect.DeepEqual(got, ref):
+		t.Fatalf("%s: decode differs from reference:\n got %+v\n ref %+v", what, got, ref)
+	}
+}
+
+func diffRequest(t *testing.T, payload []byte) (*request, error) {
+	t.Helper()
+	got, err := decodeRequest(payload)
+	ref, refErr := refDecodeRequest(payload)
+	if err == nil && refErr == nil {
+		sameOutcome(t, "request", normalizeRequest(got), normalizeRequest(ref), nil, nil)
+	} else {
+		sameOutcome(t, "request", nil, nil, err, refErr)
+	}
+	return got, err
+}
+
+func diffResponse(t *testing.T, payload []byte, op byte) (response, error) {
+	t.Helper()
+	what := fmt.Sprintf("op %d response", op)
+	got, err := decodeResponse(payload, op)
+	ref, refErr := refDecodeResponse(payload, op)
+	if err == nil && refErr == nil {
+		sameOutcome(t, what, normalizeResponse(&got), normalizeResponse(ref), nil, nil)
+	} else {
+		sameOutcome(t, what, nil, nil, err, refErr)
+	}
+	return got, err
+}
+
+// TestDecodeMatchesReference runs the differential property over the sample
+// frames and every truncation of them, so it holds in a plain `go test` too.
+func TestDecodeMatchesReference(t *testing.T) {
+	for _, req := range sampleRequests() {
+		payload := req.encode()
+		for cut := 0; cut <= len(payload); cut++ {
+			diffRequest(t, payload[:cut:cut]) //nolint:errcheck
+		}
+	}
+	for _, tc := range sampleResponses() {
+		payload := tc.resp.encode(tc.op)
+		for cut := 0; cut <= len(payload); cut++ {
+			diffResponse(t, payload[:cut:cut], tc.op) //nolint:errcheck
+		}
+	}
+}
+
+// FuzzNodeFrame throws arbitrary payloads at both decoders. For every input
+// the aliasing decoder agrees with the copying reference (same value or same
+// error); any input that decodes must re-encode and decode back to the same
+// value (round-trip stability); and no input may panic or over-allocate.
 func FuzzNodeFrame(f *testing.F) {
 	for _, req := range sampleRequests() {
 		f.Add(req.encode(), true)
@@ -218,7 +283,7 @@ func FuzzNodeFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0, 0, 0, 0, 0, 0, 0, 0}, false)
 	f.Fuzz(func(t *testing.T, payload []byte, asRequest bool) {
 		if asRequest {
-			req, err := decodeRequest(payload)
+			req, err := diffRequest(t, payload)
 			if err != nil {
 				return
 			}
@@ -234,7 +299,7 @@ func FuzzNodeFrame(f *testing.F) {
 		// Responses need an op to decode; try each and require stability
 		// for whichever ops accept the payload.
 		for _, op := range []byte{opCreate, opDrop, opLookupBatch, opLookupRange, opScan, opAppend, opStat} {
-			resp, err := decodeResponse(payload, op)
+			resp, err := diffResponse(t, payload, op)
 			if err != nil {
 				continue
 			}
@@ -242,9 +307,41 @@ func FuzzNodeFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("op %d: re-decode of valid response failed: %v", op, err)
 			}
-			if !reflect.DeepEqual(normalizeResponse(again), normalizeResponse(resp)) {
+			if !reflect.DeepEqual(normalizeResponse(&again), normalizeResponse(&resp)) {
 				t.Fatalf("op %d: response round-trip unstable:\nfirst  %+v\nsecond %+v", op, resp, again)
 			}
 		}
 	})
+}
+
+// sinkConn is a net.Conn that only collects what is written to it.
+type sinkConn struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (c *sinkConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+
+// TestFrameWriterMatchesReference: the frameWriter's in-place header and
+// buffered payload put the same bytes on the wire as the reference peer's
+// two writes, frame after frame, including one larger than the buffer.
+func TestFrameWriterMatchesReference(t *testing.T) {
+	payloads := [][]byte{nil, []byte("x"), sampleRequests()[3].encode(), bytes.Repeat([]byte("ab"), connBufSize)}
+	var want bytes.Buffer
+	sink := &sinkConn{}
+	w := &frameWriter{conn: sink, bw: bufio.NewWriterSize(sink, connBufSize)}
+	for _, p := range payloads {
+		if err := writeFrame(&want, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(sink.buf.Bytes(), want.Bytes()) {
+		t.Fatalf("frameWriter wrote %d bytes that differ from the reference's %d", sink.buf.Len(), want.Len())
+	}
+	if err := w.write(make([]byte, MaxFrame+1)); !errors.Is(err, errFrameTooBig) {
+		t.Fatalf("oversize frame: %v, want errFrameTooBig", err)
+	}
 }

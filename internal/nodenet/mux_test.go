@@ -6,9 +6,12 @@ package nodenet
 // that can no longer be pinned on one request.
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,34 +21,59 @@ import (
 	"lakeharbor/internal/lake"
 )
 
-// countingConn counts Write calls on a client socket. While hold is non-nil
-// and open, writes block — which lets a test pile callers up behind one
-// flush.
+// countingConn counts Write calls on a socket.
 type countingConn struct {
 	net.Conn
 	writes *atomic.Int64
-	hold   <-chan struct{}
 }
 
 func (c countingConn) Write(p []byte) (int, error) {
 	c.writes.Add(1)
-	if c.hold != nil {
-		<-c.hold
-	}
 	return c.Conn.Write(p)
 }
 
 // countWrites makes every connection c dials a countingConn.
-func countWrites(c *Client, hold <-chan struct{}) *atomic.Int64 {
+func countWrites(c *Client) *atomic.Int64 {
 	writes := new(atomic.Int64)
 	c.dial = func(addr string, d time.Duration) (net.Conn, error) {
 		conn, err := net.DialTimeout("tcp", addr, d)
 		if err != nil {
 			return nil, err
 		}
-		return countingConn{conn, writes, hold}, nil
+		return countingConn{conn, writes}, nil
 	}
 	return writes
+}
+
+// countingListener makes every connection a server accepts a countingConn.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{conn, l.writes}, nil
+}
+
+// startCountedNode is startNode with the server's socket writes counted.
+func startCountedNode(t testing.TB) (string, *dfs.Cluster, *atomic.Int64) {
+	t.Helper()
+	cluster := dfs.NewCluster(dfs.Config{Nodes: 1})
+	srv := NewServer(dfs.Local(cluster), discard)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	writes := new(atomic.Int64)
+	srv.ln = countingListener{ln, writes} // what Listen does, around a listener of the test's
+	srv.wg.Add(1)
+	go srv.acceptLoop(srv.ln)
+	t.Cleanup(func() { srv.Close() })
+	return ln.Addr().String(), cluster, writes
 }
 
 // fakeServer accepts one connection and hands it to serve.
@@ -253,50 +281,175 @@ func TestSlowRequestDelaysNobody(t *testing.T) {
 	}
 }
 
-// TestWritesCoalesce: 64 concurrent one-key lookups take far fewer than 64
-// writes on the client socket. The first flush is held until the other 63
-// callers have queued behind it, so the count does not depend on timing.
+// TestWritesCoalesce: 64 callers released together put their frames on the
+// socket in a handful of writes, and their replies come back in a handful —
+// nothing staged, whatever GOMAXPROCS is (CI runs this under -cpu 1,2,4). A
+// lone lookup is exactly one write each way. The bound is on the median of
+// a few rounds: how late the scheduler starts the last of 64 goroutines on a
+// shared machine is not this package's to promise.
 func TestWritesCoalesce(t *testing.T) {
-	const n = 64
-	addr, cluster, _ := startNode(t)
-	if _, err := cluster.CreateFile("f", dfs.Heap, 1, lake.HashPartitioner{}); err != nil {
-		t.Fatal(err)
-	}
-	c := Dial(addr, Options{MaxConns: 1, HedgeAfter: -1}, nil)
+	const n, most, rounds = 64, 16, 7
+	addr, cluster, srvWrites := startCountedNode(t)
+	seedKeys(t, cluster, 1)
+	c := Dial(addr, Options{HedgeAfter: -1}, nil)
 	defer c.Close()
-	hold := make(chan struct{})
-	writes := countWrites(c, hold)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.Lookup(context.Background(), "f", 0, "k"); err != nil {
-				t.Errorf("lookup: %v", err)
+	writes := countWrites(c)
+	lookup := func() {
+		if recs, err := c.Lookup(context.Background(), "f", 0, "k0"); err != nil || len(recs) != 1 {
+			t.Errorf("lookup: %v, %v", recs, err)
+		}
+	}
+	lookup() // dial
+	if cw, sw := writes.Swap(0), srvWrites.Swap(0); cw != 1 || sw != 1 {
+		t.Fatalf("a lone lookup took %d client and %d server writes, want 1 and 1", cw, sw)
+	}
+	var client, server []int64
+	for r := 0; r < rounds; r++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				lookup()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		client, server = append(client, writes.Swap(0)), append(server, srvWrites.Swap(0))
+	}
+	t.Logf("%d lookups a round: client writes %v, server writes %v", n, client, server)
+	slices.Sort(client)
+	slices.Sort(server)
+	if cw, sw := client[rounds/2], server[rounds/2]; cw > most || sw > most {
+		t.Fatalf("%d concurrent lookups took a median of %d client and %d server writes, want at most %d each way", n, cw, sw, most)
+	}
+}
+
+// TestBurstFailsTransiently: a connection that dies under a burst — the peer
+// hangs up having read half of it, or the server dies having written half of
+// its replies — fails every caller still pending on it with a transient
+// error, at once; nobody hangs and nobody is told not to retry. The slot
+// re-dials for the next call.
+func TestBurstFailsTransiently(t *testing.T) {
+	const n = 64
+	frame := 4 + len((&request{Op: opLookupBatch, File: "f", Keys: []lake.Key{"k"}}).encode())
+	cases := map[string]struct {
+		answered int
+		serve    func(conn net.Conn, allPending <-chan struct{})
+	}{
+		"peer closes mid-request-burst": {0, func(conn net.Conn, allPending <-chan struct{}) {
+			io.CopyN(io.Discard, conn, int64(n*frame/2)) //nolint:errcheck
+			<-allPending
+		}},
+		"server dies mid-reply-burst": {n / 2, func(conn net.Conn, allPending <-chan struct{}) {
+			var replies bytes.Buffer
+			for i := 0; i < n; i++ {
+				req, err := readRequest(conn)
+				if err != nil {
+					return
+				}
+				writeFrame(&replies, echoGroups(req)) //nolint:errcheck
 			}
-		}()
+			<-allPending
+			// Same-sized replies: n/2 whole frames, then a torn header.
+			conn.Write(replies.Bytes()[:replies.Len()/2+3]) //nolint:errcheck
+		}},
 	}
-	queued := func() int32 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if mc := c.slots[0].mc; mc != nil {
-			return mc.w.queued.Load()
-		}
-		return 0
-	}
-	// The first writer is inside its flush; the rest wait for the lock.
-	for deadline := time.Now().Add(5 * time.Second); queued() < n-1; {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d writers queued", queued(), n-1)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	close(hold)
-	wg.Wait()
-	if got := writes.Load(); got >= n {
-		t.Fatalf("%d lookups took %d socket writes; frames are not coalesced", n, got)
-	} else {
-		t.Logf("%d lookups, %d socket writes", n, got)
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			allPending := make(chan struct{})
+			var peers sync.WaitGroup
+			peers.Add(1)
+			go func() {
+				defer peers.Done()
+				for first := true; ; first = false {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					peers.Add(1)
+					go func(first bool) {
+						defer peers.Done()
+						defer conn.Close()
+						if first {
+							tc.serve(conn, allPending)
+							return
+						}
+						for { // the re-dialed connection: a healthy peer
+							req, err := readRequest(conn)
+							if err != nil || writeFrame(conn, echoGroups(req)) != nil {
+								return
+							}
+						}
+					}(first)
+				}
+			}()
+			defer func() {
+				ln.Close()
+				peers.Wait()
+			}()
+
+			stats := NewStats()
+			c := Dial(ln.Addr().String(), Options{HedgeAfter: -1, RequestTimeout: time.Minute}, stats)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			var answered atomic.Int64
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					recs, err := c.Lookup(ctx, "f", 0, "k")
+					switch {
+					case err == nil && len(recs) == 1 && recs[0].Key == "k":
+						answered.Add(1)
+					case err == nil:
+						t.Errorf("wrong answer %+v", recs)
+					case ctx.Err() != nil:
+						t.Errorf("caller hung until the test gave up: %v", err)
+					case lake.IsPermanent(err):
+						t.Errorf("caller got a permanent error: %v", err)
+					}
+				}()
+			}
+			pending := func() int {
+				c.mu.Lock()
+				mc := c.slots[0].mc
+				c.mu.Unlock()
+				if mc == nil {
+					return 0
+				}
+				mc.mu.Lock()
+				defer mc.mu.Unlock()
+				return len(mc.pending)
+			}
+			for pending() < n && ctx.Err() == nil {
+				time.Sleep(100 * time.Microsecond)
+			}
+			close(allPending)
+			wg.Wait()
+			if got := answered.Load(); got != int64(tc.answered) {
+				t.Errorf("%d callers answered, want %d", got, tc.answered)
+			}
+			if recs, err := c.Lookup(ctx, "f", 0, "again"); err != nil || len(recs) != 1 || recs[0].Key != "again" {
+				t.Fatalf("lookup after the connection died: %+v, %v", recs, err)
+			}
+			if d := stats.dials.Load(); d != 2 {
+				t.Errorf("%d dials, want 2: the slot re-dials once", d)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if open, inflight := stats.OpenConns(), stats.InFlight(); open != 0 || inflight != 0 {
+				t.Errorf("after Close: %d connections open, %d attempts in flight", open, inflight)
+			}
+		})
 	}
 }
 

@@ -22,10 +22,11 @@ import (
 // is how tests stack a chaos wrapper under a real socket.
 //
 // Connections are multiplexed: one goroutine per connection decodes request
-// frames and starts each request in a goroutine of its own, up to
-// maxConnInflight per connection, and replies are written as requests finish
-// — in completion order, not arrival order — each echoing its request id. A
-// slow request therefore delays nobody behind it, and a hedged request is an
+// frames and hands each to a worker of the connection's own set — a parked
+// one if there is one, a new one otherwise, up to maxConnInflight — and
+// replies are written as requests finish — in completion order, not arrival
+// order — each echoing its request id. A request never queues behind a busy
+// worker, so a slow one delays nobody behind it, and a hedged request is an
 // independent execution even when it shares its primary's socket. A client
 // that sends one request at a time sees the old strictly ordered exchange.
 type Server struct {
@@ -166,29 +167,56 @@ func (s *Server) acceptLoop(ln net.Listener) {
 
 // maxConnInflight bounds the requests executing at once on behalf of one
 // connection. At the bound the connection's reader stops reading frames, so
-// the back-pressure reaches the client through TCP. Four connections' worth
-// covers the executor's default of 1000 threads per node.
+// the back-pressure reaches the client through TCP. The bound is per socket
+// and a client keeps one socket per node by default: what it has in flight
+// past the bound waits in TCP's buffers, unless it raises MaxConns.
 const maxConnInflight = 256
 
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	obs := s.obs.Load()
 	obs.connOpened()
-	w := &frameWriter{bw: bufio.NewWriterSize(conn, connBufSize)}
-	slots := make(chan struct{}, maxConnInflight)
-	var inflight sync.WaitGroup
+	w := &frameWriter{conn: conn, bw: bufio.NewWriterSize(conn, connBufSize)}
+	// The worker set: a send on jobs succeeds only while a worker is parked
+	// in its receive. Workers last as long as the connection, so a request
+	// costs a channel handoff, not a goroutine and the regrowth of its stack.
+	jobs := make(chan *request)
+	var workers sync.WaitGroup
 	var writeFailed sync.Once // the writer's error is sticky: log it and hang up once
+	work := func(req *request) {
+		defer workers.Done()
+		var out []byte // this worker's reply frame; the writer copies it
+		for ok := true; ok; req, ok = <-jobs {
+			if cap(out) > maxKeptBuf {
+				out = nil
+			}
+			t0 := time.Now()
+			resp := s.execute(req)
+			s.served.Add(1)
+			out = resp.appendTo(out, req.Op)
+			s.obs.Load().record(req, &resp, time.Since(t0), req.wireBytes, len(out))
+			if err := w.write(out); err != nil {
+				writeFailed.Do(func() {
+					if !errors.Is(err, net.ErrClosed) {
+						s.logf("nodenet: %s: write: %v", conn.RemoteAddr(), err)
+					}
+					conn.Close() // unblocks the reader
+				})
+			}
+		}
+	}
 	defer func() {
-		inflight.Wait() // requests already started still answer (Drain's contract)
+		close(jobs)
+		workers.Wait() // requests already started still answer (Drain's contract)
 		conn.Close()
 		obs.connClosed()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, connBufSize)
-	for {
-		payload, err := readFrame(br)
+	fr := frameReader{r: bufio.NewReaderSize(conn, connBufSize)}
+	for started := 0; ; {
+		payload, err := fr.next()
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
 				s.logf("nodenet: %s: read: %v", conn.RemoteAddr(), err)
@@ -202,31 +230,21 @@ func (s *Server) handleConn(conn net.Conn) {
 			// connection so the client re-dials cleanly.
 			s.logf("nodenet: %s: %v", conn.RemoteAddr(), err)
 			resp := &response{Status: statusPermanent, Msg: err.Error()}
-			w.write(resp.encode(0)) //nolint:errcheck
+			w.write(resp.appendTo(nil, 0)) //nolint:errcheck
 			return
 		}
-		slots <- struct{}{}
-		inflight.Add(1)
-		bytesIn := len(payload)
-		go func() {
-			defer func() {
-				<-slots
-				inflight.Done()
-			}()
-			t0 := time.Now()
-			resp := s.execute(req)
-			s.served.Add(1)
-			out := resp.encode(req.Op)
-			s.obs.Load().record(req, resp, time.Since(t0), bytesIn, len(out))
-			if err := w.write(out); err != nil {
-				writeFailed.Do(func() {
-					if !errors.Is(err, net.ErrClosed) {
-						s.logf("nodenet: %s: write: %v", conn.RemoteAddr(), err)
-					}
-					conn.Close() // unblocks the reader
-				})
+		req.wireBytes = len(payload)
+		select {
+		case jobs <- req:
+		default:
+			if started < maxConnInflight {
+				started++
+				workers.Add(1)
+				go work(req)
+			} else {
+				jobs <- req // every worker is busy: wait for the first to finish
 			}
-		}()
+		}
 	}
 }
 
@@ -239,9 +257,9 @@ func isTimeout(err error) bool {
 
 // execute runs one decoded request against the backend and classifies the
 // outcome into a wire status.
-func (s *Server) execute(req *request) *response {
+func (s *Server) execute(req *request) response {
 	ctx := context.Background()
-	resp := &response{Status: statusOK, ReqID: req.ReqID}
+	resp := response{Status: statusOK, ReqID: req.ReqID}
 	var err error
 	switch req.Op {
 	case opCreate:
@@ -253,10 +271,12 @@ func (s *Server) execute(req *request) *response {
 	case opLookupRange:
 		resp.Recs, err = s.backend.LookupRange(ctx, req.File, req.Partition, req.Lo, req.Hi)
 	case opScan:
+		var recs []lake.Record // not resp.Recs: the closure would move resp to the heap for every op
 		err = s.backend.Scan(ctx, req.File, req.Partition, func(r lake.Record) error {
-			resp.Recs = append(resp.Recs, r.Clone())
+			recs = append(recs, r.Clone())
 			return nil
 		})
+		resp.Recs = recs
 	case opAppend:
 		err = s.backend.Append(ctx, req.File, req.Partition, req.Recs)
 	case opStat:
