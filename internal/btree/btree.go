@@ -10,7 +10,11 @@
 // RWMutex (queries are read-mostly and structure builds are batched).
 package btree
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // degree is the maximum number of entries in a leaf and of children in an
 // internal node. 64 keeps the tree shallow for the partition sizes used in
@@ -177,7 +181,7 @@ func (t *Tree) GetBatch(keys []string) [][][]byte {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
 
 	// Every key's values are sub-slices of one array, sized for the common
 	// case of one value per key. When it grows, results already handed out

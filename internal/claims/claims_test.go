@@ -9,6 +9,7 @@ import (
 
 	"lakeharbor/internal/core"
 	"lakeharbor/internal/dfs"
+	"lakeharbor/internal/lake"
 )
 
 func TestRawParseRoundTrip(t *testing.T) {
@@ -298,5 +299,39 @@ func TestDataLakeArmMatchesOracleAndScansEverything(t *testing.T) {
 			t.Errorf("%s: ReDe (%d accesses) should touch fewer records than the scan (%d)",
 				q.Name, rd.RecordAccesses, res.RecordAccesses)
 		}
+	}
+}
+
+// TestMalformedClaimFailsTheJob: the queries read only what they need from a
+// claim but validate all of it — a claim with a bad treatment line fails the
+// ReDe job (whose filter reads only the medicines) and the scan, with the
+// error text the reference parser gives.
+func TestMalformedClaimFailsTheJob(t *testing.T) {
+	ctx := context.Background()
+	lakeC, _, corpus := loadBoth(t, 300, 5)
+	var victim *Claim
+	for _, c := range corpus.Claims {
+		if c.HasDisease(Q1.Disease) {
+			victim = c
+			break
+		}
+	}
+	// A second record under the victim's key: the disease index already
+	// points at it, so Q1 dereferences the bad claim too.
+	bad := []byte(victim.Raw() + "SI,T00001,oops,1\n")
+	_, want := refParse(victim.ID, bad)
+	f, err := lakeC.File(FileClaims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := ClaimKey(victim.ID)
+	if err := dfs.AppendRouted(ctx, f, k, lake.Record{Key: k, Data: bad}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunReDe(ctx, lakeC, Q1, core.Options{Threads: 8}); err == nil || !strings.Contains(err.Error(), want.Error()) {
+		t.Errorf("ReDe over a malformed claim: %v; want an error holding %q", err, want)
+	}
+	if _, err := RunDataLake(ctx, lakeC, Q1, 2); err == nil || !strings.Contains(err.Error(), want.Error()) {
+		t.Errorf("scan over a malformed claim: %v; want an error holding %q", err, want)
 	}
 }

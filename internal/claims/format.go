@@ -20,6 +20,10 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
+
+	"lakeharbor/internal/keycodec"
+	"lakeharbor/internal/lake"
 )
 
 // Claim types carried in the IR sub-record (the paper: "the type attribute
@@ -114,153 +118,35 @@ func (c *Claim) Raw() string {
 }
 
 // Parse interprets a raw claim with schema-on-read. id is the record key's
-// claim id (the claim body does not repeat it).
+// claim id (the claim body does not repeat it). The payload is copied once
+// and every string of the claim is a substring of that copy, so the claim
+// owns its memory and may outlive data.
 func Parse(id int64, data []byte) (*Claim, error) {
-	c, err := parse(id, data, keepSI|keepIY|keepSY)
-	if err != nil {
-		return nil, err
-	}
-	return &c, nil
-}
-
-// subRecords selects which repeated sub-records parse materializes.
-type subRecords uint8
-
-const (
-	keepSI subRecords = 1 << iota
-	keepIY
-	keepSY
-)
-
-// parse is Parse keeping only the selected repeated sub-records. Every line
-// is validated whatever is kept, so a query that needs one kind of
-// sub-record rejects exactly the claims Parse rejects. The payload is copied
-// once and every string of the claim is a substring of that copy.
-func parse(id int64, data []byte, keep subRecords) (Claim, error) {
-	c := Claim{ID: id}
 	s := string(data)
-	if keep&keepSI != 0 {
-		c.SI = sized[SI](s, "\nSI,")
-	}
-	if keep&keepIY != 0 {
-		c.IY = sized[IY](s, "\nIY,")
-	}
-	if keep&keepSY != 0 {
-		c.SY = sized[SY](s, "\nSY,")
-	}
-	var sawIR, sawRE, sawHO bool
-	var f [5]string
-	lineNo := 0
-	fail := func(err error) (Claim, error) {
-		return Claim{}, fmt.Errorf("claims: line %d: %w", lineNo, err)
-	}
-	bad := func(what string) (Claim, error) {
-		return Claim{}, fmt.Errorf("claims: line %d: %s", lineNo, what)
-	}
-	for s != "" {
-		lineNo++
-		line := s
-		if i := strings.IndexByte(s, '\n'); i >= 0 {
-			line, s = s[:i], s[i+1:]
-		} else {
-			s = ""
-		}
-		if line == "" {
-			continue
-		}
-		n := splitCommas(line, &f)
-		switch f[0] {
-		case "IR":
-			if n < 4 {
-				return bad("short IR record")
-			}
-			inst, err := strconv.ParseInt(f[1], 10, 64)
-			if err != nil {
-				return fail(err)
-			}
-			typ, err := strconv.Atoi(f[2])
-			if err != nil {
-				return fail(err)
-			}
-			c.IR = IR{InstitutionID: inst, Type: typ, Name: f[3]}
-			if typ == TypeDPC {
-				if n < 5 {
-					return bad("DPC claim missing DPC code")
-				}
+	c := &Claim{ID: id, SI: sized[SI](s, "\nSI,"), IY: sized[IY](s, "\nIY,"), SY: sized[SY](s, "\nSY,")}
+	w := walker{rest: s}
+	for w.next() {
+		f := &w.f
+		switch w.kind {
+		case kindIR:
+			c.IR = IR{InstitutionID: w.a, Type: int(w.b), Name: f[3]}
+			if w.b == TypeDPC {
 				c.IR.DPCCode = f[4]
 			}
-			sawIR = true
-		case "RE":
-			if n != 5 {
-				return bad("bad RE record")
-			}
-			pid, err := strconv.ParseInt(f[1], 10, 64)
-			if err != nil {
-				return fail(err)
-			}
-			age, err := strconv.Atoi(f[3])
-			if err != nil {
-				return fail(err)
-			}
-			c.RE = RE{PatientID: pid, Category: f[2], Age: age, Sex: f[4]}
-			sawRE = true
-		case "HO":
-			if n != 3 {
-				return bad("bad HO record")
-			}
-			ins, err := strconv.ParseInt(f[1], 10, 64)
-			if err != nil {
-				return fail(err)
-			}
-			pts, err := strconv.ParseInt(f[2], 10, 64)
-			if err != nil {
-				return fail(err)
-			}
-			c.HO = HO{InsurerID: ins, Points: pts}
-			sawHO = true
-		case "SI":
-			if n != 4 {
-				return bad("bad SI record")
-			}
-			pts, err := strconv.ParseInt(f[2], 10, 64)
-			if err != nil {
-				return fail(err)
-			}
-			cnt, err := strconv.Atoi(f[3])
-			if err != nil {
-				return fail(err)
-			}
-			if keep&keepSI != 0 {
-				c.SI = append(c.SI, SI{Code: f[1], Points: pts, Count: cnt})
-			}
-		case "IY":
-			if n != 5 {
-				return bad("bad IY record")
-			}
-			pts, err := strconv.ParseInt(f[3], 10, 64)
-			if err != nil {
-				return fail(err)
-			}
-			cnt, err := strconv.Atoi(f[4])
-			if err != nil {
-				return fail(err)
-			}
-			if keep&keepIY != 0 {
-				c.IY = append(c.IY, IY{Code: f[1], Class: f[2], Points: pts, Count: cnt})
-			}
-		case "SY":
-			if n != 4 {
-				return bad("bad SY record")
-			}
-			if keep&keepSY != 0 {
-				c.SY = append(c.SY, SY{Code: f[1], Name: f[2], Main: f[3] == "1"})
-			}
-		default:
-			return bad(fmt.Sprintf("unknown sub-record kind %q", f[0]))
+		case kindRE:
+			c.RE = RE{PatientID: w.a, Category: f[2], Age: int(w.b), Sex: f[4]}
+		case kindHO:
+			c.HO = HO{InsurerID: w.a, Points: w.b}
+		case kindSI:
+			c.SI = append(c.SI, SI{Code: f[1], Points: w.a, Count: int(w.b)})
+		case kindIY:
+			c.IY = append(c.IY, IY{Code: f[1], Class: f[2], Points: w.a, Count: int(w.b)})
+		case kindSY:
+			c.SY = append(c.SY, SY{Code: f[1], Name: f[2], Main: f[3] == "1"})
 		}
 	}
-	if !sawIR || !sawRE || !sawHO {
-		return Claim{}, fmt.Errorf("claims: claim %d missing mandatory sub-records (IR=%v RE=%v HO=%v)", id, sawIR, sawRE, sawHO)
+	if err := w.finish(id); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -275,24 +161,175 @@ func sized[T any](s, lineStart string) []T {
 	return nil
 }
 
-// splitCommas stores line's comma-separated fields in f and returns how many
-// the line has; fields beyond len(f) are counted, not stored.
-func splitCommas(line string, f *[5]string) int {
-	n := 0
-	for ; ; n++ {
-		i := strings.IndexByte(line, ',')
-		if i < 0 {
-			break
+// view returns data's bytes as a string without copying them. The string is
+// borrowed: it is valid only for the call that was handed data, must never
+// be stored, and nothing cut from it may be returned (DESIGN.md §4 — dfs
+// shares Record.Data with its B-trees, so the bytes are read-only and may
+// change once the call returns).
+func view(data []byte) string { return unsafe.String(unsafe.SliceData(data), len(data)) }
+
+// The sub-record kinds a walker reports.
+const (
+	kindIR = iota
+	kindRE
+	kindHO
+	kindSI
+	kindIY
+	kindSY
+)
+
+// walker is the one validating pass over a raw claim, one sub-record per
+// next: every line is checked whatever the caller reads from it, so a query
+// that needs only the medicines rejects exactly the claims Parse rejects,
+// with the same error. It allocates nothing; callers answer their question
+// from kind, f, a and b as the lines go by. Over a borrowed view the fields
+// are borrowed too.
+type walker struct {
+	rest   string // the lines not yet walked
+	lineNo int
+	saw    uint8 // bit 1<<kind is set once a sub-record of that kind passed
+	err    error
+
+	kind int       // of the line next accepted
+	f    [5]string // its first five comma-separated fields
+	a, b int64     // its two numeric fields, in line order (SY has none)
+}
+
+// next advances to the next non-blank line and validates it, reporting false
+// at the end of the claim or at its first bad line (see finish).
+func (w *walker) next() bool {
+	for w.rest != "" {
+		w.lineNo++
+		s := w.rest
+		n, start, i := 0, 0, 0
+		for ; i < len(s); i++ {
+			if c := s[i]; c > ',' {
+				continue // letters and digits: one test per byte
+			} else if c == '\n' {
+				break
+			} else if c == ',' {
+				if n < len(w.f) {
+					w.f[n] = s[start:i]
+				}
+				n, start = n+1, i+1
+			}
 		}
-		if n < len(f) {
-			f[n] = line[:i]
+		if n < len(w.f) {
+			w.f[n] = s[start:i]
 		}
-		line = line[i+1:]
+		w.rest = s[min(i+1, len(s)):]
+		if i > 0 {
+			w.err = w.validate(n + 1)
+			return w.err == nil
+		}
 	}
-	if n < len(f) {
-		f[n] = line
+	return false
+}
+
+// validate checks the line whose n fields next split into f.
+func (w *walker) validate(n int) (err error) {
+	f := &w.f
+	var bad string
+	switch f[0] {
+	case "IR":
+		w.kind = kindIR
+		if n < 4 {
+			bad = "short IR record"
+		} else if w.a, err = strconv.ParseInt(f[1], 10, 64); err == nil {
+			if w.b, err = atoi(f[2]); err == nil && w.b == TypeDPC && n < 5 {
+				bad = "DPC claim missing DPC code"
+			}
+		}
+	case "RE":
+		w.kind = kindRE
+		if n != 5 {
+			bad = "bad RE record"
+		} else if w.a, err = strconv.ParseInt(f[1], 10, 64); err == nil {
+			w.b, err = atoi(f[3])
+		}
+	case "HO":
+		w.kind = kindHO
+		if n != 3 {
+			bad = "bad HO record"
+		} else if w.a, err = strconv.ParseInt(f[1], 10, 64); err == nil {
+			w.b, err = strconv.ParseInt(f[2], 10, 64)
+		}
+	case "SI":
+		w.kind = kindSI
+		if n != 4 {
+			bad = "bad SI record"
+		} else if w.a, err = strconv.ParseInt(f[2], 10, 64); err == nil {
+			w.b, err = atoi(f[3])
+		}
+	case "IY":
+		w.kind = kindIY
+		if n != 5 {
+			bad = "bad IY record"
+		} else if w.a, err = strconv.ParseInt(f[3], 10, 64); err == nil {
+			w.b, err = atoi(f[4])
+		}
+	case "SY":
+		w.kind = kindSY
+		if n != 4 {
+			bad = "bad SY record"
+		}
+	default:
+		bad = fmt.Sprintf("unknown sub-record kind %q", f[0])
 	}
-	return n + 1
+	switch {
+	case bad != "":
+		return fmt.Errorf("claims: line %d: %s", w.lineNo, bad)
+	case err != nil:
+		return fmt.Errorf("claims: line %d: %w", w.lineNo, err)
+	}
+	w.saw |= 1 << w.kind
+	return nil
+}
+
+// atoi is strconv.Atoi widened, so a line's numbers share two fields.
+func atoi(s string) (int64, error) {
+	n, err := strconv.Atoi(s)
+	return int64(n), err
+}
+
+// finish reports how the walk ended: the bad line's error, or a claim (id
+// names it) that ended without its mandatory sub-records.
+func (w *walker) finish(id int64) error {
+	const mandatory = 1<<kindIR | 1<<kindRE | 1<<kindHO
+	if w.err == nil && w.saw&mandatory != mandatory {
+		return fmt.Errorf("claims: claim %d missing mandatory sub-records (IR=%v RE=%v HO=%v)",
+			id, w.saw&(1<<kindIR) != 0, w.saw&(1<<kindRE) != 0, w.saw&(1<<kindHO) != 0)
+	}
+	return w.err
+}
+
+// probe is what one walk over a stored claim answers for the queries.
+type probe struct {
+	hasClass, hasDisease bool
+	ho                   HO
+}
+
+// probeRecord walks a stored claim — its id is the record key — over a
+// borrowed view of the payload: whether it prescribes a medicine of class,
+// whether it diagnoses disease, and what it charged. It validates what Parse
+// validates and allocates nothing.
+func probeRecord(rec lake.Record, class, disease string) (p probe, err error) {
+	id, err := keycodec.DecodeInt64(rec.Key)
+	if err != nil {
+		return p, err
+	}
+	w := walker{rest: view(rec.Data)}
+	for w.next() {
+		switch w.kind {
+		case kindHO:
+			p.ho = HO{InsurerID: w.a, Points: w.b}
+		case kindIY:
+			p.hasClass = p.hasClass || w.f[2] == class
+		case kindSY:
+			p.hasDisease = p.hasDisease || w.f[1] == disease
+		}
+	}
+	return p, w.finish(id)
 }
 
 // HasDisease reports whether any SY sub-record carries the code.

@@ -3,6 +3,7 @@ package claims
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"lakeharbor/internal/core"
@@ -77,32 +78,26 @@ func DiseaseIndexSpec() indexer.Spec {
 			return rec.Key, nil // claims are partitioned by their own key
 		},
 		Keys: func(rec lake.Record) ([]lake.Key, error) {
-			c, err := parseRecord(rec, keepSY)
+			id, err := keycodec.DecodeInt64(rec.Key)
 			if err != nil {
 				return nil, err
 			}
-			seen := map[string]bool{}
-			var keys []lake.Key
-			for _, d := range c.SY {
-				if seen[d.Code] {
+			var keys []lake.Key // DiseaseKey copies the code out of the view
+			w := walker{rest: view(rec.Data)}
+			for w.next() {
+				if w.kind != kindSY {
 					continue
 				}
-				seen[d.Code] = true
-				keys = append(keys, DiseaseKey(d.Code))
+				if k := DiseaseKey(w.f[1]); !slices.Contains(keys, k) {
+					keys = append(keys, k)
+				}
+			}
+			if err := w.finish(id); err != nil {
+				return nil, err
 			}
 			return keys, nil
 		},
 	}
-}
-
-// parseRecord parses a stored claim — the claim id is its record key —
-// keeping only the selected repeated sub-records.
-func parseRecord(rec lake.Record, keep subRecords) (Claim, error) {
-	id, err := keycodec.DecodeInt64(rec.Key)
-	if err != nil {
-		return Claim{}, err
-	}
-	return parse(id, rec.Data, keep)
 }
 
 // Warehouse row renderers (comma-separated normalized rows).

@@ -3,6 +3,7 @@ package claims
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -128,104 +129,179 @@ func refParse(id int64, data []byte) (*Claim, error) {
 	return c, nil
 }
 
-// TestParseMatchesSplitReference: over a seeded corpus, Parse builds the
-// claim the Split parser built, and a partial parse is that claim minus the
-// lists it was told not to keep.
-func TestParseMatchesSplitReference(t *testing.T) {
-	corpus := Generate(Config{Claims: 500, Seed: 1})
-	for _, gen := range corpus.Claims {
-		raw := []byte(gen.Raw())
-		want, err := refParse(gen.ID, raw)
-		if err != nil {
-			t.Fatalf("claim %d: reference: %v", gen.ID, err)
+// generatedClasses is every therapeutic class the generator emits.
+var generatedClasses = []string{ClassAntihyper, ClassAntimicrobial, ClassGLP1, ClassOther}
+
+var diseaseKeys = DiseaseIndexSpec().Keys
+
+// checkAgainstReference holds every entry point built on the walker — Parse,
+// the queries' probe, the disease index's Keys — to refParse on one payload:
+// the same accept/reject, the same error text, the same answers, and the
+// input never written.
+func checkAgainstReference(t testing.TB, id int64, raw []byte) {
+	t.Helper()
+	orig := string(raw)
+	text := func(err error) string {
+		if err == nil {
+			return "<accepted>"
 		}
-		got, err := Parse(gen.ID, raw)
-		if err != nil {
-			t.Fatalf("claim %d: %v", gen.ID, err)
+		return err.Error()
+	}
+	want, wantErr := refParse(id, raw)
+	rec := lake.Record{Key: ClaimKey(id), Data: raw}
+
+	got, err := Parse(id, raw)
+	if text(err) != text(wantErr) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q: Parse = %+v, %v; reference %+v, %v", orig, got, err, want, wantErr)
+	}
+	keys, err := diseaseKeys(rec)
+	if text(err) != text(wantErr) {
+		t.Fatalf("%q: Keys: error %v, reference %v", orig, err, wantErr)
+	}
+	// Ask for every class and disease the generator knows, every one the
+	// claim itself names, and one nobody has.
+	classes, diseases := append([]string{"", "no-such"}, generatedClasses...), []string{"", "no-such", DiseaseHypertension}
+	var wantKeys []lake.Key
+	if want != nil {
+		for _, y := range want.IY {
+			classes = append(classes, y.Class)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("claim %d:\n got %+v\nwant %+v", gen.ID, got, want)
-		}
-		if string(raw) != gen.Raw() {
-			t.Fatalf("claim %d: Parse wrote to its input", gen.ID)
-		}
-		for keep := subRecords(0); keep <= keepSI|keepIY|keepSY; keep++ {
-			part, err := parse(gen.ID, raw, keep)
-			if err != nil {
-				t.Fatalf("claim %d keep %03b: %v", gen.ID, keep, err)
-			}
-			w := *want
-			if keep&keepSI == 0 {
-				w.SI = nil
-			}
-			if keep&keepIY == 0 {
-				w.IY = nil
-			}
-			if keep&keepSY == 0 {
-				w.SY = nil
-			}
-			if !reflect.DeepEqual(part, w) {
-				t.Fatalf("claim %d keep %03b:\n got %+v\nwant %+v", gen.ID, keep, part, w)
+		for _, d := range want.SY {
+			diseases = append(diseases, d.Code)
+			if k := DiseaseKey(d.Code); !slices.Contains(wantKeys, k) {
+				wantKeys = append(wantKeys, k)
 			}
 		}
+	}
+	if !reflect.DeepEqual(keys, wantKeys) {
+		t.Fatalf("%q: Keys = %q, reference %q", orig, keys, wantKeys)
+	}
+	for _, class := range classes {
+		for _, disease := range diseases {
+			p, err := probeRecord(rec, class, disease)
+			if text(err) != text(wantErr) {
+				t.Fatalf("%q: probe(%q, %q): error %v, reference %v", orig, class, disease, err, wantErr)
+			}
+			if want == nil {
+				continue
+			}
+			if p.hasClass != want.HasMedicineClass(class) || p.hasDisease != want.HasDisease(disease) || p.ho != want.HO {
+				t.Fatalf("%q: probe(%q, %q) = %+v; reference %v, %v, %+v", orig, class, disease, p,
+					want.HasMedicineClass(class), want.HasDisease(disease), want.HO)
+			}
+		}
+	}
+	if string(raw) != orig {
+		t.Fatalf("%q: the input was written: now %q", orig, raw)
 	}
 }
 
-// TestParseErrorsMatchSplitReference: every malformed claim is rejected with
-// the reference's error text, whichever sub-records the caller keeps — a
-// query that reads only the medicines still rejects a claim with a bad
-// treatment line.
-func TestParseErrorsMatchSplitReference(t *testing.T) {
-	good := "IR,1,1,H\nRE,1,outpatient,5,F\nHO,1,100\nSI,T1,10,1\nIY,M1,AHT,5,2\nSY,D1,flu,1\n"
-	cases := []string{
-		"",
-		"\n\n",
-		"XX,1,2\n",
-		"IR,1\n",
-		"IR,x,1,H\n",
-		"IR,1,y,H\n",
-		"IR,1,2,H\nRE,1,outpatient,5,F\nHO,1,100\n", // DPC without its code
-		"IR,1,1,H\nRE,oops\nHO,1,100\n",
-		"IR,1,1,H\nRE,1,outpatient,5,F,extra\nHO,1,100\n",
-		"IR,1,1,H\nRE,p,outpatient,5,F\nHO,1,100\n",
-		"IR,1,1,H\nRE,1,outpatient,old,F\nHO,1,100\n",
-		"IR,1,1,H\nRE,1,outpatient,5,F\nHO,1\n",
-		"IR,1,1,H\nRE,1,outpatient,5,F\nHO,i,100\n",
-		"IR,1,1,H\nRE,1,outpatient,5,F\nHO,1,xyz\n",
-		good + "SI,T,a,1\n",
-		good + "SI,T,1,b\n",
-		good + "SI,T,1\n",
-		good + "IY,M,C,a,1\n",
-		good + "IY,M,C,1,b\n",
-		good + "IY,M,C,1,2,3\n",
-		good + "SY,onlytwo\n",
-		good + "SY,a,b,1,extra\n",
-		good + "\n\nZZ\n",
-		"IR,1,1,H\nRE,1,outpatient,5,F\n",
-		"RE,1,outpatient,5,F\nHO,1,100\n",
-		"IR,1,1,H\nHO,1,100\n",
+// TestParseMatchesSplitReference: over a seeded corpus, Parse builds the
+// claim the Split parser built, and the probe and the index keys answer from
+// one borrowed pass what that claim answers — for every therapeutic class the
+// generator emits and every disease the claim names.
+func TestParseMatchesSplitReference(t *testing.T) {
+	for _, gen := range Generate(Config{Claims: 500, Seed: 1}).Claims {
+		raw := []byte(gen.Raw())
+		if _, err := refParse(gen.ID, raw); err != nil {
+			t.Fatalf("claim %d: reference: %v", gen.ID, err)
+		}
+		checkAgainstReference(t, gen.ID, raw)
 	}
-	for _, raw := range cases {
-		_, want := refParse(7, []byte(raw))
-		if want == nil {
+}
+
+const goodClaim = "IR,1,1,H\nRE,1,outpatient,5,F\nHO,1,100\nSI,T1,10,1\nIY,M1,AHT,5,2\nSY,D1,flu,1\n"
+
+// malformedClaims are rejected by the reference, each for its own reason.
+var malformedClaims = []string{
+	"",
+	"\n\n",
+	"XX,1,2\n",
+	"IR,1\n",
+	"IR,x,1,H\n",
+	"IR,1,y,H\n",
+	"IR,1,2,H\nRE,1,outpatient,5,F\nHO,1,100\n", // DPC without its code
+	"IR,1,1,H\nRE,oops\nHO,1,100\n",
+	"IR,1,1,H\nRE,1,outpatient,5,F,extra\nHO,1,100\n",
+	"IR,1,1,H\nRE,p,outpatient,5,F\nHO,1,100\n",
+	"IR,1,1,H\nRE,1,outpatient,old,F\nHO,1,100\n",
+	"IR,1,1,H\nRE,1,outpatient,5,F\nHO,1\n",
+	"IR,1,1,H\nRE,1,outpatient,5,F\nHO,i,100\n",
+	"IR,1,1,H\nRE,1,outpatient,5,F\nHO,1,xyz\n",
+	goodClaim + "SI,T,a,1\n",
+	goodClaim + "SI,T,1,b\n",
+	goodClaim + "SI,T,1\n",
+	goodClaim + "IY,M,C,a,1\n",
+	goodClaim + "IY,M,C,1,b\n",
+	goodClaim + "IY,M,C,1,2,3\n",
+	goodClaim + "SY,onlytwo\n",
+	goodClaim + "SY,a,b,1,extra\n",
+	goodClaim + "\n\nZZ\n",
+	"IR,1,1,H\nRE,1,outpatient,5,F\n",
+	"RE,1,outpatient,5,F\nHO,1,100\n",
+	"IR,1,1,H\nHO,1,100\n",
+}
+
+// oddClaims are the accepted oddities: blank lines, no final newline, extra
+// IR fields.
+var oddClaims = []string{goodClaim, strings.TrimSuffix(goodClaim, "\n"), "\n" + goodClaim + "\n\n", "IR,1,1,H,x,y\nRE,1,outpatient,5,F\nHO,1,100"}
+
+// TestParseErrorsMatchSplitReference: every malformed claim is rejected with
+// the reference's error text through every entry point — a query that reads
+// only the medicines still rejects a claim with a bad treatment line — and
+// the accepted oddities stay accepted.
+func TestParseErrorsMatchSplitReference(t *testing.T) {
+	for _, raw := range malformedClaims {
+		if _, err := refParse(7, []byte(raw)); err == nil {
 			t.Fatalf("reference accepted %q", raw)
 		}
-		for keep := subRecords(0); keep <= keepSI|keepIY|keepSY; keep++ {
-			if _, err := parse(7, []byte(raw), keep); err == nil || err.Error() != want.Error() {
-				t.Errorf("%q keep %03b: error %v, reference %v", raw, keep, err, want)
-			}
-		}
+		checkAgainstReference(t, 7, []byte(raw))
 	}
-	// And the accepted oddities stay accepted: blank lines, no final
-	// newline, extra IR fields.
-	for _, raw := range []string{good, strings.TrimSuffix(good, "\n"), "\n" + good + "\n\n", "IR,1,1,H,x,y\nRE,1,outpatient,5,F\nHO,1,100"} {
-		want, err := refParse(7, []byte(raw))
-		if err != nil {
+	for _, raw := range oddClaims {
+		if _, err := refParse(7, []byte(raw)); err != nil {
 			t.Fatalf("reference rejected %q: %v", raw, err)
 		}
-		if got, err := Parse(7, []byte(raw)); err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("%q: got %+v, %v; reference %+v", raw, got, err, want)
+		checkAgainstReference(t, 7, []byte(raw))
+	}
+}
+
+// FuzzClaimsParse: on any payload the walker and refParse agree — accept or
+// reject, error text, every answer — and nothing panics.
+func FuzzClaimsParse(f *testing.F) {
+	f.Add(int64(1), []byte(typicalClaim))
+	for _, raw := range append(malformedClaims, oddClaims...) {
+		f.Add(int64(7), []byte(raw))
+	}
+	for _, gen := range Generate(Config{Claims: 20, Seed: 3}).Claims {
+		f.Add(gen.ID, []byte(gen.Raw()))
+	}
+	f.Fuzz(func(t *testing.T, id int64, raw []byte) {
+		checkAgainstReference(t, id, raw)
+	})
+}
+
+// TestParsedClaimOwnsItsMemory: Parse copies the payload, so the claim — and
+// a rejected claim's error — is unchanged after the input buffer is reused.
+func TestParsedClaimOwnsItsMemory(t *testing.T) {
+	data := []byte(typicalClaim)
+	want, _ := refParse(1, []byte(typicalClaim))
+	got, err := Parse(1, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []byte(goodClaim + "IY,M,C,oops,1\n")
+	_, wantErr := refParse(1, bad)
+	_, probeErr := probeRecord(lake.Record{Key: ClaimKey(1), Data: bad}, "C", "")
+	for _, buf := range [][]byte{data, bad} {
+		for i := range buf {
+			buf[i] = 'X'
 		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("claim changed with its input buffer:\n got %+v\nwant %+v", got, want)
+	}
+	if probeErr == nil || probeErr.Error() != wantErr.Error() {
+		t.Errorf("probe error %v after its input was overwritten, want %v", probeErr, wantErr)
 	}
 }
 
@@ -293,18 +369,22 @@ func TestParseAllocationBudget(t *testing.T) {
 	}); got > 8 {
 		t.Errorf("Parse allocates %.0f times on a typical claim, budget 8", got)
 	}
-	// What RunReDe's filter pays per claim: the payload copy and the
-	// medicines.
+	// What RunReDe's filter and Each pay per claim: nothing — the probe
+	// walks a borrowed view and keeps no list.
+	rec := lake.Record{Key: ClaimKey(1), Data: data}
 	if got := testing.AllocsPerRun(200, func() {
-		if _, err := parse(1, data, keepIY); err != nil {
-			t.Fatal(err)
+		if p, err := probeRecord(rec, ClassAntihyper, ""); err != nil || !p.hasClass {
+			t.Fatal(p, err)
 		}
-	}); got > 2 {
-		t.Errorf("a medicines-only parse allocates %.0f times, budget 2", got)
+	}); got != 0 {
+		t.Errorf("the medicines probe allocates %.0f times, budget 0", got)
 	}
 }
 
-var sinkClaim *Claim
+var (
+	sinkClaim *Claim
+	sinkProbe probe
+)
 
 func BenchmarkClaimsParse(b *testing.B) {
 	data := []byte(typicalClaim)
@@ -316,5 +396,18 @@ func BenchmarkClaimsParse(b *testing.B) {
 			b.Fatal(err)
 		}
 		sinkClaim = c
+	}
+}
+
+func BenchmarkClaimsProbe(b *testing.B) {
+	rec := lake.Record{Key: ClaimKey(1), Data: []byte(typicalClaim)}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(rec.Data)))
+	for i := 0; i < b.N; i++ {
+		p, err := probeRecord(rec, ClassAntihyper, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkProbe = p
 	}
 }

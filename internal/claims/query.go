@@ -56,8 +56,8 @@ type Result struct {
 // predicate with schema-on-read inside the claim — no joins.
 func RunReDe(ctx context.Context, cluster *dfs.Cluster, q Query, opts core.Options) (*Result, error) {
 	medFilter := func(rec lake.Record) (bool, error) {
-		c, err := parseRecord(rec, keepIY)
-		return c.HasMedicineClass(q.MedicineClass), err
+		p, err := probeRecord(rec, q.MedicineClass, "")
+		return p.hasClass, err
 	}
 	k := DiseaseKey(q.Disease)
 	job, err := core.NewJob("claims-"+q.Name,
@@ -74,13 +74,13 @@ func RunReDe(ctx context.Context, cluster *dfs.Cluster, q Query, opts core.Optio
 	expense := int64(0)
 	count := int64(0)
 	opts.Each = func(_ int, rec lake.Record) error {
-		c, err := parseRecord(rec, 0) // the expense is in the mandatory HO
+		p, err := probeRecord(rec, "", "") // the expense is in the mandatory HO
 		if err != nil {
 			return err
 		}
 		mu.Lock()
 		count++
-		expense += c.HO.Points
+		expense += p.ho.Points
 		mu.Unlock()
 		return nil
 	}
@@ -190,14 +190,14 @@ func RunDataLake(ctx context.Context, cluster *dfs.Cluster, q Query, coresPerNod
 		expense int64
 	)
 	_, err := eng.Scan(ctx, FileClaims, func(rec lake.Record) (bool, error) {
-		c, err := parseRecord(rec, keepIY|keepSY)
+		p, err := probeRecord(rec, q.MedicineClass, q.Disease)
 		if err != nil {
 			return false, err
 		}
-		if c.HasDisease(q.Disease) && c.HasMedicineClass(q.MedicineClass) {
+		if p.hasDisease && p.hasClass {
 			mu.Lock()
 			count++
-			expense += c.HO.Points
+			expense += p.ho.Points
 			mu.Unlock()
 		}
 		return false, nil // nothing needs materializing

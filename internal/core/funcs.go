@@ -261,6 +261,11 @@ func (r EntryRef) Name() string { return "EntryRef(" + r.Target + ")" }
 
 // Ref implements Referencer.
 func (r EntryRef) Ref(tc *TaskCtx, rec lake.Record) ([]lake.Pointer, error) {
+	return r.AppendRef(tc, nil, rec)
+}
+
+// AppendRef implements AppendReferencer.
+func (r EntryRef) AppendRef(tc *TaskCtx, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error) {
 	entry := rec.Data
 	var carry []byte
 	if r.FromComposite {
@@ -278,7 +283,7 @@ func (r EntryRef) Ref(tc *TaskCtx, rec lake.Record) ([]lake.Pointer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
 	}
-	return []lake.Pointer{{File: r.Target, PartKey: partKey, Key: pk, Carry: carry}}, nil
+	return append(dst, lake.Pointer{File: r.Target, PartKey: partKey, Key: pk, Carry: carry}), nil
 }
 
 // CarryMode selects what context a Referencer attaches to the pointers it
@@ -329,6 +334,11 @@ func (r FieldRef) Name() string { return "FieldRef(" + r.Field + "→" + r.Targe
 
 // Ref implements Referencer.
 func (r FieldRef) Ref(tc *TaskCtx, rec lake.Record) ([]lake.Pointer, error) {
+	return r.AppendRef(tc, nil, rec)
+}
+
+// AppendRef implements AppendReferencer.
+func (r FieldRef) AppendRef(tc *TaskCtx, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error) {
 	v, err := r.Interp.Field(rec, r.Field)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
@@ -352,7 +362,7 @@ func (r FieldRef) Ref(tc *TaskCtx, rec lake.Record) ([]lake.Pointer, error) {
 	case CarryComposite:
 		p.Carry = rec.Data
 	}
-	return []lake.Pointer{p}, nil
+	return append(dst, p), nil
 }
 
 // FuncRef adapts an arbitrary function to the Referencer interface, for

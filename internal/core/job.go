@@ -69,6 +69,18 @@ type Referencer interface {
 	Ref(tc *TaskCtx, rec lake.Record) ([]lake.Pointer, error)
 }
 
+// AppendReferencer is optionally implemented by Referencers that can write
+// their pointers into a slice the executor supplies, so a task's worth of
+// records shares one scratch slice instead of allocating one per record. A
+// Referencer that does not implement it is simply called through Ref; the
+// built-in ones have one body, and their Ref is AppendRef onto nil.
+type AppendReferencer interface {
+	Referencer
+	// AppendRef appends the pointers the record refers to onto dst and
+	// returns the extended slice.
+	AppendRef(tc *TaskCtx, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error)
+}
+
 // Dereferencer takes a pointer (or a range of pointers) and produces the set
 // of records it points to. Every Dereferencer manages either a File or a
 // BtreeFile.
@@ -92,7 +104,9 @@ type BatchDereferencer interface {
 	// DerefBatch produces, for each pointer, the records it points to,
 	// aligned with ptrs (out[i] belongs to ptrs[i]). An error fails the
 	// whole batch; the executor then splits the batch and retries the
-	// pointers individually, so a partial failure never loses work.
+	// pointers individually, so a partial failure never loses work. ptrs
+	// belongs to the executor, which reuses it once the task is done: read
+	// it during the call, never keep it.
 	DerefBatch(tc *TaskCtx, ptrs []lake.Pointer) ([][]lake.Record, error)
 }
 

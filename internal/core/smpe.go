@@ -177,6 +177,7 @@ type task struct {
 	stage int
 	isRec bool
 	ptrs  []lake.Pointer
+	buf   *ptrBuf // the pooled buffer ptrs lives in, nil when it is the task's own
 	rec   lake.Record
 	// enq is the unix-nano time the task was dispatched onto a queue; the
 	// span from enq to TaskBegin is the task's queue wait.
@@ -458,8 +459,38 @@ type batcher struct {
 }
 
 type batchBuf struct {
-	key  batchKey
-	ptrs []lake.Pointer
+	key batchKey
+	buf *ptrBuf // nil between a flush at MaxBatch and the next pointer
+}
+
+// ptrBuf is a pointer buffer recycled through ptrBufs: the batcher that fills
+// it hands it to the task it dispatches, and process releases it once that
+// task's dereference — splits and retries included — no longer reads the
+// pointers. A new one has room for a full batch, not for what the task is
+// about to emit: Q5′ spreads a handful of pointers over eight partitions, and
+// sizing each buffer by the task's record count cost more memory than
+// append-doubling did.
+type ptrBuf struct{ ptrs []lake.Pointer }
+
+// ptrBufs holds released buffers, every one empty and zero over its capacity.
+var ptrBufs sync.Pool
+
+func getPtrBuf(maxBatch int) *ptrBuf {
+	if b, _ := ptrBufs.Get().(*ptrBuf); b != nil {
+		return b
+	}
+	return &ptrBuf{ptrs: make([]lake.Pointer, 0, min(maxBatch, DefaultMaxBatch))}
+}
+
+// release clears the pointers written — the rest of the capacity was never
+// dirtied — so the pool retains no key or carry, and recycles the buffer. One
+// that a larger MaxBatch grew is left to the collector instead.
+func (b *ptrBuf) release() {
+	clear(b.ptrs)
+	b.ptrs = b.ptrs[:0]
+	if cap(b.ptrs) <= DefaultMaxBatch {
+		ptrBufs.Put(b)
+	}
 }
 
 // add routes one emitted pointer: buffered under its (stage, file,
@@ -489,11 +520,14 @@ func (b *batcher) add(stage int, ptr lake.Pointer) {
 	if i == len(b.bufs) {
 		b.bufs = append(b.bufs, batchBuf{key: k})
 	}
-	buf := &b.bufs[i]
-	buf.ptrs = append(buf.ptrs, ptr)
-	if len(buf.ptrs) >= b.e.opts.MaxBatch {
-		b.e.dispatch(b.node, task{stage: stage, ptrs: buf.ptrs})
-		buf.ptrs = nil // the task owns the slice now
+	bb := &b.bufs[i]
+	if bb.buf == nil {
+		bb.buf = getPtrBuf(b.e.opts.MaxBatch)
+	}
+	bb.buf.ptrs = append(bb.buf.ptrs, ptr)
+	if len(bb.buf.ptrs) >= b.e.opts.MaxBatch {
+		b.e.dispatch(b.node, task{stage: stage, ptrs: bb.buf.ptrs, buf: bb.buf})
+		bb.buf = nil // the task owns the buffer now
 	}
 }
 
@@ -505,9 +539,9 @@ func (b *batcher) flush() {
 		b.bufs = nil
 		return
 	}
-	for _, buf := range b.bufs {
-		if len(buf.ptrs) > 0 {
-			b.e.dispatch(b.node, task{stage: buf.key.stage, ptrs: buf.ptrs})
+	for _, bb := range b.bufs {
+		if bb.buf != nil {
+			b.e.dispatch(b.node, task{stage: bb.key.stage, ptrs: bb.buf.ptrs, buf: bb.buf})
 		}
 	}
 	b.bufs = nil
@@ -538,6 +572,9 @@ func (e *executor) process(tc *TaskCtx, t task, worker int) {
 
 	e.tr.AddBatch(t.stage, len(t.ptrs))
 	recs, err := e.derefTask(e.derefTcs[tc.Node][t.stage], t.stage, e.job.Stages[t.stage].Deref, t.ptrs)
+	if t.buf != nil {
+		t.buf.release() // records never alias the pointer slice, and nothing below reads it
+	}
 	if err != nil {
 		e.tr.AddError(t.stage)
 		e.fail(err)
@@ -564,9 +601,18 @@ func (e *executor) process(tc *TaskCtx, t task, worker int) {
 // pointers it emits to the next stage through one batcher.
 func (e *executor) refer(tc *TaskCtx, stage int, recs ...lake.Record) {
 	ref := e.job.Stages[stage].Ref
+	appender, _ := ref.(AppendReferencer)
 	b := batcher{e: e, node: tc.Node}
+	// An AppendReferencer fills one scratch slice over and over: it grows on
+	// the heap once per task, where Ref returns a new slice per record.
+	var ptrs []lake.Pointer
+	var err error
 	for _, r := range recs {
-		ptrs, err := ref.Ref(tc, r)
+		if appender != nil {
+			ptrs, err = appender.AppendRef(tc, ptrs[:0], r)
+		} else {
+			ptrs, err = ref.Ref(tc, r)
+		}
 		if err != nil {
 			e.tr.AddError(stage)
 			e.fail(err)

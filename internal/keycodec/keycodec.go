@@ -137,8 +137,21 @@ func AppendString[T ~string | ~[]byte](dst []byte, s T) []byte {
 // value holds no escape — its first 0x00 is the terminator's — the result is
 // a substring of enc; otherwise it is decoded into fresh memory.
 func DecodeString(enc string) (val string, n int, err error) {
-	if i := strings.IndexByte(enc, strTerm1); i >= 0 && i+1 < len(enc) && enc[i+1] == strTerm2 {
-		return enc[:i], i + 2, nil
+	return decodeString(enc, strings.IndexByte(enc, strTerm1))
+}
+
+// DecodeOwned is DecodeString over a byte slice, for values that outlive the
+// buffer they were read from: the result is a fresh string — one allocation,
+// escapes or not — and never an alias of enc.
+func DecodeOwned(enc []byte) (val string, n int, err error) {
+	return decodeString(enc, bytes.IndexByte(enc, strTerm1))
+}
+
+// decodeString decodes the value at the start of enc, whose first 0x00 is at
+// i. string(enc[:i]) is a substring of a string and a copy of a byte slice.
+func decodeString[T ~string | ~[]byte](enc T, i int) (val string, n int, err error) {
+	if i >= 0 && i+1 < len(enc) && enc[i+1] == strTerm2 {
+		return string(enc[:i]), i + 2, nil
 	}
 	end, _, err := scanEscaped(enc)
 	if err != nil {

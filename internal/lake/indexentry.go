@@ -1,7 +1,9 @@
 package lake
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 
 	"lakeharbor/internal/keycodec"
 )
@@ -15,23 +17,31 @@ import (
 // fields can be concatenated unambiguously.
 
 // EncodeIndexEntry packs (partition key, primary key) into an index record
-// payload.
+// payload: one buffer, sized with a byte more for every 0x00 to escape.
 func EncodeIndexEntry(partKey, primaryKey Key) []byte {
-	return []byte(keycodec.Tuple(keycodec.String(partKey), keycodec.String(primaryKey)))
+	escapes := strings.Count(partKey, "\x00") + strings.Count(primaryKey, "\x00")
+	b := make([]byte, 0, len(partKey)+len(primaryKey)+escapes+4)
+	return keycodec.AppendString(keycodec.AppendString(b, partKey), primaryKey)
 }
 
-// DecodeIndexEntry unpacks a payload written by EncodeIndexEntry.
+// DecodeIndexEntry unpacks a payload written by EncodeIndexEntry. The keys
+// are fresh strings, never aliases of data: pointers built from them outlive
+// the index record. When the two encoded halves are byte-equal — a file
+// partitioned by its own key — one string is returned twice.
 func DecodeIndexEntry(data []byte) (partKey, primaryKey Key, err error) {
-	pk, n, err := keycodec.DecodeBytes(data)
+	partKey, n, err := keycodec.DecodeOwned(data)
 	if err != nil {
 		return "", "", fmt.Errorf("lake: bad index entry: %w", err)
 	}
-	rk, m, err := keycodec.DecodeBytes(data[n:])
+	if bytes.Equal(data[:n], data[n:]) {
+		return partKey, partKey, nil
+	}
+	primaryKey, m, err := keycodec.DecodeOwned(data[n:])
 	if err != nil {
 		return "", "", fmt.Errorf("lake: bad index entry: %w", err)
 	}
 	if n+m != len(data) {
 		return "", "", fmt.Errorf("lake: index entry has %d trailing bytes", len(data)-n-m)
 	}
-	return string(pk), string(rk), nil
+	return partKey, primaryKey, nil
 }

@@ -2,6 +2,7 @@ package lake
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -158,6 +159,75 @@ func TestDecodeIndexEntryErrors(t *testing.T) {
 	}
 }
 
+// indexEntryKeys is a seeded key set of every shape an index entry holds:
+// int64 keys (0x00-heavy, so escaped), tuples of them, plain strings, empty
+// and 0x00-bearing ones.
+func indexEntryKeys() []Key {
+	rng := rand.New(rand.NewSource(24))
+	keys := []Key{"", "a", "I10", "a\x00b", "\x00", "\x00\x01", "\x00\xff", strings.Repeat("k\x00", 40)}
+	for i := 0; i < 64; i++ {
+		n := rng.Int63n(1 << uint(1+rng.Intn(62)))
+		keys = append(keys, keycodec.Int64(n), keycodec.Int64(-n), keycodec.Tuple(keycodec.Int64(n), keycodec.Int64(int64(i))))
+	}
+	return keys
+}
+
+// TestEncodeIndexEntryBytes: the single-buffer encoder writes exactly the
+// bytes of the tuple-of-strings expression it replaced — entries already in
+// snapshots and WALs stay readable, new ones stay identical.
+func TestEncodeIndexEntryBytes(t *testing.T) {
+	keys := indexEntryKeys()
+	for _, part := range keys {
+		for _, pk := range keys {
+			want := []byte(keycodec.Tuple(keycodec.String(part), keycodec.String(pk)))
+			got := EncodeIndexEntry(part, pk)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("EncodeIndexEntry(%q, %q) = %x, want %x", part, pk, got, want)
+			}
+			p, k, err := DecodeIndexEntry(got)
+			if err != nil || p != part || k != pk {
+				t.Fatalf("DecodeIndexEntry(%x) = %q, %q, %v; want %q, %q", got, p, k, err, part, pk)
+			}
+			// The keys own their memory: pointers built from them outlive
+			// the index record.
+			for i := range got {
+				got[i] ^= 0x5a
+			}
+			if p != part || k != pk {
+				t.Fatalf("keys %q, %q changed when the entry's bytes did", part, pk)
+			}
+		}
+	}
+}
+
+// TestIndexEntryAllocationBudgets: an entry is built in one buffer and
+// decodes to its keys in one allocation each — one in all when the halves
+// are equal (a file partitioned by its own key) — escaped or not.
+func TestIndexEntryAllocationBudgets(t *testing.T) {
+	for _, c := range []struct {
+		what     string
+		part, pk Key
+		budget   float64
+	}{
+		{"int64, equal halves", keycodec.Int64(7), keycodec.Int64(7), 1},
+		{"int64, unequal halves", keycodec.Int64(7), keycodec.Int64(9), 2},
+		{"string, equal halves", "Customer#000000002", "Customer#000000002", 1},
+		{"string, unequal halves", "Customer#000000002", "Customer#000000003", 2},
+	} {
+		entry := EncodeIndexEntry(c.part, c.pk)
+		if got := testing.AllocsPerRun(200, func() {
+			if p, k, err := DecodeIndexEntry(entry); err != nil || p != c.part || k != c.pk {
+				t.Fatal(p, k, err)
+			}
+		}); got > c.budget {
+			t.Errorf("%s: DecodeIndexEntry allocates %.0f times, budget %.0f", c.what, got, c.budget)
+		}
+		if got := testing.AllocsPerRun(200, func() { sinkList = EncodeIndexEntry(c.part, c.pk) }); got > 1 {
+			t.Errorf("%s: EncodeIndexEntry allocates %.0f times, budget 1", c.what, got)
+		}
+	}
+}
+
 // q5Row is a Q5′ result: {order ⊕ customer ⊕ lineitem ⊕ supplier}.
 var q5Row = [][]byte{
 	[]byte("1|2|1995|310.00"),
@@ -205,5 +275,26 @@ func BenchmarkAppendSegment(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sinkList = AppendSegment(carry, q5Row[3])
+	}
+}
+
+var sinkKey Key
+
+func BenchmarkDecodeIndexEntry(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		part, pk Key
+	}{
+		{"equal", keycodec.Int64(4211), keycodec.Int64(4211)},
+		{"unequal", keycodec.Int64(4211), keycodec.Tuple(keycodec.Int64(4211), keycodec.Int64(3))},
+	} {
+		entry := EncodeIndexEntry(c.part, c.pk)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(entry)))
+			for i := 0; i < b.N; i++ {
+				_, sinkKey, _ = DecodeIndexEntry(entry)
+			}
+		})
 	}
 }
