@@ -285,7 +285,7 @@ func main() {
 	}
 	api.AttachScripts(scriptReg)
 	if netStats != nil {
-		api.AttachExtraMetrics(netStats.WriteMetrics)
+		api.AttachCollector(netStats)
 	}
 	if *scrape != "" {
 		federator := fed.New(strings.Split(*scrape, ","), fed.Options{Interval: *scrapeIv})
@@ -293,7 +293,7 @@ func main() {
 			log.Printf("lakeserve: initial node scrape: %v", err)
 		}
 		go federator.Start(ctx)
-		api.AttachExtraMetrics(federator.WriteMetrics)
+		api.AttachCollector(federator)
 		fmt.Printf("federating node metrics from %s every %v\n", *scrape, *scrapeIv)
 	}
 	if pers != nil {

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -56,8 +55,8 @@ type nodeView struct {
 }
 
 // Federator scrapes a fixed set of lakenode debug endpoints and renders the
-// merged cluster view. All methods are safe for concurrent use; WriteMetrics
-// may run while a scrape is in flight.
+// merged cluster view. All methods are safe for concurrent use; Collect may
+// run while a scrape is in flight.
 type Federator struct {
 	targets []target
 	opts    Options
@@ -190,89 +189,74 @@ func (f *Federator) Start(ctx context.Context) {
 	}
 }
 
-// WriteMetrics renders the federated lakeharbor_cluster_* series from the
-// retained snapshots — designed to hang off httpapi.AttachExtraMetrics.
-func (f *Federator) WriteMetrics(w io.Writer) {
+var (
+	clusterNodes          = obs.NewGauge("lakeharbor_cluster_nodes", "Data-plane nodes under federation.")
+	clusterNodesUp        = obs.NewGauge("lakeharbor_cluster_nodes_up", "Nodes whose last scrape succeeded.")
+	clusterScrapes        = obs.NewCounter("lakeharbor_cluster_scrapes_total", "Node scrape attempts across all targets.")
+	clusterNodeUp         = obs.NewGauge("lakeharbor_cluster_node_up", "1 when the node's last scrape succeeded.", "node")
+	clusterScrapeFailures = obs.NewCounter("lakeharbor_cluster_scrape_failures_total", "Failed scrapes, by node.", "node")
+	clusterNodeDraining   = obs.NewGauge("lakeharbor_cluster_node_draining", "1 while the node drains before shutdown.", "node")
+	clusterNodeOpenConns  = obs.NewGauge("lakeharbor_cluster_node_open_conns", "Live client connections, by node.", "node")
+	clusterNodePartitions = obs.NewGauge("lakeharbor_cluster_node_partitions", "Partitions hosted, by node.", "node")
+	clusterRPCs           = obs.NewCounter("lakeharbor_cluster_rpcs_total", "RPCs served, by node.", "node")
+	clusterRPCErrors      = obs.NewCounter("lakeharbor_cluster_rpc_errors_total", "RPCs answered with an error status, by node.", "node")
+	clusterBytesIn        = obs.NewCounter("lakeharbor_cluster_bytes_in_total", "Request payload bytes received, by node.", "node")
+	clusterBytesOut       = obs.NewCounter("lakeharbor_cluster_bytes_out_total", "Response payload bytes sent, by node.", "node")
+	clusterRPCSeconds     = obs.NewSummary("lakeharbor_cluster_rpc_seconds",
+		"Cluster-wide server-side RPC service time, by op, from the per-node histograms merged bucket by bucket (exact to one bucket bound, not an average of node quantiles).",
+		1e-9, []float64{0.5, 0.95, 0.99}, "op")
+)
+
+// Collect renders the federated lakeharbor_cluster_* series from the
+// retained snapshots.
+func (f *Federator) Collect(w *obs.Writer) {
 	f.mu.Lock()
 	views := make([]nodeView, len(f.views))
 	copy(views, f.views)
 	f.mu.Unlock()
 
 	var nodesUp, scrapes int64
-	for _, v := range views {
+	// Merge per-op latency histograms across nodes — the lossless merge is
+	// what makes a federated quantile trustworthy.
+	merged := make(map[string]trace.HistSnapshot)
+	for i, v := range views {
+		node := f.targets[i].name
+		up := 0.0
 		if v.up {
+			up = 1
 			nodesUp++
 		}
 		scrapes += v.scrapes
-	}
-	obs.Gauge(w, "lakeharbor_cluster_nodes", "Data-plane nodes under federation.", int64(len(f.targets)))
-	obs.Gauge(w, "lakeharbor_cluster_nodes_up", "Nodes whose last scrape succeeded.", nodesUp)
-	obs.Counter(w, "lakeharbor_cluster_scrapes_total", "Node scrape attempts across all targets.", scrapes)
-
-	obs.Header(w, "lakeharbor_cluster_node_up", "gauge", "1 when the node's last scrape succeeded.")
-	for i, t := range f.targets {
-		up := int64(0)
-		if views[i].up {
-			up = 1
-		}
-		obs.SampleInt(w, "lakeharbor_cluster_node_up", []string{"node", t.name}, up)
-	}
-	obs.Header(w, "lakeharbor_cluster_scrape_failures_total", "counter", "Failed scrapes, by node.")
-	for i, t := range f.targets {
-		obs.SampleInt(w, "lakeharbor_cluster_scrape_failures_total", []string{"node", t.name}, views[i].failures)
-	}
-	obs.Header(w, "lakeharbor_cluster_node_draining", "gauge", "1 while the node drains before shutdown.")
-	obs.Header(w, "lakeharbor_cluster_node_open_conns", "gauge", "Live client connections, by node.")
-	obs.Header(w, "lakeharbor_cluster_node_partitions", "gauge", "Partitions hosted, by node.")
-	obs.Header(w, "lakeharbor_cluster_rpcs_total", "counter", "RPCs served, by node.")
-	obs.Header(w, "lakeharbor_cluster_rpc_errors_total", "counter", "RPCs answered with an error status, by node.")
-	obs.Header(w, "lakeharbor_cluster_bytes_in_total", "counter", "Request payload bytes received, by node.")
-	obs.Header(w, "lakeharbor_cluster_bytes_out_total", "counter", "Response payload bytes sent, by node.")
-	for i, t := range f.targets {
-		v := views[i]
+		w.Sample(clusterNodeUp, up, node)
+		w.Sample(clusterScrapeFailures, float64(v.failures), node)
 		if !v.hasState {
 			continue
 		}
-		labels := []string{"node", t.name}
-		draining := int64(0)
+		draining := 0.0
 		if v.state.Draining {
 			draining = 1
 		}
 		var rpcs, errs, bytesIn, bytesOut int64
-		for _, op := range v.state.Ops {
+		for name, op := range v.state.Ops {
 			rpcs += op.Count
 			errs += op.Errors
 			bytesIn += op.BytesIn
 			bytesOut += op.BytesOut
+			merged[name] = merged[name].Merge(op.Latency)
 		}
-		obs.SampleInt(w, "lakeharbor_cluster_node_draining", labels, draining)
-		obs.SampleInt(w, "lakeharbor_cluster_node_open_conns", labels, v.state.OpenConns)
-		obs.SampleInt(w, "lakeharbor_cluster_node_partitions", labels, int64(v.state.Partitions))
-		obs.SampleInt(w, "lakeharbor_cluster_rpcs_total", labels, rpcs)
-		obs.SampleInt(w, "lakeharbor_cluster_rpc_errors_total", labels, errs)
-		obs.SampleInt(w, "lakeharbor_cluster_bytes_in_total", labels, bytesIn)
-		obs.SampleInt(w, "lakeharbor_cluster_bytes_out_total", labels, bytesOut)
+		w.Sample(clusterNodeDraining, draining, node)
+		w.Sample(clusterNodeOpenConns, float64(v.state.OpenConns), node)
+		w.Sample(clusterNodePartitions, float64(v.state.Partitions), node)
+		w.Sample(clusterRPCs, float64(rpcs), node)
+		w.Sample(clusterRPCErrors, float64(errs), node)
+		w.Sample(clusterBytesIn, float64(bytesIn), node)
+		w.Sample(clusterBytesOut, float64(bytesOut), node)
 	}
-
-	// Merge per-op latency histograms across nodes — the lossless merge is
-	// what makes a federated quantile trustworthy.
-	merged := make(map[string]trace.HistSnapshot)
-	for _, v := range views {
-		if !v.hasState {
-			continue
-		}
-		for op, st := range v.state.Ops {
-			merged[op] = merged[op].Merge(st.Latency)
-		}
-	}
-	ops := make([]string, 0, len(merged))
-	for op := range merged {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	obs.Header(w, "lakeharbor_cluster_rpc_seconds", "summary", "Cluster-wide server-side RPC service time, merged across nodes, by op.")
-	for _, op := range ops {
-		obs.Summary(w, "lakeharbor_cluster_rpc_seconds", []string{"op", op}, merged[op], 1e-9, 0.5, 0.95, 0.99)
+	w.Sample(clusterNodes, float64(len(f.targets)))
+	w.Sample(clusterNodesUp, float64(nodesUp))
+	w.Sample(clusterScrapes, float64(scrapes))
+	for op, snap := range merged {
+		w.Summary(clusterRPCSeconds, snap, op)
 	}
 }
 

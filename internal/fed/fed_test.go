@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lakeharbor/internal/nodenet"
+	"lakeharbor/internal/obs"
 	"lakeharbor/internal/promtext"
 	"lakeharbor/internal/trace"
 )
@@ -91,9 +92,7 @@ func TestWriteMetricsFederates(t *testing.T) {
 	if err := f.ScrapeOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	f.WriteMetrics(&b)
-	out := b.String()
+	out := render(f)
 
 	nodeLabel := strings.TrimPrefix(node.URL, "http://")
 	for _, want := range []string{
@@ -134,9 +133,7 @@ func TestScrapeFailureCounted(t *testing.T) {
 		t.Fatal("scrape of a dead node reported success")
 	}
 
-	var b strings.Builder
-	f.WriteMetrics(&b)
-	out := b.String()
+	out := render(f)
 	nodeLabel := strings.TrimPrefix(node.URL, "http://")
 	for _, want := range []string{
 		"lakeharbor_cluster_nodes_up 0",
@@ -169,4 +166,38 @@ func TestTargetNormalization(t *testing.T) {
 			t.Errorf("target %d: %q, want %q", i, got[i], want[i])
 		}
 	}
+}
+
+// render returns the federator's series as one scrape renders them.
+func render(f *Federator) string {
+	var w obs.Writer
+	f.Collect(&w)
+	var b strings.Builder
+	w.WriteTo(&b) //nolint:errcheck
+	return b.String()
+}
+
+// TestCollectWhileScraping: rendering runs while scrape rounds land, so the
+// race detector sees both sides of the federator's lock.
+func TestCollectWhileScraping(t *testing.T) {
+	st := nodenet.NodeState{Component: "lakenode", Ops: map[string]nodenet.OpState{
+		"scan": {Count: 2, Latency: histOf(1000, 2000)},
+	}}
+	f := New([]string{fakeNode(t, st).URL, fakeNode(t, st).URL}, Options{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			if err := f.ScrapeOnce(context.Background()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if out := render(f); !strings.Contains(out, "lakeharbor_cluster_nodes 2") {
+			t.Errorf("render %d:\n%s", i, out)
+		}
+	}
+	<-done
 }

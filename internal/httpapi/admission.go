@@ -35,7 +35,7 @@ const TenantHeader = "X-Lake-Tenant"
 func (s *Server) AttachScheduler(sc *sched.Scheduler) {
 	s.sched = sc
 	if sc != nil {
-		s.AttachExtraMetrics(sc.WriteMetrics)
+		s.AttachCollector(sc)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -38,23 +37,14 @@ type Server struct {
 	cluster    *dfs.Cluster
 	mux        *http.ServeMux
 	traces     *trace.Registry
-	structures *indexer.Manager  // nil until AttachStructures
-	scripts    *script.Registry  // nil until AttachScripts
-	catalog    *catalog.Service  // nil until AttachCatalog
-	recovery   *RecoveryInfo     // nil until AttachRecovery
-	ingestHook IngestHook        // nil unless SetIngestHook
-	sched      *sched.Scheduler  // nil until AttachScheduler
-	extra      []func(io.Writer) // extra /debug/metrics writers
-	start      time.Time         // process start, for the uptime gauge
-}
-
-// AttachExtraMetrics registers an additional writer appended to the
-// /debug/metrics output — e.g. the networked data plane's transport stats
-// when the cluster runs over nodenet. Call before serving.
-func (s *Server) AttachExtraMetrics(fn func(io.Writer)) {
-	if fn != nil {
-		s.extra = append(s.extra, fn)
-	}
+	structures *indexer.Manager // nil until AttachStructures
+	scripts    *script.Registry // nil until AttachScripts
+	catalog    *catalog.Service // nil until AttachCatalog
+	recovery   *RecoveryInfo    // nil until AttachRecovery
+	ingestHook IngestHook       // nil unless SetIngestHook
+	sched      *sched.Scheduler // nil until AttachScheduler
+	collectors []Collector      // attached /debug/metrics collectors
+	start      time.Time        // process start, for the uptime gauge
 }
 
 // New builds a Server for the cluster.

@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,7 +9,6 @@ import (
 
 	"lakeharbor/internal/core"
 	"lakeharbor/internal/lake"
-	"lakeharbor/internal/obs"
 	"lakeharbor/internal/trace"
 )
 
@@ -215,43 +213,6 @@ func (s *Server) handleDebugJobCritPath(w http.ResponseWriter, r *http.Request) 
 		"eventsDropped": snap.EventsDropped,
 		"segments":      segs,
 	})
-}
-
-// handleDebugMetrics serves Prometheus-style text metrics: cumulative job
-// execution counters from the trace registry plus the cluster's storage
-// access counters, the lifecycle/persistence gauges, and every attached
-// extra writer (transport stats, scheduler, federation). All sections are
-// rendered into one buffer and passed through obs.Sanitize, so no attached
-// writer can duplicate a series or disagree on format with the rest.
-func (s *Server) handleDebugMetrics(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	obs.WriteBuildInfo(&buf, "lakeserve", s.start)
-	s.traces.WriteMetrics(&buf)
-	m := s.cluster.TotalMetrics()
-	storage := []struct {
-		name, help string
-		v          int64
-	}{
-		{"lakeharbor_storage_lookups_total", "Random-access gate admissions (a batch is one).", m.Lookups},
-		{"lakeharbor_storage_batch_lookups_total", "Admissions that were batched lookups.", m.BatchLookups},
-		{"lakeharbor_storage_batch_keys_total", "Keys served through batched lookups.", m.BatchKeys},
-		{"lakeharbor_storage_records_read_total", "Records returned by lookups.", m.RecordsRead},
-		{"lakeharbor_storage_records_scanned_total", "Records visited by scans.", m.RecordsScanned},
-		{"lakeharbor_storage_remote_fetches_total", "Cross-node accesses.", m.RemoteFetches},
-		{"lakeharbor_storage_bytes_read_total", "Payload bytes delivered.", m.BytesRead},
-		{"lakeharbor_storage_appends_total", "Records appended.", m.Appends},
-	}
-	for _, c := range storage {
-		obs.Counter(&buf, c.name, c.help, c.v)
-	}
-	s.writeLifecycleMetrics(&buf)
-	s.writePersistenceMetrics(&buf)
-	s.writeScriptMetrics(&buf)
-	for _, fn := range s.extra {
-		fn(&buf)
-	}
-	w.Header().Set("Content-Type", obs.ContentType)
-	w.Write(obs.Sanitize(buf.Bytes())) //nolint:errcheck
 }
 
 // JobTrace is the execution-trace snapshot type served by /debug/jobs.

@@ -2,12 +2,14 @@ package httpapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 
+	"lakeharbor/internal/obs"
 	"lakeharbor/internal/trace"
 )
 
@@ -184,5 +186,81 @@ func TestDebugMetricsQuantiles(t *testing.T) {
 	if strings.Contains(out, "lakeharbor_io_local_seconds_count 0") &&
 		strings.Contains(out, "lakeharbor_io_remote_seconds_count 0") {
 		t.Error("no I/O round-trip observations after a job ran")
+	}
+}
+
+// renderJobs returns the job-execution families of one registry as a scrape
+// renders them.
+func renderJobs(r *trace.Registry) string {
+	var w obs.Writer
+	collectJobs(&w, r)
+	var b strings.Builder
+	w.WriteTo(&b) //nolint:errcheck
+	return b.String()
+}
+
+func TestWriteMetricsSummaries(t *testing.T) {
+	r := trace.NewRegistry(0)
+	var task, wait trace.Histogram
+	task.Record(1_000_000) // 1ms
+	wait.Record(2_000_000)
+	r.Add(&trace.Snapshot{
+		Job:           "j",
+		EventsDropped: 7,
+		Lat:           trace.Latencies{Task: task.Snapshot(), QueueWait: wait.Snapshot()},
+	})
+	out := renderJobs(r)
+	for _, want := range []string{
+		`lakeharbor_task_seconds{quantile="0.5"}`,
+		`lakeharbor_task_seconds{quantile="0.99"}`,
+		`lakeharbor_queue_wait_seconds{quantile="0.9"}`,
+		"lakeharbor_io_local_seconds_count 0",
+		"lakeharbor_batch_size_count 0",
+		"lakeharbor_timeline_events_dropped_total 7",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("metrics output missing %q", want)
+		}
+	}
+}
+
+// TestJobTotalsExposition: the registry's cumulative totals — which survive
+// ring eviction — render as the job counters.
+func TestJobTotalsExposition(t *testing.T) {
+	ring := trace.NewRegistry(2)
+	for i := 0; i < 3; i++ {
+		tr := trace.New(fmt.Sprintf("job%d", i), []trace.StageInfo{{Name: "d", Kind: "deref"}}, 1)
+		tr.TaskEnd(0, tr.TaskBegin(0))
+		var err error
+		if i == 2 {
+			err = errors.New("boom")
+		}
+		ring.Add(tr.Snapshot(err))
+	}
+	batched := trace.NewRegistry(4)
+	tr := trace.New("j", []trace.StageInfo{{Name: "d", Kind: "deref"}}, 1)
+	tr.AddBatch(0, 5)
+	tr.AddBatchSplit(0)
+	batched.Add(tr.Snapshot(nil))
+
+	for r, wants := range map[*trace.Registry][]string{
+		ring: {
+			"lakeharbor_jobs_total 3",
+			"lakeharbor_jobs_failed_total 1",
+			"lakeharbor_tasks_total 3",
+			"# TYPE lakeharbor_jobs_total counter",
+		},
+		batched: {
+			"lakeharbor_batches_total 1",
+			"lakeharbor_batched_pointers_total 5",
+			"lakeharbor_batch_splits_total 1",
+		},
+	} {
+		out := renderJobs(r)
+		for _, want := range wants {
+			if !strings.Contains(out, want) {
+				t.Errorf("metrics missing %q:\n%s", want, out)
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -54,36 +53,4 @@ func (s *Server) handleCatalogVersion(w http.ResponseWriter, r *http.Request) {
 		"version": s.catalog.Version(),
 		"files":   s.catalog.Len(),
 	})
-}
-
-// writePersistenceMetrics appends catalog-version and recovery gauges to
-// the /debug/metrics output.
-func (s *Server) writePersistenceMetrics(w io.Writer) {
-	if s.catalog != nil {
-		fmt.Fprintf(w, "# HELP lakeharbor_catalog_version Monotonic catalog version.\n# TYPE lakeharbor_catalog_version gauge\n")
-		fmt.Fprintf(w, "lakeharbor_catalog_version %d\n", s.catalog.Version())
-	}
-	if s.recovery == nil {
-		return
-	}
-	rec := 0
-	if s.recovery.Recovered {
-		rec = 1
-	}
-	gauges := []struct {
-		name, help string
-		v          int64
-	}{
-		{"lakeharbor_recovery_recovered", "1 when this process booted from a checkpoint.", int64(rec)},
-		{"lakeharbor_recovery_snapshot_files", "Files restored from the snapshot at boot.", int64(s.recovery.SnapshotFiles)},
-		{"lakeharbor_recovery_wal_records_total", "Records re-applied from the WAL at boot.", int64(s.recovery.WALRecords)},
-		{"lakeharbor_recovery_structures_ready", "Structures recovered directly into ready (no rebuild).", int64(s.recovery.StructuresReady)},
-		{"lakeharbor_recovery_structures_evicted", "Structures recovered into evicted.", int64(s.recovery.StructuresEvicted)},
-		{"lakeharbor_recovery_catalog_version", "Catalog version carried by the recovered checkpoint.", int64(s.recovery.CatalogVersion)},
-		{"lakeharbor_recovery_duration_ns", "Boot recovery wall time in nanoseconds.", int64(s.recovery.Duration)},
-	}
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name)
-		fmt.Fprintf(w, "%s %d\n", g.name, g.v)
-	}
 }

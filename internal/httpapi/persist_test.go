@@ -147,10 +147,11 @@ func TestPersistenceMetrics(t *testing.T) {
 		fmt.Sprintf("lakeharbor_catalog_version %d", c.CatalogVersion()),
 		"lakeharbor_recovery_recovered 1",
 		"lakeharbor_recovery_snapshot_files 3",
-		"lakeharbor_recovery_wal_records_total 17",
+		"lakeharbor_recovery_wal_records 17",
 		"lakeharbor_recovery_structures_ready 2",
 		"lakeharbor_recovery_structures_evicted 1",
 		"lakeharbor_recovery_catalog_version 9",
+		"lakeharbor_recovery_duration_seconds 0.005",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

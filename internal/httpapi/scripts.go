@@ -19,10 +19,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
-	"lakeharbor/internal/obs"
 	"lakeharbor/internal/script"
 )
 
@@ -162,21 +160,4 @@ func (s *Server) handleStructureCreate(w http.ResponseWriter, r *http.Request) {
 		"script": b.Script,
 		"state":  state.String(),
 	})
-}
-
-// writeScriptMetrics appends the script counters to /debug/metrics when a
-// registry is attached.
-func (s *Server) writeScriptMetrics(w io.Writer) {
-	if s.scripts == nil {
-		return
-	}
-	c := script.Counters()
-	obs.Counter(w, "lakeharbor_script_compiles_total", "Script sources compiled (POSTs and recoveries).", c.Compiles)
-	obs.Counter(w, "lakeharbor_script_compile_errors_total", "Script sources rejected at compile time.", c.CompileErrors)
-	obs.Counter(w, "lakeharbor_script_invocations_total", "Scripted function invocations across all contracts.", c.Invocations)
-	obs.Counter(w, "lakeharbor_script_steps_total", "Evaluation steps charged by scripted function invocations.", c.Steps)
-	obs.Counter(w, "lakeharbor_script_step_budget_trips_total", "Invocations terminated by the step budget.", c.StepTrips)
-	obs.Counter(w, "lakeharbor_script_alloc_budget_trips_total", "Invocations terminated by the allocation budget.", c.AllocTrips)
-	obs.Gauge(w, "lakeharbor_script_registered", "Scripts currently registered.", int64(s.scripts.Len()))
-	obs.Gauge(w, "lakeharbor_script_bindings", "Structure bindings currently resolved from scripts.", int64(len(s.scripts.Bindings())))
 }

@@ -2,8 +2,6 @@ package httpapi
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 
 	"lakeharbor/internal/indexer"
@@ -84,30 +82,4 @@ func (s *Server) handleStructureEvict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"name": name, "state": indexer.StateEvicted.String()})
-}
-
-// writeLifecycleMetrics appends the lifecycle counters to /debug/metrics
-// when a manager is attached.
-func (s *Server) writeLifecycleMetrics(w io.Writer) {
-	if s.structures == nil {
-		return
-	}
-	c := s.structures.Counters()
-	counters := []struct {
-		name, help string
-		v          int64
-	}{
-		{"lakeharbor_structure_builds_started_total", "Structure build attempts launched.", c.BuildsStarted},
-		{"lakeharbor_structure_builds_deduped_total", "Ensure callers that joined an in-flight build (singleflight).", c.BuildsDeduped},
-		{"lakeharbor_structure_rebuilds_total", "Builds of previously evicted structures.", c.Rebuilds},
-		{"lakeharbor_structure_evictions_total", "Structures dropped to reclaim budget or by request.", c.Evictions},
-		{"lakeharbor_structure_scan_fallbacks_total", "Queries routed to the scan path because a structure was not ready.", c.ScanFallbacks},
-	}
-	for _, m := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", m.name, m.help, m.name)
-		fmt.Fprintf(w, "%s %d\n", m.name, m.v)
-	}
-	fmt.Fprintf(w, "# HELP lakeharbor_structure_resident_bytes Modeled bytes of resident ready structures.\n")
-	fmt.Fprintf(w, "# TYPE lakeharbor_structure_resident_bytes gauge\n")
-	fmt.Fprintf(w, "lakeharbor_structure_resident_bytes %d\n", s.structures.ResidentBytes())
 }

@@ -33,9 +33,7 @@ func DebugHandler(srv *Server, o *ServerObs) http.Handler {
 		w.Write([]byte("ok\n")) //nolint:errcheck
 	})
 	mux.HandleFunc("GET /debug/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", obs.ContentType)
-		obs.WriteBuildInfo(w, "lakenode", start)
-		o.WriteMetrics(w, srv)
+		obs.Serve(w, "lakenode", start, o.Collect)
 	})
 	mux.HandleFunc("GET /debug/state", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

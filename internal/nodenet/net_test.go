@@ -14,6 +14,7 @@ import (
 
 	"lakeharbor/internal/dfs"
 	"lakeharbor/internal/lake"
+	"lakeharbor/internal/obs"
 )
 
 func discard(string, ...any) {}
@@ -499,8 +500,10 @@ func TestClusterOverNetwork(t *testing.T) {
 		t.Fatal("file survived drop")
 	}
 
+	var mw obs.Writer
+	stats.Collect(&mw)
 	var buf bytes.Buffer
-	stats.WriteMetrics(&buf)
+	mw.WriteTo(&buf) //nolint:errcheck
 	out := buf.String()
 	for _, want := range []string{
 		"lakeharbor_net_conns_open",

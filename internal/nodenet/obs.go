@@ -1,7 +1,6 @@
 package nodenet
 
 import (
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,6 +65,7 @@ type RPCSpan struct {
 // almost nothing.
 type ServerObs struct {
 	start time.Time
+	srv   atomic.Pointer[Server] // set by Server.Observe; read by Collect
 
 	conns      atomic.Int64 // open connections gauge
 	connsTotal atomic.Int64 // connections accepted counter
@@ -220,56 +220,43 @@ func (o *ServerObs) State(srv *Server) NodeState {
 	return st
 }
 
-// WriteMetrics renders the node's own lakeharbor_node_* series in Prometheus
-// text format — the sidecar's /debug/metrics body (after build info).
-func (o *ServerObs) WriteMetrics(w io.Writer, srv *Server) {
+var (
+	nodeOpenConns  = obs.NewGauge("lakeharbor_node_open_conns", "Live client connections to this node.")
+	nodeConns      = obs.NewCounter("lakeharbor_node_conns_total", "Client connections accepted.")
+	nodeRequests   = obs.NewCounter("lakeharbor_node_requests_total", "RPC requests answered.")
+	nodeDraining   = obs.NewGauge("lakeharbor_node_draining", "1 while the node drains before shutdown.")
+	nodeFiles      = obs.NewGauge("lakeharbor_node_files", "Files in the node's catalog.")
+	nodePartitions = obs.NewGauge("lakeharbor_node_partitions", "Partitions hosted across all files.")
+	nodeRPCs       = obs.NewCounter("lakeharbor_node_rpcs_total", "RPCs served, by op (create, drop, lookup_batch, lookup_range, scan, append, stat).", "op")
+	nodeRPCErrors  = obs.NewCounter("lakeharbor_node_rpc_errors_total", "RPCs answered with an error status, by op.", "op")
+	nodeBytesIn    = obs.NewCounter("lakeharbor_node_bytes_in_total", "Request payload bytes received, by op.", "op")
+	nodeBytesOut   = obs.NewCounter("lakeharbor_node_bytes_out_total", "Response payload bytes sent, by op.", "op")
+	nodeRPCSeconds = obs.NewSummary("lakeharbor_node_rpc_seconds", "Server-side RPC service time, by op.", 1e-9, []float64{0.5, 0.95, 0.99}, "op")
+)
+
+// Collect renders the node's own lakeharbor_node_* families — the sidecar's
+// /debug/metrics body after the identity series. The served count and the
+// draining flag come from the server the registry observes.
+func (o *ServerObs) Collect(w *obs.Writer) {
 	if o == nil {
 		return
 	}
-	st := o.State(srv)
-	obs.Gauge(w, "lakeharbor_node_open_conns", "Live client connections to this node.", st.OpenConns)
-	obs.Counter(w, "lakeharbor_node_conns_total", "Client connections accepted.", st.ConnsTotal)
-	obs.Counter(w, "lakeharbor_node_requests_total", "RPC requests answered.", st.Served)
-	draining := int64(0)
+	st := o.State(o.srv.Load())
+	w.Sample(nodeOpenConns, float64(st.OpenConns))
+	w.Sample(nodeConns, float64(st.ConnsTotal))
+	w.Sample(nodeRequests, float64(st.Served))
+	draining := 0.0
 	if st.Draining {
 		draining = 1
 	}
-	obs.Gauge(w, "lakeharbor_node_draining", "1 while the node drains before shutdown.", draining)
-	obs.Gauge(w, "lakeharbor_node_files", "Files in the node's catalog.", int64(st.Files))
-	obs.Gauge(w, "lakeharbor_node_partitions", "Partitions hosted across all files.", int64(st.Partitions))
-
-	ops := make([]string, 0, len(st.Ops))
-	for name := range st.Ops {
-		ops = append(ops, name)
-	}
-	sortStrings(ops)
-	obs.Header(w, "lakeharbor_node_rpcs_total", "counter", "RPCs served, by op.")
-	for _, name := range ops {
-		obs.SampleInt(w, "lakeharbor_node_rpcs_total", []string{"op", name}, st.Ops[name].Count)
-	}
-	obs.Header(w, "lakeharbor_node_rpc_errors_total", "counter", "RPCs answered with an error status, by op.")
-	for _, name := range ops {
-		obs.SampleInt(w, "lakeharbor_node_rpc_errors_total", []string{"op", name}, st.Ops[name].Errors)
-	}
-	obs.Header(w, "lakeharbor_node_bytes_in_total", "counter", "Request payload bytes received, by op.")
-	for _, name := range ops {
-		obs.SampleInt(w, "lakeharbor_node_bytes_in_total", []string{"op", name}, st.Ops[name].BytesIn)
-	}
-	obs.Header(w, "lakeharbor_node_bytes_out_total", "counter", "Response payload bytes sent, by op.")
-	for _, name := range ops {
-		obs.SampleInt(w, "lakeharbor_node_bytes_out_total", []string{"op", name}, st.Ops[name].BytesOut)
-	}
-	obs.Header(w, "lakeharbor_node_rpc_seconds", "summary", "Server-side RPC service time, by op.")
-	for _, name := range ops {
-		obs.Summary(w, "lakeharbor_node_rpc_seconds", []string{"op", name}, st.Ops[name].Latency, 1e-9, 0.5, 0.95, 0.99)
-	}
-}
-
-// sortStrings is an allocation-free insertion sort for the tiny op lists.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+	w.Sample(nodeDraining, draining)
+	w.Sample(nodeFiles, float64(st.Files))
+	w.Sample(nodePartitions, float64(st.Partitions))
+	for op, s := range st.Ops {
+		w.Sample(nodeRPCs, float64(s.Count), op)
+		w.Sample(nodeRPCErrors, float64(s.Errors), op)
+		w.Sample(nodeBytesIn, float64(s.BytesIn), op)
+		w.Sample(nodeBytesOut, float64(s.BytesOut), op)
+		w.Summary(nodeRPCSeconds, s.Latency, op)
 	}
 }

@@ -79,7 +79,14 @@ func (s *Server) Served() int64 { return s.served.Load() }
 // Observe attaches an observability registry; every subsequently served
 // request is recorded into it. Safe to call while the server is listening —
 // connections opened before the call are counted from their next request.
-func (s *Server) Observe(o *ServerObs) { s.obs.Store(o) }
+// The registry remembers the server, so its Collect reports the served
+// count and the draining flag.
+func (s *Server) Observe(o *ServerObs) {
+	if o != nil {
+		o.srv.Store(s)
+	}
+	s.obs.Store(o)
+}
 
 // Draining reports whether the server is in graceful drain (the sidecar's
 // /readyz flips to 503 on it).

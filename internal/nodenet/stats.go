@@ -1,7 +1,6 @@
 package nodenet
 
 import (
-	"io"
 	"sync/atomic"
 
 	"lakeharbor/internal/obs"
@@ -144,19 +143,30 @@ func (s *Stats) hedgeDup() {
 	}
 }
 
-// WriteMetrics renders the transport gauges and counters in Prometheus text
-// format, matching the /debug/metrics conventions of the rest of the server.
-func (s *Stats) WriteMetrics(w io.Writer) {
+var (
+	netConnsOpen  = obs.NewGauge("lakeharbor_net_conns_open", "Live TCP connections to lakenode servers.")
+	netInflight   = obs.NewGauge("lakeharbor_net_pool_inflight", "Node RPC attempts in flight.")
+	netDialed     = obs.NewCounter("lakeharbor_net_conns_dialed_total", "TCP connections dialed.")
+	netRPCs       = obs.NewCounter("lakeharbor_net_rpcs_total", "Node RPC attempts completed.")
+	netRPCErrors  = obs.NewCounter("lakeharbor_net_rpc_errors_total", "Node RPC attempts that failed.")
+	netHedgeFires = obs.NewCounter("lakeharbor_net_hedge_fires_total", "Hedged second attempts launched.")
+	netHedgeWins  = obs.NewCounter("lakeharbor_net_hedge_wins_total", "Hedged attempts that answered first.")
+	netHedgeDups  = obs.NewCounter("lakeharbor_net_hedge_dups_total", "Duplicate hedge responses suppressed.")
+	netRPCLatency = obs.NewSummary("lakeharbor_net_rpc_latency_seconds", "Node RPC round-trip latency seen by the client.", 1e-9, []float64{0.5, 0.9, 0.99})
+)
+
+// Collect renders the transport gauges, counters and round-trip summary.
+func (s *Stats) Collect(w *obs.Writer) {
 	if s == nil {
 		return
 	}
-	obs.Gauge(w, "lakeharbor_net_conns_open", "live TCP connections to lakenode servers", s.OpenConns())
-	obs.Gauge(w, "lakeharbor_net_pool_inflight", "node RPC attempts in flight", s.InFlight())
-	obs.Counter(w, "lakeharbor_net_conns_dialed_total", "TCP connections dialed", s.dials.Load())
-	obs.Counter(w, "lakeharbor_net_rpcs_total", "node RPC attempts completed", s.rpcs.Load())
-	obs.Counter(w, "lakeharbor_net_rpc_errors_total", "node RPC attempts that failed", s.rpcErrors.Load())
-	obs.Counter(w, "lakeharbor_net_hedge_fires_total", "hedged second attempts launched", s.hedgeFires.Load())
-	obs.Counter(w, "lakeharbor_net_hedge_wins_total", "hedged attempts that answered first", s.hedgeWins.Load())
-	obs.Counter(w, "lakeharbor_net_hedge_dups_total", "duplicate hedge responses suppressed", s.hedgeDups.Load())
-	s.lat.Snapshot().WriteSummary(w, "lakeharbor_net_rpc_latency_seconds", "node RPC round-trip latency", 1e-9)
+	w.Sample(netConnsOpen, float64(s.OpenConns()))
+	w.Sample(netInflight, float64(s.InFlight()))
+	w.Sample(netDialed, float64(s.dials.Load()))
+	w.Sample(netRPCs, float64(s.rpcs.Load()))
+	w.Sample(netRPCErrors, float64(s.rpcErrors.Load()))
+	w.Sample(netHedgeFires, float64(s.hedgeFires.Load()))
+	w.Sample(netHedgeWins, float64(s.hedgeWins.Load()))
+	w.Sample(netHedgeDups, float64(s.hedgeDups.Load()))
+	w.Summary(netRPCLatency, s.lat.Snapshot())
 }

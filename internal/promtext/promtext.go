@@ -1,6 +1,7 @@
 // Package promtext is a minimal reader for the Prometheus text exposition
-// format (version 0.0.4) — just enough for lakectl top and the metrics-lint
-// test to consume /debug/metrics endpoints without a client dependency.
+// format (version 0.0.4) — just enough for lakectl top, its consumer, to
+// read /debug/metrics endpoints without a client dependency; tests use it
+// to read back what obs.Writer renders.
 // It parses samples and ignores comments; histograms and summaries appear
 // as their constituent series (name{quantile="..."}, name_sum, name_count).
 package promtext
@@ -24,7 +25,7 @@ type Sample struct {
 func (s Sample) Label(key string) string { return s.Labels[key] }
 
 // Parse reads an exposition-format document and returns every sample in
-// order. Comment lines (# HELP / # TYPE) and blank lines are skipped;
+// order. Comment lines (HELP and TYPE) and blank lines are skipped;
 // a malformed sample line fails the whole parse.
 func Parse(r io.Reader) ([]Sample, error) {
 	var out []Sample

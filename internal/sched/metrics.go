@@ -1,9 +1,7 @@
 package sched
 
 import (
-	"fmt"
-	"io"
-
+	"lakeharbor/internal/obs"
 	"lakeharbor/internal/trace"
 )
 
@@ -94,61 +92,41 @@ func (s *Scheduler) Stats() Stats {
 	return st
 }
 
-// WriteMetrics renders the scheduler's state in Prometheus text format:
-// pool-level lakeharbor_sched_* gauges plus per-tenant lakeharbor_tenant_*
-// series carrying a tenant label — in-flight, queue depth, shed counts,
-// fair-share deficit, and queue-wait quantiles.
-func (s *Scheduler) WriteMetrics(w io.Writer) {
+var (
+	schedWorkers     = obs.NewGauge("lakeharbor_sched_workers", "Cluster-wide worker ceiling.")
+	schedSpawned     = obs.NewGauge("lakeharbor_sched_workers_spawned", "Workers actually started (lazy spawn up to the ceiling).")
+	schedQueueDepth  = obs.NewGauge("lakeharbor_sched_queue_depth", "Total queued, undispatched tasks across all tenants.")
+	schedShedDepth   = obs.NewGauge("lakeharbor_sched_shed_depth", "Queue depth above which admission sheds new jobs.")
+	schedWindow      = obs.NewCounter("lakeharbor_sched_window_total", "Dispatches taken while every tenant was backlogged (fairness-window denominator).")
+	tenantInflight   = obs.NewGauge("lakeharbor_tenant_inflight", "Tasks currently executing per tenant.", "tenant")
+	tenantQueued     = obs.NewGauge("lakeharbor_tenant_queued", "Tasks queued, not yet dispatched, per tenant.", "tenant")
+	tenantJobs       = obs.NewGauge("lakeharbor_tenant_jobs", "Jobs currently admitted per tenant.", "tenant")
+	tenantDispatched = obs.NewCounter("lakeharbor_tenant_dispatched_total", "Tasks dispatched per tenant.", "tenant")
+	tenantShed       = obs.NewCounter("lakeharbor_tenant_shed_total", "Job submissions rejected (quota or load-shed) per tenant.", "tenant")
+	tenantAdmitted   = obs.NewCounter("lakeharbor_tenant_jobs_admitted_total", "Jobs admitted per tenant.", "tenant")
+	tenantDeficit    = obs.NewGauge("lakeharbor_tenant_fair_share_deficit", "Entitled minus observed dispatch share over the fairness window; positive = shortchanged (the lakectl top DEFICIT column).", "tenant")
+	tenantQueueWait  = obs.NewSummary("lakeharbor_tenant_queue_wait_seconds", "Queue wait (enqueue to dispatch) per tenant.", 1e-9, []float64{0.5, 0.9, 0.99}, "tenant")
+)
+
+// Collect renders the scheduler's state: pool-level lakeharbor_sched_*
+// gauges plus per-tenant lakeharbor_tenant_* series carrying a tenant label
+// — in-flight, queue depth, shed counts, fair-share deficit, and queue-wait
+// quantiles.
+func (s *Scheduler) Collect(w *obs.Writer) {
 	st := s.Stats()
-
-	fmt.Fprintf(w, "# HELP lakeharbor_sched_workers Cluster-wide worker ceiling.\n# TYPE lakeharbor_sched_workers gauge\nlakeharbor_sched_workers %d\n", st.Workers)
-	fmt.Fprintf(w, "# HELP lakeharbor_sched_workers_spawned Workers actually started (lazy spawn up to the ceiling).\n# TYPE lakeharbor_sched_workers_spawned gauge\nlakeharbor_sched_workers_spawned %d\n", st.Spawned)
-	fmt.Fprintf(w, "# HELP lakeharbor_sched_queue_depth Total queued, undispatched tasks across all tenants.\n# TYPE lakeharbor_sched_queue_depth gauge\nlakeharbor_sched_queue_depth %d\n", st.QueueDepth)
-	fmt.Fprintf(w, "# HELP lakeharbor_sched_shed_depth Queue depth above which admission sheds new jobs.\n# TYPE lakeharbor_sched_shed_depth gauge\nlakeharbor_sched_shed_depth %d\n", st.ShedDepth)
-	fmt.Fprintf(w, "# HELP lakeharbor_sched_window_total Dispatches taken while every tenant was backlogged (fairness-window denominator).\n# TYPE lakeharbor_sched_window_total counter\nlakeharbor_sched_window_total %d\n", st.WindowTotal)
-
-	gauge := func(name, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	}
-	counter := func(name, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	}
-
-	gauge("lakeharbor_tenant_inflight", "Tasks currently executing per tenant.")
+	w.Sample(schedWorkers, float64(st.Workers))
+	w.Sample(schedSpawned, float64(st.Spawned))
+	w.Sample(schedQueueDepth, float64(st.QueueDepth))
+	w.Sample(schedShedDepth, float64(st.ShedDepth))
+	w.Sample(schedWindow, float64(st.WindowTotal))
 	for _, t := range st.Tenants {
-		fmt.Fprintf(w, "lakeharbor_tenant_inflight{tenant=%q} %d\n", t.Name, t.InFlight)
-	}
-	gauge("lakeharbor_tenant_queued", "Tasks queued, not yet dispatched, per tenant.")
-	for _, t := range st.Tenants {
-		fmt.Fprintf(w, "lakeharbor_tenant_queued{tenant=%q} %d\n", t.Name, t.Queued)
-	}
-	gauge("lakeharbor_tenant_jobs", "Jobs currently admitted per tenant.")
-	for _, t := range st.Tenants {
-		fmt.Fprintf(w, "lakeharbor_tenant_jobs{tenant=%q} %d\n", t.Name, t.Jobs)
-	}
-	counter("lakeharbor_tenant_dispatched_total", "Tasks dispatched per tenant.")
-	for _, t := range st.Tenants {
-		fmt.Fprintf(w, "lakeharbor_tenant_dispatched_total{tenant=%q} %d\n", t.Name, t.Dispatched)
-	}
-	counter("lakeharbor_tenant_shed_total", "Job submissions rejected (quota or load-shed) per tenant.")
-	for _, t := range st.Tenants {
-		fmt.Fprintf(w, "lakeharbor_tenant_shed_total{tenant=%q} %d\n", t.Name, t.Shed)
-	}
-	counter("lakeharbor_tenant_jobs_admitted_total", "Jobs admitted per tenant.")
-	for _, t := range st.Tenants {
-		fmt.Fprintf(w, "lakeharbor_tenant_jobs_admitted_total{tenant=%q} %d\n", t.Name, t.JobsAdmitted)
-	}
-	gauge("lakeharbor_tenant_fair_share_deficit", "Entitled minus observed dispatch share over the fairness window; positive = shortchanged.")
-	for _, t := range st.Tenants {
-		fmt.Fprintf(w, "lakeharbor_tenant_fair_share_deficit{tenant=%q} %g\n", t.Name, t.Deficit)
-	}
-
-	fmt.Fprintf(w, "# HELP lakeharbor_tenant_queue_wait_seconds Queue wait (enqueue to dispatch) per tenant.\n# TYPE lakeharbor_tenant_queue_wait_seconds summary\n")
-	for _, t := range st.Tenants {
-		for _, q := range []float64{0.5, 0.9, 0.99} {
-			fmt.Fprintf(w, "lakeharbor_tenant_queue_wait_seconds{tenant=%q,quantile=%q} %g\n", t.Name, fmt.Sprintf("%g", q), float64(t.wait.Quantile(q))*1e-9)
-		}
-		fmt.Fprintf(w, "lakeharbor_tenant_queue_wait_seconds_sum{tenant=%q} %g\n", t.Name, float64(t.wait.Sum)*1e-9)
-		fmt.Fprintf(w, "lakeharbor_tenant_queue_wait_seconds_count{tenant=%q} %d\n", t.Name, t.wait.Count)
+		w.Sample(tenantInflight, float64(t.InFlight), t.Name)
+		w.Sample(tenantQueued, float64(t.Queued), t.Name)
+		w.Sample(tenantJobs, float64(t.Jobs), t.Name)
+		w.Sample(tenantDispatched, float64(t.Dispatched), t.Name)
+		w.Sample(tenantShed, float64(t.Shed), t.Name)
+		w.Sample(tenantAdmitted, float64(t.JobsAdmitted), t.Name)
+		w.Sample(tenantDeficit, t.Deficit, t.Name)
+		w.Summary(tenantQueueWait, t.wait, t.Name)
 	}
 }

@@ -33,7 +33,7 @@
 // core.SchedJob (set core.Options.Scheduler and core.Options.Tenant): a Job
 // is one of the two implementations behind the executor's single dispatch
 // path, the other being the job's own per-node pools (DESIGN.md §11). Stats
-// and WriteMetrics expose per-tenant slices (in-flight, queue depth and wait
+// and Collect expose per-tenant slices (in-flight, queue depth and wait
 // quantiles, shed counts, fair-share deficit) as lakeharbor_tenant_* series.
 package sched
 

@@ -39,16 +39,7 @@ func TestRegistryBatchTotals(t *testing.T) {
 	tr.AddBatchSplit(0)
 	r.Add(tr.Snapshot(nil))
 
-	var b strings.Builder
-	r.WriteMetrics(&b)
-	out := b.String()
-	for _, want := range []string{
-		"lakeharbor_batches_total 1",
-		"lakeharbor_batched_pointers_total 5",
-		"lakeharbor_batch_splits_total 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q:\n%s", want, out)
-		}
+	if tot := r.Totals(); tot.Batches != 1 || tot.BatchedPtrs != 5 || tot.BatchSplits != 1 {
+		t.Errorf("batch totals = %d/%d/%d, want 1/5/1", tot.Batches, tot.BatchedPtrs, tot.BatchSplits)
 	}
 }

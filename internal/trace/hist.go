@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"sync/atomic"
@@ -197,17 +195,4 @@ func (s HistSnapshot) Summary() HistSummary {
 		P99:   s.Quantile(0.99),
 		Max:   s.Max,
 	}
-}
-
-// WriteSummary renders the snapshot as one Prometheus summary: p50/p90/p99
-// quantile samples plus _sum and _count. scale converts recorded units to
-// the exported unit (1e-9 turns nanoseconds into seconds; 1 exports raw
-// values, e.g. batch sizes).
-func (s HistSnapshot) WriteSummary(w io.Writer, name, help string, scale float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s summary\n", name, help, name)
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		fmt.Fprintf(w, "%s{quantile=%q} %g\n", name, fmt.Sprintf("%g", q), float64(s.Quantile(q))*scale)
-	}
-	fmt.Fprintf(w, "%s_sum %g\n", name, float64(s.Sum)*scale)
-	fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
 }

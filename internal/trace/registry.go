@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"fmt"
-	"io"
 	"sync"
 	"time"
 )
@@ -133,41 +131,4 @@ func (r *Registry) Latencies() Latencies {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.lat
-}
-
-// WriteMetrics renders the cumulative totals as Prometheus-style text
-// exposition: monotone counters plus p50/p90/p99 summaries of the merged
-// task, queue-wait, I/O round-trip, and batch-size distributions.
-func (r *Registry) WriteMetrics(w io.Writer) {
-	r.mu.Lock()
-	tot, lat := r.tot, r.lat
-	r.mu.Unlock()
-	metric := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		fmt.Fprintf(w, "%s %d\n", name, v)
-	}
-	metric("lakeharbor_jobs_total", "Jobs executed.", tot.Jobs)
-	metric("lakeharbor_jobs_failed_total", "Jobs that finished with an error.", tot.Failed)
-	metric("lakeharbor_tasks_total", "Executor pool tasks run.", tot.Tasks)
-	metric("lakeharbor_emits_total", "Stage outputs produced (records and pointers).", tot.Emits)
-	metric("lakeharbor_retries_total", "Dereferencer retries after transient failures.", tot.Retries)
-	metric("lakeharbor_task_errors_total", "Failed stage invocations.", tot.Errors)
-	metric("lakeharbor_slow_tasks_total", "Tasks exceeding the slow-task threshold.", tot.SlowTasks)
-	metric("lakeharbor_batches_total", "Dereference tasks dispatched (a batch may carry one pointer).", tot.Batches)
-	metric("lakeharbor_batched_pointers_total", "Pointers carried by dereference tasks; divide by batches for mean batch size.", tot.BatchedPtrs)
-	metric("lakeharbor_batch_splits_total", "Failed batches split into per-pointer retries.", tot.BatchSplits)
-	metric("lakeharbor_local_io_total", "Storage accesses served by the issuing node.", tot.LocalIO)
-	metric("lakeharbor_remote_io_total", "Cross-node storage fetches.", tot.RemoteIO)
-	metric("lakeharbor_timeline_events_dropped_total", "Timeline events overwritten by full event rings.", tot.EventsDropped)
-	fmt.Fprintf(w, "# HELP lakeharbor_busy_seconds_total Summed task execution time.\n"+
-		"# TYPE lakeharbor_busy_seconds_total counter\nlakeharbor_busy_seconds_total %g\n",
-		tot.Busy.Seconds())
-	fmt.Fprintf(w, "# HELP lakeharbor_job_seconds_total Summed job wall time.\n"+
-		"# TYPE lakeharbor_job_seconds_total counter\nlakeharbor_job_seconds_total %g\n",
-		tot.Wall.Seconds())
-	lat.Task.WriteSummary(w, "lakeharbor_task_seconds", "Task service time (TaskBegin to TaskEnd).", 1e-9)
-	lat.QueueWait.WriteSummary(w, "lakeharbor_queue_wait_seconds", "Enqueue-to-start queue wait.", 1e-9)
-	lat.IOLocal.WriteSummary(w, "lakeharbor_io_local_seconds", "Observed local storage round-trip time.", 1e-9)
-	lat.IORemote.WriteSummary(w, "lakeharbor_io_remote_seconds", "Observed cross-node storage round-trip time.", 1e-9)
-	lat.Batch.WriteSummary(w, "lakeharbor_batch_size", "Pointers per dereference task.", 1)
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -58,32 +57,5 @@ func TestRegistryMergesLatencies(t *testing.T) {
 	}
 	if lat.Task.Max != 300 {
 		t.Fatalf("merged task max = %d, want 300", lat.Task.Max)
-	}
-}
-
-func TestWriteMetricsSummaries(t *testing.T) {
-	r := NewRegistry(0)
-	var task, wait Histogram
-	task.Record(1_000_000) // 1ms
-	wait.Record(2_000_000)
-	r.Add(&Snapshot{
-		Job:           "j",
-		EventsDropped: 7,
-		Lat:           Latencies{Task: task.Snapshot(), QueueWait: wait.Snapshot()},
-	})
-	var b strings.Builder
-	r.WriteMetrics(&b)
-	out := b.String()
-	for _, want := range []string{
-		`lakeharbor_task_seconds{quantile="0.5"}`,
-		`lakeharbor_task_seconds{quantile="0.99"}`,
-		`lakeharbor_queue_wait_seconds{quantile="0.9"}`,
-		"lakeharbor_io_local_seconds_count 0",
-		"lakeharbor_batch_size_count 0",
-		"lakeharbor_timeline_events_dropped_total 7",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics output missing %q", want)
-		}
 	}
 }

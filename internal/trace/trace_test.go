@@ -152,18 +152,8 @@ func TestRegistryRingAndTotals(t *testing.T) {
 		t.Error("Get of unknown ID should be nil")
 	}
 
-	var b strings.Builder
-	r.WriteMetrics(&b)
-	out := b.String()
 	// Totals cover all three jobs even though the ring evicted one.
-	for _, want := range []string{
-		"lakeharbor_jobs_total 3",
-		"lakeharbor_jobs_failed_total 1",
-		"lakeharbor_tasks_total 3",
-		"# TYPE lakeharbor_jobs_total counter",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q:\n%s", want, out)
-		}
+	if tot := r.Totals(); tot.Jobs != 3 || tot.Failed != 1 || tot.Tasks != 3 {
+		t.Errorf("totals jobs/failed/tasks = %d/%d/%d, want 3/1/3", tot.Jobs, tot.Failed, tot.Tasks)
 	}
 }
