@@ -25,6 +25,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -37,6 +38,7 @@ import (
 	"lakeharbor/internal/dfs"
 	"lakeharbor/internal/indexer"
 	"lakeharbor/internal/lake"
+	"lakeharbor/internal/script"
 	"lakeharbor/internal/store"
 	"lakeharbor/internal/tpch"
 )
@@ -53,7 +55,9 @@ func main() {
 	case "verify":
 		cmdVerify(os.Args[2:])
 	case "restore":
-		cmdRestore(os.Args[2:])
+		if err := cmdRestore(os.Args[2:]); err != nil {
+			log.Fatal(err)
+		}
 	case "top":
 		cmdTop(os.Args[2:])
 	case "script":
@@ -68,48 +72,19 @@ func usage() {
 	os.Exit(2)
 }
 
-// buildStructures registers and builds the dataset's managed structures so
-// the snapshot carries a real registry.
-func buildStructures(ctx context.Context, cluster *dfs.Cluster, kind string) (*indexer.Manager, error) {
+// structureSpecs is the -kind → structure specs switch: what snapshot
+// builds, and what restore registers so Recover can adopt the checkpointed
+// entries.
+func structureSpecs(kind string) ([]indexer.Spec, error) {
 	switch kind {
 	case "tpch":
-		return tpch.BuildManaged(ctx, cluster, indexer.ManagerOptions{})
+		return tpch.StructureSpecs(), nil
 	case "claims":
-		m := indexer.NewManager(ctx, cluster, indexer.ManagerOptions{})
-		spec := claims.DiseaseIndexSpec()
-		if err := m.Register(spec); err != nil {
-			return nil, err
-		}
-		if _, err := m.Build(spec.Name); err != nil {
-			return nil, err
-		}
-		if err := m.Ensure(ctx, spec.Name); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-	return nil, nil
-}
-
-// registerSpecs registers (without building) the dataset kind's structure
-// specs on a manager, so Recover can adopt checkpointed entries.
-func registerSpecs(m *indexer.Manager, kind string) error {
-	switch kind {
-	case "tpch":
-		for _, spec := range tpch.StructureSpecs() {
-			if err := m.Register(spec); err != nil {
-				return err
-			}
-		}
-	case "claims":
-		if err := m.Register(claims.DiseaseIndexSpec()); err != nil {
-			return err
-		}
+		return []indexer.Spec{claims.DiseaseIndexSpec()}, nil
 	case "none":
-	default:
-		return fmt.Errorf("unknown -kind %q", kind)
+		return nil, nil
 	}
-	return nil
+	return nil, fmt.Errorf("unknown -kind %q", kind)
 }
 
 func cmdSnapshot(args []string) {
@@ -125,29 +100,29 @@ func cmdSnapshot(args []string) {
 	fs.Parse(args)
 	ctx := context.Background()
 	cluster := dfs.NewCluster(dfs.Config{Nodes: *nodes})
+	var err error
 	switch *kind {
 	case "tpch":
-		ds := tpch.Generate(tpch.Config{SF: *sf, Seed: *seed})
-		if err := tpch.Load(ctx, cluster, ds, 0); err != nil {
-			log.Fatal(err)
-		}
+		err = tpch.Load(ctx, cluster, tpch.Generate(tpch.Config{SF: *sf, Seed: *seed}), 0)
 	case "claims":
-		corpus := claims.Generate(claims.Config{Claims: *nClaims, Seed: *seed})
-		if err := claims.LoadLakeRaw(ctx, cluster, corpus, 0); err != nil {
-			log.Fatal(err)
-		}
+		err = claims.LoadLakeRaw(ctx, cluster, claims.Generate(claims.Config{Claims: *nClaims, Seed: *seed}), 0)
 	default:
-		log.Fatalf("unknown -kind %q", *kind)
+		err = fmt.Errorf("unknown -kind %q", *kind)
 	}
-	mgr, err := buildStructures(ctx, cluster, *kind)
 	if err != nil {
 		log.Fatal(err)
 	}
-	meta := &store.SnapshotMeta{CatalogVersion: cluster.CatalogVersion()}
-	if mgr != nil {
-		meta.Structures = mgr.PersistEntries()
+	specs, _ := structureSpecs(*kind)
+	mgr := indexer.NewManager(ctx, cluster, indexer.ManagerOptions{})
+	for _, spec := range specs {
+		if err := mgr.Register(spec); err != nil {
+			log.Fatal(err)
+		}
 	}
-	if err := store.CheckpointToPath(ctx, cluster, meta, *out); err != nil {
+	if err := mgr.EnsureAll(ctx); err != nil {
+		log.Fatal(err)
+	}
+	if err := store.Checkpoint(ctx, *out, cluster, mgr, script.NewRegistry(script.Limits{})); err != nil {
 		log.Fatal(err)
 	}
 	st, err := os.Stat(*out)
@@ -155,7 +130,7 @@ func cmdSnapshot(args []string) {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (%d bytes, %d files, %d structures, catalog v%d)\n",
-		*out, st.Size(), len(cluster.FileNames()), len(meta.Structures), meta.CatalogVersion)
+		*out, st.Size(), len(cluster.FileNames()), len(specs), cluster.CatalogVersion())
 }
 
 func cmdInspect(args []string) {
@@ -233,12 +208,12 @@ func cmdVerify(args []string) {
 }
 
 // cmdRestore recovers a lake from its durable state — a snapshot plus an
-// optional WAL tail — exactly the way lakeserve boots: restore, replay,
-// then adopt the checkpointed structure registry without rebuilding. With
-// -out it writes the recovered state back as a fresh checkpoint, compacting
-// the WAL into the snapshot offline.
-func cmdRestore(args []string) {
-	fs := flag.NewFlagSet("restore", flag.ExitOnError)
+// optional WAL tail — through store.Recover, exactly the way lakeserve
+// boots. With -out it writes the recovered state (scripts and bindings
+// included) back as a fresh checkpoint, compacting the WAL into the
+// snapshot offline.
+func cmdRestore(args []string) error {
+	fs := flag.NewFlagSet("restore", flag.ContinueOnError)
 	var (
 		data  = fs.String("data", "", "lakeserve data directory (reads DIR/snap.lake and DIR/wal.log)")
 		in    = fs.String("in", "", "snapshot path (alternative to -data)")
@@ -247,73 +222,67 @@ func cmdRestore(args []string) {
 		out   = fs.String("out", "", "write the recovered state as a fresh compacted snapshot")
 		nodes = fs.Int("nodes", 4, "simulated cluster nodes")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	snapPath, walPath := *in, *walIn
 	if *data != "" {
 		if snapPath == "" {
 			snapPath = filepath.Join(*data, "snap.lake")
 		}
-		if walPath == "" {
-			walPath = filepath.Join(*data, "wal.log")
+		// An explicitly named WAL must exist; the -data default may not.
+		if p := filepath.Join(*data, "wal.log"); walPath == "" {
+			if _, err := os.Stat(p); err == nil {
+				walPath = p
+			}
 		}
 	}
 	if snapPath == "" {
-		log.Fatal("restore: need -data DIR or -in SNAPSHOT")
+		return errors.New("restore: need -data DIR or -in SNAPSHOT")
+	}
+	specs, err := structureSpecs(*kind)
+	if err != nil {
+		return fmt.Errorf("restore: %w", err)
 	}
 	ctx := context.Background()
 	cluster := dfs.NewCluster(dfs.Config{Nodes: *nodes})
-	start := time.Now()
-	meta, err := store.ReadSnapshotFromPath(ctx, snapPath, cluster)
-	if err != nil {
-		log.Fatalf("restore: %v", err)
-	}
-	walRecords := 0
-	if walPath != "" {
-		if _, err := os.Stat(walPath); err == nil {
-			walRecords, err = store.ReplayWAL(ctx, walPath, cluster)
-			if err != nil {
-				log.Fatalf("restore: replay %s: %v", walPath, err)
-			}
-		} else if *walIn != "" {
-			// An explicitly named WAL must exist; the -data default may not.
-			log.Fatalf("restore: %v", err)
+	mgr := indexer.NewManager(ctx, cluster, indexer.ManagerOptions{})
+	for _, spec := range specs {
+		if err := mgr.Register(spec); err != nil {
+			return fmt.Errorf("restore: %w", err)
 		}
 	}
-	mgr := indexer.NewManager(ctx, cluster, indexer.ManagerOptions{})
-	if err := registerSpecs(mgr, *kind); err != nil {
-		log.Fatalf("restore: %v", err)
+	scripts := script.NewRegistry(script.Limits{})
+	rec, err := store.Recover(ctx, snapPath, walPath, cluster, mgr, scripts)
+	if err != nil {
+		return fmt.Errorf("restore: %w", err)
 	}
-	st := mgr.Recover(meta.Structures)
 	total := 0
 	for _, name := range cluster.FileNames() {
 		n, err := cluster.Len(name)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		total += n
 	}
-	fmt.Printf("restored %s: %d files, %d records, %d WAL records replayed, "+
+	st := rec.Structures
+	fmt.Printf("restored %s: %d files, %d records, %d WAL records replayed, %d scripts, "+
 		"%d structures ready / %d evicted / %d skipped (catalog v%d) in %v\n",
-		snapPath, len(cluster.FileNames()), total, walRecords,
-		st.Recovered, st.Evicted, st.Skipped, meta.CatalogVersion, time.Since(start).Round(time.Millisecond))
+		snapPath, len(cluster.FileNames()), total, rec.WALRecords, rec.Scripts,
+		st.Recovered, st.Evicted, st.Skipped, rec.CatalogVersion, rec.Duration.Round(time.Millisecond))
 	if st.RebuildCostSaved > 0 {
 		fmt.Printf("rebuild cost saved: %.0f\n", st.RebuildCostSaved)
 	}
-	if *out != "" {
-		outMeta := &store.SnapshotMeta{
-			CatalogVersion: meta.CatalogVersion,
-			Structures:     mgr.PersistEntries(),
-		}
-		if outMeta.CatalogVersion < cluster.CatalogVersion() {
-			outMeta.CatalogVersion = cluster.CatalogVersion()
-		}
-		if err := store.CheckpointToPath(ctx, cluster, outMeta, *out); err != nil {
-			log.Fatalf("restore: checkpoint: %v", err)
-		}
-		fst, err := os.Stat(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("compacted into %s (%d bytes)\n", *out, fst.Size())
+	if *out == "" {
+		return nil
 	}
+	if err := store.Checkpoint(ctx, *out, cluster, mgr, scripts); err != nil {
+		return fmt.Errorf("restore: checkpoint: %w", err)
+	}
+	fst, err := os.Stat(*out)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("compacted into %s (%d bytes)\n", *out, fst.Size())
+	return nil
 }

@@ -17,12 +17,14 @@
 //	curl 'localhost:8080/v1/lookup?file=orders&key=int:7'
 //	curl 'localhost:8080/v1/range?file=orders_date_idx&lo=int:0&hi=int:30&limit=5'
 //
-// Generated datasets build their structures through the lifecycle manager,
-// so GET /v1/structures lists them and POST /v1/structures/{name}/evict or
-// /build exercises eviction and rebuild-on-demand over HTTP. With -budget N
-// the manager keeps at most N modeled bytes of structures resident (cold
-// ones are evicted; re-building is a POST away). Snapshot restores carry no
-// structure registry, so those servers run without lifecycle endpoints.
+// Every lakeserve registers its -kind's structure specs with one lifecycle
+// manager, which keeps each ready structure in sync with POST /v1/ingest.
+// Generated datasets build the structures through it; -snapshot recovers a
+// snapshot (with no WAL) and adopts its structure registry. GET
+// /v1/structures lists them and POST /v1/structures/{name}/evict or /build
+// exercises eviction and rebuild-on-demand over HTTP. With -budget N the
+// manager keeps at most N modeled bytes of structures resident (cold ones
+// are evicted; re-building is a POST away).
 //
 // Every lakeserve accepts post-hoc scripted access methods: POST
 // /v1/scripts registers a sandboxed script (compiled and validated at
@@ -33,14 +35,14 @@
 // bindings ride the checkpoint as source text: recovery re-compiles them
 // and re-adopts their structures without rebuilding.
 //
-// With -data DIR the server is durable: on boot it recovers from
-// DIR/snap.lake + DIR/wal.log when they exist (structures come back ready
-// without rebuilding, recovery stats land in /debug/metrics), otherwise it
-// generates the dataset and writes the initial checkpoint. While serving,
-// ingests are WAL-logged write-ahead, catalog mutations are versioned and
-// WAL-logged through the catalog service, and checkpoints are taken
-// periodically (-interval), after every structure build finalizes, and on
-// SIGINT/SIGTERM before exit.
+// With -data DIR the server is durable: when DIR/snap.lake exists it
+// recovers from it and DIR/wal.log through store.Recover (structures come
+// back ready and maintained without rebuilding, recovery stats land in
+// /debug/metrics), otherwise it loads the dataset and writes the initial
+// checkpoint. While serving, ingests are WAL-logged write-ahead, catalog
+// mutations are versioned and WAL-logged through the catalog service, and
+// checkpoints are taken periodically (-interval), after every structure
+// build finalizes, and on SIGINT/SIGTERM before exit.
 //
 // With -nodes host:port,... the data plane is real: each address is a
 // running lakenode process (cmd/lakenode) and partition data lives behind
@@ -78,6 +80,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -109,38 +112,58 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], nil); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run boots a server from its command-line flags and serves on ln (nil
+// listens on -addr) until ctx is cancelled; a durable server then writes
+// its shutdown checkpoint before run returns.
+func run(ctx context.Context, args []string, ln net.Listener) error {
+	fs := flag.NewFlagSet("lakeserve", flag.ContinueOnError)
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		kind     = flag.String("kind", "tpch", "demo dataset: tpch | claims")
-		snapshot = flag.String("snapshot", "", "restore this snapshot instead of generating data")
-		dataDir  = flag.String("data", "", "durable data directory (snap.lake + wal.log): recover on boot, checkpoint while serving")
-		interval = flag.Duration("interval", 30*time.Second, "periodic checkpoint interval with -data (0 = only on signal and build)")
-		sf       = flag.Float64("sf", 0.1, "TPC-H micro scale factor")
-		nClaims  = flag.Int("claims", 10000, "number of claims")
-		nodes    = flag.String("nodes", "4", "simulated node count, or comma-separated lakenode addresses (host:port,...) for a networked data plane")
-		seed     = flag.Int64("seed", 1, "generator seed")
-		budget   = flag.Int64("budget", 0, "structure residency budget in modeled bytes (0 = unlimited)")
-		tenants  = flag.String("tenants", "", "multi-tenant admission: name:weight[:maxInFlight[:maxJobs]],... — job endpoints then require X-Lake-Tenant and share one scheduler")
-		workers  = flag.Int("workers", 0, "cluster-wide worker ceiling for the shared scheduler (0 = sched default; needs -tenants)")
-		shed     = flag.Int("shed", 0, "queued-task depth above which job admission sheds with 429 (0 = sched default, negative = never; needs -tenants)")
-		scrape   = flag.String("scrape", "", "comma-separated lakenode debug addresses (host:port,...) to federate into /debug/metrics as lakeharbor_cluster_* series")
-		scrapeIv = flag.Duration("scrape-interval", 2*time.Second, "node scrape interval with -scrape")
-		enablePP = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		scrSteps = flag.Int64("script-steps", script.DefaultSteps, "per-invocation step budget for registered scripts")
-		scrAlloc = flag.Int64("script-alloc", script.DefaultAllocBytes, "per-invocation allocation budget in bytes for registered scripts")
+		addr     = fs.String("addr", ":8080", "listen address")
+		kind     = fs.String("kind", "tpch", "demo dataset, and the structure specs to register: tpch | claims")
+		snapshot = fs.String("snapshot", "", "recover this snapshot (no WAL) instead of generating data")
+		dataDir  = fs.String("data", "", "durable data directory (snap.lake + wal.log): recover on boot, checkpoint while serving")
+		interval = fs.Duration("interval", 30*time.Second, "periodic checkpoint interval with -data (0 = only on signal and build)")
+		sf       = fs.Float64("sf", 0.1, "TPC-H micro scale factor")
+		nClaims  = fs.Int("claims", 10000, "number of claims")
+		nodes    = fs.String("nodes", "4", "simulated node count, or comma-separated lakenode addresses (host:port,...) for a networked data plane")
+		seed     = fs.Int64("seed", 1, "generator seed")
+		budget   = fs.Int64("budget", 0, "structure residency budget in modeled bytes (0 = unlimited)")
+		tenants  = fs.String("tenants", "", "multi-tenant admission: name:weight[:maxInFlight[:maxJobs]],... — job endpoints then require X-Lake-Tenant and share one scheduler")
+		workers  = fs.Int("workers", 0, "cluster-wide worker ceiling for the shared scheduler (0 = sched default; needs -tenants)")
+		shed     = fs.Int("shed", 0, "queued-task depth above which job admission sheds with 429 (0 = sched default, negative = never; needs -tenants)")
+		scrape   = fs.String("scrape", "", "comma-separated lakenode debug addresses (host:port,...) to federate into /debug/metrics as lakeharbor_cluster_* series")
+		scrapeIv = fs.Duration("scrape-interval", 2*time.Second, "node scrape interval with -scrape")
+		enablePP = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
+		scrSteps = fs.Int64("script-steps", script.DefaultSteps, "per-invocation step budget for registered scripts")
+		scrAlloc = fs.Int64("script-alloc", script.DefaultAllocBytes, "per-invocation allocation budget in bytes for registered scripts")
 	)
-	flag.Parse()
-	ctx := context.Background()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	specs, err := structureSpecs(*kind)
+	if err != nil {
+		return err
+	}
+	if *tenants == "" && (*workers != 0 || *shed != 0) {
+		return errors.New("lakeserve: -workers/-shed need -tenants")
+	}
 	cluster, netStats, err := buildCluster(*nodes)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if netStats != nil {
 		// Durability and snapshot restore stay with the sim data plane: the
 		// WAL/checkpoint machinery owns local partitions, while a networked
 		// cluster's partitions live inside the lakenode processes.
 		if *dataDir != "" || *snapshot != "" {
-			log.Fatal("lakeserve: -data and -snapshot require a simulated data plane (integer -nodes)")
+			return errors.New("lakeserve: -data and -snapshot require a simulated data plane (integer -nodes)")
 		}
 		fmt.Printf("networked data plane: %s\n", *nodes)
 	}
@@ -149,140 +172,75 @@ func main() {
 	// lakeserve, durable or not. The budgets are server policy, not script
 	// data, so they come from flags rather than the snapshot.
 	scriptReg := script.NewRegistry(script.Limits{Steps: *scrSteps, AllocBytes: *scrAlloc})
-
-	var pers *persistence
-	if *dataDir != "" {
-		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		pers = &persistence{dir: *dataDir, cluster: cluster, trigger: make(chan struct{}, 1)}
-	}
 	adv := advisor.New(cluster, advisor.Config{})
-	mopts := indexer.ManagerOptions{
+	// Every structure that finishes building requests a checkpoint, so it
+	// reaches the snapshot promptly (coalescing with one already pending).
+	trigger := make(chan struct{}, 1)
+	// Builds and index maintenance outlive the serving context: shutdown
+	// stops serving, then checkpoints the structures it leaves behind.
+	mgr := indexer.NewManager(context.WithoutCancel(ctx), cluster, indexer.ManagerOptions{
 		StructureBudget: *budget,
 		RebuildCost:     adv.BuildCostNs,
-		OnFinalize: func(name string, st indexer.State) {
-			if st == indexer.StateReady && pers != nil {
-				pers.requestCheckpoint()
+		OnFinalize: func(_ string, st indexer.State) {
+			if st == indexer.StateReady {
+				select {
+				case trigger <- struct{}{}:
+				default:
+				}
 			}
 		},
+	})
+	for _, spec := range specs {
+		if err := mgr.Register(spec); err != nil {
+			return err
+		}
 	}
 
-	var (
-		mgr       *indexer.Manager
-		recovered bool
-		recInfo   httpapi.RecoveryInfo
-	)
-	if pers != nil {
-		if _, err := os.Stat(pers.snapPath()); err == nil {
-			start := time.Now()
-			meta, err := store.ReadSnapshotFromPath(ctx, pers.snapPath(), cluster)
-			if err != nil {
-				log.Fatalf("recover: snapshot: %v", err)
-			}
-			snapFiles := len(cluster.FileNames())
-			applied := 0
-			if _, err := os.Stat(pers.walPath()); err == nil {
-				applied, err = store.ReplayWAL(ctx, pers.walPath(), cluster)
-				if err != nil {
-					log.Fatalf("recover: wal replay: %v", err)
-				}
-			}
-			// Compiled specs are re-registered from code (their extractor
-			// functions cannot be serialized); scripted specs come back from
-			// the snapshot itself — sources re-compile into the registry and
-			// bindings re-resolve into Specs. Recover then matches the
-			// checkpointed registry entries by name and adopts the restored
-			// structures, scripted and compiled alike, without rebuilding.
-			mgr = managerFor(ctx, cluster, *kind, mopts)
-			for _, pe := range meta.Scripts {
-				if _, err := scriptReg.Put(pe.Name, pe.Source); err != nil {
-					log.Fatalf("recover: script %q: %v", pe.Name, err)
-				}
-			}
-			if len(meta.ScriptSpecs) > 0 && mgr == nil {
-				mgr = indexer.NewManager(ctx, cluster, mopts)
-			}
-			for _, b := range meta.ScriptSpecs {
-				spec, err := scriptReg.Bind(b)
-				if err != nil {
-					log.Fatalf("recover: script binding %q: %v", b.Structure, err)
-				}
-				if err := mgr.Register(spec); err != nil {
-					log.Fatalf("recover: script structure %q: %v", b.Structure, err)
-				}
-			}
-			var stats indexer.RecoverStats
-			if mgr != nil {
-				stats = mgr.Recover(meta.Structures)
-			}
-			recovered = true
-			recInfo = httpapi.RecoveryInfo{
-				Recovered:         true,
-				SnapshotFiles:     snapFiles,
-				WALRecords:        applied,
-				StructuresReady:   stats.Recovered,
-				StructuresEvicted: stats.Evicted,
-				CatalogVersion:    meta.CatalogVersion,
-				Duration:          time.Since(start),
-			}
-			fmt.Printf("recovered %s: %d files, %d WAL records, %d structures ready / %d evicted, %d scripts (catalog v%d) in %v\n",
-				*dataDir, snapFiles, applied, stats.Recovered, stats.Evicted, len(meta.Scripts),
-				meta.CatalogVersion, recInfo.Duration.Round(time.Millisecond))
+	snapPath, walPath := *snapshot, ""
+	dataSnap, dataWAL := filepath.Join(*dataDir, "snap.lake"), filepath.Join(*dataDir, "wal.log")
+	if *dataDir != "" {
+		if _, err := os.Stat(dataSnap); err == nil {
+			snapPath, walPath = dataSnap, dataWAL
 		}
 	}
-	if !recovered {
-		switch {
-		case *snapshot != "":
-			if err := store.RestoreFromPath(ctx, *snapshot, cluster); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("restored %s (%d files)\n", *snapshot, len(cluster.FileNames()))
-		case *kind == "tpch":
-			ds := tpch.Generate(tpch.Config{SF: *sf, Seed: *seed})
-			if err := tpch.Load(ctx, cluster, ds, 0); err != nil {
-				log.Fatal(err)
-			}
-			m, err := tpch.BuildManaged(ctx, cluster, mopts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			mgr = m
-			fmt.Printf("loaded TPC-H SF=%g with managed structures\n", *sf)
-		case *kind == "claims":
-			corpus := claims.Generate(claims.Config{Claims: *nClaims, Seed: *seed})
-			if err := claims.LoadLakeRaw(ctx, cluster, corpus, 0); err != nil {
-				log.Fatal(err)
-			}
-			mgr = managerFor(ctx, cluster, *kind, mopts)
-			if err := mgr.Ensure(ctx, claims.IdxClaimsDise); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("loaded %d claims with managed disease index\n", *nClaims)
-		default:
-			log.Fatalf("unknown -kind %q", *kind)
+	var rec *store.Recovery
+	if snapPath != "" {
+		if rec, err = store.Recover(ctx, snapPath, walPath, cluster, mgr, scriptReg); err != nil {
+			return fmt.Errorf("lakeserve: recover %s: %w", snapPath, err)
 		}
+		fmt.Printf("recovered %s: %d files, %d WAL records, %d structures ready / %d evicted, %d scripts (catalog v%d) in %v\n",
+			snapPath, rec.SnapshotFiles, rec.WALRecords, rec.Structures.Recovered, rec.Structures.Evicted,
+			rec.Scripts, rec.CatalogVersion, rec.Duration.Round(time.Millisecond))
+	} else {
+		if *kind == "tpch" {
+			err = tpch.Load(ctx, cluster, tpch.Generate(tpch.Config{SF: *sf, Seed: *seed}), 0)
+		} else {
+			err = claims.LoadLakeRaw(ctx, cluster, claims.Generate(claims.Config{Claims: *nClaims, Seed: *seed}), 0)
+		}
+		if err == nil {
+			err = mgr.EnsureAll(ctx)
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Printf("loaded %s with %d managed structures\n", *kind, len(mgr.Names()))
 	}
 
 	api := httpapi.New(cluster)
 	if *tenants != "" {
 		cfgs, err := parseTenants(*tenants)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		scheduler, err := sched.New(sched.Options{Workers: *workers, ShedDepth: *shed}, cfgs...)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		api.AttachScheduler(scheduler)
 		fmt.Printf("multi-tenant admission: %d tenants, %d-worker shared pool (set %s on job requests)\n",
 			len(cfgs), scheduler.Stats().Workers, httpapi.TenantHeader)
-	} else if *workers != 0 || *shed != 0 {
-		log.Fatal("lakeserve: -workers/-shed need -tenants")
 	}
-	if mgr != nil {
-		api.AttachStructures(mgr)
-	}
+	api.AttachStructures(mgr)
 	api.AttachScripts(scriptReg)
 	if netStats != nil {
 		api.AttachCollector(netStats)
@@ -296,44 +254,40 @@ func main() {
 		api.AttachCollector(federator)
 		fmt.Printf("federating node metrics from %s every %v\n", *scrape, *scrapeIv)
 	}
-	if pers != nil {
-		wal, err := store.OpenWAL(pers.walPath())
-		if err != nil {
-			log.Fatal(err)
+	api.AttachRecovery(rec) // nil when the lake was generated
+	var handler http.Handler = api
+	var pers *persistence
+	if *dataDir != "" {
+		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
+			return err
 		}
-		pers.wal = wal
-		pers.mgr = mgr
-		pers.scripts = scriptReg
-		pers.svc = catalog.Attach(cluster, wal)
+		wal, err := store.OpenWAL(dataWAL)
+		if err != nil {
+			return err
+		}
+		defer wal.Close()
+		pers = &persistence{snap: dataSnap, cluster: cluster, wal: wal, mgr: mgr, scripts: scriptReg,
+			trigger: trigger, stopped: make(chan struct{})}
+		svc := catalog.Attach(cluster, wal)
 		// Rebuild-cost modeling now reads transactional catalog snapshots
 		// instead of racing the live catalog.
-		adv.AttachCatalog(pers.svc)
+		adv.AttachCatalog(svc)
 		// The initial checkpoint covers everything loaded or recovered so
-		// far and empties the WAL; from here on the log only carries the
-		// delta since the latest checkpoint.
-		if err := pers.checkpoint(ctx); err != nil {
-			log.Fatalf("initial checkpoint: %v", err)
+		// far, the boot's builds included, and empties the WAL; from here on
+		// the log only carries the delta since the latest checkpoint.
+		if err := pers.checkpoint(); err != nil {
+			return fmt.Errorf("lakeserve: initial checkpoint: %w", err)
+		}
+		select {
+		case <-trigger:
+		default:
 		}
 		go pers.loop(ctx, *interval)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sig
-			if err := pers.checkpoint(ctx); err != nil {
-				log.Printf("shutdown checkpoint: %v", err)
-				os.Exit(1)
-			}
-			fmt.Println("checkpointed; exiting")
-			os.Exit(0)
-		}()
 		api.SetIngestHook(pers.logIngest)
-		api.AttachCatalog(pers.svc)
-		if recovered {
-			api.AttachRecovery(recInfo)
-		}
+		api.AttachCatalog(svc)
+		handler = pers.guard(api)
 		fmt.Printf("durable in %s (checkpoint interval %v)\n", *dataDir, *interval)
 	}
-	var handler http.Handler = api
 	if *enablePP {
 		// Wrap the API in an outer mux so the profiler rides the same
 		// listener without importing pprof's side-effect registration into
@@ -348,8 +302,46 @@ func main() {
 		handler = mux
 		fmt.Println("pprof enabled under /debug/pprof/")
 	}
-	fmt.Printf("serving LakeHarbor API on %s\n", *addr)
-	log.Fatal(http.ListenAndServe(*addr, handler))
+	if ln == nil {
+		if ln, err = net.Listen("tcp", *addr); err != nil {
+			return err
+		}
+	}
+	srv := &http.Server{Handler: handler}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	fmt.Printf("serving LakeHarbor API on %s\n", ln.Addr())
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	// Finish in-flight requests, then checkpoint what they left behind.
+	shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
+	defer cancel()
+	err = srv.Shutdown(shutdownCtx) // a timeout still gets the checkpoint
+	if pers == nil {
+		return err
+	}
+	<-pers.stopped
+	if err := pers.checkpoint(); err != nil {
+		return fmt.Errorf("lakeserve: shutdown checkpoint: %w", err)
+	}
+	fmt.Println("checkpointed; exiting")
+	return err
+}
+
+// structureSpecs is the -kind → structure specs switch: the compiled access
+// methods every lakeserve of that kind registers, whether it generates the
+// data or recovers it.
+func structureSpecs(kind string) ([]indexer.Spec, error) {
+	switch kind {
+	case "tpch":
+		return tpch.StructureSpecs(), nil
+	case "claims":
+		return []indexer.Spec{claims.DiseaseIndexSpec()}, nil
+	}
+	return nil, fmt.Errorf("lakeserve: unknown -kind %q", kind)
 }
 
 // parseTenants turns a -tenants spec — comma-separated
@@ -416,91 +408,57 @@ func buildCluster(spec string) (*dfs.Cluster, *nodenet.Stats, error) {
 	return cluster, stats, nil
 }
 
-// managerFor builds a lifecycle manager with the demo dataset's structure
-// specs registered (not built) — the registrations recovery matches
-// checkpointed entries against. Returns nil for kinds without specs.
-func managerFor(ctx context.Context, cluster *dfs.Cluster, kind string, mopts indexer.ManagerOptions) *indexer.Manager {
-	switch kind {
-	case "tpch":
-		m := indexer.NewManager(ctx, cluster, mopts)
-		for _, spec := range tpch.StructureSpecs() {
-			if err := m.Register(spec); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return m
-	case "claims":
-		m := indexer.NewManager(ctx, cluster, mopts)
-		if err := m.Register(claims.DiseaseIndexSpec()); err != nil {
-			log.Fatal(err)
-		}
-		return m
-	default:
-		return nil
-	}
-}
-
-// persistence ties the durable pieces together: one mutex brackets
-// {snapshot atomically, truncate WAL} against concurrent ingest logging, so
-// a record is always covered by exactly one of checkpoint or log.
+// persistence ties the durable pieces together. Ingests hold mu shared
+// from their WAL append to their cluster append, and a checkpoint holds it
+// alone from its snapshot to the WAL truncate, so every acknowledged record
+// is covered by exactly one of checkpoint or log.
 type persistence struct {
-	dir     string
+	snap    string // the checkpoint's path
 	cluster *dfs.Cluster
 	wal     *store.WAL
 	mgr     *indexer.Manager
 	scripts *script.Registry
-	svc     *catalog.Service
 	trigger chan struct{}
+	stopped chan struct{} // closed once loop has returned
 
-	mu sync.Mutex
+	mu sync.RWMutex
 }
 
-func (p *persistence) snapPath() string { return filepath.Join(p.dir, "snap.lake") }
-func (p *persistence) walPath() string  { return filepath.Join(p.dir, "wal.log") }
+// guard makes each POST /v1/ingest one step with respect to checkpoints.
+func (p *persistence) guard(api http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/ingest" {
+			p.mu.RLock()
+			defer p.mu.RUnlock()
+		}
+		api.ServeHTTP(w, r)
+	})
+}
 
 // logIngest is the write-ahead ingest hook: the record is framed, flushed,
 // and fsynced before httpapi applies it to the cluster.
 func (p *persistence) logIngest(file string, partKey lake.Key, rec lake.Record) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if err := p.wal.Append(file, partKey, rec); err != nil {
 		return err
 	}
 	return p.wal.Sync()
 }
 
-// checkpoint writes an atomic v3 snapshot (files + catalog version +
-// structure registry + scripts and their bindings) and truncates the WAL
-// under the same lock.
-func (p *persistence) checkpoint(ctx context.Context) error {
+// checkpoint writes the lake's durable state (store.Checkpoint) and
+// truncates the WAL it now covers. Its context is never cancelled: a
+// shutdown checkpoint must finish.
+func (p *persistence) checkpoint() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	meta := &store.SnapshotMeta{CatalogVersion: p.cluster.CatalogVersion()}
-	if p.mgr != nil {
-		meta.Structures = p.mgr.PersistEntries()
-	}
-	if p.scripts != nil {
-		meta.Scripts = p.scripts.PersistScripts()
-		meta.ScriptSpecs = p.scripts.Bindings()
-	}
-	if err := store.CheckpointToPath(ctx, p.cluster, meta, p.snapPath()); err != nil {
+	if err := store.Checkpoint(context.Background(), p.snap, p.cluster, p.mgr, p.scripts); err != nil {
 		return err
 	}
 	return p.wal.Truncate()
 }
 
-// requestCheckpoint schedules an asynchronous checkpoint (coalescing with
-// one already pending). Build finalization calls it so freshly built
-// structures reach the snapshot promptly.
-func (p *persistence) requestCheckpoint() {
-	select {
-	case p.trigger <- struct{}{}:
-	default:
-	}
-}
-
-// loop runs periodic and requested checkpoints.
+// loop runs periodic and requested checkpoints until ctx is cancelled.
 func (p *persistence) loop(ctx context.Context, every time.Duration) {
+	defer close(p.stopped)
 	var tick <-chan time.Time
 	if every > 0 {
 		t := time.NewTicker(every)
@@ -509,6 +467,8 @@ func (p *persistence) loop(ctx context.Context, every time.Duration) {
 	}
 	for {
 		select {
+		case <-ctx.Done():
+			return
 		case <-tick:
 		case <-p.trigger:
 			// Brief settle so a burst of build finalizations coalesces into
@@ -523,7 +483,7 @@ func (p *persistence) loop(ctx context.Context, every time.Duration) {
 				break
 			}
 		}
-		if err := p.checkpoint(ctx); err != nil {
+		if err := p.checkpoint(); err != nil {
 			log.Printf("checkpoint: %v", err)
 		}
 	}

@@ -105,6 +105,14 @@ func (c *Cluster) CatalogVersion() uint64 {
 	return c.version
 }
 
+// AdvanceCatalogVersion raises the catalog version to v when it is lower:
+// a restored snapshot continues the version sequence it was taken at.
+func (c *Cluster) AdvanceCatalogVersion(v uint64) {
+	c.mu.Lock()
+	c.version = max(c.version, v)
+	c.mu.Unlock()
+}
+
 // AppendListener observes every record appended to any file; the structure
 // maintainer uses it to keep built indexes in sync with new data. Listeners
 // run synchronously on the appending goroutine — under the appended

@@ -29,6 +29,7 @@ import (
 	"lakeharbor/internal/lake"
 	"lakeharbor/internal/sched"
 	"lakeharbor/internal/script"
+	"lakeharbor/internal/store"
 	"lakeharbor/internal/trace"
 )
 
@@ -40,7 +41,7 @@ type Server struct {
 	structures *indexer.Manager // nil until AttachStructures
 	scripts    *script.Registry // nil until AttachScripts
 	catalog    *catalog.Service // nil until AttachCatalog
-	recovery   *RecoveryInfo    // nil until AttachRecovery
+	recovery   *store.Recovery  // nil until AttachRecovery
 	ingestHook IngestHook       // nil unless SetIngestHook
 	sched      *sched.Scheduler // nil until AttachScheduler
 	collectors []Collector      // attached /debug/metrics collectors

@@ -163,15 +163,11 @@ func (s *Server) collectPersistence(w *obs.Writer) {
 	if rec == nil {
 		return
 	}
-	recovered := 0.0
-	if rec.Recovered {
-		recovered = 1
-	}
-	w.Sample(recoveryRecovered, recovered)
+	w.Sample(recoveryRecovered, 1)
 	w.Sample(recoverySnapshotFiles, float64(rec.SnapshotFiles))
 	w.Sample(recoveryWALRecords, float64(rec.WALRecords))
-	w.Sample(recoveryStructuresReady, float64(rec.StructuresReady))
-	w.Sample(recoveryStructuresEvicted, float64(rec.StructuresEvicted))
+	w.Sample(recoveryStructuresReady, float64(rec.Structures.Recovered))
+	w.Sample(recoveryStructuresEvicted, float64(rec.Structures.Evicted))
 	w.Sample(recoveryCatalogVersion, float64(rec.CatalogVersion))
 	w.Sample(recoveryDuration, rec.Duration.Seconds())
 }

@@ -106,7 +106,7 @@ func scrapeDeployment(t *testing.T) (serve, sidecar string) {
 		t.Fatal(err)
 	}
 	api.AttachCatalog(catalog.Attach(cluster, wal))
-	api.AttachRecovery(RecoveryInfo{Recovered: true})
+	api.AttachRecovery(&store.Recovery{})
 	reg := script.NewRegistry(script.Limits{})
 	if _, err := reg.Put("probe", `fn keep(key, data) { return true }`); err != nil {
 		t.Fatal(err)

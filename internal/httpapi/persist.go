@@ -3,10 +3,10 @@ package httpapi
 import (
 	"fmt"
 	"net/http"
-	"time"
 
 	"lakeharbor/internal/catalog"
 	"lakeharbor/internal/lake"
+	"lakeharbor/internal/store"
 )
 
 // IngestHook is called for every record accepted by POST /v1/ingest, before
@@ -22,27 +22,9 @@ func (s *Server) SetIngestHook(fn IngestHook) { s.ingestHook = fn }
 // /debug/metrics gains a lakeharbor_catalog_version gauge.
 func (s *Server) AttachCatalog(svc *catalog.Service) { s.catalog = svc }
 
-// RecoveryInfo summarizes one boot-time recovery for /debug/metrics.
-type RecoveryInfo struct {
-	// Recovered reports that the server booted from a checkpoint rather
-	// than loading fresh data.
-	Recovered bool
-	// SnapshotFiles is the number of files the snapshot restored.
-	SnapshotFiles int
-	// WALRecords is the number of records the WAL replay re-applied.
-	WALRecords int
-	// StructuresReady and StructuresEvicted count structures recovered into
-	// each state without rebuilding.
-	StructuresReady   int
-	StructuresEvicted int
-	// CatalogVersion is the catalog version the checkpoint carried.
-	CatalogVersion uint64
-	// Duration is the total restore + replay + structure-recovery time.
-	Duration time.Duration
-}
-
-// AttachRecovery publishes boot-time recovery stats on /debug/metrics.
-func (s *Server) AttachRecovery(info RecoveryInfo) { s.recovery = &info }
+// AttachRecovery publishes a boot-time recovery's outcome on
+// /debug/metrics; nil publishes nothing.
+func (s *Server) AttachRecovery(rec *store.Recovery) { s.recovery = rec }
 
 func (s *Server) handleCatalogVersion(w http.ResponseWriter, r *http.Request) {
 	if s.catalog == nil {

@@ -15,8 +15,10 @@ import (
 
 	"lakeharbor/internal/catalog"
 	"lakeharbor/internal/dfs"
+	"lakeharbor/internal/indexer"
 	"lakeharbor/internal/keycodec"
 	"lakeharbor/internal/lake"
+	"lakeharbor/internal/store"
 )
 
 // Tests for the durable-serving surfaces: the versioned-catalog endpoint,
@@ -125,9 +127,9 @@ func TestPersistenceMetrics(t *testing.T) {
 	svc := catalog.Attach(c, nil)
 	api := New(c)
 	api.AttachCatalog(svc)
-	api.AttachRecovery(RecoveryInfo{
-		Recovered: true, SnapshotFiles: 3, WALRecords: 17,
-		StructuresReady: 2, StructuresEvicted: 1,
+	api.AttachRecovery(&store.Recovery{
+		SnapshotFiles: 3, WALRecords: 17,
+		Structures:     indexer.RecoverStats{Recovered: 2, Evicted: 1},
 		CatalogVersion: 9, Duration: 5 * time.Millisecond,
 	})
 	srv := httptest.NewServer(api)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -234,42 +235,21 @@ func TestScriptedStructureSurvivesRestart(t *testing.T) {
 	}
 
 	// Checkpoint exactly what lakeserve persists.
-	meta := &store.SnapshotMeta{
-		CatalogVersion: c.CatalogVersion(),
-		Structures:     m.PersistEntries(),
-		Scripts:        reg.PersistScripts(),
-		ScriptSpecs:    reg.Bindings(),
-	}
-	var snap bytes.Buffer
-	if err := store.WriteSnapshot(ctx, c, meta, &snap); err != nil {
+	snap := filepath.Join(t.TempDir(), "snap.lake")
+	if err := store.Checkpoint(ctx, snap, c, m, reg); err != nil {
 		t.Fatal(err)
 	}
 
-	// Cold boot: nothing survives but the snapshot bytes.
+	// Cold boot: nothing survives but the snapshot.
 	c2 := dfs.NewCluster(dfs.Config{Nodes: 2})
-	meta2, err := store.ReadSnapshot(ctx, bytes.NewReader(snap.Bytes()), c2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg2 := script.NewRegistry(script.Limits{})
 	m2 := indexer.NewManager(ctx, c2, indexer.ManagerOptions{})
-	for _, pe := range meta2.Scripts {
-		if _, err := reg2.Put(pe.Name, pe.Source); err != nil {
-			t.Fatalf("recovered script does not recompile: %v", err)
-		}
+	rec, err := store.Recover(ctx, snap, "", c2, m2, reg2)
+	if err != nil {
+		t.Fatalf("recovered script or binding does not come back: %v", err)
 	}
-	for _, b := range meta2.ScriptSpecs {
-		spec, err := reg2.Bind(b)
-		if err != nil {
-			t.Fatalf("recovered binding does not rebind: %v", err)
-		}
-		if err := m2.Register(spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats := m2.Recover(meta2.Structures)
-	if stats.Recovered != 1 || stats.Skipped != 0 {
-		t.Fatalf("recover stats = %+v, want 1 recovered / 0 skipped", stats)
+	if rec.Structures.Recovered != 1 || rec.Structures.Skipped != 0 {
+		t.Fatalf("recover stats = %+v, want 1 recovered / 0 skipped", rec.Structures)
 	}
 	if st, err := m2.State("orders_val_idx"); err != nil || st != indexer.StateReady {
 		t.Fatalf("recovered state = %v, %v; want ready", st, err)

@@ -59,15 +59,15 @@ type ManagerOptions struct {
 	// this signature). Nil treats all candidates as equally cheap, which
 	// degrades to pure LRU.
 	RebuildCost func(Spec) (float64, error)
-	// Maintain keeps ready structures in sync with base appends through a
-	// Maintainer, using the buffered→live hand-over for builds so records
-	// appended mid-build are indexed exactly once.
+	// Maintain is ignored: every Manager maintains its ready structures.
+	// It survives only until the benchmark module stops naming it.
 	Maintain bool
-	// OnFinalize, when set, is called (outside the manager's mutex, after
-	// waiters are released) each time a build attempt settles, with the
-	// structure's name and resulting state — StateReady on success,
-	// StateAbsent on failure. Durability layers hook checkpoints here so a
-	// freshly built structure reaches the snapshot promptly.
+	// OnFinalize, when set, is called (outside the manager's mutex, before
+	// the build's waiters are released) each time a build attempt settles,
+	// with the structure's name and resulting state — StateReady on
+	// success, StateAbsent on failure. Durability layers request a
+	// checkpoint here so a freshly built structure reaches the snapshot
+	// promptly.
 	OnFinalize func(name string, st State)
 }
 
@@ -130,9 +130,10 @@ type managed struct {
 }
 
 // Manager is the structure lifecycle manager: it makes "lazy" structures
-// *managed* — built once under singleflight, kept fresh by a maintainer,
-// held resident under a memory budget, evicted cold-first with an
-// advisor-scored victim choice, and transparently rebuilt on demand.
+// *managed* — built once under singleflight, kept fresh by its maintainer
+// whenever ready (ready ⇒ maintained), held resident under a memory budget,
+// evicted cold-first with an advisor-scored victim choice, and
+// transparently rebuilt on demand.
 type Manager struct {
 	cluster *dfs.Cluster
 	ctx     context.Context // detached build/maintenance context
@@ -149,25 +150,22 @@ type Manager struct {
 	}
 }
 
-// NewManager creates a lifecycle manager over the cluster. ctx bounds
-// background builds and maintenance appends; builds started on behalf of an
-// Ensure caller survive that caller's cancellation (other waiters may have
-// joined), but die with ctx.
+// NewManager creates a lifecycle manager over the cluster, with a Maintainer
+// attached to the cluster's append stream. ctx bounds background builds and
+// maintenance appends; builds started on behalf of an Ensure caller survive
+// that caller's cancellation (other waiters may have joined), but die with
+// ctx.
 func NewManager(ctx context.Context, cluster *dfs.Cluster, opts ManagerOptions) *Manager {
-	m := &Manager{
+	return &Manager{
 		cluster: cluster,
 		ctx:     ctx,
 		opts:    opts,
+		maint:   NewMaintainer(ctx, cluster),
 		entries: make(map[string]*managed),
 	}
-	if opts.Maintain {
-		m.maint = NewMaintainer(ctx, cluster)
-	}
-	return m
 }
 
-// Maintainer returns the manager's maintainer (nil without
-// ManagerOptions.Maintain).
+// Maintainer returns the manager's maintainer.
 func (m *Manager) Maintainer() *Maintainer { return m.maint }
 
 // Register records a spec under lifecycle management. Registering does no
@@ -238,6 +236,36 @@ func (m *Manager) Ensure(ctx context.Context, name string) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// EnsureAll starts a build of every registered structure that is absent or
+// evicted and waits for every build in flight, so independent builds
+// overlap; when it returns, their OnFinalize calls have run. Under a
+// structure budget a late build may evict an earlier one: Ensure a
+// structure again before using it.
+func (m *Manager) EnsureAll(ctx context.Context) error {
+	var atts []*attempt
+	m.mu.Lock()
+	for _, e := range m.entries {
+		if e.state == StateAbsent || e.state == StateEvicted {
+			m.startBuildLocked(e)
+		}
+		if e.att != nil {
+			atts = append(atts, e.att)
+		}
+	}
+	m.mu.Unlock()
+	for _, att := range atts {
+		select {
+		case <-att.done:
+			if att.err != nil {
+				return att.err
+			}
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
 }
 
 // Build starts (or joins) a build without waiting and reports the resulting
@@ -381,24 +409,21 @@ func (m *Manager) touchLocked(e *managed) {
 }
 
 // startBuildLocked launches a build for an absent or evicted entry and
-// installs its attempt. The maintainer (when present) is registered in
-// buffered mode BEFORE the build starts and flipped live by the build's
-// per-partition barrier, so appends racing the build land in the index
-// exactly once.
+// installs its attempt. The maintainer is registered in buffered mode BEFORE
+// the build starts and flipped live by the build's per-partition barrier,
+// so appends racing the build land in the index exactly once.
 func (m *Manager) startBuildLocked(e *managed) {
 	wasEvicted := e.state == StateEvicted
 	e.state = StateBuilding
 	e.err = nil
 
+	// A missing base fails the build below with a precise error; no watch is
+	// registered for it.
 	var buildOpts BuildOptions
-	if m.maint != nil {
-		if base, err := m.cluster.File(e.spec.Base); err == nil {
-			if bw, err := m.maint.WatchBuilding(e.spec, base.NumPartitions()); err == nil {
-				buildOpts.Barrier = bw.GoLive
-			}
+	if base, err := m.cluster.File(e.spec.Base); err == nil {
+		if bw, err := m.maint.WatchBuilding(e.spec, base.NumPartitions()); err == nil {
+			buildOpts.Barrier = bw.GoLive
 		}
-		// A missing base fails the build below with a precise error; no
-		// watch is registered for it.
 	}
 
 	att := &attempt{done: make(chan struct{})}
@@ -425,9 +450,7 @@ func (m *Manager) finalize(e *managed, att *attempt) {
 	if err != nil {
 		e.state = StateAbsent
 		e.err = err
-		if m.maint != nil {
-			m.maint.Unwatch(e.spec.Name)
-		}
+		m.maint.Unwatch(e.spec.Name)
 	} else {
 		e.state = StateReady
 		e.builds++
@@ -437,10 +460,10 @@ func (m *Manager) finalize(e *managed, att *attempt) {
 	}
 	st := e.state
 	m.mu.Unlock()
-	close(att.done)
 	if m.opts.OnFinalize != nil {
 		m.opts.OnFinalize(e.spec.Name, st)
 	}
+	close(att.done)
 }
 
 // sizeLocked refreshes and returns the entry's modeled resident size.
@@ -507,9 +530,7 @@ func (m *Manager) pickVictimLocked(exclude *managed) *managed {
 }
 
 func (m *Manager) evictLocked(e *managed) {
-	if m.maint != nil {
-		m.maint.Unwatch(e.spec.Name)
-	}
+	m.maint.Unwatch(e.spec.Name)
 	m.cluster.DropFile(e.spec.Name)
 	e.state = StateEvicted
 	e.size = 0

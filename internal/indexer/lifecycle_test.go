@@ -448,7 +448,7 @@ func TestManagerOnlineBuildUnderConcurrentAppends(t *testing.T) {
 	ctx := context.Background()
 	c := dfs.NewCluster(dfs.Config{Nodes: 2})
 	base := loadBase(t, c, 300)
-	m := NewManager(ctx, c, ManagerOptions{Maintain: true})
+	m := NewManager(ctx, c, ManagerOptions{})
 	mustRegister(t, m, Spec{Name: "race_idx", Base: "orders", Kind: Global, PartKey: partKeyFn, Keys: custKeyFn})
 
 	const appenders, perAppender = 4, 50

@@ -89,12 +89,20 @@ func NewMaintainer(ctx context.Context, cluster *dfs.Cluster) *Maintainer {
 // Watch starts maintaining the structure described by spec: every record
 // appended to spec.Base from now on is also indexed. The structure should
 // already be built (Build or Registry.Ensure); Watch does not backfill.
+// Watching a structure name that is already watched is a no-op, so a
+// caller that re-watches what Manager.Recover adopted indexes each append
+// once.
 func (m *Maintainer) Watch(spec Spec) error {
 	if err := spec.validate(); err != nil {
 		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	for _, w := range m.specs[spec.Base] {
+		if w.spec.Name == spec.Name {
+			return nil
+		}
+	}
 	m.specs[spec.Base] = append(m.specs[spec.Base], &watch{spec: spec})
 	return nil
 }
@@ -115,13 +123,13 @@ func (m *Maintainer) WatchBuilding(spec Spec, baseParts int) (*BuildWatch, error
 }
 
 // Unwatch stops maintaining the named structure (all registrations, any
-// base). The lifecycle manager calls it when evicting a structure and when
-// a build fails.
+// base). The lifecycle manager calls it whenever a structure stops being
+// ready: on eviction and when a build fails.
 func (m *Maintainer) Unwatch(name string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for base, watches := range m.specs {
-		kept := watches[:0]
+		var kept []*watch // fresh: onAppend may still be ranging over watches
 		for _, w := range watches {
 			if w.spec.Name != name {
 				kept = append(kept, w)

@@ -75,15 +75,16 @@ type RecoverStats struct {
 
 // Recover re-populates the residency map from checkpointed entries: ready
 // entries whose restored file is present become ready without a rebuild
-// (entry order defines recovered LRU order, coldest first); evicted entries
-// — and ready entries whose bytes did not survive — become evicted, to
+// (entry order defines recovered LRU order, coldest first) and are watched
+// from then on, so every later base append reaches them; evicted entries —
+// and ready entries whose bytes did not survive — become evicted, to
 // rebuild on demand. Entries naming unregistered specs are skipped. After
 // adoption the structure budget is enforced, so an over-budget checkpoint
 // recovers into ready-plus-evicted rather than over-committing.
 //
-// Call Recover after Register-ing the boot specs and restoring the
-// snapshot, before serving traffic; it does not compose with builds already
-// in flight.
+// store.Recover calls it in the one boot order: after restoring the
+// snapshot and registering the boot specs, before replaying the WAL. It
+// does not compose with builds already in flight.
 func (m *Manager) Recover(entries []PersistEntry) RecoverStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -104,16 +105,15 @@ func (m *Manager) Recover(entries []PersistEntry) RecoverStats {
 			if err == nil && (sz > 0 || pe.SizeBytes == 0) {
 				e.state = StateReady
 				e.size = sz
+				m.maint.Watch(e.spec) // validated at Register
 				m.touchLocked(e)
 				recovered[pe.Name] = true
 				st.Recovered++
 				st.RebuildCostSaved += pe.RebuildCost
 				continue
 			}
-			// The registry says ready but the bytes are not there (for
-			// example a WAL-replayed CreateFile whose contents post-date the
-			// snapshot). Drop the husk and fall through to evicted so the
-			// next demand rebuilds.
+			// The registry says ready but the bytes are not there. Drop the
+			// husk and fall through to evicted so the next demand rebuilds.
 			m.cluster.DropFile(pe.Name)
 		}
 		e.state = StateEvicted

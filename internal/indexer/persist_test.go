@@ -82,6 +82,42 @@ func TestRecoverAdoptsWithoutRebuilding(t *testing.T) {
 	}
 }
 
+// TestRecoverThenWatchIndexesOnce pins ready ⇒ maintained across recovery,
+// in the order a caller that predates it uses (Recover, then its own
+// Watch): every later base append reaches the adopted index exactly once.
+func TestRecoverThenWatchIndexesOnce(t *testing.T) {
+	ctx := context.Background()
+	c := dfs.NewCluster(dfs.Config{Nodes: 2})
+	base := loadBase(t, c, 100)
+	spec := Spec{Name: "idx", Base: "orders", Kind: Global, PartKey: partKeyFn, Keys: custKeyFn}
+	// The index as a restored snapshot leaves it: present, unmanaged.
+	if _, err := Build(ctx, c, spec); err != nil {
+		t.Fatal(err)
+	}
+	size, err := c.FileSizeBytes("idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(ctx, c, ManagerOptions{})
+	mustRegister(t, m, spec)
+	if st := m.Recover([]PersistEntry{{Name: "idx", Base: "orders", Kind: Global,
+		State: StateReady, SizeBytes: size, Builds: 1}}); st.Recovered != 1 {
+		t.Fatalf("stats %+v, want 1 recovered", st)
+	}
+	if err := m.Maintainer().Watch(spec); err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	appendRows(t, c, base, 100, n)
+	if got := m.Maintainer().Maintained(); got != n {
+		t.Fatalf("Maintained = %d after %d appends, want %d", got, n, n)
+	}
+	assertIndexMatchesBase(t, c, "idx", 100+n)
+	if total, _ := c.Len("idx"); total != 100+n {
+		t.Fatalf("index has %d entries, want %d", total, 100+n)
+	}
+}
+
 func TestRecoverDemotesReadyEntryWithoutBytes(t *testing.T) {
 	ctx := context.Background()
 	m, c := newManagerOver(t, 100, ManagerOptions{})

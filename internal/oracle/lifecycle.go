@@ -78,6 +78,11 @@ func runLifecycleArm(ctx context.Context, sc *scenario) (*core.Result, []string)
 			"%s: counters builds=%d evictions=%d rebuilds=%d; want 2/1/1 (deduped=%d)",
 			arm, c.BuildsStarted, c.Evictions, c.Rebuilds, c.BuildsDeduped))
 	}
+	// This manager goes out of scope with the arm: evicting stops it
+	// maintaining the index, which a later arm's manager rebuilds and owns.
+	if err := mgr.Evict(idxFile); err != nil {
+		fails = append(fails, fmt.Sprintf("%s: final evict: %v", arm, err))
+	}
 	return res, fails
 }
 

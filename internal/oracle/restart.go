@@ -1,30 +1,32 @@
 package oracle
 
 // The smpe-restart arm: the durability differential check. The scenario's
-// cluster is checkpointed *while the job is executing* (snapshots take
-// per-partition read locks, so a concurrent read-only workload must not
-// perturb the image), a few post-checkpoint mutations — ingested records
-// and a catalog create — are logged to a real on-disk WAL, and then the
-// process "crashes": a fresh cluster and a fresh lifecycle manager recover
-// from the snapshot, the WAL replay, and the checkpointed structure
-// registry. The recovered world must be indistinguishable from the
-// uninterrupted one: same job answer, same per-file record counts, same
-// structure registry — and the recovered manager must adopt the structure
-// without starting a single build.
+// structure is rebuilt under a live lifecycle manager, which maintains it;
+// the cluster is checkpointed (store.Checkpoint) *while the job is
+// executing* (snapshots take per-partition read locks, so a concurrent
+// read-only workload must not perturb the image); a few post-checkpoint
+// mutations — ingested records, into the indexed base too, and a catalog
+// create — are logged to a real on-disk WAL; and then the process
+// "crashes": a fresh cluster and a fresh lifecycle manager recover through
+// store.Recover. The recovered world must be indistinguishable from the
+// uninterrupted one: same job answer, same per-file record counts (the
+// maintained index's included), same structure registry — and the
+// recovered manager must adopt the structure without starting a single
+// build.
 
 import (
-	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 
-	"context"
-
+	"lakeharbor/internal/catalog"
 	"lakeharbor/internal/core"
 	"lakeharbor/internal/dfs"
 	"lakeharbor/internal/indexer"
 	"lakeharbor/internal/keycodec"
 	"lakeharbor/internal/lake"
+	"lakeharbor/internal/script"
 	"lakeharbor/internal/store"
 )
 
@@ -40,25 +42,24 @@ func runRestartArm(ctx context.Context, sc *scenario) (*core.Result, []string) {
 	harness := func(format string, args ...any) (*core.Result, []string) {
 		return nil, []string{arm + ": " + fmt.Sprintf(format, args...)}
 	}
+	dir, err := os.MkdirTemp("", "oracle-restart-")
+	if err != nil {
+		return harness("tempdir: %v", err)
+	}
+	defer os.RemoveAll(dir)
+	snapPath, walPath := filepath.Join(dir, "snap.lake"), filepath.Join(dir, "tail.wal")
 
-	// A manager adopts the scenario's structure on the live side, so the
-	// checkpoint carries a real registry entry.
-	var mgr *indexer.Manager
+	// The live manager rebuilds the scenario's index (entry for entry the
+	// hand-built one) and maintains it from then on, so the checkpoint
+	// carries a real registry entry and the base appends below reach it.
+	mgr := indexer.NewManager(ctx, sc.cluster, indexer.ManagerOptions{})
 	if sc.lcSpec != nil {
-		mgr = indexer.NewManager(ctx, sc.cluster, indexer.ManagerOptions{})
+		sc.cluster.DropFile(idxFile)
 		if err := mgr.Register(*sc.lcSpec); err != nil {
 			return harness("register: %v", err)
 		}
-		size, err := sc.cluster.FileSizeBytes(idxFile)
-		if err != nil {
-			return harness("index size: %v", err)
-		}
-		st := mgr.Recover([]indexer.PersistEntry{{
-			Name: idxFile, Base: baseFile, Kind: sc.lcSpec.Kind,
-			State: indexer.StateReady, SizeBytes: size,
-		}})
-		if st.Recovered != 1 {
-			return harness("live adopt: recovered=%d, want 1", st.Recovered)
+		if err := mgr.Ensure(ctx, idxFile); err != nil {
+			return harness("live build: %v", err)
 		}
 	}
 
@@ -71,10 +72,6 @@ func runRestartArm(ctx context.Context, sc *scenario) (*core.Result, []string) {
 	// Checkpoint mid-workload: the job re-executes concurrently with the
 	// snapshot scan. Both must succeed — and the concurrent run must still
 	// produce the oracle answer.
-	meta := &store.SnapshotMeta{CatalogVersion: sc.cluster.CatalogVersion()}
-	if mgr != nil {
-		meta.Structures = mgr.PersistEntries()
-	}
 	type jobOut struct {
 		res *core.Result
 		err error
@@ -84,10 +81,9 @@ func runRestartArm(ctx context.Context, sc *scenario) (*core.Result, []string) {
 		r, err := core.ExecuteSMPE(ctx, sc.job, sc.cluster, sc.cluster, opts)
 		jobCh <- jobOut{r, err}
 	}()
-	var snap bytes.Buffer
-	if err := store.WriteSnapshot(ctx, sc.cluster, meta, &snap); err != nil {
+	if err := store.Checkpoint(ctx, snapPath, sc.cluster, mgr, script.NewRegistry(script.Limits{})); err != nil {
 		<-jobCh
-		return res, append(fails, fmt.Sprintf("%s: snapshot: %v", arm, err))
+		return res, append(fails, fmt.Sprintf("%s: checkpoint: %v", arm, err))
 	}
 	mid := <-jobCh
 	fails = append(fails, checkArm(arm+"-during-snapshot", sc, mid.res, mid.err, 0)...)
@@ -96,12 +92,6 @@ func runRestartArm(ctx context.Context, sc *scenario) (*core.Result, []string) {
 	// catalog create and records into both the scratch file and the base.
 	// The base extras use val -1 — outside every generated probe range and
 	// seed set — so the job's oracle answer stays valid on both sides.
-	dir, err := os.MkdirTemp("", "oracle-restart-")
-	if err != nil {
-		return res, append(fails, fmt.Sprintf("%s: tempdir: %v", arm, err))
-	}
-	defer os.RemoveAll(dir)
-	walPath := filepath.Join(dir, "tail.wal")
 	wal, err := store.OpenWAL(walPath)
 	if err != nil {
 		return res, append(fails, fmt.Sprintf("%s: open wal: %v", arm, err))
@@ -112,12 +102,8 @@ func runRestartArm(ctx context.Context, sc *scenario) (*core.Result, []string) {
 		}
 		return dfs.AppendRouted(ctx, f, partKey, rec)
 	}
+	catalog.Attach(sc.cluster, wal) // logs the create below, as a durable server does
 	mutate := func() error {
-		if err := wal.AppendCatalogOp(store.CatalogOp{
-			Name: scratchFile, Kind: dfs.Heap, Partitions: 2, Partitioner: lake.HashPartitioner{},
-		}); err != nil {
-			return err
-		}
 		scratch, err := sc.cluster.CreateFile(scratchFile, dfs.Heap, 2, lake.HashPartitioner{})
 		if err != nil {
 			return err
@@ -143,35 +129,33 @@ func runRestartArm(ctx context.Context, sc *scenario) (*core.Result, []string) {
 		return res, append(fails, fmt.Sprintf("%s: post-checkpoint mutations: %v", arm, err))
 	}
 
-	// Crash. A fresh cluster recovers from snapshot + WAL; a fresh manager
-	// recovers the structure registry — builds must not start.
+	// Crash. A fresh cluster and a fresh manager recover from snapshot +
+	// WAL — builds must not start.
 	recovered := dfs.NewCluster(dfs.Config{Nodes: sc.cluster.NumNodes(), Cost: sc.cluster.Cost()})
-	recMeta, err := store.ReadSnapshot(ctx, bytes.NewReader(snap.Bytes()), recovered)
-	if err != nil {
-		return res, append(fails, fmt.Sprintf("%s: restore: %v", arm, err))
-	}
-	if recMeta.CatalogVersion != meta.CatalogVersion {
-		fails = append(fails, fmt.Sprintf("%s: recovered catalog version %d, want %d",
-			arm, recMeta.CatalogVersion, meta.CatalogVersion))
-	}
-	if _, err := store.ReplayWAL(ctx, walPath, recovered); err != nil {
-		return res, append(fails, fmt.Sprintf("%s: replay: %v", arm, err))
-	}
-	var mgr2 *indexer.Manager
+	mgr2 := indexer.NewManager(ctx, recovered, indexer.ManagerOptions{})
 	if sc.lcSpec != nil {
-		mgr2 = indexer.NewManager(ctx, recovered, indexer.ManagerOptions{})
 		if err := mgr2.Register(*sc.lcSpec); err != nil {
 			return res, append(fails, fmt.Sprintf("%s: recovered register: %v", arm, err))
 		}
-		st := mgr2.Recover(recMeta.Structures)
-		if st.Recovered != 1 || st.Evicted != 0 || st.Skipped != 0 {
+	}
+	rec, err := store.Recover(ctx, snapPath, walPath, recovered, mgr2, script.NewRegistry(script.Limits{}))
+	if err != nil {
+		return res, append(fails, fmt.Sprintf("%s: recover: %v", arm, err))
+	}
+	if v, want := recovered.CatalogVersion(), sc.cluster.CatalogVersion(); v != want {
+		fails = append(fails, fmt.Sprintf("%s: recovered catalog version %d, want %d", arm, v, want))
+	}
+	if sc.lcSpec != nil {
+		if st := rec.Structures; st.Recovered != 1 || st.Evicted != 0 || st.Skipped != 0 {
 			fails = append(fails, fmt.Sprintf("%s: recover stats %+v, want 1 ready", arm, st))
-		}
-		if s, err := mgr2.State(idxFile); err != nil || s != indexer.StateReady {
-			fails = append(fails, fmt.Sprintf("%s: recovered index state %v, %v; want ready", arm, s, err))
 		}
 		if c := mgr2.Counters(); c.BuildsStarted != 0 {
 			fails = append(fails, fmt.Sprintf("%s: recovery started %d builds; recovery must not rebuild", arm, c.BuildsStarted))
+		}
+	}
+	for _, m := range []*indexer.Manager{mgr, mgr2} {
+		if n := m.Maintainer().Errors(); n != 0 {
+			fails = append(fails, fmt.Sprintf("%s: %d maintenance errors: %v", arm, n, m.Maintainer().LastErr()))
 		}
 	}
 
@@ -192,15 +176,12 @@ func runRestartArm(ctx context.Context, sc *scenario) (*core.Result, []string) {
 		}
 	}
 	fails = append(fails, diffClusters(arm, sc.cluster, recovered)...)
-	if mgr != nil && mgr2 != nil {
-		a, b := mgr.PersistEntries(), mgr2.PersistEntries()
-		if len(a) != len(b) {
-			fails = append(fails, fmt.Sprintf("%s: registry sizes %d live vs %d recovered", arm, len(a), len(b)))
-		} else {
-			for i := range a {
-				if a[i].Name != b[i].Name || a[i].State != b[i].State || a[i].Builds != b[i].Builds || a[i].SizeBytes != b[i].SizeBytes {
-					fails = append(fails, fmt.Sprintf("%s: registry entry diverged: live %+v vs recovered %+v", arm, a[i], b[i]))
-				}
+	if a, b := mgr.PersistEntries(), mgr2.PersistEntries(); len(a) != len(b) {
+		fails = append(fails, fmt.Sprintf("%s: registry sizes %d live vs %d recovered", arm, len(a), len(b)))
+	} else {
+		for i := range a {
+			if a[i].Name != b[i].Name || a[i].State != b[i].State || a[i].Builds != b[i].Builds || a[i].SizeBytes != b[i].SizeBytes {
+				fails = append(fails, fmt.Sprintf("%s: registry entry diverged: live %+v vs recovered %+v", arm, a[i], b[i]))
 			}
 		}
 	}

@@ -15,20 +15,23 @@ import (
 func FuzzRestore(f *testing.F) {
 	ctx := context.Background()
 
-	// Seed corpus: a real v2 snapshot with metadata, a real v1 snapshot,
-	// their truncations and bit-flips, and junk.
+	// Seed corpus: a real snapshot with metadata, its truncation and a
+	// bit-flip, a snapshot of an empty cluster, the bare magic, and junk.
 	src := buildCluster(f)
-	var v2 bytes.Buffer
-	if err := WriteSnapshot(ctx, src, testMeta(), &v2); err != nil {
+	var full, empty bytes.Buffer
+	if err := WriteSnapshot(ctx, src, testMeta(), &full); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2.Bytes())
-	f.Add(v2.Bytes()[:len(v2.Bytes())/2])
-	flipped := append([]byte(nil), v2.Bytes()...)
+	if err := WriteSnapshot(ctx, dfs.NewCluster(dfs.Config{Nodes: 1}), nil, &empty); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full.Bytes())
+	f.Add(full.Bytes()[:len(full.Bytes())/2])
+	flipped := append([]byte(nil), full.Bytes()...)
 	flipped[len(flipped)/3] ^= 0xff
 	f.Add(flipped)
-	f.Add([]byte(snapshotMagicV1))
-	f.Add([]byte(snapshotMagicV2))
+	f.Add(empty.Bytes())
+	f.Add([]byte(snapshotMagic))
 	f.Add([]byte("not a snapshot at all"))
 	f.Add([]byte{})
 

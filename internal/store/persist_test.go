@@ -3,9 +3,9 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -22,8 +22,8 @@ import (
 	"lakeharbor/internal/sim"
 )
 
-// Tests for the durability layer added with snapshot format v2: metadata
-// round-trips, v1 backward compatibility, the all-or-nothing restore
+// Tests for the durability layer: metadata round-trips, the v3 golden
+// stream, rejection of retired versions, the all-or-nothing restore
 // contract, checkpoint temp-file hygiene, WAL frame atomicity under writer
 // faults, and the crash-recovery property the whole layer exists for.
 
@@ -62,101 +62,111 @@ func TestSnapshotMetaRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, meta) {
 		t.Fatalf("meta round-trip:\n got %+v\nwant %+v", got, meta)
 	}
+	if v := dst.CatalogVersion(); v != meta.CatalogVersion {
+		t.Fatalf("restored cluster at catalog version %d, want the snapshot's %d", v, meta.CatalogVersion)
+	}
 	clustersEqual(t, src, dst)
 }
 
-// writeV1Snapshot emits the legacy LAKEHB1 stream: no catalog version, no
-// structure section, same per-file encoding and trailing CRC.
-func writeV1Snapshot(t *testing.T, cluster *dfs.Cluster) []byte {
+// snapshotV3Golden is the byte-exact v3 stream of the cluster and meta
+// goldenCluster returns. Any change to it is a format change: readers of existing
+// snapshots must keep decoding it.
+const snapshotV3Golden = "4c414b454842330a" + // magic "LAKEHB3\n"
+	"0200000000000000" + "02000000" + // catalog version 2, two files
+	"0100000068" + "00" + "00" + "01000000" + // "h": heap, hash, 1 partition
+	"0100000000000000" + "0100000061" + "0100000031" + // 1 record: "a" → "1"
+	"0100000072" + "01" + "01" + "01000000" + "010000006d" + "02000000" + // "r": btree, range ["m"], 2 partitions
+	"0000000000000000" + "0100000000000000" + "010000007a" + "00000000" + // p0 empty, p1: "z" → ""
+	"01000000" + "0100000072" + "0100000068" + "01" + "00" + // one structure: "r" over "h", global, ready
+	"0900000000000000" + "000000000000f83f" + "0100000000000000" + // 9 bytes, cost 1.5, 1 build
+	"01000000" + "0100000073" + "1d000000" + // one script "s", 29 bytes of source
+	"666e206b286b65792c206461746129207b20656d6974286b657929207d" +
+	"01000000" + "0100000072" + "0100000068" + "06000000676c6f62616c" + "02000000" + // one binding: "r" over "h", "global", 2 partitions
+	"0100000073" + "0100000070" + "010000006b" + // script "s", partkey "p", keys "k"
+	"e7cd9f44" // CRC-32
+
+func goldenCluster(t *testing.T) (*dfs.Cluster, *SnapshotMeta) {
 	t.Helper()
 	ctx := context.Background()
-	var buf bytes.Buffer
-	buf.WriteString(snapshotMagicV1)
-	var body bytes.Buffer
-	names := cluster.FileNames()
-	if err := writeU32(&body, uint32(len(names))); err != nil {
+	c := dfs.NewCluster(dfs.Config{Nodes: 1})
+	h, err := c.CreateFile("h", dfs.Heap, 1, lake.HashPartitioner{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range names {
-		if err := snapshotFile(ctx, cluster, name, &body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	buf.Write(body.Bytes())
-	if err := writeU32(&buf, crc32.ChecksumIEEE(body.Bytes())); err != nil {
+	r, err := c.CreateFile("r", dfs.Btree, 2, lake.NewRangePartitioner("m"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	if err := h.Append(ctx, 0, lake.Record{Key: "a", Data: []byte("1")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Append(ctx, 1, lake.Record{Key: "z"}); err != nil {
+		t.Fatal(err)
+	}
+	return c, &SnapshotMeta{
+		CatalogVersion: 2,
+		Structures: []indexer.PersistEntry{{Name: "r", Base: "h", Kind: indexer.Global,
+			State: indexer.StateReady, SizeBytes: 9, RebuildCost: 1.5, Builds: 1}},
+		Scripts: []script.PersistEntry{{Name: "s", Source: "fn k(key, data) { emit(key) }"}},
+		ScriptSpecs: []script.SpecBinding{{Structure: "r", Base: "h", Kind: "global", Partitions: 2,
+			Script: "s", PartKeyFn: "p", KeysFn: "k"}},
+	}
 }
 
+// TestSnapshotV3Golden pins the writer to the v3 format byte for byte, and
+// the reader to decoding that stream back into the same cluster and meta.
+func TestSnapshotV3Golden(t *testing.T) {
+	ctx := context.Background()
+	src, meta := goldenCluster(t)
+	var buf bytes.Buffer
+	if err := WriteSnapshot(ctx, src, meta, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != snapshotV3Golden {
+		t.Fatalf("v3 stream moved:\n got %s\nwant %s", got, snapshotV3Golden)
+	}
+	raw, err := hex.DecodeString(snapshotV3Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := dfs.NewCluster(dfs.Config{Nodes: 2})
+	got, err := ReadSnapshot(ctx, bytes.NewReader(raw), dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, meta) {
+		t.Fatalf("golden meta:\n got %+v\nwant %+v", got, meta)
+	}
+	clustersEqual(t, src, dst)
+}
+
+// requireRetiredVersionRejected: a stream with a retired magic fails on
+// that magic with a named error, before any file reaches the catalog.
+func requireRetiredVersionRejected(t *testing.T, magic string) {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	writeU64(&buf, 1) // what follows the magic no longer matters
+	dst := dfs.NewCluster(dfs.Config{Nodes: 1})
+	_, err := ReadSnapshot(context.Background(), &buf, dst)
+	if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
+		t.Fatalf("%q: want an unsupported-version error, got %v", magic, err)
+	}
+	if len(dst.FileNames()) != 0 {
+		t.Fatalf("%q: catalog touched by rejected snapshot", magic)
+	}
+}
+
+// TestRestoreV1Snapshot: the v1 format (no catalog version, registry or
+// script sections) is retired; reading it is a named error.
 func TestRestoreV1Snapshot(t *testing.T) {
-	ctx := context.Background()
-	src := buildCluster(t)
-	raw := writeV1Snapshot(t, src)
-	dst := dfs.NewCluster(dfs.Config{Nodes: 2})
-	meta, err := ReadSnapshot(ctx, bytes.NewReader(raw), dst)
-	if err != nil {
-		t.Fatalf("v1 snapshot must stay readable: %v", err)
-	}
-	if meta.CatalogVersion != 0 || len(meta.Structures) != 0 {
-		t.Fatalf("v1 meta must be zero, got %+v", meta)
-	}
-	clustersEqual(t, src, dst)
+	requireRetiredVersionRejected(t, "LAKEHB1\n")
 }
 
-// writeV2Snapshot emits the LAKEHB2 stream: catalog version + files +
-// structure registry, no script sections, same trailing CRC.
-func writeV2Snapshot(t *testing.T, cluster *dfs.Cluster, meta *SnapshotMeta) []byte {
-	t.Helper()
-	ctx := context.Background()
-	var buf bytes.Buffer
-	buf.WriteString(snapshotMagicV2)
-	var body bytes.Buffer
-	if err := writeU64(&body, meta.CatalogVersion); err != nil {
-		t.Fatal(err)
-	}
-	names := cluster.FileNames()
-	if err := writeU32(&body, uint32(len(names))); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range names {
-		if err := snapshotFile(ctx, cluster, name, &body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := writeU32(&body, uint32(len(meta.Structures))); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range meta.Structures {
-		if err := writeStructureEntry(&body, e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	buf.Write(body.Bytes())
-	if err := writeU32(&buf, crc32.ChecksumIEEE(body.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
+// TestRestoreV2Snapshot: the v2 format (no script sections) is retired;
+// reading it is a named error.
 func TestRestoreV2Snapshot(t *testing.T) {
-	ctx := context.Background()
-	src := buildCluster(t)
-	want := testMeta()
-	want.Scripts, want.ScriptSpecs = nil, nil
-	raw := writeV2Snapshot(t, src, want)
-	dst := dfs.NewCluster(dfs.Config{Nodes: 2})
-	meta, err := ReadSnapshot(ctx, bytes.NewReader(raw), dst)
-	if err != nil {
-		t.Fatalf("v2 snapshot must stay readable: %v", err)
-	}
-	if !reflect.DeepEqual(meta, want) {
-		t.Fatalf("v2 meta:\n got %+v\nwant %+v", meta, want)
-	}
-	if len(meta.Scripts) != 0 || len(meta.ScriptSpecs) != 0 {
-		t.Fatalf("v2 snapshot produced script sections: %+v", meta)
-	}
-	clustersEqual(t, src, dst)
+	requireRetiredVersionRejected(t, "LAKEHB2\n")
 }
 
 // TestRestoreCorruptionLeavesCatalogUntouched is the regression test for
@@ -391,7 +401,7 @@ func TestWALFaultTearsOnlyTail(t *testing.T) {
 // partition count fails parsing before any allocation or catalog touch.
 func TestRestoreRejectsAbsurdPartitionCount(t *testing.T) {
 	var buf bytes.Buffer
-	buf.WriteString(snapshotMagicV2)
+	buf.WriteString(snapshotMagic)
 	writeU64(&buf, 1)                      // catalog version
 	writeU32(&buf, 1)                      // one file
 	writeString(&buf, "evil")              // name

@@ -2,9 +2,8 @@
 // layer for LakeHarbor workloads: durable on-disk snapshots of a cluster's
 // files and a write-ahead log for the raw ingest stream between snapshots.
 //
-// The snapshot format is a single self-describing stream. Format v3
-// ("LAKEHB3") is the current writer; v1 ("LAKEHB1") and v2 ("LAKEHB2")
-// snapshots remain readable:
+// The snapshot format is a single self-describing stream, format v3
+// ("LAKEHB3"); earlier versions are rejected as unsupported:
 //
 //	magic "LAKEHB3\n"
 //	uint64 catalog version
@@ -42,14 +41,13 @@
 //	  string  index-keys function
 //	uint32 CRC-32 (IEEE) of everything after the magic
 //
-// v1 has no catalog version and no structure registry section; v2 has no
-// script or binding sections. Scripts travel as source text — recovery
-// re-compiles them, so a snapshot is portable across interpreter versions
-// as long as the language stays backward compatible. Strings and
-// byte slices are uint32-length-prefixed; integers are little-endian. The
-// trailing checksum makes torn or corrupted snapshots detectable at restore
-// time; restore verifies it BEFORE any record reaches the live cluster, so
-// a corrupted snapshot never pollutes the catalog.
+// Scripts travel as source text — recovery re-compiles them, so a snapshot
+// is portable across interpreter versions as long as the language stays
+// backward compatible. Strings and byte slices are uint32-length-prefixed;
+// integers are little-endian. The trailing checksum makes torn or
+// corrupted snapshots detectable at restore time; restore verifies it
+// BEFORE any record reaches the live cluster, so a corrupted snapshot never
+// pollutes the catalog.
 package store
 
 import (
@@ -59,13 +57,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"syscall"
 
 	"lakeharbor/internal/dfs"
@@ -74,13 +72,9 @@ import (
 	"lakeharbor/internal/script"
 )
 
-const (
-	snapshotMagicV1 = "LAKEHB1\n"
-	snapshotMagicV2 = "LAKEHB2\n"
-	snapshotMagicV3 = "LAKEHB3\n"
-	// snapshotMagic is the magic the writer emits.
-	snapshotMagic = snapshotMagicV3
-)
+// snapshotMagic opens every snapshot; a "LAKEHB" magic with another
+// version digit is a snapshot this reader does not support.
+const snapshotMagic = "LAKEHB3\n"
 
 const (
 	kindHeap  byte = 0
@@ -103,12 +97,14 @@ const maxSaneLen = 1 << 30
 // must not drive CreateFile into allocating an absurd number of partitions.
 const maxSaneParts = 1 << 20
 
-// maxSaneCount bounds file and structure-registry counts.
+// maxSaneCount bounds every section's entry count.
 const maxSaneCount = 1 << 24
 
-// SnapshotMeta is the v2 metadata section: the catalog version the snapshot
-// captured and the structure-registry entries a lifecycle manager needs to
-// recover built structures into their residency states without rebuilding.
+// SnapshotMeta is the metadata section: the catalog version the snapshot
+// captured, the structure-registry entries a lifecycle manager needs to
+// recover built structures into their residency states without rebuilding,
+// and the scripts and bindings scripted structures need. Checkpoint
+// assembles it; Recover applies it.
 type SnapshotMeta struct {
 	// CatalogVersion is the cluster's monotonic catalog version at
 	// checkpoint time.
@@ -125,12 +121,6 @@ type SnapshotMeta struct {
 	// them after the scripts so scripted structures re-adopt without a
 	// rebuild.
 	ScriptSpecs []script.SpecBinding
-}
-
-// Snapshot serializes every file of the cluster to w with an empty metadata
-// section. Use WriteSnapshot to checkpoint structure-registry state too.
-func Snapshot(ctx context.Context, cluster *dfs.Cluster, w io.Writer) error {
-	return WriteSnapshot(ctx, cluster, nil, w)
 }
 
 // WriteSnapshot serializes the cluster's files plus the given metadata
@@ -152,56 +142,30 @@ func WriteSnapshot(ctx context.Context, cluster *dfs.Cluster, meta *SnapshotMeta
 	}
 	names := cluster.FileNames()
 	sort.Strings(names)
-	if err := writeU32(out, uint32(len(names))); err != nil {
-		return err
-	}
-	for _, name := range names {
-		if err := snapshotFile(ctx, cluster, name, out); err != nil {
-			return fmt.Errorf("store: snapshot %q: %w", name, err)
-		}
-	}
 	entries := append([]indexer.PersistEntry(nil), meta.Structures...)
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
-	if err := writeU32(out, uint32(len(entries))); err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if err := writeStructureEntry(out, e); err != nil {
-			return fmt.Errorf("store: snapshot structure %q: %w", e.Name, err)
-		}
-	}
 	scripts := append([]script.PersistEntry(nil), meta.Scripts...)
 	sort.Slice(scripts, func(i, j int) bool { return scripts[i].Name < scripts[j].Name })
-	if err := writeU32(out, uint32(len(scripts))); err != nil {
-		return err
-	}
-	for _, e := range scripts {
-		if err := writeString(out, e.Name); err != nil {
-			return err
-		}
-		if err := writeString(out, e.Source); err != nil {
-			return err
-		}
-	}
 	bindings := append([]script.SpecBinding(nil), meta.ScriptSpecs...)
 	sort.Slice(bindings, func(i, j int) bool { return bindings[i].Structure < bindings[j].Structure })
-	if err := writeU32(out, uint32(len(bindings))); err != nil {
+	if err := writeSection(out, "file", names, func(w io.Writer, name string) error {
+		return snapshotFile(ctx, cluster, name, w)
+	}); err != nil {
 		return err
 	}
-	for _, b := range bindings {
-		if err := writeScriptBinding(out, b); err != nil {
-			return fmt.Errorf("store: snapshot binding %q: %w", b.Structure, err)
-		}
+	if err := writeSection(out, "structure", entries, writeStructureEntry); err != nil {
+		return err
+	}
+	if err := writeSection(out, "script", scripts, writeScriptEntry); err != nil {
+		return err
+	}
+	if err := writeSection(out, "binding", bindings, writeScriptBinding); err != nil {
+		return err
 	}
 	if err := writeU32(bw, sum.Sum32()); err != nil {
 		return err
 	}
 	return bw.Flush()
-}
-
-// SnapshotToPath writes a snapshot to a file, atomically via a temp file.
-func SnapshotToPath(ctx context.Context, cluster *dfs.Cluster, path string) error {
-	return CheckpointToPath(ctx, cluster, nil, path)
 }
 
 // CheckpointToPath writes a v3 snapshot (files + metadata) to path,
@@ -347,6 +311,56 @@ func readPartitioner(r io.Reader) (lake.Partitioner, error) {
 	}
 }
 
+// writeSection writes one count-prefixed section: a uint32 count, then each
+// entry. readSection is its inverse.
+func writeSection[T any](w io.Writer, what string, entries []T, write func(io.Writer, T) error) error {
+	if err := writeU32(w, uint32(len(entries))); err != nil {
+		return err
+	}
+	for i, e := range entries {
+		if err := write(w, e); err != nil {
+			return fmt.Errorf("store: snapshot %s %d: %w", what, i, err)
+		}
+	}
+	return nil
+}
+
+// readSection reads one count-prefixed section, bounding the count by
+// maxSaneCount before reading any entry.
+func readSection[T any](r io.Reader, what string, read func(io.Reader) (T, error)) ([]T, error) {
+	n, err := readU32(r)
+	if err != nil {
+		return nil, fmt.Errorf("store: reading %s count: %w", what, err)
+	}
+	if n > maxSaneCount {
+		return nil, fmt.Errorf("store: absurd %s count %d", what, n)
+	}
+	var out []T
+	for i := uint32(0); i < n; i++ {
+		e, err := read(r)
+		if err != nil {
+			return nil, fmt.Errorf("store: restore %s %d: %w", what, i, err)
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
+func writeScriptEntry(w io.Writer, e script.PersistEntry) error {
+	if err := writeString(w, e.Name); err != nil {
+		return err
+	}
+	return writeString(w, e.Source)
+}
+
+func readScriptEntry(r io.Reader) (e script.PersistEntry, err error) {
+	if e.Name, err = readString(r); err != nil {
+		return e, err
+	}
+	e.Source, err = readString(r)
+	return e, err
+}
+
 func writeStructureEntry(w io.Writer, e indexer.PersistEntry) error {
 	if err := writeString(w, e.Name); err != nil {
 		return err
@@ -482,113 +496,46 @@ type stagedFile struct {
 	name        string
 	kind        dfs.Kind
 	partitioner lake.Partitioner
-	nParts      int
-	parts       [][]lake.Record
+	parts       [][]lake.Record // one slice per partition
 }
 
-// Restore reads a snapshot and recreates its files on the cluster,
-// discarding the metadata section. The whole stream — including the
-// trailing CRC — is parsed and verified BEFORE any file is created, so a
-// corrupted or truncated snapshot leaves the catalog untouched.
-func Restore(ctx context.Context, r io.Reader, cluster *dfs.Cluster) error {
-	_, err := ReadSnapshot(ctx, r, cluster)
-	return err
-}
-
-// ReadSnapshot is Restore returning the snapshot's metadata section (zero
-// for v1 snapshots). Nothing is applied to the cluster until the checksum
-// and every staged file have been validated.
+// ReadSnapshot reads a snapshot, recreates its files on the cluster,
+// advances the cluster's catalog version to the snapshot's, and returns its
+// metadata section. The whole stream — including the trailing
+// CRC — is parsed and verified BEFORE any file is created, so a corrupted
+// or truncated snapshot leaves the catalog untouched.
 func ReadSnapshot(ctx context.Context, r io.Reader, cluster *dfs.Cluster) (*SnapshotMeta, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("store: reading magic: %w", err)
 	}
-	var version int
-	switch string(magic) {
-	case snapshotMagicV3:
-		version = 3
-	case snapshotMagicV2:
-		version = 2
-	case snapshotMagicV1:
-		version = 1
-	default:
+	if m := string(magic); m != snapshotMagic {
+		if strings.HasPrefix(m, snapshotMagic[:6]) {
+			return nil, fmt.Errorf("store: unsupported snapshot version %q (this reader decodes %q)", m, snapshotMagic)
+		}
 		return nil, fmt.Errorf("store: bad magic %q", magic)
 	}
 	sum := crc32.NewIEEE()
-	tr := &teeByteReader{r: br, sum: sum}
+	tr := io.TeeReader(br, sum)
 
 	meta := &SnapshotMeta{}
-	if version >= 2 {
-		v, err := readU64(tr)
-		if err != nil {
-			return nil, fmt.Errorf("store: reading catalog version: %w", err)
-		}
-		meta.CatalogVersion = v
+	var err error
+	if meta.CatalogVersion, err = readU64(tr); err != nil {
+		return nil, fmt.Errorf("store: reading catalog version: %w", err)
 	}
-	nFiles, err := readU32(tr)
+	staged, err := readSection(tr, "file", stageFile)
 	if err != nil {
 		return nil, err
 	}
-	if nFiles > maxSaneCount {
-		return nil, fmt.Errorf("store: absurd file count %d", nFiles)
+	if meta.Structures, err = readSection(tr, "structure", readStructureEntry); err != nil {
+		return nil, err
 	}
-	staged := make([]stagedFile, 0, min(int(nFiles), 1024))
-	for i := uint32(0); i < nFiles; i++ {
-		sf, err := stageFile(tr)
-		if err != nil {
-			return nil, fmt.Errorf("store: restore file %d: %w", i, err)
-		}
-		staged = append(staged, sf)
+	if meta.Scripts, err = readSection(tr, "script", readScriptEntry); err != nil {
+		return nil, err
 	}
-	if version >= 2 {
-		nStructs, err := readU32(tr)
-		if err != nil {
-			return nil, fmt.Errorf("store: reading structure count: %w", err)
-		}
-		if nStructs > maxSaneCount {
-			return nil, fmt.Errorf("store: absurd structure count %d", nStructs)
-		}
-		for i := uint32(0); i < nStructs; i++ {
-			e, err := readStructureEntry(tr)
-			if err != nil {
-				return nil, fmt.Errorf("store: restore structure %d: %w", i, err)
-			}
-			meta.Structures = append(meta.Structures, e)
-		}
-	}
-	if version >= 3 {
-		nScripts, err := readU32(tr)
-		if err != nil {
-			return nil, fmt.Errorf("store: reading script count: %w", err)
-		}
-		if nScripts > maxSaneCount {
-			return nil, fmt.Errorf("store: absurd script count %d", nScripts)
-		}
-		for i := uint32(0); i < nScripts; i++ {
-			var e script.PersistEntry
-			if e.Name, err = readString(tr); err != nil {
-				return nil, fmt.Errorf("store: restore script %d: %w", i, err)
-			}
-			if e.Source, err = readString(tr); err != nil {
-				return nil, fmt.Errorf("store: restore script %d: %w", i, err)
-			}
-			meta.Scripts = append(meta.Scripts, e)
-		}
-		nBindings, err := readU32(tr)
-		if err != nil {
-			return nil, fmt.Errorf("store: reading binding count: %w", err)
-		}
-		if nBindings > maxSaneCount {
-			return nil, fmt.Errorf("store: absurd binding count %d", nBindings)
-		}
-		for i := uint32(0); i < nBindings; i++ {
-			b, err := readScriptBinding(tr)
-			if err != nil {
-				return nil, fmt.Errorf("store: restore binding %d: %w", i, err)
-			}
-			meta.ScriptSpecs = append(meta.ScriptSpecs, b)
-		}
+	if meta.ScriptSpecs, err = readSection(tr, "binding", readScriptBinding); err != nil {
+		return nil, err
 	}
 	computed := sum.Sum32()
 	stored, err := readU32(br)
@@ -607,7 +554,7 @@ func ReadSnapshot(ctx context.Context, r io.Reader, cluster *dfs.Cluster) (*Snap
 		}
 	}
 	for _, sf := range staged {
-		f, err := cluster.CreateFile(sf.name, sf.kind, sf.nParts, sf.partitioner)
+		f, err := cluster.CreateFile(sf.name, sf.kind, len(sf.parts), sf.partitioner)
 		if err != nil {
 			return nil, err
 		}
@@ -619,13 +566,8 @@ func ReadSnapshot(ctx context.Context, r io.Reader, cluster *dfs.Cluster) (*Snap
 			}
 		}
 	}
+	cluster.AdvanceCatalogVersion(meta.CatalogVersion)
 	return meta, nil
-}
-
-// RestoreFromPath restores a snapshot file into the cluster.
-func RestoreFromPath(ctx context.Context, path string, cluster *dfs.Cluster) error {
-	_, err := ReadSnapshotFromPath(ctx, path, cluster)
-	return err
 }
 
 // ReadSnapshotFromPath restores a snapshot file into the cluster and
@@ -664,9 +606,8 @@ func stageFile(r io.Reader) (stagedFile, error) {
 	if nParts > maxSaneParts {
 		return sf, fmt.Errorf("absurd partition count %d", nParts)
 	}
-	sf.nParts = int(nParts)
-	sf.parts = make([][]lake.Record, sf.nParts)
-	for p := 0; p < sf.nParts; p++ {
+	sf.parts = make([][]lake.Record, nParts)
+	for p := range sf.parts {
 		nRecs, err := readU64(r)
 		if err != nil {
 			return sf, err
@@ -687,20 +628,6 @@ func stageFile(r io.Reader) (stagedFile, error) {
 		}
 	}
 	return sf, nil
-}
-
-// teeByteReader feeds every byte read into a checksum.
-type teeByteReader struct {
-	r   io.Reader
-	sum hash.Hash32
-}
-
-func (t *teeByteReader) Read(p []byte) (int, error) {
-	n, err := t.r.Read(p)
-	if n > 0 {
-		t.sum.Write(p[:n])
-	}
-	return n, err
 }
 
 // Little-endian primitives with length sanity checks.

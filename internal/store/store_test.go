@@ -112,11 +112,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	src := buildCluster(t)
 	var buf bytes.Buffer
-	if err := Snapshot(ctx, src, &buf); err != nil {
+	if err := WriteSnapshot(ctx, src, nil, &buf); err != nil {
 		t.Fatal(err)
 	}
 	dst := dfs.NewCluster(dfs.Config{Nodes: 3}) // different node count is fine
-	if err := Restore(ctx, &buf, dst); err != nil {
+	if _, err := ReadSnapshot(ctx, &buf, dst); err != nil {
 		t.Fatal(err)
 	}
 	clustersEqual(t, src, dst)
@@ -126,11 +126,11 @@ func TestSnapshotToPathAndBack(t *testing.T) {
 	ctx := context.Background()
 	src := buildCluster(t)
 	path := filepath.Join(t.TempDir(), "snap.lake")
-	if err := SnapshotToPath(ctx, src, path); err != nil {
+	if err := CheckpointToPath(ctx, src, nil, path); err != nil {
 		t.Fatal(err)
 	}
 	dst := dfs.NewCluster(dfs.Config{Nodes: 2})
-	if err := RestoreFromPath(ctx, path, dst); err != nil {
+	if _, err := ReadSnapshotFromPath(ctx, path, dst); err != nil {
 		t.Fatal(err)
 	}
 	clustersEqual(t, src, dst)
@@ -141,7 +141,7 @@ func TestSnapshotToPathAndBack(t *testing.T) {
 
 func TestRestoreRejectsBadMagic(t *testing.T) {
 	dst := dfs.NewCluster(dfs.Config{Nodes: 1})
-	err := Restore(context.Background(), strings.NewReader("NOTASNAPSHOT"), dst)
+	_, err := ReadSnapshot(context.Background(), strings.NewReader("NOTASNAPSHOT"), dst)
 	if err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad magic error = %v", err)
 	}
@@ -151,12 +151,12 @@ func TestRestoreRejectsTruncation(t *testing.T) {
 	ctx := context.Background()
 	src := buildCluster(t)
 	var buf bytes.Buffer
-	if err := Snapshot(ctx, src, &buf); err != nil {
+	if err := WriteSnapshot(ctx, src, nil, &buf); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()/2]
 	dst := dfs.NewCluster(dfs.Config{Nodes: 1})
-	if err := Restore(ctx, bytes.NewReader(cut), dst); err == nil {
+	if _, err := ReadSnapshot(ctx, bytes.NewReader(cut), dst); err == nil {
 		t.Fatal("truncated snapshot restored without error")
 	}
 }
@@ -165,13 +165,13 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	ctx := context.Background()
 	src := buildCluster(t)
 	var buf bytes.Buffer
-	if err := Snapshot(ctx, src, &buf); err != nil {
+	if err := WriteSnapshot(ctx, src, nil, &buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	raw[len(raw)/2] ^= 0xFF // flip a payload byte
 	dst := dfs.NewCluster(dfs.Config{Nodes: 1})
-	err := Restore(ctx, bytes.NewReader(raw), dst)
+	_, err := ReadSnapshot(ctx, bytes.NewReader(raw), dst)
 	if err == nil {
 		t.Fatal("corrupted snapshot restored without error")
 	}
@@ -181,12 +181,12 @@ func TestRestoreRefusesExistingFile(t *testing.T) {
 	ctx := context.Background()
 	src := buildCluster(t)
 	var buf bytes.Buffer
-	if err := Snapshot(ctx, src, &buf); err != nil {
+	if err := WriteSnapshot(ctx, src, nil, &buf); err != nil {
 		t.Fatal(err)
 	}
 	dst := dfs.NewCluster(dfs.Config{Nodes: 1})
 	dst.CreateFile("tree", dfs.Btree, 1, lake.HashPartitioner{})
-	if err := Restore(ctx, &buf, dst); err == nil {
+	if _, err := ReadSnapshot(ctx, &buf, dst); err == nil {
 		t.Fatal("restore over existing file should fail")
 	}
 }
@@ -313,7 +313,7 @@ func TestSnapshotThenWALRecovery(t *testing.T) {
 	dir := t.TempDir()
 	src := buildCluster(t)
 	snapPath := filepath.Join(dir, "snap.lake")
-	if err := SnapshotToPath(ctx, src, snapPath); err != nil {
+	if err := CheckpointToPath(ctx, src, nil, snapPath); err != nil {
 		t.Fatal(err)
 	}
 
@@ -333,7 +333,7 @@ func TestSnapshotThenWALRecovery(t *testing.T) {
 	w.Close()
 
 	recovered := dfs.NewCluster(dfs.Config{Nodes: 2})
-	if err := RestoreFromPath(ctx, snapPath, recovered); err != nil {
+	if _, err := ReadSnapshotFromPath(ctx, snapPath, recovered); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := ReplayWAL(ctx, walPath, recovered); err != nil || n != 100 {
@@ -345,7 +345,7 @@ func TestSnapshotThenWALRecovery(t *testing.T) {
 func TestSnapshotToPathUnwritable(t *testing.T) {
 	ctx := context.Background()
 	src := buildCluster(t)
-	err := SnapshotToPath(ctx, src, filepath.Join(t.TempDir(), "no", "such", "dir", "x.snap"))
+	err := CheckpointToPath(ctx, src, nil, filepath.Join(t.TempDir(), "no", "such", "dir", "x.snap"))
 	if err == nil {
 		t.Fatal("snapshot into missing directory should fail")
 	}
@@ -369,11 +369,13 @@ func TestRestoreAbsurdLengthRejected(t *testing.T) {
 	// without attempting a giant allocation.
 	var buf bytes.Buffer
 	buf.WriteString(snapshotMagic)
+	writeU64(&buf, 1)                    // catalog version
 	writeU32(&buf, 1)                    // one file
 	writeU32(&buf, uint32(maxSaneLen)+7) // absurd name length
 	dst := dfs.NewCluster(dfs.Config{Nodes: 1})
-	if err := Restore(context.Background(), &buf, dst); err == nil {
-		t.Fatal("absurd length prefix accepted")
+	_, err := ReadSnapshot(context.Background(), &buf, dst)
+	if err == nil || !strings.Contains(err.Error(), "absurd length") {
+		t.Fatalf("absurd length prefix: got %v", err)
 	}
 }
 
@@ -381,10 +383,10 @@ func TestSnapshotDeterministic(t *testing.T) {
 	ctx := context.Background()
 	src := buildCluster(t)
 	var a, b bytes.Buffer
-	if err := Snapshot(ctx, src, &a); err != nil {
+	if err := WriteSnapshot(ctx, src, nil, &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := Snapshot(ctx, src, &b); err != nil {
+	if err := WriteSnapshot(ctx, src, nil, &b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -213,6 +213,12 @@ func (l *WAL) Close() error {
 // without error — that is the expected crash shape — but a corrupted frame
 // *followed by* more data is reported.
 func ReplayWAL(ctx context.Context, path string, cluster *dfs.Cluster) (int, error) {
+	return replayWAL(ctx, path, cluster, func(string) {})
+}
+
+// replayWAL is ReplayWAL calling onCatalog with the file name of every
+// catalog op right after the op is applied.
+func replayWAL(ctx context.Context, path string, cluster *dfs.Cluster, onCatalog func(name string)) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
@@ -236,7 +242,7 @@ func ReplayWAL(ctx context.Context, path string, cluster *dfs.Cluster) (int, err
 		if crc32.ChecksumIEEE(payload) != stored {
 			return applied, walTail(br, applied, errors.New("frame checksum mismatch"))
 		}
-		n, err := replayFrame(ctx, payload, cluster)
+		n, err := replayFrame(ctx, payload, cluster, onCatalog)
 		if err != nil {
 			return applied, err
 		}
@@ -246,7 +252,7 @@ func ReplayWAL(ctx context.Context, path string, cluster *dfs.Cluster) (int, err
 
 // replayFrame applies one verified frame, returning how many records it
 // carried (0 for catalog frames).
-func replayFrame(ctx context.Context, payload []byte, cluster *dfs.Cluster) (int, error) {
+func replayFrame(ctx context.Context, payload []byte, cluster *dfs.Cluster, onCatalog func(string)) (int, error) {
 	pr := bytes.NewReader(payload)
 	typ, err := readByte(pr)
 	if err != nil {
@@ -287,6 +293,7 @@ func replayFrame(ctx context.Context, payload []byte, cluster *dfs.Cluster) (int
 		if err != nil {
 			return 0, err
 		}
+		defer onCatalog(name)
 		switch op {
 		case catalogOpDrop:
 			cluster.DropFile(name)

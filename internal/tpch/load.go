@@ -189,27 +189,16 @@ func BuildStructures(ctx context.Context, cluster *dfs.Cluster) error {
 }
 
 // BuildManaged registers the §III-E structures with a lifecycle manager and
-// builds them through it: builds start concurrently, Ensure joins each one,
+// builds them through it: builds start concurrently, EnsureAll joins them,
 // and opts.StructureBudget (when set) may evict cold structures as later
 // builds finish. Callers Ensure a structure again before using it — the
 // manager transparently rebuilds evicted ones.
 func BuildManaged(ctx context.Context, cluster *dfs.Cluster, opts indexer.ManagerOptions) (*indexer.Manager, error) {
 	m := indexer.NewManager(ctx, cluster, opts)
-	specs := StructureSpecs()
-	for _, spec := range specs {
+	for _, spec := range StructureSpecs() {
 		if err := m.Register(spec); err != nil {
 			return nil, err
 		}
 	}
-	for _, spec := range specs {
-		if _, err := m.Build(spec.Name); err != nil {
-			return nil, err
-		}
-	}
-	for _, spec := range specs {
-		if err := m.Ensure(ctx, spec.Name); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	return m, m.EnsureAll(ctx)
 }

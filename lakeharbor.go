@@ -210,10 +210,6 @@ type Config struct {
 	// structures; cold ready structures are evicted (and transparently
 	// rebuilt on demand) to stay within it. 0 means unlimited.
 	StructureBudget int64
-	// MaintainStructures keeps built structures in sync with records
-	// ingested after their build (writer-pays maintenance, §III-D). Off by
-	// default: without it an index reflects the data as of its build.
-	MaintainStructures bool
 }
 
 // Engine is a LakeHarbor instance: simulated cluster storage, a structure
@@ -235,7 +231,6 @@ func New(cfg Config) *Engine {
 		cluster: cluster,
 		manager: indexer.NewManager(context.Background(), cluster, indexer.ManagerOptions{
 			StructureBudget: cfg.StructureBudget,
-			Maintain:        cfg.MaintainStructures,
 		}),
 		defParts: defParts,
 	}
@@ -262,7 +257,8 @@ func (e *Engine) CreateFile(name string, partitions int, p Partitioner) (File, e
 // File resolves a catalog name.
 func (e *Engine) File(name string) (File, error) { return e.cluster.File(name) }
 
-// Ingest appends one raw record, routed by partition key.
+// Ingest appends one raw record, routed by partition key. Every built
+// structure over the file indexes it too (writer-pays maintenance, §III-D).
 func (e *Engine) Ingest(ctx context.Context, file string, partKey Key, rec Record) error {
 	f, err := e.cluster.File(file)
 	if err != nil {
@@ -288,18 +284,7 @@ func (e *Engine) EnsureStructure(ctx context.Context, name string) error {
 // BuildStructures starts every registered structure build in the
 // background and waits for all of them.
 func (e *Engine) BuildStructures(ctx context.Context) error {
-	names := e.manager.Names()
-	for _, name := range names {
-		if _, err := e.manager.Build(name); err != nil {
-			return err
-		}
-	}
-	for _, name := range names {
-		if err := e.manager.Ensure(ctx, name); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.manager.EnsureAll(ctx)
 }
 
 // Structures exposes the engine's structure lifecycle manager: per-spec
@@ -328,11 +313,12 @@ func (e *Engine) Metrics() MetricsSnapshot { return e.cluster.TotalMetrics() }
 // Snapshot writes a durable, checksummed snapshot of every file to w
 // (see internal/store for the format).
 func (e *Engine) Snapshot(ctx context.Context, w io.Writer) error {
-	return store.Snapshot(ctx, e.cluster, w)
+	return store.WriteSnapshot(ctx, e.cluster, nil, w)
 }
 
 // Restore loads a snapshot into the engine; files that already exist make
 // it fail.
 func (e *Engine) Restore(ctx context.Context, r io.Reader) error {
-	return store.Restore(ctx, r, e.cluster)
+	_, err := store.ReadSnapshot(ctx, r, e.cluster)
+	return err
 }
