@@ -225,15 +225,19 @@ func BenchmarkFig9Warehouse(b *testing.B) {
 }
 
 // BenchmarkFig9ReDe measures the LakeHarbor arm of Fig. 9: raw nested
-// claims + post hoc index, no joins.
+// claims + post hoc index, no joins — with the options a lakeserve tenant
+// gets (inlined referencers, DefaultMaxBatch pointer batches), the path
+// lakebench's fig9_tenants runs.
 func BenchmarkFig9ReDe(b *testing.B) {
 	lakeC, _, corpus := fig9Setup(b)
 	ctx := context.Background()
+	opts := core.Options{InlineReferencers: true, MaxBatch: core.DefaultMaxBatch}
 	for _, q := range claims.Queries {
 		b.Run(q.Name, func(b *testing.B) {
+			b.ReportAllocs()
 			var accesses int64
 			for i := 0; i < b.N; i++ {
-				res, err := claims.RunReDe(ctx, lakeC, q, core.Options{})
+				res, err := claims.RunReDe(ctx, lakeC, q, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,11 +10,7 @@
 // RWMutex (queries are read-mostly and structure builds are batched).
 package btree
 
-import (
-	"cmp"
-	"slices"
-	"sort"
-)
+import "sort"
 
 // degree is the maximum number of entries in a leaf and of children in an
 // internal node. 64 keeps the tree shallow for the partition sizes used in
@@ -157,83 +153,52 @@ func (t *Tree) Insert(key string, val []byte) {
 // returns nil.
 func (t *Tree) Get(key string) [][]byte {
 	var out [][]byte
-	t.Ascend(key, key, func(_ string, v []byte) bool {
-		out = append(out, v)
-		return true
-	})
+	c := t.Cursor()
+	c.Visit(key, func(v []byte) { out = append(out, v) })
 	return out
 }
 
-// GetBatch returns the values stored under each key, aligned with keys (a
-// miss yields a nil slice at that position). It is the multi-get behind
-// lake.BatchFile: the keys are visited in sorted order and the cursor walks
-// the leaf chain forward between adjacent keys, so a batch of k nearby keys
-// costs one root-to-leaf descent plus k leaf probes instead of k descents.
-// Keys may arrive unsorted and may repeat; repeated keys share the cached
-// result.
-func (t *Tree) GetBatch(keys []string) [][][]byte {
-	out := make([][][]byte, len(keys))
-	if len(keys) == 0 {
-		return out
-	}
-	// Visit in sorted key order without disturbing the caller's slice.
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
-
-	// Every key's values are sub-slices of one array, sized for the common
-	// case of one value per key. When it grows, results already handed out
-	// keep pointing into the array it outgrew, which still holds them.
-	flat := make([][]byte, 0, len(keys))
-	var cur *leaf // leaf holding the first entry >= the previous key
-	last := -1    // index into keys of the previous distinct key
-	for _, i := range order {
-		k := keys[i]
-		if last >= 0 && keys[last] == k {
-			out[i] = out[last] // repeated key: share the result
-			continue
-		}
-		var li int
-		cur, li = t.seekFrom(cur, k)
-		// Collect every value stored under k, walking the leaf chain for
-		// duplicate runs that span leaves.
-		start := len(flat)
-	scan:
-		for l, j := cur, li; l != nil; l, j = l.next, 0 {
-			cur = l // advance the cursor past duplicate runs
-			for ; j < len(l.keys); j++ {
-				if l.keys[j] != k {
-					break scan
-				}
-				flat = append(flat, l.vals[j])
-			}
-		}
-		if len(flat) > start { // a miss stays nil
-			out[i] = flat[start:len(flat):len(flat)]
-		}
-		last = i
-	}
-	return out
+// Cursor serves a run of point lookups, such as a pointer batch: a lookup
+// starts from the leaf the previous one ended in when the key lies in that
+// leaf or its successor, and descends from the root otherwise, so nearby keys
+// share descent work. Keys may come in any order and repeat. A cursor is
+// valid until the tree changes.
+type Cursor struct {
+	t    *Tree
+	leaf *leaf // where the previous lookup ended; nil before the first
 }
 
-// seekFrom positions the cursor at the first entry >= k, reusing cur (the
-// leaf the previous, smaller key landed in) when k is within reach — the
-// same leaf or its immediate successor — and re-descending from the root
-// otherwise.
-func (t *Tree) seekFrom(cur *leaf, k string) (*leaf, int) {
-	if cur != nil {
-		if n := len(cur.keys); n > 0 && k <= cur.keys[n-1] {
-			return cur, lowerBound(cur.keys, k)
-		}
-		if nxt := cur.next; nxt != nil {
-			if n := len(nxt.keys); n > 0 && k <= nxt.keys[n-1] {
-				return nxt, lowerBound(nxt.keys, k)
+// Cursor returns a cursor over t that descends for its first key.
+func (t *Tree) Cursor() Cursor { return Cursor{t: t} }
+
+// Visit calls fn with every value stored under key, in insertion order,
+// walking the leaf chain for duplicate runs that span leaves.
+func (c *Cursor) Visit(key string, fn func(val []byte)) {
+	for l, i := c.seek(key); l != nil; l, i = l.next, 0 {
+		c.leaf = l
+		for ; i < len(l.keys); i++ {
+			if l.keys[i] != key {
+				return
 			}
+			fn(l.vals[i])
 		}
 	}
-	return t.root.firstLeafGE(k)
+}
+
+// seek positions at the first entry >= key. The remembered leaf serves only
+// keys strictly above its first key: a smaller key lies in an earlier leaf,
+// and an equal key's duplicate run may begin in one (a split leaves equal
+// keys on both sides).
+func (c *Cursor) seek(key string) (*leaf, int) {
+	if l := c.leaf; l != nil && len(l.keys) > 0 && l.keys[0] < key {
+		if key <= l.keys[len(l.keys)-1] {
+			return l, lowerBound(l.keys, key)
+		}
+		if n := l.next; n != nil && len(n.keys) > 0 && key <= n.keys[len(n.keys)-1] {
+			return n, lowerBound(n.keys, key)
+		}
+	}
+	return c.t.root.firstLeafGE(key)
 }
 
 // Ascend calls fn for every entry with lo <= key <= hi in ascending key

@@ -2,17 +2,17 @@ package btree
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 )
 
-// FuzzGetBatch fuzzes the batched lookup path against the per-key one:
-// whatever tree the insert bytes build (duplicate keys included) and
-// whatever query list the lookup bytes produce (unsorted, duplicated, part
-// hits part misses), GetBatch must return exactly what one Get per key
-// returns, aligned position by position. GetBatch is the storage end of the
-// executor's pointer batching, so a divergence here is a silent wrong
-// answer for every batched query.
+// FuzzGetBatch fuzzes the batched lookup path — one Cursor over a key list,
+// as dfs serves a pointer batch — against the per-key one: whatever tree the
+// insert bytes build (duplicate keys included, runs spanning leaf splits)
+// and whatever query list the lookup bytes produce (unsorted, descending,
+// repeated, part hits part misses), the cursor must return exactly what one
+// Get per key returns, aligned position by position. The cursor is the
+// storage end of the executor's pointer batching, so a divergence here is a
+// silent wrong answer for every batched query.
 func FuzzGetBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 1, 9}, []byte{1, 3, 3, 5})
 	f.Add([]byte{}, []byte{0, 0, 0})
@@ -21,8 +21,12 @@ func FuzzGetBatch(f *testing.F) {
 		tr := New()
 		for i := 0; i+1 < len(inserts); i += 2 {
 			// Narrow key space on purpose: collisions produce duplicate
-			// keys, which is the interesting multiset case.
-			tr.Insert(fmt.Sprintf("k%03d", inserts[i]%32), []byte{inserts[i+1]})
+			// keys, which is the interesting multiset case. Each byte pair
+			// inserts a run, so duplicates outgrow a leaf.
+			k := fmt.Sprintf("k%03d", inserts[i]%32)
+			for j := 0; j <= int(inserts[i+1]%4)*degree/3; j++ {
+				tr.Insert(k, []byte{inserts[i+1], byte(j)})
+			}
 		}
 		keys := make([]string, 0, len(lookups))
 		for i, b := range lookups {
@@ -32,20 +36,6 @@ func FuzzGetBatch(f *testing.F) {
 			}
 			keys = append(keys, k)
 		}
-
-		batch := tr.GetBatch(keys)
-		if len(batch) != len(keys) {
-			t.Fatalf("GetBatch returned %d results for %d keys", len(batch), len(keys))
-		}
-		for i, k := range keys {
-			want := tr.Get(k)
-			got := batch[i]
-			if len(want) == 0 && len(got) == 0 {
-				continue // nil vs empty slice are both "miss"
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("key %q (position %d): GetBatch = %v, Get = %v", k, i, got, want)
-			}
-		}
+		sameAsGet(t, tr, keys, getBatch(tr, keys))
 	})
 }

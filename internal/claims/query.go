@@ -55,27 +55,29 @@ type Result struct {
 // dereference each whole raw claim once, and evaluate the medicine
 // predicate with schema-on-read inside the claim — no joins.
 func RunReDe(ctx context.Context, cluster *dfs.Cluster, q Query, opts core.Options) (*Result, error) {
-	medFilter := func(rec lake.Record) (bool, error) {
-		p, err := probeRecord(rec, q.MedicineClass, "")
-		return p.hasClass, err
-	}
 	k := DiseaseKey(q.Disease)
 	job, err := core.NewJob("claims-"+q.Name,
 		[]lake.Pointer{{File: IdxClaimsDise, PartKey: k, Key: k}},
 		core.LookupDeref{File: IdxClaimsDise},
 		core.EntryRef{Target: FileClaims},
-		core.LookupDeref{File: FileClaims, Filter: medFilter},
+		core.LookupDeref{File: FileClaims},
 	)
 	if err != nil {
 		return nil, err
 	}
 
+	// The job emits every claim that diagnoses the disease, and Each walks
+	// each one once: one probe answers the medicine class and the expense
+	// together, and only a claim with the class counts. Each, not a Filter,
+	// is where the answer is added up because it runs exactly once per
+	// emitted record; a filter re-runs when a failed batch is split and
+	// retried.
 	var mu sync.Mutex
 	expense := int64(0)
 	count := int64(0)
 	opts.Each = func(_ int, rec lake.Record) error {
-		p, err := probeRecord(rec, "", "") // the expense is in the mandatory HO
-		if err != nil {
+		p, err := probeRecord(rec, q.MedicineClass, "")
+		if err != nil || !p.hasClass {
 			return err
 		}
 		mu.Lock()

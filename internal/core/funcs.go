@@ -58,7 +58,11 @@ func (d RangeDeref) Deref(tc *TaskCtx, ptr lake.Pointer) ([]lake.Record, error) 
 		out = append(out, recs...)
 	}
 	out = combine(d.Combine, ptr, out)
-	return applyFilter(d.Filter, out)
+	n, err := filterInto(d.Filter, out, 0, out)
+	if err != nil {
+		return nil, err
+	}
+	return out[:n], nil
 }
 
 // LookupDeref is the paper's Dereferencer-1/-2/-3: it takes a pointer and
@@ -80,78 +84,108 @@ type LookupDeref struct {
 // Name implements Dereferencer.
 func (d LookupDeref) Name() string { return "LookupDeref(" + d.File + ")" }
 
-// Deref implements Dereferencer.
+// Deref implements Dereferencer: AppendDeref of the one pointer onto nil.
 func (d LookupDeref) Deref(tc *TaskCtx, ptr lake.Pointer) ([]lake.Record, error) {
-	f, err := tc.Catalog.File(d.File)
-	if err != nil {
-		return nil, err
-	}
-	var out []lake.Record
-	for _, p := range targetPartitions(tc, f, ptr) {
-		recs, err := f.Lookup(tc.Ctx, p, ptr.Key)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", d.Name(), err)
-		}
-		out = append(out, recs...)
-	}
-	out = combine(d.Combine, ptr, out)
-	return applyFilter(d.Filter, out)
+	return d.appendDeref(tc, nil, []lake.Pointer{ptr}, nil)
 }
 
-// DerefBatch implements BatchDereferencer: the batch's keys reach storage
-// through lake.LookupBatch — one admission per target partition instead of
-// one per pointer. The executor coalesces per partition, so a batch
-// normally hits exactly one; pointers a hash change re-routed mid-batch
-// still resolve correctly because grouping re-derives each pointer's
-// partition here. Broadcast pointers (which address many partitions) fall
-// back to the per-pointer path.
+// DerefBatch implements BatchDereferencer: AppendDeref onto an array sized
+// for one record per pointer, cut into one group per pointer where each
+// pointer's records end.
 func (d LookupDeref) DerefBatch(tc *TaskCtx, ptrs []lake.Pointer) ([][]lake.Record, error) {
-	f, err := tc.Catalog.File(d.File)
-	if err != nil {
+	groups := make([][]lake.Record, len(ptrs))
+	if _, err := d.appendDeref(tc, make([]lake.Record, 0, len(ptrs)), ptrs, groups); err != nil {
 		return nil, err
 	}
-	out := make([][]lake.Record, len(ptrs))
-	// parts[i] is the partition ptrs[i] routes to, or -1 once it is served.
-	// The groups below take their keys and indices from two arrays shared
-	// by the whole batch, so a batch costs a fixed number of slices however
-	// many keys or partitions it holds.
-	parts := make([]int, len(ptrs))
-	for i, ptr := range ptrs {
-		part, broadcast := lake.ResolvePartition(f, ptr)
-		if broadcast {
-			recs, err := d.Deref(tc, ptr)
-			if err != nil {
-				return nil, err
-			}
-			out[i], part = recs, -1
-		}
-		parts[i] = part
+	return groups, nil
+}
+
+// AppendDeref implements AppendDereferencer.
+func (d LookupDeref) AppendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Pointer) ([]lake.Record, error) {
+	return d.appendDeref(tc, dst, ptrs, nil)
+}
+
+// appendDeref is the one body behind Deref, DerefBatch and AppendDeref. The
+// pointers of a batch that route to one partition reach storage in one
+// lake.AppendLookupBatch — one admission per target partition — and a lone
+// pointer in one Lookup; a broadcast pointer looks up each local partition.
+// Records are appended straight onto dst, then combined with their pointer's
+// carry and filtered in place. groups, when non-nil, receives each pointer's
+// records, aligned with ptrs (an array a later append outgrows keeps them).
+func (d LookupDeref) appendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Pointer, groups [][]lake.Record) ([]lake.Record, error) {
+	f, err := tc.Catalog.File(d.File)
+	if err != nil {
+		return dst, err
 	}
-	keys := make([]lake.Key, 0, len(ptrs))
-	idxs := make([]int, 0, len(ptrs))
-	for first, part := range parts {
-		if part < 0 {
+	// parts[i] is the partition ptrs[i] routes to, broadcast, or served once
+	// its records are in; a small frame keeps deep callers' stacks from growing.
+	const broadcast, served = -1, -2
+	var buf [DefaultMaxBatch]int32
+	parts := buf[:0]
+	for _, ptr := range ptrs {
+		part, all := lake.ResolvePartition(f, ptr)
+		if all {
+			part = broadcast
+		}
+		parts = append(parts, int32(part))
+	}
+	out := dst
+	for i, part := range parts {
+		if part == served {
 			continue
 		}
-		start := len(keys)
-		for i := first; i < len(ptrs); i++ {
-			if parts[i] == part {
-				keys = append(keys, ptrs[i].Key)
-				idxs = append(idxs, i)
-				parts[i] = -1
+		// The group is ptrs[i] and, if it is routed, every later pointer to its partition.
+		inGroup := func(j int) bool { return j == i || part != broadcast && parts[j] == part }
+		start := len(out)
+		var ends []int // where each pointer's records end: needed to combine or align them
+		switch {
+		case part == broadcast:
+			for _, p := range tc.LocalPartitions(f) {
+				if out, err = lake.AppendLookup(tc.Ctx, f, out, p, ptrs[i].Key); err != nil {
+					break
+				}
 			}
+		case len(ptrs) == 1:
+			out, err = lake.AppendLookup(tc.Ctx, f, out, int(part), ptrs[i].Key)
+		default:
+			keys := make([]lake.Key, 0, len(ptrs)-i)
+			for j := i; j < len(parts); j++ {
+				if inGroup(j) {
+					keys = append(keys, ptrs[j].Key)
+				}
+			}
+			if d.Combine || groups != nil {
+				ends = make([]int, len(keys))
+			}
+			out, err = lake.AppendLookupBatch(tc.Ctx, f, out, int(part), keys, ends)
 		}
-		res, err := lake.LookupBatch(tc.Ctx, f, part, keys[start:])
 		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", d.Name(), err)
+			clear(out[len(dst):])
+			return out[:len(dst)], fmt.Errorf("core: %s: %w", d.Name(), err)
 		}
-		for j, i := range idxs[start:] {
-			recs := combine(d.Combine, ptrs[i], res[j])
-			if recs, err = applyFilter(d.Filter, recs); err != nil {
-				return nil, err
+		r, w, k := start, start, 0 // read from r, keep at w; k counts the group's pointers
+		for j := i; j < len(parts); j++ {
+			if !inGroup(j) {
+				continue
 			}
-			out[i] = recs
+			parts[j] = served
+			end := len(out)
+			if ends != nil {
+				end = ends[k]
+			}
+			k++
+			from := w
+			combine(d.Combine, ptrs[j], out[r:end])
+			if w, err = filterInto(d.Filter, out, w, out[r:end]); err != nil {
+				clear(out[len(dst):])
+				return out[:len(dst)], err
+			}
+			if r = end; groups != nil && w > from {
+				groups[j] = out[from:w:w]
+			}
 		}
+		clear(out[w:])
+		out = out[:w]
 	}
 	return out, nil
 }
@@ -220,21 +254,24 @@ func targetPartitions(tc *TaskCtx, f lake.File, ptr lake.Pointer) []int {
 	return tc.LocalPartitions(f)
 }
 
-func applyFilter(filter Filter, recs []lake.Record) ([]lake.Record, error) {
-	if filter == nil {
-		return recs, nil
-	}
-	out := recs[:0]
-	for _, r := range recs {
-		ok, err := filter(r)
-		if err != nil {
-			return nil, err
+// filterInto copies the records of src that pass filter (every one, for a
+// nil filter) to dst from w on, and returns where they end. src may be
+// dst[r:] for any r >= w: records only move down.
+func filterInto(filter Filter, dst []lake.Record, w int, src []lake.Record) (int, error) {
+	for _, r := range src {
+		if filter != nil {
+			ok, err := filter(r)
+			if err != nil {
+				return w, err
+			}
+			if !ok {
+				continue
+			}
 		}
-		if ok {
-			out = append(out, r)
-		}
+		dst[w] = r
+		w++
 	}
-	return out, nil
+	return w, nil
 }
 
 // EntryRef is the paper's Referencer-1/-3: it takes an index entry produced
@@ -261,11 +298,11 @@ func (r EntryRef) Name() string { return "EntryRef(" + r.Target + ")" }
 
 // Ref implements Referencer.
 func (r EntryRef) Ref(tc *TaskCtx, rec lake.Record) ([]lake.Pointer, error) {
-	return r.AppendRef(tc, nil, rec)
+	return r.AppendRef(tc, nil, nil, rec)
 }
 
-// AppendRef implements AppendReferencer.
-func (r EntryRef) AppendRef(tc *TaskCtx, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error) {
+// AppendRef implements AppendReferencer: the entry's keys are cut from keys.
+func (r EntryRef) AppendRef(tc *TaskCtx, keys *lake.KeyArena, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error) {
 	entry := rec.Data
 	var carry []byte
 	if r.FromComposite {
@@ -279,7 +316,7 @@ func (r EntryRef) AppendRef(tc *TaskCtx, dst []lake.Pointer, rec lake.Record) ([
 		entry = segs[len(segs)-1]
 		carry = lake.EncodeSegments(segs[:len(segs)-1]...)
 	}
-	partKey, pk, err := lake.DecodeIndexEntry(entry)
+	partKey, pk, err := keys.DecodeIndexEntry(entry)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
 	}
@@ -334,11 +371,12 @@ func (r FieldRef) Name() string { return "FieldRef(" + r.Field + "→" + r.Targe
 
 // Ref implements Referencer.
 func (r FieldRef) Ref(tc *TaskCtx, rec lake.Record) ([]lake.Pointer, error) {
-	return r.AppendRef(tc, nil, rec)
+	return r.AppendRef(tc, nil, nil, rec)
 }
 
-// AppendRef implements AppendReferencer.
-func (r FieldRef) AppendRef(tc *TaskCtx, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error) {
+// AppendRef implements AppendReferencer. Its key comes from Encode, not from
+// the arena.
+func (r FieldRef) AppendRef(tc *TaskCtx, _ *lake.KeyArena, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error) {
 	v, err := r.Interp.Field(rec, r.Field)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)

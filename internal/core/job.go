@@ -77,8 +77,9 @@ type Referencer interface {
 type AppendReferencer interface {
 	Referencer
 	// AppendRef appends the pointers the record refers to onto dst and
-	// returns the extended slice.
-	AppendRef(tc *TaskCtx, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error)
+	// returns the extended slice. Keys decoded from the record are cut from
+	// keys, the task's arena; nil decodes one-shot.
+	AppendRef(tc *TaskCtx, keys *lake.KeyArena, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error)
 }
 
 // Dereferencer takes a pointer (or a range of pointers) and produces the set
@@ -108,6 +109,18 @@ type BatchDereferencer interface {
 	// belongs to the executor, which reuses it once the task is done: read
 	// it during the call, never keep it.
 	DerefBatch(tc *TaskCtx, ptrs []lake.Pointer) ([][]lake.Record, error)
+}
+
+// AppendDereferencer is optionally implemented by Dereferencers that can
+// append the records of a pointer batch, or of one pointer, onto a record
+// array the executor supplies — one pooled array per task, from storage to
+// the next stage. The executor prefers it over Deref and DerefBatch.
+type AppendDereferencer interface {
+	Dereferencer
+	// AppendDeref appends the records ptrs point to onto dst, in no promised
+	// order. On error dst comes back at its own length, nothing written past
+	// it. ptrs is read during the call only, as for DerefBatch.
+	AppendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Pointer) ([]lake.Record, error)
 }
 
 // Stage is one step of a job: exactly one of Ref or Deref is set.

@@ -74,18 +74,19 @@ func indexRecords(n int) []lake.Record {
 	return recs
 }
 
-// TestReferAllocationBudget: a 64-entry task through refer costs the 64 key
-// strings — one per entry, shared by PartKey and Key — and a fixed handful
-// (the scratch slice, the batcher's buffer list), not a pointer slice and two
-// byte slices and two strings per entry.
+// TestReferAllocationBudget: a 64-entry task through refer costs a fixed
+// handful (the scratch slice, the batcher's buffer list) plus the arena
+// chunks its keys are cut from — 64 eight-byte keys fit one 4 KiB chunk with
+// room to spare, so a task starts at most one — and nothing per entry: not a
+// key string, let alone a pointer slice and two byte slices and two strings.
 func TestReferAllocationBudget(t *testing.T) {
 	var batches, ptrs int
 	e := newReferRig(t, EntryRef{Target: fTarget}, func(t task) { batches, ptrs = batches+1, ptrs+len(t.ptrs) })
 	recs := indexRecords(DefaultMaxBatch)
-	const fixed = 8
+	const fixed, chunks = 2, 1
 	got := testing.AllocsPerRun(100, func() { e.refer(e.tcs[0], 1, recs...) })
-	if got > float64(len(recs)+fixed) {
-		t.Errorf("refer over %d entries allocates %.0f times, budget %d + %d", len(recs), got, len(recs), fixed)
+	if got > fixed+chunks {
+		t.Errorf("refer over %d entries allocates %.2f times, budget %d + %d", len(recs), got, fixed, chunks)
 	}
 	if err := e.firstErr(); err != nil || ptrs != batches*DefaultMaxBatch || batches == 0 {
 		t.Fatalf("%d batches, %d pointers, error %v", batches, ptrs, err)
@@ -159,23 +160,23 @@ func TestEntryRefPointersOwnTheirKeys(t *testing.T) {
 // task left it — so the pool keeps no key or carry alive and a new task
 // starts from nothing.
 func TestPooledBufferRetainsNothing(t *testing.T) {
-	zero := func(when string, b *ptrBuf) {
+	zero := func(when string, b *lent[lake.Pointer]) {
 		t.Helper()
-		if len(b.ptrs) != 0 {
-			t.Fatalf("%s: buffer holds %d pointers", when, len(b.ptrs))
+		if len(b.s) != 0 {
+			t.Fatalf("%s: buffer holds %d pointers", when, len(b.s))
 		}
-		for i, p := range b.ptrs[:cap(b.ptrs)] {
+		for i, p := range b.s[:cap(b.s)] {
 			if p.File != "" || p.PartKey != "" || p.Key != "" || p.EndKey != "" || p.NoPart || p.Carry != nil {
 				t.Fatalf("%s: slot %d holds %v", when, i, p)
 			}
 		}
 	}
 	for _, fill := range []int{DefaultMaxBatch, 3, 40, 3 * DefaultMaxBatch} { // the last as under a larger MaxBatch
-		b := getPtrBuf(DefaultMaxBatch) // new or recycled, whichever the pool has
+		b := ptrBufs.get() // new or recycled, whichever the pool has
 		zero("handed out", b)
 		for i := 0; i < fill; i++ {
 			k := keycodec.Int64(int64(i))
-			b.ptrs = append(b.ptrs, lake.Pointer{File: fTarget, PartKey: k, Key: k, EndKey: k, NoPart: true, Carry: []byte("carried")})
+			b.s = append(b.s, lake.Pointer{File: fTarget, PartKey: k, Key: k, EndKey: k, NoPart: true, Carry: []byte("carried")})
 		}
 		b.release()
 		zero(fmt.Sprintf("released after %d pointers", fill), b) // no other test goroutine is running to take it

@@ -177,7 +177,7 @@ type task struct {
 	stage int
 	isRec bool
 	ptrs  []lake.Pointer
-	buf   *ptrBuf // the pooled buffer ptrs lives in, nil when it is the task's own
+	buf   *lent[lake.Pointer] // the pooled buffer ptrs lives in, nil when it is the task's own
 	rec   lake.Record
 	// enq is the unix-nano time the task was dispatched onto a queue; the
 	// span from enq to TaskBegin is the task's queue wait.
@@ -460,38 +460,53 @@ type batcher struct {
 
 type batchBuf struct {
 	key batchKey
-	buf *ptrBuf // nil between a flush at MaxBatch and the next pointer
+	buf *lent[lake.Pointer] // nil between a flush at MaxBatch and the next pointer
 }
 
-// ptrBuf is a pointer buffer recycled through ptrBufs: the batcher that fills
-// it hands it to the task it dispatches, and process releases it once that
-// task's dereference — splits and retries included — no longer reads the
-// pointers. A new one has room for a full batch, not for what the task is
-// about to emit: Q5′ spreads a handful of pointers over eight partitions, and
-// sizing each buffer by the task's record count cost more memory than
-// append-doubling did.
-type ptrBuf struct{ ptrs []lake.Pointer }
+// lent is a slice a task borrows: a pointer batch from ptrBufs, which the
+// batcher fills and its task carries, or a record array from recBufs, which
+// a dereference task fills from storage on. process releases each after the
+// last code that reads it (DESIGN.md §4). Neither is sized by what its task
+// will produce: Q5′ spreads a handful of pointers over eight partitions, and
+// sizing by record count cost more memory than append-doubling did.
+type lent[T any] struct {
+	s    []T
+	from *lender[T]
+}
 
-// ptrBufs holds released buffers, every one empty and zero over its capacity.
-var ptrBufs sync.Pool
+// lender pools lent slices, every one empty and zero over its capacity.
+type lender[T any] struct {
+	pool         sync.Pool
+	fresh, limit int // the capacity of a new slice; of the largest one kept
+}
 
-func getPtrBuf(maxBatch int) *ptrBuf {
-	if b, _ := ptrBufs.Get().(*ptrBuf); b != nil {
+var (
+	ptrBufs = &lender[lake.Pointer]{fresh: DefaultMaxBatch, limit: DefaultMaxBatch}
+	// An array of up to 160 KiB of records is kept: the index stage of a
+	// claims query, about 2 300 entries, draws a warm one too.
+	recBufs = &lender[lake.Record]{limit: 4096}
+)
+
+func (l *lender[T]) get() *lent[T] {
+	if b, _ := l.pool.Get().(*lent[T]); b != nil {
 		return b
 	}
-	return &ptrBuf{ptrs: make([]lake.Pointer, 0, min(maxBatch, DefaultMaxBatch))}
+	return &lent[T]{s: make([]T, 0, l.fresh), from: l}
 }
 
-// release clears the pointers written — the rest of the capacity was never
-// dirtied — so the pool retains no key or carry, and recycles the buffer. One
-// that a larger MaxBatch grew is left to the collector instead.
-func (b *ptrBuf) release() {
-	clear(b.ptrs)
-	b.ptrs = b.ptrs[:0]
-	if cap(b.ptrs) <= DefaultMaxBatch {
-		ptrBufs.Put(b)
+// release clears what was written — the rest was never dirtied — so the pool
+// retains nothing, and recycles the slice unless it outgrew the limit.
+func (b *lent[T]) release() {
+	clear(b.s)
+	b.s = b.s[:0]
+	if cap(b.s) <= b.from.limit {
+		b.from.pool.Put(b)
 	}
 }
+
+// keyArenas lends each referencing task an arena for index-entry keys. An
+// arena only appends, so one from the pool goes on where its last task stopped.
+var keyArenas = sync.Pool{New: func() any { return new(lake.KeyArena) }}
 
 // add routes one emitted pointer: buffered under its (stage, file,
 // partition) when coalescible, dispatched immediately otherwise. A buffer
@@ -522,11 +537,11 @@ func (b *batcher) add(stage int, ptr lake.Pointer) {
 	}
 	bb := &b.bufs[i]
 	if bb.buf == nil {
-		bb.buf = getPtrBuf(b.e.opts.MaxBatch)
+		bb.buf = ptrBufs.get()
 	}
-	bb.buf.ptrs = append(bb.buf.ptrs, ptr)
-	if len(bb.buf.ptrs) >= b.e.opts.MaxBatch {
-		b.e.dispatch(b.node, task{stage: stage, ptrs: bb.buf.ptrs, buf: bb.buf})
+	bb.buf.s = append(bb.buf.s, ptr)
+	if len(bb.buf.s) >= b.e.opts.MaxBatch {
+		b.e.dispatch(b.node, task{stage: stage, ptrs: bb.buf.s, buf: bb.buf})
 		bb.buf = nil // the task owns the buffer now
 	}
 }
@@ -541,7 +556,7 @@ func (b *batcher) flush() {
 	}
 	for _, bb := range b.bufs {
 		if bb.buf != nil {
-			b.e.dispatch(b.node, task{stage: bb.key.stage, ptrs: bb.buf.ptrs, buf: bb.buf})
+			b.e.dispatch(b.node, task{stage: bb.key.stage, ptrs: bb.buf.s, buf: bb.buf})
 		}
 	}
 	b.bufs = nil
@@ -571,7 +586,10 @@ func (e *executor) process(tc *TaskCtx, t task, worker int) {
 	}
 
 	e.tr.AddBatch(t.stage, len(t.ptrs))
-	recs, err := e.derefTask(e.derefTcs[tc.Node][t.stage], t.stage, e.job.Stages[t.stage].Deref, t.ptrs)
+	rb := recBufs.get()
+	defer rb.release() // after refer, collect or dispatch below
+	recs, err := e.derefTask(e.derefTcs[tc.Node][t.stage], t.stage, e.job.Stages[t.stage].Deref, rb.s, t.ptrs)
+	rb.s = recs
 	if t.buf != nil {
 		t.buf.release() // records never alias the pointer slice, and nothing below reads it
 	}
@@ -603,13 +621,15 @@ func (e *executor) refer(tc *TaskCtx, stage int, recs ...lake.Record) {
 	ref := e.job.Stages[stage].Ref
 	appender, _ := ref.(AppendReferencer)
 	b := batcher{e: e, node: tc.Node}
+	keys := keyArenas.Get().(*lake.KeyArena)
+	defer keyArenas.Put(keys)
 	// An AppendReferencer fills one scratch slice over and over: it grows on
 	// the heap once per task, where Ref returns a new slice per record.
 	var ptrs []lake.Pointer
 	var err error
 	for _, r := range recs {
 		if appender != nil {
-			ptrs, err = appender.AppendRef(tc, ptrs[:0], r)
+			ptrs, err = appender.AppendRef(tc, keys, ptrs[:0], r)
 		} else {
 			ptrs, err = ref.Ref(tc, r)
 		}
@@ -626,56 +646,66 @@ func (e *executor) refer(tc *TaskCtx, stage int, recs ...lake.Record) {
 	b.flush()
 }
 
-// derefTask resolves a pointer batch to records. A single pointer takes the
-// classic retried path; a true batch goes through the stage's
-// BatchDereferencer when it has one (a single storage round trip). A failed
-// batch is split: every pointer is retried individually via derefWithRetry,
-// so one bad pointer costs one pointer, not the batch, and the per-pointer
-// path reports the precise failing pointer.
-func (e *executor) derefTask(tc *TaskCtx, stage int, d Dereferencer, ptrs []lake.Pointer) ([]lake.Record, error) {
-	if len(ptrs) == 1 {
-		return e.derefWithRetry(tc, stage, d, ptrs[0])
-	}
-	if bd, ok := d.(BatchDereferencer); ok {
-		groups, err := bd.DerefBatch(tc, ptrs)
+// derefTask appends a pointer batch's records onto dst: in one call (a single
+// storage round trip) when the Dereferencer batches, otherwise — and for a
+// failed batch, split — pointer by pointer through derefWithRetry, so one bad
+// pointer costs one pointer and the error names it. Whatever it returns, the
+// array is zero past the returned length.
+func (e *executor) derefTask(tc *TaskCtx, stage int, d Dereferencer, dst []lake.Record, ptrs []lake.Pointer) ([]lake.Record, error) {
+	_, appends := d.(AppendDereferencer)
+	if _, batches := d.(BatchDereferencer); len(ptrs) > 1 && (appends || batches) {
+		recs, err := derefOnto(tc, d, dst, ptrs)
 		if err == nil {
-			n := 0
-			for _, recs := range groups {
-				n += len(recs)
-			}
-			out := make([]lake.Record, 0, n)
-			for _, recs := range groups {
-				out = append(out, recs...)
-			}
-			return out, nil
+			return recs, nil
 		}
+		dst = recs // the failed batch left nothing behind
 		if tc.Ctx.Err() != nil {
-			return nil, err // dying job: don't grind through the split
+			return dst, err // dying job: don't grind through the split
 		}
 		e.tr.AddBatchSplit(stage)
 		e.tr.Mark(trace.EvSplit, stage, tc.Node, len(ptrs))
 	}
-	var out []lake.Record
-	for _, p := range ptrs {
-		recs, err := e.derefWithRetry(tc, stage, d, p)
-		if err != nil {
-			return nil, err
+	for i := range ptrs {
+		var err error
+		if dst, err = e.derefWithRetry(tc, stage, d, dst, ptrs[i:i+1]); err != nil {
+			return dst, err
 		}
-		out = append(out, recs...)
 	}
-	return out, nil
+	return dst, nil
 }
 
-// derefWithRetry runs a Dereferencer, retrying per Options.MaxRetries.
-// Context cancellation is never retried (a dying job must die promptly),
-// and neither are permanent errors (see Permanent): an unknown file or a
-// bad pointer fails identically on every attempt, so backoff only delays
-// the inevitable.
-func (e *executor) derefWithRetry(tc *TaskCtx, stage int, d Dereferencer, ptr lake.Pointer) ([]lake.Record, error) {
-	recs, err := d.Deref(tc, ptr)
+// derefOnto appends the records of ptrs — several only when d batches — onto
+// dst, through AppendDeref when d has it; on error dst comes back as it was.
+func derefOnto(tc *TaskCtx, d Dereferencer, dst []lake.Record, ptrs []lake.Pointer) ([]lake.Record, error) {
+	if ad, ok := d.(AppendDereferencer); ok {
+		return ad.AppendDeref(tc, dst, ptrs)
+	}
+	if len(ptrs) == 1 {
+		recs, err := d.Deref(tc, ptrs[0])
+		if err != nil {
+			return dst, err
+		}
+		return append(dst, recs...), nil
+	}
+	groups, err := d.(BatchDereferencer).DerefBatch(tc, ptrs)
+	if err != nil {
+		return dst, err
+	}
+	for _, recs := range groups {
+		dst = append(dst, recs...)
+	}
+	return dst, nil
+}
+
+// derefWithRetry appends the records of ptr, one pointer, onto dst, retrying
+// per Options.MaxRetries. Context cancellation is never retried (a dying job
+// must die promptly), and neither are permanent errors (see Permanent): an
+// unknown file or a bad pointer fails identically on every attempt.
+func (e *executor) derefWithRetry(tc *TaskCtx, stage int, d Dereferencer, dst []lake.Record, ptr []lake.Pointer) ([]lake.Record, error) {
+	recs, err := derefOnto(tc, d, dst, ptr)
 	for attempt := 0; err != nil && attempt < e.opts.MaxRetries; attempt++ {
 		if Permanent(err) || tc.Ctx.Err() != nil {
-			return nil, err
+			return recs, err
 		}
 		if e.opts.RetryBackoff > 0 {
 			t := time.NewTimer(e.opts.RetryBackoff)
@@ -683,7 +713,7 @@ func (e *executor) derefWithRetry(tc *TaskCtx, stage int, d Dereferencer, ptr la
 			case <-t.C:
 			case <-tc.Ctx.Done():
 				t.Stop()
-				return nil, err
+				return recs, err
 			}
 		}
 		e.tr.AddRetry(stage)
@@ -692,7 +722,7 @@ func (e *executor) derefWithRetry(tc *TaskCtx, stage int, d Dereferencer, ptr la
 		// node-side spans distinguish first tries from re-drives.
 		rtc := *tc
 		rtc.Ctx = trace.WithRPCAttempt(tc.Ctx, attempt+1)
-		recs, err = d.Deref(&rtc, ptr)
+		recs, err = derefOnto(&rtc, d, recs, ptr)
 	}
 	return recs, err
 }

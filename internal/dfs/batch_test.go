@@ -20,8 +20,7 @@ func TestLookupBatchAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, ok := f.(lake.BatchFile)
-	if !ok {
+	if _, ok := f.(lake.BatchFile); !ok {
 		t.Fatal("dfs file does not implement lake.BatchFile")
 	}
 
@@ -45,7 +44,7 @@ func TestLookupBatchAccounting(t *testing.T) {
 
 	owner := c.OwnerNode(0)
 	before := c.TotalMetrics()
-	got, err := bf.LookupBatch(c.Bind(ctx, owner), 0, keys)
+	got, err := lake.LookupBatch(c.Bind(ctx, owner), f, 0, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +83,7 @@ func TestLookupBatchAccounting(t *testing.T) {
 
 	// Remote: issued from the non-owner node, the whole batch is one fetch.
 	before = c.TotalMetrics()
-	if _, err := bf.LookupBatch(c.Bind(ctx, 1-owner), 0, keys); err != nil {
+	if _, err := lake.LookupBatch(c.Bind(ctx, 1-owner), f, 0, keys); err != nil {
 		t.Fatal(err)
 	}
 	delta = c.TotalMetrics().Sub(before)
@@ -94,7 +93,7 @@ func TestLookupBatchAccounting(t *testing.T) {
 
 	// Empty batch: no admission at all.
 	before = c.TotalMetrics()
-	if out, err := bf.LookupBatch(ctx, 0, nil); err != nil || out != nil {
+	if out, err := lake.LookupBatch(ctx, f, 0, nil); err != nil || out != nil {
 		t.Fatalf("empty batch = %v, %v", out, err)
 	}
 	if d := c.TotalMetrics().Sub(before); d.Lookups != 0 {
@@ -108,8 +107,7 @@ func TestLookupBatchBadPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf := f.(lake.BatchFile)
-	if _, err := bf.LookupBatch(context.Background(), 9, []lake.Key{"k"}); err == nil {
+	if _, err := lake.LookupBatch(context.Background(), f, 9, []lake.Key{"k"}); err == nil {
 		t.Fatal("out-of-range partition accepted")
 	}
 }

@@ -472,43 +472,43 @@ func (f *file) admit(ctx context.Context, owner *node, scan bool, n int) error {
 	return err
 }
 
-// LookupBatch implements lake.BatchFile: the whole batch is served under
-// ONE gate admission — the cost model charges full latency for the first
-// key and the marginal BatchPerKey for every key after it (seek
+// AppendLookupBatch implements lake.BatchFile: the whole batch is served
+// under ONE gate admission — the cost model charges full latency for the
+// first key and the marginal BatchPerKey for every key after it (seek
 // amortization) — and, when the caller is remote, the batch is priced as a
 // single network message. I/O attribution mirrors that (one local/remote
 // observation), but a transient fault's heal budget is consumed per KEY —
 // the batch stands in for len(keys) point lookups, so batched and unbatched
-// runs of the same job consume an injected fault identically.
-func (f *file) LookupBatch(ctx context.Context, partitionIdx int, keys []lake.Key) ([][]lake.Record, error) {
+// runs of the same job consume an injected fault identically. Records are
+// appended straight from the tree, or from a transport node's reply groups.
+func (f *file) AppendLookupBatch(ctx context.Context, dst []lake.Record, partitionIdx int, keys []lake.Key, ends []int) ([]lake.Record, error) {
 	if len(keys) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	p, owner, err := f.part(partitionIdx)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
+	start := len(dst)
 	if owner.transport != nil {
-		var out [][]lake.Record
+		var groups [][]lake.Record
 		owner.counters.AddBatchLookup(len(keys))
 		err := transportCall(ctx, owner, func() error {
 			var terr error
-			out, terr = owner.transport.LookupBatch(ctx, f.name, partitionIdx, keys)
+			groups, terr = owner.transport.LookupBatch(ctx, f.name, partitionIdx, keys)
 			return terr
 		})
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		read, bytes := 0, 0
-		for _, recs := range out {
-			read += len(recs)
-			for _, r := range recs {
-				bytes += len(r.Data)
+		for i, recs := range groups {
+			dst = append(dst, recs...)
+			if ends != nil {
+				ends[i] = len(dst)
 			}
 		}
-		owner.counters.AddRecordsRead(read)
-		owner.counters.AddBytesRead(bytes)
-		return out, nil
+		owner.countRead(dst[start:])
+		return dst, nil
 	}
 	remote := false
 	if caller := CallerNode(ctx); caller >= 0 && caller != owner.id {
@@ -525,45 +525,50 @@ func (f *file) LookupBatch(ctx context.Context, partitionIdx int, keys []lake.Ke
 		t0 = time.Now()
 	}
 	if err := owner.gate.LookupBatch(ctx, len(keys), remote); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if io != nil {
 		io.ObserveLatency(remote, time.Since(t0))
 	}
 	if err := p.takeFaultN(len(keys)); err != nil {
-		return nil, fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
+		return dst, fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
 	}
 	p.mu.RLock()
-	defer p.mu.RUnlock()
-	groups := p.tree.GetBatch(keys)
-	out := make([][]lake.Record, len(keys))
-	read, bytes := 0, 0
-	for _, vals := range groups {
-		read += len(vals)
-	}
-	flat := make([]lake.Record, 0, read) // one array for the batch; out[i] is key i's part of it
-	for i, vals := range groups {
-		if len(vals) == 0 {
-			continue
+	c := p.tree.Cursor()
+	for i, k := range keys {
+		c.Visit(k, func(v []byte) { dst = append(dst, lake.Record{Key: k, Data: v}) })
+		if ends != nil {
+			ends[i] = len(dst)
 		}
-		start := len(flat)
-		for _, v := range vals {
-			flat = append(flat, lake.Record{Key: keys[i], Data: v})
-			bytes += len(v)
-		}
-		out[i] = flat[start:len(flat):len(flat)]
 	}
-	owner.counters.AddRecordsRead(read)
-	owner.counters.AddBytesRead(bytes)
-	return out, nil
+	p.mu.RUnlock()
+	owner.countRead(dst[start:])
+	return dst, nil
 }
 
-// Lookup implements lake.File.
+// countRead adds a lookup's records to the owner's read counters.
+func (n *node) countRead(recs []lake.Record) {
+	bytes := 0
+	for _, r := range recs {
+		bytes += len(r.Data)
+	}
+	n.counters.AddRecordsRead(len(recs))
+	n.counters.AddBytesRead(bytes)
+}
+
+// Lookup implements lake.File: AppendLookup onto nil.
 func (f *file) Lookup(ctx context.Context, partitionIdx int, key lake.Key) ([]lake.Record, error) {
+	return f.AppendLookup(ctx, nil, partitionIdx, key)
+}
+
+// AppendLookup implements lake.BatchFile: one gate admission, the records
+// appended straight from the tree or from a transport node's reply.
+func (f *file) AppendLookup(ctx context.Context, dst []lake.Record, partitionIdx int, key lake.Key) ([]lake.Record, error) {
 	p, owner, err := f.part(partitionIdx)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
+	start := len(dst)
 	if owner.transport != nil {
 		var recs []lake.Record
 		owner.counters.AddLookup()
@@ -573,37 +578,24 @@ func (f *file) Lookup(ctx context.Context, partitionIdx int, key lake.Key) ([]la
 			return terr
 		})
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		bytes := 0
-		for _, r := range recs {
-			bytes += len(r.Data)
-		}
-		owner.counters.AddRecordsRead(len(recs))
-		owner.counters.AddBytesRead(bytes)
-		return recs, nil
+		dst = append(dst, recs...)
+		owner.countRead(dst[start:])
+		return dst, nil
 	}
 	if err := f.admit(ctx, owner, false, 1); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if err := p.takeFault(); err != nil {
-		return nil, fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
+		return dst, fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
 	}
 	p.mu.RLock()
-	defer p.mu.RUnlock()
-	vals := p.tree.Get(key)
-	if len(vals) == 0 {
-		return nil, nil
-	}
-	recs := make([]lake.Record, len(vals))
-	bytes := 0
-	for i, v := range vals {
-		recs[i] = lake.Record{Key: key, Data: v}
-		bytes += len(v)
-	}
-	owner.counters.AddRecordsRead(len(recs))
-	owner.counters.AddBytesRead(bytes)
-	return recs, nil
+	c := p.tree.Cursor()
+	c.Visit(key, func(v []byte) { dst = append(dst, lake.Record{Key: key, Data: v}) })
+	p.mu.RUnlock()
+	owner.countRead(dst[start:])
+	return dst, nil
 }
 
 // LookupRange implements lake.BtreeFile. It returns every record with
@@ -627,12 +619,7 @@ func (f *file) LookupRange(ctx context.Context, partitionIdx int, lo, hi lake.Ke
 		if err != nil {
 			return nil, err
 		}
-		bytes := 0
-		for _, r := range recs {
-			bytes += len(r.Data)
-		}
-		owner.counters.AddRecordsRead(len(recs))
-		owner.counters.AddBytesRead(bytes)
+		owner.countRead(recs)
 		return recs, nil
 	}
 	if err := f.admit(ctx, owner, false, 1); err != nil {
@@ -644,14 +631,11 @@ func (f *file) LookupRange(ctx context.Context, partitionIdx int, lo, hi lake.Ke
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	var recs []lake.Record
-	bytes := 0
 	p.tree.Ascend(lo, hi, func(k string, v []byte) bool {
 		recs = append(recs, lake.Record{Key: k, Data: v})
-		bytes += len(v)
 		return true
 	})
-	owner.counters.AddRecordsRead(len(recs))
-	owner.counters.AddBytesRead(bytes)
+	owner.countRead(recs)
 	return recs, nil
 }
 

@@ -58,11 +58,10 @@ func TestTransientFaultBatchParity(t *testing.T) {
 	// Batched: a 2-key batch must consume 2 of the 3 units. One more
 	// single-key access exhausts the budget; the next succeeds.
 	c2, f2, keys2 := faultFixture(t, 8)
-	bf := f2.(lake.BatchFile)
 	if err := c2.SetTransientFault("t", 0, boom, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bf.LookupBatch(ctx, 0, keys2[:2]); !errors.Is(err, boom) {
+	if _, err := lake.LookupBatch(ctx, f2, 0, keys2[:2]); !errors.Is(err, boom) {
 		t.Fatalf("batched access: err = %v, want fault", err)
 	}
 	if _, err := f2.Lookup(ctx, 0, keys2[0]); !errors.Is(err, boom) {
@@ -75,14 +74,13 @@ func TestTransientFaultBatchParity(t *testing.T) {
 	// A batch larger than the remaining budget exhausts it (never negative)
 	// and the fault heals for the next access.
 	c3, f3, keys3 := faultFixture(t, 8)
-	bf3 := f3.(lake.BatchFile)
 	if err := c3.SetTransientFault("t", 0, boom, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bf3.LookupBatch(ctx, 0, keys3[:7]); !errors.Is(err, boom) {
+	if _, err := lake.LookupBatch(ctx, f3, 0, keys3[:7]); !errors.Is(err, boom) {
 		t.Fatalf("oversized batch: err = %v, want fault", err)
 	}
-	if got, err := bf3.LookupBatch(ctx, 0, keys3[:7]); err != nil {
+	if got, err := lake.LookupBatch(ctx, f3, 0, keys3[:7]); err != nil {
 		t.Fatalf("batch after exhaustion: %v", err)
 	} else if len(got) != 7 {
 		t.Fatalf("healed batch returned %d groups, want 7", len(got))
@@ -90,19 +88,18 @@ func TestTransientFaultBatchParity(t *testing.T) {
 
 	// Permanent faults (SetFault) are unaffected by batch size.
 	c4, f4, keys4 := faultFixture(t, 8)
-	bf4 := f4.(lake.BatchFile)
 	if err := c4.SetFault("t", 0, boom); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := bf4.LookupBatch(ctx, 0, keys4[:5]); !errors.Is(err, boom) {
+		if _, err := lake.LookupBatch(ctx, f4, 0, keys4[:5]); !errors.Is(err, boom) {
 			t.Fatalf("permanent fault batch %d: err = %v", i, err)
 		}
 	}
 	if err := c4.SetFault("t", 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bf4.LookupBatch(ctx, 0, keys4[:5]); err != nil {
+	if _, err := lake.LookupBatch(ctx, f4, 0, keys4[:5]); err != nil {
 		t.Fatalf("cleared fault: %v", err)
 	}
 }

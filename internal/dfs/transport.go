@@ -97,7 +97,7 @@ func (t localTransport) LookupBatch(ctx context.Context, file string, partition 
 	if err != nil {
 		return nil, err
 	}
-	return f.LookupBatch(ctx, partition, keys)
+	return lake.LookupBatch(ctx, f, partition, keys)
 }
 
 func (t localTransport) LookupRange(ctx context.Context, file string, partition int, lo, hi lake.Key) ([]lake.Record, error) {

@@ -40,8 +40,8 @@ func FuzzKeycodecRoundTrip(f *testing.F) {
 		if err != nil || got != sa || n != len(esa) {
 			t.Fatalf("DecodeString(String(%q)) = %q (n=%d, len=%d), %v", sa, got, n, len(esa), err)
 		}
-		if own, m, err := DecodeOwned([]byte(esa)); err != nil || own != sa || m != n {
-			t.Fatalf("DecodeOwned(String(%q)) = %q (n=%d, want %d), %v", sa, own, m, n, err)
+		if own, m, err := AppendDecoded([]byte("pre"), []byte(esa)); err != nil || string(own) != "pre"+sa || m != n {
+			t.Fatalf("AppendDecoded(pre, String(%q)) = %q (n=%d, want %d), %v", sa, own, m, n, err)
 		}
 		if (sa < sb) != (esa < esb) {
 			t.Errorf("string order broken: %q < %q is %v but enc order is %v", sa, sb, sa < sb, esa < esb)

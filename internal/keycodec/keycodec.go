@@ -140,11 +140,17 @@ func DecodeString(enc string) (val string, n int, err error) {
 	return decodeString(enc, strings.IndexByte(enc, strTerm1))
 }
 
-// DecodeOwned is DecodeString over a byte slice, for values that outlive the
-// buffer they were read from: the result is a fresh string — one allocation,
-// escapes or not — and never an alias of enc.
-func DecodeOwned(enc []byte) (val string, n int, err error) {
-	return decodeString(enc, bytes.IndexByte(enc, strTerm1))
+// AppendDecoded appends the value String encoded at the start of enc to dst
+// and reports the encoded bytes consumed, for values that outlive the buffer
+// they were read from: the value is copied, never aliased, and the call
+// allocates nothing when dst has room for len(enc) more bytes (a value is
+// never longer than its encoding). On error dst is returned unchanged.
+func AppendDecoded(dst, enc []byte) (out []byte, n int, err error) {
+	end, _, err := scanEscaped(enc)
+	if err != nil {
+		return dst, 0, err
+	}
+	return unescape(dst, enc[:end]), end + 2, nil
 }
 
 // decodeString decodes the value at the start of enc, whose first 0x00 is at

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"lakeharbor/internal/keycodec"
 )
@@ -24,19 +25,39 @@ func EncodeIndexEntry(partKey, primaryKey Key) []byte {
 	return keycodec.AppendString(keycodec.AppendString(b, partKey), primaryKey)
 }
 
-// DecodeIndexEntry unpacks a payload written by EncodeIndexEntry. The keys
-// are fresh strings, never aliases of data: pointers built from them outlive
-// the index record. When the two encoded halves are byte-equal — a file
-// partitioned by its own key — one string is returned twice.
+// DecodeIndexEntry unpacks a payload written by EncodeIndexEntry through a
+// one-shot KeyArena whose one chunk is the entry's size.
 func DecodeIndexEntry(data []byte) (partKey, primaryKey Key, err error) {
-	partKey, n, err := keycodec.DecodeOwned(data)
+	a := KeyArena{chunk: make([]byte, 0, len(data))}
+	return a.DecodeIndexEntry(data)
+}
+
+// keyChunk is the size of the chunks a KeyArena cuts keys from.
+const keyChunk = 4096
+
+// KeyArena owns keys decoded from index entries: each is copied into a
+// fixed-size chunk and cut from it, never aliasing the entry, so a task's
+// entries cost a chunk now and then instead of a string each. A chunk is
+// only appended to, never grown in place or reused, so a key's bytes are
+// never written again: a key lives as long as anything references it, the
+// collector the chunk's only owner. A nil arena decodes one-shot.
+type KeyArena struct{ chunk []byte }
+
+// DecodeIndexEntry unpacks an index entry into keys cut from a. When the two
+// halves are byte-equal — a file partitioned by its own key — one key is
+// returned twice.
+func (a *KeyArena) DecodeIndexEntry(data []byte) (partKey, primaryKey Key, err error) {
+	if a == nil {
+		return DecodeIndexEntry(data)
+	}
+	partKey, n, err := a.decode(data)
 	if err != nil {
 		return "", "", fmt.Errorf("lake: bad index entry: %w", err)
 	}
 	if bytes.Equal(data[:n], data[n:]) {
 		return partKey, partKey, nil
 	}
-	primaryKey, m, err := keycodec.DecodeOwned(data[n:])
+	primaryKey, m, err := a.decode(data[n:])
 	if err != nil {
 		return "", "", fmt.Errorf("lake: bad index entry: %w", err)
 	}
@@ -44,4 +65,19 @@ func DecodeIndexEntry(data []byte) (partKey, primaryKey Key, err error) {
 		return "", "", fmt.Errorf("lake: index entry has %d trailing bytes", len(data)-n-m)
 	}
 	return partKey, primaryKey, nil
+}
+
+// decode cuts the key encoded at the start of enc from the chunk, starting a
+// new one when fewer than len(enc) bytes are left (a key is never longer).
+func (a *KeyArena) decode(enc []byte) (Key, int, error) {
+	if cap(a.chunk)-len(a.chunk) < len(enc) {
+		a.chunk = make([]byte, 0, max(len(enc), keyChunk))
+	}
+	start := len(a.chunk)
+	chunk, n, err := keycodec.AppendDecoded(a.chunk, enc)
+	if err != nil || len(chunk) == start {
+		return "", n, err
+	}
+	a.chunk = chunk
+	return unsafe.String(&chunk[start], len(chunk)-start), n, nil
 }

@@ -114,43 +114,82 @@ type BtreeFile interface {
 	LookupRange(ctx context.Context, partition int, lo, hi Key) ([]Record, error)
 }
 
-// BatchFile is a File that can serve many point lookups in one call. The
-// executor's batched dereference path uses it to amortize per-lookup
-// overheads — queue admission, gate admission, tree descent, network round
-// trips — across a whole pointer batch.
+// BatchFile is a File that serves many point lookups in one call, appending
+// what its lookups find onto a record array the caller owns. The executor's
+// dereference path uses it to amortize per-lookup overheads — queue
+// admission, gate admission, tree descent, network round trips — across a
+// whole pointer batch, and to fill one array per task instead of a slice per
+// call.
 type BatchFile interface {
 	File
-	// LookupBatch returns, for each keys[i], the records stored under that
-	// key in partition, aligned with keys (a miss yields a nil slice at
-	// that position). Implementations may reorder work internally but must
-	// keep the output aligned.
-	LookupBatch(ctx context.Context, partition int, keys []Key) ([][]Record, error)
+	// AppendLookup is Lookup appending onto dst, with Lookup's admission and
+	// accounting.
+	AppendLookup(ctx context.Context, dst []Record, partition int, key Key) ([]Record, error)
+	// AppendLookupBatch appends the records stored under every key onto dst,
+	// keys[i]'s after keys[i-1]'s, under one admission. When ends is non-nil
+	// (one per key), ends[i] is set to the length of the result after
+	// keys[i]'s records.
+	AppendLookupBatch(ctx context.Context, dst []Record, partition int, keys []Key, ends []int) ([]Record, error)
 }
 
-// LookupBatch serves a batch of point lookups against f, using the file's
-// native batch path when it implements BatchFile and falling back to one
-// Lookup per key otherwise. Callers therefore batch unconditionally; files
-// opt in to the amortization.
+// LookupBatch returns, for each keys[i], the records stored under that key
+// in partition, aligned with keys (a miss yields a nil slice at that
+// position): AppendLookupBatch onto an array sized for one record per key,
+// cut into one slice per key. Callers batch unconditionally; files opt in to
+// the amortization by implementing BatchFile.
 func LookupBatch(ctx context.Context, f File, partition int, keys []Key) ([][]Record, error) {
-	if bf, ok := f.(BatchFile); ok {
-		return bf.LookupBatch(ctx, partition, keys)
+	if len(keys) == 0 {
+		return nil, nil
 	}
-	return LookupBatchFallback(ctx, f, partition, keys)
+	ends := make([]int, len(keys))
+	recs, err := AppendLookupBatch(ctx, f, make([]Record, 0, len(keys)), partition, keys, ends)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]Record, len(keys))
+	start := 0
+	for i, end := range ends {
+		if end > start {
+			out[i] = recs[start:end:end] // capacity clipped: appending cannot reach the next key's
+		}
+		start = end
+	}
+	return out, nil
 }
 
-// LookupBatchFallback serves a batch against any File by issuing one Lookup
-// per key. It keeps non-batch files working behind the batched executor
-// path, at the cost of per-key admission.
-func LookupBatchFallback(ctx context.Context, f File, partition int, keys []Key) ([][]Record, error) {
-	out := make([][]Record, len(keys))
+// AppendLookupBatch is BatchFile's AppendLookupBatch for any File: one
+// Lookup per key when f is not a BatchFile. On error dst is returned at its
+// own length, nothing written past it.
+func AppendLookupBatch(ctx context.Context, f File, dst []Record, partition int, keys []Key, ends []int) ([]Record, error) {
+	if bf, ok := f.(BatchFile); ok {
+		return bf.AppendLookupBatch(ctx, dst, partition, keys, ends)
+	}
+	n := len(dst)
 	for i, k := range keys {
 		recs, err := f.Lookup(ctx, partition, k)
 		if err != nil {
-			return nil, err
+			clear(dst[n:])
+			return dst[:n], err
 		}
-		out[i] = recs
+		dst = append(dst, recs...)
+		if ends != nil {
+			ends[i] = len(dst)
+		}
 	}
-	return out, nil
+	return dst, nil
+}
+
+// AppendLookup is Lookup appending onto dst: the file's own append form
+// when it is a BatchFile. On error dst is returned unchanged.
+func AppendLookup(ctx context.Context, f File, dst []Record, partition int, key Key) ([]Record, error) {
+	if bf, ok := f.(BatchFile); ok {
+		return bf.AppendLookup(ctx, dst, partition, key)
+	}
+	recs, err := f.Lookup(ctx, partition, key)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, recs...), nil
 }
 
 // SizedFile is a File that can report its modeled storage footprint. The
