@@ -15,7 +15,8 @@
 // and the lifecycle counters are reported at the end.
 //
 // With -sched N, both arms submit to one shared weighted-fair scheduler
-// with an N-worker cluster-wide ceiling instead of per-job pools.
+// with an N-worker cluster-wide ceiling instead of the standing per-node
+// worker sets.
 //
 // Usage:
 //
@@ -44,7 +45,7 @@ func main() {
 		nodes    = flag.Int("nodes", 4, "simulated cluster nodes")
 		seed     = flag.Int64("seed", 2024, "generator seed")
 		batch    = flag.Int("batch", core.DefaultMaxBatch, "max pointers coalesced per dereference task (1 = unbatched)")
-		schedW   = flag.Int("sched", 0, "route both arms through a shared weighted-fair scheduler with this cluster-wide worker ceiling (0 = per-job pools)")
+		schedW   = flag.Int("sched", 0, "route both arms through a shared weighted-fair scheduler with this cluster-wide worker ceiling (0 = standing per-node workers)")
 		budget   = flag.Int64("budget", 0, "structure residency budget in modeled bytes; >0 manages the disease index's lifecycle")
 		datalake = flag.Bool("datalake", false, "also run the full-scan data-lake arm the paper's footnote omits")
 		showTr   = flag.Bool("trace", false, "print the per-stage execution trace of each ReDe run")

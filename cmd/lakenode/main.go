@@ -29,9 +29,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
-	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -43,33 +45,50 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7101", "TCP listen address for the node RPC")
-	debug := flag.String("debug", "", "HTTP listen address for the introspection sidecar (healthz/readyz/debug, empty = off)")
-	grace := flag.Duration("drain-grace", 5*time.Second, "max time to wait for in-flight RPCs on shutdown")
-	linger := flag.Duration("drain-linger", 0, "keep the debug sidecar up (answering 503 on /readyz) this long after draining")
-	quiet := flag.Bool("quiet", false, "suppress per-connection error logging")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], nil); err != nil {
+		log.Fatalf("lakenode: %v", err)
+	}
+}
 
+// run boots a node from its command-line flags and serves the node RPC on ln
+// (nil listens on -addr) until ctx is cancelled, then drains.
+func run(ctx context.Context, args []string, ln net.Listener) error {
+	fs := flag.NewFlagSet("lakenode", flag.ContinueOnError)
+	var (
+		addr   = fs.String("addr", "127.0.0.1:7101", "TCP listen address for the node RPC")
+		debug  = fs.String("debug", "", "HTTP listen address for the introspection sidecar (healthz/readyz/debug, empty = off)")
+		grace  = fs.Duration("drain-grace", 5*time.Second, "max time to wait for in-flight RPCs on shutdown")
+		linger = fs.Duration("drain-linger", 0, "keep the debug sidecar up (answering 503 on /readyz) this long after draining")
+		quiet  = fs.Bool("quiet", false, "suppress per-connection error logging")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	var err error
+	if ln == nil {
+		if ln, err = net.Listen("tcp", *addr); err != nil {
+			return err
+		}
+	}
 	// One lakenode hosts the partitions the front end routes to it. The
 	// backing store is a single-node cluster with no simulated cost: real
 	// sockets provide the latency now.
-	cluster := dfs.NewCluster(dfs.Config{Nodes: 1})
 	logf := log.Printf
 	if *quiet {
 		logf = func(string, ...any) {}
 	}
-	srv := nodenet.NewServer(dfs.Local(cluster), logf)
+	srv := nodenet.NewServer(dfs.Local(dfs.NewCluster(dfs.Config{Nodes: 1})), logf)
 	obs := nodenet.NewServerObs()
 	srv.Observe(obs)
-	bound, err := srv.Listen(*addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lakenode: %v\n", err)
-		os.Exit(1)
-	}
-	log.Printf("lakenode: serving node RPC on %s", bound)
+	srv.Serve(ln) //nolint:errcheck // a new server is open
+	log.Printf("lakenode: serving node RPC on %s", ln.Addr())
 
+	var dbg *http.Server
 	if *debug != "" {
-		dbg := &http.Server{Addr: *debug, Handler: nodenet.DebugHandler(srv, obs)}
+		dbg = &http.Server{Addr: *debug, Handler: nodenet.DebugHandler(srv, obs)}
 		go func() {
 			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				log.Printf("lakenode: debug sidecar: %v", err)
@@ -78,15 +97,15 @@ func main() {
 		log.Printf("lakenode: debug sidecar on %s", *debug)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
+	<-ctx.Done()
 	// Graceful drain: readiness flips first (the sidecar stays up so
 	// orchestrators see the 503), then in-flight RPCs finish.
 	log.Printf("lakenode: draining (grace %v)", *grace)
-	srv.Drain(*grace) //nolint:errcheck
-	if *debug != "" && *linger > 0 {
+	err = srv.Drain(*grace)
+	if dbg != nil {
 		time.Sleep(*linger)
+		err = errors.Join(err, dbg.Close())
 	}
 	log.Printf("lakenode: drained; exiting")
+	return err
 }

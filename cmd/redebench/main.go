@@ -21,8 +21,9 @@
 // and the lifecycle counters are reported at the end.
 //
 // With -sched N, the SMPE runs submit to one shared weighted-fair
-// scheduler with an N-worker cluster-wide ceiling instead of spinning up a
-// per-job pool — the same dispatch path a multi-tenant lakeserve uses.
+// scheduler with an N-worker cluster-wide ceiling instead of the standing
+// per-node worker sets — the same dispatch path a multi-tenant lakeserve
+// uses.
 //
 // Usage:
 //
@@ -56,8 +57,8 @@ func main() {
 		sf      = flag.Float64("sf", 0.5, "TPC-H micro scale factor")
 		nodes   = flag.Int("nodes", 4, "simulated cluster nodes")
 		cores   = flag.Int("cores", 16, "baseline static per-node parallelism")
-		threads = flag.Int("threads", core.DefaultThreads, "SMPE per-node worker pool size")
-		schedW  = flag.Int("sched", 0, "route SMPE runs through a shared weighted-fair scheduler with this cluster-wide worker ceiling (0 = per-job pools)")
+		threads = flag.Int("threads", core.DefaultThreads, "SMPE per-node parallelism of one job (Options.Threads)")
+		schedW  = flag.Int("sched", 0, "route SMPE runs through a shared weighted-fair scheduler with this cluster-wide worker ceiling (0 = standing per-node workers)")
 		batch   = flag.Int("batch", core.DefaultMaxBatch, "max pointers coalesced per dereference task (1 = unbatched)")
 		region  = flag.String("region", "ASIA", "Q5' region predicate")
 		selsArg = flag.String("sels", "0.0001,0.001,0.01,0.05,0.1,0.3,1.0", "comma-separated selectivities")

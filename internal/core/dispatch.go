@@ -12,8 +12,8 @@ import (
 // dispatcher is the one path a task takes from the executor to the workers
 // that run it: Algorithm 1's single enqueue rule per node (§III-C). Every
 // task bound for a node passes through executor.dispatch and then submit,
-// whichever implementation the job runs on — pools (pool.go), this job's own
-// queue and workers per node, or sharedJob, the cluster-wide scheduler's.
+// whichever adapter the job runs on — standingJob (pool.go) or sharedJob, the
+// cluster-wide scheduler's; both end in the one worker loop, Workers.loop.
 type dispatcher interface {
 	// submit queues t for node's workers, which call executor.run on it
 	// exactly once; it never blocks on execution. depth is the queue depth
@@ -21,8 +21,8 @@ type dispatcher interface {
 	// has already begun gets errJobOver; any other error is the queue's own
 	// failure. A refused task is never run.
 	submit(node int, t task) (depth int, err error)
-	// finish stops accepting tasks, waits for every accepted task to run and
-	// for the workers to let go of the job. It is called exactly once.
+	// finish stops accepting tasks and waits for every accepted task to run;
+	// the workers outlive it. It is called exactly once.
 	finish()
 }
 
@@ -30,13 +30,14 @@ type dispatcher interface {
 // failed or been cancelled, and its dispatcher is shutting down.
 var errJobOver = errors.New("core: job is over")
 
-// newDispatcher picks the job's dispatcher: its own per-node pools, or — when
-// Options.Scheduler is set — a job on the shared scheduler. Admission happens
-// here, before any task exists: an over-quota tenant or an overloaded cluster
-// rejects the whole job cheaply, instead of shedding half-dispatched work.
+// newDispatcher picks the job's dispatcher: its queues in the standing sets,
+// or — when Options.Scheduler is set — a job on the shared scheduler.
+// Admission happens here, before any task exists: an over-quota tenant or an
+// overloaded cluster rejects the whole job cheaply, instead of shedding
+// half-dispatched work.
 func (e *executor) newDispatcher() (dispatcher, error) {
 	if e.opts.Scheduler == nil {
-		return newPools(e), nil
+		return newStandingJob(e), nil
 	}
 	if e.opts.Tenant == "" {
 		return nil, fmt.Errorf("Options.Tenant is required when Options.Scheduler is set")

@@ -1,172 +1,258 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
-// pools is the per-job dispatcher: a taskQueue and an on-demand worker pool
-// per node, owned by the job ("distributing the data processing job to all
-// the computing nodes"). Queue entries are task values, so handing a task to
-// a node allocates nothing beyond the pointer slice the task already carries.
-// Workers are spawned on demand up to Options.Threads per node — the paper
-// reuses a standing pool; here each job grows its own, so a tiny job does not
-// pay for a thousand idle workers.
-type pools struct {
-	// wg counts the workers of every node together: a worker on one node may
-	// spawn a worker on another (it holds a count while it does), so one Wait
-	// in finish covers workers started after the queues closed.
-	wg    sync.WaitGroup
-	nodes []nodePool
+// Workers is the one worker set, behind the standing per-node sets below and
+// sched's cluster-wide set. It owns goroutines; its owner owns the queues and
+// the policy: next (under the lock) dequeues the next runnable T or reports
+// none, run (without the lock) executes it, done (under the lock) accounts
+// for it. A worker starts lazily (Kick) and parks on the set's one condvar
+// between tasks, keeping its stack for the next task, of this job or a later
+// one. It exits only when keep workers are already parked, or at Close.
+type Workers[T any] struct {
+	mu   *sync.Mutex // the owner's: it guards the owner's queues too
+	cond sync.Cond
+	next func() (T, bool)
+	run  func(t T, worker int)
+	done func(T)
+
+	keep         int // parked workers retained
+	live, parked int // a worker Kick wakes is no longer parked
+	ids          int // the next worker id: spawn order labels timeline tracks
+	closed       bool
+	wg           sync.WaitGroup
 }
 
-func newPools(e *executor) *pools {
-	p := &pools{nodes: make([]nodePool, e.topo.NumNodes())}
-	for node := range p.nodes {
-		p.nodes[node] = nodePool{e: e, q: newTaskQueue(), wg: &p.wg, node: node, max: int32(e.opts.Threads)}
+// NewWorkers builds an empty set over the owner's lock mu.
+func NewWorkers[T any](mu *sync.Mutex, keep int, next func() (T, bool), run func(t T, worker int), done func(T)) *Workers[T] {
+	w := &Workers[T]{mu: mu, next: next, run: run, done: done, keep: keep}
+	w.cond.L = mu
+	return w
+}
+
+// Kick is the one spawn rule, called under the lock when a task just queued
+// can run at once: wake a parked worker if there is one (so a burst wakes
+// the parked rather than starting more), else start one if grow, the
+// owner's ceiling, allows. It reports whether a worker started.
+func (w *Workers[T]) Kick(grow bool) bool {
+	if w.parked > 0 {
+		w.parked-- // claimed: the next Kick of a burst wakes another
+		w.cond.Signal()
+		return false
 	}
-	return p
+	if !grow || w.closed {
+		return false
+	}
+	w.live++
+	w.wg.Add(1)
+	go w.loop(w.ids)
+	w.ids++
+	return true
 }
 
-func (p *pools) submit(node int, t task) (int, error) {
-	np := &p.nodes[node]
-	ok, depth := np.q.push(t)
-	if !ok {
+// loop is every task worker. It looks for the next task before it parks, so
+// work a done frees (a job or tenant back under its cap) never waits.
+func (w *Workers[T]) loop(id int) {
+	defer w.wg.Done()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for !w.closed {
+		t, ok := w.next()
+		if !ok {
+			if w.parked >= w.keep {
+				break
+			}
+			w.parked++
+			w.cond.Wait()
+			continue
+		}
+		w.mu.Unlock()
+		w.run(t, id)
+		w.mu.Lock()
+		w.done(t)
+	}
+	w.live--
+}
+
+// Live and Parked count the set's workers; the caller holds the lock.
+func (w *Workers[T]) Live() int   { return w.live }
+func (w *Workers[T]) Parked() int { return w.parked }
+
+// Close stops the set: parked workers exit at once, busy ones after their
+// task, and Close returns when all have. The owner empties its queues first.
+func (w *Workers[T]) Close() {
+	w.mu.Lock()
+	w.closed, w.parked = true, 0
+	w.cond.Broadcast()
+	w.mu.Unlock()
+	w.wg.Wait()
+}
+
+// queueReleaseCap is the backing-array size above which a drained FIFO frees
+// its storage, so a fan-out spike does not pin a spike-sized array.
+const queueReleaseCap = 1024
+
+// FIFO is the queue the worker sets serve — a job's per-node input queue of
+// Algorithm 1, sched's per-tenant queue — under the set's lock. It is
+// unbounded: workers enqueue while processing, so a bound could deadlock.
+type FIFO[T any] struct {
+	items []T
+	head  int
+}
+
+// Push appends v and returns the queue's depth after it.
+func (q *FIFO[T]) Push(v T) int {
+	q.items = append(q.items, v)
+	return q.Len()
+}
+
+// Pop removes the oldest item; the queue must not be empty.
+func (q *FIFO[T]) Pop() T {
+	v := q.items[q.head]
+	q.items[q.head] = *new(T) // drop the reference for GC
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+		if cap(q.items) > queueReleaseCap {
+			q.items = nil
+		}
+	}
+	return v
+}
+
+// Len reports the queue's depth.
+func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
+
+// standing holds Algorithm 1's per-node worker sets, indexed by node number.
+// They belong to the process, not to a job or cluster — a task runs on its own
+// executor's TaskCtx — and every job without a Scheduler borrows them.
+// Between jobs a node keeps at most DefaultThreads parked workers.
+var standing struct {
+	sync.Mutex
+	sets []*nodeSet
+}
+
+// nodeSet is one node's standing set and the queues of the jobs using it.
+type nodeSet struct {
+	mu      sync.Mutex
+	w       *Workers[queued]
+	jobs    []*jobQueue // the unfinished jobs, in arrival order
+	threads int         // their limits added up: the node grows no further
+	rr      int         // where next's rotation resumes
+}
+
+// jobQueue is one job's queue on one node, under the node set's lock. limit
+// is Options.Threads: the job runs at most that many tasks on the node at once.
+type jobQueue struct {
+	e              *executor
+	set            *nodeSet
+	node           int
+	q              FIFO[task]
+	limit, running int
+	over           bool
+	drained        sync.Cond // on set.mu: an over job's last task is done
+}
+
+// queued is what a node's worker takes: a task and the queue it came from.
+type queued struct {
+	jq *jobQueue
+	t  task
+}
+
+// next is the per-node pick policy: rotate over the jobs, taking the oldest
+// task of the first one that has a task queued and is below its Threads. A
+// job at its cap is passed over, so it never holds up another job's tasks.
+func (s *nodeSet) next() (queued, bool) {
+	for range s.jobs {
+		if s.rr >= len(s.jobs) {
+			s.rr = 0
+		}
+		jq := s.jobs[s.rr]
+		if s.rr++; jq.q.Len() > 0 && jq.running < jq.limit {
+			jq.running++
+			return queued{jq: jq, t: jq.q.Pop()}, true
+		}
+	}
+	return queued{}, false
+}
+
+func (q queued) run(worker int) { q.jq.e.run(q.jq.node, q.t, worker) }
+
+func (q queued) done() {
+	if q.jq.running--; q.jq.over && q.jq.running == 0 && q.jq.q.Len() == 0 {
+		q.jq.drained.Signal()
+	}
+}
+
+// standingJob is the dispatcher of a job without a Scheduler: its queue in
+// each node's standing set.
+type standingJob []jobQueue
+
+// newStandingJob registers the job with the sets of its nodes, creating the
+// sets a node number has not had before.
+func newStandingJob(e *executor) standingJob {
+	j := make(standingJob, e.topo.NumNodes())
+	standing.Lock()
+	for len(standing.sets) < len(j) {
+		s := &nodeSet{}
+		s.w = NewWorkers(&s.mu, DefaultThreads, s.next, queued.run, queued.done)
+		standing.sets = append(standing.sets, s)
+	}
+	sets := standing.sets[:len(j)]
+	standing.Unlock()
+	// Threads can come from a request (?threads=). Capped at 2³¹−1, no number
+	// of jobs overflows the node's sum of limits; no job runs more at once.
+	limit := min(e.opts.Threads, math.MaxInt32)
+	for node, s := range sets {
+		j[node] = jobQueue{e: e, set: s, node: node, limit: limit}
+		j[node].drained.L = &s.mu
+		s.mu.Lock()
+		s.jobs = append(s.jobs, &j[node])
+		s.threads += limit
+		s.mu.Unlock()
+	}
+	return j
+}
+
+// submit queues t and kicks the set if the job's queued and running tasks on
+// the node are within its cap. The node grows only while it has fewer workers
+// than its jobs' limits add up to: jobs in turn leave it at most Threads.
+func (j standingJob) submit(node int, t task) (int, error) {
+	jq := &j[node]
+	s := jq.set
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if jq.over {
 		return 0, errJobOver
 	}
-	np.maybeSpawn()
+	depth := jq.q.Push(t)
+	if depth+jq.running <= jq.limit && s.w.Kick(s.w.Live() < s.threads) {
+		jq.e.tr.WorkerSpawned(node)
+	}
 	return depth, nil
 }
 
-// finish closes every queue — pending tasks are still popped, and drain
-// cheaply once the job's context is cancelled — and joins the workers.
-func (p *pools) finish() {
-	for i := range p.nodes {
-		p.nodes[i].q.close()
+// finish refuses tasks on every node first, and only then waits, node by
+// node, until the job has nothing queued or running: a task on node A that
+// dispatches to node B meanwhile is refused or waited for, never lost. Queued
+// tasks still run, cheaply once the job is cancelled; the workers stay.
+func (j standingJob) finish() {
+	for i := range j {
+		j[i].set.mu.Lock()
+		j[i].over = true
+		j[i].set.mu.Unlock()
 	}
-	p.wg.Wait()
-}
-
-// nodePool grows a node's worker set on demand, capped at max workers.
-type nodePool struct {
-	e       *executor
-	q       *taskQueue
-	wg      *sync.WaitGroup // the dispatcher's, shared by all nodes
-	node    int
-	max     int32
-	spawned atomic.Int32
-	idle    atomic.Int32
-}
-
-// maybeSpawn starts a new worker when no worker is idle and the pool has
-// headroom. It is called after every enqueue, so pools grow exactly as fast
-// as the queue outpaces them.
-func (p *nodePool) maybeSpawn() {
-	for {
-		if p.idle.Load() > 0 {
-			return
+	for i := range j {
+		jq, s := &j[i], j[i].set
+		s.mu.Lock()
+		for jq.running > 0 || jq.q.Len() > 0 {
+			jq.drained.Wait()
 		}
-		n := p.spawned.Load()
-		if n >= p.max {
-			return
-		}
-		if !p.spawned.CompareAndSwap(n, n+1) {
-			continue // raced with another spawner; re-check
-		}
-		p.e.tr.WorkerSpawned(p.node)
-		p.wg.Add(1)
-		go p.worker(int(n)) // spawn order doubles as the worker's timeline track id
-		return
+		s.jobs = slices.DeleteFunc(s.jobs, func(o *jobQueue) bool { return o == jq })
+		s.threads -= jq.limit
+		s.mu.Unlock()
 	}
-}
-
-func (p *nodePool) worker(id int) {
-	defer p.wg.Done()
-	for {
-		p.idle.Add(1)
-		t, ok := p.q.pop()
-		p.idle.Add(-1)
-		if !ok {
-			return
-		}
-		p.e.run(p.node, t, id)
-	}
-}
-
-// queueReleaseCap is the backing-array size above which a drained queue
-// frees its storage instead of reusing it. A fan-out spike early in a job
-// would otherwise pin a spike-sized array for the whole run.
-const queueReleaseCap = 1024
-
-// taskQueue is the per-node input queue of Algorithm 1: unbounded and
-// multi-producer/multi-consumer. Unboundedness matters — workers enqueue to
-// their own node's queue while processing, so a bounded queue could
-// deadlock the pool.
-type taskQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []task
-	head   int
-	closed bool
-}
-
-func newTaskQueue() *taskQueue {
-	q := &taskQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// push enqueues t, reporting whether it was accepted and the resulting
-// queue depth. Pushing to a closed queue is rejected (the job is done or
-// failed; stragglers are dropped) — executor.dispatch then gives the task's
-// weight back, or the in-flight counter would leak.
-func (q *taskQueue) push(t task) (ok bool, depth int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false, 0
-	}
-	q.items = append(q.items, t)
-	q.cond.Signal()
-	return true, len(q.items) - q.head
-}
-
-// pop dequeues the next task, blocking while the queue is open and empty.
-// ok is false once the queue is closed and drained.
-func (q *taskQueue) pop() (t task, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head >= len(q.items) && !q.closed {
-		q.cond.Wait()
-	}
-	if q.head >= len(q.items) {
-		return task{}, false
-	}
-	t = q.items[q.head]
-	q.items[q.head] = task{} // drop the reference for GC
-	q.head++
-	if q.head == len(q.items) {
-		if cap(q.items) > queueReleaseCap {
-			q.items = nil // release a spike-sized backing array
-		} else {
-			q.items = q.items[:0]
-		}
-		q.head = 0
-	}
-	return t, true
-}
-
-// close wakes all waiters; pending items remain poppable until drained.
-func (q *taskQueue) close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	q.cond.Broadcast()
-}
-
-// len reports the current queue depth (pending, unpopped tasks).
-func (q *taskQueue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items) - q.head
 }

@@ -14,9 +14,9 @@ import (
 )
 
 // TestNegativeThreadsRejected is the regression test for the hang: with
-// Threads < 0, nodePool.maybeSpawn could never spawn (spawned >= max from
-// the start), so no worker drained the queue, inflight never hit zero, and
-// Execute blocked on e.done forever. It must now fail fast instead.
+// Threads < 0 the job's pool could never spawn a worker, so nothing drained
+// the queue, inflight never hit zero, and Execute blocked on e.done forever.
+// It must now fail fast instead.
 func TestNegativeThreadsRejected(t *testing.T) {
 	fx := newFixture(t, 2, 5, 1)
 	job := fx.joinJob(0, 1000, false)
@@ -74,24 +74,36 @@ func TestUnknownSeedFileFailsFast(t *testing.T) {
 }
 
 // TestFailedJobLeavesNoGoroutines runs jobs that fail mid-flight and checks
-// the executor tears all its workers down before returning.
+// they leave no goroutine beyond the standing workers, and that a second
+// round grows nothing past the jobs' own cap: a node grows only while it has
+// fewer workers than its jobs' Threads add up to, so one job after another
+// never leaves a node more than Threads. (That a warm node starts none at all
+// for a job whose concurrency it already covers is
+// TestStandingWarmNodeSpawnsNothing's.)
 func TestFailedJobLeavesNoGoroutines(t *testing.T) {
-	fx := newFixture(t, 4, 40, 3)
+	const nodes, threads = 4, 64
+	fx := newFixture(t, nodes, 40, 3)
 	boom := fmt.Errorf("mid-flight disk death")
 	if err := fx.cluster.SetFault(fLine, 1, boom); err != nil {
 		t.Fatal(err)
 	}
+	coldNodes(t)
 	runtime.GC()
 	before := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
-		job := fx.joinJob(0, 1000, false)
-		if _, err := ExecuteSMPE(fx.ctx, job, fx.cluster, fx.cluster, Options{Threads: 64}); err == nil {
-			t.Fatal("faulted job succeeded")
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 10; i++ {
+			job := fx.joinJob(0, 1000, false)
+			if _, err := ExecuteSMPE(fx.ctx, job, fx.cluster, fx.cluster, Options{Threads: threads}); err == nil {
+				t.Fatal("faulted job succeeded")
+			}
 		}
+		live := standingLive()
+		if live > nodes*threads {
+			t.Fatalf("round %d: %d standing workers, more than %d nodes × Threads %d", round, live, nodes, threads)
+		}
+		// Give the runtime a moment to reap anything racing its own exit.
+		waitGoroutines(t, before+live+3)
 	}
-	// Workers exit before Execute returns (wg.Wait), but give the runtime
-	// a moment to reap anything racing its own exit.
-	waitGoroutines(t, before+3)
 }
 
 // TestPermanentErrorNotRetried checks derefWithRetry fails fast on errors
@@ -166,6 +178,7 @@ func TestTransientErrorStillRetried(t *testing.T) {
 // high-water marks.
 func TestResultCarriesTrace(t *testing.T) {
 	fx := newFixture(t, 2, 10, 3)
+	coldNodes(t) // a warm node starts no worker
 	job := fx.joinJob(0, 1000, false)
 	res, err := Execute(fx.ctx, job, fx.cluster, fx.cluster, Options{Threads: 8, InlineReferencers: true})
 	if err != nil {
@@ -216,54 +229,57 @@ func TestResultCarriesTrace(t *testing.T) {
 // TestQueueReleasesSpikeBacking checks a drained queue frees a spike-sized
 // backing array instead of pinning it for the rest of the job.
 func TestQueueReleasesSpikeBacking(t *testing.T) {
-	q := newTaskQueue()
+	var q FIFO[task]
 	for i := 0; i < queueReleaseCap+100; i++ {
-		if ok, _ := q.push(task{stage: i}); !ok {
-			t.Fatal("push on open queue rejected")
-		}
+		q.Push(task{stage: i})
 	}
-	for i := 0; i < queueReleaseCap+100; i++ {
-		if _, ok := q.pop(); !ok {
-			t.Fatalf("pop %d failed", i)
-		}
+	for q.Len() > 0 {
+		q.Pop()
 	}
 	if c := cap(q.items); c != 0 {
 		t.Errorf("drained spike queue retains cap %d, want 0", c)
 	}
 	// Small queues keep reusing their storage.
-	small := newTaskQueue()
-	small.push(task{})
-	small.pop()
-	if cap(small.items) == 0 && queueReleaseCap > 1 {
-		// Single-item arrays stay; nothing to assert beyond no panic.
-		t.Log("small queue released storage (allowed but unexpected)")
+	var small FIFO[task]
+	small.Push(task{})
+	small.Pop()
+	if cap(small.items) == 0 {
+		t.Error("small queue released its storage")
 	}
 	// After release the queue still works.
-	if ok, depth := q.push(task{stage: 7}); !ok || depth != 1 {
-		t.Fatalf("push after release = (%v, %d)", ok, depth)
+	if depth := q.Push(task{stage: 7}); depth != 1 {
+		t.Fatalf("push after release: depth %d", depth)
 	}
-	if tk, ok := q.pop(); !ok || tk.stage != 7 {
-		t.Fatalf("pop after release = (%v, %v)", tk.stage, ok)
+	if tk := q.Pop(); tk.stage != 7 {
+		t.Fatalf("pop after release = %v", tk.stage)
 	}
 }
 
 // TestQueuePushReportsAcceptance checks the accounting contract the
-// in-flight counter depends on: accepted pushes report depth, pushes on a
-// closed queue report rejection.
+// in-flight counter depends on: accepted submits report the queue depth,
+// submits after finish report rejection.
 func TestQueuePushReportsAcceptance(t *testing.T) {
-	q := newTaskQueue()
-	if ok, depth := q.push(task{}); !ok || depth != 1 {
-		t.Fatalf("first push = (%v, %d)", ok, depth)
+	coldNodes(t)
+	unblock := make(chan struct{})
+	r := newDispatchRig(t, Options{Threads: 1, EventCap: -1}, 1, func(*dispatchRig, *TaskCtx, lake.Pointer) { <-unblock })
+	r.dispatch(0, "running") // holds the job's one slot, so what follows queues
+	jq := &r.e.disp.(standingJob)[0]
+	for running := 0; running == 0; time.Sleep(time.Millisecond) {
+		jq.set.mu.Lock()
+		running = jq.running
+		jq.set.mu.Unlock()
 	}
-	if ok, depth := q.push(task{}); !ok || depth != 2 {
-		t.Fatalf("second push = (%v, %d)", ok, depth)
+	r.e.inflight.Add(2) // submit bypasses dispatch's accounting
+	for want := 1; want <= 2; want++ {
+		if depth, err := r.e.disp.submit(0, task{ptrs: []lake.Pointer{{File: "f"}}}); err != nil || depth != want {
+			t.Fatalf("submit %d = (%d, %v), want depth %d", want, depth, err, want)
+		}
 	}
-	q.close()
-	if ok, _ := q.push(task{}); ok {
-		t.Fatal("push on closed queue accepted")
-	}
-	if got := q.len(); got != 2 {
-		t.Fatalf("len = %d, want 2", got)
+	close(unblock)
+	r.release(t)
+	r.e.disp.finish()
+	if _, err := r.e.disp.submit(0, task{}); err != errJobOver {
+		t.Fatalf("submit after finish: err = %v, want errJobOver", err)
 	}
 }
 

@@ -26,12 +26,13 @@ type Topology interface {
 
 // Options tunes the executor.
 type Options struct {
-	// Threads is the per-node worker-pool size. The paper's default is
-	// 1000 (§III-C); 0 selects that default. 1 disables SMPE: each node
-	// processes its queue sequentially, leaving only the partitioned
-	// parallelism of the cluster — the paper's "ReDe (w/o SMPE)" arm.
-	// Negative values are rejected (a pool that can never spawn would
-	// deadlock the job).
+	// Threads bounds the job's parallelism per node: at most this many of
+	// its tasks run at once on the node's standing worker set, which
+	// outlives the job. The paper's pool size is 1000 (§III-C); 0 selects
+	// it. 1 disables SMPE: each node processes the job's queue
+	// sequentially, leaving only the partitioned parallelism of the
+	// cluster — the paper's "ReDe (w/o SMPE)" arm. Negative values are
+	// rejected (a job that can never run a task would deadlock).
 	Threads int
 	// InlineReferencers, when true (the paper's default), runs Referencers
 	// on the worker that produced their input record instead of
@@ -87,16 +88,13 @@ type Options struct {
 	// Scheduler: a shared scheduler cannot account anonymous work.
 	Tenant string
 	// Scheduler, when non-nil, dispatches the job's tasks onto a shared,
-	// cluster-wide worker pool with weighted-fair queuing across tenants
-	// (internal/sched) instead of growing this job's own per-node pools.
-	// Threads is then ignored: worker capacity belongs to the scheduler,
-	// which enforces one cluster-wide ceiling no matter how many jobs run
-	// concurrently — the per-job DefaultThreads composes badly (N jobs
-	// would otherwise spawn N×1000 goroutines). Admission (tenant quotas,
-	// load shedding) happens before any task is enqueued; an over-quota
-	// or overloaded submission fails the job up front with the
-	// scheduler's admission error. nil gives the job its own per-node pools;
-	// either way every task takes the one path in dispatch.go.
+	// cluster-wide worker set with weighted-fair queuing across tenants
+	// (internal/sched) instead of the standing per-node sets. Threads is
+	// then ignored: capacity is the scheduler's one cluster-wide ceiling,
+	// however many jobs run. Admission (tenant quotas, load shedding)
+	// happens before any task is enqueued; a rejected job fails up front
+	// with the scheduler's admission error. Either way every task takes the
+	// one path in dispatch.go.
 	Scheduler TaskScheduler
 }
 
@@ -127,7 +125,8 @@ type SchedJob interface {
 	Finish()
 }
 
-// DefaultThreads is the paper's default per-node thread-pool size.
+// DefaultThreads is the paper's per-node thread-pool size: a job's default
+// Threads, and the most parked workers a node keeps between jobs.
 const DefaultThreads = 1000
 
 // DefaultMaxBatch is the pointer-batch size ExecuteSMPE uses when
@@ -215,8 +214,8 @@ func traceInfo(job *Job) []trace.StageInfo {
 
 // Execute runs the job with scalable massively parallel execution
 // (Algorithm 1): the job is distributed to every node, each node
-// dynamically decomposes its share into fine-grained tasks, and a per-node
-// worker pool executes them with up to Options.Threads-way parallelism.
+// dynamically decomposes its share into fine-grained tasks, and the node's
+// standing workers execute them with up to Options.Threads-way parallelism.
 func Execute(ctx context.Context, job *Job, catalog lake.Catalog, topo Topology, opts Options) (*Result, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
@@ -244,20 +243,20 @@ func Execute(ctx context.Context, job *Job, catalog lake.Catalog, topo Topology,
 
 	// Seed the initial stage. Seeds without partition information are
 	// broadcast; routed seeds start on the node owning their partition.
-	// Enqueueing spawns the first workers. A sentinel in-flight unit is held
-	// across the loop: without it, a first seed processed to completion
-	// before the second is dispatched would drive the in-flight counter to
-	// zero, declare the job done, and drop every later seed's work at queue
-	// close — a wrong (partial) result with no error.
+	// Enqueueing wakes (on a cold node, starts) the first workers. A
+	// sentinel in-flight unit is held across the loop: without it, a first
+	// seed processed to completion before the second is dispatched would
+	// drive the in-flight counter to zero, declare the job done, and drop
+	// every later seed's work at finish — a wrong (partial) result.
 	e.inflight.Add(1)
 	for _, seed := range job.Seeds {
 		e.enqueuePointer(0 /* fromNode: seeds route to their owner */, 0, seed, true)
 	}
 	e.finishN(1)
 
-	// Wait for global completion or failure, then stop the workers: tasks
-	// still queued are run, and drain cheaply through the ctx check in
-	// process when the job was cancelled.
+	// Wait for global completion or failure, then let go of the workers:
+	// tasks still queued are run, and drain cheaply through the ctx check
+	// in process when the job was cancelled.
 	select {
 	case <-e.done:
 	case <-ctx.Done():

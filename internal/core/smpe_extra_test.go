@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -196,11 +197,14 @@ func BenchmarkSMPEThroughput(b *testing.B) {
 }
 
 func BenchmarkQueue(b *testing.B) {
-	q := newTaskQueue()
+	var mu sync.Mutex
+	var q FIFO[task]
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			q.push(task{stage: 1})
-			q.pop()
+			mu.Lock()
+			q.Push(task{stage: 1})
+			q.Pop()
+			mu.Unlock()
 		}
 	})
 }

@@ -60,17 +60,23 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ln.Addr(), s.Serve(ln)
+}
+
+// Serve starts the accept loop on ln in the background; the server owns ln
+// from here on, and closes it on Drain or Close.
+func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		ln.Close()
-		return nil, errors.New("nodenet: server closed")
+		return errors.New("nodenet: server closed")
 	}
 	s.ln = ln
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
-	return ln.Addr(), nil
+	return nil
 }
 
 // Served returns how many requests the server has answered.

@@ -54,8 +54,8 @@ func (s *Scheduler) Stats() Stats {
 	defer s.mu.Unlock()
 	st := Stats{
 		Workers:     s.opts.Workers,
-		Spawned:     s.spawned,
-		Idle:        s.idle,
+		Spawned:     s.workers.Live(),
+		Idle:        s.workers.Parked(),
 		QueueDepth:  s.queueDepth,
 		ShedDepth:   s.opts.ShedDepth,
 		WindowTotal: s.windowTotal,
@@ -69,7 +69,7 @@ func (s *Scheduler) Stats() Stats {
 			Name:         t.cfg.Name,
 			Weight:       t.cfg.Weight,
 			Priority:     t.cfg.Priority,
-			Queued:       t.pending(),
+			Queued:       t.q.Len(),
 			InFlight:     t.inflight,
 			Jobs:         t.jobs,
 			Dispatched:   t.dispatched,

@@ -1,13 +1,11 @@
 // Package sched is the cluster-wide multi-tenant task scheduler: one shared
-// worker pool serving every concurrently running job, with weighted-fair
+// worker set serving every concurrently running job, with weighted-fair
 // dispatch across tenants, per-tenant quotas, and admission control.
 //
-// The SMPE executor historically grew a ~1000-goroutine pool per job
-// (core.DefaultThreads), which composes badly the moment a cluster serves
-// more than one job: N concurrent jobs spawn N×1000 workers and fight over
-// the same storage gates with no notion of who submitted what. A Scheduler
-// instead owns ONE worker ceiling for the whole cluster and decides, task by
-// task, whose work runs next:
+// A Scheduler owns ONE worker ceiling for the whole cluster and decides,
+// task by task, whose work runs next. Its workers are a core.Workers, the
+// same worker loop, spawn rule and FIFO the executor's standing per-node
+// sets use; what is the scheduler's own is the pick policy:
 //
 //   - Weighted-fair queuing over per-tenant virtual time. Each tenant keeps
 //     a FIFO of pending tasks and a virtual clock that advances by 1/weight
@@ -31,9 +29,9 @@
 //
 // The executor reaches the scheduler through core.TaskScheduler /
 // core.SchedJob (set core.Options.Scheduler and core.Options.Tenant): a Job
-// is one of the two implementations behind the executor's single dispatch
-// path, the other being the job's own per-node pools (DESIGN.md §11). Stats
-// and Collect expose per-tenant slices (in-flight, queue depth and wait
+// is one of the two adapters behind the executor's single dispatch path, the
+// other being the job's queues in the standing per-node sets (DESIGN.md §11).
+// Stats and Collect expose per-tenant slices (in-flight, queue depth and wait
 // quantiles, shed counts, fair-share deficit) as lakeharbor_tenant_* series.
 package sched
 
@@ -49,8 +47,8 @@ import (
 )
 
 // DefaultWorkers is the cluster-wide worker ceiling when Options.Workers is
-// zero. It is deliberately half of one job's historical pool: capacity is a
-// property of the cluster, not of how many jobs happen to be running.
+// zero: capacity is a property of the cluster, not of how many jobs happen
+// to be running.
 const DefaultWorkers = 512
 
 // DefaultShedDepth is the total queued-task backlog above which admission
@@ -59,8 +57,8 @@ const DefaultShedDepth = 4096
 
 // Options configures a Scheduler.
 type Options struct {
-	// Workers caps the shared pool: at most this many tasks execute at
-	// once, cluster-wide, no matter how many jobs or tenants are active.
+	// Workers caps the shared worker set: at most this many tasks execute
+	// at once, cluster-wide, no matter how many jobs or tenants are active.
 	// Workers are spawned on demand up to the ceiling and parked between
 	// tasks. 0 selects DefaultWorkers.
 	Workers int
@@ -134,41 +132,20 @@ type schedTask struct {
 type tenant struct {
 	cfg TenantConfig
 
-	q    []schedTask // pending FIFO
-	head int
+	q core.FIFO[schedTask] // pending tasks
 
 	vtime    float64 // per-tenant virtual clock (advances 1/weight per dispatch)
 	inflight int     // dispatched, not yet completed tasks
 	jobs     int     // currently admitted jobs
 
 	// Cumulative accounting.
-	dispatched    int64
-	shed          int64
-	jobsAdmitted  int64
-	jobsRejected  int64
-	inflightHigh  int
-	windowServed  int64 // dispatches taken while every tenant was backlogged
-	waitHist      trace.Histogram
-	starvedChecks int64 // diagnostics: times skipped while at MaxInFlight
-}
-
-func (t *tenant) pending() int { return len(t.q) - t.head }
-
-// pop removes the tenant's oldest pending task, releasing spike-sized
-// backing arrays the same way core's taskQueue does.
-func (t *tenant) pop() schedTask {
-	tk := t.q[t.head]
-	t.q[t.head] = schedTask{}
-	t.head++
-	if t.head == len(t.q) {
-		if cap(t.q) > 1024 {
-			t.q = nil
-		} else {
-			t.q = t.q[:0]
-		}
-		t.head = 0
-	}
-	return tk
+	dispatched   int64
+	shed         int64
+	jobsAdmitted int64
+	jobsRejected int64
+	inflightHigh int
+	windowServed int64 // dispatches taken while every tenant was backlogged
+	waitHist     trace.Histogram
 }
 
 // Scheduler is the shared multi-tenant dispatcher. Create it with New; it
@@ -177,8 +154,8 @@ func (t *tenant) pop() schedTask {
 type Scheduler struct {
 	opts Options
 
-	mu      sync.Mutex
-	cond    *sync.Cond // workers wait here for eligible work
+	mu      sync.Mutex // also the worker set's lock
+	workers *core.Workers[schedTask]
 	tenants map[string]*tenant
 	order   []*tenant // deterministic iteration for picking and stats
 
@@ -186,11 +163,8 @@ type Scheduler struct {
 	queueDepth  int     // total queued, undispatched tasks
 	windowTotal int64   // dispatches taken while every tenant was backlogged
 
-	spawned int
-	idle    int
-	closed  bool
-	manual  bool // tests: suppress worker spawning and drive pickLocked directly
-	wg      sync.WaitGroup
+	closed bool
+	manual bool // tests: suppress worker spawning and drive pickLocked directly
 }
 
 // New builds a Scheduler over the given tenants. Every tenant must have a
@@ -207,7 +181,8 @@ func New(opts Options, tenants ...TenantConfig) (*Scheduler, error) {
 		opts.ShedDepth = DefaultShedDepth
 	}
 	s := &Scheduler{opts: opts, tenants: make(map[string]*tenant, len(tenants))}
-	s.cond = sync.NewCond(&s.mu)
+	s.workers = core.NewWorkers(&s.mu, opts.Workers, s.pickLocked,
+		func(tk schedTask, worker int) { tk.run(worker) }, s.taskDoneLocked)
 	for _, cfg := range tenants {
 		if err := s.register(cfg); err != nil {
 			return nil, err
@@ -251,15 +226,16 @@ func (s *Scheduler) StartJob(name string) (core.SchedJob, error) {
 	if !ok {
 		return nil, &AdmissionError{Tenant: name, Err: ErrUnknownTenant}
 	}
+	var reject error
 	if t.cfg.MaxJobs > 0 && t.jobs >= t.cfg.MaxJobs {
-		t.jobsRejected++
-		t.shed++
-		return nil, &AdmissionError{Tenant: name, Err: ErrOverQuota, RetryAfter: s.retryAfterLocked()}
+		reject = ErrOverQuota
+	} else if s.opts.ShedDepth > 0 && s.queueDepth > s.opts.ShedDepth {
+		reject = ErrOverloaded
 	}
-	if s.opts.ShedDepth > 0 && s.queueDepth > s.opts.ShedDepth {
+	if reject != nil {
 		t.jobsRejected++
 		t.shed++
-		return nil, &AdmissionError{Tenant: name, Err: ErrOverloaded, RetryAfter: s.retryAfterLocked()}
+		return nil, &AdmissionError{Tenant: name, Err: reject, RetryAfter: s.retryAfterLocked()}
 	}
 	t.jobs++
 	t.jobsAdmitted++
@@ -272,14 +248,7 @@ func (s *Scheduler) StartJob(name string) (core.SchedJob, error) {
 // one second base, growing with how far the backlog exceeds one "fill" of
 // the worker pool, capped at 30s.
 func (s *Scheduler) retryAfterLocked() time.Duration {
-	d := time.Second
-	if s.opts.Workers > 0 {
-		d += time.Duration(s.queueDepth/(s.opts.Workers*4)) * time.Second
-	}
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	return d
+	return min(time.Second+time.Duration(s.queueDepth/(s.opts.Workers*4))*time.Second, 30*time.Second)
 }
 
 // Job is one admitted job's submission handle (core.SchedJob).
@@ -297,30 +266,28 @@ type Job struct {
 func (j *Job) Submit(run func(worker int)) (int, error) {
 	s := j.s
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return 0, ErrClosed
 	}
 	if j.finished {
-		s.mu.Unlock()
 		return 0, fmt.Errorf("sched: submit on a finished job (tenant %q)", j.t.cfg.Name)
 	}
 	t := j.t
-	if t.pending() == 0 {
+	if t.q.Len() == 0 && t.vtime < s.vclock {
 		// Re-arrival after idleness: floor the tenant's clock to the
 		// scheduler's virtual time so banked idleness cannot monopolize
 		// the workers, but never move the clock backwards.
-		if t.vtime < s.vclock {
-			t.vtime = s.vclock
-		}
+		t.vtime = s.vclock
 	}
-	t.q = append(t.q, schedTask{run: run, job: j, enq: time.Now()})
+	depth := t.q.Push(schedTask{run: run, job: j, enq: time.Now()})
 	j.pending++
 	s.queueDepth++
-	depth := t.pending()
-	s.maybeSpawnLocked()
-	s.mu.Unlock()
-	s.cond.Signal()
+	// The task is runnable at once unless the tenant's in-flight cap already
+	// covers its queued and running tasks; then a finishing worker picks it.
+	if !s.manual && (t.cfg.MaxInFlight == 0 || depth+t.inflight <= t.cfg.MaxInFlight) {
+		s.workers.Kick(s.workers.Live() < s.opts.Workers)
+	}
 	return depth, nil
 }
 
@@ -337,52 +304,12 @@ func (j *Job) Finish() {
 	s.mu.Unlock()
 }
 
-// maybeSpawnLocked starts a new worker when no worker is idle and the
-// ceiling has headroom — pools grow exactly as fast as backlog outpaces
-// them, and never past Options.Workers no matter how many jobs are active.
-func (s *Scheduler) maybeSpawnLocked() {
-	if s.manual || s.idle > 0 || s.spawned >= s.opts.Workers {
-		return
-	}
-	id := s.spawned
-	s.spawned++
-	s.wg.Add(1)
-	go s.worker(id)
-}
-
-// worker executes tasks until Close. It parks on the condition variable
-// whenever no eligible task exists — by construction it can never be idle
-// while an eligible task is queued (work conservation).
-func (s *Scheduler) worker(id int) {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		var tk schedTask
-		for {
-			if s.closed {
-				s.mu.Unlock()
-				return
-			}
-			var ok bool
-			if tk, ok = s.pickLocked(); ok {
-				break
-			}
-			s.idle++
-			s.cond.Wait()
-			s.idle--
-		}
-		s.mu.Unlock()
-		tk.run(id)
-		s.taskDone(tk)
-	}
-}
-
-// pickLocked chooses and dequeues the next task: the backlogged tenant under
-// its in-flight cap with the highest priority, then the smallest virtual
-// time, then (ties) the lexicographically first name, so selection is
-// deterministic given identical state. The chosen tenant's clock advances by
-// 1/weight, keeping task shares proportional to weights across backlogged
-// tenants. Dispatches taken while EVERY registered tenant was backlogged and
+// pickLocked is the worker set's pick policy: it dequeues the next task of
+// the backlogged tenant under its in-flight cap with the highest priority,
+// then the smallest virtual time, then (ties) the lexicographically first
+// name, so selection is deterministic given identical state. The chosen
+// tenant's clock advances by 1/weight, keeping task shares proportional to
+// weights across backlogged tenants. Dispatches taken while EVERY registered tenant was backlogged and
 // eligible are additionally counted into the fairness window — the
 // denominator the fair-share deficit metric and the tenancy oracle's
 // weighted-share check are computed over, because proportional sharing is
@@ -391,11 +318,7 @@ func (s *Scheduler) pickLocked() (schedTask, bool) {
 	var best *tenant
 	eligible := 0
 	for _, t := range s.order {
-		if t.pending() == 0 {
-			continue
-		}
-		if t.cfg.MaxInFlight > 0 && t.inflight >= t.cfg.MaxInFlight {
-			t.starvedChecks++
+		if t.q.Len() == 0 || t.cfg.MaxInFlight > 0 && t.inflight >= t.cfg.MaxInFlight {
 			continue
 		}
 		eligible++
@@ -406,20 +329,16 @@ func (s *Scheduler) pickLocked() (schedTask, bool) {
 	if best == nil {
 		return schedTask{}, false
 	}
-	tk := best.pop()
+	tk := best.q.Pop()
 	s.queueDepth--
 	best.inflight++
-	if best.inflight > best.inflightHigh {
-		best.inflightHigh = best.inflight
-	}
+	best.inflightHigh = max(best.inflightHigh, best.inflight)
 	best.dispatched++
 	// The scheduler's virtual clock is the high-water mark of dispatched
 	// virtual times — monotone by construction. A plain assignment would
 	// run it backwards whenever a cap- or priority-delayed tenant with an
 	// old (small) clock finally gets served.
-	if best.vtime > s.vclock {
-		s.vclock = best.vtime
-	}
+	s.vclock = max(s.vclock, best.vtime)
 	best.vtime += 1 / float64(best.cfg.Weight)
 	if eligible == len(s.order) && len(s.order) > 1 {
 		best.windowServed++
@@ -440,23 +359,23 @@ func (t *tenant) beats(o *tenant) bool {
 	return t.cfg.Name < o.cfg.Name
 }
 
-// taskDone retires one executed task: the tenant's in-flight slot frees (a
-// capped tenant may have become eligible again, so a waiting worker is
-// woken) and the owning job's pending count drops, releasing Finish when it
-// reaches zero.
-func (s *Scheduler) taskDone(tk schedTask) {
-	s.mu.Lock()
-	t := tk.job.t
-	t.inflight--
-	tk.job.pending--
-	if tk.job.pending == 0 && tk.job.finished {
-		tk.job.cv.Broadcast()
-	}
-	s.mu.Unlock()
-	s.cond.Signal()
+// taskDoneLocked retires one executed task: the tenant's in-flight slot frees
+// (the finishing worker picks again before it parks, so a capped tenant that
+// became eligible is served) and the job's pending count drops.
+func (s *Scheduler) taskDoneLocked(tk schedTask) {
+	tk.job.t.inflight--
+	tk.job.retire()
 }
 
-// Close shuts the pool down for tests and process exit: no further jobs are
+// retire settles one of the job's tasks, run or dropped, releasing Finish at
+// the last (s.mu held).
+func (j *Job) retire() {
+	if j.pending--; j.pending == 0 && j.finished {
+		j.cv.Broadcast()
+	}
+}
+
+// Close shuts the workers down for tests and process exit: no further jobs are
 // admitted, parked workers exit, and Close returns once running tasks
 // complete. It must not race active jobs — callers Finish their jobs first;
 // any still-queued tasks of a misbehaving caller are dropped with their
@@ -469,16 +388,10 @@ func (s *Scheduler) Close() {
 	}
 	s.closed = true
 	for _, t := range s.order {
-		for t.pending() > 0 {
-			tk := t.pop()
-			s.queueDepth--
-			tk.job.pending--
-			if tk.job.pending == 0 && tk.job.finished {
-				tk.job.cv.Broadcast()
-			}
+		for ; t.q.Len() > 0; s.queueDepth-- {
+			t.q.Pop().job.retire()
 		}
 	}
 	s.mu.Unlock()
-	s.cond.Broadcast()
-	s.wg.Wait()
+	s.workers.Close()
 }

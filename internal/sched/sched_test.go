@@ -11,6 +11,14 @@ import (
 	"time"
 )
 
+// taskDone is the worker loop's done step, for tests that play the worker in
+// manual mode.
+func (s *Scheduler) taskDone(tk schedTask) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.taskDoneLocked(tk)
+}
+
 // TestRegistrationRejectsUnschedulable is the regression for the "hung
 // submit" failure mode: a zero-weight tenant can never win pickLocked, so it
 // must be impossible to create one, and an unknown tenant must be rejected
@@ -196,7 +204,7 @@ func TestFairQueueProperties(t *testing.T) {
 					if tn.cfg.MaxJobs > 0 && tn.jobs > tn.cfg.MaxJobs {
 						t.Fatalf("step %d: tenant %s jobs %d exceeds cap %d", step, tn.cfg.Name, tn.jobs, tn.cfg.MaxJobs)
 					}
-					depth += tn.pending()
+					depth += tn.q.Len()
 				}
 				if depth != s.queueDepth {
 					t.Fatalf("step %d: queueDepth %d != sum of backlogs %d", step, s.queueDepth, depth)
@@ -217,10 +225,10 @@ func TestFairQueueProperties(t *testing.T) {
 						// Work conservation: refusal is only legal when
 						// nothing is both backlogged and under-cap.
 						for _, tn := range s.order {
-							if tn.pending() > 0 && (tn.cfg.MaxInFlight == 0 || tn.inflight < tn.cfg.MaxInFlight) {
+							if tn.q.Len() > 0 && (tn.cfg.MaxInFlight == 0 || tn.inflight < tn.cfg.MaxInFlight) {
 								s.mu.Unlock()
 								t.Fatalf("step %d: pickLocked found no work, but tenant %s has %d runnable tasks",
-									step, tn.cfg.Name, tn.pending())
+									step, tn.cfg.Name, tn.q.Len())
 							}
 						}
 					}

@@ -31,7 +31,7 @@ const maxSource = 1 << 20
 // punct2 lists the two-character operators, checked before single chars.
 var punct2 = []string{"==", "!=", "<=", ">=", "&&", "||"}
 
-const punct1 = "(){},=<>+-*/%!"
+const punct1 = "(){},;=<>+-*/%!"
 
 func lex(src string) ([]token, *Error) {
 	if len(src) > maxSource {

@@ -49,6 +49,7 @@ var edgeSeeds = []string{
 	`fn f(a, b) { return (a == a) < (b == b) }`,
 	`fn f(a, b) { return a / b + a % b }`,
 	`fn f(a, b) { return !a || -b == 0 }`,
+	`fn f(a, b) { a; -b; (a); return; }`,
 	`fn f(a, b) { return emit(a, emit(b, set(a, b)), nosuch(carry())) }`,
 	`fn f(a) { while a { return 1 } }`,
 	`fn f(a, b) { return a < b && b < a || a == b }`,

@@ -9,7 +9,7 @@ import (
 //
 //	program := fndecl*
 //	fndecl  := "fn" IDENT "(" [ IDENT ("," IDENT)* ] ")" block
-//	block   := "{" stmt* "}"
+//	block   := "{" ( stmt [ ";" ] )* "}"
 //	stmt    := "let" IDENT "=" expr
 //	         | IDENT "=" expr
 //	         | "if" expr block [ "else" (block | if-stmt) ]
@@ -335,6 +335,9 @@ func (ps *parser) parseBlock() ([]stmt, *Error) {
 			return nil, err
 		}
 		stmts = append(stmts, s)
+		if ps.isPunct(";") {
+			ps.next() // the optional terminator: `a; -b` is two statements, `a -b` one
+		}
 	}
 	ps.next() // "}"
 	return stmts, nil
@@ -373,8 +376,8 @@ func (ps *parser) parseStmt() (stmt, *Error) {
 	case ps.isKeyword("return"):
 		ps.next()
 		// A bare return ends the statement when the next token cannot start
-		// an expression ("}" or EOF is the common case).
-		if ps.isPunct("}") || ps.peek().kind == tokEOF {
+		// an expression ("}", ";" or EOF).
+		if ps.isPunct("}") || ps.isPunct(";") || ps.peek().kind == tokEOF {
 			return &returnStmt{line: t.line}, nil
 		}
 		x, err := ps.parseExpr()

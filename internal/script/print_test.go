@@ -14,7 +14,9 @@ import (
 // it exists for.
 
 // Canonical renders the program in canonical form: one fn per block, tab
-// indentation, minimal parentheses, escaped string literals.
+// indentation, minimal parentheses, escaped string literals, and a ";"
+// after every statement that ends in an expression, so no statement runs on
+// into the next (after `a`, `-b` would read as a - b and `(b)` as a call).
 func (p *Program) Canonical() string {
 	var b strings.Builder
 	for i, name := range p.order {
@@ -42,47 +44,9 @@ func printFn(b *strings.Builder, fn *fnDecl) {
 }
 
 func printStmts(b *strings.Builder, stmts []stmt, depth int) {
-	// opens[i]: statement i prints starting with "(" — an expression
-	// statement led by a parenthesized operand, by a unary minus, or by a bare
-	// name that lastExpr parenthesizes because statement i+1 opens the same
-	// way; hence back to front.
-	opens := make([]bool, len(stmts)+1)
-	for i := len(stmts) - 1; i >= 0; i-- {
-		if es, ok := stmts[i].(*exprStmt); ok {
-			opens[i] = lastExpr(es.x, true, opens[i+1])[0] == '('
-		}
+	for _, s := range stmts {
+		printStmt(b, s, depth)
 	}
-	for i, s := range stmts {
-		printStmt(b, s, depth, opens[i+1])
-	}
-}
-
-// lastExpr renders the expression a statement ends in. The grammar has no
-// statement separator, so the text must not run on into its neighbours: an
-// expression statement that would start with "-" is parenthesized (after
-// `a`, `-b` reads as a - b), and when the next statement opens with "(" so
-// is a trailing bare name (after `f`, `(x)` reads as the call f(x)).
-func lastExpr(e expr, isStmt, nextOpensParen bool) string {
-	var b strings.Builder
-	printExpr(&b, e, 0, false)
-	t := b.String()
-	if isStmt && t[0] == '-' {
-		t = "(" + t + ")"
-	}
-	last := e
-	for {
-		if bin, ok := last.(*binExpr); ok {
-			last = bin.y
-		} else if un, ok := last.(*unaryExpr); ok {
-			last = un.x
-		} else {
-			break
-		}
-	}
-	if name, ok := last.(*varRef); ok && nextOpensParen && strings.HasSuffix(t, name.name) {
-		t = t[:len(t)-len(name.name)] + "(" + name.name + ")"
-	}
-	return t
 }
 
 func indent(b *strings.Builder, depth int) {
@@ -91,20 +55,20 @@ func indent(b *strings.Builder, depth int) {
 	}
 }
 
-func printStmt(b *strings.Builder, s stmt, depth int, nextOpensParen bool) {
+func printStmt(b *strings.Builder, s stmt, depth int) {
 	indent(b, depth)
 	switch s := s.(type) {
 	case *letStmt:
 		b.WriteString("let ")
 		b.WriteString(s.name)
 		b.WriteString(" = ")
-		b.WriteString(lastExpr(s.x, false, nextOpensParen))
-		b.WriteByte('\n')
+		printExpr(b, s.x, 0, false)
+		b.WriteString(";\n")
 	case *assignStmt:
 		b.WriteString(s.name)
 		b.WriteString(" = ")
-		b.WriteString(lastExpr(s.x, false, nextOpensParen))
-		b.WriteByte('\n')
+		printExpr(b, s.x, 0, false)
+		b.WriteString(";\n")
 	case *ifStmt:
 		printIf(b, s, depth)
 	case *whileStmt:
@@ -118,12 +82,12 @@ func printStmt(b *strings.Builder, s stmt, depth int, nextOpensParen bool) {
 		b.WriteString("return")
 		if s.x != nil {
 			b.WriteByte(' ')
-			b.WriteString(lastExpr(s.x, false, nextOpensParen))
+			printExpr(b, s.x, 0, false)
 		}
-		b.WriteByte('\n')
+		b.WriteString(";\n")
 	case *exprStmt:
-		b.WriteString(lastExpr(s.x, true, nextOpensParen))
-		b.WriteByte('\n')
+		printExpr(b, s.x, 0, false)
+		b.WriteString(";\n")
 	}
 }
 

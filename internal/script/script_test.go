@@ -214,6 +214,36 @@ func TestCanonicalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatementTerminator pins the optional ";": it ends a statement where
+// the text would otherwise run on, and a source without one parses as
+// before.
+func TestStatementTerminator(t *testing.T) {
+	for _, c := range []struct {
+		src   string
+		stmts int
+	}{
+		{`fn f(a, b) { a -b }`, 1},    // a - b
+		{`fn f(a, b) { a; -b }`, 2},   // a, then -b
+		{`fn f(a, b) { a (b) }`, 1},   // the call a(b)
+		{`fn f(a, b) { a; (b); }`, 2}, // a, then b
+		{`fn f(a) { let x = a; x = x + 1; return; }`, 3},
+		{`fn f(a) { if a { return 1; } return 0 }`, 2},
+	} {
+		p, err := Compile(c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+		if n := len(p.fns["f"].body); n != c.stmts {
+			t.Errorf("%s: %d statements, want %d", c.src, n, c.stmts)
+		}
+	}
+	for _, src := range []string{`fn f() { ; }`, `fn f() { return 1;; }`, `fn f() { } ;`} {
+		if _, err := Compile(src); err == nil {
+			t.Errorf("%s compiled; a \";\" only ends a statement", src)
+		}
+	}
+}
+
 func TestInterpreterAdapter(t *testing.T) {
 	p := MustCompile(`fn interpret(key, data) {
 		let i = find(data, "|")

@@ -294,7 +294,7 @@ func (t *Trace) Enqueue(node, depth int) {
 	storeMax(&t.nodes[node].queueHighWater, int64(depth))
 }
 
-// WorkerSpawned records one pool worker actually started on the node.
+// WorkerSpawned records one worker the job started on the node.
 func (t *Trace) WorkerSpawned(node int) { t.nodes[node].workersSpawned.Add(1) }
 
 // NodeIO returns the node's I/O attribution counters, for attaching to the
@@ -423,8 +423,9 @@ type NodeSnapshot struct {
 	Node int `json:"node"`
 	// QueueHighWater is the deepest the node's input queue ever got.
 	QueueHighWater int64 `json:"queueHighWater"`
-	// WorkersSpawned is how many pool workers were actually started
-	// (bounded by Options.Threads; tiny jobs spawn far fewer).
+	// WorkersSpawned is how many workers the job started on the node
+	// (bounded by Options.Threads). Workers outlive the job that started
+	// them, so it is 0 on a warm node, whose parked workers the job woke.
 	WorkersSpawned int64 `json:"workersSpawned"`
 	// LocalIO counts storage accesses served by partitions this node owns.
 	LocalIO int64 `json:"localIO"`
