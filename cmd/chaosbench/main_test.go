@@ -11,34 +11,15 @@ import (
 	"lakeharbor/internal/trace"
 )
 
-func TestParseArms(t *testing.T) {
-	all := oracle.Options{Chaos: true, Lifecycle: true, Restart: true, Net: true, Tenants: true, Script: true}
-	for list, want := range map[string]oracle.Options{
-		allArms:              all,
-		"tenants":            {Tenants: true},
-		"lifecycle, restart": {Lifecycle: true, Restart: true},
-		"net,net,script":     {Net: true, Script: true},
-		"":                   {},
-	} {
-		got, err := parseArms(list)
-		if err != nil || got != want {
-			t.Errorf("parseArms(%q) = %+v, %v; want %+v", list, got, err, want)
-		}
-	}
-	for _, bad := range []string{"tenant", "chaos,no-net", "all"} {
-		if _, err := parseArms(bad); err == nil {
-			t.Errorf("parseArms(%q) accepted an unknown arm", bad)
-		}
-	}
-}
-
 func TestWriteArtifacts(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "chaos-artifacts")
+	dir := filepath.Join(t.TempDir(), "oracle-artifacts")
+	point := oracle.Point{1, 1, 2, 1, 1, 1}
 	rep := &oracle.Report{
-		Seed:        99,
-		Desc:        "2 nodes, join",
-		Failures:    []string{"smpe-chaos: 1 row(s) missing"},
-		DivergedArm: "smpe-chaos",
+		Seed:           99,
+		Desc:           "2 nodes, join",
+		Failures:       []string{"[" + point.String() + "] job: 1 row(s) missing"},
+		DivergedPoints: []oracle.Point{point},
+		MinPoint:       point,
 		DivergedTrace: &trace.Snapshot{
 			Job: "oracle-job",
 			Events: []trace.Event{
@@ -52,7 +33,9 @@ func TestWriteArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"seed=99", "smpe-chaos", "1 row(s) missing", "-seed 99"} {
+	for _, want := range []string{"seed=99", "1 row(s) missing",
+		"minimal point: plane=net,functions=script,structures=recovered,faults=on,dispatch=sched,batch=1",
+		"-seed 99 -n 1 -axes plane=net,functions=script,structures=recovered,faults=on,dispatch=sched,batch=1"} {
 		if !strings.Contains(string(repro), want) {
 			t.Errorf("repro file missing %q:\n%s", want, repro)
 		}
@@ -71,7 +54,7 @@ func TestWriteArtifacts(t *testing.T) {
 		t.Fatal("timeline has no events")
 	}
 
-	// Without a trace (arm failed before producing one), only the repro
+	// Without a trace (the point failed before producing one), only the repro
 	// file is written.
 	rep.DivergedTrace = nil
 	rep.Seed = 100

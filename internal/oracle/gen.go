@@ -56,13 +56,13 @@ type scenario struct {
 	ptrFanout map[int]int
 	// lcSpec, for index-bearing forms, is an access-method spec whose build
 	// reproduces the hand-built index entry for entry (same keys, payloads,
-	// partition count, and partitioner), so the lifecycle arm can drop the
-	// index and rebuild it through a lifecycle Manager without changing the
-	// job's seeds or answer. Nil for forms without an index.
+	// partition count, and partitioner), so the managed and recovered
+	// structures can replace the index without changing the job's seeds or
+	// answer. Nil for forms without an index.
 	lcSpec *indexer.Spec
 	// lo, hi are the val bounds of the range forms and broadcast marks the
-	// join form's broadcast variant — the script arm mirrors the job's
-	// compiled functions as script source from them.
+	// join form's broadcast variant — the mirror script is rendered from
+	// them.
 	lo, hi    int
 	broadcast bool
 }
@@ -162,18 +162,9 @@ func generate(ctx context.Context, seed int64) (*scenario, error) {
 		}
 	}
 
-	form := rng.Intn(4)
-	var build func(*scenario, *rand.Rand, buildIn) error
-	switch form {
-	case 0:
-		build = buildPointLookups
-	case 1:
-		build = buildLocalIndexRange
-	case 2:
-		build = buildGlobalIndexRange
-	default:
-		build = buildBroadcastableJoin
-	}
+	build := []func(*scenario, *rand.Rand, buildIn) error{
+		buildPointLookups, buildIndexRange(false), buildIndexRange(true), buildBroadcastableJoin,
+	}[rng.Intn(4)]
 	in := buildIn{ctx: ctx, n: n, valDomain: valDomain, parts: parts, pks: pks, vals: vals, base: bf}
 	if err := build(sc, rng, in); err != nil {
 		return nil, err
@@ -186,7 +177,6 @@ func generate(ctx context.Context, seed int64) (*scenario, error) {
 			sc.routedSeeds++
 		}
 	}
-	sc.expectedCount = 0
 	for _, c := range sc.expected {
 		sc.expectedCount += c
 	}
@@ -221,45 +211,40 @@ func samplePartitioner(rng *rand.Rand, parts int, keys []lake.Key) lake.Partitio
 	return lake.NewRangePartitioner(bounds...)
 }
 
-// pickSeedKeys draws a deduplicated mix of existing and missing primary
-// keys (a multiset answer must not depend on a key being seeded twice).
-func pickSeedKeys(rng *rand.Rand, in buildIn) []lake.Key {
+// pickSeeds draws a deduplicated mix of existing and missing primary keys
+// (a multiset answer must not depend on a key being seeded twice) as routed
+// base-file seeds, and the set of keys drawn.
+func pickSeeds(rng *rand.Rand, in buildIn) ([]lake.Pointer, map[lake.Key]bool) {
 	m := 1 + rng.Intn(20)
-	seen := map[lake.Key]bool{}
-	var out []lake.Key
-	for len(out) < m {
+	want := map[lake.Key]bool{}
+	var seeds []lake.Pointer
+	for len(seeds) < m {
 		var k lake.Key
 		if rng.Float64() < 0.7 {
 			k = in.pks[rng.Intn(in.n)]
 		} else {
 			k = keycodec.Tuple(keycodec.String("missing"), keycodec.Int64(int64(in.n+rng.Intn(50))))
 		}
-		if seen[k] {
+		if want[k] {
 			m-- // a duplicate draw shrinks the batch instead of spinning
 			continue
 		}
-		seen[k] = true
-		out = append(out, k)
+		want[k] = true
+		seeds = append(seeds, lake.Pointer{File: baseFile, PartKey: k, Key: k})
 	}
-	return out
+	return seeds, want
 }
 
 // buildPointLookups: form "point" — a single LookupDeref stage over a mixed
 // hit/miss seed set. Exercises seed routing and the batch Lookup path.
 func buildPointLookups(sc *scenario, rng *rand.Rand, in buildIn) error {
-	keys := pickSeedKeys(rng, in)
-	want := map[lake.Key]bool{}
-	seeds := make([]lake.Pointer, 0, len(keys))
-	for _, k := range keys {
-		want[k] = true
-		seeds = append(seeds, lake.Pointer{File: baseFile, PartKey: k, Key: k})
-	}
+	seeds, want := pickSeeds(rng, in)
 	job, err := core.NewJob("point", seeds, core.LookupDeref{File: baseFile})
 	if err != nil {
 		return err
 	}
 	sc.job = job
-	return expectScan(sc, in, baseFile, func(r lake.Record) (bool, error) { return want[r.Key], nil }, nil)
+	return expectScan(sc, in, func(r lake.Record) (bool, error) { return want[r.Key], nil })
 }
 
 // appendIndex writes one index entry per base row into idx, routed by
@@ -308,69 +293,56 @@ func valRange(rng *rand.Rand, domain int) (int, int) {
 	return lo, lo + rng.Intn(domain-lo)
 }
 
-// buildLocalIndexRange: form "local-range" — a secondary index
-// co-partitioned with the base table (routed by primary key), probed with
-// one broadcast range seed: RangeDeref → EntryRef → LookupDeref.
-func buildLocalIndexRange(sc *scenario, rng *rand.Rand, in buildIn) error {
-	idx, err := sc.cluster.CreateFile(idxFile, dfs.Btree, in.parts, in.base.Partitioner())
-	if err != nil {
-		return err
+// buildIndexRange: forms "local-range" and "global-range" — a secondary
+// index over val, probed with one [lo, hi] range: RangeDeref → EntryRef →
+// LookupDeref. The local index is co-partitioned with the base table
+// (routed by primary key) and probed with one broadcast seed; the global
+// one is partitioned by the indexed value itself (hash or range) and seeded
+// through core.SeedRange, so a range-partitioned index gets routed seeds.
+func buildIndexRange(global bool) func(*scenario, *rand.Rand, buildIn) error {
+	return func(sc *scenario, rng *rand.Rand, in buildIn) error {
+		name, kind, parts, part := "local-range", indexer.Local, in.parts, in.base.Partitioner()
+		route := func(i int) lake.Key { return in.pks[i] }
+		if global {
+			name, kind, parts = "global-range", indexer.Global, 1+rng.Intn(5)
+			part = samplePartitioner(rng, parts, valKeys(in.valDomain))
+			route = func(i int) lake.Key { return keycodec.Int64(int64(in.vals[i])) }
+		}
+		idx, err := sc.cluster.CreateFile(idxFile, dfs.Btree, parts, part)
+		if err != nil {
+			return err
+		}
+		sc.target.Files = append(sc.target.Files, chaos.FileInfo{Name: idxFile, Partitions: parts})
+		if err := appendIndex(in, idx, route); err != nil {
+			return err
+		}
+		sc.lcSpec = lifecycleSpec(kind, parts, part)
+		sc.lo, sc.hi = valRange(rng, in.valDomain)
+		lo, hi := keycodec.Int64(int64(sc.lo)), keycodec.Int64(int64(sc.hi))
+		seeds := []lake.Pointer{{File: idxFile, NoPart: true, Key: lo, EndKey: hi}}
+		if global {
+			if seeds, err = core.SeedRange(sc.cluster, idxFile, lo, hi); err != nil {
+				return err
+			}
+		}
+		if sc.job, err = core.NewJob(name, seeds,
+			core.RangeDeref{File: idxFile},
+			core.EntryRef{Target: baseFile},
+			core.LookupDeref{File: baseFile},
+		); err != nil {
+			return err
+		}
+		return expectScan(sc, in, predValBetween(sc.lo, sc.hi))
 	}
-	sc.target.Files = append(sc.target.Files, chaos.FileInfo{Name: idxFile, Partitions: in.parts})
-	if err := appendIndex(in, idx, func(i int) lake.Key { return in.pks[i] }); err != nil {
-		return err
-	}
-	sc.lcSpec = lifecycleSpec(indexer.Local, in.parts, in.base.Partitioner())
-	lo, hi := valRange(rng, in.valDomain)
-	sc.lo, sc.hi = lo, hi
-	seeds := []lake.Pointer{{File: idxFile, NoPart: true, Key: keycodec.Int64(int64(lo)), EndKey: keycodec.Int64(int64(hi))}}
-	job, err := core.NewJob("local-range", seeds,
-		core.RangeDeref{File: idxFile},
-		core.EntryRef{Target: baseFile},
-		core.LookupDeref{File: baseFile},
-	)
-	if err != nil {
-		return err
-	}
-	sc.job = job
-	return expectScan(sc, in, baseFile, predValBetween(lo, hi), nil)
 }
 
-// buildGlobalIndexRange: form "global-range" — a secondary index
-// partitioned by the indexed value itself (hash or range), seeded through
-// core.SeedRange so range-partitioned indexes get routed seeds.
-func buildGlobalIndexRange(sc *scenario, rng *rand.Rand, in buildIn) error {
-	idxParts := 1 + rng.Intn(5)
-	valKeys := make([]lake.Key, in.valDomain)
-	for v := range valKeys {
-		valKeys[v] = keycodec.Int64(int64(v))
+// valKeys lists the encoded val domain, for partitioning by val.
+func valKeys(domain int) []lake.Key {
+	keys := make([]lake.Key, domain)
+	for v := range keys {
+		keys[v] = keycodec.Int64(int64(v))
 	}
-	idxPart := samplePartitioner(rng, idxParts, valKeys)
-	idx, err := sc.cluster.CreateFile(idxFile, dfs.Btree, idxParts, idxPart)
-	if err != nil {
-		return err
-	}
-	sc.target.Files = append(sc.target.Files, chaos.FileInfo{Name: idxFile, Partitions: idxParts})
-	if err := appendIndex(in, idx, func(i int) lake.Key { return keycodec.Int64(int64(in.vals[i])) }); err != nil {
-		return err
-	}
-	sc.lcSpec = lifecycleSpec(indexer.Global, idxParts, idxPart)
-	lo, hi := valRange(rng, in.valDomain)
-	sc.lo, sc.hi = lo, hi
-	seeds, err := core.SeedRange(sc.cluster, idxFile, keycodec.Int64(int64(lo)), keycodec.Int64(int64(hi)))
-	if err != nil {
-		return err
-	}
-	job, err := core.NewJob("global-range", seeds,
-		core.RangeDeref{File: idxFile},
-		core.EntryRef{Target: baseFile},
-		core.LookupDeref{File: baseFile},
-	)
-	if err != nil {
-		return err
-	}
-	sc.job = job
-	return expectScan(sc, in, baseFile, predValBetween(lo, hi), nil)
+	return keys
 }
 
 // buildBroadcastableJoin: form "join" — point-fetch base rows, reference
@@ -378,11 +350,7 @@ func buildGlobalIndexRange(sc *scenario, rng *rand.Rand, in buildIn) error {
 // and combine: LookupDeref → FieldRef(Carry) → LookupDeref(Combine).
 func buildBroadcastableJoin(sc *scenario, rng *rand.Rand, in buildIn) error {
 	dimParts := 1 + rng.Intn(4)
-	valKeys := make([]lake.Key, in.valDomain)
-	for v := range valKeys {
-		valKeys[v] = keycodec.Int64(int64(v))
-	}
-	dim, err := sc.cluster.CreateFile(dimFile, dfs.Btree, dimParts, samplePartitioner(rng, dimParts, valKeys))
+	dim, err := sc.cluster.CreateFile(dimFile, dfs.Btree, dimParts, samplePartitioner(rng, dimParts, valKeys(in.valDomain)))
 	if err != nil {
 		return err
 	}
@@ -399,13 +367,7 @@ func buildBroadcastableJoin(sc *scenario, rng *rand.Rand, in buildIn) error {
 		}
 	}
 
-	keys := pickSeedKeys(rng, in)
-	want := map[lake.Key]bool{}
-	seeds := make([]lake.Pointer, 0, len(keys))
-	for _, k := range keys {
-		want[k] = true
-		seeds = append(seeds, lake.Pointer{File: baseFile, PartKey: k, Key: k})
-	}
+	seeds, want := pickSeeds(rng, in)
 	broadcast := rng.Float64() < 0.3
 	sc.broadcast = broadcast
 	job, err := core.NewJob("join", seeds,
@@ -472,17 +434,14 @@ func predValBetween(lo, hi int) baseline.Pred {
 	}
 }
 
-// expectScan fills sc.expected with a baseline scan of file under pred,
-// optionally post-processing each accepted record.
-func expectScan(sc *scenario, in buildIn, file string, pred baseline.Pred, post func(lake.Record) lake.Record) error {
-	rows, err := baseline.New(sc.cluster, 0).Scan(in.ctx, file, pred)
+// expectScan fills sc.expected with a baseline scan of the base file under
+// pred.
+func expectScan(sc *scenario, in buildIn, pred baseline.Pred) error {
+	rows, err := baseline.New(sc.cluster, 0).Scan(in.ctx, baseFile, pred)
 	if err != nil {
 		return err
 	}
 	for _, r := range rows {
-		if post != nil {
-			r = post(r)
-		}
 		sc.expected[rowKey(r)]++
 	}
 	return nil

@@ -1,15 +1,5 @@
 package oracle
 
-// The seventh arm: smpe-net. The scenario's cluster is mirrored onto a real
-// networked data plane — one lakenode-shaped server per node on loopback
-// TCP, one nodenet client per node, each client wrapped in a (dormant)
-// chaos transport proxy — and the same job runs twice: once clean with an
-// aggressive hedge delay (so tail-latency hedging actually fires), once
-// with the transport chaos armed (injected drops + delays, the executor
-// retrying through them). Both runs must reproduce the oracle answer; the
-// clean run must also match the sim's per-stage emit counts, and at the end
-// the clients must close down to zero open connections.
-
 import (
 	"context"
 	"fmt"
@@ -23,174 +13,114 @@ import (
 	"lakeharbor/internal/trace"
 )
 
-// netHedgeAfter is the fixed hedge delay for the net arm. The hedge clock
+// netHedgeAfter is the fixed hedge delay at plane=net. The hedge clock
 // runs from the moment a request's frame is written, and a lone loopback
 // RPC answers in tens of microseconds — but a stage's whole fan-out is in
 // flight at once on a few cores, so replies routinely take longer than this
 // to reach their callers and hedges fire reliably without a warmed-up
-// latency profile (several hundred per 30-seed sweep). Lower it if a sweep
-// ever stops hedging; "zero hedges fails the sweep" stays.
+// latency profile. Lower it if a sweep ever stops hedging; "zero hedges
+// fails the sweep" stays.
 const netHedgeAfter = 200 * time.Microsecond
 
-// netStats is what the arm reports upward for the acceptance assertions.
-type netStats struct {
-	HedgeFires  int64
-	HedgeWins   int64
-	LeakedConns int64
+// netPlane is what plane=net keeps for the later steps and the checks: the
+// clients' shared transport stats, each node's (dormant) transport chaos
+// proxy for the faults step, and each server's span observer.
+type netPlane struct {
+	stats     *nodenet.Stats
+	chaos     []*chaos.TransportChaos
+	observers []*nodenet.ServerObs
 }
 
-// runNetArm mirrors the scenario onto loopback lakenode servers and runs
-// the job clean and under transport chaos. It returns the clean run's
-// result (for emit comparison), the collected failures, and the transport
-// stats after teardown.
-func runNetArm(ctx context.Context, sc *scenario) (*core.Result, []string, netStats) {
-	nodes := sc.cluster.NumNodes()
-	stats := nodenet.NewStats()
-	var ns netStats
-
-	// One single-node backing cluster + RPC server per scenario node. The
-	// backing clusters are free-cost: the sockets provide real latency now.
-	servers := make([]*nodenet.Server, 0, nodes)
-	wrappers := make([]*chaos.TransportChaos, 0, nodes)
-	transports := make([]dfs.NodeTransport, 0, nodes)
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
+// plane mirrors the world onto loopback nodenet servers at plane=net: one
+// single-node backing cluster and RPC server per node (free-cost: the
+// sockets provide real latency), and one hedging client per server behind a
+// transport chaos proxy that the faults step may arm. Each server and
+// client joins the close list as soon as it is opened, so no return path
+// can leak one.
+func (w *world) plane(ctx context.Context) error {
+	if w.p.is(plane, "sim") {
+		return nil
+	}
+	n := &netPlane{stats: nodenet.NewStats()}
+	w.net = n
 	quiet := func(string, ...any) {}
-	observers := make([]*nodenet.ServerObs, 0, nodes)
-	for i := 0; i < nodes; i++ {
-		backing := dfs.NewCluster(dfs.Config{Nodes: 1})
-		srv := nodenet.NewServer(dfs.Local(backing), quiet)
+	transports := make([]dfs.NodeTransport, w.cluster.NumNodes())
+	for i := range transports {
+		srv := nodenet.NewServer(dfs.Local(dfs.NewCluster(dfs.Config{Nodes: 1})), quiet)
 		obs := nodenet.NewServerObs()
 		srv.Observe(obs)
-		observers = append(observers, obs)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
-			return nil, []string{fmt.Sprintf("smpe-net: listen node %d: %v", i, err)}, ns
+			return fmt.Errorf("listen node %d: %w", i, err)
 		}
-		servers = append(servers, srv)
-		client := nodenet.Dial(addr.String(), nodenet.Options{HedgeAfter: netHedgeAfter}, stats)
-		// The chaos wrapper sits between the executor and the socket,
-		// dormant until the second run arms it.
-		wrap := chaos.WrapTransport(client, sc.seed+int64(i), chaos.TransportProfile{})
-		wrappers = append(wrappers, wrap)
-		transports = append(transports, wrap)
+		w.closers = append(w.closers, func() { srv.Close() })
+		client := nodenet.Dial(addr.String(), nodenet.Options{HedgeAfter: netHedgeAfter}, n.stats)
+		w.closers = append(w.closers, func() { client.Close() })
+		tc := chaos.WrapTransport(client, w.seed+int64(i), chaos.TransportProfile{})
+		n.observers = append(n.observers, obs)
+		n.chaos = append(n.chaos, tc)
+		transports[i] = tc
 	}
-	closeAll := func() {
-		for _, tr := range transports {
-			tr.Close() //nolint:errcheck
-		}
-	}
-
 	netCluster, err := dfs.NewClusterWithTransports(dfs.Config{}, transports)
 	if err != nil {
-		closeAll()
-		return nil, []string{fmt.Sprintf("smpe-net: build cluster: %v", err)}, ns
+		return err
 	}
-	if err := mirrorData(ctx, sc.cluster, netCluster); err != nil {
-		closeAll()
-		return nil, []string{fmt.Sprintf("smpe-net: mirror: %v", err)}, ns
+	if err := mirrorData(ctx, w.cluster, netCluster); err != nil {
+		return fmt.Errorf("mirror: %w", err)
 	}
-
-	// Clean run. A small retry budget absorbs spurious connection-level
-	// transients (a loopback RST is rare but not impossible); a healthy run
-	// uses none, and checkArm still bounds what it may use.
-	const cleanRetries = 2
-	opts := core.Options{
-		Threads:      sc.threads,
-		MaxBatch:     sc.maxBatch,
-		KeepRecords:  true,
-		MaxRetries:   cleanRetries,
-		RetryBackoff: 50 * time.Microsecond,
-	}
-	res, err := core.ExecuteSMPE(ctx, sc.job, netCluster, netCluster, opts)
-	fails := checkArm("smpe-net", sc, res, err, cleanRetries)
-	for _, f := range checkAttribution(sc, res, observers) {
-		fails = append(fails, f)
-	}
-
-	// Chaos run: arm every wrapper, size retries to out-wait the combined
-	// drop budget, and demand the same answer.
-	totalDrops := 0
-	for _, w := range wrappers {
-		w.Arm()
-		totalDrops += w.MaxDrops()
-	}
-	chaosOpts := opts
-	chaosOpts.MaxRetries = totalDrops + 2
-	resC, errC := core.ExecuteSMPE(ctx, sc.job, netCluster, netCluster, chaosOpts)
-	for _, w := range wrappers {
-		w.Disarm()
-	}
-	for _, f := range checkArm("smpe-net-chaos", sc, resC, errC, chaosOpts.MaxRetries) {
-		fails = append(fails, f)
-	}
-
-	// Teardown before the leak check: Close closes every connection of each
-	// client, so anything still open afterwards is a real leak.
-	closeAll()
-	ns.HedgeFires = stats.HedgeFires()
-	ns.HedgeWins = stats.HedgeWins()
-	ns.LeakedConns = stats.OpenConns()
-	if ns.LeakedConns != 0 {
-		fails = append(fails, fmt.Sprintf("smpe-net: %d connections leaked after pool drain", ns.LeakedConns))
-	}
-	return res, fails, ns
+	w.cluster = netCluster
+	// A small retry budget absorbs a spurious connection-level transient (a
+	// loopback RST is rare but not impossible); a healthy run uses none, and
+	// checkRun still bounds what it may use.
+	w.retries = 2
+	return nil
 }
 
-// checkAttribution asserts the observability plane worked end to end on the
-// clean run: the wire trace context reached the servers (node-side spans
-// name the job that caused them), the client recorded EvRPC events, and the
-// critical path can name a remote (stage, node, rpc) segment.
-func checkAttribution(sc *scenario, res *core.Result, observers []*nodenet.ServerObs) []string {
-	if res == nil || res.Trace == nil {
-		return nil // checkArm already reported the failure
+// account reads the transport stats once everything is closed: Close
+// closes every connection of each client, so one still open is a leak.
+func (n *netPlane) account(w *world) {
+	w.out.hedges = n.stats.HedgeFires()
+	for _, tc := range n.chaos {
+		w.out.drops += tc.Drops()
 	}
-	var fails []string
+	if w.out.leaks = n.stats.OpenConns(); w.out.leaks != 0 {
+		w.fail("net: %d connections leaked after pool drain", w.out.leaks)
+	}
+}
 
+// checkAttribution asserts the observability plane worked end to end: the
+// wire trace context reached the servers (node-side spans name the job
+// that caused them), the client recorded EvRPC events, and the critical
+// path can name a remote (stage, node, rpc) segment.
+func (n *netPlane) checkAttribution(label, job string, res *core.Result) []string {
+	var fails []string
 	attributed := 0
-	for _, o := range observers {
+	for _, o := range n.observers {
 		for _, span := range o.Spans() {
-			if span.Job != "" {
-				attributed++
-				if span.Job != sc.job.Name {
-					fails = append(fails, fmt.Sprintf(
-						"smpe-net: node span attributed to job %q, want %q", span.Job, sc.job.Name))
-				}
-				if span.Stage < 0 {
-					fails = append(fails, fmt.Sprintf(
-						"smpe-net: node span for job %q has negative stage %d", span.Job, span.Stage))
-				}
+			if span.Job == "" {
+				continue
+			}
+			attributed++
+			if span.Job != job || span.Stage < 0 {
+				fails = append(fails, fmt.Sprintf("%s: node span attributed to job %q stage %d, want job %q", label, span.Job, span.Stage, job))
 			}
 		}
 	}
 	if attributed == 0 {
-		fails = append(fails, "smpe-net: no node-side RPC span carried a job attribution")
+		fails = append(fails, label+": no node-side RPC span carried a job attribution")
 	}
-
 	rpcEvents := 0
 	for _, ev := range res.Trace.Events {
 		if ev.Kind == trace.EvRPC {
 			rpcEvents++
 		}
 	}
-	if rpcEvents == 0 {
-		fails = append(fails, "smpe-net: clean run recorded no rpc timeline events")
-		return fails
-	}
-	rpcSegs := 0
 	for _, seg := range trace.CriticalPath(res.Trace.Events, 64) {
 		if seg.Phase == "rpc" {
-			rpcSegs++
+			return fails
 		}
 	}
-	if rpcSegs == 0 {
-		fails = append(fails, fmt.Sprintf(
-			"smpe-net: critical path names no (stage, node, rpc) segment despite %d rpc events", rpcEvents))
-	}
-	return fails
+	return append(fails, fmt.Sprintf("%s: critical path names no (stage, node, rpc) segment over %d rpc events", label, rpcEvents))
 }
 
 // mirrorData replays src's catalog and partition contents onto dst,
@@ -211,6 +141,9 @@ func mirrorData(ctx context.Context, src, dst *dfs.Cluster) error {
 			return err
 		}
 		for p := 0; p < f.NumPartitions(); p++ {
+			if mutate.skip != nil && mutate.skip(name, p) {
+				continue
+			}
 			var recs []lake.Record
 			if err := f.Scan(ctx, p, func(r lake.Record) error {
 				recs = append(recs, r.Clone())

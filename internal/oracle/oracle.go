@@ -1,73 +1,145 @@
-// Package oracle is the differential query oracle for the SMPE executor:
-// one seed generates a random cluster, dataset, and multi-stage job, and
-// the job is executed several ways — SMPE batched, SMPE unbatched, SMPE
-// under an armed chaos schedule, SMPE against a lifecycle-managed rebuild
-// of the scenario's index (built in flight, then evicted and rebuilt on
-// demand), SMPE against a crash-recovered replica (checkpoint taken
-// mid-workload, WAL-logged tail, fresh cluster + manager recovery), and an
-// independent baseline scan engine (the expected answer).
-// Any difference in the result multiset, any per-stage
-// emit-count disagreement between the SMPE arms, or any violated trace
-// invariant is a reported divergence that reproduces from the seed alone;
-// a chaos-arm divergence is additionally shrunk (chaos.Shrink) to a
-// minimal fault schedule.
+// Package oracle is the differential query oracle for the SMPE executor.
+// One seed generates a random cluster, dataset and multi-stage job, and an
+// independent baseline scan engine computes the expected answer. The job
+// then runs at every point of a configuration product — one value per axis:
+//
+//	plane       sim | net                          (in-process cluster, or loopback nodenet servers)
+//	functions   compiled | script                  (Go access methods, or their mirror scripts)
+//	structures  hand-built | managed | recovered   (generated index, lifecycle rebuild, crash recovery)
+//	faults      off | on                           (armed chaos schedule, or transport chaos on net)
+//	dispatch    pool | sched                       (standing per-node workers, or a 9:3:1 tenant mix)
+//	batch       drawn | 1                          (the scenario's MaxBatch, or no coalescing)
+//
+// Each point assembles its own world from the seed, in one fixed order:
+// generate → structures → plane → functions → faults → dispatch → run, and
+// one check set runs on the result: the row multiset against the baseline
+// answer, the trace invariants, pointer conservation, and per-stage emits
+// equal to the reference point's (the first value on every axis). Each axis
+// adds the invariants of the machinery it puts in place. A divergence is
+// reported at every point that shows it and shrunk to the first of them in
+// product order — which no single axis can move closer to the reference
+// point, since that closer point ran and agreed — and, at {sim, faults on},
+// to a minimal fault schedule by chaos.Shrink. Everything reproduces from
+// the seed and the point alone.
 package oracle
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"time"
+	"strings"
 
 	"lakeharbor/internal/chaos"
 	"lakeharbor/internal/core"
 	"lakeharbor/internal/trace"
 )
 
+// axes is the configuration product. Value 0 of every axis is the
+// reference value, so the zero Point is the reference point.
+var axes = [numAxes]axis{
+	{"plane", []string{"sim", "net"}},
+	{"functions", []string{"compiled", "script"}},
+	{"structures", []string{"hand-built", "managed", "recovered"}},
+	{"faults", []string{"off", "on"}},
+	{"dispatch", []string{"pool", "sched"}},
+	{"batch", []string{"drawn", "1"}},
+}
+
+type axis struct {
+	name   string
+	values []string
+}
+
+// Axis indexes into a Point.
+const (
+	plane = iota
+	functions
+	structures
+	faults
+	dispatch
+	batch
+	numAxes
+)
+
+// Point is one configuration: the index of its value on every axis.
+type Point [numAxes]int
+
+// is reports whether p takes value v on axis a.
+func (p Point) is(a int, v string) bool {
+	i := slices.Index(axes[a].values, v)
+	if i < 0 {
+		panic("oracle: axis " + axes[a].name + " has no value " + v)
+	}
+	return p[a] == i
+}
+
+// String renders p in the form ParseAxes reads, so it doubles as the
+// -axes argument that selects exactly p.
+func (p Point) String() string {
+	terms := make([]string, numAxes)
+	for a, v := range p {
+		terms[a] = axes[a].name + "=" + axes[a].values[v]
+	}
+	return strings.Join(terms, ",")
+}
+
+// Axes restricts the product: Axes[a] is the bit set of values allowed on
+// axis a, and an empty set allows every value.
+type Axes [numAxes]uint
+
+// ParseAxes reads a comma-separated list of axis=value terms. Terms on the
+// same axis add up; an axis no term names keeps all its values, so "" is
+// the whole product.
+func ParseAxes(list string) (Axes, error) {
+	var x Axes
+	for _, term := range strings.FieldsFunc(list, func(r rune) bool { return r == ',' }) {
+		name, value, _ := strings.Cut(strings.TrimSpace(term), "=")
+		a := slices.IndexFunc(axes[:], func(ax axis) bool { return ax.name == name })
+		if a < 0 {
+			return x, fmt.Errorf("unknown axis %q (axes: plane, functions, structures, faults, dispatch, batch)", name)
+		}
+		v := slices.Index(axes[a].values, value)
+		if v < 0 {
+			return x, fmt.Errorf("axis %s has no value %q (values: %s)", name, value, strings.Join(axes[a].values, ", "))
+		}
+		x[a] |= 1 << v
+	}
+	return x, nil
+}
+
+// points enumerates the restricted product in lexicographic order, first
+// axis slowest, so the reference point comes first.
+func (x Axes) points() []Point {
+	var out []Point
+	for p := (Point{}); ; {
+		if x.allows(p) {
+			out = append(out, p)
+		}
+		a := numAxes - 1
+		for ; a >= 0 && p[a] == len(axes[a].values)-1; a-- {
+			p[a] = 0
+		}
+		if a < 0 {
+			return out
+		}
+		p[a]++
+	}
+}
+
+func (x Axes) allows(p Point) bool {
+	for a, v := range p {
+		if x[a] != 0 && x[a]&(1<<v) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Options tunes one oracle run.
 type Options struct {
-	// Chaos enables the fourth arm: the job re-executed under a compiled,
-	// armed chaos schedule (same seed as the scenario).
-	Chaos bool
-	// Shrink reduces a chaos-arm divergence to a minimal schedule. It
-	// re-runs the chaos arm O(events²) times, so it only triggers on
-	// divergence.
-	Shrink bool
-	// Profile overrides the chaos density; zero selects
-	// chaos.DefaultProfile.
-	Profile chaos.Profile
-	// Lifecycle enables the fifth arm: for index-bearing forms, the
-	// hand-built index is dropped and rebuilt through a lifecycle Manager —
-	// the job fires while the build is in flight (joined via singleflight
-	// Ensure), and again after a forced evict triggers rebuild-on-demand.
-	// Both runs must reproduce the oracle answer.
-	Lifecycle bool
-	// Restart enables the sixth arm: the cluster is checkpointed mid-
-	// workload, post-checkpoint mutations go through a real on-disk WAL, and
-	// a fresh cluster + lifecycle manager recover from snapshot + replay +
-	// structure registry. The recovered world must reproduce the oracle
-	// answer, the per-file record counts, and the structure registry of the
-	// uninterrupted run — without starting a single build.
-	Restart bool
-	// Net enables the seventh arm: the scenario is mirrored onto real
-	// loopback lakenode servers (one per node, nodenet clients with
-	// multiplexed connections and hedging in front) and the job runs there twice —
-	// clean, and under armed transport chaos. Answers, emits, pointer
-	// conservation, and a zero-leak pool drain are all asserted.
-	Net bool
-	// Tenants enables the eighth arm: the job runs as a 3-tenant 9:3:1 mix
-	// on one shared weighted-fair scheduler — clean and under chaos — and
-	// every tenant's rows and stage emits must equal the single-tenant run,
-	// with admission (over-quota rejection), no-starvation, weighted-share,
-	// and drained-accounting invariants on top.
-	Tenants bool
-	// Script enables the ninth arm: the scenario's compiled interpreter,
-	// referencer, and filter are mirrored as script source, the job re-runs
-	// with the scripted functions in their place, and rows, per-stage emits,
-	// and every trace invariant must agree (scripted ≡ compiled). For
-	// index-bearing forms the arm also rebuilds the index through scripted
-	// Spec extractors and probes the scripted structure.
-	Script bool
+	// Axes restricts the points each seed runs; the zero value runs them all.
+	Axes Axes
 }
 
 // Report is the outcome of one seeded differential run.
@@ -76,155 +148,87 @@ type Report struct {
 	Seed int64
 	// Desc summarizes the generated scenario.
 	Desc string
-	// Expected is the oracle answer's row count.
-	Expected int
-	// Failures lists every detected divergence; empty means all four arms
-	// agreed and every invariant held.
+	// Points lists the points that ran, in product order.
+	Points []Point
+	// Failures lists every detected divergence, each prefixed with its
+	// point; empty means every point agreed and every invariant held.
 	Failures []string
-	// Schedule is the compiled chaos schedule (nil without Options.Chaos).
-	Schedule *chaos.Schedule
-	// MinSchedule is the shrunk schedule when the chaos arm diverged and
-	// shrinking was enabled.
+	// DivergedPoints lists the points that diverged, in product order.
+	DivergedPoints []Point
+	// MinPoint is the divergence shrunk along the axes: the first diverged
+	// point. Lowering any one of its axes to a selected value gives an
+	// earlier point in product order, which ran and agreed, so no axis can
+	// move closer to the reference point.
+	MinPoint Point
+	// MinSchedule is MinPoint's fault schedule shrunk by chaos.Shrink; nil
+	// unless MinPoint is {sim, faults on}.
 	MinSchedule *chaos.Schedule
-	// DivergedArm names the first arm that diverged ("" when none did).
-	DivergedArm string
-	// DivergedTrace is the execution trace — event timeline included — of
-	// the first diverging arm, for timeline export alongside the repro. It
-	// is nil when no arm diverged or the arm failed before producing one.
+	// DivergedTrace is MinPoint's execution trace — event timeline
+	// included — for export beside the repro; nil when the point failed
+	// before producing one.
 	DivergedTrace *trace.Snapshot
-	// NetHedgeFires and NetLeakedConns surface the net arm's transport
-	// stats (zero without Options.Net): how many hedged second attempts
-	// were launched across both net runs, and how many TCP connections were
-	// still open after the client pools drained (must be 0; a non-zero
-	// value is also reported as a failure).
-	NetHedgeFires  int64
-	NetLeakedConns int64
+	// NetHedgeFires, NetDrops and NetLeakedConns total the net points'
+	// transport stats: hedged second attempts launched, requests the armed
+	// transport chaos dropped, and connections still open after the client
+	// pools closed (each leak is also a failure).
+	NetHedgeFires, NetDrops, NetLeakedConns int64
 }
 
-// Diverged reports whether any arm disagreed or broke an invariant.
+// Diverged reports whether any point disagreed or broke an invariant.
 func (r *Report) Diverged() bool { return len(r.Failures) > 0 }
 
-// Repro renders the one line a failure report needs: the seed, the
-// scenario, and (when present) the minimal schedule.
+// Repro renders what a failure report needs: the seed, the scenario, the
+// minimal point and schedule, and the command that replays them.
 func (r *Report) Repro() string {
 	s := fmt.Sprintf("oracle: seed=%d %s", r.Seed, r.Desc)
+	if !r.Diverged() {
+		return s
+	}
+	s += "\n  minimal point: " + r.MinPoint.String()
 	if r.MinSchedule != nil {
 		s += "\n  minimal schedule: " + r.MinSchedule.String()
-	} else if r.Schedule != nil {
-		s += "\n  schedule: " + r.Schedule.String()
 	}
-	return s + fmt.Sprintf("\n  repro: go run ./cmd/chaosbench -seed %d -n 1", r.Seed)
+	return s + fmt.Sprintf("\n  repro: go run ./cmd/chaosbench -seed %d -n 1 -axes %s", r.Seed, r.MinPoint)
 }
 
-// Run executes the full differential check for one seed. A non-nil error
-// means the harness itself failed (generation, context death) — divergences
-// are reported through Report.Failures, not the error.
+// Run executes the full differential check for one seed: the reference
+// point (always, since every point's emits are compared to it) and every
+// point the options select. A non-nil error means the harness itself
+// failed (generation, context death); divergences are reported through
+// Report.Failures.
 func Run(ctx context.Context, seed int64, opts Options) (*Report, error) {
-	sc, err := generate(ctx, seed)
+	ref, err := runPoint(ctx, seed, Point{}, nil, nil)
 	if err != nil {
-		return nil, fmt.Errorf("oracle: seed %d: generate: %w", seed, err)
+		return nil, err
 	}
-	rep := &Report{Seed: seed, Desc: sc.desc, Expected: sc.expectedCount}
-
-	batched := core.Options{Threads: sc.threads, MaxBatch: sc.maxBatch, KeepRecords: true}
-	unbatched := batched
-	unbatched.MaxBatch = 1
-
-	// note records one arm's failures and, for the first diverging arm,
-	// keeps its trace so the harness can export the failing timeline.
-	note := func(arm string, res *core.Result, fails []string) {
-		rep.Failures = append(rep.Failures, fails...)
-		if len(fails) > 0 && rep.DivergedArm == "" {
-			rep.DivergedArm = arm
-			if res != nil {
-				rep.DivergedTrace = res.Trace
+	rep := &Report{Seed: seed, Desc: ref.desc}
+	for _, p := range opts.Axes.points() {
+		out := ref
+		if p != (Point{}) {
+			if out, err = runPoint(ctx, seed, p, ref.emits, nil); err != nil {
+				return nil, err
 			}
 		}
-	}
-
-	resA, errA := core.ExecuteSMPE(ctx, sc.job, sc.cluster, sc.cluster, batched)
-	note("smpe-batched", resA, checkArm("smpe-batched", sc, resA, errA, 0))
-	resB, errB := core.ExecuteSMPE(ctx, sc.job, sc.cluster, sc.cluster, unbatched)
-	note("smpe-unbatched", resB, checkArm("smpe-unbatched", sc, resB, errB, 0))
-
-	// Batching is an optimization, never a semantic change: the two clean
-	// arms must agree stage by stage, not only on the final multiset.
-	if errA == nil && errB == nil {
-		for i := range resA.StageEmits {
-			if resA.StageEmits[i] != resB.StageEmits[i] {
-				rep.Failures = append(rep.Failures, fmt.Sprintf(
-					"emit divergence: stage %d emits %d batched vs %d unbatched",
-					i, resA.StageEmits[i], resB.StageEmits[i]))
+		rep.Points = append(rep.Points, p)
+		rep.NetHedgeFires += out.hedges
+		rep.NetDrops += out.drops
+		rep.NetLeakedConns += out.leaks
+		if len(out.fails) == 0 {
+			continue
+		}
+		if !rep.Diverged() {
+			rep.MinPoint, rep.DivergedTrace = p, out.trace
+			if out.schedule != nil {
+				rep.MinSchedule = chaos.Shrink(out.schedule, func(cand *chaos.Schedule) bool {
+					o, err := runPoint(ctx, seed, p, ref.emits, cand)
+					return err == nil && len(o.fails) > 0
+				})
 			}
 		}
-	}
-
-	if opts.Chaos {
-		rep.Schedule = chaos.Compile(seed, sc.target, opts.Profile)
-		res, fails := runChaosArm(ctx, sc, rep.Schedule)
-		note("smpe-chaos", res, fails)
-		if len(fails) > 0 && opts.Shrink {
-			rep.MinSchedule = chaos.Shrink(rep.Schedule, func(cand *chaos.Schedule) bool {
-				_, f := runChaosArm(ctx, sc, cand)
-				return len(f) > 0
-			})
+		rep.DivergedPoints = append(rep.DivergedPoints, p)
+		for _, f := range out.fails {
+			rep.Failures = append(rep.Failures, "["+p.String()+"] "+f)
 		}
-	}
-	if opts.Net {
-		// The net arm runs on its own mirrored cluster, so scenario state is
-		// untouched; it still runs before the mutating arms so the mirror
-		// reflects the scenario as every clean arm saw it.
-		res, fails, ns := runNetArm(ctx, sc)
-		note("smpe-net", res, fails)
-		rep.NetHedgeFires = ns.HedgeFires
-		rep.NetLeakedConns = ns.LeakedConns
-		if errA == nil && res != nil && len(fails) == 0 {
-			// The networked data plane is a transport swap, not a semantic
-			// change: stage-by-stage emits must match the sim run exactly
-			// (hedged duplicates are suppressed below the executor).
-			for i := range resA.StageEmits {
-				if resA.StageEmits[i] != res.StageEmits[i] {
-					rep.Failures = append(rep.Failures, fmt.Sprintf(
-						"emit divergence: stage %d emits %d sim vs %d net",
-						i, resA.StageEmits[i], res.StageEmits[i]))
-				}
-			}
-		}
-	}
-	if opts.Tenants {
-		// The tenant mix re-runs the job concurrently against the scenario
-		// cluster read-only (it arms and disarms its own chaos schedule),
-		// so it must precede the mutating lifecycle/restart arms.
-		var singleEmits []int64
-		if errA == nil {
-			singleEmits = resA.StageEmits
-		}
-		res, fails := runTenantsArm(ctx, sc, opts.Profile, singleEmits)
-		note("smpe-tenants", res, fails)
-	}
-	if opts.Script {
-		// The script arm reads the scenario cluster and builds/drops only its
-		// own scratch index, but it compares against the hand-built index, so
-		// it runs before the mutating lifecycle/restart arms.
-		var singleEmits []int64
-		if errA == nil {
-			singleEmits = resA.StageEmits
-		}
-		res, fails := runScriptArm(ctx, sc, singleEmits)
-		note("smpe-script", res, fails)
-	}
-	if opts.Lifecycle {
-		// Late arm: it mutates the scenario's index (drop + managed rebuild
-		// to an equivalent file), so every arm that expects the hand-built
-		// one has already run.
-		res, fails := runLifecycleArm(ctx, sc)
-		note("smpe-lifecycle", res, fails)
-	}
-	if opts.Restart {
-		// Last arm: it appends post-checkpoint records to the base and
-		// creates a scratch file, so every other arm has already run.
-		res, fails := runRestartArm(ctx, sc)
-		note("smpe-restart", res, fails)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -232,41 +236,60 @@ func Run(ctx context.Context, seed int64, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// runChaosArm arms the schedule, executes the job with enough retries to
-// out-wait every injected fault, disarms, and returns the arm's result
-// (nil when arming or execution failed) and divergences.
-func runChaosArm(ctx context.Context, sc *scenario, sched *chaos.Schedule) (*core.Result, []string) {
-	armed, err := sched.Arm(sc.cluster)
-	if err != nil {
-		return nil, []string{fmt.Sprintf("smpe-chaos: arming failed: %v", err)}
-	}
-	defer armed.Disarm()
-	maxRetries := sched.TotalHeals() + 2
-	opts := core.Options{
-		Threads:      sc.threads,
-		MaxBatch:     sc.maxBatch,
-		KeepRecords:  true,
-		MaxRetries:   maxRetries,
-		RetryBackoff: 50 * time.Microsecond,
-	}
-	res, err := core.ExecuteSMPE(ctx, sc.job, sc.cluster, sc.cluster, opts)
-	return res, checkArm("smpe-chaos", sc, res, err, maxRetries)
+// Sweep totals the reports of a run of seeds and checks what no single seed
+// can: that the net points hedged and that their armed transport faults
+// dropped requests. A sweep of ten or more seeds that never did either left
+// that path untested, however well the answers matched.
+type Sweep struct {
+	Divergent                        int
+	HedgeFires, Drops, LeakedConns   int64
+	seeds, netPoints, netFaultPoints int
 }
 
-// checkArm diffs one arm's result against the oracle answer and verifies
+// Add folds one seed's report into the sweep.
+func (s *Sweep) Add(r *Report) {
+	s.seeds++
+	if r.Diverged() {
+		s.Divergent++
+	}
+	for _, p := range r.Points {
+		if p.is(plane, "net") {
+			s.netPoints++
+			if p.is(faults, "on") {
+				s.netFaultPoints++
+			}
+		}
+	}
+	s.HedgeFires += r.NetHedgeFires
+	s.Drops += r.NetDrops
+	s.LeakedConns += r.NetLeakedConns
+}
+
+// Failures lists the sweep's vacuity failures.
+func (s *Sweep) Failures() []string {
+	var fails []string
+	if s.seeds >= 10 && s.netPoints > 0 && s.HedgeFires == 0 {
+		fails = append(fails, fmt.Sprintf("net points fired no hedged request across %d seeds", s.seeds))
+	}
+	if s.seeds >= 10 && s.netFaultPoints > 0 && s.Drops == 0 {
+		fails = append(fails, fmt.Sprintf("{net, faults on} points dropped no request across %d seeds", s.seeds))
+	}
+	return fails
+}
+
+// checkRun diffs one job's result against the oracle answer and verifies
 // the trace invariants the executor is supposed to uphold.
-func checkArm(arm string, sc *scenario, res *core.Result, err error, maxRetries int) []string {
+func checkRun(label string, sc *scenario, res *core.Result, err error, maxRetries int) []string {
 	if err != nil {
-		return []string{fmt.Sprintf("%s: execution failed: %v", arm, err)}
+		return []string{fmt.Sprintf("%s: execution failed: %v", label, err)}
 	}
 	var fails []string
 	fail := func(format string, args ...any) {
-		fails = append(fails, arm+": "+fmt.Sprintf(format, args...))
+		fails = append(fails, label+": "+fmt.Sprintf(format, args...))
 	}
 
 	// Row multiset: the core differential check.
-	got := multisetOf(res.Records)
-	fails = append(fails, diffMultisets(arm, sc.expected, got)...)
+	fails = append(fails, diffMultisets(label, sc.expected, multisetOf(res.Records))...)
 	if res.Count != int64(len(res.Records)) {
 		fail("count %d disagrees with %d kept records", res.Count, len(res.Records))
 	}
@@ -313,7 +336,7 @@ func checkArm(arm string, sc *scenario, res *core.Result, err error, maxRetries 
 
 // diffMultisets reports rows missing from / extra in got versus want, with
 // a bounded number of samples so a badly wrong run stays readable.
-func diffMultisets(arm string, want, got map[string]int) []string {
+func diffMultisets(label string, want, got map[string]int) []string {
 	const maxSamples = 4
 	var missing, extra []string
 	for k, w := range want {
@@ -326,17 +349,14 @@ func diffMultisets(arm string, want, got map[string]int) []string {
 			extra = append(extra, fmt.Sprintf("%q ×%d", k, g-want[k]))
 		}
 	}
-	if len(missing) == 0 && len(extra) == 0 {
-		return nil
-	}
 	sort.Strings(missing)
 	sort.Strings(extra)
 	var fails []string
 	if len(missing) > 0 {
-		fails = append(fails, fmt.Sprintf("%s: %d row(s) missing, e.g. %v", arm, len(missing), sample(missing, maxSamples)))
+		fails = append(fails, fmt.Sprintf("%s: %d row(s) missing, e.g. %v", label, len(missing), sample(missing, maxSamples)))
 	}
 	if len(extra) > 0 {
-		fails = append(fails, fmt.Sprintf("%s: %d unexpected row(s), e.g. %v", arm, len(extra), sample(extra, maxSamples)))
+		fails = append(fails, fmt.Sprintf("%s: %d unexpected row(s), e.g. %v", label, len(extra), sample(extra, maxSamples)))
 	}
 	return fails
 }

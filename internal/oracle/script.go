@@ -1,35 +1,14 @@
 package oracle
 
-// The ninth arm: scripted ≡ compiled. The generator's compiled access
-// methods (interpreter, referencer, filter) are mirrored as source text for
-// internal/script, the job is re-run on the same cluster with the scripted
-// functions in place of the compiled ones, and rows, per-stage emits, and
-// every trace invariant must agree. For index-bearing forms the arm
-// additionally builds a second index through scripted Spec extractors
-// (partition-key and index-key functions), probes it with the scripted job,
-// and drops it — post-hoc registered access methods must be
-// indistinguishable from compiled-in ones end to end.
-
 import (
 	"context"
 	"fmt"
 	"strings"
 
 	"lakeharbor/internal/core"
-	"lakeharbor/internal/indexer"
 	"lakeharbor/internal/lake"
 	"lakeharbor/internal/script"
 )
-
-// scriptIdxFile is the scratch index the arm builds from scripted
-// extractors; it is dropped before the arm returns so later (mutating) arms
-// see the scenario unchanged.
-const scriptIdxFile = idxFile + "_s"
-
-// scriptMutate, when non-nil, rewrites the generated mirror source before
-// compilation. It exists for the vacuity check: the injected-bug test
-// plants a one-token mutation here and asserts the arm reports divergence.
-var scriptMutate func(src string) string
 
 // scriptValCap bounds the identity val filter for forms without an explicit
 // range: vals are tiny, so [0, scriptValCap] accepts everything.
@@ -78,31 +57,58 @@ fn keys(key, data) {
 	return b.String()
 }
 
+// program compiles the scenario's mirror script, once per world.
+func (w *world) program() (*script.Program, error) {
+	if w.prog == nil {
+		src := scriptMirrorSource(w.scenario)
+		if mutate.source != nil {
+			src = mutate.source(src)
+		}
+		prog, err := script.Compile(src)
+		if err != nil {
+			return nil, fmt.Errorf("mirror source does not compile: %w", err)
+		}
+		w.prog = prog
+	}
+	return w.prog, nil
+}
+
+// functions swaps the job's compiled interpreter, referencer and filter for
+// the mirror script's at functions=script. Scripting is a language swap,
+// not a semantic change: the scripted job keeps the seeds, so every
+// invariant and the reference point's per-stage emits still apply.
+func (w *world) functions(context.Context) error {
+	if w.p.is(functions, "compiled") {
+		return nil
+	}
+	prog, err := w.program()
+	if err != nil {
+		return err
+	}
+	w.job, err = scriptedJob(w.scenario, prog)
+	return err
+}
+
 // scriptedJob rebuilds the scenario's job with every mirrorable function
 // scripted: filters on the dereference stages, the referencer between
-// them. idxName targets the index-bearing forms at either the hand-built
-// index or the arm's scripted rebuild.
-func scriptedJob(sc *scenario, prog *script.Program, idxName string) (*core.Job, error) {
+// them.
+func scriptedJob(sc *scenario, prog *script.Program) (*core.Job, error) {
 	lim := script.Limits{}
 	keep, err := prog.NewFilter("keep", lim)
 	if err != nil {
 		return nil, err
 	}
-	seeds := make([]lake.Pointer, len(sc.job.Seeds))
-	copy(seeds, sc.job.Seeds)
+	seeds := append([]lake.Pointer(nil), sc.job.Seeds...)
 	switch sc.job.Name {
 	case "point":
 		return core.NewJob("point-script", seeds, core.LookupDeref{File: baseFile, Filter: keep})
 	case "local-range", "global-range":
-		for i := range seeds {
-			seeds[i].File = idxName
-		}
-		ref, err := prog.NewReferencer(idxName, "ref", lim)
+		ref, err := prog.NewReferencer(idxFile, "ref", lim)
 		if err != nil {
 			return nil, err
 		}
 		return core.NewJob(sc.job.Name+"-script", seeds,
-			core.RangeDeref{File: idxName},
+			core.RangeDeref{File: idxFile},
 			ref,
 			core.LookupDeref{File: baseFile, Filter: keep},
 		)
@@ -120,83 +126,8 @@ func scriptedJob(sc *scenario, prog *script.Program, idxName string) (*core.Job,
 	return nil, fmt.Errorf("unmirrorable form %q", sc.job.Name)
 }
 
-// runScriptArm compiles the mirror source, runs the scripted job against
-// the scenario cluster, and diffs it against the oracle answer and the
-// clean compiled run's per-stage emits. For index-bearing forms it then
-// rebuilds the index through scripted Spec extractors and repeats the
-// probe against the scripted structure.
-func runScriptArm(ctx context.Context, sc *scenario, cleanEmits []int64) (*core.Result, []string) {
-	src := scriptMirrorSource(sc)
-	if scriptMutate != nil {
-		src = scriptMutate(src)
-	}
-	prog, err := script.Compile(src)
-	if err != nil {
-		return nil, []string{fmt.Sprintf("smpe-script: mirror source does not compile: %v", err)}
-	}
-	job, err := scriptedJob(sc, prog, idxFile)
-	if err != nil {
-		return nil, []string{fmt.Sprintf("smpe-script: mirror job: %v", err)}
-	}
-	opts := core.Options{Threads: sc.threads, MaxBatch: sc.maxBatch, KeepRecords: true}
-	res, execErr := core.ExecuteSMPE(ctx, job, sc.cluster, sc.cluster, opts)
-	fails := checkArm("smpe-script", sc, res, execErr, 0)
-	if execErr == nil && cleanEmits != nil {
-		// Scripting is a language swap, not a semantic change: the scripted
-		// job must agree with the compiled run stage by stage, not only on
-		// the final multiset.
-		for i := range cleanEmits {
-			if res.StageEmits[i] != cleanEmits[i] {
-				fails = append(fails, fmt.Sprintf(
-					"smpe-script: emit divergence: stage %d emits %d scripted vs %d compiled",
-					i, res.StageEmits[i], cleanEmits[i]))
-			}
-		}
-	}
-	if sc.lcSpec != nil {
-		fails = append(fails, runScriptIndex(ctx, sc, prog)...)
-	}
-	return res, fails
-}
-
-// runScriptIndex builds scriptIdxFile from scripted partkey/keys extractors
-// — same kind, partition count, and partitioner as the hand-built index, so
-// the job's precomputed seeds stay valid — probes it with the scripted job,
-// and drops it.
-func runScriptIndex(ctx context.Context, sc *scenario, prog *script.Program) []string {
-	lim := script.Limits{}
-	partKey, err := prog.PartKeyFunc("partkey", lim)
-	if err != nil {
-		return []string{fmt.Sprintf("smpe-script-index: partkey: %v", err)}
-	}
-	keys, err := prog.KeysFunc("keys", lim)
-	if err != nil {
-		return []string{fmt.Sprintf("smpe-script-index: keys: %v", err)}
-	}
-	spec := indexer.Spec{
-		Name:        scriptIdxFile,
-		Base:        sc.lcSpec.Base,
-		Kind:        sc.lcSpec.Kind,
-		Partitions:  sc.lcSpec.Partitions,
-		Partitioner: sc.lcSpec.Partitioner,
-		PartKey:     partKey,
-		Keys:        keys,
-	}
-	if _, err := indexer.Build(ctx, sc.cluster, spec); err != nil {
-		return []string{fmt.Sprintf("smpe-script-index: build: %v", err)}
-	}
-	defer sc.cluster.DropFile(scriptIdxFile)
-	job, err := scriptedJob(sc, prog, scriptIdxFile)
-	if err != nil {
-		return []string{fmt.Sprintf("smpe-script-index: job: %v", err)}
-	}
-	opts := core.Options{Threads: sc.threads, MaxBatch: sc.maxBatch, KeepRecords: true}
-	res, execErr := core.ExecuteSMPE(ctx, job, sc.cluster, sc.cluster, opts)
-	return checkArm("smpe-script-index", sc, res, execErr, 0)
-}
-
-// ScriptCorpus returns the distinct mirror sources the script arm generates
-// across a spread of seeds — the seed corpus for the FuzzScript targets, so
+// ScriptCorpus returns the distinct mirror sources the functions=script
+// points run across a spread of seeds — the seed corpus for the FuzzScript targets, so
 // fuzzing starts from exactly the programs the oracle exercises.
 func ScriptCorpus() []string {
 	ctx := context.Background()

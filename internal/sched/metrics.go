@@ -23,8 +23,8 @@ type TenantStats struct {
 
 	// FairShare is the tenant's entitled fraction (weight over the sum of
 	// all weights); WindowShare is the fraction of fairness-window
-	// dispatches (taken while every tenant was backlogged) the tenant
-	// actually received; Deficit = FairShare − WindowShare, positive when
+	// dispatches (those of whole virtual-clock rounds in which every tenant
+	// stayed backlogged) the tenant actually received; Deficit = FairShare − WindowShare, positive when
 	// the tenant is being shortchanged. All zero until the window has
 	// samples.
 	FairShare   float64 `json:"fair_share"`
@@ -97,7 +97,7 @@ var (
 	schedSpawned     = obs.NewGauge("lakeharbor_sched_workers_spawned", "Workers actually started (lazy spawn up to the ceiling).")
 	schedQueueDepth  = obs.NewGauge("lakeharbor_sched_queue_depth", "Total queued, undispatched tasks across all tenants.")
 	schedShedDepth   = obs.NewGauge("lakeharbor_sched_shed_depth", "Queue depth above which admission sheds new jobs.")
-	schedWindow      = obs.NewCounter("lakeharbor_sched_window_total", "Dispatches taken while every tenant was backlogged (fairness-window denominator).")
+	schedWindow      = obs.NewCounter("lakeharbor_sched_window_total", "Dispatches in whole virtual-clock rounds during which every tenant stayed backlogged (fairness-window denominator).")
 	tenantInflight   = obs.NewGauge("lakeharbor_tenant_inflight", "Tasks currently executing per tenant.", "tenant")
 	tenantQueued     = obs.NewGauge("lakeharbor_tenant_queued", "Tasks queued, not yet dispatched, per tenant.", "tenant")
 	tenantJobs       = obs.NewGauge("lakeharbor_tenant_jobs", "Jobs currently admitted per tenant.", "tenant")

@@ -38,6 +38,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -144,7 +145,8 @@ type tenant struct {
 	jobsAdmitted int64
 	jobsRejected int64
 	inflightHigh int
-	windowServed int64 // dispatches taken while every tenant was backlogged
+	windowServed int64 // dispatches in the fairness window's rounds
+	roundServed  int64 // dispatches in the open round
 	waitHist     trace.Histogram
 }
 
@@ -161,7 +163,17 @@ type Scheduler struct {
 
 	vclock      float64 // virtual time of the last dispatch (arrival floor)
 	queueDepth  int     // total queued, undispatched tasks
-	windowTotal int64   // dispatches taken while every tenant was backlogged
+	windowTotal int64   // dispatches in the fairness window's rounds
+
+	// The fairness window counts whole rounds of the virtual clock. A round
+	// is one unit of virtual time, in which a tenant of weight w that stays
+	// backlogged is due exactly w dispatches, so a window of whole rounds
+	// measures the scheduler rather than where an all-backlogged stretch
+	// happened to begin and end. The open round joins the window when it
+	// closes, if every dispatch in it was taken with every tenant backlogged
+	// and eligible and no tenant's clock was floored meanwhile.
+	round      float64 // the open round: floor of its dispatches' virtual times
+	roundClean bool
 
 	closed bool
 	manual bool // tests: suppress worker spawning and drive pickLocked directly
@@ -180,7 +192,7 @@ func New(opts Options, tenants ...TenantConfig) (*Scheduler, error) {
 	if opts.ShedDepth == 0 {
 		opts.ShedDepth = DefaultShedDepth
 	}
-	s := &Scheduler{opts: opts, tenants: make(map[string]*tenant, len(tenants))}
+	s := &Scheduler{opts: opts, tenants: make(map[string]*tenant, len(tenants)), round: math.Inf(-1)}
 	s.workers = core.NewWorkers(&s.mu, opts.Workers, s.pickLocked,
 		func(tk schedTask, worker int) { tk.run(worker) }, s.taskDoneLocked)
 	for _, cfg := range tenants {
@@ -279,6 +291,7 @@ func (j *Job) Submit(run func(worker int)) (int, error) {
 		// scheduler's virtual time so banked idleness cannot monopolize
 		// the workers, but never move the clock backwards.
 		t.vtime = s.vclock
+		s.roundClean = false
 	}
 	depth := t.q.Push(schedTask{run: run, job: j, enq: time.Now()})
 	j.pending++
@@ -309,11 +322,12 @@ func (j *Job) Finish() {
 // then the smallest virtual time, then (ties) the lexicographically first
 // name, so selection is deterministic given identical state. The chosen
 // tenant's clock advances by 1/weight, keeping task shares proportional to
-// weights across backlogged tenants. Dispatches taken while EVERY registered tenant was backlogged and
-// eligible are additionally counted into the fairness window — the
-// denominator the fair-share deficit metric and the tenancy oracle's
-// weighted-share check are computed over, because proportional sharing is
-// only defined while everyone is actually asking for service.
+// weights across backlogged tenants. Whole rounds of the virtual clock in
+// which EVERY registered tenant stayed backlogged and eligible are
+// additionally counted into the fairness window — the denominator the
+// fair-share deficit metric and the tenancy oracle's weighted-share check
+// are computed over, because proportional sharing is only defined while
+// everyone is actually asking for service.
 func (s *Scheduler) pickLocked() (schedTask, bool) {
 	var best *tenant
 	eligible := 0
@@ -339,13 +353,28 @@ func (s *Scheduler) pickLocked() (schedTask, bool) {
 	// run it backwards whenever a cap- or priority-delayed tenant with an
 	// old (small) clock finally gets served.
 	s.vclock = max(s.vclock, best.vtime)
-	best.vtime += 1 / float64(best.cfg.Weight)
-	if eligible == len(s.order) && len(s.order) > 1 {
-		best.windowServed++
-		s.windowTotal++
+	// The epsilon absorbs the drift of summing 1/weight.
+	if r := math.Floor(best.vtime + 1e-9); r != s.round {
+		s.closeRoundLocked()
+		s.round, s.roundClean = r, true
 	}
+	s.roundClean = s.roundClean && eligible == len(s.order) && len(s.order) > 1
+	best.roundServed++
+	best.vtime += 1 / float64(best.cfg.Weight)
 	best.waitHist.RecordDur(time.Since(tk.enq))
 	return tk, true
+}
+
+// closeRoundLocked ends the open round, adding it to the fairness window
+// if it stayed clean.
+func (s *Scheduler) closeRoundLocked() {
+	for _, t := range s.order {
+		if s.roundClean {
+			t.windowServed += t.roundServed
+			s.windowTotal += t.roundServed
+		}
+		t.roundServed = 0
+	}
 }
 
 // beats reports whether t should be dispatched before o.

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -435,6 +436,49 @@ func TestWeightedSharesSaturated(t *testing.T) {
 		if relErr > 0.15 {
 			t.Errorf("tenant %s: observed share %.4f deviates %.1f%% from fair share %.4f (bound 15%%)",
 				ts.Name, ts.WindowShare, relErr*100, ts.FairShare)
+		}
+	}
+}
+
+// TestFairnessWindowCountsWholeRounds: the window is a union of
+// all-backlogged stretches, and one that ends mid-round must not keep the
+// light tenant's dispatch of that round without the heavy tenant's eight
+// others. Light runs dry in round 4: the window is rounds 0–3, exactly 9:1,
+// without the part of round 4 taken before light ran dry.
+func TestFairnessWindowCountsWholeRounds(t *testing.T) {
+	s, err := New(Options{Workers: 1},
+		TenantConfig{Name: "heavy", Weight: 9},
+		TenantConfig{Name: "light", Weight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.manual = true
+	hj, _ := s.StartJob("heavy")
+	lj, _ := s.StartJob("light")
+	for i := 0; i < 60; i++ {
+		hj.(*Job).Submit(func(int) {})
+	}
+	for i := 0; i < 5; i++ {
+		lj.(*Job).Submit(func(int) {})
+	}
+	for {
+		s.mu.Lock()
+		tk, ok := s.pickLocked()
+		s.mu.Unlock()
+		if !ok {
+			break
+		}
+		s.taskDone(tk)
+	}
+	hj.Finish()
+	lj.Finish()
+	st := s.Stats()
+	if st.WindowTotal != 40 {
+		t.Fatalf("window holds %d dispatches, want the 40 of rounds 0-3", st.WindowTotal)
+	}
+	for _, ts := range st.Tenants {
+		if math.Abs(ts.WindowShare-ts.FairShare) > 1e-12 {
+			t.Errorf("tenant %s: window share %.4f, want exactly %.4f", ts.Name, ts.WindowShare, ts.FairShare)
 		}
 	}
 }

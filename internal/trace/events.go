@@ -217,9 +217,9 @@ type CritSegment struct {
 	Tasks int `json:"tasks"`
 }
 
-// Sweep phases, in tie-break preference order: an rpc interval nests inside
-// its task's exec interval, so at equal counts the more specific attribution
-// (the wire) wins; exec beats queue as before.
+// Sweep phases, in tie-break preference order: rpc, then exec, then queue.
+// An rpc interval nests inside its task's exec interval, so the sweep counts
+// that task toward rpc only (exec counts tasks not in a round trip).
 const (
 	phaseRPC uint8 = iota
 	phaseExec
@@ -250,8 +250,9 @@ func (k critKey) phase() string {
 // [TS-Wait, TS) attributed to (stage, node, queue); each completed remote
 // round trip contributes [TS, TS+Dur) attributed to (stage, node, rpc).
 // The extractor sweeps the job's timeline; every instant is attributed to
-// the group with the most concurrently active intervals (ties prefer rpc
-// over exec over queue, then lower stage, then lower node), adjacent
+// the group with the most concurrently active intervals — a task with its
+// round trip in flight counts toward rpc, not exec — (ties prefer rpc over
+// exec over queue, then lower stage, then lower node), adjacent
 // instants with the same winner merge into segments, and the k longest
 // segments are returned, longest first. Idle gaps (no active interval)
 // separate segments.
@@ -325,6 +326,11 @@ func CriticalPath(events []Event, k int) []CritSegment {
 		var winner critKey
 		best := 0
 		for key, n := range active {
+			if key.ph == phaseExec {
+				// A task waiting on its own round trip is on the wire, not
+				// executing: its nested rpc interval leaves the exec count.
+				n -= active[critKey{stage: key.stage, node: key.node, ph: phaseRPC}]
+			}
 			if n > best || (n == best && best > 0 && prefer(key, winner)) {
 				best, winner = n, key
 			}

@@ -170,6 +170,22 @@ func TestCriticalPathQueuePhase(t *testing.T) {
 	}
 }
 
+func TestCriticalPathTaskInRPCCountsAsRPC(t *testing.T) {
+	// Two tasks on stage 0 / node 0 over [0, 100): one waits on a round trip
+	// during [10, 90), the other computes. Over [10, 90) one task is on the
+	// wire and one executing — the tie goes to rpc; counting the waiting
+	// task as executing too would hand the whole span to exec.
+	events := []Event{
+		{Kind: EvTask, Stage: 0, Node: 0, TS: 0, Dur: 100},
+		{Kind: EvTask, Stage: 0, Node: 0, TS: 0, Dur: 100},
+		{Kind: EvRPC, Stage: 0, Node: 0, TS: 10, Dur: 80},
+	}
+	segs := CriticalPath(events, 1)
+	if len(segs) != 1 || segs[0].Phase != "rpc" || segs[0].Start != 10 || segs[0].End != 90 {
+		t.Fatalf("longest segment = %+v, want rpc [10, 90)", segs)
+	}
+}
+
 func TestCriticalPathTopK(t *testing.T) {
 	var events []Event
 	for i := 0; i < 8; i++ {
