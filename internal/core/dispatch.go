@@ -61,7 +61,7 @@ type sharedJob struct {
 }
 
 func (s *sharedJob) submit(node int, t task) (int, error) {
-	depth, err := s.job.Submit(func(worker int) { s.e.run(node, t, worker) })
+	depth, err := s.job.Submit(func(worker int) { tk := t; s.e.run(node, &tk, worker) })
 	if err != nil && s.over.Load() {
 		err = errJobOver
 	}
@@ -98,7 +98,7 @@ func (e *executor) dispatch(node int, t task) {
 // worker belongs to: process it on the node's TaskCtx — so storage
 // attribution (local vs remote I/O, trace spans) does not depend on who runs
 // it — then account for it.
-func (e *executor) run(node int, t task, worker int) {
+func (e *executor) run(node int, t *task, worker int) {
 	e.process(e.tcs[node], t, worker)
 	e.finishN(t.weight())
 }

@@ -456,32 +456,42 @@ func BenchmarkDispatch(b *testing.B) {
 		})
 	}
 	b.Run("job", func(b *testing.B) {
-		ctx := context.Background()
-		c := dfs.NewCluster(dfs.Config{Nodes: 4})
-		f, err := c.CreateFile("t", dfs.Btree, 8, lake.HashPartitioner{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		k := keycodec.Int64(1)
-		if err := dfs.AppendRouted(ctx, f, k, lake.Record{Key: k, Data: []byte("x")}); err != nil {
-			b.Fatal(err)
-		}
-		job, err := NewJob("ping", []lake.Pointer{{File: "t", PartKey: k, Key: k}},
-			LookupDeref{File: "t"},
-			FuncRef{Label: "self", Fn: func(_ *TaskCtx, rec lake.Record) ([]lake.Pointer, error) {
-				return []lake.Pointer{{File: "t", PartKey: rec.Key, Key: rec.Key}}, nil
-			}},
-			LookupDeref{File: "t"},
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
+		run := pingJob(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if res, err := ExecuteSMPE(ctx, job, c, c, Options{}); err != nil || res.Count != 1 {
-				b.Fatalf("count = %v, err = %v", res, err)
-			}
+			run()
 		}
 	})
+}
+
+// pingJob is BenchmarkDispatch/job's rig: a four-node zero-cost cluster and
+// a one-seed job of two dereference stages, and the function that executes
+// it once and checks its one record.
+func pingJob(tb testing.TB) func() {
+	ctx := context.Background()
+	c := dfs.NewCluster(dfs.Config{Nodes: 4})
+	f, err := c.CreateFile("t", dfs.Btree, 8, lake.HashPartitioner{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	k := keycodec.Int64(1)
+	if err := dfs.AppendRouted(ctx, f, k, lake.Record{Key: k, Data: []byte("x")}); err != nil {
+		tb.Fatal(err)
+	}
+	job, err := NewJob("ping", []lake.Pointer{{File: "t", PartKey: k, Key: k}},
+		LookupDeref{File: "t"},
+		FuncRef{Label: "self", Fn: func(_ *TaskCtx, rec lake.Record) ([]lake.Pointer, error) {
+			return []lake.Pointer{{File: "t", PartKey: rec.Key, Key: rec.Key}}, nil
+		}},
+		LookupDeref{File: "t"},
+	)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		if res, err := ExecuteSMPE(ctx, job, c, c, Options{}); err != nil || res.Count != 1 {
+			tb.Fatalf("count = %v, err = %v", res, err)
+		}
+	}
 }

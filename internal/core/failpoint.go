@@ -6,8 +6,8 @@ import "sync"
 // exist for exactly one purpose: the differential oracle (internal/oracle)
 // proves it can catch executor bugs by arming a failpoint, running a
 // scenario, and requiring a divergence report. Production code never arms
-// them; the zero state is "all off" and checking an unarmed failpoint is a
-// single RLock on an empty map.
+// them; the zero state is "all off" and checking an unarmed failpoint is one
+// lookup in an empty sync.Map.
 //
 // Known failpoints:
 //
@@ -15,31 +15,29 @@ import "sync"
 //     end-of-task flush, silently dropping every pointer still buffered
 //     below MaxBatch — the exact bug class batching introduced (a stranded
 //     tail) and the oracle must detect as missing rows.
-const FailpointDropTailFlush = "drop-tail-flush"
-
-var (
-	failpointMu sync.RWMutex
-	failpoints  map[string]bool
+//   - FailpointEarlyTraceRelease: Execute releases the job's trace before
+//     its dispatcher has finished, the bug class lending the trace
+//     introduced; in a test binary the next use of the trace panics.
+const (
+	FailpointDropTailFlush     = "drop-tail-flush"
+	FailpointEarlyTraceRelease = "early-trace-release"
 )
+
+// failpoints holds the armed failpoints' names.
+var failpoints sync.Map
 
 // SetFailpoint arms (on=true) or clears a named failpoint. Tests that arm a
 // failpoint must clear it before finishing; t.Cleanup is the natural place.
 func SetFailpoint(name string, on bool) {
-	failpointMu.Lock()
-	defer failpointMu.Unlock()
-	if failpoints == nil {
-		failpoints = make(map[string]bool)
-	}
 	if on {
-		failpoints[name] = true
+		failpoints.Store(name, true)
 	} else {
-		delete(failpoints, name)
+		failpoints.Delete(name)
 	}
 }
 
 // failpoint reports whether the named failpoint is armed.
 func failpoint(name string) bool {
-	failpointMu.RLock()
-	defer failpointMu.RUnlock()
-	return len(failpoints) != 0 && failpoints[name]
+	_, on := failpoints.Load(name)
+	return on
 }

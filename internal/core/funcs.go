@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"lakeharbor/internal/lake"
 )
@@ -137,7 +138,8 @@ func (d LookupDeref) appendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Poi
 		// The group is ptrs[i] and, if it is routed, every later pointer to its partition.
 		inGroup := func(j int) bool { return j == i || part != broadcast && parts[j] == part }
 		start := len(out)
-		var ends []int // where each pointer's records end: needed to combine or align them
+		var ends []int         // where each pointer's records end: needed to combine or align them
+		var endsBuf *lent[int] // ends' loan, nil when ends is nil
 		switch {
 		case part == broadcast:
 			for _, p := range tc.LocalPartitions(f) {
@@ -148,16 +150,18 @@ func (d LookupDeref) appendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Poi
 		case len(ptrs) == 1:
 			out, err = lake.AppendLookup(tc.Ctx, f, out, int(part), ptrs[i].Key)
 		default:
-			keys := make([]lake.Key, 0, len(ptrs)-i)
+			keys := keyBufs.get()
 			for j := i; j < len(parts); j++ {
 				if inGroup(j) {
-					keys = append(keys, ptrs[j].Key)
+					keys.s = append(keys.s, ptrs[j].Key)
 				}
 			}
 			if d.Combine || groups != nil {
-				ends = make([]int, len(keys))
+				endsBuf = endBufs.get()
+				ends = slices.Grow(endsBuf.s, len(keys.s))[:len(keys.s)]
 			}
-			out, err = lake.AppendLookupBatch(tc.Ctx, f, out, int(part), keys, ends)
+			out, err = lake.AppendLookupBatch(tc.Ctx, f, out, int(part), keys.s, ends)
+			keys.release() // no BatchFile keeps keys past the call
 		}
 		if err != nil {
 			clear(out[len(dst):])
@@ -186,6 +190,10 @@ func (d LookupDeref) appendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Poi
 		}
 		clear(out[w:])
 		out = out[:w]
+		if endsBuf != nil {
+			endsBuf.s = ends
+			endsBuf.release()
+		}
 	}
 	return out, nil
 }

@@ -8,17 +8,18 @@ import (
 
 // Workers is the one worker set, behind the standing per-node sets below and
 // sched's cluster-wide set. It owns goroutines; its owner owns the queues and
-// the policy: next (under the lock) dequeues the next runnable T or reports
-// none, run (without the lock) executes it, done (under the lock) accounts
-// for it. A worker starts lazily (Kick) and parks on the set's one condvar
-// between tasks, keeping its stack for the next task, of this job or a later
-// one. It exits only when keep workers are already parked, or at Close.
+// the policy: next (under the lock) dequeues the next runnable T into the
+// worker's slot or reports none, run (unlocked) executes it there, done
+// (locked) accounts for it. A worker starts lazily (Kick) and parks on the
+// set's one condvar between tasks, keeping its stack for the next task, of
+// this job or a later one. It exits only when keep workers are already
+// parked, or at Close.
 type Workers[T any] struct {
 	mu   *sync.Mutex // the owner's: it guards the owner's queues too
 	cond sync.Cond
-	next func() (T, bool)
-	run  func(t T, worker int)
-	done func(T)
+	next func(*T) bool
+	run  func(t *T, worker int)
+	done func(*T)
 
 	keep         int // parked workers retained
 	live, parked int // a worker Kick wakes is no longer parked
@@ -28,7 +29,7 @@ type Workers[T any] struct {
 }
 
 // NewWorkers builds an empty set over the owner's lock mu.
-func NewWorkers[T any](mu *sync.Mutex, keep int, next func() (T, bool), run func(t T, worker int), done func(T)) *Workers[T] {
+func NewWorkers[T any](mu *sync.Mutex, keep int, next func(*T) bool, run func(t *T, worker int), done func(*T)) *Workers[T] {
 	w := &Workers[T]{mu: mu, next: next, run: run, done: done, keep: keep}
 	w.cond.L = mu
 	return w
@@ -58,22 +59,23 @@ func (w *Workers[T]) Kick(grow bool) bool {
 // work a done frees (a job or tenant back under its cap) never waits.
 func (w *Workers[T]) loop(id int) {
 	defer w.wg.Done()
+	var t T // the worker's slot: a task is dequeued into it and read in place
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for !w.closed {
-		t, ok := w.next()
-		if !ok {
+		if !w.next(&t) {
 			if w.parked >= w.keep {
 				break
 			}
+			t = *new(T) // a parked worker holds no task
 			w.parked++
 			w.cond.Wait()
 			continue
 		}
 		w.mu.Unlock()
-		w.run(t, id)
+		w.run(&t, id)
 		w.mu.Lock()
-		w.done(t)
+		w.done(&t)
 	}
 	w.live--
 }
@@ -151,6 +153,7 @@ type jobQueue struct {
 	set            *nodeSet
 	node           int
 	q              FIFO[task]
+	buf            *lent[task]
 	limit, running int
 	over           bool
 	drained        sync.Cond // on set.mu: an over job's last task is done
@@ -165,7 +168,7 @@ type queued struct {
 // next is the per-node pick policy: rotate over the jobs, taking the oldest
 // task of the first one that has a task queued and is below its Threads. A
 // job at its cap is passed over, so it never holds up another job's tasks.
-func (s *nodeSet) next() (queued, bool) {
+func (s *nodeSet) next(q *queued) bool {
 	for range s.jobs {
 		if s.rr >= len(s.jobs) {
 			s.rr = 0
@@ -173,15 +176,16 @@ func (s *nodeSet) next() (queued, bool) {
 		jq := s.jobs[s.rr]
 		if s.rr++; jq.q.Len() > 0 && jq.running < jq.limit {
 			jq.running++
-			return queued{jq: jq, t: jq.q.Pop()}, true
+			q.jq, q.t = jq, jq.q.Pop()
+			return true
 		}
 	}
-	return queued{}, false
+	return false
 }
 
-func (q queued) run(worker int) { q.jq.e.run(q.jq.node, q.t, worker) }
+func (q *queued) run(worker int) { q.jq.e.run(q.jq.node, &q.t, worker) }
 
-func (q queued) done() {
+func (q *queued) done() {
 	if q.jq.running--; q.jq.over && q.jq.running == 0 && q.jq.q.Len() == 0 {
 		q.jq.drained.Signal()
 	}
@@ -198,7 +202,7 @@ func newStandingJob(e *executor) standingJob {
 	standing.Lock()
 	for len(standing.sets) < len(j) {
 		s := &nodeSet{}
-		s.w = NewWorkers(&s.mu, DefaultThreads, s.next, queued.run, queued.done)
+		s.w = NewWorkers(&s.mu, DefaultThreads, s.next, (*queued).run, (*queued).done)
 		standing.sets = append(standing.sets, s)
 	}
 	sets := standing.sets[:len(j)]
@@ -207,7 +211,8 @@ func newStandingJob(e *executor) standingJob {
 	// of jobs overflows the node's sum of limits; no job runs more at once.
 	limit := min(e.opts.Threads, math.MaxInt32)
 	for node, s := range sets {
-		j[node] = jobQueue{e: e, set: s, node: node, limit: limit}
+		j[node] = jobQueue{e: e, set: s, node: node, limit: limit, buf: queueBufs.get()}
+		j[node].q.items = j[node].buf.s
 		j[node].drained.L = &s.mu
 		s.mu.Lock()
 		s.jobs = append(s.jobs, &j[node])
@@ -254,5 +259,7 @@ func (j standingJob) finish() {
 		s.jobs = slices.DeleteFunc(s.jobs, func(o *jobQueue) bool { return o == jq })
 		s.threads -= jq.limit
 		s.mu.Unlock()
+		jq.buf.s, jq.q.items = jq.q.items, nil // drained, so zero; nil if it outgrew queueReleaseCap
+		jq.buf.release()
 	}
 }

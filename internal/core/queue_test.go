@@ -20,13 +20,14 @@ type intSet struct {
 
 func newIntSet(t *testing.T, max int) *intSet {
 	s := &intSet{max: max, ran: make(chan int, 1<<13)}
-	next := func() (int, bool) {
+	next := func(v *int) bool {
 		if s.q.Len() == 0 {
-			return 0, false
+			return false
 		}
-		return s.q.Pop(), true
+		*v = s.q.Pop()
+		return true
 	}
-	s.w = NewWorkers(&s.mu, max, next, func(v, _ int) { s.ran <- v }, func(int) {})
+	s.w = NewWorkers(&s.mu, max, next, func(v *int, _ int) { s.ran <- *v }, func(*int) {})
 	t.Cleanup(s.w.Close)
 	return s
 }

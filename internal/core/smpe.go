@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"testing"
 	"time"
 
 	"lakeharbor/internal/lake"
@@ -262,7 +263,11 @@ func Execute(ctx context.Context, job *Job, catalog lake.Catalog, topo Topology,
 	case <-ctx.Done():
 		e.fail(ctx.Err())
 	}
+	if failpoint(FailpointEarlyTraceRelease) {
+		e.tr.Release() // deliberate bug: the trace goes back while its job still holds it
+	}
 	e.disp.finish()
+	defer e.tr.Release() // after the Snapshot below; every task has returned from run
 
 	if err := e.firstErr(); err != nil {
 		return nil, fmt.Errorf("core: job %q: %w", job.Name, err)
@@ -339,12 +344,8 @@ func newExecutor(ctx context.Context, cancel context.CancelFunc, job *Job, catal
 		return nil, err
 	}
 	e.tr = trace.New(job.Name, traceInfo(job), n)
-	if opts.Tenant != "" {
-		e.tr.SetTenant(opts.Tenant)
-	}
-	if opts.SlowTaskThreshold > 0 {
-		e.tr.SetSlowTask(opts.SlowTaskThreshold, opts.TraceLog)
-	}
+	e.tr.SetTenant(opts.Tenant)
+	e.tr.SetSlowTask(opts.SlowTaskThreshold, opts.TraceLog)
 	if opts.EventCap >= 0 {
 		e.tr.EnableEvents(opts.EventCap) // 0 selects trace.DefaultEventCap
 	}
@@ -462,12 +463,12 @@ type batchBuf struct {
 	buf *lent[lake.Pointer] // nil between a flush at MaxBatch and the next pointer
 }
 
-// lent is a slice a task borrows: a pointer batch from ptrBufs, which the
-// batcher fills and its task carries, or a record array from recBufs, which
-// a dereference task fills from storage on. process releases each after the
-// last code that reads it (DESIGN.md §4). Neither is sized by what its task
-// will produce: Q5′ spreads a handful of pointers over eight partitions, and
-// sizing by record count cost more memory than append-doubling did.
+// lent is a slice a task or job borrows: a pointer batch (ptrBufs) the
+// batcher fills and its task carries, a record array (recBufs) storage fills,
+// a batch's key list and ends (keyBufs, endBufs), a job's queue on a node
+// (queueBufs). Each is released after the last code that reads it (DESIGN.md
+// §4). None is sized by what its task will produce: Q5′ spreads a handful of
+// pointers over eight partitions, and sizing by record count cost more.
 type lent[T any] struct {
 	s    []T
 	from *lender[T]
@@ -477,13 +478,18 @@ type lent[T any] struct {
 type lender[T any] struct {
 	pool         sync.Pool
 	fresh, limit int // the capacity of a new slice; of the largest one kept
+	poison       T
 }
 
 var (
 	ptrBufs = &lender[lake.Pointer]{fresh: DefaultMaxBatch, limit: DefaultMaxBatch}
 	// An array of up to 160 KiB of records is kept: the index stage of a
 	// claims query, about 2 300 entries, draws a warm one too.
-	recBufs = &lender[lake.Record]{limit: 4096}
+	recBufs   = &lender[lake.Record]{limit: 4096}
+	keyBufs   = &lender[lake.Key]{fresh: DefaultMaxBatch, limit: DefaultMaxBatch, poison: "\xa5 released key list"}
+	endBufs   = &lender[int]{fresh: DefaultMaxBatch, limit: DefaultMaxBatch, poison: -1}
+	queueBufs = &lender[task]{limit: queueReleaseCap}
+	poisoning = testing.Testing()
 )
 
 func (l *lender[T]) get() *lent[T] {
@@ -493,10 +499,14 @@ func (l *lender[T]) get() *lent[T] {
 	return &lent[T]{s: make([]T, 0, l.fresh), from: l}
 }
 
-// release clears what was written — the rest was never dirtied — so the pool
-// retains nothing, and recycles the slice unless it outgrew the limit.
+// release clears what was written (a test binary poisons it) — the rest was
+// never dirtied — so the pool retains nothing, and recycles the slice unless
+// it outgrew the limit.
 func (b *lent[T]) release() {
 	clear(b.s)
+	for i := 0; poisoning && i < len(b.s); i++ {
+		b.s[i] = b.from.poison
+	}
 	b.s = b.s[:0]
 	if cap(b.s) <= b.from.limit {
 		b.from.pool.Put(b)
@@ -568,7 +578,7 @@ func (b *batcher) flush() {
 // flushed before process returns — i.e. before the task's weight is
 // subtracted from the in-flight counter — so batching can never let the job
 // complete with pointers still buffered.
-func (e *executor) process(tc *TaskCtx, t task, worker int) {
+func (e *executor) process(tc *TaskCtx, t *task, worker int) {
 	if tc.Ctx.Err() != nil {
 		return // job already failed or cancelled; drain cheaply
 	}

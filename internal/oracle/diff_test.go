@@ -4,6 +4,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -179,6 +181,27 @@ func TestOracleCatchesInjectedExecutorBug(t *testing.T) {
 		return
 	}
 	t.Fatal("40 seeds ran with the tail-flush bug planted and the oracle caught nothing")
+}
+
+// TestOracleCatchesEarlyTraceRelease is the trace loan's vacuity check at
+// the broadest gate: with the executor planted to release a job's trace
+// before its dispatcher finishes, TestDifferential -short must fail loudly.
+// The poison panics on a job's goroutine, which takes the whole test binary
+// down, so the planted run is this test re-run as a child process.
+func TestOracleCatchesEarlyTraceRelease(t *testing.T) {
+	const child = "^TestOracleCatchesEarlyTraceRelease$/^planted$"
+	if flag.Lookup("test.run").Value.String() == child {
+		t.Run("planted", func(t *testing.T) {
+			core.SetFailpoint(core.FailpointEarlyTraceRelease, true)
+			TestDifferential(t)
+		})
+		return
+	}
+	out, err := exec.Command(os.Args[0], "-test.run="+child, "-test.short", "-test.count=1").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "Trace used after Release") {
+		t.Fatalf("TestDifferential with the trace released early: err %v, want a panic naming the released trace; output:\n%s", err, out)
+	}
+	t.Logf("caught: %s", strings.SplitN(strings.TrimSpace(string(out)), "\n", 3)[0])
 }
 
 // TestChaosDivergenceShrinksToEmptySchedule pins the shrinker's diagnostic

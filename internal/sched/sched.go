@@ -194,7 +194,7 @@ func New(opts Options, tenants ...TenantConfig) (*Scheduler, error) {
 	}
 	s := &Scheduler{opts: opts, tenants: make(map[string]*tenant, len(tenants)), round: math.Inf(-1)}
 	s.workers = core.NewWorkers(&s.mu, opts.Workers, s.pickLocked,
-		func(tk schedTask, worker int) { tk.run(worker) }, s.taskDoneLocked)
+		func(tk *schedTask, worker int) { tk.run(worker) }, s.taskDoneLocked)
 	for _, cfg := range tenants {
 		if err := s.register(cfg); err != nil {
 			return nil, err
@@ -317,18 +317,18 @@ func (j *Job) Finish() {
 	s.mu.Unlock()
 }
 
-// pickLocked is the worker set's pick policy: it dequeues the next task of
-// the backlogged tenant under its in-flight cap with the highest priority,
-// then the smallest virtual time, then (ties) the lexicographically first
-// name, so selection is deterministic given identical state. The chosen
-// tenant's clock advances by 1/weight, keeping task shares proportional to
-// weights across backlogged tenants. Whole rounds of the virtual clock in
-// which EVERY registered tenant stayed backlogged and eligible are
-// additionally counted into the fairness window — the denominator the
-// fair-share deficit metric and the tenancy oracle's weighted-share check
-// are computed over, because proportional sharing is only defined while
-// everyone is actually asking for service.
-func (s *Scheduler) pickLocked() (schedTask, bool) {
+// pickLocked is the worker set's pick policy: it dequeues into tk the next
+// task of the backlogged tenant under its in-flight cap with the highest
+// priority, then the smallest virtual time, then (ties) the lexicographically
+// first name, so selection is deterministic given identical state. The
+// chosen tenant's clock advances by 1/weight, keeping task shares
+// proportional to weights across backlogged tenants. Whole rounds of the
+// virtual clock in which EVERY registered tenant stayed backlogged and
+// eligible are additionally counted into the fairness window — the
+// denominator the fair-share deficit metric and the tenancy oracle's
+// weighted-share check are computed over, because proportional sharing is
+// only defined while everyone is actually asking for service.
+func (s *Scheduler) pickLocked(tk *schedTask) bool {
 	var best *tenant
 	eligible := 0
 	for _, t := range s.order {
@@ -341,9 +341,9 @@ func (s *Scheduler) pickLocked() (schedTask, bool) {
 		}
 	}
 	if best == nil {
-		return schedTask{}, false
+		return false
 	}
-	tk := best.q.Pop()
+	*tk = best.q.Pop()
 	s.queueDepth--
 	best.inflight++
 	best.inflightHigh = max(best.inflightHigh, best.inflight)
@@ -362,7 +362,7 @@ func (s *Scheduler) pickLocked() (schedTask, bool) {
 	best.roundServed++
 	best.vtime += 1 / float64(best.cfg.Weight)
 	best.waitHist.RecordDur(time.Since(tk.enq))
-	return tk, true
+	return true
 }
 
 // closeRoundLocked ends the open round, adding it to the fairness window
@@ -391,7 +391,7 @@ func (t *tenant) beats(o *tenant) bool {
 // taskDoneLocked retires one executed task: the tenant's in-flight slot frees
 // (the finishing worker picks again before it parks, so a capped tenant that
 // became eligible is served) and the job's pending count drops.
-func (s *Scheduler) taskDoneLocked(tk schedTask) {
+func (s *Scheduler) taskDoneLocked(tk *schedTask) {
 	tk.job.t.inflight--
 	tk.job.retire()
 }

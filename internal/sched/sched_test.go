@@ -17,7 +17,14 @@ import (
 func (s *Scheduler) taskDone(tk schedTask) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.taskDoneLocked(tk)
+	s.taskDoneLocked(&tk)
+}
+
+// pick is the worker loop's next step, for the same tests: pickLocked into a
+// task of the caller's. The caller holds s.mu.
+func (s *Scheduler) pick() (tk schedTask, ok bool) {
+	ok = s.pickLocked(&tk)
+	return tk, ok
 }
 
 // TestRegistrationRejectsUnschedulable is the regression for the "hung
@@ -127,7 +134,7 @@ func TestLoadShed(t *testing.T) {
 	// Drain manually, then admission recovers.
 	for {
 		s.mu.Lock()
-		tk, ok := s.pickLocked()
+		tk, ok := s.pick()
 		s.mu.Unlock()
 		if !ok {
 			break
@@ -221,7 +228,7 @@ func TestFairQueueProperties(t *testing.T) {
 					}
 				case op == 1: // dispatch
 					s.mu.Lock()
-					tk, ok := s.pickLocked()
+					tk, ok := s.pick()
 					if !ok {
 						// Work conservation: refusal is only legal when
 						// nothing is both backlogged and under-cap.
@@ -251,7 +258,7 @@ func TestFairQueueProperties(t *testing.T) {
 			// Drain: dispatch and retire everything, then Finish all jobs.
 			for {
 				s.mu.Lock()
-				tk, ok := s.pickLocked()
+				tk, ok := s.pick()
 				s.mu.Unlock()
 				if !ok {
 					if len(running) == 0 {
@@ -463,7 +470,7 @@ func TestFairnessWindowCountsWholeRounds(t *testing.T) {
 	}
 	for {
 		s.mu.Lock()
-		tk, ok := s.pickLocked()
+		tk, ok := s.pick()
 		s.mu.Unlock()
 		if !ok {
 			break
@@ -504,7 +511,7 @@ func TestPriorityTiersServeHigherFirst(t *testing.T) {
 	uj.(*Job).Submit(func(int) { order = append(order, "urgent") })
 	for {
 		s.mu.Lock()
-		tk, ok := s.pickLocked()
+		tk, ok := s.pick()
 		s.mu.Unlock()
 		if !ok {
 			break

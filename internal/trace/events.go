@@ -61,10 +61,10 @@ type Event struct {
 // report the overwritten count.
 const DefaultEventCap = 8192
 
-// eventRingStart is the capacity a ring starts with: memory follows the
-// events a job actually records (Q5′ at the benchmark's scale records under
-// a thousand), not the cap.
-const eventRingStart = 256
+// A new ring starts at eventRingStart events; a released Trace keeps its ring
+// for the next job up to eventRingKeep: memory follows the events recent jobs
+// recorded (Q5′ at the benchmark's scale, 1 024), not the cap.
+const eventRingStart, eventRingKeep = 256, 2048
 
 // EventRing is a bounded ring of timeline events. It grows on demand up to
 // its capacity; once full, the oldest event is overwritten and counted as
@@ -76,15 +76,6 @@ type EventRing struct {
 	limit   int
 	head    int // index of the oldest retained event (0 until the ring is full)
 	dropped int64
-}
-
-// NewEventRing creates a ring retaining up to capacity events
-// (DefaultEventCap when capacity <= 0).
-func NewEventRing(capacity int) *EventRing {
-	if capacity <= 0 {
-		capacity = DefaultEventCap
-	}
-	return &EventRing{buf: make([]Event, 0, min(capacity, eventRingStart)), limit: capacity}
 }
 
 // Add appends one event, overwriting the oldest when the ring is full.

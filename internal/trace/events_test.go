@@ -8,8 +8,11 @@ import (
 	"testing"
 )
 
+// newEventRing is an empty ring retaining up to capacity events.
+func newEventRing(capacity int) *EventRing { return &EventRing{limit: capacity} }
+
 func TestEventRingBounded(t *testing.T) {
-	r := NewEventRing(4)
+	r := newEventRing(4)
 	for i := 0; i < 10; i++ {
 		r.Add(Event{Kind: EvTask, TS: int64(i)})
 	}
@@ -29,7 +32,7 @@ func TestEventRingBounded(t *testing.T) {
 }
 
 func TestEventRingConcurrent(t *testing.T) {
-	r := NewEventRing(64)
+	r := newEventRing(64)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -241,7 +244,7 @@ func TestCriticalPathDeterministicTies(t *testing.T) {
 
 func TestChromeTraceRoundTripsThroughRing(t *testing.T) {
 	// Events that passed through an overflowing ring still export cleanly.
-	r := NewEventRing(2)
+	r := newEventRing(2)
 	for i := 0; i < 5; i++ {
 		r.Add(Event{Kind: EvTask, Stage: 0, Node: 0, TS: int64(i * 10), Dur: 5})
 	}

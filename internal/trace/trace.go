@@ -27,8 +27,11 @@ package trace
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
+	"testing"
 	"time"
 )
 
@@ -41,7 +44,10 @@ type StageInfo struct {
 }
 
 // Trace collects live execution telemetry for one job. Create it with New;
-// all methods are safe for concurrent use. The zero value is not usable.
+// Release it once every task recording into it has returned and its last
+// Snapshot is taken, and New lends it again, buffers as that job grew them
+// (in a test binary, any later use panics). All methods are safe for
+// concurrent use. The zero value is not usable.
 type Trace struct {
 	job    string
 	tenant string
@@ -57,9 +63,19 @@ type Trace struct {
 
 	// lat holds the job-level latency distributions (always on; recording
 	// into a lock-free histogram costs a few atomic adds per task).
-	lat latHists
-	// ring is the bounded timeline event log; nil when capture is disabled.
-	ring *EventRing
+	lat      latHists
+	ring     EventRing   // the bounded timeline event log; limit 0 while disabled
+	released atomic.Bool // set by Release, read only in a test binary
+}
+
+var traces sync.Pool              // released Traces, for New
+var poisoning = testing.Testing() // a test binary: a released Trace panics on use
+
+// live panics, in a test binary, if t (nil: a standalone NodeIO's) is released.
+func (t *Trace) live() {
+	if poisoning && t != nil && t.released.Load() {
+		panic("trace: job " + t.job + ": Trace used after Release")
+	}
 }
 
 // latHists is the live histogram set of one job.
@@ -106,21 +122,16 @@ type nodeStats struct {
 type NodeIO struct {
 	local  atomic.Int64
 	remote atomic.Int64
-	// localLat/remoteLat, when non-nil, receive the observed round-trip
-	// time of each completed access (gate admission + modeled service).
-	// They point at the owning Trace's job-level histograms, so every
-	// node's workers record into the same lock-free buckets.
-	localLat  *Histogram
-	remoteLat *Histogram
-	// owner/node link back to the owning Trace (set by New) so remote
-	// round trips can land EvRPC events on the job's timeline. Standalone
-	// NodeIOs have a nil owner and drop RPC observations.
+	// owner/node link back to the owning Trace (set by New): every node's
+	// round trips land in its job-level histograms and, as EvRPC events, on
+	// its timeline. Standalone NodeIOs have a nil owner and record neither.
 	owner *Trace
 	node  int
 }
 
 // Observe records one storage access.
 func (n *NodeIO) Observe(remote bool) {
+	n.owner.live()
 	if remote {
 		n.remote.Add(1)
 	} else {
@@ -133,12 +144,15 @@ func (n *NodeIO) Observe(remote bool) {
 // local or remote I/O latency distribution. Standalone NodeIOs (not created
 // by a Trace) ignore the duration.
 func (n *NodeIO) ObserveLatency(remote bool, d time.Duration) {
+	t := n.owner
+	if t == nil {
+		return
+	}
+	t.live()
 	if remote {
-		if n.remoteLat != nil {
-			n.remoteLat.RecordDur(d)
-		}
-	} else if n.localLat != nil {
-		n.localLat.RecordDur(d)
+		t.lat.ioRemote.RecordDur(d)
+	} else {
+		t.lat.ioLocal.RecordDur(d)
 	}
 }
 
@@ -147,9 +161,10 @@ func (n *NodeIO) ObserveLatency(remote bool, d time.Duration) {
 // standalone NodeIOs or when timeline capture is disabled.
 func (n *NodeIO) ObserveRPC(stage int, begin time.Time, d time.Duration) {
 	t := n.owner
-	if t == nil || t.ring == nil {
+	if t == nil || t.ring.limit == 0 {
 		return
 	}
+	t.live()
 	t.ring.Add(Event{
 		Kind: EvRPC, Stage: stage, Node: n.node,
 		TS: begin.Sub(t.start).Nanoseconds(), Dur: int64(d),
@@ -172,35 +187,58 @@ func IOFrom(ctx context.Context) *NodeIO {
 	return io
 }
 
-// New starts a trace for one job over the given stages and cluster size.
+// New starts a trace for one job over the given stages and cluster size, on
+// a released Trace when the pool has one.
 func New(job string, stages []StageInfo, nodes int) *Trace {
-	t := &Trace{
-		job:    job,
-		start:  time.Now(),
-		stages: make([]stageStats, len(stages)),
-		nodes:  make([]nodeStats, nodes),
+	t, _ := traces.Get().(*Trace)
+	if t == nil {
+		t = new(Trace)
 	}
+	t.released.Store(false)
+	t.job, t.start = job, time.Now()
+	t.stages = slices.Grow(t.stages, len(stages))[:len(stages)]
+	t.nodes = slices.Grow(t.nodes, nodes)[:nodes]
+	clear(t.nodes) // Release leaves them linked to t: a NodeIO handed out sees the mark
 	for i := range t.stages {
 		t.stages[i].info = stages[i]
 	}
 	for i := range t.nodes {
-		t.nodes[i].io.localLat = &t.lat.ioLocal
-		t.nodes[i].io.remoteLat = &t.lat.ioRemote
 		t.nodes[i].io.owner = t
 		t.nodes[i].io.node = i
 	}
 	return t
 }
 
+// Release clears t and returns it to New's pool; nothing may use it after.
+func (t *Trace) Release() {
+	t.live()
+	clear(t.stages)
+	clear(t.ring.buf)
+	t.ring = EventRing{buf: t.ring.buf[:0]}
+	if cap(t.ring.buf) > eventRingKeep {
+		t.ring.buf = nil
+	}
+	t.lat, t.tenant, t.slow, t.logf = latHists{}, "", 0, nil
+	t.released.Store(true)
+	traces.Put(t)
+}
+
 // SetTenant stamps the tenant the traced job runs on behalf of; every span,
 // event, and counter the trace records is then attributable to it through
 // the snapshot. Call before the job dispatches work.
-func (t *Trace) SetTenant(tenant string) { t.tenant = tenant }
+func (t *Trace) SetTenant(tenant string) { t.live(); t.tenant = tenant }
 
 // EnableEvents turns on timeline capture with a ring of the given capacity
 // (DefaultEventCap when capacity <= 0). Without it, event-recording methods
 // are no-ops and snapshots carry no Events.
-func (t *Trace) EnableEvents(capacity int) { t.ring = NewEventRing(capacity) }
+func (t *Trace) EnableEvents(capacity int) {
+	if capacity <= 0 {
+		capacity = DefaultEventCap
+	}
+	if t.ring.limit = capacity; t.ring.buf == nil {
+		t.ring.buf = make([]Event, 0, min(capacity, eventRingStart))
+	}
+}
 
 // SetSlowTask configures the slow-task threshold. Tasks slower than d are
 // counted per stage; when logf is non-nil each one is also logged with its
@@ -213,6 +251,7 @@ func (t *Trace) SetSlowTask(d time.Duration, logf func(format string, args ...an
 // TaskBegin marks one task entering execution on the given stage and
 // returns its start time for the matching TaskEnd.
 func (t *Trace) TaskBegin(stage int) time.Time {
+	t.live()
 	now := time.Now()
 	s := &t.stages[stage]
 	s.tasks.Add(1)
@@ -225,6 +264,7 @@ func (t *Trace) TaskBegin(stage int) time.Time {
 // flagging it when it exceeds the slow-task threshold. It returns the
 // task's service time.
 func (t *Trace) TaskEnd(stage int, begin time.Time) time.Duration {
+	t.live()
 	now := time.Now()
 	dur := now.Sub(begin)
 	s := &t.stages[stage]
@@ -243,12 +283,13 @@ func (t *Trace) TaskEnd(stage int, begin time.Time) time.Duration {
 
 // ObserveQueueWait records how long one task sat in a node's input queue
 // between Enqueue and TaskBegin.
-func (t *Trace) ObserveQueueWait(d time.Duration) { t.lat.wait.RecordDur(d) }
+func (t *Trace) ObserveQueueWait(d time.Duration) { t.live(); t.lat.wait.RecordDur(d) }
 
 // TaskEvent appends one completed task to the timeline event log with node,
 // worker, and stage attribution. A no-op unless EnableEvents was called.
 func (t *Trace) TaskEvent(stage, node, worker int, begin time.Time, dur, wait time.Duration, ptrs int) {
-	if t.ring == nil {
+	t.live()
+	if t.ring.limit == 0 {
 		return
 	}
 	t.ring.Add(Event{
@@ -261,20 +302,22 @@ func (t *Trace) TaskEvent(stage, node, worker int, begin time.Time, dur, wait ti
 // timeline event log; v rides in the event's Ptrs field (queue depth for
 // enqueues, batch size for splits). A no-op unless EnableEvents was called.
 func (t *Trace) Mark(kind EventKind, stage, node, v int) {
-	if t.ring == nil {
+	t.live()
+	if t.ring.limit == 0 {
 		return
 	}
 	t.ring.Add(Event{Kind: kind, Stage: stage, Node: node, TS: time.Since(t.start).Nanoseconds(), Ptrs: v})
 }
 
 // AddEmits records n outputs produced by the stage.
-func (t *Trace) AddEmits(stage, n int) { t.stages[stage].emits.Add(int64(n)) }
+func (t *Trace) AddEmits(stage, n int) { t.live(); t.stages[stage].emits.Add(int64(n)) }
 
 // AddRetry records one Dereferencer retry on the stage.
-func (t *Trace) AddRetry(stage int) { t.stages[stage].retries.Add(1) }
+func (t *Trace) AddRetry(stage int) { t.live(); t.stages[stage].retries.Add(1) }
 
 // AddBatch records one dereference task carrying n pointers on the stage.
 func (t *Trace) AddBatch(stage, n int) {
+	t.live()
 	s := &t.stages[stage]
 	s.batches.Add(1)
 	s.batchPtrs.Add(int64(n))
@@ -283,23 +326,24 @@ func (t *Trace) AddBatch(stage, n int) {
 
 // AddBatchSplit records one batch that failed as a unit and fell back to
 // per-pointer execution on the stage.
-func (t *Trace) AddBatchSplit(stage int) { t.stages[stage].batchSplits.Add(1) }
+func (t *Trace) AddBatchSplit(stage int) { t.live(); t.stages[stage].batchSplits.Add(1) }
 
 // AddError records one failed invocation on the stage.
-func (t *Trace) AddError(stage int) { t.stages[stage].errors.Add(1) }
+func (t *Trace) AddError(stage int) { t.live(); t.stages[stage].errors.Add(1) }
 
 // Enqueue records a task landing on a node's queue at the given depth,
 // maintaining the queue-depth high-water mark.
 func (t *Trace) Enqueue(node, depth int) {
+	t.live()
 	storeMax(&t.nodes[node].queueHighWater, int64(depth))
 }
 
 // WorkerSpawned records one worker the job started on the node.
-func (t *Trace) WorkerSpawned(node int) { t.nodes[node].workersSpawned.Add(1) }
+func (t *Trace) WorkerSpawned(node int) { t.live(); t.nodes[node].workersSpawned.Add(1) }
 
 // NodeIO returns the node's I/O attribution counters, for attaching to the
 // node's I/O context with WithIO.
-func (t *Trace) NodeIO(node int) *NodeIO { return &t.nodes[node].io }
+func (t *Trace) NodeIO(node int) *NodeIO { t.live(); return &t.nodes[node].io }
 
 // storeMax raises a to at least v.
 func storeMax(a *atomic.Int64, v int64) {
@@ -437,6 +481,7 @@ type NodeSnapshot struct {
 // called while the job is still running; err (may be nil) records the job's
 // outcome.
 func (t *Trace) Snapshot(err error) *Snapshot {
+	t.live()
 	s := &Snapshot{
 		Job:     t.job,
 		Tenant:  t.tenant,
@@ -452,7 +497,7 @@ func (t *Trace) Snapshot(err error) *Snapshot {
 			IORemote:  t.lat.ioRemote.Snapshot(),
 		},
 	}
-	if t.ring != nil {
+	if t.ring.limit != 0 {
 		s.Events, s.EventsDropped = t.ring.Snapshot()
 	}
 	if err != nil {
