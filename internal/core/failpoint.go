@@ -18,9 +18,14 @@ import "sync"
 //   - FailpointEarlyTraceRelease: Execute releases the job's trace before
 //     its dispatcher has finished, the bug class lending the trace
 //     introduced; in a test binary the next use of the trace panics.
+//   - FailpointCombineKeepsScratch: a filtered combine keeps a record that
+//     aliases its lent scratch instead of a copy; a test binary (the only
+//     place it is checked) scribbles the scratch, so the record reads poison.
+//     The scratch then lets go of that array, so the planted bug is no race.
 const (
-	FailpointDropTailFlush     = "drop-tail-flush"
-	FailpointEarlyTraceRelease = "early-trace-release"
+	FailpointDropTailFlush       = "drop-tail-flush"
+	FailpointEarlyTraceRelease   = "early-trace-release"
+	FailpointCombineKeepsScratch = "combine-keeps-scratch"
 )
 
 // failpoints holds the armed failpoints' names.

@@ -9,8 +9,9 @@ import (
 
 // Fields is the result of interpreting a raw record with schema-on-read: a
 // read-only view that names the pieces of a payload without copying them.
-// Building one allocates nothing per field; Get copies out the one value that
-// is asked for.
+// Building one allocates nothing; Get copies out the one value that is asked
+// for. A composite view (Composite) borrows its interpreter list as well and
+// interprets the segments again on each Get.
 //
 // A view aliases the record it was made from — and the storage layer shares
 // Record.Data with its B-trees — so it is valid only for the current call and
@@ -25,14 +26,31 @@ type Fields struct {
 	data []byte
 	// NewFields: names[i] has values[i].
 	values []string
-	// MergeFields: one view per segment of a composite record; names unused.
+	// MergeFields: one view per joined record; names unused.
 	parts []Fields
+	// Composite: data is a segment list whose i-th segment interps[i] reads,
+	// under the record's key; names unused.
+	interps []Interpreter
+	key     lake.Key
 }
 
 // Get returns the value of the named field and whether the view has it. When
 // several parts of a composite name the same field, the last one wins — the
 // most recently joined record.
 func (f Fields) Get(name string) (string, bool) {
+	if f.interps != nil {
+		// Composite checked the segments; their headers stay on the stack.
+		var buf [4][]byte
+		segs, _ := lake.SplitSegments(buf[:0], f.data)
+		for i := len(segs) - 1; i >= 0; i-- {
+			if p, err := f.interps[i](lake.Record{Key: f.key, Data: segs[i]}); err == nil {
+				if v, ok := p.Get(name); ok {
+					return v, true
+				}
+			}
+		}
+		return "", false
+	}
 	for i := len(f.parts) - 1; i >= 0; i-- {
 		if v, ok := f.parts[i].Get(name); ok {
 			return v, true
@@ -81,8 +99,8 @@ func NewFields(names, values []string) Fields {
 	return Fields{names: names, values: values}
 }
 
-// MergeFields returns one view over the views of a composite record's
-// segments, in join order. The slice is not copied.
+// MergeFields returns one view over the views of separate joined records, in
+// join order. The slice is not copied.
 func MergeFields(parts []Fields) Fields { return Fields{parts: parts} }
 
 // Delimited declares a schema-on-read interpreter for delimited text records:
@@ -100,9 +118,10 @@ func Delimited(what string, sep byte, names ...string) Interpreter {
 }
 
 // Composite builds an Interpreter over composite (segment-list) records: it
-// splits the payload and applies one interpreter per segment. The resulting
-// view searches the segments last to first, so a field name two segments
-// share reads the later one.
+// splits the payload and checks each segment with its interpreter. The view
+// borrows the payload and the interpreters; Get splits again and asks the
+// segments last to first, so a field name two segments share reads the later
+// one. A segment's interpreter thus runs again on every Get.
 func Composite(interps ...Interpreter) Interpreter {
 	return func(rec lake.Record) (Fields, error) {
 		var buf [4][]byte // segment headers stay on the stack up to Q5′'s width
@@ -113,12 +132,11 @@ func Composite(interps ...Interpreter) Interpreter {
 		if len(segs) != len(interps) {
 			return Fields{}, fmt.Errorf("core: composite record has %d segments, interpreter expects %d", len(segs), len(interps))
 		}
-		parts := make([]Fields, len(segs))
 		for i, seg := range segs {
-			if parts[i], err = interps[i](lake.Record{Key: rec.Key, Data: seg}); err != nil {
+			if _, err := interps[i](lake.Record{Key: rec.Key, Data: seg}); err != nil {
 				return Fields{}, err
 			}
 		}
-		return MergeFields(parts), nil
+		return Fields{data: rec.Data, interps: interps, key: rec.Key}, nil
 	}
 }

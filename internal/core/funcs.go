@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 
+	"lakeharbor/internal/keycodec"
 	"lakeharbor/internal/lake"
 )
 
@@ -36,34 +39,49 @@ type RangeDeref struct {
 // Name implements Dereferencer.
 func (d RangeDeref) Name() string { return "RangeDeref(" + d.File + ")" }
 
-// Deref implements Dereferencer.
+// Deref implements Dereferencer: AppendDeref of the one pointer onto nil.
 func (d RangeDeref) Deref(tc *TaskCtx, ptr lake.Pointer) ([]lake.Record, error) {
+	return d.AppendDeref(tc, nil, []lake.Pointer{ptr})
+}
+
+// AppendDeref implements AppendDereferencer: each pointer's range is read
+// from every partition it addresses straight onto dst, then its records are
+// combined with the pointer's carry and filtered in place.
+func (d RangeDeref) AppendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Pointer) ([]lake.Record, error) {
 	f, err := tc.Catalog.File(d.File)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	bf, ok := f.(lake.BtreeFile)
 	if !ok {
-		return nil, lake.AsPermanent(fmt.Errorf("core: %s: file is not a BtreeFile", d.Name()))
+		return dst, lake.AsPermanent(fmt.Errorf("core: %s: file is not a BtreeFile", d.Name()))
 	}
-	lo, hi := ptr.Key, ptr.EndKey
-	if hi == "" {
-		hi = lo
-	}
-	var out []lake.Record
-	for _, p := range targetPartitions(tc, f, ptr) {
-		recs, err := bf.LookupRange(tc.Ctx, p, lo, hi)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", d.Name(), err)
+	out := dst
+	for _, ptr := range ptrs {
+		lo, hi := ptr.Key, cmp.Or(ptr.EndKey, ptr.Key) // a point pointer is the range [key, key]
+		start := len(out)
+		part, all := lake.ResolvePartition(f, ptr)
+		for p := 0; p < f.NumPartitions() && err == nil; p++ {
+			if tc.serves(p, part, all) {
+				out, err = lake.AppendLookupRange(tc.Ctx, bf, out, p, lo, hi)
+			}
 		}
-		out = append(out, recs...)
+		if err != nil {
+			err = fmt.Errorf("core: %s: %w", d.Name(), err)
+			break
+		}
+		var w int
+		if w, err = keepInto(d.Filter, d.Combine, ptr, out, start, out[start:]); err != nil {
+			break
+		}
+		clear(out[w:])
+		out = out[:w]
 	}
-	out = combine(d.Combine, ptr, out)
-	n, err := filterInto(d.Filter, out, 0, out)
 	if err != nil {
-		return nil, err
+		clear(out[len(dst):])
+		return out[:len(dst)], err
 	}
-	return out[:n], nil
+	return out, nil
 }
 
 // LookupDeref is the paper's Dereferencer-1/-2/-3: it takes a pointer and
@@ -142,9 +160,9 @@ func (d LookupDeref) appendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Poi
 		var endsBuf *lent[int] // ends' loan, nil when ends is nil
 		switch {
 		case part == broadcast:
-			for _, p := range tc.LocalPartitions(f) {
-				if out, err = lake.AppendLookup(tc.Ctx, f, out, p, ptrs[i].Key); err != nil {
-					break
+			for p := 0; p < f.NumPartitions() && err == nil; p++ {
+				if tc.Owner(p) == tc.Node {
+					out, err = lake.AppendLookup(tc.Ctx, f, out, p, ptrs[i].Key)
 				}
 			}
 		case len(ptrs) == 1:
@@ -179,8 +197,7 @@ func (d LookupDeref) appendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Poi
 			}
 			k++
 			from := w
-			combine(d.Combine, ptrs[j], out[r:end])
-			if w, err = filterInto(d.Filter, out, w, out[r:end]); err != nil {
+			if w, err = keepInto(d.Filter, d.Combine, ptrs[j], out, w, out[r:end]); err != nil {
 				clear(out[len(dst):])
 				return out[:len(dst)], err
 			}
@@ -196,18 +213,6 @@ func (d LookupDeref) appendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Poi
 		}
 	}
 	return out, nil
-}
-
-// combine merges the pointer's carried context with each fetched record,
-// producing composite segment-list records (multi-way join state).
-func combine(enabled bool, ptr lake.Pointer, recs []lake.Record) []lake.Record {
-	if !enabled {
-		return recs
-	}
-	for i, r := range recs {
-		recs[i] = lake.Record{Key: r.Key, Data: lake.AppendSegment(ptr.Carry, r.Data)}
-	}
-	return recs
 }
 
 // ScanDeref reads every record of the file's local partitions. It exists
@@ -231,7 +236,11 @@ func (d ScanDeref) Deref(tc *TaskCtx, ptr lake.Pointer) ([]lake.Record, error) {
 		return nil, err
 	}
 	var out []lake.Record
-	for _, p := range targetPartitions(tc, f, ptr) {
+	part, all := lake.ResolvePartition(f, ptr)
+	for p := 0; p < f.NumPartitions(); p++ {
+		if !tc.serves(p, part, all) {
+			continue
+		}
 		err := f.Scan(tc.Ctx, p, func(r lake.Record) error {
 			if d.Filter != nil {
 				ok, err := d.Filter(r)
@@ -252,32 +261,41 @@ func (d ScanDeref) Deref(tc *TaskCtx, ptr lake.Pointer) ([]lake.Record, error) {
 	return out, nil
 }
 
-// targetPartitions resolves which partitions of f a pointer addresses on
-// this node: its routed partition, or the node's local partitions for a
-// broadcast pointer.
-func targetPartitions(tc *TaskCtx, f lake.File, ptr lake.Pointer) []int {
-	if part, broadcast := lake.ResolvePartition(f, ptr); !broadcast {
-		return []int{part}
+// keepInto moves the records of src that pass filter (every one, for a nil
+// filter) to dst from w on, joined onto ptr's carry when combine is set, and
+// returns where they end. src may be dst[r:] for any r >= w: records only move
+// down. A filtered combine joins each record in a lent scratch buffer for the
+// filter, and copies out only the records it keeps.
+func keepInto(filter Filter, combine bool, ptr lake.Pointer, dst []lake.Record, w int, src []lake.Record) (int, error) {
+	var scratch *lent[byte]
+	if combine && filter != nil && len(src) > 0 {
+		scratch = combineBufs.get()
+		defer scratch.release()
 	}
-	return tc.LocalPartitions(f)
-}
-
-// filterInto copies the records of src that pass filter (every one, for a
-// nil filter) to dst from w on, and returns where they end. src may be
-// dst[r:] for any r >= w: records only move down.
-func filterInto(filter Filter, dst []lake.Record, w int, src []lake.Record) (int, error) {
 	for _, r := range src {
-		if filter != nil {
-			ok, err := filter(r)
-			if err != nil {
-				return w, err
+		ok, err := true, error(nil)
+		switch {
+		case scratch != nil:
+			scratch.s = keycodec.AppendString(append(scratch.s[:0], ptr.Carry...), r.Data) // AppendSegment's bytes
+			if ok, err = filter(lake.Record{Key: r.Key, Data: scratch.s}); ok && err == nil {
+				r.Data = bytes.Clone(scratch.s)
 			}
-			if !ok {
-				continue
+			scratch.scrub() // the filter's rec was valid for the call only
+			if poisoning && ok && failpoint(FailpointCombineKeepsScratch) {
+				r.Data, scratch.s = scratch.s, nil // deliberate bug, kept race-free: no other task gets this array
 			}
+		case combine: // and no filter
+			r.Data = lake.AppendSegment(ptr.Carry, r.Data)
+		case filter != nil:
+			ok, err = filter(r)
 		}
-		dst[w] = r
-		w++
+		if err != nil {
+			return w, err
+		}
+		if ok {
+			dst[w] = r
+			w++
+		}
 	}
 	return w, nil
 }

@@ -23,12 +23,15 @@ import (
 // Interpreter interprets a raw record with schema-on-read (paper §III-B).
 // Interpreters are the only job-specific code users normally write — for
 // delimited text, one Delimited declaration. See Fields for what the returned
-// view aliases and how long it is valid.
+// view aliases and how long it is valid. An interpreter must be pure: a
+// composite view runs it again on every Get.
 type Interpreter func(rec lake.Record) (Fields, error)
 
 // Filter decides whether a record emitted by a Dereferencer flows to the
 // next stage. It interprets the record with schema-on-read itself; a nil
-// Filter passes everything.
+// Filter passes everything. rec is valid for the call only, as a view is: a
+// combining Dereferencer shows its filter each joined record in a scratch
+// buffer that the next record overwrites, and copies only what is kept.
 type Filter func(rec lake.Record) (bool, error)
 
 // TaskCtx is the execution context handed to every Referencer and
@@ -48,16 +51,15 @@ type TaskCtx struct {
 	Owner func(partition int) int
 }
 
-// LocalPartitions returns the partitions of f hosted on the executing node.
-// Dereferencing a broadcast pointer means applying it to exactly these.
-func (tc *TaskCtx) LocalPartitions(f lake.File) []int {
-	var out []int
-	for p := 0; p < f.NumPartitions(); p++ {
-		if tc.Owner(p) == tc.Node {
-			out = append(out, p)
-		}
+// serves reports whether a pointer that resolved to (part, broadcast)
+// addresses partition p on the executing node: part itself when routed, and
+// every partition the node hosts when broadcast — dereferencing a broadcast
+// pointer means applying it to exactly those.
+func (tc *TaskCtx) serves(p, part int, broadcast bool) bool {
+	if broadcast {
+		return tc.Owner(p) == tc.Node
 	}
-	return out
+	return p == part
 }
 
 // Referencer takes a record and produces a set of pointers to other records

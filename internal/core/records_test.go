@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -185,6 +186,106 @@ func TestDerefTaskAllocationBudget(t *testing.T) {
 	}
 }
 
+// newFinalStageRig is newRig for the one-stage job d over a target file of
+// parts partitions holding n records, record i in partition i % parts.
+func newFinalStageRig(tb testing.TB, d Dereferencer, parts, n int) *executor {
+	tb.Helper()
+	e := newRig(tb, parts, nil, d)
+	f, err := e.catalog.File(fTarget)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		k := keycodec.Int64(int64(i))
+		if err := f.Append(context.Background(), i%parts, lake.Record{Key: k, Data: []byte("claim")}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return e
+}
+
+// rangeTask is one task of a range pointer over the keys of records 0..n-1,
+// broadcast or routed, carrying carry.
+func rangeTask(n int, broadcast bool, carry []byte) task {
+	return task{ptrs: []lake.Pointer{{File: fTarget, NoPart: broadcast,
+		Key: keycodec.Int64(0), EndKey: keycodec.Int64(int64(n - 1)), Carry: carry}}}
+}
+
+// processAllocs is the allocations of one run of tk through process on a
+// warm executor, checked to collect exactly want records per run.
+func processAllocs(t *testing.T, e *executor, tk task, want int) float64 {
+	t.Helper()
+	got := testing.AllocsPerRun(100, func() { e.process(e.tcs[0], &tk, 0) })
+	if err := e.firstErr(); err != nil || e.results[0].count%101 != 0 || e.results[0].count/101 != int64(want) {
+		t.Fatalf("%d records collected over 101 runs, want %d per run; error %v", e.results[0].count, want, err)
+	}
+	return got
+}
+
+// TestRangeDerefTaskAllocationBudget: a RangeDeref task through process, with
+// warm pools, allocates nothing at all — routed to one partition or broadcast
+// over the node's four — because storage appends each partition's range
+// straight onto the task's pooled array.
+func TestRangeDerefTaskAllocationBudget(t *testing.T) {
+	if lossyPools() {
+		t.Skip("sync.Pool drops what it is given here (the race detector does, on purpose): no warm pool to measure")
+	}
+	for _, tc := range []struct {
+		name      string
+		parts     int
+		broadcast bool
+	}{{"routed", 1, false}, {"broadcast", 4, true}} {
+		allocs := func(n int) float64 {
+			return processAllocs(t, newFinalStageRig(t, RangeDeref{File: fTarget}, tc.parts, n), rangeTask(n, tc.broadcast, nil), n)
+		}
+		if a16, a256 := allocs(16), allocs(256); a16 != 0 || a256 != 0 {
+			t.Errorf("%s: a range task allocates %.0f times for 16 records and %.0f for 256, budget 0", tc.name, a16, a256)
+		}
+	}
+}
+
+// TestCombineFilterAllocationBudget: a combining, filtered dereference task
+// through process, with warm pools, allocates nothing for a record its filter
+// drops and exactly once — the kept record's bytes — for a record it keeps.
+// The filter sees every record already joined onto its pointer's carry.
+func TestCombineFilterAllocationBudget(t *testing.T) {
+	if lossyPools() {
+		t.Skip("sync.Pool drops what it is given here (the race detector does, on purpose): no warm pool to measure")
+	}
+	const n = DefaultMaxBatch
+	carry := lake.EncodeSegments([]byte("order|1"))
+	joined := lake.AppendSegment(carry, []byte("claim"))
+	for _, keep := range []bool{false, true} {
+		filter := func(rec lake.Record) (bool, error) {
+			if !bytes.Equal(rec.Data, joined) {
+				return false, fmt.Errorf("filter saw %q, want %q", rec.Data, joined)
+			}
+			return keep, nil
+		}
+		points := task{}
+		for i := 0; i < n; i++ {
+			k := keycodec.Int64(int64(i))
+			points.ptrs = append(points.ptrs, lake.Pointer{File: fTarget, PartKey: k, Key: k, Carry: carry})
+		}
+		want := 0
+		if keep {
+			want = n
+		}
+		for _, tc := range []struct {
+			name string
+			d    Dereferencer
+			tk   task
+		}{
+			{"LookupDeref", LookupDeref{File: fTarget, Combine: true, Filter: filter}, points},
+			{"RangeDeref", RangeDeref{File: fTarget, Combine: true, Filter: filter}, rangeTask(n, false, carry)},
+		} {
+			if got := processAllocs(t, newFinalStageRig(t, tc.d, 1, n), tc.tk, want); got != float64(want) {
+				t.Errorf("%s, filter keeps %v: %d records cost %.0f allocations, want %d", tc.name, keep, n, got, want)
+			}
+		}
+	}
+}
+
 // lossyPools reports whether sync.Pool fails to hand back what was just put
 // into it, as it does on purpose under the race detector.
 func lossyPools() bool {
@@ -203,6 +304,22 @@ func lossyPools() bool {
 // the pooled record array — into collect.
 func BenchmarkDerefTask(b *testing.B) {
 	e, tk := newDerefTaskRig(b, DefaultMaxBatch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.process(e.tcs[0], &tk, 0)
+	}
+	if err := e.firstErr(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkRangeDerefTask is the range pointer → records hop on its own: one
+// broadcast RangeDeref task over the node's four partitions, 64 records in
+// all, through process into collect.
+func BenchmarkRangeDerefTask(b *testing.B) {
+	e := newFinalStageRig(b, RangeDeref{File: fTarget}, 4, DefaultMaxBatch)
+	tk := rangeTask(DefaultMaxBatch, true, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

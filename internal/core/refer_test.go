@@ -39,12 +39,19 @@ func (sinkDispatcher) finish() {}
 // executor.refer on its own and sees the batches it emits.
 func newReferRig(tb testing.TB, ref Referencer, sink func(task)) *executor {
 	tb.Helper()
+	return newRig(tb, 1, sink, LookupDeref{File: "idx"}, ref, LookupDeref{File: fTarget})
+}
+
+// newRig builds an executor, the way Execute builds it, for the job of funcs
+// over a target file of parts partitions on one node, with its dispatcher
+// replaced by a sinkDispatcher.
+func newRig(tb testing.TB, parts int, sink func(task), funcs ...any) *executor {
+	tb.Helper()
 	c := dfs.NewCluster(dfs.Config{Nodes: 1})
-	if _, err := c.CreateFile(fTarget, dfs.Btree, 1, lake.HashPartitioner{}); err != nil {
+	if _, err := c.CreateFile(fTarget, dfs.Btree, parts, lake.HashPartitioner{}); err != nil {
 		tb.Fatal(err)
 	}
-	job, err := NewJob("refer", []lake.Pointer{{File: "idx", NoPart: true}},
-		LookupDeref{File: "idx"}, ref, LookupDeref{File: fTarget})
+	job, err := NewJob("rig", []lake.Pointer{{File: "idx", NoPart: true}}, funcs...)
 	if err != nil {
 		tb.Fatal(err)
 	}

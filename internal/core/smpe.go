@@ -466,9 +466,10 @@ type batchBuf struct {
 // lent is a slice a task or job borrows: a pointer batch (ptrBufs) the
 // batcher fills and its task carries, a record array (recBufs) storage fills,
 // a batch's key list and ends (keyBufs, endBufs), a job's queue on a node
-// (queueBufs). Each is released after the last code that reads it (DESIGN.md
-// §4). None is sized by what its task will produce: Q5′ spreads a handful of
-// pointers over eight partitions, and sizing by record count cost more.
+// (queueBufs), a filtered combine's scratch record (combineBufs). Each is
+// released after the last code that reads it (DESIGN.md §4). None is sized by
+// what its task will produce: Q5′ spreads a handful of pointers over eight
+// partitions, and sizing by record count cost more.
 type lent[T any] struct {
 	s    []T
 	from *lender[T]
@@ -485,11 +486,12 @@ var (
 	ptrBufs = &lender[lake.Pointer]{fresh: DefaultMaxBatch, limit: DefaultMaxBatch}
 	// An array of up to 160 KiB of records is kept: the index stage of a
 	// claims query, about 2 300 entries, draws a warm one too.
-	recBufs   = &lender[lake.Record]{limit: 4096}
-	keyBufs   = &lender[lake.Key]{fresh: DefaultMaxBatch, limit: DefaultMaxBatch, poison: "\xa5 released key list"}
-	endBufs   = &lender[int]{fresh: DefaultMaxBatch, limit: DefaultMaxBatch, poison: -1}
-	queueBufs = &lender[task]{limit: queueReleaseCap}
-	poisoning = testing.Testing()
+	recBufs     = &lender[lake.Record]{limit: 4096}
+	keyBufs     = &lender[lake.Key]{fresh: DefaultMaxBatch, limit: DefaultMaxBatch, poison: "\xa5 released key list"}
+	endBufs     = &lender[int]{fresh: DefaultMaxBatch, limit: DefaultMaxBatch, poison: -1}
+	queueBufs   = &lender[task]{limit: queueReleaseCap}
+	combineBufs = &lender[byte]{fresh: 256, limit: 64 << 10, poison: 0xa5} // Q5′'s widest joined record: < 200 B
+	poisoning   = testing.Testing()
 )
 
 func (l *lender[T]) get() *lent[T] {
@@ -499,14 +501,19 @@ func (l *lender[T]) get() *lent[T] {
 	return &lent[T]{s: make([]T, 0, l.fresh), from: l}
 }
 
-// release clears what was written (a test binary poisons it) — the rest was
-// never dirtied — so the pool retains nothing, and recycles the slice unless
-// it outgrew the limit.
-func (b *lent[T]) release() {
+// scrub clears what was written (a test binary poisons it), so nothing read
+// through the slice before outlives it.
+func (b *lent[T]) scrub() {
 	clear(b.s)
 	for i := 0; poisoning && i < len(b.s); i++ {
 		b.s[i] = b.from.poison
 	}
+}
+
+// release scrubs what was written — the rest was never dirtied — so the pool
+// retains nothing, and recycles the slice unless it outgrew the limit.
+func (b *lent[T]) release() {
+	b.scrub()
 	b.s = b.s[:0]
 	if cap(b.s) <= b.from.limit {
 		b.from.pool.Put(b)

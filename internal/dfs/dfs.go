@@ -18,13 +18,11 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"lakeharbor/internal/btree"
 	"lakeharbor/internal/lake"
 	"lakeharbor/internal/metrics"
 	"lakeharbor/internal/sim"
-	"lakeharbor/internal/trace"
 )
 
 // Kind selects the access paths a file supports.
@@ -438,38 +436,18 @@ func (f *file) part(i int) (*partition, *node, error) {
 	return f.parts[i], f.cluster.nodes[f.cluster.OwnerNode(i)], nil
 }
 
-// admit charges the owner node for one access and updates remote-fetch
-// accounting. kindScan selects scan vs lookup pricing; n is the record count
-// for scans. When the caller's context carries an execution trace (queries
-// run through the SMPE executor), the access is also attributed to the
-// calling node's trace as local or remote I/O, and the observed round-trip
-// time — gate queueing plus the cost model's simulated service latency — is
-// recorded into the trace's I/O latency histograms.
+// admit is one access through the owner node's gate: a scan of n records
+// when scan is set, one lookup otherwise. Its observed round-trip time — gate
+// queueing plus the cost model's simulated service latency — is the latency
+// access records.
 func (f *file) admit(ctx context.Context, owner *node, scan bool, n int) error {
-	remote := false
-	if caller := CallerNode(ctx); caller >= 0 && caller != owner.id {
-		remote = true
-		owner.counters.AddRemoteFetch()
-	}
-	io := trace.IOFrom(ctx)
-	if io != nil {
-		io.Observe(remote)
-	}
-	var t0 time.Time
-	if io != nil {
-		t0 = time.Now()
-	}
-	var err error
-	if scan {
-		err = owner.gate.Scan(ctx, n, remote)
-	} else {
+	return access(ctx, owner, false, func(remote bool) error {
+		if scan {
+			return owner.gate.Scan(ctx, n, remote)
+		}
 		owner.counters.AddLookup()
-		err = owner.gate.Lookup(ctx, remote)
-	}
-	if err == nil && io != nil {
-		io.ObserveLatency(remote, time.Since(t0))
-	}
-	return err
+		return owner.gate.Lookup(ctx, remote)
+	})
 }
 
 // AppendLookupBatch implements lake.BatchFile: the whole batch is served
@@ -493,7 +471,7 @@ func (f *file) AppendLookupBatch(ctx context.Context, dst []lake.Record, partiti
 	if owner.transport != nil {
 		var groups [][]lake.Record
 		owner.counters.AddBatchLookup(len(keys))
-		err := transportCall(ctx, owner, func() error {
+		err := access(ctx, owner, true, func(bool) error {
 			var terr error
 			groups, terr = owner.transport.LookupBatch(ctx, f.name, partitionIdx, keys)
 			return terr
@@ -510,25 +488,11 @@ func (f *file) AppendLookupBatch(ctx context.Context, dst []lake.Record, partiti
 		owner.countRead(dst[start:])
 		return dst, nil
 	}
-	remote := false
-	if caller := CallerNode(ctx); caller >= 0 && caller != owner.id {
-		remote = true
-		owner.counters.AddRemoteFetch()
-	}
-	io := trace.IOFrom(ctx)
-	if io != nil {
-		io.Observe(remote)
-	}
 	owner.counters.AddBatchLookup(len(keys))
-	var t0 time.Time
-	if io != nil {
-		t0 = time.Now()
-	}
-	if err := owner.gate.LookupBatch(ctx, len(keys), remote); err != nil {
+	if err := access(ctx, owner, false, func(remote bool) error {
+		return owner.gate.LookupBatch(ctx, len(keys), remote)
+	}); err != nil {
 		return dst, err
-	}
-	if io != nil {
-		io.ObserveLatency(remote, time.Since(t0))
 	}
 	if err := p.takeFaultN(len(keys)); err != nil {
 		return dst, fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
@@ -572,7 +536,7 @@ func (f *file) AppendLookup(ctx context.Context, dst []lake.Record, partitionIdx
 	if owner.transport != nil {
 		var recs []lake.Record
 		owner.counters.AddLookup()
-		err := transportCall(ctx, owner, func() error {
+		err := access(ctx, owner, true, func(bool) error {
 			var terr error
 			recs, terr = owner.transport.Lookup(ctx, f.name, partitionIdx, key)
 			return terr
@@ -601,42 +565,49 @@ func (f *file) AppendLookup(ctx context.Context, dst []lake.Record, partitionIdx
 // LookupRange implements lake.BtreeFile. It returns every record with
 // lo <= key <= hi in the partition, in key order.
 func (f *file) LookupRange(ctx context.Context, partitionIdx int, lo, hi lake.Key) ([]lake.Record, error) {
+	return f.AppendLookupRange(ctx, nil, partitionIdx, lo, hi)
+}
+
+// AppendLookupRange implements lake.BatchFile: one gate admission, the
+// records appended straight from the tree or from a transport node's reply.
+func (f *file) AppendLookupRange(ctx context.Context, dst []lake.Record, partitionIdx int, lo, hi lake.Key) ([]lake.Record, error) {
 	if f.kind != Btree {
-		return nil, lake.AsPermanent(fmt.Errorf("dfs: file %q is not a btree file", f.name))
+		return dst, lake.AsPermanent(fmt.Errorf("dfs: file %q is not a btree file", f.name))
 	}
 	p, owner, err := f.part(partitionIdx)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
+	start := len(dst)
 	if owner.transport != nil {
 		var recs []lake.Record
 		owner.counters.AddLookup()
-		err := transportCall(ctx, owner, func() error {
+		err := access(ctx, owner, true, func(bool) error {
 			var terr error
 			recs, terr = owner.transport.LookupRange(ctx, f.name, partitionIdx, lo, hi)
 			return terr
 		})
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		owner.countRead(recs)
-		return recs, nil
+		dst = append(dst, recs...)
+		owner.countRead(dst[start:])
+		return dst, nil
 	}
 	if err := f.admit(ctx, owner, false, 1); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if err := p.takeFault(); err != nil {
-		return nil, fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
+		return dst, fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
 	}
 	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var recs []lake.Record
 	p.tree.Ascend(lo, hi, func(k string, v []byte) bool {
-		recs = append(recs, lake.Record{Key: k, Data: v})
+		dst = append(dst, lake.Record{Key: k, Data: v})
 		return true
 	})
-	owner.countRead(recs)
-	return recs, nil
+	p.mu.RUnlock()
+	owner.countRead(dst[start:])
+	return dst, nil
 }
 
 // Scan implements lake.File. The whole partition's scan cost is charged
@@ -648,7 +619,7 @@ func (f *file) Scan(ctx context.Context, partitionIdx int, fn func(lake.Record) 
 	}
 	if owner.transport != nil {
 		scanned, bytes := 0, 0
-		err := transportCall(ctx, owner, func() error {
+		err := access(ctx, owner, true, func(bool) error {
 			return owner.transport.Scan(ctx, f.name, partitionIdx, func(r lake.Record) error {
 				scanned++
 				bytes += len(r.Data)

@@ -222,31 +222,31 @@ func (c *Cluster) remoteDrop(name string) {
 	}
 }
 
-// transportCall wraps one remote access with the same trace attribution the
-// sim path applies in admit: a local/remote observation on the calling
-// node's trace and, on success, the observed round-trip latency. Calls that
-// carry RPC trace context (executor dereferences) additionally land an
-// EvRPC interval on the job's timeline, so the critical-path extractor can
-// name wire-dominated segments as (stage, node, rpc).
-func transportCall(ctx context.Context, owner *node, call func() error) error {
+// access runs one access of owner's partitions — do, given whether the
+// caller is remote — with the attribution every access gets: a remote fetch
+// on the owner's counters when the calling node is another, and on the
+// calling node's trace a local/remote observation and, on success, the
+// observed round-trip latency. A transport call (rpc) that carries RPC trace
+// context (executor dereferences) also lands an EvRPC interval on the job's
+// timeline, so the critical-path extractor can name wire-dominated segments
+// as (stage, node, rpc).
+func access(ctx context.Context, owner *node, rpc bool, do func(remote bool) error) error {
 	remote := false
 	if caller := CallerNode(ctx); caller >= 0 && caller != owner.id {
 		remote = true
 		owner.counters.AddRemoteFetch()
 	}
 	io := trace.IOFrom(ctx)
-	if io != nil {
-		io.Observe(remote)
+	if io == nil {
+		return do(remote)
 	}
-	var t0 time.Time
-	if io != nil {
-		t0 = time.Now()
-	}
-	err := call()
-	if err == nil && io != nil {
+	io.Observe(remote)
+	t0 := time.Now()
+	err := do(remote)
+	if err == nil {
 		d := time.Since(t0)
 		io.ObserveLatency(remote, d)
-		if rc := trace.RPCFrom(ctx); rc.Job != "" {
+		if rc := trace.RPCFrom(ctx); rpc && rc.Job != "" {
 			io.ObserveRPC(rc.Stage, t0, d)
 		}
 	}

@@ -115,7 +115,8 @@ type BtreeFile interface {
 }
 
 // BatchFile is a File that serves many point lookups in one call, appending
-// what its lookups find onto a record array the caller owns. The executor's
+// what its lookups — and its range lookups, when it is also a BtreeFile —
+// find onto a record array the caller owns. The executor's
 // dereference path uses it to amortize per-lookup overheads — queue
 // admission, gate admission, tree descent, network round trips — across a
 // whole pointer batch, and to fill one array per task instead of a slice per
@@ -130,6 +131,9 @@ type BatchFile interface {
 	// (one per key), ends[i] is set to the length of the result after
 	// keys[i]'s records.
 	AppendLookupBatch(ctx context.Context, dst []Record, partition int, keys []Key, ends []int) ([]Record, error)
+	// AppendLookupRange is BtreeFile's LookupRange appending onto dst, with
+	// its admission and accounting.
+	AppendLookupRange(ctx context.Context, dst []Record, partition int, lo, hi Key) ([]Record, error)
 }
 
 // LookupBatch returns, for each keys[i], the records stored under that key
@@ -186,6 +190,19 @@ func AppendLookup(ctx context.Context, f File, dst []Record, partition int, key 
 		return bf.AppendLookup(ctx, dst, partition, key)
 	}
 	recs, err := f.Lookup(ctx, partition, key)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, recs...), nil
+}
+
+// AppendLookupRange is LookupRange appending onto dst: the file's own append
+// form when it is a BatchFile. On error dst is returned unchanged.
+func AppendLookupRange(ctx context.Context, f BtreeFile, dst []Record, partition int, lo, hi Key) ([]Record, error) {
+	if bf, ok := f.(BatchFile); ok {
+		return bf.AppendLookupRange(ctx, dst, partition, lo, hi)
+	}
+	recs, err := f.LookupRange(ctx, partition, lo, hi)
 	if err != nil {
 		return dst, err
 	}

@@ -78,5 +78,8 @@ func SplitSegments(dst [][]byte, data []byte) ([][]byte, error) {
 // len(suffix) <= 64 sorts at or below it, and longer suffixes would need 64
 // consecutive 0xFF bytes to escape, which no keycodec encoding produces.
 func PrefixRange(prefix Key) (lo, hi Key) {
-	return prefix, prefix + strings.Repeat("\xff", 64)
+	return prefix, prefix + prefixPad
 }
+
+// prefixPad is PrefixRange's 64 0xFF bytes, built once: a call allocates hi only.
+var prefixPad = strings.Repeat("\xff", 64)

@@ -124,6 +124,21 @@ func TestPrefixRangeAllFF(t *testing.T) {
 	}
 }
 
+// TestPrefixRangePinned: hi is the prefix and 64 0xFF bytes, byte for byte
+// what the strings.Repeat form built, and a call allocates hi alone.
+func TestPrefixRangePinned(t *testing.T) {
+	for _, prefix := range []Key{"", keycodec.Int64(75), keycodec.String("medicine"), strings.Repeat("\xff", 9)} {
+		lo, hi := PrefixRange(prefix)
+		if lo != prefix || hi != prefix+strings.Repeat("\xff", 64) {
+			t.Errorf("PrefixRange(%x) = [%x, %x]", prefix, lo, hi)
+		}
+	}
+	prefix := keycodec.Int64(75)
+	if got := testing.AllocsPerRun(100, func() { _, sinkKey = PrefixRange(prefix) }); got != 1 {
+		t.Errorf("PrefixRange allocates %.0f times, want 1", got)
+	}
+}
+
 func TestIndexEntryRoundTrip(t *testing.T) {
 	part, pk := keycodec.Int64(7), keycodec.Tuple(keycodec.Int64(7), keycodec.Int64(3))
 	gotPart, gotPK, err := DecodeIndexEntry(EncodeIndexEntry(part, pk))

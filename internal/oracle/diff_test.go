@@ -78,6 +78,10 @@ func TestMutationsCaughtAtTheirPoints(t *testing.T) {
 			func(p Point) bool { return p == Point{} || p == Point{dispatch: 1} }, false},
 		{"core tail-flush failpoint under faults", tailFlush, "faults=on",
 			func(p Point) bool { return p == Point{faults: 1} }, false},
+		{"core combine-keeps-scratch failpoint", func(t *testing.T) {
+			core.SetFailpoint(core.FailpointCombineKeepsScratch, true)
+			t.Cleanup(func() { core.SetFailpoint(core.FailpointCombineKeepsScratch, false) })
+		}, "", func(Point) bool { return true }, false}, // every point runs the join's filtered combine
 		{"script <= weakened to <", func(*testing.T) {
 			mutate.source = func(src string) string { return strings.Replace(src, "<=", "<", 1) }
 		}, "", func(p Point) bool { return p.is(functions, "script") }, true},

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"lakeharbor/internal/baseline"
@@ -91,6 +92,17 @@ func parseVal(data []byte) (int, error) {
 
 // interpBase is the schema-on-read interpreter for base rows.
 var interpBase = core.Delimited("base", '|', "id", "val")
+
+// interpJoined reads a combined {base ⊕ dim} record of the join form. Both
+// segments name "val", so a read of it takes the dimension's (last wins).
+var interpJoined = core.Composite(interpBase, core.Delimited("dim", '|', "dim", "val"))
+
+// joinKeeps is the join form's optional predicate over a base row's id and a
+// dimension row's name "d<j>": the pair passes unless the sum of their last
+// digits is a multiple of mod.
+func joinKeeps(id, dim string, mod int) bool {
+	return (int(id[len(id)-1])+int(dim[len(dim)-1]))%mod != 0
+}
 
 // encodeVal encodes the val column as an ordered key (the index key).
 func encodeVal(value string) (lake.Key, error) {
@@ -347,7 +359,9 @@ func valKeys(domain int) []lake.Key {
 
 // buildBroadcastableJoin: form "join" — point-fetch base rows, reference
 // their val column into a dimension table (sometimes as a broadcast join),
-// and combine: LookupDeref → FieldRef(Carry) → LookupDeref(Combine).
+// and combine: LookupDeref → FieldRef(Carry) → LookupDeref(Combine). Some
+// seeds reach the dimension through FieldRef(Prefix) → RangeDeref(Combine),
+// and some filter the combined record through interpJoined.
 func buildBroadcastableJoin(sc *scenario, rng *rand.Rand, in buildIn) error {
 	dimParts := 1 + rng.Intn(4)
 	dim, err := sc.cluster.CreateFile(dimFile, dfs.Btree, dimParts, samplePartitioner(rng, dimParts, valKeys(in.valDomain)))
@@ -370,6 +384,22 @@ func buildBroadcastableJoin(sc *scenario, rng *rand.Rand, in buildIn) error {
 	seeds, want := pickSeeds(rng, in)
 	broadcast := rng.Float64() < 0.3
 	sc.broadcast = broadcast
+	// Drawn after every earlier choice, so each seed keeps the cluster, data
+	// and seeds it drew before these two existed.
+	viaRange, mod := rng.Float64() < 0.4, 2+rng.Intn(4) // mod > 3: no filter
+	var filter core.Filter
+	if mod <= 3 {
+		filter = func(rec lake.Record) (bool, error) {
+			f, err := interpJoined(rec)
+			id, _ := f.Get("id")
+			dim, _ := f.Get("dim")
+			return err == nil && joinKeeps(id, dim, mod), err
+		}
+	}
+	var dimDeref core.Dereferencer = core.LookupDeref{File: dimFile, Combine: true, Filter: filter}
+	if viaRange {
+		dimDeref = core.RangeDeref{File: dimFile, Combine: true, Filter: filter}
+	}
 	job, err := core.NewJob("join", seeds,
 		core.LookupDeref{File: baseFile},
 		core.FieldRef{
@@ -378,9 +408,10 @@ func buildBroadcastableJoin(sc *scenario, rng *rand.Rand, in buildIn) error {
 			Field:     "val",
 			Encode:    encodeVal,
 			Broadcast: broadcast,
+			Prefix:    viaRange,
 			Carry:     core.CarryRecord,
 		},
-		core.LookupDeref{File: dimFile, Combine: true},
+		dimDeref,
 	)
 	if err != nil {
 		return err
@@ -416,7 +447,11 @@ func buildBroadcastableJoin(sc *scenario, rng *rand.Rand, in buildIn) error {
 			return err
 		}
 		carry := lake.EncodeSegments(b.Data)
+		id, _, _ := strings.Cut(string(b.Data), "|")
 		for _, d := range byVal[v] {
+			if dim, _, _ := strings.Cut(string(d.Data), "|"); filter != nil && !joinKeeps(id, dim, mod) {
+				continue
+			}
 			sc.expected[rowKey(lake.Record{Key: d.Key, Data: lake.AppendSegment(carry, d.Data)})]++
 		}
 	}

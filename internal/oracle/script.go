@@ -18,7 +18,9 @@ const scriptValCap = 1 << 30
 // script source: keep mirrors the form's val predicate (parsing the
 // "<id>|<val>" payload exactly like interpBase), ref mirrors EntryRef for
 // the index forms and FieldRef (carry + routed-or-broadcast emit) for the
-// join, and partkey/keys mirror lifecycleSpec's extractors.
+// join — a point pointer, which reaches the same dimension rows as the prefix
+// range of the join's range variant — and partkey/keys mirror lifecycleSpec's
+// extractors.
 func scriptMirrorSource(sc *scenario) string {
 	var b strings.Builder
 	lo, hi := sc.lo, sc.hi
@@ -91,7 +93,8 @@ func (w *world) functions(context.Context) error {
 
 // scriptedJob rebuilds the scenario's job with every mirrorable function
 // scripted: filters on the dereference stages, the referencer between
-// them.
+// them. The join keeps its compiled dimension stage, whose filter reads the
+// combined record.
 func scriptedJob(sc *scenario, prog *script.Program) (*core.Job, error) {
 	lim := script.Limits{}
 	keep, err := prog.NewFilter("keep", lim)
@@ -120,7 +123,7 @@ func scriptedJob(sc *scenario, prog *script.Program) (*core.Job, error) {
 		return core.NewJob("join-script", seeds,
 			core.LookupDeref{File: baseFile, Filter: keep},
 			ref,
-			core.LookupDeref{File: dimFile, Combine: true},
+			sc.job.Stages[2].Deref,
 		)
 	}
 	return nil, fmt.Errorf("unmirrorable form %q", sc.job.Name)
