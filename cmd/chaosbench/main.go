@@ -4,7 +4,7 @@
 // recovered) × faults (off | on) × dispatch (pool | sched) × batch (drawn |
 // 1), 96 points — and exits non-zero on any divergence, a leaked
 // connection, or a sweep of ten or more seeds that never hedged a request
-// or never dropped one under transport faults. Each failure prints the
+// or never fired a fault on a plane it armed faults on. Each failure prints the
 // command that replays it: the seed and the minimal point. With -timeline
 // DIR a divergence also writes the minimal point's Perfetto timeline and a
 // repro file into DIR.
@@ -75,8 +75,8 @@ func main() {
 	}
 	fmt.Printf("chaosbench: %d scenarios × %d points (seeds %d..%d), %d divergent, in %v\n",
 		*n, points, *seed, *seed+int64(*n)-1, sweep.Divergent, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("chaosbench: net points: %d hedged attempts, %d transport drops, %d leaked connections\n",
-		sweep.HedgeFires, sweep.Drops, sweep.LeakedConns)
+	fmt.Printf("chaosbench: faults fired: %d sim, %d net; net points: %d hedged attempts, %d leaked connections\n",
+		sweep.FaultsFired[0], sweep.FaultsFired[1], sweep.HedgeFires, sweep.LeakedConns)
 	vacuous := sweep.Failures()
 	for _, f := range vacuous {
 		fmt.Fprintln(os.Stderr, "chaosbench: "+f)

@@ -88,7 +88,12 @@ func TestScanFaultPropagates(t *testing.T) {
 	c := dfs.NewCluster(dfs.Config{Nodes: 1})
 	load(t, c, "t", 10, func(i int) string { return "x" })
 	boom := errors.New("disk gone")
-	c.SetFault("t", 1, boom)
+	c.InjectFaults(func(a dfs.Access) (time.Duration, error) {
+		if a.File == "t" && a.Partition == 1 {
+			return 0, boom
+		}
+		return 0, nil
+	})
 	e := New(c, 2)
 	if _, err := e.Scan(context.Background(), "t", nil); !errors.Is(err, boom) {
 		t.Fatalf("fault = %v", err)

@@ -1,33 +1,35 @@
 // Package chaos compiles seeded, deterministic fault schedules and arms
-// them against a simulated dfs cluster.
+// them against a dfs cluster — an in-process sim or the front end of a
+// networked one alike.
 //
 // The design follows deterministic simulation testing (FoundationDB and its
 // Record Layer): every run is driven by a single int64 seed, the seed fully
-// determines the fault schedule — which partitions fail, how many accesses
-// each fault survives, which nodes get latency brownouts, spikes, or
-// queue-depth squeezes — and a failure anywhere reproduces by re-running the
-// same seed. The schedule's faults are all *healable*: transient partition
-// faults carry an access budget (consumed per key, see dfs), and latency
-// events only slow I/O down, so a correct executor configured with enough
+// determines the fault schedule — which partitions fail, how many key
+// accesses each fault survives, which nodes get latency brownouts, spikes,
+// or queue-depth squeezes — and a failure anywhere reproduces by re-running
+// the same seed. The schedule's faults are all *healable*: transient
+// partition faults carry a heal budget consumed per key, and latency events
+// only slow accesses down, so a correct executor configured with enough
 // retries must still produce exactly the right answer under any schedule.
 // The differential oracle (internal/oracle) is the consumer: it runs the
 // same job with and without a schedule armed and diffs the results.
 //
-// A Schedule arms through public hooks only — dfs.Cluster.SetTransientFault
-// for faults, sim.Gate.SetDelayHook for latency events, sim.Gate.Hold for
-// queue squeezes — so production code paths are exercised unmodified.
+// A Schedule arms through two public hooks only — dfs.Cluster.InjectFaults
+// for faults and delays, which sees every data access on both planes before
+// it touches a partition tree or a transport, and sim.Gate.Hold for queue
+// squeezes — so production code paths are exercised unmodified.
 package chaos
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"lakeharbor/internal/dfs"
+	"lakeharbor/internal/lake"
 )
 
 // ErrInjected is the root of every fault error a schedule injects. It is
@@ -63,10 +65,11 @@ type Profile struct {
 	// TotalHeals, so the cap bounds how patient the executor must be.
 	MaxHeals int
 	// BrownoutProb is the per-node probability of a latency brownout
-	// window (a sustained multiplier over a span of accesses).
+	// window (a small delay added to each of a long span of accesses, at
+	// most a tenth of MaxSpike).
 	BrownoutProb float64
 	// SpikeProb is the per-node probability of a latency spike (a large
-	// additive delay over a few accesses).
+	// delay added to each of a few accesses).
 	SpikeProb float64
 	// MaxSpike caps a spike's added latency.
 	MaxSpike time.Duration
@@ -97,15 +100,14 @@ type Fault struct {
 	Heals     int
 }
 
-// Delay is one latency event on a node: I/Os numbered [FromCall, ToCall]
-// (1-based, counted per node) have their modeled service time multiplied by
-// Factor (when > 0) and then increased by Add. A long window with a small
-// factor is a brownout; a short window with a large Add is a spike.
+// Delay is one latency event on a node: accesses numbered [FromCall,
+// ToCall] (1-based, counted per node) wait Add before they run. Windows
+// that overlap add up. A long window with a small Add is a brownout; a
+// short window with a large Add is a spike.
 type Delay struct {
 	Node     int
 	FromCall int64
 	ToCall   int64
-	Factor   float64
 	Add      time.Duration
 }
 
@@ -156,7 +158,7 @@ func Compile(seed int64, tgt Target, prof Profile) *Schedule {
 				Node:     n,
 				FromCall: from,
 				ToCall:   from + 10 + rng.Int63n(90),
-				Factor:   2 + 8*rng.Float64(),
+				Add:      time.Duration(rng.Int63n(int64(prof.MaxSpike)/10+1)) + time.Microsecond,
 			})
 		}
 		if rng.Float64() < prof.SpikeProb {
@@ -165,7 +167,6 @@ func Compile(seed int64, tgt Target, prof Profile) *Schedule {
 				Node:     n,
 				FromCall: from,
 				ToCall:   from + rng.Int63n(3),
-				Factor:   1,
 				Add:      time.Duration(rng.Int63n(int64(prof.MaxSpike))) + time.Microsecond,
 			})
 		}
@@ -201,11 +202,7 @@ func (s *Schedule) String() string {
 		fmt.Fprintf(&b, " fault:%s/%d×%d", f.File, f.Partition, f.Heals)
 	}
 	for _, d := range s.Delays {
-		if d.Add > 0 {
-			fmt.Fprintf(&b, " spike:n%d@%d-%d+%v", d.Node, d.FromCall, d.ToCall, d.Add)
-		} else {
-			fmt.Fprintf(&b, " brownout:n%d@%d-%d×%.1f", d.Node, d.FromCall, d.ToCall, d.Factor)
-		}
+		fmt.Fprintf(&b, " delay:n%d@%d-%d+%v", d.Node, d.FromCall, d.ToCall, d.Add)
 	}
 	for _, q := range s.Squeezes {
 		fmt.Fprintf(&b, " squeeze:n%d-%d", q.Node, q.Slots)
@@ -215,61 +212,56 @@ func (s *Schedule) String() string {
 }
 
 // Armed is a schedule installed on a cluster; Disarm restores the cluster.
+// Its fault hook's state — heal budgets, per-node access counters and the
+// fired count — is shared by every access on the cluster.
 type Armed struct {
 	cluster  *dfs.Cluster
-	schedule *Schedule
+	heals    map[partition]*atomic.Int64
+	delays   [][]Delay      // by node
+	calls    []atomic.Int64 // accesses seen, by node
+	fired    atomic.Int64
 	releases []func()
-	hooked   []int
 	disarmed atomic.Bool
 }
 
-// Arm installs the schedule on the cluster: transient faults on partitions,
-// delay hooks and held admission slots on node gates. Latency events and
-// squeezes are skipped silently on a free-cost cluster (no gates — nothing
-// to slow down), faults always apply. Arm fails if a fault names a file or
-// partition the cluster does not have.
+// partition names one faultable partition.
+type partition struct {
+	file string
+	idx  int
+}
+
+// Arm installs the schedule on the cluster — sim or transport-backed: one
+// fault hook carries the faults and delays, and squeezes hold admission
+// slots on node gates (skipped on a free-cost cluster, which has no gates
+// and no queue to squeeze). A cluster carries one armed schedule at a time.
+// Arm fails if an event names a file, partition or node the cluster does
+// not have.
 func (s *Schedule) Arm(c *dfs.Cluster) (*Armed, error) {
-	a := &Armed{cluster: c, schedule: s}
+	a := &Armed{
+		cluster: c,
+		heals:   make(map[partition]*atomic.Int64, len(s.Faults)),
+		delays:  make([][]Delay, c.NumNodes()),
+		calls:   make([]atomic.Int64, c.NumNodes()),
+	}
 	for _, f := range s.Faults {
-		err := c.SetTransientFault(f.File, f.Partition,
-			fmt.Errorf("%w: %s/%d", ErrInjected, f.File, f.Partition), f.Heals)
+		file, err := c.File(f.File)
+		if err == nil && (f.Partition < 0 || f.Partition >= file.NumPartitions()) {
+			err = fmt.Errorf("%w: %q/%d", lake.ErrNoSuchPartition, f.File, f.Partition)
+		}
 		if err != nil {
-			a.Disarm()
 			return nil, fmt.Errorf("chaos: arm fault %s/%d: %w", f.File, f.Partition, err)
 		}
-	}
-	byNode := make(map[int][]Delay)
-	for _, d := range s.Delays {
-		byNode[d.Node] = append(byNode[d.Node], d)
-	}
-	// Install hooks in node order so arming is as deterministic as the
-	// schedule itself.
-	nodes := make([]int, 0, len(byNode))
-	for n := range byNode {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	for _, n := range nodes {
-		g := c.NodeGate(n)
-		if g == nil {
-			continue
+		p := partition{f.File, f.Partition}
+		if a.heals[p] == nil {
+			a.heals[p] = new(atomic.Int64)
 		}
-		evs := byNode[n]
-		var calls atomic.Int64
-		g.SetDelayHook(func(d time.Duration) time.Duration {
-			call := calls.Add(1)
-			for _, ev := range evs {
-				if call < ev.FromCall || call > ev.ToCall {
-					continue
-				}
-				if ev.Factor > 0 {
-					d = time.Duration(float64(d) * ev.Factor)
-				}
-				d += ev.Add
-			}
-			return d
-		})
-		a.hooked = append(a.hooked, n)
+		a.heals[p].Add(int64(f.Heals))
+	}
+	for _, d := range s.Delays {
+		if d.Node < 0 || d.Node >= c.NumNodes() {
+			return nil, fmt.Errorf("chaos: arm delay: no node %d", d.Node)
+		}
+		a.delays[d.Node] = append(a.delays[d.Node], d)
 	}
 	for _, q := range s.Squeezes {
 		g := c.NodeGate(q.Node)
@@ -289,26 +281,52 @@ func (s *Schedule) Arm(c *dfs.Cluster) (*Armed, error) {
 		_, release := g.Hold(slots)
 		a.releases = append(a.releases, release)
 	}
+	c.InjectFaults(a.hook)
 	return a, nil
 }
 
-// Disarm removes every installed event: pending transient faults are
-// cleared, delay hooks uninstalled, held admission slots released. It is
-// idempotent.
+// hook is the armed schedule's dfs.FaultHook. The access waits the sum of
+// the delay windows its per-node number falls in, and fails with
+// ErrInjected while its partition's heal budget lasts; a failed access
+// consumes one unit per key it stands for, so batched and unbatched runs
+// heal a fault after the same number of key accesses. A budget smaller
+// than the key count is exhausted, not driven negative.
+func (a *Armed) hook(acc dfs.Access) (wait time.Duration, err error) {
+	if evs := a.delays[acc.Node]; len(evs) > 0 {
+		call := a.calls[acc.Node].Add(1)
+		for _, d := range evs {
+			if call >= d.FromCall && call <= d.ToCall {
+				wait += d.Add
+			}
+		}
+	}
+	budget := a.heals[partition{acc.File, acc.Partition}]
+	if budget == nil {
+		return wait, nil
+	}
+	for {
+		left := budget.Load()
+		if left <= 0 {
+			return wait, nil
+		}
+		if budget.CompareAndSwap(left, max(left-int64(acc.Keys), 0)) {
+			a.fired.Add(1)
+			return wait, ErrInjected
+		}
+	}
+}
+
+// Fired reports how many accesses the schedule has failed so far.
+func (a *Armed) Fired() int64 { return a.fired.Load() }
+
+// Disarm removes every installed event: the fault hook is uninstalled —
+// pending heal budgets and delay windows with it — and held admission slots
+// are released. It is idempotent.
 func (a *Armed) Disarm() {
 	if !a.disarmed.CompareAndSwap(false, true) {
 		return
 	}
-	for _, f := range a.schedule.Faults {
-		// Ignore errors: a fault that failed to arm (or a file dropped by
-		// the scenario) has nothing to clear.
-		_ = a.cluster.SetFault(f.File, f.Partition, nil)
-	}
-	for _, n := range a.hooked {
-		if g := a.cluster.NodeGate(n); g != nil {
-			g.SetDelayHook(nil)
-		}
-	}
+	a.cluster.InjectFaults(nil)
 	for _, release := range a.releases {
 		release()
 	}

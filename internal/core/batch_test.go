@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"lakeharbor/internal/baseline"
+	"lakeharbor/internal/chaos"
 	"lakeharbor/internal/dfs"
 	"lakeharbor/internal/keycodec"
 	"lakeharbor/internal/lake"
@@ -207,9 +207,11 @@ func TestBatchSplitRetry(t *testing.T) {
 	}
 	// Only dst is faulted, so the opening range scan cannot consume the
 	// fault: the first *batched* lookup does, fails, and splits.
-	if err := c.SetTransientFault("dst", 0, errors.New("flaky disk"), 1); err != nil {
+	armed, err := (&chaos.Schedule{Faults: []chaos.Fault{{File: "dst", Partition: 0, Heals: 1}}}).Arm(c)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer armed.Disarm()
 	res, err := ExecuteSMPE(ctx, job, c, c, Options{Threads: 1, MaxBatch: 8, MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)

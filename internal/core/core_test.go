@@ -58,6 +58,17 @@ func encodeIntField(v string) (lake.Key, error) {
 	return keycodec.Int64(n), nil
 }
 
+// fault fails every access to one partition of file with err: a permanent
+// fault, for failure-injection tests.
+func (fx *testFixture) fault(file string, partition int, err error) {
+	fx.cluster.InjectFaults(func(a dfs.Access) (time.Duration, error) {
+		if a.File == file && a.Partition == partition {
+			return 0, err
+		}
+		return 0, nil
+	})
+}
+
 // newFixture builds the lake on a cluster of `nodes` nodes with `nParts`
 // part rows, each referenced by `nPer` lineitems. Price of part i is i*10.
 func newFixture(t testing.TB, nodes, nParts, nPer int) *testFixture {
@@ -359,9 +370,7 @@ func TestEachErrorFailsJob(t *testing.T) {
 func TestDereferenceFaultPropagates(t *testing.T) {
 	fx := newFixture(t, 2, 10, 2)
 	boom := errors.New("disk on fire")
-	if err := fx.cluster.SetFault(fLine, 0, boom); err != nil {
-		t.Fatal(err)
-	}
+	fx.fault(fLine, 0, boom)
 	job := fx.joinJob(0, 1000, false)
 	done := make(chan error, 1)
 	go func() {

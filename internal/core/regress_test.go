@@ -84,9 +84,7 @@ func TestFailedJobLeavesNoGoroutines(t *testing.T) {
 	const nodes, threads = 4, 64
 	fx := newFixture(t, nodes, 40, 3)
 	boom := fmt.Errorf("mid-flight disk death")
-	if err := fx.cluster.SetFault(fLine, 1, boom); err != nil {
-		t.Fatal(err)
-	}
+	fx.fault(fLine, 1, boom)
 	coldNodes(t)
 	runtime.GC()
 	before := runtime.NumGoroutine()

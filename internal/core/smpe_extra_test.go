@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"lakeharbor/internal/chaos"
 	"lakeharbor/internal/dfs"
 	"lakeharbor/internal/keycodec"
 	"lakeharbor/internal/lake"
@@ -211,7 +212,6 @@ func BenchmarkQueue(b *testing.B) {
 
 func TestRetryHealsTransientFaults(t *testing.T) {
 	fx := newFixture(t, 2, 10, 2)
-	boom := fmt.Errorf("flaky disk")
 	// Every partition of lineitem fails its accesses for a long while. The
 	// budget must outlive the batch-split fallback: a batched access
 	// consumes one heal unit per key (fault-injection parity with the
@@ -219,23 +219,26 @@ func TestRetryHealsTransientFaults(t *testing.T) {
 	// batch itself and the per-pointer split would then succeed with no
 	// retries configured at all.
 	lif, _ := fx.cluster.File(fLine)
-	for p := 0; p < lif.NumPartitions(); p++ {
-		if err := fx.cluster.SetTransientFault(fLine, p, boom, 1000); err != nil {
+	arm := func(heals int) *chaos.Armed {
+		s := &chaos.Schedule{}
+		for p := 0; p < lif.NumPartitions(); p++ {
+			s.Faults = append(s.Faults, chaos.Fault{File: fLine, Partition: p, Heals: heals})
+		}
+		armed, err := s.Arm(fx.cluster)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return armed
 	}
+	long := arm(1000)
 	job := fx.joinJob(0, 1000, false)
 	// Without retries the job fails.
 	if _, err := ExecuteSMPE(fx.ctx, job, fx.cluster, fx.cluster, Options{}); err == nil {
 		t.Fatal("transient faults without retries should fail the job")
 	}
-	for p := 0; p < lif.NumPartitions(); p++ {
-		fx.cluster.SetFault(fLine, p, nil) // clear the long fault
-	}
 	// Reset the faults (the failed run consumed an unknown share).
-	for p := 0; p < lif.NumPartitions(); p++ {
-		fx.cluster.SetTransientFault(fLine, p, boom, 2)
-	}
+	long.Disarm()
+	defer arm(2).Disarm()
 	// With retries the job completes with the exact result.
 	res, err := ExecuteSMPE(fx.ctx, job, fx.cluster, fx.cluster, Options{MaxRetries: 3})
 	if err != nil {
@@ -249,7 +252,7 @@ func TestRetryHealsTransientFaults(t *testing.T) {
 func TestRetryDoesNotMaskPermanentFaults(t *testing.T) {
 	fx := newFixture(t, 2, 5, 2)
 	boom := fmt.Errorf("dead disk")
-	fx.cluster.SetFault(fLine, 0, boom)
+	fx.fault(fLine, 0, boom)
 	job := fx.joinJob(0, 1000, false)
 	if _, err := ExecuteSMPE(fx.ctx, job, fx.cluster, fx.cluster, Options{MaxRetries: 2}); err == nil {
 		t.Fatal("permanent fault must still fail after retries")

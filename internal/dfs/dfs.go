@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"lakeharbor/internal/btree"
 	"lakeharbor/internal/lake"
@@ -72,6 +73,9 @@ type Cluster struct {
 	// (NewClusterWithTransports): catalog mutations broadcast to the
 	// transports and data operations never touch the local partition trees.
 	remote bool
+
+	// faults is the installed FaultHook, nil when none (see InjectFaults).
+	faults atomic.Pointer[FaultHook]
 }
 
 // CatalogEvent describes one catalog mutation: the version it produced and
@@ -147,8 +151,7 @@ type node struct {
 	gate     *sim.Gate
 	counters metrics.Counters
 	// transport, when non-nil, serves this node's data operations instead
-	// of the in-process sim path (see transport.go). The sim keeps a nil
-	// transport so its historical code path is byte-for-byte unchanged.
+	// of the in-process partition trees (see transport.go).
 	transport NodeTransport
 }
 
@@ -282,62 +285,12 @@ func (c *Cluster) OwnerNode(partition int) int { return partition % len(c.nodes)
 
 // NodeGate returns node i's I/O gate, or nil when the cluster's cost model
 // is free (a free gate admits everything instantly and has nothing to hook).
-// Chaos injection uses it to install latency overrides and queue squeezes.
+// Chaos injection uses it to squeeze a node's queue depth.
 func (c *Cluster) NodeGate(i int) *sim.Gate {
 	if i < 0 || i >= len(c.nodes) {
 		return nil
 	}
 	return c.nodes[i].gate
-}
-
-// SetFault injects err into every access to the named file's partition
-// (err == nil clears it). It exists for failure-injection tests.
-func (c *Cluster) SetFault(name string, partition int, err error) error {
-	if c.remote {
-		return fmt.Errorf("dfs: fault injection needs the in-process sim; wrap the node transports instead")
-	}
-	c.mu.RLock()
-	f, ok := c.files[name]
-	c.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", lake.ErrNoSuchFile, name)
-	}
-	if partition < 0 || partition >= len(f.parts) {
-		return fmt.Errorf("%w: %q/%d", lake.ErrNoSuchPartition, name, partition)
-	}
-	p := f.parts[partition]
-	p.faultMu.Lock()
-	p.fault = err
-	p.faultBudget = 0 // permanent until cleared
-	p.faultMu.Unlock()
-	return nil
-}
-
-// SetTransientFault injects err into the next `times` accesses to the
-// partition, after which it heals itself — the shape of a flaky disk or a
-// brief network partition, used by retry tests.
-func (c *Cluster) SetTransientFault(name string, partition int, err error, times int) error {
-	if c.remote {
-		return fmt.Errorf("dfs: fault injection needs the in-process sim; wrap the node transports instead")
-	}
-	c.mu.RLock()
-	f, ok := c.files[name]
-	c.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", lake.ErrNoSuchFile, name)
-	}
-	if partition < 0 || partition >= len(f.parts) {
-		return fmt.Errorf("%w: %q/%d", lake.ErrNoSuchPartition, name, partition)
-	}
-	if times <= 0 {
-		return fmt.Errorf("dfs: transient fault needs times > 0, got %d", times)
-	}
-	p := f.parts[partition]
-	p.faultMu.Lock()
-	p.fault = err
-	p.faultBudget = times
-	p.faultMu.Unlock()
-	return nil
 }
 
 // callerKey carries the identity of the node issuing an access, so dfs can
@@ -378,43 +331,6 @@ type partition struct {
 	// bytes is the modeled on-disk size of the partition: sum over records
 	// of len(key)+len(data)+recordOverheadBytes. Guarded by mu.
 	bytes int64
-
-	// Fault-injection state, guarded by its own mutex so read paths do
-	// not need the tree's write lock to consume a transient fault.
-	faultMu sync.Mutex
-	fault   error
-	// faultBudget limits how many accesses the fault affects: a positive
-	// budget decrements per faulted access and the fault clears at zero
-	// (a transient fault); zero or negative means the fault is permanent
-	// until cleared.
-	faultBudget int
-}
-
-// takeFault reports the partition's current fault (if any) and consumes one
-// unit of a transient fault's budget.
-func (p *partition) takeFault() error { return p.takeFaultN(1) }
-
-// takeFaultN is takeFault for a batched access touching n keys: a transient
-// fault's budget is consumed once per key, not once per batch admission, so
-// a batched run heals a fault after the same number of key accesses as an
-// unbatched run of the same job (fault-injection parity across MaxBatch
-// settings). A budget smaller than n is exhausted, not driven negative.
-func (p *partition) takeFaultN(n int) error {
-	p.faultMu.Lock()
-	defer p.faultMu.Unlock()
-	if p.fault == nil || n <= 0 {
-		return nil
-	}
-	err := p.fault
-	if p.faultBudget > 0 {
-		if n >= p.faultBudget {
-			p.faultBudget = 0
-			p.fault = nil
-		} else {
-			p.faultBudget -= n
-		}
-	}
-	return err
 }
 
 // Name implements lake.File.
@@ -436,29 +352,15 @@ func (f *file) part(i int) (*partition, *node, error) {
 	return f.parts[i], f.cluster.nodes[f.cluster.OwnerNode(i)], nil
 }
 
-// admit is one access through the owner node's gate: a scan of n records
-// when scan is set, one lookup otherwise. Its observed round-trip time — gate
-// queueing plus the cost model's simulated service latency — is the latency
-// access records.
-func (f *file) admit(ctx context.Context, owner *node, scan bool, n int) error {
-	return access(ctx, owner, false, func(remote bool) error {
-		if scan {
-			return owner.gate.Scan(ctx, n, remote)
-		}
-		owner.counters.AddLookup()
-		return owner.gate.Lookup(ctx, remote)
-	})
-}
-
 // AppendLookupBatch implements lake.BatchFile: the whole batch is served
 // under ONE gate admission — the cost model charges full latency for the
 // first key and the marginal BatchPerKey for every key after it (seek
 // amortization) — and, when the caller is remote, the batch is priced as a
 // single network message. I/O attribution mirrors that (one local/remote
-// observation), but a transient fault's heal budget is consumed per KEY —
-// the batch stands in for len(keys) point lookups, so batched and unbatched
-// runs of the same job consume an injected fault identically. Records are
-// appended straight from the tree, or from a transport node's reply groups.
+// observation), but the fault hook sees the batch's key count: the batch
+// stands in for len(keys) point lookups, so a heal budget is consumed the
+// same way batched and unbatched. Records are appended straight from the
+// tree, or from a transport node's reply groups.
 func (f *file) AppendLookupBatch(ctx context.Context, dst []lake.Record, partitionIdx int, keys []lake.Key, ends []int) ([]lake.Record, error) {
 	if len(keys) == 0 {
 		return dst, nil
@@ -467,45 +369,37 @@ func (f *file) AppendLookupBatch(ctx context.Context, dst []lake.Record, partiti
 	if err != nil {
 		return dst, err
 	}
+	owner.counters.AddBatchLookup(len(keys))
+	var groups [][]lake.Record
+	if err := f.access(ctx, owner, partitionIdx, OpLookupBatch, len(keys), func(remote bool) error {
+		if owner.transport == nil {
+			return owner.gate.LookupBatch(ctx, len(keys), remote)
+		}
+		var err error
+		groups, err = owner.transport.LookupBatch(ctx, f.name, partitionIdx, keys)
+		return err
+	}); err != nil {
+		return dst, err
+	}
 	start := len(dst)
 	if owner.transport != nil {
-		var groups [][]lake.Record
-		owner.counters.AddBatchLookup(len(keys))
-		err := access(ctx, owner, true, func(bool) error {
-			var terr error
-			groups, terr = owner.transport.LookupBatch(ctx, f.name, partitionIdx, keys)
-			return terr
-		})
-		if err != nil {
-			return dst, err
-		}
 		for i, recs := range groups {
 			dst = append(dst, recs...)
 			if ends != nil {
 				ends[i] = len(dst)
 			}
 		}
-		owner.countRead(dst[start:])
-		return dst, nil
-	}
-	owner.counters.AddBatchLookup(len(keys))
-	if err := access(ctx, owner, false, func(remote bool) error {
-		return owner.gate.LookupBatch(ctx, len(keys), remote)
-	}); err != nil {
-		return dst, err
-	}
-	if err := p.takeFaultN(len(keys)); err != nil {
-		return dst, fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
-	}
-	p.mu.RLock()
-	c := p.tree.Cursor()
-	for i, k := range keys {
-		c.Visit(k, func(v []byte) { dst = append(dst, lake.Record{Key: k, Data: v}) })
-		if ends != nil {
-			ends[i] = len(dst)
+	} else {
+		p.mu.RLock()
+		c := p.tree.Cursor()
+		for i, k := range keys {
+			c.Visit(k, func(v []byte) { dst = append(dst, lake.Record{Key: k, Data: v}) })
+			if ends != nil {
+				ends[i] = len(dst)
+			}
 		}
+		p.mu.RUnlock()
 	}
-	p.mu.RUnlock()
 	owner.countRead(dst[start:])
 	return dst, nil
 }
@@ -532,32 +426,27 @@ func (f *file) AppendLookup(ctx context.Context, dst []lake.Record, partitionIdx
 	if err != nil {
 		return dst, err
 	}
-	start := len(dst)
-	if owner.transport != nil {
-		var recs []lake.Record
-		owner.counters.AddLookup()
-		err := access(ctx, owner, true, func(bool) error {
-			var terr error
-			recs, terr = owner.transport.Lookup(ctx, f.name, partitionIdx, key)
-			return terr
-		})
-		if err != nil {
-			return dst, err
+	owner.counters.AddLookup()
+	var recs []lake.Record
+	if err := f.access(ctx, owner, partitionIdx, OpLookup, 1, func(remote bool) error {
+		if owner.transport == nil {
+			return owner.gate.Lookup(ctx, remote)
 		}
-		dst = append(dst, recs...)
-		owner.countRead(dst[start:])
-		return dst, nil
-	}
-	if err := f.admit(ctx, owner, false, 1); err != nil {
+		var err error
+		recs, err = owner.transport.Lookup(ctx, f.name, partitionIdx, key)
+		return err
+	}); err != nil {
 		return dst, err
 	}
-	if err := p.takeFault(); err != nil {
-		return dst, fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
+	start := len(dst)
+	if owner.transport != nil {
+		dst = append(dst, recs...)
+	} else {
+		p.mu.RLock()
+		c := p.tree.Cursor()
+		c.Visit(key, func(v []byte) { dst = append(dst, lake.Record{Key: key, Data: v}) })
+		p.mu.RUnlock()
 	}
-	p.mu.RLock()
-	c := p.tree.Cursor()
-	c.Visit(key, func(v []byte) { dst = append(dst, lake.Record{Key: key, Data: v}) })
-	p.mu.RUnlock()
 	owner.countRead(dst[start:])
 	return dst, nil
 }
@@ -578,34 +467,29 @@ func (f *file) AppendLookupRange(ctx context.Context, dst []lake.Record, partiti
 	if err != nil {
 		return dst, err
 	}
-	start := len(dst)
-	if owner.transport != nil {
-		var recs []lake.Record
-		owner.counters.AddLookup()
-		err := access(ctx, owner, true, func(bool) error {
-			var terr error
-			recs, terr = owner.transport.LookupRange(ctx, f.name, partitionIdx, lo, hi)
-			return terr
-		})
-		if err != nil {
-			return dst, err
+	owner.counters.AddLookup()
+	var recs []lake.Record
+	if err := f.access(ctx, owner, partitionIdx, OpRange, 1, func(remote bool) error {
+		if owner.transport == nil {
+			return owner.gate.Lookup(ctx, remote)
 		}
-		dst = append(dst, recs...)
-		owner.countRead(dst[start:])
-		return dst, nil
-	}
-	if err := f.admit(ctx, owner, false, 1); err != nil {
+		var err error
+		recs, err = owner.transport.LookupRange(ctx, f.name, partitionIdx, lo, hi)
+		return err
+	}); err != nil {
 		return dst, err
 	}
-	if err := p.takeFault(); err != nil {
-		return dst, fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
+	start := len(dst)
+	if owner.transport != nil {
+		dst = append(dst, recs...)
+	} else {
+		p.mu.RLock()
+		p.tree.Ascend(lo, hi, func(k string, v []byte) bool {
+			dst = append(dst, lake.Record{Key: k, Data: v})
+			return true
+		})
+		p.mu.RUnlock()
 	}
-	p.mu.RLock()
-	p.tree.Ascend(lo, hi, func(k string, v []byte) bool {
-		dst = append(dst, lake.Record{Key: k, Data: v})
-		return true
-	})
-	p.mu.RUnlock()
 	owner.countRead(dst[start:])
 	return dst, nil
 }
@@ -613,35 +497,69 @@ func (f *file) AppendLookupRange(ctx context.Context, dst []lake.Record, partiti
 // Scan implements lake.File. The whole partition's scan cost is charged
 // up front as one streaming I/O, then records are delivered in key order.
 func (f *file) Scan(ctx context.Context, partitionIdx int, fn func(lake.Record) error) error {
+	return f.ScanWithBarrier(ctx, partitionIdx, nil, fn)
+}
+
+// ScanWithBarrier is Scan with one extra guarantee: barrier is invoked
+// after the partition's read lock is acquired and before the first record
+// is delivered. An append's (insert, notify) pair is atomic under the same
+// lock, so everything notified before barrier runs is visible to this scan,
+// and everything notified after it is not. The structure builder uses the
+// barrier to flip a partition's maintenance from "buffered" to "live" at
+// exactly the point where responsibility for new records changes hands.
+// An access the fault hook fails never runs its barrier, on either plane.
+func (f *file) ScanWithBarrier(ctx context.Context, partitionIdx int, barrier func(), fn func(lake.Record) error) error {
 	p, owner, err := f.part(partitionIdx)
 	if err != nil {
 		return err
 	}
-	if owner.transport != nil {
-		scanned, bytes := 0, 0
-		err := access(ctx, owner, true, func(bool) error {
-			return owner.transport.Scan(ctx, f.name, partitionIdx, func(r lake.Record) error {
+	return f.access(ctx, owner, partitionIdx, OpScan, 1, func(remote bool) error {
+		if owner.transport != nil {
+			// Degraded mode: over a real transport there is no shared
+			// partition lock to make (barrier, first record) atomic with
+			// appends, so this is barrier-then-scan. Appends racing the
+			// scan may be seen by both the barrier-side listener and the
+			// scan; exactly-once online builds therefore require the
+			// in-process transport.
+			if barrier != nil {
+				barrier()
+			}
+			scanned, bytes := 0, 0
+			err := owner.transport.Scan(ctx, f.name, partitionIdx, func(r lake.Record) error {
 				scanned++
 				bytes += len(r.Data)
 				return fn(r)
 			})
-		})
-		owner.counters.AddRecordsScanned(scanned)
-		owner.counters.AddBytesRead(bytes)
-		return err
-	}
-	if err := p.takeFault(); err != nil {
-		return fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
-	}
-	p.mu.RLock()
-	n := p.tree.Len()
-	p.mu.RUnlock()
-	if err := f.admit(ctx, owner, true, n); err != nil {
-		return err
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return f.scanLocked(ctx, p, owner, fn)
+			owner.counters.AddRecordsScanned(scanned)
+			owner.counters.AddBytesRead(bytes)
+			return err
+		}
+		if barrier == nil {
+			// A plain scan is charged before it takes the read lock, so
+			// appends to the partition are not held up for its modeled
+			// service time.
+			p.mu.RLock()
+			n := p.tree.Len()
+			p.mu.RUnlock()
+			if err := owner.gate.Scan(ctx, n, remote); err != nil {
+				return err
+			}
+		}
+		p.mu.RLock()
+		defer p.mu.RUnlock()
+		if barrier != nil {
+			barrier()
+			// Admission happens under the read lock here: releasing it to
+			// charge the gate would let appends slip between the barrier
+			// and the iteration, which is exactly the ambiguity the
+			// barrier removes. Builds therefore block concurrent appends
+			// to the partition for the scan's modeled service time.
+			if err := owner.gate.Scan(ctx, p.tree.Len(), remote); err != nil {
+				return err
+			}
+		}
+		return f.scanLocked(ctx, p, owner, fn)
+	})
 }
 
 // scanLocked iterates a partition's records in key order. The caller holds
@@ -678,77 +596,35 @@ func (f *file) Append(ctx context.Context, partitionIdx int, recs ...lake.Record
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if owner.transport != nil {
-		if err := owner.transport.Append(ctx, f.name, partitionIdx, recs); err != nil {
-			return err
+	if err := f.access(ctx, owner, partitionIdx, OpAppend, max(len(recs), 1), func(bool) error {
+		if owner.transport != nil {
+			return owner.transport.Append(ctx, f.name, partitionIdx, recs)
 		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for _, r := range recs {
+			p.tree.Insert(r.Key, r.Data)
+			p.bytes += int64(len(r.Key) + len(r.Data) + recordOverheadBytes)
+		}
+		// Notify under the partition lock: listeners observe appends in
+		// the same order scans do (see notifyAppend). Listeners write to
+		// OTHER files' partitions only, so lock order is always base →
+		// index and cannot cycle.
+		f.cluster.notifyAppend(f.name, partitionIdx, recs)
+		return nil
+	}); err != nil {
+		return err
+	}
+	if owner.transport != nil {
 		// Listeners fire after the remote insert, NOT under a partition
 		// lock: over a real transport the (insert, notify) pair is no
 		// longer atomic with respect to scans, which is why exactly-once
 		// online builds require the in-process transport (see
 		// ScanWithBarrier).
 		f.cluster.notifyAppend(f.name, partitionIdx, recs)
-		owner.counters.AddAppend(len(recs))
-		return nil
 	}
-	if err := p.takeFault(); err != nil {
-		return fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
-	}
-	p.mu.Lock()
-	for _, r := range recs {
-		p.tree.Insert(r.Key, r.Data)
-		p.bytes += int64(len(r.Key) + len(r.Data) + recordOverheadBytes)
-	}
-	// Notify under the partition lock: listeners observe appends in the
-	// same order scans do (see notifyAppend). Listeners write to OTHER
-	// files' partitions only, so lock order is always base → index and
-	// cannot cycle.
-	f.cluster.notifyAppend(f.name, partitionIdx, recs)
-	p.mu.Unlock()
 	owner.counters.AddAppend(len(recs))
 	return nil
-}
-
-// ScanWithBarrier is Scan with one extra guarantee: barrier is invoked
-// after the partition's read lock is acquired and before the first record
-// is delivered. An append's (insert, notify) pair is atomic under the same
-// lock, so everything notified before barrier runs is visible to this scan,
-// and everything notified after it is not. The structure builder uses the
-// barrier to flip a partition's maintenance from "buffered" to "live" at
-// exactly the point where responsibility for new records changes hands.
-func (f *file) ScanWithBarrier(ctx context.Context, partitionIdx int, barrier func(), fn func(lake.Record) error) error {
-	p, owner, err := f.part(partitionIdx)
-	if err != nil {
-		return err
-	}
-	if owner.transport != nil {
-		// Degraded mode: over a real transport there is no shared partition
-		// lock to make (barrier, first record) atomic with appends, so this
-		// is barrier-then-scan. Appends racing the scan may be seen by both
-		// the barrier-side listener and the scan; exactly-once online builds
-		// therefore require the in-process transport.
-		if barrier != nil {
-			barrier()
-		}
-		return f.Scan(ctx, partitionIdx, fn)
-	}
-	if err := p.takeFault(); err != nil {
-		return fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if barrier != nil {
-		barrier()
-	}
-	// Admission happens under the read lock here (unlike Scan): releasing
-	// it to charge the gate would let appends slip between the barrier and
-	// the iteration, which is exactly the ambiguity the barrier removes.
-	// Builds therefore block concurrent appends to the partition for the
-	// scan's modeled service time.
-	if err := f.admit(ctx, owner, true, p.tree.Len()); err != nil {
-		return err
-	}
-	return f.scanLocked(ctx, p, owner, fn)
 }
 
 // AppendRouted routes each record through the file's partitioner using the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -253,11 +254,19 @@ func TestFaultInjection(t *testing.T) {
 	f, _ := c.CreateFile("f", Btree, 2, lake.HashPartitioner{})
 	f.Append(ctx, 0, lake.Record{Key: "k", Data: nil})
 	boom := errors.New("disk on fire")
-	if err := c.SetFault("f", 0, boom); err != nil {
-		t.Fatal(err)
-	}
+	var seen []Op
+	c.InjectFaults(func(a Access) (time.Duration, error) {
+		if a.File != "f" || a.Partition != 0 {
+			return 0, nil
+		}
+		seen = append(seen, a.Op)
+		return 0, boom
+	})
 	if _, err := f.Lookup(ctx, 0, "k"); !errors.Is(err, boom) {
 		t.Errorf("lookup fault = %v", err)
+	}
+	if _, err := f.(lake.BtreeFile).LookupRange(ctx, 0, "a", "z"); !errors.Is(err, boom) {
+		t.Errorf("range fault = %v", err)
 	}
 	if err := f.Scan(ctx, 0, func(lake.Record) error { return nil }); !errors.Is(err, boom) {
 		t.Errorf("scan fault = %v", err)
@@ -265,20 +274,17 @@ func TestFaultInjection(t *testing.T) {
 	if err := f.Append(ctx, 0, lake.Record{}); !errors.Is(err, boom) {
 		t.Errorf("append fault = %v", err)
 	}
+	if want := []Op{OpLookup, OpRange, OpScan, OpAppend}; !slices.Equal(seen, want) {
+		t.Errorf("hook saw ops %v, want %v", seen, want)
+	}
 	// Partition 1 unaffected.
 	if _, err := f.Lookup(ctx, 1, "k"); err != nil {
 		t.Errorf("healthy partition failed: %v", err)
 	}
 	// Clearing restores service.
-	c.SetFault("f", 0, nil)
+	c.InjectFaults(nil)
 	if _, err := f.Lookup(ctx, 0, "k"); err != nil {
 		t.Errorf("cleared fault still failing: %v", err)
-	}
-	if err := c.SetFault("nope", 0, boom); err == nil {
-		t.Error("SetFault on missing file should fail")
-	}
-	if err := c.SetFault("f", 9, boom); err == nil {
-		t.Error("SetFault on missing partition should fail")
 	}
 }
 

@@ -2,13 +2,15 @@ package dfs
 
 // The node transport seam: every per-node data operation the engines issue
 // (lookups, batched lookups, range reads, scans, appends, size stats) can be
-// routed through a NodeTransport. The in-process sim keeps its historical
-// fast path (a node with a nil transport executes against the local
-// partition structures exactly as before), Local adapts that path to the
+// routed through a NodeTransport. A node with a nil transport executes
+// against the cluster's own partition trees, Local adapts that path to the
 // interface so a networked node server can host it, and a cluster built with
 // NewClusterWithTransports delegates each node's operations to an arbitrary
-// implementation — the real TCP client in internal/nodenet, or a chaos proxy
-// wrapping either.
+// implementation — the real TCP client in internal/nodenet, for one.
+//
+// Both kinds of node share one access path (access, below): it attributes
+// the access and consults the cluster's FaultHook before the access touches
+// a partition tree or a transport, so one fault injector serves both.
 
 import (
 	"context"
@@ -55,13 +57,12 @@ type NodeTransport interface {
 
 // localTransport adapts a sim cluster's in-process data path to the
 // NodeTransport interface. It is the storage side of a networked node (the
-// lakenode server executes decoded RPCs against it) and the inner layer
-// chaos transport proxies wrap in tests.
+// lakenode server executes decoded RPCs against it).
 type localTransport struct{ c *Cluster }
 
 // Local returns the in-process NodeTransport over the cluster: operations
 // execute directly against the cluster's partitions, with the same gate
-// admission, counters, and fault injection as direct file-method calls.
+// admission, counters, and fault hook as direct file-method calls.
 func Local(c *Cluster) NodeTransport { return localTransport{c} }
 
 func (t localTransport) lookup(name string) (*file, error) {
@@ -150,11 +151,10 @@ func (t localTransport) Close() error { return nil }
 // normally stay zero so the front end charges no simulated latency on top of
 // the transports' real round trips.
 //
-// Remote-backed clusters differ from the sim in two documented ways: fault
-// injection (SetFault/SetTransientFault) is rejected — inject at the
-// transport layer instead (chaos.WrapTransport) — and ScanWithBarrier
-// degrades to barrier-then-scan, so exactly-once online structure builds
-// require the in-process transport.
+// A remote-backed cluster differs from the sim in one documented way:
+// ScanWithBarrier degrades to barrier-then-scan, so exactly-once online
+// structure builds require the in-process transport. Its fault hook works
+// as on the sim.
 func NewClusterWithTransports(cfg Config, transports []NodeTransport) (*Cluster, error) {
 	if len(transports) == 0 {
 		return nil, fmt.Errorf("dfs: NewClusterWithTransports needs at least one transport")
@@ -171,9 +171,9 @@ func NewClusterWithTransports(cfg Config, transports []NodeTransport) (*Cluster,
 }
 
 // SetNodeTransport swaps node i's transport (nil restores the in-process sim
-// path). It exists so harnesses can interpose a proxying transport — e.g.
-// the chaos wrapper — around a live node between runs; it must not be called
-// while operations are in flight.
+// path). It exists so harnesses can interpose a proxying transport around a
+// live node between runs; it must not be called while operations are in
+// flight.
 func (c *Cluster) SetNodeTransport(i int, t NodeTransport) error {
 	if i < 0 || i >= len(c.nodes) {
 		return fmt.Errorf("dfs: no node %d", i)
@@ -222,33 +222,100 @@ func (c *Cluster) remoteDrop(name string) {
 	}
 }
 
-// access runs one access of owner's partitions — do, given whether the
+// Op names the kind of data access a FaultHook sees.
+type Op uint8
+
+const (
+	OpLookup      Op = iota // a point lookup
+	OpLookupBatch           // a batch of point lookups under one admission
+	OpRange                 // a range lookup
+	OpScan                  // a partition scan, with or without a barrier
+	OpAppend                // an append
+)
+
+// Access is one data access as a FaultHook sees it.
+type Access struct {
+	Node      int
+	File      string
+	Partition int
+	Op        Op
+	// Keys is how many keys the access stands for, at least 1: a batch's
+	// key count, an append's record count, 1 for everything else.
+	Keys int
+}
+
+// FaultHook decides one access's injected fault: how long the access waits
+// before it runs, and the error it fails with instead of running (nil: it
+// runs). It is called on the access's goroutine, concurrently with other
+// accesses, and must be safe for that.
+type FaultHook func(Access) (wait time.Duration, err error)
+
+// InjectFaults installs h as the cluster's fault hook; nil removes it. The
+// hook sees every data access on every node — sim or transport-backed —
+// before it touches a partition tree or a transport, which makes it the one
+// seam fault injection (internal/chaos) needs on both planes.
+func (c *Cluster) InjectFaults(h FaultHook) {
+	if h == nil {
+		c.faults.Store(nil)
+		return
+	}
+	c.faults.Store(&h)
+}
+
+// access runs one access of owner's partition — do, given whether the
 // caller is remote — with the attribution every access gets: a remote fetch
 // on the owner's counters when the calling node is another, and on the
 // calling node's trace a local/remote observation and, on success, the
-// observed round-trip latency. A transport call (rpc) that carries RPC trace
-// context (executor dereferences) also lands an EvRPC interval on the job's
-// timeline, so the critical-path extractor can name wire-dominated segments
-// as (stage, node, rpc).
-func access(ctx context.Context, owner *node, rpc bool, do func(remote bool) error) error {
+// observed round-trip latency. Before do runs, the cluster's fault hook (if
+// any) may delay the access or fail it. A transport call that carries RPC
+// trace context (executor dereferences) also lands an EvRPC interval on the
+// job's timeline, so the critical-path extractor can name wire-dominated
+// segments as (stage, node, rpc).
+func (f *file) access(ctx context.Context, owner *node, partition int, op Op, keys int, do func(remote bool) error) error {
 	remote := false
 	if caller := CallerNode(ctx); caller >= 0 && caller != owner.id {
 		remote = true
 		owner.counters.AddRemoteFetch()
 	}
 	io := trace.IOFrom(ctx)
-	if io == nil {
-		return do(remote)
+	var t0 time.Time
+	if io != nil {
+		io.Observe(remote)
+		t0 = time.Now()
 	}
-	io.Observe(remote)
-	t0 := time.Now()
-	err := do(remote)
+	var err error
+	if h := f.cluster.faults.Load(); h != nil {
+		err = inject(ctx, *h, Access{Node: owner.id, File: f.name, Partition: partition, Op: op, Keys: keys})
+	}
 	if err == nil {
+		err = do(remote)
+	}
+	if io != nil && err == nil {
 		d := time.Since(t0)
 		io.ObserveLatency(remote, d)
-		if rc := trace.RPCFrom(ctx); rpc && rc.Job != "" {
+		if rc := trace.RPCFrom(ctx); owner.transport != nil && rc.Job != "" {
 			io.ObserveRPC(rc.Stage, t0, d)
 		}
 	}
 	return err
+}
+
+// inject applies h's decision about one access: it waits out the delay —
+// giving up when ctx ends first — and returns the injected error, if any,
+// naming the partition it hit.
+func inject(ctx context.Context, h FaultHook, a Access) error {
+	wait, err := h(a)
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return ctx.Err()
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("dfs: %q/%d: %w", a.File, a.Partition, err)
+	}
+	return nil
 }

@@ -33,7 +33,7 @@ func TestCloseRacesHedgedRequests(t *testing.T) {
 	if err := f.Append(ctx, 0, lake.Record{Key: "k", Data: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(slowTransport{dfs.Local(cluster), 2 * time.Millisecond}, discard)
+	srv := NewServer(slowTransport{NodeTransport: dfs.Local(cluster), delay: 2 * time.Millisecond}, discard)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,9 @@ func TestServerDrainFinishesInFlight(t *testing.T) {
 	if err := f.Append(ctx, 0, lake.Record{Key: "k", Data: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(slowTransport{dfs.Local(cluster), 20 * time.Millisecond}, discard)
+	entered := make(chan struct{})
+	srv := NewServer(slowTransport{NodeTransport: dfs.Local(cluster), delay: 20 * time.Millisecond,
+		entered: sync.OnceFunc(func() { close(entered) })}, discard)
 	obs := NewServerObs()
 	srv.Observe(obs)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -107,12 +109,10 @@ func TestServerDrainFinishesInFlight(t *testing.T) {
 		done <- result{recs, err}
 	}()
 	// Wait until the request is actually executing server-side.
-	deadline := time.Now().Add(time.Second)
-	for obs.State(srv).Ops["lookup_batch"].Count == 0 && obs.conns.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never reached the server")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("request never reached the server")
 	}
 
 	drained := make(chan struct{})
@@ -150,8 +150,9 @@ func TestServerDrainFinishesInFlight(t *testing.T) {
 	}
 	<-drained
 
-	// New connections are refused after drain.
-	c2 := Dial(addr.String(), Options{DialTimeout: 200 * time.Millisecond}, nil)
+	// New connections are refused after drain. The short request timeout
+	// bounds how long the client retries the refused dial.
+	c2 := Dial(addr.String(), Options{DialTimeout: 200 * time.Millisecond, RequestTimeout: 500 * time.Millisecond}, nil)
 	defer c2.Close()
 	if _, err := c2.Lookup(ctx, "f", 0, "k"); err == nil {
 		t.Fatal("lookup succeeded against a drained server")

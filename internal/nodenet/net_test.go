@@ -283,9 +283,15 @@ func TestServerSurvivesMalformedRequest(t *testing.T) {
 type slowTransport struct {
 	dfs.NodeTransport
 	delay time.Duration
+	// entered, when non-nil, is called as each lookup enters, before its
+	// delay.
+	entered func()
 }
 
 func (s slowTransport) LookupBatch(ctx context.Context, file string, partition int, keys []lake.Key) ([][]lake.Record, error) {
+	if s.entered != nil {
+		s.entered()
+	}
 	time.Sleep(s.delay)
 	return s.NodeTransport.LookupBatch(ctx, file, partition, keys)
 }
@@ -306,7 +312,7 @@ func TestHedgingFiresAndWins(t *testing.T) {
 	if err := f.Append(ctx, 0, lake.Record{Key: "k", Data: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(slowTransport{dfs.Local(cluster), 5 * time.Millisecond}, discard)
+	srv := NewServer(slowTransport{NodeTransport: dfs.Local(cluster), delay: 5 * time.Millisecond}, discard)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +382,7 @@ func TestCloseDrainsPool(t *testing.T) {
 	if _, err := cluster.CreateFile("f", dfs.Heap, 1, lake.HashPartitioner{}); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(slowTransport{dfs.Local(cluster), 2 * time.Millisecond}, discard)
+	srv := NewServer(slowTransport{NodeTransport: dfs.Local(cluster), delay: 2 * time.Millisecond}, discard)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -419,7 +425,7 @@ func TestDeadlineRespected(t *testing.T) {
 	if _, err := cluster.CreateFile("f", dfs.Heap, 1, lake.HashPartitioner{}); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(slowTransport{dfs.Local(cluster), 500 * time.Millisecond}, discard)
+	srv := NewServer(slowTransport{NodeTransport: dfs.Local(cluster), delay: 500 * time.Millisecond}, discard)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

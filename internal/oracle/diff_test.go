@@ -22,9 +22,9 @@ var (
 
 // TestDifferential is the acceptance gate: every seed's scenario must agree
 // with the baseline scan at every point of the axes product, with zero
-// row-set or invariant divergence, and the sweep must have hedged and
-// dropped requests on the net plane. A failing seed prints a
-// self-contained repro line.
+// row-set or invariant divergence, and the sweep must have hedged requests
+// on the net plane and fired faults on both planes. A failing seed prints
+// a self-contained repro line.
 func TestDifferential(t *testing.T) {
 	ctx := context.Background()
 	n := *nFlag
@@ -52,8 +52,8 @@ func TestDifferential(t *testing.T) {
 	for _, f := range sweep.Failures() {
 		t.Error(f)
 	}
-	t.Logf("%d seeds × 96 points: %d hedged attempts, %d transport drops, %d leaked connections",
-		n, sweep.HedgeFires, sweep.Drops, sweep.LeakedConns)
+	t.Logf("%d seeds × 96 points: %d hedged attempts, faults fired %d sim / %d net, %d leaked connections",
+		n, sweep.HedgeFires, sweep.FaultsFired[0], sweep.FaultsFired[1], sweep.LeakedConns)
 }
 
 // TestMutationsCaughtAtTheirPoints is the oracle's vacuity check: each row
@@ -209,36 +209,39 @@ func TestOracleCatchesEarlyTraceRelease(t *testing.T) {
 }
 
 // TestChaosDivergenceShrinksToEmptySchedule pins the shrinker's diagnostic
-// value: a divergence that does NOT depend on injected chaos (here, the
-// planted tail-flush bug breaking the {sim, faults on} point too) must
-// shrink to the empty schedule, telling the investigator the bug is
-// chaos-independent.
+// value on both planes: a divergence that does NOT depend on injected chaos
+// (here, the planted tail-flush bug breaking the {sim, faults on} and
+// {net, faults on} points too) must shrink to the empty schedule, telling
+// the investigator the bug is chaos-independent.
 func TestChaosDivergenceShrinksToEmptySchedule(t *testing.T) {
 	core.SetFailpoint(core.FailpointDropTailFlush, true)
 	t.Cleanup(func() { core.SetFailpoint(core.FailpointDropTailFlush, false) })
 
-	chaosPoint := Point{faults: 1}
-	x := mustAxes(t, chaosPoint.String())
-	for seed := int64(1); seed <= 40; seed++ {
-		rep, err := Run(context.Background(), seed, Options{Axes: x})
-		if err != nil {
-			t.Fatalf("seed %d: oracle harness failed: %v", seed, err)
-		}
-		if !rep.Diverged() {
-			continue
-		}
-		if rep.MinPoint != chaosPoint {
-			t.Fatalf("seed %d: shrank to %s, want %s", seed, rep.MinPoint, chaosPoint)
-		}
-		if rep.MinSchedule == nil {
-			t.Fatalf("seed %d: the faults point diverged but no shrunk schedule was produced", seed)
-		}
-		if rep.MinSchedule.Events() != 0 {
-			t.Fatalf("seed %d: chaos-independent bug shrank to %s, want empty schedule", seed, rep.MinSchedule)
-		}
-		return // one shrunk repro is enough
+	for _, chaosPoint := range []Point{{faults: 1}, {plane: 1, faults: 1}} {
+		t.Run(axes[plane].values[chaosPoint[plane]], func(t *testing.T) {
+			x := mustAxes(t, chaosPoint.String())
+			for seed := int64(1); seed <= 40; seed++ {
+				rep, err := Run(context.Background(), seed, Options{Axes: x})
+				if err != nil {
+					t.Fatalf("seed %d: oracle harness failed: %v", seed, err)
+				}
+				if !rep.Diverged() {
+					continue
+				}
+				if rep.MinPoint != chaosPoint {
+					t.Fatalf("seed %d: shrank to %s, want %s", seed, rep.MinPoint, chaosPoint)
+				}
+				if rep.MinSchedule == nil {
+					t.Fatalf("seed %d: the faults point diverged but no shrunk schedule was produced", seed)
+				}
+				if rep.MinSchedule.Events() != 0 {
+					t.Fatalf("seed %d: chaos-independent bug shrank to %s, want empty schedule", seed, rep.MinSchedule)
+				}
+				return // one shrunk repro is enough
+			}
+			t.Fatal("40 seeds ran with the tail-flush bug planted and none tripped the faults point, so the shrinker was never exercised")
+		})
 	}
-	t.Fatal("40 seeds ran with the tail-flush bug planted and none tripped the faults point, so the shrinker was never exercised")
 }
 
 // mustAxes parses an -axes list or fails the test.

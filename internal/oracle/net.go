@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"lakeharbor/internal/chaos"
 	"lakeharbor/internal/core"
 	"lakeharbor/internal/dfs"
 	"lakeharbor/internal/lake"
@@ -22,19 +21,17 @@ import (
 // fails the sweep" stays.
 const netHedgeAfter = 200 * time.Microsecond
 
-// netPlane is what plane=net keeps for the later steps and the checks: the
-// clients' shared transport stats, each node's (dormant) transport chaos
-// proxy for the faults step, and each server's span observer.
+// netPlane is what plane=net keeps for the checks: the clients' shared
+// transport stats and each server's span observer.
 type netPlane struct {
 	stats     *nodenet.Stats
-	chaos     []*chaos.TransportChaos
 	observers []*nodenet.ServerObs
 }
 
 // plane mirrors the world onto loopback nodenet servers at plane=net: one
 // single-node backing cluster and RPC server per node (free-cost: the
-// sockets provide real latency), and one hedging client per server behind a
-// transport chaos proxy that the faults step may arm. Each server and
+// sockets provide real latency), and one hedging client per server, behind
+// a front-end cluster the faults step arms like the sim one. Each server and
 // client joins the close list as soon as it is opened, so no return path
 // can leak one.
 func (w *world) plane(ctx context.Context) error {
@@ -56,10 +53,8 @@ func (w *world) plane(ctx context.Context) error {
 		w.closers = append(w.closers, func() { srv.Close() })
 		client := nodenet.Dial(addr.String(), nodenet.Options{HedgeAfter: netHedgeAfter}, n.stats)
 		w.closers = append(w.closers, func() { client.Close() })
-		tc := chaos.WrapTransport(client, w.seed+int64(i), chaos.TransportProfile{})
 		n.observers = append(n.observers, obs)
-		n.chaos = append(n.chaos, tc)
-		transports[i] = tc
+		transports[i] = client
 	}
 	netCluster, err := dfs.NewClusterWithTransports(dfs.Config{}, transports)
 	if err != nil {
@@ -80,9 +75,6 @@ func (w *world) plane(ctx context.Context) error {
 // closes every connection of each client, so one still open is a leak.
 func (n *netPlane) account(w *world) {
 	w.out.hedges = n.stats.HedgeFires()
-	for _, tc := range n.chaos {
-		w.out.drops += tc.Drops()
-	}
 	if w.out.leaks = n.stats.OpenConns(); w.out.leaks != 0 {
 		w.fail("net: %d connections leaked after pool drain", w.out.leaks)
 	}

@@ -7,10 +7,10 @@ import (
 )
 
 // TestNetArmMatchesSim: the scenario mirrored onto real loopback lakenode
-// servers — the {net} points, run clean and under armed transport chaos —
-// must match the sim answers over >= 30 seeds, with at least one hedged
-// request and one transport drop observed across the sweep and zero leaked
-// connections after every pool drain.
+// servers — the {net} points, run clean and under the seed's armed fault
+// schedule — must match the sim answers over >= 30 seeds, with at least one
+// hedged request and one fired fault observed across the sweep and zero
+// leaked connections after every pool drain.
 func TestNetArmMatchesSim(t *testing.T) {
 	n := 35
 	if testing.Short() {
@@ -38,5 +38,5 @@ func TestNetArmMatchesSim(t *testing.T) {
 	for _, f := range sweep.Failures() {
 		t.Error(f)
 	}
-	t.Logf("net points: %d seeds, %d hedged attempts, %d transport drops", n, sweep.HedgeFires, sweep.Drops)
+	t.Logf("net points: %d seeds, %d hedged attempts, %d faults fired", n, sweep.HedgeFires, sweep.FaultsFired[1])
 }

@@ -6,7 +6,7 @@
 //	plane       sim | net                          (in-process cluster, or loopback nodenet servers)
 //	functions   compiled | script                  (Go access methods, or their mirror scripts)
 //	structures  hand-built | managed | recovered   (generated index, lifecycle rebuild, crash recovery)
-//	faults      off | on                           (armed chaos schedule, or transport chaos on net)
+//	faults      off | on                           (the seed's chaos schedule armed, on either plane)
 //	dispatch    pool | sched                       (standing per-node workers, or a 9:3:1 tenant mix)
 //	batch       drawn | 1                          (the scenario's MaxBatch, or no coalescing)
 //
@@ -18,8 +18,8 @@
 // adds the invariants of the machinery it puts in place. A divergence is
 // reported at every point that shows it and shrunk to the first of them in
 // product order — which no single axis can move closer to the reference
-// point, since that closer point ran and agreed — and, at {sim, faults on},
-// to a minimal fault schedule by chaos.Shrink. Everything reproduces from
+// point, since that closer point ran and agreed — and, at faults=on, to a
+// minimal fault schedule by chaos.Shrink. Everything reproduces from
 // the seed and the point alone.
 package oracle
 
@@ -161,17 +161,19 @@ type Report struct {
 	// move closer to the reference point.
 	MinPoint Point
 	// MinSchedule is MinPoint's fault schedule shrunk by chaos.Shrink; nil
-	// unless MinPoint is {sim, faults on}.
+	// unless MinPoint has faults=on.
 	MinSchedule *chaos.Schedule
 	// DivergedTrace is MinPoint's execution trace — event timeline
 	// included — for export beside the repro; nil when the point failed
 	// before producing one.
 	DivergedTrace *trace.Snapshot
-	// NetHedgeFires, NetDrops and NetLeakedConns total the net points'
-	// transport stats: hedged second attempts launched, requests the armed
-	// transport chaos dropped, and connections still open after the client
-	// pools closed (each leak is also a failure).
-	NetHedgeFires, NetDrops, NetLeakedConns int64
+	// NetHedgeFires and NetLeakedConns total the net points' transport
+	// stats: hedged second attempts launched, and connections still open
+	// after the client pools closed (each leak is also a failure).
+	NetHedgeFires, NetLeakedConns int64
+	// FaultsFired totals, per plane (sim, net), the accesses the armed
+	// fault schedules failed at faults=on.
+	FaultsFired [2]int64
 }
 
 // Diverged reports whether any point disagreed or broke an invariant.
@@ -211,8 +213,8 @@ func Run(ctx context.Context, seed int64, opts Options) (*Report, error) {
 		}
 		rep.Points = append(rep.Points, p)
 		rep.NetHedgeFires += out.hedges
-		rep.NetDrops += out.drops
 		rep.NetLeakedConns += out.leaks
+		rep.FaultsFired[p[plane]] += out.fired
 		if len(out.fails) == 0 {
 			continue
 		}
@@ -237,13 +239,16 @@ func Run(ctx context.Context, seed int64, opts Options) (*Report, error) {
 }
 
 // Sweep totals the reports of a run of seeds and checks what no single seed
-// can: that the net points hedged and that their armed transport faults
-// dropped requests. A sweep of ten or more seeds that never did either left
+// can: that the net points hedged and that the armed fault schedules fired
+// on each plane. A sweep of ten or more seeds that never did either left
 // that path untested, however well the answers matched.
 type Sweep struct {
-	Divergent                        int
-	HedgeFires, Drops, LeakedConns   int64
-	seeds, netPoints, netFaultPoints int
+	Divergent               int
+	HedgeFires, LeakedConns int64
+	// FaultsFired totals the reports' FaultsFired, per plane (sim, net).
+	FaultsFired      [2]int64
+	seeds, netPoints int
+	faultPoints      [2]int
 }
 
 // Add folds one seed's report into the sweep.
@@ -255,14 +260,16 @@ func (s *Sweep) Add(r *Report) {
 	for _, p := range r.Points {
 		if p.is(plane, "net") {
 			s.netPoints++
-			if p.is(faults, "on") {
-				s.netFaultPoints++
-			}
+		}
+		if p.is(faults, "on") {
+			s.faultPoints[p[plane]]++
 		}
 	}
 	s.HedgeFires += r.NetHedgeFires
-	s.Drops += r.NetDrops
 	s.LeakedConns += r.NetLeakedConns
+	for i, n := range r.FaultsFired {
+		s.FaultsFired[i] += n
+	}
 }
 
 // Failures lists the sweep's vacuity failures.
@@ -271,8 +278,10 @@ func (s *Sweep) Failures() []string {
 	if s.seeds >= 10 && s.netPoints > 0 && s.HedgeFires == 0 {
 		fails = append(fails, fmt.Sprintf("net points fired no hedged request across %d seeds", s.seeds))
 	}
-	if s.seeds >= 10 && s.netFaultPoints > 0 && s.Drops == 0 {
-		fails = append(fails, fmt.Sprintf("{net, faults on} points dropped no request across %d seeds", s.seeds))
+	for i, name := range axes[plane].values {
+		if s.seeds >= 10 && s.faultPoints[i] > 0 && s.FaultsFired[i] == 0 {
+			fails = append(fails, fmt.Sprintf("{%s, faults on} points fired no fault across %d seeds", name, s.seeds))
+		}
 	}
 	return fails
 }

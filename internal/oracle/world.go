@@ -38,10 +38,12 @@ type outcome struct {
 	emits []int64
 	// trace is the last failing job's trace, else the first job's.
 	trace *trace.Snapshot
-	// schedule is the sim fault schedule armed at {sim, faults on}.
+	// schedule is the fault schedule armed at faults=on.
 	schedule *chaos.Schedule
-	// hedges, drops and leaks are the net plane's transport stats.
-	hedges, drops, leaks int64
+	// fired counts the faults the armed schedule fired.
+	fired int64
+	// hedges and leaks are the net plane's transport stats.
+	hedges, leaks int64
 }
 
 // world is one point's assembled configuration: the generated scenario and
@@ -69,7 +71,7 @@ func (w *world) fail(format string, args ...any) {
 // in the fixed step order, runs the job and checks it. refEmits are the
 // reference point's per-stage emits (nil for the reference itself);
 // schedule, when non-nil, replaces the seed's compiled fault schedule at
-// {sim, faults on}. The error is a harness failure; divergences are in the
+// faults=on. The error is a harness failure; divergences are in the
 // outcome.
 func runPoint(ctx context.Context, seed int64, p Point, refEmits []int64, schedule *chaos.Schedule) (*outcome, error) {
 	// Cancelled on return: it stops the point's managers and any job the
@@ -102,22 +104,12 @@ func runPoint(ctx context.Context, seed int64, p Point, refEmits []int64, schedu
 	return &w.out, nil
 }
 
-// faults arms the point's faults: the seed's chaos schedule on the sim
-// plane, every node's transport chaos on net. The retry budget is sized to
-// out-wait whatever is armed, so a correct executor still returns the
-// exact answer.
+// faults arms the seed's chaos schedule on the point's cluster — the sim,
+// or at plane=net the front end over the nodes' clients. The retry budget
+// is sized to out-wait it, so a correct executor still returns the exact
+// answer.
 func (w *world) faults(context.Context) error {
 	if w.p.is(faults, "off") {
-		return nil
-	}
-	if w.net != nil {
-		drops := 0
-		for _, tc := range w.net.chaos {
-			tc.Arm()
-			w.closers = append(w.closers, tc.Disarm)
-			drops += tc.MaxDrops()
-		}
-		w.retries = drops + 2
 		return nil
 	}
 	if w.out.schedule == nil {
@@ -127,7 +119,10 @@ func (w *world) faults(context.Context) error {
 	if err != nil {
 		return fmt.Errorf("arming: %w", err)
 	}
-	w.closers = append(w.closers, armed.Disarm)
+	w.closers = append(w.closers, func() {
+		armed.Disarm()
+		w.out.fired = armed.Fired()
+	})
 	w.retries = w.out.schedule.TotalHeals() + 2
 	return nil
 }

@@ -75,11 +75,6 @@ func HDDProfile() CostModel {
 	}
 }
 
-// DelayHook rewrites the modeled service time of one I/O. Chaos injection
-// installs hooks that add latency spikes or brownout windows; the hook runs
-// on the I/O's goroutine and must be safe for concurrent use.
-type DelayHook func(d time.Duration) time.Duration
-
 // Gate is one node's I/O path: an admission semaphore of QueueDepth slots
 // feeding a service semaphore of Spindles units. A nil Gate admits
 // everything instantly.
@@ -87,9 +82,6 @@ type Gate struct {
 	slots    chan struct{}
 	spindles chan struct{}
 	model    CostModel
-	// delay is the installed DelayHook (nil when none); it is consulted on
-	// every occupy, so installation must be atomic against in-flight I/Os.
-	delay atomic.Pointer[DelayHook]
 }
 
 // NewGate returns a Gate for the model, or nil if the model is free.
@@ -155,21 +147,6 @@ func (g *Gate) Scan(ctx context.Context, n int, remote bool) error {
 	return g.occupy(ctx, d)
 }
 
-// SetDelayHook installs fn as the gate's latency override: every subsequent
-// I/O's modeled service time is passed through fn before the gate sleeps.
-// A nil fn clears the override. Calling it on a nil Gate (free cost model)
-// is a no-op — a free gate never sleeps, so there is nothing to override.
-func (g *Gate) SetDelayHook(fn DelayHook) {
-	if g == nil {
-		return
-	}
-	if fn == nil {
-		g.delay.Store(nil)
-		return
-	}
-	g.delay.Store(&fn)
-}
-
 // Hold occupies up to n admission slots without blocking and returns how
 // many it took plus a function releasing them. Chaos injection uses it to
 // squeeze a node's effective queue depth for a window; a gate without a
@@ -203,9 +180,6 @@ func (g *Gate) Hold(n int) (taken int, release func()) {
 // occupy takes an admission slot, waits for a spindle, services the I/O
 // for d, and releases both.
 func (g *Gate) occupy(ctx context.Context, d time.Duration) error {
-	if h := g.delay.Load(); h != nil {
-		d = (*h)(d)
-	}
 	if g.slots != nil {
 		select {
 		case g.slots <- struct{}{}:
