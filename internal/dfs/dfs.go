@@ -360,7 +360,7 @@ func (f *file) part(i int) (*partition, *node, error) {
 // observation), but the fault hook sees the batch's key count: the batch
 // stands in for len(keys) point lookups, so a heal budget is consumed the
 // same way batched and unbatched. Records are appended straight from the
-// tree, or from a transport node's reply groups.
+// tree, or by a transport node (AppendLookupBatch over its transport).
 func (f *file) AppendLookupBatch(ctx context.Context, dst []lake.Record, partitionIdx int, keys []lake.Key, ends []int) ([]lake.Record, error) {
 	if len(keys) == 0 {
 		return dst, nil
@@ -370,26 +370,18 @@ func (f *file) AppendLookupBatch(ctx context.Context, dst []lake.Record, partiti
 		return dst, err
 	}
 	owner.counters.AddBatchLookup(len(keys))
-	var groups [][]lake.Record
+	start := len(dst)
 	if err := f.access(ctx, owner, partitionIdx, OpLookupBatch, len(keys), func(remote bool) error {
 		if owner.transport == nil {
 			return owner.gate.LookupBatch(ctx, len(keys), remote)
 		}
 		var err error
-		groups, err = owner.transport.LookupBatch(ctx, f.name, partitionIdx, keys)
+		dst, err = AppendLookupBatch(ctx, owner.transport, dst, f.name, partitionIdx, keys, ends)
 		return err
 	}); err != nil {
 		return dst, err
 	}
-	start := len(dst)
-	if owner.transport != nil {
-		for i, recs := range groups {
-			dst = append(dst, recs...)
-			if ends != nil {
-				ends[i] = len(dst)
-			}
-		}
-	} else {
+	if owner.transport == nil {
 		p.mu.RLock()
 		c := p.tree.Cursor()
 		for i, k := range keys {
@@ -420,28 +412,25 @@ func (f *file) Lookup(ctx context.Context, partitionIdx int, key lake.Key) ([]la
 }
 
 // AppendLookup implements lake.BatchFile: one gate admission, the records
-// appended straight from the tree or from a transport node's reply.
+// appended straight from the tree or by a transport node.
 func (f *file) AppendLookup(ctx context.Context, dst []lake.Record, partitionIdx int, key lake.Key) ([]lake.Record, error) {
 	p, owner, err := f.part(partitionIdx)
 	if err != nil {
 		return dst, err
 	}
 	owner.counters.AddLookup()
-	var recs []lake.Record
+	start := len(dst)
 	if err := f.access(ctx, owner, partitionIdx, OpLookup, 1, func(remote bool) error {
 		if owner.transport == nil {
 			return owner.gate.Lookup(ctx, remote)
 		}
 		var err error
-		recs, err = owner.transport.Lookup(ctx, f.name, partitionIdx, key)
+		dst, err = AppendLookup(ctx, owner.transport, dst, f.name, partitionIdx, key)
 		return err
 	}); err != nil {
 		return dst, err
 	}
-	start := len(dst)
-	if owner.transport != nil {
-		dst = append(dst, recs...)
-	} else {
+	if owner.transport == nil {
 		p.mu.RLock()
 		c := p.tree.Cursor()
 		c.Visit(key, func(v []byte) { dst = append(dst, lake.Record{Key: key, Data: v}) })
@@ -458,7 +447,7 @@ func (f *file) LookupRange(ctx context.Context, partitionIdx int, lo, hi lake.Ke
 }
 
 // AppendLookupRange implements lake.BatchFile: one gate admission, the
-// records appended straight from the tree or from a transport node's reply.
+// records appended straight from the tree or by a transport node.
 func (f *file) AppendLookupRange(ctx context.Context, dst []lake.Record, partitionIdx int, lo, hi lake.Key) ([]lake.Record, error) {
 	if f.kind != Btree {
 		return dst, lake.AsPermanent(fmt.Errorf("dfs: file %q is not a btree file", f.name))
@@ -468,21 +457,18 @@ func (f *file) AppendLookupRange(ctx context.Context, dst []lake.Record, partiti
 		return dst, err
 	}
 	owner.counters.AddLookup()
-	var recs []lake.Record
+	start := len(dst)
 	if err := f.access(ctx, owner, partitionIdx, OpRange, 1, func(remote bool) error {
 		if owner.transport == nil {
 			return owner.gate.Lookup(ctx, remote)
 		}
 		var err error
-		recs, err = owner.transport.LookupRange(ctx, f.name, partitionIdx, lo, hi)
+		dst, err = AppendLookupRange(ctx, owner.transport, dst, f.name, partitionIdx, lo, hi)
 		return err
 	}); err != nil {
 		return dst, err
 	}
-	start := len(dst)
-	if owner.transport != nil {
-		dst = append(dst, recs...)
-	} else {
+	if owner.transport == nil {
 		p.mu.RLock()
 		p.tree.Ascend(lo, hi, func(k string, v []byte) bool {
 			dst = append(dst, lake.Record{Key: k, Data: v})

@@ -11,6 +11,12 @@ package dfs
 // Both kinds of node share one access path (access, below): it attributes
 // the access and consults the cluster's FaultHook before the access touches
 // a partition tree or a transport, so one fault injector serves both.
+//
+// A transport that is also a BatchTransport appends what its lookups find
+// onto the caller's record array, so a task's lookups on a transport node
+// fill the task's lent array as they do on a sim node; a transport without
+// the capability is called through its slice form and its answer copied.
+// Local and the nodenet client have it.
 
 import (
 	"context"
@@ -55,6 +61,83 @@ type NodeTransport interface {
 	Close() error
 }
 
+// BatchTransport is a NodeTransport that appends onto a record array the
+// caller owns — lake.BatchFile's contract across the transport seam: the
+// records of keys[i] go after those of keys[i-1], and when ends is non-nil
+// ends[i] is the length of the result after them. On any error dst comes
+// back at its own length with nothing left past it.
+type BatchTransport interface {
+	NodeTransport
+	AppendLookup(ctx context.Context, dst []lake.Record, file string, partition int, key lake.Key) ([]lake.Record, error)
+	AppendLookupBatch(ctx context.Context, dst []lake.Record, file string, partition int, keys []lake.Key, ends []int) ([]lake.Record, error)
+	AppendLookupRange(ctx context.Context, dst []lake.Record, file string, partition int, lo, hi lake.Key) ([]lake.Record, error)
+}
+
+// AppendLookup is BatchTransport's AppendLookup over any transport: t's own
+// append form when it has one, its Lookup copied onto dst otherwise.
+func AppendLookup(ctx context.Context, t NodeTransport, dst []lake.Record, file string, partition int, key lake.Key) ([]lake.Record, error) {
+	if bt, ok := t.(BatchTransport); ok {
+		return bt.AppendLookup(ctx, dst, file, partition, key)
+	}
+	recs, err := t.Lookup(ctx, file, partition, key)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, recs...), nil
+}
+
+// AppendLookupBatch is BatchTransport's AppendLookupBatch over any
+// transport: t's own append form when it has one, its LookupBatch copied
+// onto dst otherwise.
+func AppendLookupBatch(ctx context.Context, t NodeTransport, dst []lake.Record, file string, partition int, keys []lake.Key, ends []int) ([]lake.Record, error) {
+	if bt, ok := t.(BatchTransport); ok {
+		return bt.AppendLookupBatch(ctx, dst, file, partition, keys, ends)
+	}
+	groups, err := t.LookupBatch(ctx, file, partition, keys)
+	if err != nil {
+		return dst, err
+	}
+	if len(groups) != len(keys) {
+		return dst, lake.AsPermanent(fmt.Errorf("dfs: %q/%d: batch answer has %d groups for %d keys", file, partition, len(groups), len(keys)))
+	}
+	for i, recs := range groups {
+		dst = append(dst, recs...)
+		if ends != nil {
+			ends[i] = len(dst)
+		}
+	}
+	return dst, nil
+}
+
+// AppendLookupRange is BatchTransport's AppendLookupRange over any
+// transport: t's own append form when it has one, its LookupRange copied
+// onto dst otherwise.
+func AppendLookupRange(ctx context.Context, t NodeTransport, dst []lake.Record, file string, partition int, lo, hi lake.Key) ([]lake.Record, error) {
+	if bt, ok := t.(BatchTransport); ok {
+		return bt.AppendLookupRange(ctx, dst, file, partition, lo, hi)
+	}
+	recs, err := t.LookupRange(ctx, file, partition, lo, hi)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, recs...), nil
+}
+
+// LookupBatch is NodeTransport's LookupBatch for a BatchTransport: its
+// AppendLookupBatch onto an array sized for one record per key, cut into one
+// slice per key.
+func LookupBatch(ctx context.Context, t BatchTransport, file string, partition int, keys []lake.Key) ([][]lake.Record, error) {
+	if len(keys) == 0 {
+		return nil, nil
+	}
+	ends := make([]int, len(keys))
+	recs, err := t.AppendLookupBatch(ctx, make([]lake.Record, 0, len(keys)), file, partition, keys, ends)
+	if err != nil {
+		return nil, err
+	}
+	return lake.Groups(recs, ends), nil
+}
+
 // localTransport adapts a sim cluster's in-process data path to the
 // NodeTransport interface. It is the storage side of a networked node (the
 // lakenode server executes decoded RPCs against it).
@@ -86,27 +169,39 @@ func (t localTransport) DropFile(_ context.Context, name string) error {
 }
 
 func (t localTransport) Lookup(ctx context.Context, file string, partition int, key lake.Key) ([]lake.Record, error) {
-	f, err := t.lookup(file)
-	if err != nil {
-		return nil, err
-	}
-	return f.Lookup(ctx, partition, key)
+	return t.AppendLookup(ctx, nil, file, partition, key)
 }
 
 func (t localTransport) LookupBatch(ctx context.Context, file string, partition int, keys []lake.Key) ([][]lake.Record, error) {
-	f, err := t.lookup(file)
-	if err != nil {
-		return nil, err
-	}
-	return lake.LookupBatch(ctx, f, partition, keys)
+	return LookupBatch(ctx, t, file, partition, keys)
 }
 
 func (t localTransport) LookupRange(ctx context.Context, file string, partition int, lo, hi lake.Key) ([]lake.Record, error) {
+	return t.AppendLookupRange(ctx, nil, file, partition, lo, hi)
+}
+
+func (t localTransport) AppendLookup(ctx context.Context, dst []lake.Record, file string, partition int, key lake.Key) ([]lake.Record, error) {
 	f, err := t.lookup(file)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return f.LookupRange(ctx, partition, lo, hi)
+	return f.AppendLookup(ctx, dst, partition, key)
+}
+
+func (t localTransport) AppendLookupBatch(ctx context.Context, dst []lake.Record, file string, partition int, keys []lake.Key, ends []int) ([]lake.Record, error) {
+	f, err := t.lookup(file)
+	if err != nil {
+		return dst, err
+	}
+	return f.AppendLookupBatch(ctx, dst, partition, keys, ends)
+}
+
+func (t localTransport) AppendLookupRange(ctx context.Context, dst []lake.Record, file string, partition int, lo, hi lake.Key) ([]lake.Record, error) {
+	f, err := t.lookup(file)
+	if err != nil {
+		return dst, err
+	}
+	return f.AppendLookupRange(ctx, dst, partition, lo, hi)
 }
 
 func (t localTransport) Scan(ctx context.Context, file string, partition int, fn func(lake.Record) error) error {

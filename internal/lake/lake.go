@@ -150,7 +150,13 @@ func LookupBatch(ctx context.Context, f File, partition int, keys []Key) ([][]Re
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]Record, len(keys))
+	return Groups(recs, ends), nil
+}
+
+// Groups cuts a batch appended onto an empty array — key i's records end at
+// ends[i] — into one slice per key, nil for a key with none.
+func Groups(recs []Record, ends []int) [][]Record {
+	out := make([][]Record, len(ends))
 	start := 0
 	for i, end := range ends {
 		if end > start {
@@ -158,7 +164,7 @@ func LookupBatch(ctx context.Context, f File, partition int, keys []Key) ([][]Re
 		}
 		start = end
 	}
-	return out, nil
+	return out
 }
 
 // AppendLookupBatch is BatchFile's AppendLookupBatch for any File: one

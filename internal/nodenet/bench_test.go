@@ -3,6 +3,7 @@ package nodenet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,20 +15,43 @@ import (
 var benchSink atomic.Int64 // keeps results live; callers run concurrently
 
 // benchFrames is the codec benchmark's message pair: a 64-key lookup request
-// carrying tc and its 64-group reply.
+// carrying tc and its 64-group reply, a record per key.
 func benchFrames(tc TraceContext) (*request, *response) {
 	keys := make([]lake.Key, 64)
-	resp := &response{Status: statusOK, ReqID: 7, Groups: make([][]lake.Record, 64)}
+	resp := &response{Status: statusOK, ReqID: 7, Recs: make([]lake.Record, 64), Ends: make([]int, 64)}
 	for i := range keys {
 		keys[i] = fmt.Sprintf("order-%08d", i)
-		resp.Groups[i] = []lake.Record{{Key: keys[i], Data: make([]byte, 96)}}
+		resp.Recs[i] = lake.Record{Key: keys[i], Data: make([]byte, 96)}
+		resp.Ends[i] = i + 1
 	}
 	return &request{Op: opLookupBatch, ReqID: 7, File: "orders", Partition: 3, Keys: keys, Ctx: tc}, resp
 }
 
+// codecRig is what the two ends lend a frame's codec: the call's and the
+// worker's encode buffers, the server's pooled request, and the caller's
+// record array and ends.
+type codecRig struct {
+	reqBuf, respBuf []byte
+	req             request
+	got             response
+}
+
+// roundTrip encodes req and decodes it into the rig's request, then encodes
+// resp, its answer, and decodes it onto the rig's record array.
+func (r *codecRig) roundTrip(req *request, resp *response) error {
+	r.reqBuf = req.appendTo(r.reqBuf)
+	if err := r.req.decode(r.reqBuf); err != nil {
+		return err
+	}
+	r.respBuf = resp.appendTo(r.respBuf, req.Op)
+	n := len(r.req.Keys)
+	r.got.Recs, r.got.Ends = r.got.Recs[:0], slices.Grow(r.got.Ends[:0], n)[:n]
+	return r.got.decode(r.respBuf, req.Op, n)
+}
+
 // BenchmarkFrameEncodeDecode prices the codec alone: one 64-key lookup
-// request and its 64-group response, encoded and decoded, with and without
-// the trace-context block on the request.
+// request and its 64-group response, encoded and decoded into what the two
+// ends lend, with and without the trace-context block on the request.
 func BenchmarkFrameEncodeDecode(b *testing.B) {
 	for name, tc := range map[string]TraceContext{
 		"plain": {},
@@ -35,17 +59,13 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 	} {
 		req, resp := benchFrames(tc)
 		b.Run(name, func(b *testing.B) {
+			var rig codecRig
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				gotReq, err := decodeRequest(req.encode())
-				if err != nil {
+				if err := rig.roundTrip(req, resp); err != nil {
 					b.Fatal(err)
 				}
-				gotResp, err := decodeResponse(resp.encode(req.Op), req.Op)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink.Add(int64(len(gotReq.Keys) + len(gotResp.Groups)))
+				benchSink.Add(int64(len(rig.req.Keys) + len(rig.got.Recs)))
 			}
 		})
 	}

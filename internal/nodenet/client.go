@@ -99,7 +99,7 @@ type slot struct {
 	users   int           // attempts assigned here and not yet let go
 }
 
-var _ dfs.NodeTransport = (*Client)(nil)
+var _ dfs.BatchTransport = (*Client)(nil)
 
 // Dial returns a client for the node at addr. No connection is opened until
 // the first request; stats may be nil (or shared across clients).
@@ -149,48 +149,58 @@ func (c *Client) Close() error {
 
 func (c *Client) CreateFile(ctx context.Context, name string, kind dfs.Kind, partitions int, p lake.Partitioner) error {
 	req := &request{Op: opCreate, File: name, Kind: int(kind), Partitions: partitions, Part: p}
-	_, err := c.call(ctx, req)
-	return err
+	return c.call(ctx, req, &response{})
 }
 
 func (c *Client) DropFile(ctx context.Context, name string) error {
-	_, err := c.call(ctx, &request{Op: opDrop, File: name})
-	return err
+	return c.call(ctx, &request{Op: opDrop, File: name}, &response{})
 }
 
-// Lookup is a one-key LookupBatch on the wire.
+// Lookup is AppendLookup onto nil.
 func (c *Client) Lookup(ctx context.Context, file string, partition int, key lake.Key) ([]lake.Record, error) {
-	out, err := c.LookupBatch(ctx, file, partition, []lake.Key{key})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
+	return c.AppendLookup(ctx, nil, file, partition, key)
 }
 
+// LookupBatch is AppendLookupBatch onto nil, cut into one group per key.
 func (c *Client) LookupBatch(ctx context.Context, file string, partition int, keys []lake.Key) ([][]lake.Record, error) {
-	req := &request{Op: opLookupBatch, File: file, Partition: partition, Keys: keys}
-	resp, err := c.call(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Groups) != len(keys) {
-		return nil, lake.AsPermanent(fmt.Errorf("nodenet: batch answer has %d groups for %d keys", len(resp.Groups), len(keys)))
-	}
-	return resp.Groups, nil
+	return dfs.LookupBatch(ctx, c, file, partition, keys)
 }
 
+// LookupRange is AppendLookupRange onto nil.
 func (c *Client) LookupRange(ctx context.Context, file string, partition int, lo, hi lake.Key) ([]lake.Record, error) {
-	req := &request{Op: opLookupRange, File: file, Partition: partition, Lo: lo, Hi: hi}
-	resp, err := c.call(ctx, req)
-	if err != nil {
-		return nil, err
+	return c.AppendLookupRange(ctx, nil, file, partition, lo, hi)
+}
+
+// AppendLookup is a one-key opLookupBatch on the wire.
+func (c *Client) AppendLookup(ctx context.Context, dst []lake.Record, file string, partition int, key lake.Key) ([]lake.Record, error) {
+	keys := [1]lake.Key{key}
+	return c.appendCall(ctx, &request{Op: opLookupBatch, File: file, Partition: partition, Keys: keys[:]}, dst, nil)
+}
+
+// AppendLookupBatch implements dfs.BatchTransport.
+func (c *Client) AppendLookupBatch(ctx context.Context, dst []lake.Record, file string, partition int, keys []lake.Key, ends []int) ([]lake.Record, error) {
+	if len(keys) == 0 {
+		return dst, nil
 	}
-	return resp.Recs, nil
+	return c.appendCall(ctx, &request{Op: opLookupBatch, File: file, Partition: partition, Keys: keys}, dst, ends)
+}
+
+// AppendLookupRange implements dfs.BatchTransport.
+func (c *Client) AppendLookupRange(ctx context.Context, dst []lake.Record, file string, partition int, lo, hi lake.Key) ([]lake.Record, error) {
+	return c.appendCall(ctx, &request{Op: opLookupRange, File: file, Partition: partition, Lo: lo, Hi: hi}, dst, nil)
+}
+
+// appendCall runs req with its answer's records decoded straight onto dst
+// (and ends): on an error dst comes back as it was.
+func (c *Client) appendCall(ctx context.Context, req *request, dst []lake.Record, ends []int) ([]lake.Record, error) {
+	resp := &response{Recs: dst, Ends: ends}
+	err := c.call(ctx, req, resp)
+	return resp.Recs, err
 }
 
 func (c *Client) Scan(ctx context.Context, file string, partition int, fn func(lake.Record) error) error {
-	resp, err := c.call(ctx, &request{Op: opScan, File: file, Partition: partition})
-	if err != nil {
+	resp := &response{}
+	if err := c.call(ctx, &request{Op: opScan, File: file, Partition: partition}, resp); err != nil {
 		return err
 	}
 	for _, r := range resp.Recs {
@@ -203,13 +213,12 @@ func (c *Client) Scan(ctx context.Context, file string, partition int, fn func(l
 
 func (c *Client) Append(ctx context.Context, file string, partition int, recs []lake.Record) error {
 	req := &request{Op: opAppend, File: file, Partition: partition, Recs: recs}
-	_, err := c.call(ctx, req)
-	return err
+	return c.call(ctx, req, &response{})
 }
 
 func (c *Client) Stat(ctx context.Context, file string, partition int) (int, int64, error) {
-	resp, err := c.call(ctx, &request{Op: opStat, File: file, Partition: partition})
-	if err != nil {
+	resp := &response{}
+	if err := c.call(ctx, &request{Op: opStat, File: file, Partition: partition}, resp); err != nil {
 		return 0, 0, err
 	}
 	return resp.Records, resp.Bytes, nil
@@ -267,13 +276,15 @@ type reply struct {
 	err     error
 }
 
-// call runs one logical request. A caller that gives up (context, deadline)
-// abandons its attempts and leaves the connections to everyone else.
-func (c *Client) call(ctx context.Context, req *request) (response, error) {
+// call runs one logical request and decodes its answer into resp: the
+// winning attempt's only, on the caller's goroutine. A caller that gives up
+// (context, deadline) abandons its attempts and leaves the connections to
+// everyone else.
+func (c *Client) call(ctx context.Context, req *request, resp *response) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return response{}, errClosed
+		return errClosed
 	}
 	c.calls.Add(1)
 	c.mu.Unlock()
@@ -287,14 +298,13 @@ func (c *Client) call(ctx context.Context, req *request) (response, error) {
 	}
 	cl := callPool.Get().(*call)
 	cl.buf = req.appendTo(cl.buf)
-	var resp response
 	var err error
 	if len(cl.buf) > MaxFrame {
 		// Checked here, not left to the frame writer: there the error would
 		// fail the connection under every other caller.
 		err = lake.AsPermanent(fmt.Errorf("nodenet: %s: request: %w (%d bytes)", c.addr, errFrameTooBig, len(cl.buf)))
 	} else {
-		resp, err = c.run(ctx, cl, req.Op, cl.buf)
+		err = c.run(ctx, cl, req, resp)
 		c.letGo(cl, err == nil)
 	}
 	if cl.armed && !cl.timer.Stop() {
@@ -305,7 +315,7 @@ func (c *Client) call(ctx context.Context, req *request) (response, error) {
 		cl.buf = nil
 	}
 	callPool.Put(cl)
-	return resp, err
+	return err
 }
 
 // run drives cl's attempts to the call's outcome. An idempotent request
@@ -313,7 +323,8 @@ func (c *Client) call(ctx context.Context, req *request) (response, error) {
 // with a fresh request id, on another connection when more than one is open
 // — and the first success wins; the loser's reply is counted as a suppressed
 // duplicate when it arrives.
-func (c *Client) run(ctx context.Context, cl *call, op byte, payload []byte) (response, error) {
+func (c *Client) run(ctx context.Context, cl *call, req *request, resp *response) error {
+	op, payload := req.Op, cl.buf
 	// The request deadline is armed on the call's timer; a sooner context
 	// deadline is the context's to signal, and bounds the dial.
 	timeout := time.Now().Add(c.opts.RequestTimeout)
@@ -328,11 +339,11 @@ func (c *Client) run(ctx context.Context, cl *call, op byte, payload []byte) (re
 		var err error
 		if mc, err = c.connect(ctx, s, dialBy); err != nil {
 			c.release(s)
-			return response{}, err // dial failures are transient
+			return err // dial failures are transient
 		}
 	}
 	if err := c.launch(primary, mc, payload); err != nil {
-		return response{}, err
+		return err
 	}
 
 	// One timer serves both waits: first the hedge delay, then the timeout.
@@ -356,12 +367,12 @@ func (c *Client) run(ctx context.Context, cl *call, op byte, payload []byte) (re
 			outstanding--
 			r.att.active = false
 			c.release(r.att.mc.slot)
-			resp, err := c.settle(r, op)
+			err := c.settle(r, req, resp)
 			if err == nil {
 				if r.att == hedge {
 					c.stats.hedgeWon()
 				}
-				return resp, nil
+				return nil
 			}
 			if firstErr == nil {
 				firstErr = err
@@ -369,12 +380,12 @@ func (c *Client) run(ctx context.Context, cl *call, op byte, payload []byte) (re
 			// Every launched attempt failed (a primary failing before the
 			// hedge timer is not hedged: its error was not slowness).
 			if outstanding == 0 {
-				return response{}, firstErr
+				return firstErr
 			}
 		case <-cl.timer.C:
 			cl.armed = false
 			if !hedgeDue {
-				return response{}, fmt.Errorf("nodenet: %s: no response within %v", c.addr, c.opts.RequestTimeout)
+				return fmt.Errorf("nodenet: %s: no response within %v", c.addr, c.opts.RequestTimeout)
 			}
 			hedgeDue = false
 			cl.timer.Reset(time.Until(timeout))
@@ -390,7 +401,7 @@ func (c *Client) run(ctx context.Context, cl *call, op byte, payload []byte) (re
 				outstanding++
 			}
 		case <-ctx.Done():
-			return response{}, ctx.Err()
+			return ctx.Err()
 		}
 	}
 }
@@ -405,29 +416,28 @@ func (c *Client) launch(a *attempt, mc *muxConn, payload []byte) error {
 	return nil
 }
 
-// settle turns a delivered reply into the call's result and accounts the
-// attempt.
-func (c *Client) settle(r reply, op byte) (response, error) {
+// settle turns a delivered reply into the call's result, decoding it into
+// resp, and accounts the attempt.
+func (c *Client) settle(r reply, req *request, resp *response) error {
 	if r.err != nil {
 		c.stats.rpcDone(0, true)
-		return response{}, r.err
+		return r.err
 	}
-	resp, err := decodeResponse(r.payload, op)
-	if err != nil {
+	if err := resp.decode(r.payload, req.Op, len(req.Keys)); err != nil {
 		// The header passed the reader's checks but the body is not a
-		// response to this op: the peer is not speaking our protocol.
+		// response to this request: the peer is not speaking our protocol.
 		c.stats.rpcDone(0, true)
 		err = lake.AsPermanent(fmt.Errorf("nodenet: %s: malformed response: %w", c.addr, err))
 		r.att.mc.fail(err)
-		return response{}, err
+		return err
 	}
 	elapsed := time.Since(r.att.sent)
-	statusErr := statusToError(&resp)
+	statusErr := statusToError(resp)
 	c.stats.rpcDone(int64(elapsed), statusErr != nil)
 	if statusErr == nil {
 		c.observeLatency(elapsed)
 	}
-	return resp, statusErr
+	return statusErr
 }
 
 // letGo abandons whatever attempts of a returning call are still in flight.
@@ -480,7 +490,7 @@ func (c *Client) observeLatency(d time.Duration) {
 	if n < hedgeWarmup || n%hedgeRefresh != 0 {
 		return
 	}
-	p95 := c.lat.Snapshot().Quantile(0.95)
+	p95 := c.lat.Quantile(0.95)
 	if floor := int64(c.opts.HedgeMin); p95 < floor {
 		p95 = floor
 	}
@@ -666,7 +676,7 @@ func (mc *muxConn) readLoop() {
 	defer mc.c.readers.Done()
 	fr := frameReader{r: bufio.NewReaderSize(mc.conn, connBufSize)}
 	for {
-		payload, err := fr.next()
+		payload, err := fr.next(nil) // a reply's frame is owned by what it decodes to
 		if err != nil && !errors.Is(err, errFrameTooBig) {
 			mc.fail(fmt.Errorf("nodenet: read: %w", err)) // connection-level: transient
 			return

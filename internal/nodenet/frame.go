@@ -98,17 +98,19 @@ const (
 const maxSaneCount = 1 << 24
 
 // frameReader reads frames off one connection. The header lands in its own
-// scratch, so a frame costs one allocation: the payload, fresh per frame and
-// never reused — the decoded message aliases it and owns it from then on.
+// scratch, and the payload in the buffer the caller lends, or a fresh one
+// when it is too small. The client lends none: a reply's decoded records
+// alias its frame and own it from then on. The server lends each request's
+// frame from its request pool and takes it back once the reply is written.
 type frameReader struct {
 	r   io.Reader
 	hdr [4]byte
 }
 
-// next reads one length-prefixed payload. Short reads surface as the
-// underlying I/O error (transient); an oversize prefix returns
-// errFrameTooBig (permanent at the client).
-func (fr *frameReader) next() ([]byte, error) {
+// next reads one length-prefixed payload into buf's array when it fits.
+// Short reads surface as the underlying I/O error (transient); an oversize
+// prefix returns errFrameTooBig (permanent at the client).
+func (fr *frameReader) next(buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return nil, err
 	}
@@ -116,7 +118,11 @@ func (fr *frameReader) next() ([]byte, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w (%d bytes)", errFrameTooBig, n)
 	}
-	payload := make([]byte, n)
+	payload := buf[:0]
+	if uint32(cap(buf)) < n {
+		payload = make([]byte, n)
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		return nil, err
 	}
@@ -201,9 +207,10 @@ func (e *encoder) bytes(b []byte) {
 // decoder consumes a payload; the first failure sticks and every later read
 // returns zero values, so call sites stay linear and check err once.
 //
-// Strings and byte slices it returns alias buf — a payload is allocated per
-// frame and never written again, so the decoded message owns it — unless copy
-// is set: what a node stores must not pin or share a network buffer.
+// Strings and byte slices it returns alias buf — a reply's frame is never
+// written again, and a request's is not reused until its reply is written —
+// unless copy is set: what a node stores must not pin or share a network
+// buffer.
 type decoder struct {
 	buf  []byte
 	off  int
@@ -333,6 +340,11 @@ func (d *decoder) finish() error {
 
 // request is the decoded form of a request frame. Only the fields the op
 // uses are populated.
+//
+// On the server a request is lent (Server.handleConn): the reader decodes
+// each frame into one from reqPool, and the worker that answers it puts it
+// back once the reply is written, keeping its frame, key list and the record
+// array and ends its answer was built in for the next request.
 type request struct {
 	Op    byte
 	ReqID uint64
@@ -349,8 +361,10 @@ type request struct {
 	Lo, Hi lake.Key      // opLookupRange
 	Recs   []lake.Record // opAppend
 
-	one       [1]lake.Key // a decoded point lookup's Keys: no array of its own
-	wireBytes int         // the frame's size, for the server's accounting
+	// Server side only.
+	frame []byte        // the payload the fields alias (idempotent ops)
+	recs  []lake.Record // the answer's records
+	ends  []int         // the answer's per-key ends into recs
 }
 
 // setRequestID re-stamps an encoded request (the id sits right after the op
@@ -421,10 +435,13 @@ func (r *request) appendTo(buf []byte) []byte {
 	return e.buf
 }
 
-func decodeRequest(payload []byte) (*request, error) {
+// decode decodes payload into r, reusing r's key list and keeping its
+// server-side buffers; every other field is overwritten.
+func (r *request) decode(payload []byte) error {
+	*r = request{Keys: r.Keys[:0], frame: r.frame, recs: r.recs, ends: r.ends}
 	d := &decoder{buf: payload}
 	raw := d.byte()
-	r := &request{Op: raw &^ flagCtx, ReqID: d.u64()}
+	r.Op, r.ReqID = raw&^flagCtx, d.u64()
 	d.copy = !idempotent(r.Op) // creates, drops and appends leave something behind
 	if raw&flagCtx != 0 {
 		r.Ctx.Job = d.string()
@@ -442,8 +459,7 @@ func decodeRequest(payload []byte) (*request, error) {
 	case opLookupBatch:
 		r.Partition = int(d.uvarint())
 		n := d.count()
-		r.Keys = r.one[:0]
-		if n > 1 {
+		if n > cap(r.Keys) {
 			r.Keys = make([]lake.Key, 0, n)
 		}
 		for i := 0; i < n && d.err == nil; i++ {
@@ -461,23 +477,23 @@ func decodeRequest(payload []byte) (*request, error) {
 	default:
 		d.fail(fmt.Sprintf("unknown op %d", r.Op))
 	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return d.finish()
 }
 
 // response is the decoded form of a response frame. The body layout depends
-// on the op it answers, so decodeResponse takes the op.
+// on the op it answers, so decode takes the op.
 type response struct {
 	Status byte
 	ReqID  uint64
 	Msg    string // error statuses
 
-	Groups  [][]lake.Record // opLookupBatch: one group per key
-	Recs    []lake.Record   // opLookupRange, opScan
-	Records int             // opStat
-	Bytes   int64           // opStat
+	// Recs holds an opLookupRange's or opScan's records, and every group of
+	// an opLookupBatch, key after key, with Ends[i] the length of Recs
+	// after key i's.
+	Recs    []lake.Record
+	Ends    []int
+	Records int   // opStat
+	Bytes   int64 // opStat
 }
 
 // appendTo encodes r, the answer to an op request, over buf. It is not sized
@@ -492,9 +508,11 @@ func (r *response) appendTo(buf []byte, op byte) []byte {
 	}
 	switch op {
 	case opLookupBatch:
-		e.uvarint(uint64(len(r.Groups)))
-		for _, g := range r.Groups {
-			encodeRecords(e, g)
+		e.uvarint(uint64(len(r.Ends)))
+		start := 0
+		for _, end := range r.Ends {
+			encodeRecords(e, r.Recs[start:end])
+			start = end
 		}
 	case opLookupRange, opScan:
 		encodeRecords(e, r.Recs)
@@ -505,41 +523,47 @@ func (r *response) appendTo(buf []byte, op byte) []byte {
 	return e.buf
 }
 
-func decodeResponse(payload []byte, op byte) (response, error) {
+// decode decodes a response frame to an op into r. An OK answer's records
+// are appended onto r.Recs — a batch's key after key, and when r.Ends is
+// non-nil r.Ends[i] set to the length after key i's — so a caller that lends
+// Recs and Ends gets them in its own arrays. A batch answer must carry one
+// group per key of its request, which is checked before anything is
+// appended. On error r.Recs is back at its own array and length with nothing
+// left past it, also when a group grew it onto a new array partway through.
+func (r *response) decode(payload []byte, op byte, keys int) error {
 	d := &decoder{buf: payload}
-	r := response{Status: d.byte(), ReqID: d.u64()}
+	r.Status, r.ReqID = d.byte(), d.u64()
 	if d.err == nil && r.Status > statusNoPartition {
 		d.fail(fmt.Sprintf("unknown status %d", r.Status))
 	}
 	if r.Status != statusOK {
 		r.Msg = d.string()
-		if err := d.finish(); err != nil {
-			return response{}, err
-		}
-		return r, nil
+		return d.finish()
 	}
+	// kept is the caller's array and written how far records were appended
+	// into it: growth moves r.Recs to a new array (it never shrinks, so an
+	// unchanged capacity means the same array) and leaves kept behind.
+	kept, written := r.Recs, len(r.Recs)
 	switch op {
 	case opLookupBatch:
-		// One array holds the reply's records and each group is a window
-		// of it (dfs.LookupBatch's shape). It starts at a record per key,
-		// bounded by the payload: a group of one takes three bytes.
-		n := d.count()
-		r.Groups = make([][]lake.Record, n)
-		flat := make([]lake.Record, 0, min(n, (len(d.buf)-d.off)/3))
-		for i := 0; i < n && d.err == nil; i++ {
-			start := len(flat)
-			flat = decodeRecords(d, flat)
-			r.Groups[i] = flat[start:]
+		groups := d.count()
+		if d.err == nil && groups != keys {
+			d.fail(fmt.Sprintf("batch answer has %d groups for %d keys", groups, keys))
 		}
-		// flat may have moved as it grew: re-cut the windows, whose
-		// lengths are final, from where it ended up.
-		off := 0
-		for i, g := range r.Groups {
-			r.Groups[i] = flat[off : off+len(g) : off+len(g)]
-			off += len(g)
+		for i := 0; i < groups && d.err == nil; i++ {
+			r.Recs = decodeRecords(d, r.Recs)
+			if cap(r.Recs) == cap(kept) {
+				written = len(r.Recs)
+			}
+			if r.Ends != nil {
+				r.Ends[i] = len(r.Recs)
+			}
 		}
 	case opLookupRange, opScan:
-		r.Recs = decodeRecords(d, nil)
+		r.Recs = decodeRecords(d, r.Recs)
+		if cap(r.Recs) == cap(kept) {
+			written = len(r.Recs)
+		}
 	case opStat:
 		r.Records = int(d.uvarint())
 		b := d.uvarint()
@@ -553,9 +577,11 @@ func decodeResponse(payload []byte, op byte) (response, error) {
 		d.fail(fmt.Sprintf("unknown op %d", op))
 	}
 	if err := d.finish(); err != nil {
-		return response{}, err
+		clear(kept[len(kept):written])
+		r.Recs = kept
+		return err
 	}
-	return r, nil
+	return nil
 }
 
 func encodeRecords(e *encoder, recs []lake.Record) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lakeharbor/internal/lake"
@@ -41,29 +42,29 @@ func sampleRequests() []*request {
 
 func sampleResponses() []struct {
 	op   byte
-	resp *response
+	resp *refResponse
 } {
 	return []struct {
 		op   byte
-		resp *response
+		resp *refResponse
 	}{
-		{opCreate, &response{Status: statusOK, ReqID: 1}},
-		{opDrop, &response{Status: statusOK, ReqID: 2}},
-		{opLookupBatch, &response{Status: statusOK, ReqID: 3, Groups: [][]lake.Record{
+		{opCreate, &refResponse{Status: statusOK, ReqID: 1}},
+		{opDrop, &refResponse{Status: statusOK, ReqID: 2}},
+		{opLookupBatch, &refResponse{Status: statusOK, ReqID: 3, Groups: [][]lake.Record{
 			{{Key: "a", Data: []byte("1")}, {Key: "a", Data: []byte("2")}},
 			nil,
 			{{Key: "c", Data: nil}},
 		}}},
-		{opLookupRange, &response{Status: statusOK, ReqID: 4, Recs: []lake.Record{
+		{opLookupRange, &refResponse{Status: statusOK, ReqID: 4, Recs: []lake.Record{
 			{Key: "a", Data: []byte("x")},
 		}}},
-		{opScan, &response{Status: statusOK, ReqID: 5}},
-		{opAppend, &response{Status: statusOK, ReqID: 6}},
-		{opStat, &response{Status: statusOK, ReqID: 7, Records: 12, Bytes: 4096}},
-		{opLookupBatch, &response{Status: statusTransient, ReqID: 8, Msg: "gate jammed"}},
-		{opScan, &response{Status: statusPermanent, ReqID: 9, Msg: "bad frame"}},
-		{opLookupBatch, &response{Status: statusNoFile, ReqID: 10, Msg: `no such file "x"`}},
-		{opStat, &response{Status: statusNoPartition, ReqID: 11, Msg: "base/9"}},
+		{opScan, &refResponse{Status: statusOK, ReqID: 5}},
+		{opAppend, &refResponse{Status: statusOK, ReqID: 6}},
+		{opStat, &refResponse{Status: statusOK, ReqID: 7, Records: 12, Bytes: 4096}},
+		{opLookupBatch, &refResponse{Status: statusTransient, ReqID: 8, Msg: "gate jammed"}},
+		{opScan, &refResponse{Status: statusPermanent, ReqID: 9, Msg: "bad frame"}},
+		{opLookupBatch, &refResponse{Status: statusNoFile, ReqID: 10, Msg: `no such file "x"`}},
+		{opStat, &refResponse{Status: statusNoPartition, ReqID: 11, Msg: "base/9"}},
 	}
 }
 
@@ -86,13 +87,12 @@ func normalizeRequest(r *request) *request {
 	if len(cp.Keys) == 0 {
 		cp.Keys = nil
 	}
-	cp.one = [1]lake.Key{} // where a decoded point lookup keeps its key; not part of the value
 	cp.Keys = append([]lake.Key(nil), cp.Keys...)
 	cp.Recs = normalizeRecords(cp.Recs)
 	return &cp
 }
 
-func normalizeResponse(r *response) *response {
+func normalizeResponse(r *refResponse) *refResponse {
 	cp := *r
 	if len(cp.Groups) == 0 {
 		cp.Groups = nil
@@ -234,10 +234,26 @@ func diffRequest(t *testing.T, payload []byte) (*request, error) {
 	} else {
 		sameOutcome(t, "request", nil, nil, err, refErr)
 	}
+	// A server decodes into a request the pool lends: nothing of the
+	// request it last held may show through.
+	reused := &request{
+		Op: opCreate, ReqID: 99, Ctx: TraceContext{Job: "old", Tenant: "old", Stage: 3, Attempt: 1},
+		File: "old", Partition: 5, Kind: 1, Partitions: 3, Part: lake.HashPartitioner{},
+		Keys: []lake.Key{"w", "x", "y", "z"}, Lo: "l", Hi: "h", Recs: []lake.Record{{Key: "r"}},
+		recs: []lake.Record{{Key: "kept"}}, ends: []int{1},
+	}
+	reusedErr := reused.decode(payload)
+	if reusedErr == nil && refErr == nil {
+		cp := *reused
+		cp.recs, cp.ends = nil, nil // the lent answer arrays: not part of the value
+		sameOutcome(t, "request into a reused one", normalizeRequest(&cp), normalizeRequest(ref), nil, nil)
+	} else {
+		sameOutcome(t, "request into a reused one", nil, nil, reusedErr, refErr)
+	}
 	return got, err
 }
 
-func diffResponse(t *testing.T, payload []byte, op byte) (response, error) {
+func diffResponse(t *testing.T, payload []byte, op byte) (refResponse, error) {
 	t.Helper()
 	what := fmt.Sprintf("op %d response", op)
 	got, err := decodeResponse(payload, op)
@@ -247,7 +263,50 @@ func diffResponse(t *testing.T, payload []byte, op byte) (response, error) {
 	} else {
 		sameOutcome(t, what, nil, nil, err, refErr)
 	}
+	diffAppendDecode(t, payload, op, ref, refErr)
 	return got, err
+}
+
+// diffAppendDecode decodes payload onto a record array that already holds
+// records, with room to spare, as a task's lent array arrives: the outcome
+// must be the reference's, the held records untouched, the answer's records
+// after them (a batch's ends counting from the array's start), and on an
+// error nothing left past the held ones.
+func diffAppendDecode(t *testing.T, payload []byte, op byte, ref *refResponse, refErr error) {
+	t.Helper()
+	held := []lake.Record{{Key: "held-0", Data: []byte("x")}, {Key: "held-1"}}
+	dst := append(make([]lake.Record, 0, 8), held...)
+	keys := announcedGroups(payload, op)
+	resp := response{Recs: dst, Ends: make([]int, keys)}
+	err := resp.decode(payload, op, keys)
+	what := fmt.Sprintf("op %d response onto %d records", op, len(held))
+	if !reflect.DeepEqual(resp.Recs[:len(held)], held) {
+		t.Fatalf("%s: held records changed: %+v", what, resp.Recs[:len(held)])
+	}
+	if err != nil || refErr != nil {
+		sameOutcome(t, what, nil, nil, err, refErr)
+		if len(resp.Recs) != len(held) {
+			t.Fatalf("%s: error left %d records, want the %d held", what, len(resp.Recs), len(held))
+		}
+		for i, r := range resp.Recs[len(held):cap(resp.Recs)] {
+			if r.Key != "" || r.Data != nil {
+				t.Fatalf("%s: error left record %+v at %d, past the held ones", what, r, len(held)+i)
+			}
+		}
+		return
+	}
+	var want []lake.Record
+	if op == opLookupBatch && ref.Status == statusOK {
+		for i, g := range ref.Groups {
+			want = append(want, g...)
+			if resp.Ends[i] != len(held)+len(want) {
+				t.Fatalf("%s: ends[%d] = %d, want %d", what, i, resp.Ends[i], len(held)+len(want))
+			}
+		}
+	} else {
+		want = ref.Recs
+	}
+	sameOutcome(t, what, normalizeRecords(slices.Clone(resp.Recs[len(held):])), normalizeRecords(slices.Clone(want)), nil, nil)
 }
 
 // TestDecodeMatchesReference runs the differential property over the sample
@@ -269,8 +328,10 @@ func TestDecodeMatchesReference(t *testing.T) {
 
 // FuzzNodeFrame throws arbitrary payloads at both decoders. For every input
 // the aliasing decoder agrees with the copying reference (same value or same
-// error); any input that decodes must re-encode and decode back to the same
-// value (round-trip stability); and no input may panic or over-allocate.
+// error), a request decoded into a reused request and an answer decoded onto
+// a non-empty record array included; any input that decodes must re-encode
+// and decode back to the same value (round-trip stability); and no input may
+// panic or over-allocate.
 func FuzzNodeFrame(f *testing.F) {
 	for _, req := range sampleRequests() {
 		f.Add(req.encode(), true)

@@ -9,9 +9,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,7 +114,7 @@ func readRequest(conn net.Conn) (*request, error) {
 // echoGroups answers a lookup with one record per key, keyed like the key,
 // so a caller can tell its own answer from a neighbour's.
 func echoGroups(req *request) []byte {
-	resp := &response{Status: statusOK, ReqID: req.ReqID}
+	resp := &refResponse{Status: statusOK, ReqID: req.ReqID}
 	for _, k := range req.Keys {
 		resp.Groups = append(resp.Groups, []lake.Record{{Key: k, Data: []byte("v:" + k)}})
 	}
@@ -536,5 +538,63 @@ func TestLateReplyIsDropped(t *testing.T) {
 	}
 	if d, cl := stats.dials.Load(), stats.connsClosed.Load(); d != 1 || cl != 0 {
 		t.Fatalf("%d dials and %d closes, want the one connection kept", d, cl)
+	}
+}
+
+// TestOversizeReplyFailsOnlyItsCaller: a range whose reply would exceed
+// MaxFrame is answered with a permanent error under its own request id — the
+// writer would refuse the frame and the connection would close under every
+// request in flight on it, each of which would then retry a failure that
+// cannot heal. Lookups running beside it on the same connection succeed.
+func TestOversizeReplyFailsOnlyItsCaller(t *testing.T) {
+	addr, cluster, _ := startNode(t)
+	seedKeys(t, cluster, 4)
+	big, err := cluster.CreateFile("big", dfs.Btree, 1, lake.HashPartitioner{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := make([]byte, 1<<20) // every record shares it: the node stores 1 MiB
+	for i := 0; i <= MaxFrame>>20; i++ {
+		if err := big.Append(context.Background(), 0, lake.Record{Key: fmt.Sprintf("r%03d", i), Data: value}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := NewStats()
+	c := Dial(addr, Options{MaxConns: 1, HedgeAfter: -1, RequestTimeout: time.Minute}, stats)
+	defer c.Close()
+	if _, err := c.Lookup(context.Background(), "f", 0, "k0"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var beside sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		beside.Add(1)
+		go func() {
+			defer beside.Done()
+			for i := 0; ; i++ {
+				key := fmt.Sprintf("k%d", i%4)
+				if recs, err := c.Lookup(context.Background(), "f", 0, key); err != nil || len(recs) != 1 {
+					t.Errorf("lookup %s beside the oversize range: %v %v", key, recs, err)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	_, err = c.LookupRange(context.Background(), "big", 0, "r", "s")
+	close(done)
+	beside.Wait()
+	if err == nil || !lake.IsPermanent(err) || !strings.Contains(err.Error(), "exceeds MaxFrame") {
+		t.Fatalf("oversize range: %v, want a permanent MaxFrame error", err)
+	}
+	if _, err := c.Lookup(context.Background(), "f", 0, "k1"); err != nil {
+		t.Fatalf("lookup after the oversize range: %v", err)
+	}
+	if d := stats.dials.Load(); d != 1 {
+		t.Fatalf("%d dials: the oversize reply cost the connection", d)
 	}
 }

@@ -1,6 +1,7 @@
 package nodenet
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,15 +117,18 @@ func (o *ServerObs) record(req *request, resp *response, d time.Duration, bytesI
 	}
 	st.lat.RecordDur(d)
 
+	// The request's strings alias its frame, which the server lends to the
+	// next request: the ring keeps copies.
 	span := RPCSpan{
-		Op: opName(op), File: req.File,
-		Job: req.Ctx.Job, Tenant: req.Ctx.Tenant, Stage: req.Ctx.Stage, Attempt: req.Ctx.Attempt,
+		Op: opName(op), File: strings.Clone(req.File),
+		Job: strings.Clone(req.Ctx.Job), Tenant: strings.Clone(req.Ctx.Tenant),
+		Stage: req.Ctx.Stage, Attempt: req.Ctx.Attempt,
 		Start: time.Now().Add(-d), Dur: d,
 	}
+	o.mu.Lock()
 	if resp.Status != statusOK {
 		span.Status = resp.Msg
 	}
-	o.mu.Lock()
 	if resp.Status == statusOK {
 		switch req.Op {
 		case opCreate:

@@ -1,12 +1,14 @@
 package nodenet
 
-// The reference peer: the copying decoders and the unbuffered, two-write
-// frame I/O that were the production code before decoded messages aliased
-// their frame and the frameWriter wrote headers in place. They share no
-// logic with what replaced them beyond the decoder's integer primitives —
-// every string and byte slice is copied out of the payload, every group gets
-// its own array — which is what makes "aliasing decode ≡ reference decode"
-// (FuzzNodeFrame) and the hand-rolled peers of the compat tests meaningful.
+// The reference peer: the copying decoders, the per-group reply form and
+// its encoder, and the unbuffered, two-write frame I/O that were the
+// production code before decoded messages aliased their frame, replies
+// decoded onto the caller's array and the frameWriter wrote headers in
+// place. They share no logic with what replaced them beyond the codec's
+// integer and string primitives — every string and byte slice is copied out
+// of the payload, every group gets its own array — which is what makes
+// "aliasing decode ≡ reference decode" (FuzzNodeFrame) and the hand-rolled
+// peers of the compat tests meaningful.
 
 import (
 	"encoding/binary"
@@ -22,6 +24,87 @@ import (
 func (r *request) encode() []byte { return r.appendTo(nil) }
 
 func (r *response) encode(op byte) []byte { return r.appendTo(nil, op) }
+
+// decodeRequest decodes payload into a request of its own.
+func decodeRequest(payload []byte) (*request, error) {
+	r := new(request)
+	if err := r.decode(payload); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// refResponse is a reply in the reference's form: a batch answer holds one
+// record slice per key.
+type refResponse struct {
+	Status byte
+	ReqID  uint64
+	Msg    string
+
+	Groups  [][]lake.Record // opLookupBatch
+	Recs    []lake.Record   // opLookupRange, opScan
+	Records int             // opStat
+	Bytes   int64           // opStat
+}
+
+// encode is the reference reply encoder: a count, then each group's records.
+func (r *refResponse) encode(op byte) []byte {
+	e := &encoder{}
+	e.byte(r.Status)
+	e.u64(r.ReqID)
+	if r.Status != statusOK {
+		e.string(r.Msg)
+		return e.buf
+	}
+	records := func(recs []lake.Record) {
+		e.uvarint(uint64(len(recs)))
+		for _, rec := range recs {
+			e.string(rec.Key)
+			e.bytes(rec.Data)
+		}
+	}
+	switch op {
+	case opLookupBatch:
+		e.uvarint(uint64(len(r.Groups)))
+		for _, g := range r.Groups {
+			records(g)
+		}
+	case opLookupRange, opScan:
+		records(r.Recs)
+	case opStat:
+		e.uvarint(uint64(r.Records))
+		e.uvarint(uint64(r.Bytes))
+	}
+	return e.buf
+}
+
+// decodeResponse is the production decoder in the reference's form: the
+// answer decoded onto nil, a batch's cut into one group per key. The key
+// count it decodes for is the one the answer announces.
+func decodeResponse(payload []byte, op byte) (refResponse, error) {
+	keys := announcedGroups(payload, op)
+	resp := response{Ends: make([]int, keys)}
+	if err := resp.decode(payload, op, keys); err != nil {
+		return refResponse{}, err
+	}
+	r := refResponse{Status: resp.Status, ReqID: resp.ReqID, Msg: resp.Msg, Records: resp.Records, Bytes: resp.Bytes}
+	if op == opLookupBatch && resp.Status == statusOK {
+		r.Groups = lake.Groups(resp.Recs, resp.Ends)
+	} else {
+		r.Recs = resp.Recs
+	}
+	return r, nil
+}
+
+// announcedGroups is the group count an OK batch answer announces, 0 when
+// there is none to read (the decoder then fails where the count is).
+func announcedGroups(payload []byte, op byte) int {
+	if op != opLookupBatch || len(payload) < 9 || payload[0] != statusOK {
+		return 0
+	}
+	d := &decoder{buf: payload, off: 9}
+	return d.count()
+}
 
 // writeFrame sends one length-prefixed payload: header and payload in
 // separate writes, as the pre-multiplexing peers did.
@@ -40,7 +123,7 @@ func writeFrame(w io.Writer, payload []byte) error {
 
 // readFrame reads one length-prefixed payload straight off r.
 func readFrame(r io.Reader) ([]byte, error) {
-	return (&frameReader{r: r}).next()
+	return (&frameReader{r: r}).next(nil)
 }
 
 // refDecoder is decoder with the copying string and bytes it used to have.
@@ -117,9 +200,9 @@ func refDecodeRequest(payload []byte) (*request, error) {
 	return r, nil
 }
 
-func refDecodeResponse(payload []byte, op byte) (*response, error) {
+func refDecodeResponse(payload []byte, op byte) (*refResponse, error) {
 	d := &refDecoder{decoder{buf: payload}}
-	r := &response{Status: d.byte(), ReqID: d.u64()}
+	r := &refResponse{Status: d.byte(), ReqID: d.u64()}
 	if d.err == nil && r.Status > statusNoPartition {
 		d.fail(fmt.Sprintf("unknown status %d", r.Status))
 	}

@@ -8,9 +8,12 @@ import (
 	"io"
 	"log"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"testing"
 	"time"
+	"unsafe"
 
 	"lakeharbor/internal/dfs"
 	"lakeharbor/internal/lake"
@@ -200,14 +203,18 @@ func (s *Server) handleConn(conn net.Conn) {
 		defer workers.Done()
 		var out []byte // this worker's reply frame; the writer copies it
 		for ok := true; ok; req, ok = <-jobs {
-			if cap(out) > maxKeptBuf {
-				out = nil
-			}
 			t0 := time.Now()
 			resp := s.execute(req)
 			s.served.Add(1)
 			out = resp.appendTo(out, req.Op)
-			s.obs.Load().record(req, &resp, time.Since(t0), req.wireBytes, len(out))
+			if len(out) > MaxFrame {
+				// Answered under the request's id: a reply the writer
+				// refused would fail the connection under every caller.
+				resp = response{Status: statusPermanent, ReqID: req.ReqID,
+					Msg: fmt.Sprintf("reply of %d bytes exceeds MaxFrame", len(out))}
+				out = resp.appendTo(out, req.Op)
+			}
+			s.obs.Load().record(req, &resp, time.Since(t0), len(req.frame), len(out))
 			if err := w.write(out); err != nil {
 				writeFailed.Do(func() {
 					if !errors.Is(err, net.ErrClosed) {
@@ -215,6 +222,10 @@ func (s *Server) handleConn(conn net.Conn) {
 					}
 					conn.Close() // unblocks the reader
 				})
+			}
+			releaseRequest(req) // the reply is in the writer: nothing reads the frame now
+			if cap(out) > maxKeptBuf {
+				out = nil // a parked worker holds no bulk reply
 			}
 		}
 	}
@@ -229,24 +240,26 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 	fr := frameReader{r: bufio.NewReaderSize(conn, connBufSize)}
 	for started := 0; ; {
-		payload, err := fr.next()
+		req := reqPool.Get().(*request)
+		payload, err := fr.next(req.frame)
 		if err != nil {
+			reqPool.Put(req)
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
 				s.logf("nodenet: %s: read: %v", conn.RemoteAddr(), err)
 			}
 			return
 		}
-		req, err := decodeRequest(payload)
-		if err != nil {
+		req.frame = payload
+		if err := req.decode(payload); err != nil {
 			// The stream is desynchronised; answer with a permanent error
 			// (req id 0 — we could not trust the decoded one) and drop the
 			// connection so the client re-dials cleanly.
+			releaseRequest(req)
 			s.logf("nodenet: %s: %v", conn.RemoteAddr(), err)
 			resp := &response{Status: statusPermanent, Msg: err.Error()}
 			w.write(resp.appendTo(nil, 0)) //nolint:errcheck
 			return
 		}
-		req.wireBytes = len(payload)
 		select {
 		case jobs <- req:
 		default:
@@ -261,6 +274,41 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
+// reqPool lends the requests the server decodes frames into (see request).
+var reqPool = sync.Pool{New: func() any { return new(request) }}
+
+// releaseRequest returns a request to reqPool once its reply is written,
+// keeping its frame, key list, record array and ends — each only while it
+// is no larger than maxKeptBuf, as a worker's reply buffer, so a bulk append
+// or a long range does not stay pinned in the pool. In a test binary the
+// frame is scribbled first: anything still holding a key, file name or trace
+// identity decoded from it reads poison.
+func releaseRequest(req *request) {
+	if testing.Testing() {
+		for i := range req.frame {
+			req.frame[i] = 0xA5
+		}
+	}
+	clear(req.Keys)
+	clear(req.recs)
+	*req = request{
+		frame: keep(req.frame),
+		Keys:  keep(req.Keys[:0]),
+		recs:  keep(req.recs[:0]),
+		ends:  keep(req.ends[:0]),
+	}
+	reqPool.Put(req)
+}
+
+// keep is s when its array is no larger than maxKeptBuf, nil otherwise.
+func keep[E any](s []E) []E {
+	var e E
+	if cap(s)*int(unsafe.Sizeof(e)) > maxKeptBuf {
+		return nil
+	}
+	return s
+}
+
 // isTimeout reports a deadline-induced read failure — the expected way idle
 // connections exit during Drain, not worth a log line.
 func isTimeout(err error) bool {
@@ -269,7 +317,8 @@ func isTimeout(err error) bool {
 }
 
 // execute runs one decoded request against the backend and classifies the
-// outcome into a wire status.
+// outcome into a wire status. Lookups and ranges answer in the request's own
+// record array and ends, through the backend's append form when it has one.
 func (s *Server) execute(req *request) response {
 	ctx := context.Background()
 	resp := response{Status: statusOK, ReqID: req.ReqID}
@@ -280,9 +329,12 @@ func (s *Server) execute(req *request) response {
 	case opDrop:
 		err = s.backend.DropFile(ctx, req.File)
 	case opLookupBatch:
-		resp.Groups, err = s.backend.LookupBatch(ctx, req.File, req.Partition, req.Keys)
+		req.ends = slices.Grow(req.ends[:0], len(req.Keys))[:len(req.Keys)]
+		req.recs, err = dfs.AppendLookupBatch(ctx, s.backend, req.recs[:0], req.File, req.Partition, req.Keys, req.ends)
+		resp.Recs, resp.Ends = req.recs, req.ends
 	case opLookupRange:
-		resp.Recs, err = s.backend.LookupRange(ctx, req.File, req.Partition, req.Lo, req.Hi)
+		req.recs, err = dfs.AppendLookupRange(ctx, s.backend, req.recs[:0], req.File, req.Partition, req.Lo, req.Hi)
+		resp.Recs = req.recs
 	case opScan:
 		var recs []lake.Record // not resp.Recs: the closure would move resp to the heap for every op
 		err = s.backend.Scan(ctx, req.File, req.Partition, func(r lake.Record) error {
@@ -299,7 +351,7 @@ func (s *Server) execute(req *request) response {
 	}
 	if err != nil {
 		resp.Status, resp.Msg = classify(err), err.Error()
-		resp.Groups, resp.Recs = nil, nil
+		resp.Recs, resp.Ends = nil, nil
 	}
 	return resp
 }

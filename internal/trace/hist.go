@@ -96,6 +96,28 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
+// Quantile is Snapshot().Quantile(q) read straight off the live counters,
+// without copying them: a racing Record may or may not be counted.
+func (h *Histogram) Quantile(q float64) int64 {
+	count, top := h.count.Load(), h.max.Load()
+	if count == 0 {
+		return 0
+	}
+	rank := quantileRank(q, count)
+	var cum int64
+	for i := range h.counts {
+		if cum += h.counts[i].Load(); cum >= rank {
+			return min(histBucketHi(i), top)
+		}
+	}
+	return top
+}
+
+// quantileRank is the rank, from 1 to count, of the q-quantile observation.
+func quantileRank(q float64, count int64) int64 {
+	return min(max(int64(math.Ceil(q*float64(count))), 1), count)
+}
+
 // HistBucket is one occupied bucket of a HistSnapshot.
 type HistBucket struct {
 	// Hi is the bucket's inclusive upper value bound.
@@ -146,13 +168,7 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	if s.Count == 0 {
 		return 0
 	}
-	rank := int64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > s.Count {
-		rank = s.Count
-	}
+	rank := quantileRank(q, s.Count)
 	var cum int64
 	for _, b := range s.Buckets {
 		cum += b.N

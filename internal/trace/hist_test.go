@@ -90,6 +90,9 @@ func TestQuantileWithinOneBucket(t *testing.T) {
 			}
 			exact := sorted[rank-1]
 			got := s.Quantile(q)
+			if live := h.Quantile(q); live != got {
+				t.Fatalf("trial %d: live Quantile(%g) = %d, the snapshot's %d", trial, q, live, got)
+			}
 			if got < exact {
 				t.Fatalf("trial %d: Quantile(%g) = %d below exact %d", trial, q, got, exact)
 			}
