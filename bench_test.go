@@ -411,11 +411,11 @@ func BenchmarkPlannerAdaptive(b *testing.B) {
 				DriverHi:    keycodec.Int64(int64(hi - 1)),
 				DriverPred: func(f core.Fields) (bool, error) {
 					day, _ := f.Get("o_orderdate")
-					d, err := tpch.EncodeInt(day)
+					d, err := tpch.EncodeInt(nil, day)
 					if err != nil {
 						return false, err
 					}
-					return d >= keycodec.Int64(int64(lo)) && d <= keycodec.Int64(int64(hi-1)), nil
+					return string(d) >= keycodec.Int64(int64(lo)) && string(d) <= keycodec.Int64(int64(hi-1)), nil
 				},
 				Joins: []planner.Join{
 					{FromField: "o_custkey", To: customer},

@@ -125,10 +125,11 @@ func must(err error) {
 	}
 }
 
-func encInt(v string) (lakeharbor.Key, error) {
+// encInt appends the key of a decimal field value to dst: a FieldRef encoder.
+func encInt(dst []byte, v string) ([]byte, error) {
 	var n int64
 	if _, err := fmt.Sscanf(v, "%d", &n); err != nil {
-		return "", err
+		return dst, err
 	}
-	return lakeharbor.KeyInt64(n), nil
+	return append(dst, lakeharbor.KeyInt64(n)...), nil
 }

@@ -78,11 +78,11 @@ func main() {
 		if err != nil {
 			return false, err
 		}
-		k, err := tpch.EncodeFloat(price)
+		k, err := tpch.EncodeFloat(nil, price)
 		if err != nil {
 			return false, err
 		}
-		return k >= keycodec.Float64(lo) && k <= keycodec.Float64(hi), nil
+		return string(k) >= keycodec.Float64(lo) && string(k) <= keycodec.Float64(hi), nil
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -98,7 +98,8 @@ func main() {
 			if err != nil {
 				return "", err
 			}
-			return tpch.EncodeInt(v)
+			k, err := tpch.EncodeInt(nil, v)
+			return string(k), err
 		}),
 		parts,
 		func(rec lake.Record) (string, error) {
@@ -106,7 +107,8 @@ func main() {
 			if err != nil {
 				return "", err
 			}
-			return tpch.EncodeInt(v)
+			k, err := tpch.EncodeInt(nil, v)
+			return string(k), err
 		},
 	)
 	if err != nil {

@@ -130,13 +130,14 @@ var (
 	InterpWMedicine = core.Delimited(FileWMedicines, ',', "claim_id", "med_code", "med_class", "med_points", "med_count")
 )
 
-// EncodeClaimID encodes the claim_id field value as a key.
-func EncodeClaimID(v string) (lake.Key, error) {
+// EncodeClaimID appends the key of a claim_id field value to dst (a
+// core.FieldRef encoder).
+func EncodeClaimID(dst []byte, v string) ([]byte, error) {
 	n, err := strconv.ParseInt(v, 10, 64)
 	if err != nil {
-		return "", fmt.Errorf("claims: bad claim id %q: %w", v, err)
+		return dst, fmt.Errorf("claims: bad claim id %q: %w", v, err)
 	}
-	return keycodec.Int64(n), nil
+	return keycodec.AppendInt64(dst, n), nil
 }
 
 // LoadWarehouse normalizes the corpus into relational tables — the paper's
@@ -201,7 +202,9 @@ func LoadWarehouse(ctx context.Context, cluster *dfs.Cluster, corpus *Corpus, pa
 			if err != nil {
 				return "", err
 			}
-			return EncodeClaimID(id)
+			var buf [8]byte
+			k, err := EncodeClaimID(buf[:0], id)
+			return lake.Key(k), err
 		},
 		Keys: func(rec lake.Record) ([]lake.Key, error) {
 			code, err := InterpWDisease.Field(rec, "disease_code")

@@ -50,15 +50,15 @@ func carryFixture(t testing.TB) (*dfs.Cluster, context.Context) {
 
 func interpCSV(names ...string) Interpreter { return Delimited("row", '|', names...) }
 
-func encInt(v string) (lake.Key, error) {
+func encInt(dst []byte, v string) ([]byte, error) {
 	var n int64
 	if _, err := fmt.Sscanf(v, "%d", &n); err != nil {
-		return "", err
+		return dst, err
 	}
-	return keycodec.Int64(n), nil
+	return keycodec.AppendInt64(dst, n), nil
 }
 
-func encStr(v string) (lake.Key, error) { return keycodec.String(v), nil }
+func encStr(dst []byte, v string) ([]byte, error) { return keycodec.AppendString(dst, v), nil }
 
 func TestThreeWayCarriedJoin(t *testing.T) {
 	c, ctx := carryFixture(t)
@@ -225,8 +225,8 @@ func TestFieldRefErrors(t *testing.T) {
 	if _, err := r.Ref(nil, lake.Record{Data: []byte("1|2")}); err == nil {
 		t.Error("missing field accepted")
 	}
-	r2 := FieldRef{Target: "t", Interp: iUser, Field: "gid", Encode: func(string) (lake.Key, error) {
-		return "", fmt.Errorf("no encode")
+	r2 := FieldRef{Target: "t", Interp: iUser, Field: "gid", Encode: func(dst []byte, _ string) ([]byte, error) {
+		return dst, fmt.Errorf("no encode")
 	}}
 	if _, err := r2.Ref(nil, lake.Record{Data: []byte("1|2")}); err == nil {
 		t.Error("encode error not propagated")

@@ -50,12 +50,12 @@ func get(f Fields, name string) string {
 	return v
 }
 
-func encodeIntField(v string) (lake.Key, error) {
+func encodeIntField(dst []byte, v string) ([]byte, error) {
 	n, err := strconv.ParseInt(v, 10, 64)
 	if err != nil {
-		return "", err
+		return dst, err
 	}
-	return keycodec.Int64(n), nil
+	return keycodec.AppendInt64(dst, n), nil
 }
 
 // fault fails every access to one partition of file with err: a permanent

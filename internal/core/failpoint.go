@@ -18,10 +18,12 @@ import "sync"
 //   - FailpointEarlyTraceRelease: Execute releases the job's trace before
 //     its dispatcher has finished, the bug class lending the trace
 //     introduced; in a test binary the next use of the trace panics.
-//   - FailpointCombineKeepsScratch: a filtered combine keeps a record that
-//     aliases its lent scratch instead of a copy; a test binary (the only
-//     place it is checked) scribbles the scratch, so the record reads poison.
-//     The scratch then lets go of that array, so the planted bug is no race.
+//   - FailpointCombineKeepsScratch: a filtered combine keeps a record whose
+//     bytes the filter saw as scratch: a test binary (the only place it is
+//     checked) scribbles the joined record in the arena's uncommitted room
+//     as it does a dropped one, then cuts it anyway, so the record reads
+//     poison. Once cut, no later record or task writes those bytes, so the
+//     planted bug is no race.
 const (
 	FailpointDropTailFlush       = "drop-tail-flush"
 	FailpointEarlyTraceRelease   = "early-trace-release"

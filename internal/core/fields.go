@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"unsafe"
 
 	"lakeharbor/internal/lake"
 )
@@ -37,14 +38,19 @@ type Fields struct {
 // Get returns the value of the named field and whether the view has it. When
 // several parts of a composite name the same field, the last one wins — the
 // most recently joined record.
-func (f Fields) Get(name string) (string, bool) {
+func (f Fields) Get(name string) (string, bool) { return f.get(name, false) }
+
+// get is Get, and with borrow set Get without the copy: a value read from the
+// record's bytes aliases them, so it is valid for the current call only, as
+// the view is.
+func (f Fields) get(name string, borrow bool) (string, bool) {
 	if f.interps != nil {
 		// Composite checked the segments; their headers stay on the stack.
 		var buf [4][]byte
 		segs, _ := lake.SplitSegments(buf[:0], f.data)
 		for i := len(segs) - 1; i >= 0; i-- {
 			if p, err := f.interps[i](lake.Record{Key: f.key, Data: segs[i]}); err == nil {
-				if v, ok := p.Get(name); ok {
+				if v, ok := p.get(name, borrow); ok {
 					return v, true
 				}
 			}
@@ -52,7 +58,7 @@ func (f Fields) Get(name string) (string, bool) {
 		return "", false
 	}
 	for i := len(f.parts) - 1; i >= 0; i-- {
-		if v, ok := f.parts[i].Get(name); ok {
+		if v, ok := f.parts[i].get(name, borrow); ok {
 			return v, true
 		}
 	}
@@ -70,6 +76,9 @@ func (f Fields) Get(name string) (string, bool) {
 		if end := bytes.IndexByte(data, f.sep); end >= 0 {
 			data = data[:end]
 		}
+		if borrow {
+			return unsafe.String(unsafe.SliceData(data), len(data)), true
+		}
 		return string(data), true
 	}
 	return "", false
@@ -78,11 +87,16 @@ func (f Fields) Get(name string) (string, bool) {
 // Field interprets rec and returns the one named field. A record that does
 // not have the field is an error.
 func (in Interpreter) Field(rec lake.Record, name string) (string, error) {
+	return in.field(rec, name, false)
+}
+
+// field is Field, borrowing the value (see Fields.get) when borrow is set.
+func (in Interpreter) field(rec lake.Record, name string, borrow bool) (string, error) {
 	f, err := in(rec)
 	if err != nil {
 		return "", err
 	}
-	v, ok := f.Get(name)
+	v, ok := f.get(name, borrow)
 	if !ok {
 		return "", fmt.Errorf("record has no field %q", name)
 	}

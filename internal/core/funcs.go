@@ -1,12 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
 
-	"lakeharbor/internal/keycodec"
 	"lakeharbor/internal/lake"
 )
 
@@ -39,15 +37,16 @@ type RangeDeref struct {
 // Name implements Dereferencer.
 func (d RangeDeref) Name() string { return "RangeDeref(" + d.File + ")" }
 
-// Deref implements Dereferencer: AppendDeref of the one pointer onto nil.
+// Deref implements Dereferencer: AppendDeref of the one pointer onto nil,
+// one-shot.
 func (d RangeDeref) Deref(tc *TaskCtx, ptr lake.Pointer) ([]lake.Record, error) {
-	return d.AppendDeref(tc, nil, []lake.Pointer{ptr})
+	return d.AppendDeref(tc, nil, nil, []lake.Pointer{ptr})
 }
 
 // AppendDeref implements AppendDereferencer: each pointer's range is read
 // from every partition it addresses straight onto dst, then its records are
-// combined with the pointer's carry and filtered in place.
-func (d RangeDeref) AppendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Pointer) ([]lake.Record, error) {
+// combined with the pointer's carry (cut from a) and filtered in place.
+func (d RangeDeref) AppendDeref(tc *TaskCtx, a *lake.Arena, dst []lake.Record, ptrs []lake.Pointer) ([]lake.Record, error) {
 	f, err := tc.Catalog.File(d.File)
 	if err != nil {
 		return dst, err
@@ -71,7 +70,7 @@ func (d RangeDeref) AppendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Poin
 			break
 		}
 		var w int
-		if w, err = keepInto(d.Filter, d.Combine, ptr, out, start, out[start:]); err != nil {
+		if w, err = keepInto(a, d.Filter, d.Combine, ptr, out, start, out[start:]); err != nil {
 			break
 		}
 		clear(out[w:])
@@ -103,25 +102,26 @@ type LookupDeref struct {
 // Name implements Dereferencer.
 func (d LookupDeref) Name() string { return "LookupDeref(" + d.File + ")" }
 
-// Deref implements Dereferencer: AppendDeref of the one pointer onto nil.
+// Deref implements Dereferencer: AppendDeref of the one pointer onto nil,
+// one-shot.
 func (d LookupDeref) Deref(tc *TaskCtx, ptr lake.Pointer) ([]lake.Record, error) {
-	return d.appendDeref(tc, nil, []lake.Pointer{ptr}, nil)
+	return d.appendDeref(tc, nil, nil, []lake.Pointer{ptr}, nil)
 }
 
-// DerefBatch implements BatchDereferencer: AppendDeref onto an array sized
-// for one record per pointer, cut into one group per pointer where each
-// pointer's records end.
+// DerefBatch implements BatchDereferencer: AppendDeref, one-shot, onto an
+// array sized for one record per pointer, cut into one group per pointer
+// where each pointer's records end.
 func (d LookupDeref) DerefBatch(tc *TaskCtx, ptrs []lake.Pointer) ([][]lake.Record, error) {
 	groups := make([][]lake.Record, len(ptrs))
-	if _, err := d.appendDeref(tc, make([]lake.Record, 0, len(ptrs)), ptrs, groups); err != nil {
+	if _, err := d.appendDeref(tc, nil, make([]lake.Record, 0, len(ptrs)), ptrs, groups); err != nil {
 		return nil, err
 	}
 	return groups, nil
 }
 
 // AppendDeref implements AppendDereferencer.
-func (d LookupDeref) AppendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Pointer) ([]lake.Record, error) {
-	return d.appendDeref(tc, dst, ptrs, nil)
+func (d LookupDeref) AppendDeref(tc *TaskCtx, a *lake.Arena, dst []lake.Record, ptrs []lake.Pointer) ([]lake.Record, error) {
+	return d.appendDeref(tc, a, dst, ptrs, nil)
 }
 
 // appendDeref is the one body behind Deref, DerefBatch and AppendDeref. The
@@ -129,9 +129,10 @@ func (d LookupDeref) AppendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Poi
 // lake.AppendLookupBatch — one admission per target partition — and a lone
 // pointer in one Lookup; a broadcast pointer looks up each local partition.
 // Records are appended straight onto dst, then combined with their pointer's
-// carry and filtered in place. groups, when non-nil, receives each pointer's
-// records, aligned with ptrs (an array a later append outgrows keeps them).
-func (d LookupDeref) appendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Pointer, groups [][]lake.Record) ([]lake.Record, error) {
+// carry (cut from a) and filtered in place. groups, when non-nil, receives
+// each pointer's records, aligned with ptrs (an array a later append outgrows
+// keeps them).
+func (d LookupDeref) appendDeref(tc *TaskCtx, a *lake.Arena, dst []lake.Record, ptrs []lake.Pointer, groups [][]lake.Record) ([]lake.Record, error) {
 	f, err := tc.Catalog.File(d.File)
 	if err != nil {
 		return dst, err
@@ -197,7 +198,7 @@ func (d LookupDeref) appendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Poi
 			}
 			k++
 			from := w
-			if w, err = keepInto(d.Filter, d.Combine, ptrs[j], out, w, out[r:end]); err != nil {
+			if w, err = keepInto(a, d.Filter, d.Combine, ptrs[j], out, w, out[r:end]); err != nil {
 				clear(out[len(dst):])
 				return out[:len(dst)], err
 			}
@@ -264,28 +265,29 @@ func (d ScanDeref) Deref(tc *TaskCtx, ptr lake.Pointer) ([]lake.Record, error) {
 // keepInto moves the records of src that pass filter (every one, for a nil
 // filter) to dst from w on, joined onto ptr's carry when combine is set, and
 // returns where they end. src may be dst[r:] for any r >= w: records only move
-// down. A filtered combine joins each record in a lent scratch buffer for the
-// filter, and copies out only the records it keeps.
-func keepInto(filter Filter, combine bool, ptr lake.Pointer, dst []lake.Record, w int, src []lake.Record) (int, error) {
-	var scratch *lent[byte]
-	if combine && filter != nil && len(src) > 0 {
-		scratch = combineBufs.get()
-		defer scratch.release()
-	}
+// down. A combine joins each record in a's uncommitted room; a filtered one
+// shows the filter it there and cuts only the records it keeps, scribbling
+// the rest in a test binary, so a filter that kept its rec reads poison.
+func keepInto(a *lake.Arena, filter Filter, combine bool, ptr lake.Pointer, dst []lake.Record, w int, src []lake.Record) (int, error) {
 	for _, r := range src {
 		ok, err := true, error(nil)
 		switch {
-		case scratch != nil:
-			scratch.s = keycodec.AppendString(append(scratch.s[:0], ptr.Carry...), r.Data) // AppendSegment's bytes
-			if ok, err = filter(lake.Record{Key: r.Key, Data: scratch.s}); ok && err == nil {
-				r.Data = bytes.Clone(scratch.s)
+		case combine && filter != nil:
+			joined := a.Join(ptr.Carry, r.Data)
+			ok, err = filter(lake.Record{Key: r.Key, Data: joined})
+			keep := ok && err == nil
+			if !keep || poisoning && failpoint(FailpointCombineKeepsScratch) {
+				for i := 0; poisoning && i < len(joined); i++ {
+					joined[i] = 0xa5 // the filter's rec was valid for the call only
+				}
 			}
-			scratch.scrub() // the filter's rec was valid for the call only
-			if poisoning && ok && failpoint(FailpointCombineKeepsScratch) {
-				r.Data, scratch.s = scratch.s, nil // deliberate bug, kept race-free: no other task gets this array
+			if keep {
+				// The deliberate bug keeps the scribbled scratch, cut so that no
+				// later record or task writes it: it reads poison, race-free.
+				r.Data = a.Cut(joined)
 			}
 		case combine: // and no filter
-			r.Data = lake.AppendSegment(ptr.Carry, r.Data)
+			r.Data = a.Cut(a.Join(ptr.Carry, r.Data))
 		case filter != nil:
 			ok, err = filter(r)
 		}
@@ -322,17 +324,19 @@ type EntryRef struct {
 // Name implements Referencer.
 func (r EntryRef) Name() string { return "EntryRef(" + r.Target + ")" }
 
-// Ref implements Referencer.
+// Ref implements Referencer: AppendRef onto nil, one-shot.
 func (r EntryRef) Ref(tc *TaskCtx, rec lake.Record) ([]lake.Pointer, error) {
 	return r.AppendRef(tc, nil, nil, rec)
 }
 
-// AppendRef implements AppendReferencer: the entry's keys are cut from keys.
-func (r EntryRef) AppendRef(tc *TaskCtx, keys *lake.KeyArena, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error) {
+// AppendRef implements AppendReferencer: the entry's keys and the carry are
+// cut from a.
+func (r EntryRef) AppendRef(tc *TaskCtx, a *lake.Arena, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error) {
 	entry := rec.Data
 	var carry []byte
 	if r.FromComposite {
-		segs, err := lake.DecodeSegments(rec.Data)
+		var buf [4][]byte // segment headers stay on the stack up to Q5′'s width
+		segs, err := lake.SplitSegments(buf[:0], rec.Data)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
 		}
@@ -340,9 +344,9 @@ func (r EntryRef) AppendRef(tc *TaskCtx, keys *lake.KeyArena, dst []lake.Pointer
 			return nil, fmt.Errorf("core: %s: empty composite record", r.Name())
 		}
 		entry = segs[len(segs)-1]
-		carry = lake.EncodeSegments(segs[:len(segs)-1]...)
+		carry = a.EncodeSegments(segs[:len(segs)-1]...)
 	}
-	partKey, pk, err := keys.DecodeIndexEntry(entry)
+	partKey, pk, err := a.DecodeIndexEntry(entry)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
 	}
@@ -380,9 +384,12 @@ type FieldRef struct {
 	Interp Interpreter
 	// Field names the field to extract from the interpreted record.
 	Field string
-	// Encode converts the field's string value to an ordered key. It is
-	// required; workloads provide per-column encoders.
-	Encode func(value string) (lake.Key, error)
+	// Encode appends the ordered key of the field's string value to dst and
+	// returns the extended slice. It is required; workloads provide
+	// per-column encoders. value is valid for the call only — it may alias
+	// the record — so an encoder that keeps it, or an error that quotes it
+	// lazily, must copy it.
+	Encode func(dst []byte, value string) ([]byte, error)
 	// Broadcast, if set, emits the pointer without partition information.
 	Broadcast bool
 	// Prefix, if set, emits a range pointer covering every key that
@@ -395,25 +402,27 @@ type FieldRef struct {
 // Name implements Referencer.
 func (r FieldRef) Name() string { return "FieldRef(" + r.Field + "→" + r.Target + ")" }
 
-// Ref implements Referencer.
+// Ref implements Referencer: AppendRef onto nil, one-shot.
 func (r FieldRef) Ref(tc *TaskCtx, rec lake.Record) ([]lake.Pointer, error) {
 	return r.AppendRef(tc, nil, nil, rec)
 }
 
-// AppendRef implements AppendReferencer. Its key comes from Encode, not from
-// the arena.
-func (r FieldRef) AppendRef(tc *TaskCtx, _ *lake.KeyArena, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error) {
-	v, err := r.Interp.Field(rec, r.Field)
+// AppendRef implements AppendReferencer. The field is read borrowed and
+// encoded straight into a; the key, a prefix range's end and a carried
+// record are cut from it.
+func (r FieldRef) AppendRef(tc *TaskCtx, a *lake.Arena, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error) {
+	v, err := r.Interp.field(rec, r.Field, true)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
 	}
-	k, err := r.Encode(v)
+	kb, err := r.Encode(a.Tail(len(v)+8), v) // room for a fixed-width or escaped key
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
 	}
+	k := a.CutKey(kb)
 	p := lake.Pointer{File: r.Target, Key: k}
 	if r.Prefix {
-		p.Key, p.EndKey = lake.PrefixRange(k)
+		p.Key, p.EndKey = a.PrefixRange(k)
 	}
 	if r.Broadcast {
 		p.NoPart = true
@@ -422,7 +431,7 @@ func (r FieldRef) AppendRef(tc *TaskCtx, _ *lake.KeyArena, dst []lake.Pointer, r
 	}
 	switch r.Carry {
 	case CarryRecord:
-		p.Carry = lake.EncodeSegments(rec.Data)
+		p.Carry = a.EncodeSegments(rec.Data)
 	case CarryComposite:
 		p.Carry = rec.Data
 	}

@@ -79,9 +79,9 @@ type Referencer interface {
 type AppendReferencer interface {
 	Referencer
 	// AppendRef appends the pointers the record refers to onto dst and
-	// returns the extended slice. Keys decoded from the record are cut from
-	// keys, the task's arena; nil decodes one-shot.
-	AppendRef(tc *TaskCtx, keys *lake.KeyArena, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error)
+	// returns the extended slice. The keys and carries it makes are cut from
+	// a, the task's arena; nil cuts each one-shot.
+	AppendRef(tc *TaskCtx, a *lake.Arena, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error)
 }
 
 // Dereferencer takes a pointer (or a range of pointers) and produces the set
@@ -121,8 +121,10 @@ type AppendDereferencer interface {
 	Dereferencer
 	// AppendDeref appends the records ptrs point to onto dst, in no promised
 	// order. On error dst comes back at its own length, nothing written past
-	// it. ptrs is read during the call only, as for DerefBatch.
-	AppendDeref(tc *TaskCtx, dst []lake.Record, ptrs []lake.Pointer) ([]lake.Record, error)
+	// it. ptrs is read during the call only, as for DerefBatch. The records
+	// it builds (a combine's joined records) are cut from a, the task's
+	// arena; nil cuts each one-shot.
+	AppendDeref(tc *TaskCtx, a *lake.Arena, dst []lake.Record, ptrs []lake.Pointer) ([]lake.Record, error)
 }
 
 // Stage is one step of a job: exactly one of Ref or Deref is set.

@@ -81,19 +81,24 @@ func indexRecords(n int) []lake.Record {
 	return recs
 }
 
-// TestReferAllocationBudget: a 64-entry task through refer costs a fixed
-// handful (the scratch slice, the batcher's buffer list) plus the arena
-// chunks its keys are cut from — 64 eight-byte keys fit one 4 KiB chunk with
-// room to spare, so a task starts at most one — and nothing per entry: not a
-// key string, let alone a pointer slice and two byte slices and two strings.
+// TestReferAllocationBudget: a 64-entry task through refer, with warm pools,
+// costs only the arena chunks its keys are cut from — 64 eight-byte keys are
+// an eighth of a 4 KiB chunk, so none, averaged over runs — and nothing else:
+// the pointer scratch, the batcher's buffer list and the batch are lent, and
+// nothing is allocated per entry — not a key string, let alone a pointer
+// slice and two byte slices and two strings.
 func TestReferAllocationBudget(t *testing.T) {
 	var batches, ptrs int
 	e := newReferRig(t, EntryRef{Target: fTarget}, func(t task) { batches, ptrs = batches+1, ptrs+len(t.ptrs) })
 	recs := indexRecords(DefaultMaxBatch)
-	const fixed, chunks = 2, 1
-	got := testing.AllocsPerRun(100, func() { e.refer(e.tcs[0], 1, recs...) })
+	fixed, chunks := 0.0, chunksPerRun(len(recs)*8, 8)
+	if lossyPools() {
+		fixed = 3 // the race detector's pools drop a quarter of what they are given: the lent slices and headers lost
+	}
+	var a lake.Arena // the task's arena, warm after the first run as a pooled one is
+	got := testing.AllocsPerRun(100, func() { e.refer(e.tcs[0], &a, 1, recs...) })
 	if got > fixed+chunks {
-		t.Errorf("refer over %d entries allocates %.2f times, budget %d + %d", len(recs), got, fixed, chunks)
+		t.Errorf("refer over %d entries allocates %.2f times, budget %.0f + %.0f", len(recs), got, fixed, chunks)
 	}
 	if err := e.firstErr(); err != nil || ptrs != batches*DefaultMaxBatch || batches == 0 {
 		t.Fatalf("%d batches, %d pointers, error %v", batches, ptrs, err)
@@ -117,7 +122,7 @@ func TestReferWithoutAppendRef(t *testing.T) {
 				keys = append(keys, p.Key)
 			}
 		})
-		e.refer(e.tcs[0], 1, recs...)
+		e.refer(e.tcs[0], nil, 1, recs...)
 		if err := e.firstErr(); err != nil {
 			t.Fatal(err)
 		}
@@ -284,10 +289,11 @@ func TestBatchRecycledAfterLastUse(t *testing.T) {
 func BenchmarkEntryRefTask(b *testing.B) {
 	e := newReferRig(b, EntryRef{Target: fTarget}, nil)
 	recs := indexRecords(DefaultMaxBatch)
+	var a lake.Arena
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.refer(e.tcs[0], 1, recs...)
+		e.refer(e.tcs[0], &a, 1, recs...)
 	}
 	if err := e.firstErr(); err != nil {
 		b.Fatal(err)

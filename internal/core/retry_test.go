@@ -42,7 +42,7 @@ func TestRetryBackoffCancellationPrompt(t *testing.T) {
 	done := make(chan res, 1)
 	start := time.Now()
 	go func() {
-		recs, err := e.derefWithRetry(tc, 0, d, nil, []lake.Pointer{{File: "f", Key: "k"}})
+		recs, err := e.derefWithRetry(tc, nil, 0, d, nil, []lake.Pointer{{File: "f", Key: "k"}})
 		done <- res{recs, err}
 	}()
 	// Let the call reach its hour-long backoff sleep, then cancel the job.
@@ -79,7 +79,7 @@ func TestRetryNotCountedForPermanentErrors(t *testing.T) {
 		attempts.Add(1)
 		return nil, lake.AsPermanent(fmt.Errorf("bad pointer"))
 	}}
-	if _, err := e.derefWithRetry(tc, 0, d, nil, []lake.Pointer{{File: "f", Key: "k"}}); err == nil {
+	if _, err := e.derefWithRetry(tc, nil, 0, d, nil, []lake.Pointer{{File: "f", Key: "k"}}); err == nil {
 		t.Fatal("permanent error did not surface")
 	}
 	if got := attempts.Load(); got != 1 {
@@ -103,7 +103,7 @@ func TestRetryCountsOnlyHealableAttempts(t *testing.T) {
 		}
 		return nil, lake.AsPermanent(fmt.Errorf("now it's gone for good"))
 	}}
-	if _, err := e.derefWithRetry(tc, 0, d, nil, []lake.Pointer{{File: "f", Key: "k"}}); err == nil {
+	if _, err := e.derefWithRetry(tc, nil, 0, d, nil, []lake.Pointer{{File: "f", Key: "k"}}); err == nil {
 		t.Fatal("permanent error did not surface")
 	}
 	if got := attempts.Load(); got != 3 {

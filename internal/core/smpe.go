@@ -413,7 +413,7 @@ func (e *executor) enqueuePointer(fromNode, stage int, ptr lake.Pointer, isSeed 
 		// BROADCAST: enqueue to every node; each node will treat it as
 		// addressing its local partitions.
 		for node := range e.tcs {
-			e.dispatch(node, task{stage: stage, ptrs: []lake.Pointer{ptr}})
+			e.dispatchOne(node, stage, ptr)
 		}
 		return
 	}
@@ -429,7 +429,15 @@ func (e *executor) enqueuePointer(fromNode, stage int, ptr lake.Pointer, isSeed 
 		part, _ := lake.ResolvePartition(f, ptr)
 		node = e.topo.OwnerNode(part)
 	}
-	e.dispatch(node, task{stage: stage, ptrs: []lake.Pointer{ptr}})
+	e.dispatchOne(node, stage, ptr)
+}
+
+// dispatchOne dispatches ptr as a one-pointer batch in a buffer lent by
+// ptrBufs, which process releases as it does any batch's.
+func (e *executor) dispatchOne(node, stage int, ptr lake.Pointer) {
+	buf := ptrBufs.get()
+	buf.s = append(buf.s, ptr)
+	e.dispatch(node, task{stage: stage, ptrs: buf.s, buf: buf})
 }
 
 // batchKey groups coalescible pointers: same stage, same target file, same
@@ -449,13 +457,14 @@ type batchKey struct {
 // ranges, catalog misses — pass straight through as singleton tasks.
 //
 // One task's pointers go to one stage and, nearly always, one file, so its
-// buffers number at most that file's partitions: a short list searched
-// linearly, and the last resolved file remembered, instead of two maps.
+// buffers number at most that file's partitions: a short list, lent by
+// bufLists and searched linearly, and the last resolved file remembered,
+// instead of two maps.
 type batcher struct {
 	e    *executor
 	node int
-	bufs []batchBuf
-	file lake.File // the file the last pointer routed through
+	bufs *lent[batchBuf] // nil until the first pointer that batches
+	file lake.File       // the file the last pointer routed through
 }
 
 type batchBuf struct {
@@ -464,12 +473,13 @@ type batchBuf struct {
 }
 
 // lent is a slice a task or job borrows: a pointer batch (ptrBufs) the
-// batcher fills and its task carries, a record array (recBufs) storage fills,
-// a batch's key list and ends (keyBufs, endBufs), a job's queue on a node
-// (queueBufs), a filtered combine's scratch record (combineBufs). Each is
-// released after the last code that reads it (DESIGN.md §4). None is sized by
-// what its task will produce: Q5′ spreads a handful of pointers over eight
-// partitions, and sizing by record count cost more.
+// batcher fills and its task carries — a singleton too — and a referencing
+// task's pointer scratch, the batcher's buffer list (bufLists), a record
+// array (recBufs) storage fills, a batch's key list and ends (keyBufs,
+// endBufs), a job's queue on a node (queueBufs). Each is released after the
+// last code that reads it (DESIGN.md §4). None is sized by what its task
+// will produce: Q5′ spreads a handful of pointers over eight partitions, and
+// sizing by record count cost more.
 type lent[T any] struct {
 	s    []T
 	from *lender[T]
@@ -486,12 +496,12 @@ var (
 	ptrBufs = &lender[lake.Pointer]{fresh: DefaultMaxBatch, limit: DefaultMaxBatch}
 	// An array of up to 160 KiB of records is kept: the index stage of a
 	// claims query, about 2 300 entries, draws a warm one too.
-	recBufs     = &lender[lake.Record]{limit: 4096}
-	keyBufs     = &lender[lake.Key]{fresh: DefaultMaxBatch, limit: DefaultMaxBatch, poison: "\xa5 released key list"}
-	endBufs     = &lender[int]{fresh: DefaultMaxBatch, limit: DefaultMaxBatch, poison: -1}
-	queueBufs   = &lender[task]{limit: queueReleaseCap}
-	combineBufs = &lender[byte]{fresh: 256, limit: 64 << 10, poison: 0xa5} // Q5′'s widest joined record: < 200 B
-	poisoning   = testing.Testing()
+	recBufs   = &lender[lake.Record]{limit: 4096}
+	bufLists  = &lender[batchBuf]{fresh: 8, limit: 256} // one buffer per partition a task's pointers reach
+	keyBufs   = &lender[lake.Key]{fresh: DefaultMaxBatch, limit: DefaultMaxBatch, poison: "\xa5 released key list"}
+	endBufs   = &lender[int]{fresh: DefaultMaxBatch, limit: DefaultMaxBatch, poison: -1}
+	queueBufs = &lender[task]{limit: queueReleaseCap}
+	poisoning = testing.Testing()
 )
 
 func (l *lender[T]) get() *lent[T] {
@@ -501,28 +511,25 @@ func (l *lender[T]) get() *lent[T] {
 	return &lent[T]{s: make([]T, 0, l.fresh), from: l}
 }
 
-// scrub clears what was written (a test binary poisons it), so nothing read
-// through the slice before outlives it.
-func (b *lent[T]) scrub() {
+// release clears what was written — the rest was never dirtied — so the pool
+// retains nothing (a test binary poisons it, so nothing read through the
+// slice before outlives it), and recycles the slice unless it outgrew the
+// limit.
+func (b *lent[T]) release() {
 	clear(b.s)
 	for i := 0; poisoning && i < len(b.s); i++ {
 		b.s[i] = b.from.poison
 	}
-}
-
-// release scrubs what was written — the rest was never dirtied — so the pool
-// retains nothing, and recycles the slice unless it outgrew the limit.
-func (b *lent[T]) release() {
-	b.scrub()
 	b.s = b.s[:0]
 	if cap(b.s) <= b.from.limit {
 		b.from.pool.Put(b)
 	}
 }
 
-// keyArenas lends each referencing task an arena for index-entry keys. An
-// arena only appends, so one from the pool goes on where its last task stopped.
-var keyArenas = sync.Pool{New: func() any { return new(lake.KeyArena) }}
+// arenas lends each task the arena its dereference and inline referencers
+// cut keys, carries and joined records from. An arena only appends, so one
+// from the pool goes on where its last task stopped.
+var arenas = sync.Pool{New: func() any { return new(lake.Arena) }}
 
 // add routes one emitted pointer: buffered under its (stage, file,
 // partition) when coalescible, dispatched immediately otherwise. A buffer
@@ -544,14 +551,17 @@ func (b *batcher) add(stage int, ptr lake.Pointer) {
 	}
 	part, _ := lake.ResolvePartition(b.file, ptr) // never broadcast: NoPart checked above
 	k := batchKey{stage: stage, file: ptr.File, partition: part}
+	if b.bufs == nil {
+		b.bufs = bufLists.get()
+	}
 	i := 0
-	for i < len(b.bufs) && b.bufs[i].key != k {
+	for i < len(b.bufs.s) && b.bufs.s[i].key != k {
 		i++
 	}
-	if i == len(b.bufs) {
-		b.bufs = append(b.bufs, batchBuf{key: k})
+	if i == len(b.bufs.s) {
+		b.bufs.s = append(b.bufs.s, batchBuf{key: k})
 	}
-	bb := &b.bufs[i]
+	bb := &b.bufs.s[i]
 	if bb.buf == nil {
 		bb.buf = ptrBufs.get()
 	}
@@ -565,16 +575,17 @@ func (b *batcher) add(stage int, ptr lake.Pointer) {
 // flush dispatches every partial buffer. It MUST run before the producing
 // task is marked finished.
 func (b *batcher) flush() {
-	if len(b.bufs) > 0 && failpoint(FailpointDropTailFlush) {
-		// Deliberate bug for the differential oracle: strand the tail.
-		b.bufs = nil
+	if b.bufs == nil {
 		return
 	}
-	for _, bb := range b.bufs {
-		if bb.buf != nil {
-			b.e.dispatch(b.node, task{stage: bb.key.stage, ptrs: bb.buf.s, buf: bb.buf})
+	if !failpoint(FailpointDropTailFlush) { // armed, a deliberate bug for the differential oracle: strand the tail
+		for _, bb := range b.bufs.s {
+			if bb.buf != nil {
+				b.e.dispatch(b.node, task{stage: bb.key.stage, ptrs: bb.buf.s, buf: bb.buf})
+			}
 		}
 	}
+	b.bufs.release()
 	b.bufs = nil
 }
 
@@ -589,6 +600,8 @@ func (e *executor) process(tc *TaskCtx, t *task, worker int) {
 	if tc.Ctx.Err() != nil {
 		return // job already failed or cancelled; drain cheaply
 	}
+	a := arenas.Get().(*lake.Arena)
+	defer arenas.Put(a)
 	begin := e.tr.TaskBegin(t.stage)
 	wait := max(begin.Sub(time.Unix(0, t.enq)), 0) // dispatch stamped enq
 	e.tr.ObserveQueueWait(wait)
@@ -597,14 +610,14 @@ func (e *executor) process(tc *TaskCtx, t *task, worker int) {
 		e.tr.TaskEvent(t.stage, tc.Node, worker, begin, dur, wait, len(t.ptrs))
 	}()
 	if t.isRec {
-		e.refer(tc, t.stage, t.rec)
+		e.refer(tc, a, t.stage, t.rec)
 		return
 	}
 
 	e.tr.AddBatch(t.stage, len(t.ptrs))
 	rb := recBufs.get()
 	defer rb.release() // after refer, collect or dispatch below
-	recs, err := e.derefTask(e.derefTcs[tc.Node][t.stage], t.stage, e.job.Stages[t.stage].Deref, rb.s, t.ptrs)
+	recs, err := e.derefTask(e.derefTcs[tc.Node][t.stage], a, t.stage, e.job.Stages[t.stage].Deref, rb.s, t.ptrs)
 	rb.s = recs
 	if t.buf != nil {
 		t.buf.release() // records never alias the pointer slice, and nothing below reads it
@@ -628,24 +641,27 @@ func (e *executor) process(tc *TaskCtx, t *task, worker int) {
 	}
 	// Inline the next Referencer on this worker (the paper avoids thread
 	// switches for CPU-light referencers).
-	e.refer(tc, next, recs...)
+	e.refer(tc, a, next, recs...)
 }
 
-// refer runs stage's Referencer over recs on the calling worker and hands the
-// pointers it emits to the next stage through one batcher.
-func (e *executor) refer(tc *TaskCtx, stage int, recs ...lake.Record) {
+// refer runs stage's Referencer over recs on the calling worker, cutting what
+// it makes from a, and hands the pointers it emits to the next stage through
+// one batcher.
+func (e *executor) refer(tc *TaskCtx, a *lake.Arena, stage int, recs ...lake.Record) {
 	ref := e.job.Stages[stage].Ref
 	appender, _ := ref.(AppendReferencer)
 	b := batcher{e: e, node: tc.Node}
-	keys := keyArenas.Get().(*lake.KeyArena)
-	defer keyArenas.Put(keys)
-	// An AppendReferencer fills one scratch slice over and over: it grows on
-	// the heap once per task, where Ref returns a new slice per record.
-	var ptrs []lake.Pointer
-	var err error
+	// An AppendReferencer fills one lent scratch slice over and over, where
+	// Ref returns a new slice per record.
+	var scratch *lent[lake.Pointer]
+	if appender != nil {
+		scratch = ptrBufs.get()
+	}
 	for _, r := range recs {
+		var ptrs []lake.Pointer
+		var err error
 		if appender != nil {
-			ptrs, err = appender.AppendRef(tc, keys, ptrs[:0], r)
+			ptrs, err = appender.AppendRef(tc, a, scratch.s, r)
 		} else {
 			ptrs, err = ref.Ref(tc, r)
 		}
@@ -658,6 +674,13 @@ func (e *executor) refer(tc *TaskCtx, stage int, recs ...lake.Record) {
 		for _, p := range ptrs {
 			b.add(stage+1, p)
 		}
+		if scratch != nil {
+			clear(ptrs) // the batcher copied them
+			scratch.s = ptrs[:0]
+		}
+	}
+	if scratch != nil {
+		scratch.release()
 	}
 	b.flush()
 }
@@ -667,10 +690,10 @@ func (e *executor) refer(tc *TaskCtx, stage int, recs ...lake.Record) {
 // failed batch, split — pointer by pointer through derefWithRetry, so one bad
 // pointer costs one pointer and the error names it. Whatever it returns, the
 // array is zero past the returned length.
-func (e *executor) derefTask(tc *TaskCtx, stage int, d Dereferencer, dst []lake.Record, ptrs []lake.Pointer) ([]lake.Record, error) {
+func (e *executor) derefTask(tc *TaskCtx, a *lake.Arena, stage int, d Dereferencer, dst []lake.Record, ptrs []lake.Pointer) ([]lake.Record, error) {
 	_, appends := d.(AppendDereferencer)
 	if _, batches := d.(BatchDereferencer); len(ptrs) > 1 && (appends || batches) {
-		recs, err := derefOnto(tc, d, dst, ptrs)
+		recs, err := derefOnto(tc, a, d, dst, ptrs)
 		if err == nil {
 			return recs, nil
 		}
@@ -683,7 +706,7 @@ func (e *executor) derefTask(tc *TaskCtx, stage int, d Dereferencer, dst []lake.
 	}
 	for i := range ptrs {
 		var err error
-		if dst, err = e.derefWithRetry(tc, stage, d, dst, ptrs[i:i+1]); err != nil {
+		if dst, err = e.derefWithRetry(tc, a, stage, d, dst, ptrs[i:i+1]); err != nil {
 			return dst, err
 		}
 	}
@@ -691,10 +714,11 @@ func (e *executor) derefTask(tc *TaskCtx, stage int, d Dereferencer, dst []lake.
 }
 
 // derefOnto appends the records of ptrs — several only when d batches — onto
-// dst, through AppendDeref when d has it; on error dst comes back as it was.
-func derefOnto(tc *TaskCtx, d Dereferencer, dst []lake.Record, ptrs []lake.Pointer) ([]lake.Record, error) {
+// dst, through AppendDeref, cutting from a, when d has it; on error dst comes
+// back as it was.
+func derefOnto(tc *TaskCtx, a *lake.Arena, d Dereferencer, dst []lake.Record, ptrs []lake.Pointer) ([]lake.Record, error) {
 	if ad, ok := d.(AppendDereferencer); ok {
-		return ad.AppendDeref(tc, dst, ptrs)
+		return ad.AppendDeref(tc, a, dst, ptrs)
 	}
 	if len(ptrs) == 1 {
 		recs, err := d.Deref(tc, ptrs[0])
@@ -717,8 +741,8 @@ func derefOnto(tc *TaskCtx, d Dereferencer, dst []lake.Record, ptrs []lake.Point
 // per Options.MaxRetries. Context cancellation is never retried (a dying job
 // must die promptly), and neither are permanent errors (see Permanent): an
 // unknown file or a bad pointer fails identically on every attempt.
-func (e *executor) derefWithRetry(tc *TaskCtx, stage int, d Dereferencer, dst []lake.Record, ptr []lake.Pointer) ([]lake.Record, error) {
-	recs, err := derefOnto(tc, d, dst, ptr)
+func (e *executor) derefWithRetry(tc *TaskCtx, a *lake.Arena, stage int, d Dereferencer, dst []lake.Record, ptr []lake.Pointer) ([]lake.Record, error) {
+	recs, err := derefOnto(tc, a, d, dst, ptr)
 	for attempt := 0; err != nil && attempt < e.opts.MaxRetries; attempt++ {
 		if Permanent(err) || tc.Ctx.Err() != nil {
 			return recs, err
@@ -738,7 +762,7 @@ func (e *executor) derefWithRetry(tc *TaskCtx, stage int, d Dereferencer, dst []
 		// node-side spans distinguish first tries from re-drives.
 		rtc := *tc
 		rtc.Ctx = trace.WithRPCAttempt(tc.Ctx, attempt+1)
-		recs, err = derefOnto(&rtc, d, recs, ptr)
+		recs, err = derefOnto(&rtc, a, d, recs, ptr)
 	}
 	return recs, err
 }

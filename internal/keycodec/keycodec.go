@@ -30,11 +30,16 @@ import (
 	"strings"
 )
 
-// Int64 encodes v so that byte-wise comparison matches signed comparison.
+// Int64 encodes v so that byte-wise comparison matches signed comparison:
+// AppendInt64 onto fresh memory.
 func Int64(v int64) string {
 	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(v)^(1<<63))
-	return string(b[:])
+	return string(AppendInt64(b[:0], v))
+}
+
+// AppendInt64 appends the Int64 encoding of v to dst.
+func AppendInt64(dst []byte, v int64) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(v)^(1<<63))
 }
 
 // DecodeInt64 reverses Int64. It returns an error if s is not exactly the
@@ -65,17 +70,21 @@ func DecodeUint64(s string) (uint64, error) {
 
 // Float64 encodes v so that byte-wise comparison matches IEEE-754 total
 // order on the reals (NaNs sort after +Inf; -0 and +0 encode distinctly but
-// adjacent).
+// adjacent): AppendFloat64 onto fresh memory.
 func Float64(v float64) string {
+	var b [8]byte
+	return string(AppendFloat64(b[:0], v))
+}
+
+// AppendFloat64 appends the Float64 encoding of v to dst.
+func AppendFloat64(dst []byte, v float64) []byte {
 	bits := math.Float64bits(v)
 	if bits&(1<<63) != 0 {
 		bits = ^bits // negative: invert all so more-negative sorts first
 	} else {
 		bits |= 1 << 63 // positive: set sign so positives sort after negatives
 	}
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], bits)
-	return string(b[:])
+	return binary.BigEndian.AppendUint64(dst, bits)
 }
 
 // DecodeFloat64 reverses Float64.

@@ -24,8 +24,11 @@ func within(s, buf []byte) bool {
 // and AppendSegment → DecodeSegments byte for byte; a payload without 0x00
 // comes back as a view into the list (the aliasing path) that cannot be
 // appended into it, one with 0x00 as fresh memory (the decoding path); and
-// decoding never writes to the list. The fourth argument is decoded as if it
-// were a list: it must fail cleanly or re-encode to itself.
+// decoding never writes to the list. Every Arena form equals its allocating
+// form, cut from an arena the input fills to near a chunk's end, so a value
+// fits, starts a new chunk or gets its own allocation. The fourth argument is
+// decoded as if it were a list: it must fail cleanly or re-encode to itself,
+// and is the prefix of a PrefixRange.
 func FuzzSegmentsRoundTrip(f *testing.F) {
 	f.Add([]byte("1|2|1995|310.00"), []byte("2|Customer#2|7"), []byte(""), []byte("a\x00\x01b\x00\x01"))
 	f.Add([]byte{0x00}, []byte{0x00, 0x01}, []byte{0x00, 0xFF}, []byte{0x00, 0xFF, 0x00, 0x01})
@@ -54,6 +57,20 @@ func FuzzSegmentsRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(list, before) {
 			t.Fatalf("payload changed under DecodeSegments: %q, was %q", list, before)
+		}
+
+		var ar Arena
+		pre := max(arenaChunk-len(list)/2-len(raw)%8, 0)
+		ar.Cut(append(ar.Tail(pre), make([]byte, pre)...))
+		if got := ar.EncodeSegments(segs...); !bytes.Equal(got, list) {
+			t.Fatalf("Arena.EncodeSegments built %q, EncodeSegments %q", got, list)
+		}
+		if got, want := ar.Cut(ar.Join(a, b)), AppendSegment(a, b); !bytes.Equal(got, want) {
+			t.Fatalf("Arena.Join built %q, AppendSegment %q", got, want)
+		}
+		lo, hi := ar.PrefixRange(Key(raw))
+		if wantLo, wantHi := PrefixRange(Key(raw)); lo != wantLo || hi != wantHi {
+			t.Fatalf("Arena.PrefixRange = [%x, %x], PrefixRange [%x, %x]", lo, hi, wantLo, wantHi)
 		}
 
 		rawBefore := bytes.Clone(raw)

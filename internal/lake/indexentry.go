@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"unsafe"
 
 	"lakeharbor/internal/keycodec"
 )
@@ -26,27 +25,16 @@ func EncodeIndexEntry(partKey, primaryKey Key) []byte {
 }
 
 // DecodeIndexEntry unpacks a payload written by EncodeIndexEntry through a
-// one-shot KeyArena whose one chunk is the entry's size.
+// one-shot Arena whose one chunk is the entry's size.
 func DecodeIndexEntry(data []byte) (partKey, primaryKey Key, err error) {
-	a := KeyArena{chunk: make([]byte, 0, len(data))}
+	a := Arena{chunk: make([]byte, 0, len(data))}
 	return a.DecodeIndexEntry(data)
 }
 
-// keyChunk is the size of the chunks a KeyArena cuts keys from.
-const keyChunk = 4096
-
-// KeyArena owns keys decoded from index entries: each is copied into a
-// fixed-size chunk and cut from it, never aliasing the entry, so a task's
-// entries cost a chunk now and then instead of a string each. A chunk is
-// only appended to, never grown in place or reused, so a key's bytes are
-// never written again: a key lives as long as anything references it, the
-// collector the chunk's only owner. A nil arena decodes one-shot.
-type KeyArena struct{ chunk []byte }
-
-// DecodeIndexEntry unpacks an index entry into keys cut from a. When the two
-// halves are byte-equal — a file partitioned by its own key — one key is
-// returned twice.
-func (a *KeyArena) DecodeIndexEntry(data []byte) (partKey, primaryKey Key, err error) {
+// DecodeIndexEntry unpacks an index entry into keys cut from a: copied, never
+// aliasing the entry. When the two halves are byte-equal — a file partitioned
+// by its own key — one key is returned twice.
+func (a *Arena) DecodeIndexEntry(data []byte) (partKey, primaryKey Key, err error) {
 	if a == nil {
 		return DecodeIndexEntry(data)
 	}
@@ -67,17 +55,12 @@ func (a *KeyArena) DecodeIndexEntry(data []byte) (partKey, primaryKey Key, err e
 	return partKey, primaryKey, nil
 }
 
-// decode cuts the key encoded at the start of enc from the chunk, starting a
-// new one when fewer than len(enc) bytes are left (a key is never longer).
-func (a *KeyArena) decode(enc []byte) (Key, int, error) {
-	if cap(a.chunk)-len(a.chunk) < len(enc) {
-		a.chunk = make([]byte, 0, max(len(enc), keyChunk))
-	}
-	start := len(a.chunk)
-	chunk, n, err := keycodec.AppendDecoded(a.chunk, enc)
-	if err != nil || len(chunk) == start {
+// decode cuts the key encoded at the start of enc from a (a key is never
+// longer than its encoding). On error nothing is cut.
+func (a *Arena) decode(enc []byte) (Key, int, error) {
+	b, n, err := keycodec.AppendDecoded(a.Tail(len(enc)), enc)
+	if err != nil {
 		return "", n, err
 	}
-	a.chunk = chunk
-	return unsafe.String(&chunk[start], len(chunk)-start), n, nil
+	return a.CutKey(b), n, nil
 }

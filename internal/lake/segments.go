@@ -20,28 +20,35 @@ import (
 // Segments reuse keycodec's escaped string encoding, so arbitrary payload
 // bytes are safe.
 
-// EncodeSegments packs payloads into one segment-list payload.
+// EncodeSegments packs payloads into one segment-list payload: the arena
+// form onto fresh memory.
 func EncodeSegments(segs ...[]byte) []byte {
-	if len(segs) == 0 {
-		return nil
-	}
-	n := 0
-	for _, s := range segs {
-		n += len(s) + 2
-	}
-	out := make([]byte, 0, n) // exact unless a payload holds 0x00
-	for _, s := range segs {
-		out = keycodec.AppendString(out, s)
-	}
-	return out
+	return (*Arena)(nil).EncodeSegments(segs...)
 }
 
 // AppendSegment appends one more payload to an existing segment list. The
 // result is fresh memory: list is not modified and not aliased.
 func AppendSegment(list []byte, seg []byte) []byte {
-	out := make([]byte, len(list), len(list)+len(seg)+2) // exact unless seg holds 0x00
-	copy(out, list)
-	return keycodec.AppendString(out, seg)
+	var a *Arena // one-shot: Join builds in fresh memory
+	return a.Cut(a.Join(list, seg))
+}
+
+// appendSegments appends the segment-list encoding of segs to dst: the one
+// body behind EncodeSegments, AppendSegment and their Arena forms.
+func appendSegments(dst []byte, segs ...[]byte) []byte {
+	for _, s := range segs {
+		dst = keycodec.AppendString(dst, s)
+	}
+	return dst
+}
+
+// segmentsLen is the encoded size of segs, exact unless a payload holds 0x00.
+func segmentsLen(segs ...[]byte) int {
+	n := 0
+	for _, s := range segs {
+		n += len(s) + 2
+	}
+	return n
 }
 
 // DecodeSegments splits a segment-list payload into its payloads. A segment
@@ -78,7 +85,7 @@ func SplitSegments(dst [][]byte, data []byte) ([][]byte, error) {
 // len(suffix) <= 64 sorts at or below it, and longer suffixes would need 64
 // consecutive 0xFF bytes to escape, which no keycodec encoding produces.
 func PrefixRange(prefix Key) (lo, hi Key) {
-	return prefix, prefix + prefixPad
+	return (*Arena)(nil).PrefixRange(prefix)
 }
 
 // prefixPad is PrefixRange's 64 0xFF bytes, built once: a call allocates hi only.

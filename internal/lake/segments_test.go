@@ -250,7 +250,7 @@ func TestIndexEntryAllocationBudgets(t *testing.T) {
 // as it was.
 func TestKeyArenaKeysOutliveLaterDecodes(t *testing.T) {
 	keys := indexEntryKeys()
-	var a KeyArena
+	var a Arena
 	type decoded struct{ part, pk, wantPart, wantPK Key }
 	var got []decoded
 	chunks := 0

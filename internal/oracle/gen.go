@@ -104,13 +104,13 @@ func joinKeeps(id, dim string, mod int) bool {
 	return (int(id[len(id)-1])+int(dim[len(dim)-1]))%mod != 0
 }
 
-// encodeVal encodes the val column as an ordered key (the index key).
-func encodeVal(value string) (lake.Key, error) {
+// encodeVal appends the val column's ordered key (the index key) to dst.
+func encodeVal(dst []byte, value string) ([]byte, error) {
 	v, err := strconv.ParseInt(value, 10, 64)
 	if err != nil {
-		return "", err
+		return dst, err
 	}
-	return keycodec.Int64(v), nil
+	return keycodec.AppendInt64(dst, v), nil
 }
 
 // generate expands a seed into a scenario. Everything random is drawn from

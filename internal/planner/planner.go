@@ -40,9 +40,9 @@ type Table struct {
 	Interp core.Interpreter
 	// Key is the field name of the primary key (also the partition key).
 	Key string
-	// Encode converts field values of the key (and of join fields) to
-	// ordered keys.
-	Encode func(string) (lake.Key, error)
+	// Encode appends the ordered key of a field value of the key (or of a
+	// join field) to dst — a core.FieldRef encoder, with its contract.
+	Encode func(dst []byte, value string) ([]byte, error)
 }
 
 // Join is one hop of the join chain: match a field of the rows

@@ -33,11 +33,11 @@ func q5Query(t testing.TB, ctx context.Context, cluster *dfs.Cluster, region str
 		DriverLo:    keycodec.Int64(int64(loDay)),
 		DriverHi:    keycodec.Int64(int64(hiDay - 1)),
 		DriverPred: func(f core.Fields) (bool, error) {
-			d, err := tpch.EncodeInt(get(f, "o_orderdate"))
+			d, err := tpch.EncodeInt(nil, get(f, "o_orderdate"))
 			if err != nil {
 				return false, err
 			}
-			return d >= keycodec.Int64(int64(loDay)) && d <= keycodec.Int64(int64(hiDay-1)), nil
+			return string(d) >= keycodec.Int64(int64(loDay)) && string(d) <= keycodec.Int64(int64(hiDay-1)), nil
 		},
 		Joins: []Join{
 			{FromField: "o_custkey", To: customer,
@@ -312,11 +312,11 @@ func TestCompileViaIndexJoin(t *testing.T) {
 		DriverLo:    keycodec.Float64(loP),
 		DriverHi:    keycodec.Float64(hiP),
 		DriverPred: func(f core.Fields) (bool, error) {
-			k, err := tpch.EncodeFloat(get(f, "p_retailprice"))
+			k, err := tpch.EncodeFloat(nil, get(f, "p_retailprice"))
 			if err != nil {
 				return false, err
 			}
-			return k >= keycodec.Float64(loP) && k <= keycodec.Float64(hiP), nil
+			return string(k) >= keycodec.Float64(loP) && string(k) <= keycodec.Float64(hiP), nil
 		},
 		Joins: []Join{
 			{FromField: "p_partkey", To: lineitem, ToField: "l_partkey", ViaIndex: tpch.IdxLineitemPart},
@@ -356,11 +356,11 @@ func TestSelectionOnlyQuery(t *testing.T) {
 		DriverLo:    keycodec.Int64(int64(lo)),
 		DriverHi:    keycodec.Int64(int64(hi - 1)),
 		DriverPred: func(f core.Fields) (bool, error) {
-			d, err := tpch.EncodeInt(get(f, "o_orderdate"))
+			d, err := tpch.EncodeInt(nil, get(f, "o_orderdate"))
 			if err != nil {
 				return false, err
 			}
-			return d >= keycodec.Int64(int64(lo)) && d <= keycodec.Int64(int64(hi-1)), nil
+			return string(d) >= keycodec.Int64(int64(lo)) && string(d) <= keycodec.Int64(int64(hi-1)), nil
 		},
 	}
 	job, err := CompileJob(q)

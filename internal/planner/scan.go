@@ -45,7 +45,8 @@ func (pl *Planner) executeScan(ctx context.Context, q *Query) (*core.Result, err
 			if err != nil {
 				return "", fmt.Errorf("planner: %s: %w", j.To.Name, err)
 			}
-			return j.To.Encode(v)
+			k, err := j.To.Encode(nil, v)
+			return string(k), err
 		}
 		probeInterps := append([]core.Interpreter(nil), interps...)
 		probeKey := func(t baseline.Tuple) (string, error) {
@@ -57,7 +58,8 @@ func (pl *Planner) executeScan(ctx context.Context, q *Query) (*core.Result, err
 			if !ok {
 				return "", fmt.Errorf("planner: no joined table has field %q", j.FromField)
 			}
-			return j.To.Encode(v)
+			k, err := j.To.Encode(nil, v)
+			return string(k), err
 		}
 		tuples, err = baseline.HashJoin(tuples, probeKey, build, buildKey)
 		if err != nil {

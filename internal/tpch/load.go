@@ -156,11 +156,12 @@ func StructureSpecs() []indexer.Spec {
 		if err != nil {
 			return nil, err
 		}
-		k, err := EncodeFloat(price)
+		var buf [8]byte
+		k, err := EncodeFloat(buf[:0], price)
 		if err != nil {
 			return nil, err
 		}
-		return []lake.Key{k}, nil
+		return []lake.Key{string(k)}, nil
 	}
 	return []indexer.Spec{
 		{Name: IdxOrdersDate, Base: FileOrders, Kind: indexer.Local,

@@ -68,22 +68,23 @@ var (
 	InterpLineitem = core.Delimited("lineitem", '|', "l_orderkey", "l_linenumber", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice")
 )
 
-// EncodeInt encodes a decimal integer field value as an ordered key.
-func EncodeInt(v string) (lake.Key, error) {
+// EncodeInt appends the ordered key of a decimal integer field value to dst
+// (a core.FieldRef encoder).
+func EncodeInt(dst []byte, v string) ([]byte, error) {
 	n, err := strconv.ParseInt(v, 10, 64)
 	if err != nil {
-		return "", fmt.Errorf("tpch: bad integer field %q: %w", v, err)
+		return dst, fmt.Errorf("tpch: bad integer field %q: %w", v, err)
 	}
-	return keycodec.Int64(n), nil
+	return keycodec.AppendInt64(dst, n), nil
 }
 
-// EncodeFloat encodes a decimal field value as an ordered key.
-func EncodeFloat(v string) (lake.Key, error) {
+// EncodeFloat appends the ordered key of a decimal field value to dst.
+func EncodeFloat(dst []byte, v string) ([]byte, error) {
 	x, err := strconv.ParseFloat(v, 64)
 	if err != nil {
-		return "", fmt.Errorf("tpch: bad decimal field %q: %w", v, err)
+		return dst, fmt.Errorf("tpch: bad decimal field %q: %w", v, err)
 	}
-	return keycodec.Float64(x), nil
+	return keycodec.AppendFloat64(dst, x), nil
 }
 
 // fieldInt extracts field i of a raw record as int64 (loader/oracle

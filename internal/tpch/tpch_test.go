@@ -189,10 +189,10 @@ func TestInterpretersRejectMalformed(t *testing.T) {
 	if _, err := InterpLineitem(bad); err == nil {
 		t.Error("InterpLineitem accepted malformed record")
 	}
-	if _, err := EncodeInt("abc"); err == nil {
+	if _, err := EncodeInt(nil, "abc"); err == nil {
 		t.Error("EncodeInt accepted non-integer")
 	}
-	if _, err := EncodeFloat("abc"); err == nil {
+	if _, err := EncodeFloat(nil, "abc"); err == nil {
 		t.Error("EncodeFloat accepted non-decimal")
 	}
 }

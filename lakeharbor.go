@@ -101,6 +101,8 @@ type (
 	// EntryRef turns index entries into pointers at the indexed file.
 	EntryRef = core.EntryRef
 	// FieldRef extracts a field (schema-on-read) and points at a target.
+	// Its Encode appends the field's key to dst: func(dst []byte, value
+	// string) ([]byte, error), where value is valid for the call only.
 	FieldRef = core.FieldRef
 	// FuncRef adapts a function as a Referencer.
 	FuncRef = core.FuncRef
