@@ -2,12 +2,15 @@
 // built for ReDe in place of HDFS (§III-E: "HDFS is not well-optimized for
 // non-scan accesses such as lookups").
 //
-// It simulates a shared-nothing cluster inside one process: a Cluster owns N
-// nodes, every file is split into partitions, and partition i lives on node
-// i mod N. Each node has a sim.Gate that bounds concurrent I/Os and charges
-// modeled latencies, plus metrics.Counters that record every access. Files
-// implement the lake.File / lake.BtreeFile interfaces, so the ReDe engine,
-// the baseline engine, and the structure builder all run against the same
+// A Cluster is the catalog over N nodes: every file is split into
+// partitions, and partition i lives on node i mod N. Every node is a
+// NodeTransport, and metrics.Counters record every access to it. NewCluster
+// simulates a shared-nothing cluster inside one process: each node is a sim
+// node holding its partition trees behind a sim.Gate that bounds concurrent
+// I/Os and charges modeled latencies. NewClusterWithTransports puts the same
+// catalog over other transports, such as networked nodes. Files implement
+// the lake.File / lake.BtreeFile interfaces, so the ReDe engine, the
+// baseline engine, and the structure builder all run against the same
 // storage.
 //
 // Records returned by lookups and scans are shared, not copied; callers must
@@ -17,6 +20,7 @@ package dfs
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -53,7 +57,7 @@ type Config struct {
 	Cost sim.CostModel
 }
 
-// Cluster is a simulated shared-nothing storage cluster and file catalog.
+// Cluster is a shared-nothing storage cluster: a file catalog over nodes.
 type Cluster struct {
 	nodes []*node
 	cost  sim.CostModel
@@ -68,11 +72,6 @@ type Cluster struct {
 
 	listenerMu sync.RWMutex
 	listeners  []AppendListener
-
-	// remote marks a cluster built over external node transports
-	// (NewClusterWithTransports): catalog mutations broadcast to the
-	// transports and data operations never touch the local partition trees.
-	remote bool
 
 	// faults is the installed FaultHook, nil when none (see InjectFaults).
 	faults atomic.Pointer[FaultHook]
@@ -128,8 +127,10 @@ func (c *Cluster) AddAppendListener(fn AppendListener) {
 	c.listeners = append(c.listeners, fn)
 }
 
-// notifyAppend fans an append out to the listeners. It is called by Append
-// while the appended partition's write lock is still held, so for any one
+// notifyAppend fans an append out to the listeners. A sim node calls it on
+// its home cluster while the appended partition's write lock is still held
+// (any other transport's appends are notified by file.Append after the
+// insert, without that guarantee), so for any one
 // partition the pair (insert, notify) is atomic with respect to a scan's
 // read lock: a listener has either been told about a record before a scan
 // can start, or will be told only after the scan finished. Online structure
@@ -148,24 +149,32 @@ func (c *Cluster) notifyAppend(file string, partition int, recs []lake.Record) {
 
 type node struct {
 	id       int
-	gate     *sim.Gate
 	counters metrics.Counters
-	// transport, when non-nil, serves this node's data operations instead
-	// of the in-process partition trees (see transport.go).
+	// transport serves the node's data operations: the node's own sim node
+	// on a NewCluster cluster (see own), any NodeTransport otherwise.
 	transport NodeTransport
 }
 
-// NewCluster creates a cluster with cfg.Nodes nodes (minimum 1).
+// NewCluster creates a cluster of cfg.Nodes sim nodes (minimum 1).
 func NewCluster(cfg Config) *Cluster {
-	n := cfg.Nodes
-	if n < 1 {
-		n = 1
-	}
 	c := &Cluster{cost: cfg.Cost, files: make(map[string]*file)}
-	for i := 0; i < n; i++ {
-		c.nodes = append(c.nodes, &node{id: i, gate: sim.NewGate(cfg.Cost)})
+	for i := 0; i < max(cfg.Nodes, 1); i++ {
+		s := &simNode{id: i, gate: sim.NewGate(cfg.Cost), home: c}
+		s.files.Store(&map[string]*simFile{})
+		c.nodes = append(c.nodes, &node{id: i, transport: s})
 	}
 	return c
+}
+
+// own returns n's sim node when n is one of c's own sim nodes, nil
+// otherwise. Only such a node gives an exact ScanWithBarrier, tells c's
+// listeners about an append under the partition's write lock, and has a
+// gate; any other node is reached over a transport, as an RPC.
+func (c *Cluster) own(n *node) *simNode {
+	if s, ok := n.transport.(*simNode); ok && s.home == c {
+		return s
+	}
+	return nil
 }
 
 // NumNodes returns the cluster size.
@@ -184,7 +193,9 @@ func (c *Cluster) TotalMetrics() metrics.Snapshot {
 }
 
 // CreateFile registers a new empty file. Partition i is placed on node
-// i mod NumNodes, matching the paper's round-robin distribution.
+// i mod NumNodes, matching the paper's round-robin distribution. The create
+// is broadcast to every distinct node transport before the file is
+// registered, so a node failure leaves the catalog untouched.
 func (c *Cluster) CreateFile(name string, kind Kind, partitions int, p lake.Partitioner) (lake.File, error) {
 	if partitions < 1 {
 		return nil, fmt.Errorf("dfs: file %q: partitions must be >= 1, got %d", name, partitions)
@@ -192,28 +203,21 @@ func (c *Cluster) CreateFile(name string, kind Kind, partitions int, p lake.Part
 	if p == nil {
 		return nil, fmt.Errorf("dfs: file %q: nil partitioner", name)
 	}
-	if c.remote {
-		c.mu.RLock()
-		_, exists := c.files[name]
-		c.mu.RUnlock()
-		if exists {
-			return nil, fmt.Errorf("dfs: file %q already exists", name)
-		}
-		// Broadcast before registering locally, so a transport failure
-		// leaves the catalog untouched.
-		if err := c.remoteCreate(name, kind, partitions, p); err != nil {
-			return nil, err
-		}
+	c.mu.RLock()
+	_, exists := c.files[name]
+	c.mu.RUnlock()
+	if exists {
+		return nil, fmt.Errorf("dfs: file %q already exists", name)
+	}
+	if err := c.broadcastCreate(name, kind, partitions, p); err != nil {
+		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.files[name]; ok {
 		return nil, fmt.Errorf("dfs: file %q already exists", name)
 	}
-	f := &file{cluster: c, name: name, kind: kind, partitioner: p}
-	for i := 0; i < partitions; i++ {
-		f.parts = append(f.parts, &partition{tree: btree.New()})
-	}
+	f := &file{cluster: c, name: name, kind: kind, partitioner: p, partitions: partitions}
 	c.files[name] = f
 	c.version++
 	if c.catalogHook != nil {
@@ -226,8 +230,10 @@ func (c *Cluster) CreateFile(name string, kind Kind, partitions int, p lake.Part
 }
 
 // DropFile removes a file from the catalog (used by tests and by the
-// structure builder when replacing an index). Dropping a file that does not
-// exist is a no-op and does not bump the catalog version.
+// structure builder when replacing an index), then from every node. Dropping
+// a file that does not exist is a no-op and does not bump the catalog
+// version. A handle to the file taken before the drop answers every later
+// access with lake.ErrNoSuchFile.
 func (c *Cluster) DropFile(name string) {
 	c.mu.Lock()
 	if _, ok := c.files[name]; !ok {
@@ -240,9 +246,7 @@ func (c *Cluster) DropFile(name string) {
 		c.catalogHook(CatalogEvent{Version: c.version, Drop: true, Name: name})
 	}
 	c.mu.Unlock()
-	if c.remote {
-		c.remoteDrop(name)
-	}
+	c.broadcastDrop(name)
 }
 
 // File implements lake.Catalog.
@@ -283,14 +287,18 @@ func (c *Cluster) FileNames() []string {
 // OwnerNode returns the node hosting the given partition.
 func (c *Cluster) OwnerNode(partition int) int { return partition % len(c.nodes) }
 
-// NodeGate returns node i's I/O gate, or nil when the cluster's cost model
-// is free (a free gate admits everything instantly and has nothing to hook).
-// Chaos injection uses it to squeeze a node's queue depth.
+// NodeGate returns node i's I/O gate, or nil when node i is not one of the
+// cluster's own sim nodes or the cluster's cost model is free (a free gate
+// admits everything instantly and has nothing to hook). Chaos injection uses
+// it to squeeze a node's queue depth.
 func (c *Cluster) NodeGate(i int) *sim.Gate {
 	if i < 0 || i >= len(c.nodes) {
 		return nil
 	}
-	return c.nodes[i].gate
+	if s := c.own(c.nodes[i]); s != nil {
+		return s.gate
+	}
+	return nil
 }
 
 // callerKey carries the identity of the node issuing an access, so dfs can
@@ -311,33 +319,21 @@ func CallerNode(ctx context.Context) int {
 	return -1
 }
 
-// file implements lake.BtreeFile on simulated partitions.
+// file implements lake.BtreeFile: catalog metadata, with each partition's
+// data behind its owner node's transport.
 type file struct {
 	cluster     *Cluster
 	name        string
 	kind        Kind
 	partitioner lake.Partitioner
-	parts       []*partition
-}
-
-// recordOverheadBytes is the modeled per-record storage overhead (tree node
-// pointers, key headers) added to raw key+value size in a partition's byte
-// accounting. Budgeted structure residency works in these modeled bytes.
-const recordOverheadBytes = 32
-
-type partition struct {
-	mu   sync.RWMutex
-	tree *btree.Tree
-	// bytes is the modeled on-disk size of the partition: sum over records
-	// of len(key)+len(data)+recordOverheadBytes. Guarded by mu.
-	bytes int64
+	partitions  int
 }
 
 // Name implements lake.File.
 func (f *file) Name() string { return f.name }
 
 // NumPartitions implements lake.File.
-func (f *file) NumPartitions() int { return len(f.parts) }
+func (f *file) NumPartitions() int { return f.partitions }
 
 // Partitioner implements lake.File.
 func (f *file) Partitioner() lake.Partitioner { return f.partitioner }
@@ -345,11 +341,11 @@ func (f *file) Partitioner() lake.Partitioner { return f.partitioner }
 // Kind returns whether the file is a heap or btree file.
 func (f *file) Kind() Kind { return f.kind }
 
-func (f *file) part(i int) (*partition, *node, error) {
-	if i < 0 || i >= len(f.parts) {
-		return nil, nil, fmt.Errorf("%w: %q/%d", lake.ErrNoSuchPartition, f.name, i)
+func (f *file) owner(i int) (*node, error) {
+	if i < 0 || i >= f.partitions {
+		return nil, fmt.Errorf("%w: %q/%d", lake.ErrNoSuchPartition, f.name, i)
 	}
-	return f.parts[i], f.cluster.nodes[f.cluster.OwnerNode(i)], nil
+	return f.cluster.nodes[f.cluster.OwnerNode(i)], nil
 }
 
 // AppendLookupBatch implements lake.BatchFile: the whole batch is served
@@ -359,51 +355,14 @@ func (f *file) part(i int) (*partition, *node, error) {
 // single network message. I/O attribution mirrors that (one local/remote
 // observation), but the fault hook sees the batch's key count: the batch
 // stands in for len(keys) point lookups, so a heal budget is consumed the
-// same way batched and unbatched. Records are appended straight from the
-// tree, or by a transport node (AppendLookupBatch over its transport).
+// same way batched and unbatched.
 func (f *file) AppendLookupBatch(ctx context.Context, dst []lake.Record, partitionIdx int, keys []lake.Key, ends []int) ([]lake.Record, error) {
 	if len(keys) == 0 {
 		return dst, nil
 	}
-	p, owner, err := f.part(partitionIdx)
-	if err != nil {
-		return dst, err
-	}
-	owner.counters.AddBatchLookup(len(keys))
-	start := len(dst)
-	if err := f.access(ctx, owner, partitionIdx, OpLookupBatch, len(keys), func(remote bool) error {
-		if owner.transport == nil {
-			return owner.gate.LookupBatch(ctx, len(keys), remote)
-		}
-		var err error
-		dst, err = AppendLookupBatch(ctx, owner.transport, dst, f.name, partitionIdx, keys, ends)
-		return err
-	}); err != nil {
-		return dst, err
-	}
-	if owner.transport == nil {
-		p.mu.RLock()
-		c := p.tree.Cursor()
-		for i, k := range keys {
-			c.Visit(k, func(v []byte) { dst = append(dst, lake.Record{Key: k, Data: v}) })
-			if ends != nil {
-				ends[i] = len(dst)
-			}
-		}
-		p.mu.RUnlock()
-	}
-	owner.countRead(dst[start:])
-	return dst, nil
-}
-
-// countRead adds a lookup's records to the owner's read counters.
-func (n *node) countRead(recs []lake.Record) {
-	bytes := 0
-	for _, r := range recs {
-		bytes += len(r.Data)
-	}
-	n.counters.AddRecordsRead(len(recs))
-	n.counters.AddBytesRead(bytes)
+	return f.read(ctx, dst, partitionIdx, OpLookupBatch, len(keys), func(t NodeTransport, dst []lake.Record) ([]lake.Record, error) {
+		return AppendLookupBatch(ctx, t, dst, f.name, partitionIdx, keys, ends)
+	})
 }
 
 // Lookup implements lake.File: AppendLookup onto nil.
@@ -411,33 +370,11 @@ func (f *file) Lookup(ctx context.Context, partitionIdx int, key lake.Key) ([]la
 	return f.AppendLookup(ctx, nil, partitionIdx, key)
 }
 
-// AppendLookup implements lake.BatchFile: one gate admission, the records
-// appended straight from the tree or by a transport node.
+// AppendLookup implements lake.BatchFile: one gate admission.
 func (f *file) AppendLookup(ctx context.Context, dst []lake.Record, partitionIdx int, key lake.Key) ([]lake.Record, error) {
-	p, owner, err := f.part(partitionIdx)
-	if err != nil {
-		return dst, err
-	}
-	owner.counters.AddLookup()
-	start := len(dst)
-	if err := f.access(ctx, owner, partitionIdx, OpLookup, 1, func(remote bool) error {
-		if owner.transport == nil {
-			return owner.gate.Lookup(ctx, remote)
-		}
-		var err error
-		dst, err = AppendLookup(ctx, owner.transport, dst, f.name, partitionIdx, key)
-		return err
-	}); err != nil {
-		return dst, err
-	}
-	if owner.transport == nil {
-		p.mu.RLock()
-		c := p.tree.Cursor()
-		c.Visit(key, func(v []byte) { dst = append(dst, lake.Record{Key: key, Data: v}) })
-		p.mu.RUnlock()
-	}
-	owner.countRead(dst[start:])
-	return dst, nil
+	return f.read(ctx, dst, partitionIdx, OpLookup, 1, func(t NodeTransport, dst []lake.Record) ([]lake.Record, error) {
+		return AppendLookup(ctx, t, dst, f.name, partitionIdx, key)
+	})
 }
 
 // LookupRange implements lake.BtreeFile. It returns every record with
@@ -446,37 +383,42 @@ func (f *file) LookupRange(ctx context.Context, partitionIdx int, lo, hi lake.Ke
 	return f.AppendLookupRange(ctx, nil, partitionIdx, lo, hi)
 }
 
-// AppendLookupRange implements lake.BatchFile: one gate admission, the
-// records appended straight from the tree or by a transport node.
+// AppendLookupRange implements lake.BatchFile: one gate admission.
 func (f *file) AppendLookupRange(ctx context.Context, dst []lake.Record, partitionIdx int, lo, hi lake.Key) ([]lake.Record, error) {
 	if f.kind != Btree {
 		return dst, lake.AsPermanent(fmt.Errorf("dfs: file %q is not a btree file", f.name))
 	}
-	p, owner, err := f.part(partitionIdx)
+	return f.read(ctx, dst, partitionIdx, OpRange, 1, func(t NodeTransport, dst []lake.Record) ([]lake.Record, error) {
+		return AppendLookupRange(ctx, t, dst, f.name, partitionIdx, lo, hi)
+	})
+}
+
+// read runs one lookup access of a partition, in which fetch appends the
+// records onto dst through the owner's transport, and adds the access and
+// its records to the owner's counters.
+func (f *file) read(ctx context.Context, dst []lake.Record, partitionIdx int, op Op, keys int, fetch func(NodeTransport, []lake.Record) ([]lake.Record, error)) ([]lake.Record, error) {
+	owner, err := f.owner(partitionIdx)
 	if err != nil {
 		return dst, err
 	}
-	owner.counters.AddLookup()
+	if op == OpLookupBatch {
+		owner.counters.AddBatchLookup(keys)
+	} else {
+		owner.counters.AddLookup()
+	}
 	start := len(dst)
-	if err := f.access(ctx, owner, partitionIdx, OpRange, 1, func(remote bool) error {
-		if owner.transport == nil {
-			return owner.gate.Lookup(ctx, remote)
-		}
-		var err error
-		dst, err = AppendLookupRange(ctx, owner.transport, dst, f.name, partitionIdx, lo, hi)
+	if err := f.access(ctx, owner, partitionIdx, op, keys, func() (err error) {
+		dst, err = fetch(owner.transport, dst)
 		return err
 	}); err != nil {
 		return dst, err
 	}
-	if owner.transport == nil {
-		p.mu.RLock()
-		p.tree.Ascend(lo, hi, func(k string, v []byte) bool {
-			dst = append(dst, lake.Record{Key: k, Data: v})
-			return true
-		})
-		p.mu.RUnlock()
+	bytes := 0
+	for _, r := range dst[start:] {
+		bytes += len(r.Data)
 	}
-	owner.countRead(dst[start:])
+	owner.counters.AddRecordsRead(len(dst) - start)
+	owner.counters.AddBytesRead(bytes)
 	return dst, nil
 }
 
@@ -495,117 +437,56 @@ func (f *file) Scan(ctx context.Context, partitionIdx int, fn func(lake.Record) 
 // exactly the point where responsibility for new records changes hands.
 // An access the fault hook fails never runs its barrier, on either plane.
 func (f *file) ScanWithBarrier(ctx context.Context, partitionIdx int, barrier func(), fn func(lake.Record) error) error {
-	p, owner, err := f.part(partitionIdx)
+	owner, err := f.owner(partitionIdx)
 	if err != nil {
 		return err
 	}
-	return f.access(ctx, owner, partitionIdx, OpScan, 1, func(remote bool) error {
-		if owner.transport != nil {
-			// Degraded mode: over a real transport there is no shared
-			// partition lock to make (barrier, first record) atomic with
-			// appends, so this is barrier-then-scan. Appends racing the
-			// scan may be seen by both the barrier-side listener and the
-			// scan; exactly-once online builds therefore require the
-			// in-process transport.
-			if barrier != nil {
-				barrier()
-			}
-			scanned, bytes := 0, 0
-			err := owner.transport.Scan(ctx, f.name, partitionIdx, func(r lake.Record) error {
-				scanned++
-				bytes += len(r.Data)
-				return fn(r)
-			})
-			owner.counters.AddRecordsScanned(scanned)
-			owner.counters.AddBytesRead(bytes)
-			return err
+	scanned, bytes := 0, 0
+	count := func(r lake.Record) error {
+		scanned++
+		bytes += len(r.Data)
+		return fn(r)
+	}
+	err = f.access(ctx, owner, partitionIdx, OpScan, 1, func() error {
+		if s := f.cluster.own(owner); s != nil {
+			return s.scan(ctx, f.name, partitionIdx, barrier, count)
 		}
-		if barrier == nil {
-			// A plain scan is charged before it takes the read lock, so
-			// appends to the partition are not held up for its modeled
-			// service time.
-			p.mu.RLock()
-			n := p.tree.Len()
-			p.mu.RUnlock()
-			if err := owner.gate.Scan(ctx, n, remote); err != nil {
-				return err
-			}
-		}
-		p.mu.RLock()
-		defer p.mu.RUnlock()
+		// Degraded mode: over any other transport there is no shared
+		// partition lock to make (barrier, first record) atomic with
+		// appends, so this is barrier-then-scan. Appends racing the
+		// scan may be seen by both the barrier-side listener and the
+		// scan; exactly-once online builds therefore require the
+		// cluster's own sim nodes.
 		if barrier != nil {
 			barrier()
-			// Admission happens under the read lock here: releasing it to
-			// charge the gate would let appends slip between the barrier
-			// and the iteration, which is exactly the ambiguity the
-			// barrier removes. Builds therefore block concurrent appends
-			// to the partition for the scan's modeled service time.
-			if err := owner.gate.Scan(ctx, p.tree.Len(), remote); err != nil {
-				return err
-			}
 		}
-		return f.scanLocked(ctx, p, owner, fn)
-	})
-}
-
-// scanLocked iterates a partition's records in key order. The caller holds
-// the partition's read lock.
-func (f *file) scanLocked(ctx context.Context, p *partition, owner *node, fn func(lake.Record) error) error {
-	var scanErr error
-	scanned := 0
-	bytes := 0
-	p.tree.AscendAll(func(k string, v []byte) bool {
-		if err := ctx.Err(); err != nil {
-			scanErr = err
-			return false
-		}
-		scanned++
-		bytes += len(v)
-		if err := fn(lake.Record{Key: k, Data: v}); err != nil {
-			scanErr = err
-			return false
-		}
-		return true
+		return owner.transport.Scan(ctx, f.name, partitionIdx, count)
 	})
 	owner.counters.AddRecordsScanned(scanned)
 	owner.counters.AddBytesRead(bytes)
-	return scanErr
+	return err
 }
 
 // Append implements lake.File. Loading is not part of the measured
 // experiments, so it is charged no simulated I/O cost.
 func (f *file) Append(ctx context.Context, partitionIdx int, recs ...lake.Record) error {
-	p, owner, err := f.part(partitionIdx)
+	owner, err := f.owner(partitionIdx)
 	if err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := f.access(ctx, owner, partitionIdx, OpAppend, max(len(recs), 1), func(bool) error {
-		if owner.transport != nil {
-			return owner.transport.Append(ctx, f.name, partitionIdx, recs)
-		}
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		for _, r := range recs {
-			p.tree.Insert(r.Key, r.Data)
-			p.bytes += int64(len(r.Key) + len(r.Data) + recordOverheadBytes)
-		}
-		// Notify under the partition lock: listeners observe appends in
-		// the same order scans do (see notifyAppend). Listeners write to
-		// OTHER files' partitions only, so lock order is always base →
-		// index and cannot cycle.
-		f.cluster.notifyAppend(f.name, partitionIdx, recs)
-		return nil
+	if err := f.access(ctx, owner, partitionIdx, OpAppend, max(len(recs), 1), func() error {
+		return owner.transport.Append(ctx, f.name, partitionIdx, recs)
 	}); err != nil {
 		return err
 	}
-	if owner.transport != nil {
+	if f.cluster.own(owner) == nil {
 		// Listeners fire after the remote insert, NOT under a partition
-		// lock: over a real transport the (insert, notify) pair is no
+		// lock: over any other transport the (insert, notify) pair is no
 		// longer atomic with respect to scans, which is why exactly-once
-		// online builds require the in-process transport (see
+		// online builds require the cluster's own sim nodes (see
 		// ScanWithBarrier).
 		f.cluster.notifyAppend(f.name, partitionIdx, recs)
 	}
@@ -630,30 +511,16 @@ func (c *Cluster) Len(name string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", lake.ErrNoSuchFile, name)
 	}
-	if c.remote {
-		recs, _, err := f.remoteTotals()
-		return recs, err
-	}
-	total := 0
-	for _, p := range f.parts {
-		p.mu.RLock()
-		total += p.tree.Len()
-		p.mu.RUnlock()
-	}
-	return total, nil
+	recs, _, err := f.stat()
+	return recs, err
 }
 
-// remoteTotals sums record count and modeled bytes across partitions via
-// each owner's transport Stat.
-func (f *file) remoteTotals() (int, int64, error) {
-	ctx := context.Background()
+// stat sums record count and modeled bytes across partitions via each
+// owner's transport Stat.
+func (f *file) stat() (int, int64, error) {
 	recs, bytes := 0, int64(0)
-	for i := range f.parts {
-		_, owner, err := f.part(i)
-		if err != nil {
-			return 0, 0, err
-		}
-		r, b, err := owner.transport.Stat(ctx, f.name, i)
+	for i := 0; i < f.partitions; i++ {
+		r, b, err := f.cluster.nodes[f.cluster.OwnerNode(i)].transport.Stat(context.Background(), f.name, i)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -678,20 +545,11 @@ func (c *Cluster) FileSizeBytes(name string) (int64, error) {
 
 // SizeBytes implements lake.SizedFile: the file's total modeled size.
 func (f *file) SizeBytes() int64 {
-	if f.cluster.remote {
-		_, bytes, err := f.remoteTotals()
-		if err != nil {
-			return 0
-		}
-		return bytes
+	_, bytes, err := f.stat()
+	if err != nil {
+		return 0
 	}
-	var total int64
-	for _, p := range f.parts {
-		p.mu.RLock()
-		total += p.bytes
-		p.mu.RUnlock()
-	}
-	return total
+	return bytes
 }
 
 // Bind marks ctx as executing on the given node, so subsequent accesses are
@@ -700,3 +558,230 @@ func (f *file) SizeBytes() int64 {
 func (c *Cluster) Bind(ctx context.Context, nodeID int) context.Context {
 	return WithCaller(ctx, nodeID)
 }
+
+// simNode is one in-process storage node: the partition trees of the files
+// it holds and the sim.Gate that charges their modeled I/O. NewCluster gives
+// every node one, and it serves the node's data operations as any
+// NodeTransport does — a networked node server hosts one through Local.
+//
+// Like every transport it resolves a file by name on each access, so a file
+// dropped from the node answers lake.ErrNoSuchFile at once. The file map is
+// copy-on-write behind an atomic pointer: readers take no shared lock.
+type simNode struct {
+	id   int
+	gate *sim.Gate
+	// home is the cluster that made the node. Its listeners hear of every
+	// append under the partition's write lock, whichever cluster or server
+	// sent it (see notifyAppend).
+	home  *Cluster
+	mu    sync.Mutex // serialises CreateFile/DropFile
+	files atomic.Pointer[map[string]*simFile]
+}
+
+type simFile struct {
+	kind  Kind
+	parts []*partition
+}
+
+// recordOverheadBytes is the modeled per-record storage overhead (tree node
+// pointers, key headers) added to raw key+value size in a partition's byte
+// accounting. Budgeted structure residency works in these modeled bytes.
+const recordOverheadBytes = 32
+
+type partition struct {
+	mu   sync.RWMutex
+	tree *btree.Tree
+	// bytes is the modeled on-disk size of the partition: sum over records
+	// of len(key)+len(data)+recordOverheadBytes. Guarded by mu.
+	bytes int64
+}
+
+var _ BatchTransport = (*simNode)(nil)
+
+// remote reports whether the gate charges ctx's caller a network round trip.
+func (s *simNode) remote(ctx context.Context) bool {
+	if s.gate == nil {
+		return false // a free gate charges nothing: leave ctx unsearched
+	}
+	caller := CallerNode(ctx)
+	return caller >= 0 && caller != s.id
+}
+
+func (s *simNode) part(file string, i int) (*simFile, *partition, error) {
+	f := (*s.files.Load())[file]
+	if f == nil {
+		return nil, nil, fmt.Errorf("%w: %q", lake.ErrNoSuchFile, file)
+	}
+	if i < 0 || i >= len(f.parts) {
+		return nil, nil, fmt.Errorf("%w: %q/%d", lake.ErrNoSuchPartition, file, i)
+	}
+	return f, f.parts[i], nil
+}
+
+func (s *simNode) CreateFile(_ context.Context, name string, kind Kind, partitions int, _ lake.Partitioner) error {
+	if partitions < 1 {
+		return fmt.Errorf("dfs: file %q: partitions must be >= 1, got %d", name, partitions)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	files := maps.Clone(*s.files.Load())
+	if files[name] != nil {
+		return fmt.Errorf("dfs: file %q already exists", name)
+	}
+	f := &simFile{kind: kind, parts: make([]*partition, partitions)}
+	for i := range f.parts {
+		f.parts[i] = &partition{tree: btree.New()}
+	}
+	files[name] = f
+	s.files.Store(&files)
+	return nil
+}
+
+func (s *simNode) DropFile(_ context.Context, name string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	files := maps.Clone(*s.files.Load())
+	delete(files, name)
+	s.files.Store(&files)
+	return nil
+}
+
+func (s *simNode) Lookup(ctx context.Context, file string, partition int, key lake.Key) ([]lake.Record, error) {
+	return s.AppendLookup(ctx, nil, file, partition, key)
+}
+
+func (s *simNode) LookupBatch(ctx context.Context, file string, partition int, keys []lake.Key) ([][]lake.Record, error) {
+	return LookupBatch(ctx, s, file, partition, keys)
+}
+
+func (s *simNode) LookupRange(ctx context.Context, file string, partition int, lo, hi lake.Key) ([]lake.Record, error) {
+	return s.AppendLookupRange(ctx, nil, file, partition, lo, hi)
+}
+
+func (s *simNode) AppendLookup(ctx context.Context, dst []lake.Record, file string, partition int, key lake.Key) ([]lake.Record, error) {
+	_, p, err := s.part(file, partition)
+	if err != nil {
+		return dst, err
+	}
+	if err := s.gate.Lookup(ctx, s.remote(ctx)); err != nil {
+		return dst, err
+	}
+	p.mu.RLock()
+	c := p.tree.Cursor()
+	c.Visit(key, func(v []byte) { dst = append(dst, lake.Record{Key: key, Data: v}) })
+	p.mu.RUnlock()
+	return dst, nil
+}
+
+func (s *simNode) AppendLookupBatch(ctx context.Context, dst []lake.Record, file string, partition int, keys []lake.Key, ends []int) ([]lake.Record, error) {
+	_, p, err := s.part(file, partition)
+	if err != nil {
+		return dst, err
+	}
+	if err := s.gate.LookupBatch(ctx, len(keys), s.remote(ctx)); err != nil {
+		return dst, err
+	}
+	p.mu.RLock()
+	c := p.tree.Cursor()
+	for i, k := range keys {
+		c.Visit(k, func(v []byte) { dst = append(dst, lake.Record{Key: k, Data: v}) })
+		if ends != nil {
+			ends[i] = len(dst)
+		}
+	}
+	p.mu.RUnlock()
+	return dst, nil
+}
+
+func (s *simNode) AppendLookupRange(ctx context.Context, dst []lake.Record, file string, partition int, lo, hi lake.Key) ([]lake.Record, error) {
+	f, p, err := s.part(file, partition)
+	if err != nil {
+		return dst, err
+	}
+	if f.kind != Btree {
+		return dst, lake.AsPermanent(fmt.Errorf("dfs: file %q is not a btree file", file))
+	}
+	if err := s.gate.Lookup(ctx, s.remote(ctx)); err != nil {
+		return dst, err
+	}
+	p.mu.RLock()
+	p.tree.Ascend(lo, hi, func(k string, v []byte) bool {
+		dst = append(dst, lake.Record{Key: k, Data: v})
+		return true
+	})
+	p.mu.RUnlock()
+	return dst, nil
+}
+
+func (s *simNode) Scan(ctx context.Context, file string, partition int, fn func(lake.Record) error) error {
+	return s.scan(ctx, file, partition, nil, fn)
+}
+
+// scan is Scan with file.ScanWithBarrier's guarantee: a non-nil barrier runs
+// under the partition's read lock, before the first record is delivered.
+func (s *simNode) scan(ctx context.Context, file string, partition int, barrier func(), fn func(lake.Record) error) error {
+	_, p, err := s.part(file, partition)
+	if err != nil {
+		return err
+	}
+	p.mu.RLock()
+	if n := p.tree.Len(); barrier == nil {
+		// A plain scan is charged before it holds the read lock, so
+		// appends to the partition are not held up for its modeled
+		// service time.
+		p.mu.RUnlock()
+		err = s.gate.Scan(ctx, n, s.remote(ctx))
+		p.mu.RLock()
+	} else {
+		barrier()
+		// Admission happens under the read lock here: releasing it to
+		// charge the gate would let appends slip between the barrier
+		// and the iteration, which is exactly the ambiguity the
+		// barrier removes. Builds therefore block concurrent appends
+		// to the partition for the scan's modeled service time.
+		err = s.gate.Scan(ctx, n, s.remote(ctx))
+	}
+	defer p.mu.RUnlock()
+	if err != nil {
+		return err
+	}
+	var scanErr error
+	p.tree.AscendAll(func(k string, v []byte) bool {
+		if scanErr = ctx.Err(); scanErr == nil {
+			scanErr = fn(lake.Record{Key: k, Data: v})
+		}
+		return scanErr == nil
+	})
+	return scanErr
+}
+
+// Append inserts recs and, still under the partition's write lock, tells
+// the home cluster's listeners about them (see notifyAppend). Listeners
+// write to OTHER files' partitions only, so lock order is always base →
+// index and cannot cycle.
+func (s *simNode) Append(_ context.Context, file string, partition int, recs []lake.Record) error {
+	_, p, err := s.part(file, partition)
+	if err != nil {
+		return err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, r := range recs {
+		p.tree.Insert(r.Key, r.Data)
+		p.bytes += int64(len(r.Key) + len(r.Data) + recordOverheadBytes)
+	}
+	s.home.notifyAppend(file, partition, recs)
+	return nil
+}
+
+func (s *simNode) Stat(_ context.Context, file string, partition int) (int, int64, error) {
+	_, p, err := s.part(file, partition)
+	if err != nil {
+		return 0, 0, err
+	}
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.tree.Len(), p.bytes, nil
+}
+
+func (s *simNode) Close() error { return nil }

@@ -11,9 +11,14 @@ import (
 )
 
 func benchCluster(b *testing.B, rows int) (*Cluster, lake.File) {
+	return benchLoad(b, NewCluster(Config{Nodes: 4}), rows)
+}
+
+// benchLoad creates an 8-partition btree file on c holding rows records
+// keyed Int64(0..rows-1).
+func benchLoad(b *testing.B, c *Cluster, rows int) (*Cluster, lake.File) {
 	b.Helper()
 	ctx := context.Background()
-	c := NewCluster(Config{Nodes: 4})
 	f, err := c.CreateFile("bench", Btree, 8, lake.HashPartitioner{})
 	if err != nil {
 		b.Fatal(err)
@@ -55,6 +60,40 @@ func BenchmarkLookupParallel(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkLookupBatch is a pointer batch's hop into dfs: 64 keys of one
+// partition appended onto a reused record array, on a sim cluster and on a
+// front end over a Local node. Neither allocates.
+func BenchmarkLookupBatch(b *testing.B) {
+	front, err := NewClusterWithTransports(Config{}, []NodeTransport{Local(NewCluster(Config{Nodes: 1}))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		c    *Cluster
+	}{{"sim", NewCluster(Config{Nodes: 4})}, {"front_over_local", front}} {
+		_, f := benchLoad(b, bc.c, 100000)
+		var keys []lake.Key
+		for i := 0; len(keys) < 64; i++ {
+			if k := keycodec.Int64(int64(i)); f.Partitioner().Partition(k, f.NumPartitions()) == 0 {
+				keys = append(keys, k)
+			}
+		}
+		bf := f.(lake.BatchFile)
+		ctx := context.Background()
+		b.Run(bc.name, func(b *testing.B) {
+			dst, ends := make([]lake.Record, 0, len(keys)), make([]int, len(keys))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if dst, err = bf.AppendLookupBatch(ctx, dst[:0], 0, keys, ends); err != nil || len(dst) != len(keys) {
+					b.Fatalf("batch = %d records, %v; want %d", len(dst), err, len(keys))
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkScanPartition(b *testing.B) {

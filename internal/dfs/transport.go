@@ -1,26 +1,27 @@
 package dfs
 
-// The node transport seam: every per-node data operation the engines issue
-// (lookups, batched lookups, range reads, scans, appends, size stats) can be
-// routed through a NodeTransport. A node with a nil transport executes
-// against the cluster's own partition trees, Local adapts that path to the
-// interface so a networked node server can host it, and a cluster built with
+// The node transport seam: every node is a NodeTransport, and every per-node
+// data operation the engines issue (lookups, batched lookups, range reads,
+// scans, appends, size stats) goes through it. NewCluster gives each node
+// an in-process sim node (simNode), Local hands a one-node cluster's sim
+// node to a networked node server, and a cluster built with
 // NewClusterWithTransports delegates each node's operations to an arbitrary
 // implementation — the real TCP client in internal/nodenet, for one.
 //
-// Both kinds of node share one access path (access, below): it attributes
-// the access and consults the cluster's FaultHook before the access touches
-// a partition tree or a transport, so one fault injector serves both.
+// Every node shares one access path (access, below): it attributes the
+// access and consults the cluster's FaultHook before the access reaches the
+// node's transport, so one fault injector serves every kind of node.
 //
 // A transport that is also a BatchTransport appends what its lookups find
-// onto the caller's record array, so a task's lookups on a transport node
-// fill the task's lent array as they do on a sim node; a transport without
-// the capability is called through its slice form and its answer copied.
-// Local and the nodenet client have it.
+// onto the caller's record array, so a task's lookups fill the task's lent
+// array on any node; a transport without the capability is called through
+// its slice form and its answer copied. The sim node and the nodenet client
+// have it.
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"lakeharbor/internal/lake"
@@ -138,140 +139,56 @@ func LookupBatch(ctx context.Context, t BatchTransport, file string, partition i
 	return lake.Groups(recs, ends), nil
 }
 
-// localTransport adapts a sim cluster's in-process data path to the
-// NodeTransport interface. It is the storage side of a networked node (the
-// lakenode server executes decoded RPCs against it).
-type localTransport struct{ c *Cluster }
-
-// Local returns the in-process NodeTransport over the cluster: operations
-// execute directly against the cluster's partitions, with the same gate
-// admission, counters, and fault hook as direct file-method calls.
-func Local(c *Cluster) NodeTransport { return localTransport{c} }
-
-func (t localTransport) lookup(name string) (*file, error) {
-	t.c.mu.RLock()
-	defer t.c.mu.RUnlock()
-	f, ok := t.c.files[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", lake.ErrNoSuchFile, name)
+// Local returns the sim node of the one-node cluster c as a NodeTransport:
+// the storage side of a networked node server, which reaches the node's
+// partition trees and gate directly. Files created through it live on the
+// node only, not in c's catalog, but appends through it are still told to
+// c's append listeners. It panics when c has more than one node or its node
+// is not a sim node of c's own.
+func Local(c *Cluster) NodeTransport {
+	if len(c.nodes) != 1 || c.own(c.nodes[0]) == nil {
+		panic(fmt.Sprintf("dfs: Local needs a one-node sim cluster, got %d nodes", len(c.nodes)))
 	}
-	return f, nil
+	return c.nodes[0].transport
 }
 
-func (t localTransport) CreateFile(_ context.Context, name string, kind Kind, partitions int, p lake.Partitioner) error {
-	_, err := t.c.CreateFile(name, kind, partitions, p)
-	return err
-}
-
-func (t localTransport) DropFile(_ context.Context, name string) error {
-	t.c.DropFile(name)
-	return nil
-}
-
-func (t localTransport) Lookup(ctx context.Context, file string, partition int, key lake.Key) ([]lake.Record, error) {
-	return t.AppendLookup(ctx, nil, file, partition, key)
-}
-
-func (t localTransport) LookupBatch(ctx context.Context, file string, partition int, keys []lake.Key) ([][]lake.Record, error) {
-	return LookupBatch(ctx, t, file, partition, keys)
-}
-
-func (t localTransport) LookupRange(ctx context.Context, file string, partition int, lo, hi lake.Key) ([]lake.Record, error) {
-	return t.AppendLookupRange(ctx, nil, file, partition, lo, hi)
-}
-
-func (t localTransport) AppendLookup(ctx context.Context, dst []lake.Record, file string, partition int, key lake.Key) ([]lake.Record, error) {
-	f, err := t.lookup(file)
-	if err != nil {
-		return dst, err
-	}
-	return f.AppendLookup(ctx, dst, partition, key)
-}
-
-func (t localTransport) AppendLookupBatch(ctx context.Context, dst []lake.Record, file string, partition int, keys []lake.Key, ends []int) ([]lake.Record, error) {
-	f, err := t.lookup(file)
-	if err != nil {
-		return dst, err
-	}
-	return f.AppendLookupBatch(ctx, dst, partition, keys, ends)
-}
-
-func (t localTransport) AppendLookupRange(ctx context.Context, dst []lake.Record, file string, partition int, lo, hi lake.Key) ([]lake.Record, error) {
-	f, err := t.lookup(file)
-	if err != nil {
-		return dst, err
-	}
-	return f.AppendLookupRange(ctx, dst, partition, lo, hi)
-}
-
-func (t localTransport) Scan(ctx context.Context, file string, partition int, fn func(lake.Record) error) error {
-	f, err := t.lookup(file)
-	if err != nil {
-		return err
-	}
-	return f.Scan(ctx, partition, fn)
-}
-
-func (t localTransport) Append(ctx context.Context, file string, partition int, recs []lake.Record) error {
-	f, err := t.lookup(file)
-	if err != nil {
-		return err
-	}
-	return f.Append(ctx, partition, recs...)
-}
-
-func (t localTransport) Stat(_ context.Context, file string, partition int) (int, int64, error) {
-	f, err := t.lookup(file)
-	if err != nil {
-		return 0, 0, err
-	}
-	if partition < 0 || partition >= len(f.parts) {
-		return 0, 0, fmt.Errorf("%w: %q/%d", lake.ErrNoSuchPartition, file, partition)
-	}
-	p := f.parts[partition]
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.tree.Len(), p.bytes, nil
-}
-
-func (t localTransport) Close() error { return nil }
-
-// NewClusterWithTransports builds a cluster whose node i delegates every
-// data operation to transports[i] — the front end of a real multi-process
-// data plane. The cluster keeps only catalog metadata locally; record data
-// lives behind the transports. CreateFile/DropFile broadcast to every
-// distinct transport so each node knows the full catalog.
+// NewClusterWithTransports builds a cluster whose node i is transports[i] —
+// the front end of a real multi-process data plane. Like every cluster it
+// keeps only catalog metadata and broadcasts CreateFile/DropFile to every
+// distinct transport, so each node knows the full catalog.
 //
-// cfg.Nodes is ignored (the node count is len(transports)); cfg.Cost should
-// normally stay zero so the front end charges no simulated latency on top of
-// the transports' real round trips.
+// cfg.Nodes is ignored (the node count is len(transports)). cfg.Cost is
+// only reported by Cost: the front end has no gate of its own, and charges
+// no simulated latency on top of the transports' real round trips.
 //
-// A remote-backed cluster differs from the sim in one documented way:
+// A front end differs from a NewCluster cluster in one documented way:
 // ScanWithBarrier degrades to barrier-then-scan, so exactly-once online
-// structure builds require the in-process transport. Its fault hook works
-// as on the sim.
+// structure builds require the cluster's own sim nodes. Its fault hook
+// works as on the sim.
 func NewClusterWithTransports(cfg Config, transports []NodeTransport) (*Cluster, error) {
 	if len(transports) == 0 {
 		return nil, fmt.Errorf("dfs: NewClusterWithTransports needs at least one transport")
 	}
-	c := NewCluster(Config{Nodes: len(transports), Cost: cfg.Cost})
+	c := &Cluster{cost: cfg.Cost, files: make(map[string]*file)}
 	for i, t := range transports {
 		if t == nil {
 			return nil, fmt.Errorf("dfs: transport %d is nil", i)
 		}
-		c.nodes[i].transport = t
+		c.nodes = append(c.nodes, &node{id: i, transport: t})
 	}
-	c.remote = true
 	return c, nil
 }
 
-// SetNodeTransport swaps node i's transport (nil restores the in-process sim
-// path). It exists so harnesses can interpose a proxying transport around a
-// live node between runs; it must not be called while operations are in
-// flight.
+// SetNodeTransport swaps node i's transport. It exists so harnesses can
+// interpose a proxying transport around a live node between runs; it must
+// not be called while operations are in flight. A nil transport is
+// rejected: every node is a transport.
 func (c *Cluster) SetNodeTransport(i int, t NodeTransport) error {
 	if i < 0 || i >= len(c.nodes) {
 		return fmt.Errorf("dfs: no node %d", i)
+	}
+	if t == nil {
+		return fmt.Errorf("dfs: node %d: nil transport", i)
 	}
 	c.nodes[i].transport = t
 	return nil
@@ -280,21 +197,18 @@ func (c *Cluster) SetNodeTransport(i int, t NodeTransport) error {
 // distinctTransports lists the cluster's transports, deduplicated (several
 // nodes may share one), in node order.
 func (c *Cluster) distinctTransports() []NodeTransport {
-	seen := make(map[NodeTransport]bool, len(c.nodes))
 	var out []NodeTransport
 	for _, n := range c.nodes {
-		if n.transport == nil || seen[n.transport] {
-			continue
+		if !slices.Contains(out, n.transport) {
+			out = append(out, n.transport)
 		}
-		seen[n.transport] = true
-		out = append(out, n.transport)
 	}
 	return out
 }
 
-// remoteCreate broadcasts a CreateFile to every distinct transport, rolling
+// broadcastCreate sends a CreateFile to every distinct transport, rolling
 // back the ones that succeeded if any fails.
-func (c *Cluster) remoteCreate(name string, kind Kind, partitions int, p lake.Partitioner) error {
+func (c *Cluster) broadcastCreate(name string, kind Kind, partitions int, p lake.Partitioner) error {
 	ctx := context.Background()
 	ts := c.distinctTransports()
 	for i, t := range ts {
@@ -302,15 +216,16 @@ func (c *Cluster) remoteCreate(name string, kind Kind, partitions int, p lake.Pa
 			for _, done := range ts[:i] {
 				done.DropFile(ctx, name) //nolint:errcheck // best-effort rollback
 			}
-			return fmt.Errorf("dfs: remote create %q: %w", name, err)
+			return fmt.Errorf("dfs: create %q: %w", name, err)
 		}
 	}
 	return nil
 }
 
-// remoteDrop broadcasts a DropFile; drops are best-effort (the local catalog
-// is authoritative and a node that missed the drop only holds dead data).
-func (c *Cluster) remoteDrop(name string) {
+// broadcastDrop sends a DropFile to every distinct transport; drops are
+// best-effort (the catalog is authoritative and a node that missed the drop
+// only holds dead data).
+func (c *Cluster) broadcastDrop(name string) {
 	ctx := context.Background()
 	for _, t := range c.distinctTransports() {
 		t.DropFile(ctx, name) //nolint:errcheck
@@ -346,9 +261,9 @@ type Access struct {
 type FaultHook func(Access) (wait time.Duration, err error)
 
 // InjectFaults installs h as the cluster's fault hook; nil removes it. The
-// hook sees every data access on every node — sim or transport-backed —
-// before it touches a partition tree or a transport, which makes it the one
-// seam fault injection (internal/chaos) needs on both planes.
+// hook sees every data access on every node before it reaches the node's
+// transport, which makes it the one seam fault injection (internal/chaos)
+// needs on both planes.
 func (c *Cluster) InjectFaults(h FaultHook) {
 	if h == nil {
 		c.faults.Store(nil)
@@ -357,16 +272,16 @@ func (c *Cluster) InjectFaults(h FaultHook) {
 	c.faults.Store(&h)
 }
 
-// access runs one access of owner's partition — do, given whether the
-// caller is remote — with the attribution every access gets: a remote fetch
-// on the owner's counters when the calling node is another, and on the
-// calling node's trace a local/remote observation and, on success, the
-// observed round-trip latency. Before do runs, the cluster's fault hook (if
-// any) may delay the access or fail it. A transport call that carries RPC
-// trace context (executor dereferences) also lands an EvRPC interval on the
-// job's timeline, so the critical-path extractor can name wire-dominated
-// segments as (stage, node, rpc).
-func (f *file) access(ctx context.Context, owner *node, partition int, op Op, keys int, do func(remote bool) error) error {
+// access runs one access of owner's partition — do — with the attribution
+// every access gets: a remote fetch on the owner's counters when the calling
+// node is another, and on the calling node's trace a local/remote
+// observation and, on success, the observed round-trip latency. Before do
+// runs, the cluster's fault hook (if any) may delay the access or fail it.
+// A call to a node that is not one of the cluster's own sim nodes, carrying
+// RPC trace context (executor dereferences), also lands an EvRPC interval
+// on the job's timeline, so the critical-path extractor can name
+// wire-dominated segments as (stage, node, rpc).
+func (f *file) access(ctx context.Context, owner *node, partition int, op Op, keys int, do func() error) error {
 	remote := false
 	if caller := CallerNode(ctx); caller >= 0 && caller != owner.id {
 		remote = true
@@ -383,12 +298,12 @@ func (f *file) access(ctx context.Context, owner *node, partition int, op Op, ke
 		err = inject(ctx, *h, Access{Node: owner.id, File: f.name, Partition: partition, Op: op, Keys: keys})
 	}
 	if err == nil {
-		err = do(remote)
+		err = do()
 	}
 	if io != nil && err == nil {
 		d := time.Since(t0)
 		io.ObserveLatency(remote, d)
-		if rc := trace.RPCFrom(ctx); owner.transport != nil && rc.Job != "" {
+		if rc := trace.RPCFrom(ctx); rc.Job != "" && f.cluster.own(owner) == nil {
 			io.ObserveRPC(rc.Stage, t0, d)
 		}
 	}

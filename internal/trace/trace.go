@@ -140,9 +140,9 @@ func (n *NodeIO) Observe(remote bool) {
 }
 
 // ObserveLatency attributes the observed round-trip time of one completed
-// access (queueing at the I/O gate plus modeled service time) to the job's
-// local or remote I/O latency distribution. Standalone NodeIOs (not created
-// by a Trace) ignore the duration.
+// access (the owner node's whole answer: gate queueing, modeled service and
+// the read) to the job's local or remote I/O latency distribution.
+// Standalone NodeIOs (not created by a Trace) ignore the duration.
 func (n *NodeIO) ObserveLatency(remote bool, d time.Duration) {
 	t := n.owner
 	if t == nil {
@@ -409,7 +409,7 @@ type Latencies struct {
 	// Batch is the pointers-per-dereference-task distribution.
 	Batch HistSnapshot `json:"batch"`
 	// IOLocal / IORemote are the observed storage round-trip distributions
-	// (gate queueing + modeled service), split by access locality.
+	// (gate queueing + modeled service + the read), split by access locality.
 	IOLocal  HistSnapshot `json:"ioLocal"`
 	IORemote HistSnapshot `json:"ioRemote"`
 }
