@@ -229,46 +229,50 @@ func (w *walker) next() bool {
 // validate checks the line whose n fields next split into f.
 func (w *walker) validate(n int) (err error) {
 	f := &w.f
+	var tag uint16 // the line's two-byte kind tag; 0, which no kind has, when it is not two bytes
+	if len(f[0]) == 2 {
+		tag = uint16(f[0][0])<<8 | uint16(f[0][1])
+	}
 	var bad string
-	switch f[0] {
-	case "IR":
+	switch tag {
+	case 'I'<<8 | 'R':
 		w.kind = kindIR
 		if n < 4 {
 			bad = "short IR record"
-		} else if w.a, err = strconv.ParseInt(f[1], 10, 64); err == nil {
+		} else if w.a, err = parseInt(f[1]); err == nil {
 			if w.b, err = atoi(f[2]); err == nil && w.b == TypeDPC && n < 5 {
 				bad = "DPC claim missing DPC code"
 			}
 		}
-	case "RE":
+	case 'R'<<8 | 'E':
 		w.kind = kindRE
 		if n != 5 {
 			bad = "bad RE record"
-		} else if w.a, err = strconv.ParseInt(f[1], 10, 64); err == nil {
+		} else if w.a, err = parseInt(f[1]); err == nil {
 			w.b, err = atoi(f[3])
 		}
-	case "HO":
+	case 'H'<<8 | 'O':
 		w.kind = kindHO
 		if n != 3 {
 			bad = "bad HO record"
-		} else if w.a, err = strconv.ParseInt(f[1], 10, 64); err == nil {
-			w.b, err = strconv.ParseInt(f[2], 10, 64)
+		} else if w.a, err = parseInt(f[1]); err == nil {
+			w.b, err = parseInt(f[2])
 		}
-	case "SI":
+	case 'S'<<8 | 'I':
 		w.kind = kindSI
 		if n != 4 {
 			bad = "bad SI record"
-		} else if w.a, err = strconv.ParseInt(f[2], 10, 64); err == nil {
+		} else if w.a, err = parseInt(f[2]); err == nil {
 			w.b, err = atoi(f[3])
 		}
-	case "IY":
+	case 'I'<<8 | 'Y':
 		w.kind = kindIY
 		if n != 5 {
 			bad = "bad IY record"
-		} else if w.a, err = strconv.ParseInt(f[3], 10, 64); err == nil {
+		} else if w.a, err = parseInt(f[3]); err == nil {
 			w.b, err = atoi(f[4])
 		}
-	case "SY":
+	case 'S'<<8 | 'Y':
 		w.kind = kindSY
 		if n != 4 {
 			bad = "bad SY record"
@@ -286,8 +290,37 @@ func (w *walker) validate(n int) (err error) {
 	return nil
 }
 
+// digits reads s as a decimal number when it is what claims hold: 1 to 18
+// ASCII digits, which cannot overflow an int64. ok is false for anything
+// else — empty, signed, longer, or any other byte — which strconv then reads,
+// so values and error text are strconv's.
+func digits(s string) (v int64, ok bool) {
+	if len(s) == 0 || len(s) > 18 {
+		return 0, false
+	}
+	for i := 0; i < len(s); i++ {
+		d := s[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		v = v*10 + int64(d)
+	}
+	return v, true
+}
+
+// parseInt is strconv.ParseInt(s, 10, 64).
+func parseInt(s string) (int64, error) {
+	if v, ok := digits(s); ok {
+		return v, nil
+	}
+	return strconv.ParseInt(s, 10, 64)
+}
+
 // atoi is strconv.Atoi widened, so a line's numbers share two fields.
 func atoi(s string) (int64, error) {
+	if v, ok := digits(s); ok {
+		return v, nil
+	}
 	n, err := strconv.Atoi(s)
 	return int64(n), err
 }

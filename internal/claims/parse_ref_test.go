@@ -1,6 +1,7 @@
 package claims
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"slices"
@@ -240,11 +241,32 @@ var malformedClaims = []string{
 	"IR,1,1,H\nRE,1,outpatient,5,F\n",
 	"RE,1,outpatient,5,F\nHO,1,100\n",
 	"IR,1,1,H\nHO,1,100\n",
+	// The edges of the walker's digits-only number path, which hands every
+	// field it does not take to strconv: empty, a bare sign, overflow at 19
+	// and 20 digits, non-ASCII digits.
+	"IR,1,1,H\nRE,1,outpatient,5,F\nHO,1,\n",
+	"IR,,1,H\nRE,1,outpatient,5,F\nHO,1,100\n",
+	"IR,1,1,H\nRE,1,outpatient,+,F\nHO,1,100\n",
+	"IR,1,1,H\nRE,1,outpatient,5,F\nHO,-,100\n",
+	"IR,1,1,H\nRE,1,outpatient,5,F\nHO,1,9223372036854775808\n",
+	"IR,1,1,H\nRE,1,outpatient,5,F\nHO,-9223372036854775809,1\n",
+	goodClaim + "SI,T,1,99999999999999999999\n",
+	"IR,1,1,H\nRE,1,outpatient,\u0665,F\nHO,1,100\n",
+	"IR,1,1,H\nRE,1,outpatient,5,F\nHO,1,\uff11\uff10\uff10\n",
+	"IR,1,1,H\nRE,1,outpatient,5,F\nHO,1,10 \n",
 }
 
 // oddClaims are the accepted oddities: blank lines, no final newline, extra
 // IR fields.
-var oddClaims = []string{goodClaim, strings.TrimSuffix(goodClaim, "\n"), "\n" + goodClaim + "\n\n", "IR,1,1,H,x,y\nRE,1,outpatient,5,F\nHO,1,100"}
+var oddClaims = []string{goodClaim, strings.TrimSuffix(goodClaim, "\n"), "\n" + goodClaim + "\n\n", "IR,1,1,H,x,y\nRE,1,outpatient,5,F\nHO,1,100",
+	// Numbers strconv reads and the digits-only path leaves to it: signs,
+	// leading zeros, 18 and 19 digits, the int64 extremes.
+	"IR,+5,+1,H\nRE,-5,outpatient,-5,F\nHO,+5,-5\n",
+	"IR,007,01,H\nRE,0001,outpatient,005,F\nHO,00,000100\n" + "SI,T,0000000000000000000000042,007\n",
+	"IR,1,1,H\nRE,1,outpatient,5,F\nHO,999999999999999999,123456789012345678\n",
+	"IR,1,1,H\nRE,1,outpatient,5,F\nHO,1000000000000000000,9223372036854775807\n",
+	"IR,1,1,H\nRE,-9223372036854775808,outpatient,5,F\nHO,1,100\n" + "IY,M,C,9223372036854775807,9223372036854775807\n",
+}
 
 // TestParseErrorsMatchSplitReference: every malformed claim is rejected with
 // the reference's error text through every entry point — a query that reads
@@ -405,6 +427,31 @@ func BenchmarkClaimsProbe(b *testing.B) {
 	b.SetBytes(int64(len(rec.Data)))
 	for i := 0; i < b.N; i++ {
 		p, err := probeRecord(rec, ClassAntihyper, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkProbe = p
+	}
+}
+
+// BenchmarkClaimsProbeCorpus probes 20 000 generated claims in key order, as
+// RunReDe's job visits a disease's claims: BenchmarkClaimsProbe's one warm
+// claim stays in cache and repeats one branch history, so it understates
+// the walk a job pays. ns/op is per claim.
+func BenchmarkClaimsProbeCorpus(b *testing.B) {
+	corpus := Generate(Config{Claims: 20_000, Seed: 1}).Claims
+	slices.SortFunc(corpus, func(x, y *Claim) int { return cmp.Compare(x.ID, y.ID) })
+	recs := make([]lake.Record, len(corpus))
+	size := 0
+	for i, c := range corpus {
+		recs[i] = lake.Record{Key: ClaimKey(c.ID), Data: []byte(c.Raw())}
+		size += len(recs[i].Data)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(size / len(recs)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := probeRecord(recs[i%len(recs)], ClassAntihyper, "")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -442,14 +442,10 @@ func (f *file) ScanWithBarrier(ctx context.Context, partitionIdx int, barrier fu
 		return err
 	}
 	scanned, bytes := 0, 0
-	count := func(r lake.Record) error {
-		scanned++
-		bytes += len(r.Data)
-		return fn(r)
-	}
-	err = f.access(ctx, owner, partitionIdx, OpScan, 1, func() error {
+	err = f.access(ctx, owner, partitionIdx, OpScan, 1, func() (err error) {
 		if s := f.cluster.own(owner); s != nil {
-			return s.scan(ctx, f.name, partitionIdx, barrier, count)
+			scanned, bytes, err = s.scan(ctx, f.name, partitionIdx, barrier, fn)
+			return err
 		}
 		// Degraded mode: over any other transport there is no shared
 		// partition lock to make (barrier, first record) atomic with
@@ -460,11 +456,25 @@ func (f *file) ScanWithBarrier(ctx context.Context, partitionIdx int, barrier fu
 		if barrier != nil {
 			barrier()
 		}
-		return owner.transport.Scan(ctx, f.name, partitionIdx, count)
+		scanned, bytes, err = countedScan(ctx, owner.transport, f.name, partitionIdx, fn)
+		return err
 	})
 	owner.counters.AddRecordsScanned(scanned)
 	owner.counters.AddBytesRead(bytes)
 	return err
+}
+
+// countedScan scans a partition through t, counting the records it delivers
+// and their payload bytes, as a sim node's scan does for itself. It is a
+// function of its own so that only this path pays for the counting wrapper,
+// which escapes into the transport's Scan with the counters it captures.
+func countedScan(ctx context.Context, t NodeTransport, file string, partition int, fn func(lake.Record) error) (scanned, bytes int, err error) {
+	err = t.Scan(ctx, file, partition, func(r lake.Record) error {
+		scanned++
+		bytes += len(r.Data)
+		return fn(r)
+	})
+	return scanned, bytes, err
 }
 
 // Append implements lake.File. Loading is not part of the measured
@@ -714,15 +724,17 @@ func (s *simNode) AppendLookupRange(ctx context.Context, dst []lake.Record, file
 }
 
 func (s *simNode) Scan(ctx context.Context, file string, partition int, fn func(lake.Record) error) error {
-	return s.scan(ctx, file, partition, nil, fn)
+	_, _, err := s.scan(ctx, file, partition, nil, fn)
+	return err
 }
 
 // scan is Scan with file.ScanWithBarrier's guarantee: a non-nil barrier runs
-// under the partition's read lock, before the first record is delivered.
-func (s *simNode) scan(ctx context.Context, file string, partition int, barrier func(), fn func(lake.Record) error) error {
+// under the partition's read lock, before the first record is delivered. It
+// reports the records it delivered and their payload bytes.
+func (s *simNode) scan(ctx context.Context, file string, partition int, barrier func(), fn func(lake.Record) error) (scanned, bytes int, err error) {
 	_, p, err := s.part(file, partition)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	p.mu.RLock()
 	if n := p.tree.Len(); barrier == nil {
@@ -743,16 +755,17 @@ func (s *simNode) scan(ctx context.Context, file string, partition int, barrier 
 	}
 	defer p.mu.RUnlock()
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
-	var scanErr error
 	p.tree.AscendAll(func(k string, v []byte) bool {
-		if scanErr = ctx.Err(); scanErr == nil {
-			scanErr = fn(lake.Record{Key: k, Data: v})
+		if err = ctx.Err(); err == nil {
+			scanned++
+			bytes += len(v)
+			err = fn(lake.Record{Key: k, Data: v})
 		}
-		return scanErr == nil
+		return err == nil
 	})
-	return scanErr
+	return scanned, bytes, err
 }
 
 // Append inserts recs and, still under the partition's write lock, tells

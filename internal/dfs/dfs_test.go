@@ -189,28 +189,54 @@ func TestPartitionOutOfRange(t *testing.T) {
 	}
 }
 
+// TestMetricsAccounting: reads and scans are counted exactly on both planes —
+// by a cluster's own sim node, and by the front end of a cluster whose node
+// is another transport.
 func TestMetricsAccounting(t *testing.T) {
 	ctx := context.Background()
-	c := newTestCluster(1)
-	f, _ := c.CreateFile("f", Btree, 1, lake.HashPartitioner{})
-	for i := int64(0); i < 10; i++ {
-		f.Append(ctx, 0, lake.Record{Key: keycodec.Int64(i), Data: []byte("xx")})
+	front, err := NewClusterWithTransports(Config{}, []NodeTransport{Local(newTestCluster(1))})
+	if err != nil {
+		t.Fatal(err)
 	}
-	before := c.TotalMetrics()
-	f.Lookup(ctx, 0, keycodec.Int64(3))
-	f.Scan(ctx, 0, func(lake.Record) error { return nil })
-	d := c.TotalMetrics().Sub(before)
-	if d.Lookups != 1 {
-		t.Errorf("lookups = %d, want 1", d.Lookups)
-	}
-	if d.RecordsRead != 1 {
-		t.Errorf("records read = %d, want 1", d.RecordsRead)
-	}
-	if d.RecordsScanned != 10 {
-		t.Errorf("records scanned = %d, want 10", d.RecordsScanned)
-	}
-	if d.BytesRead != 22 { // 2 bytes lookup + 20 bytes scan
-		t.Errorf("bytes read = %d, want 22", d.BytesRead)
+	for _, c := range []*Cluster{newTestCluster(1), front} {
+		f, err := c.CreateFile("f", Btree, 1, lake.HashPartitioner{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 10; i++ {
+			f.Append(ctx, 0, lake.Record{Key: keycodec.Int64(i), Data: []byte("xx")})
+		}
+		before := c.TotalMetrics()
+		f.Lookup(ctx, 0, keycodec.Int64(3))
+		f.Scan(ctx, 0, func(lake.Record) error { return nil })
+		d := c.TotalMetrics().Sub(before)
+		if d.Lookups != 1 {
+			t.Errorf("lookups = %d, want 1", d.Lookups)
+		}
+		if d.RecordsRead != 1 {
+			t.Errorf("records read = %d, want 1", d.RecordsRead)
+		}
+		if d.RecordsScanned != 10 {
+			t.Errorf("records scanned = %d, want 10", d.RecordsScanned)
+		}
+		if d.BytesRead != 22 { // 2 bytes lookup + 20 bytes scan
+			t.Errorf("bytes read = %d, want 22", d.BytesRead)
+		}
+		// A scan its callback stops counts the records it delivered.
+		before = c.TotalMetrics()
+		stop := errors.New("stop")
+		n := 0
+		if err := f.Scan(ctx, 0, func(lake.Record) error {
+			if n++; n == 4 {
+				return stop
+			}
+			return nil
+		}); !errors.Is(err, stop) {
+			t.Fatalf("stopped scan: %v", err)
+		}
+		if d := c.TotalMetrics().Sub(before); d.RecordsScanned != 4 || d.BytesRead != 8 {
+			t.Errorf("stopped scan counted %d records, %d bytes; want 4, 8", d.RecordsScanned, d.BytesRead)
+		}
 	}
 }
 

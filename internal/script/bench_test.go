@@ -80,9 +80,10 @@ func TestScriptedRefMatchesCompiledTwin(t *testing.T) {
 }
 
 // TestAdapterAllocationBudgets pins what a scripted call may allocate. The
-// frame is pooled and the contract builtins are static, so what is left is
-// the work itself: the payload's string form, the encoded key, the carried
-// segment list and the one-pointer result.
+// frame is pooled, the contract builtins are static and the payload is
+// borrowed, so what is left is the work itself: the encoded key, the carried
+// segment list and the one-pointer result — each cut from a warm arena onto a
+// lent pointer list under AppendRef, and each its own allocation otherwise.
 func TestAdapterAllocationBudgets(t *testing.T) {
 	p := MustCompile(q5Source)
 	rec := orderRec(42)
@@ -99,14 +100,21 @@ func TestAdapterAllocationBudgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := &core.TaskCtx{}
+	var arena lake.Arena
+	dst := make([]lake.Pointer, 0, 4)
 	for _, budget := range []struct {
 		name string
 		max  float64
 		call func() error
 	}{
-		{"Referencer.Ref", 5, func() error { _, err := ref.Ref(tc, rec); return err }},
-		{"Filter", 1, func() error { _, err := filter(rec); return err }},
-		{"PartKeyFunc", 2, func() error { _, err := partKey(rec); return err }},
+		{"Referencer.AppendRef", 0, func() error {
+			out, err := ref.AppendRef(tc, &arena, dst[:0], rec)
+			clear(out)
+			return err
+		}},
+		{"Referencer.Ref", 3, func() error { _, err := ref.Ref(tc, rec); return err }},
+		{"Filter", 0, func() error { _, err := filter(rec); return err }},
+		{"PartKeyFunc", 1, func() error { _, err := partKey(rec); return err }},
 	} {
 		if err := budget.call(); err != nil {
 			t.Fatalf("%s: %v", budget.name, err)
@@ -134,6 +142,8 @@ func TestConcurrentCallsShareOneProgram(t *testing.T) {
 		go func(g int64) {
 			defer wg.Done()
 			tc := &core.TaskCtx{}
+			var arena lake.Arena
+			dst := make([]lake.Pointer, 0, 1)
 			for i := int64(0); i < calls; i++ {
 				id := g*calls + i
 				rec := orderRec(id)
@@ -144,6 +154,14 @@ func TestConcurrentCallsShareOneProgram(t *testing.T) {
 					t.Errorf("goroutine %d call %d: Ref = %v, %v", g, i, ptrs, err)
 					return
 				}
+				// The append form, onto this goroutine's arena and list.
+				ptrs, err = ref.AppendRef(tc, &arena, dst[:0], rec)
+				if err != nil || len(ptrs) != 1 || ptrs[0].Key != want || ptrs[0].PartKey != want ||
+					string(ptrs[0].Carry) != string(lake.EncodeSegments(rec.Data)) {
+					t.Errorf("goroutine %d call %d: AppendRef = %v, %v", g, i, ptrs, err)
+					return
+				}
+				dst = ptrs[:0]
 				v, err := p.Call("partkey", Limits{}, nil, Str(rec.Key), Str(string(rec.Data)))
 				if s, _ := v.IsStr(); err != nil || s != keycodec.Int64(id) {
 					t.Errorf("goroutine %d call %d: partkey = %q, %v", g, i, s, err)
@@ -182,6 +200,22 @@ func BenchmarkScriptRef(b *testing.B) {
 			}
 		})
 	}
+	// The scripted referencer the way the executor calls it: onto one lent
+	// pointer list, cutting from the task's arena.
+	b.Run("appended", func(b *testing.B) {
+		b.ReportAllocs()
+		var arena lake.Arena
+		dst := make([]lake.Pointer, 0, 1)
+		for i := 0; i < b.N; i++ {
+			ptrs, err := scripted.AppendRef(tc, &arena, dst, recs[i%len(recs)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink += len(ptrs)
+			clear(ptrs)
+			dst = ptrs[:0]
+		}
+	})
 }
 
 // BenchmarkScriptCompile prices lex + parse + lowering of the Q5′ source:

@@ -26,6 +26,14 @@ import (
 // invocation's frame, which owns what they accumulate, so an adapter builds
 // no map and no closure per record. What they make the host retain (a
 // pointer, a field, an index key) is charged against the allocation budget.
+//
+// The payload is borrowed, not copied: data is a view of rec.Data valid for
+// the call only, and substr of it is a view too. A string the host retains —
+// an emitted file, partition key or key, a set name or value, a returned
+// partition key — is copied when it is such a view, and only then. The
+// referencer cuts those copies, the keys keyint, keystr, indexpart and
+// indexkey make and its carries from the task's arena (AppendRef); the other
+// adapters, which are handed no arena, give each its own allocation.
 
 // Fixed cost the adapters charge per retained item, before its string bytes.
 const (
@@ -61,17 +69,34 @@ func (p *Program) entry(fn string, lim Limits, contract map[string]hostFn) (*ent
 	return &entry{lf: lf, lim: lim.withDefaults(), host: host}, nil
 }
 
-// invoke runs the entry function on rec. The payload is converted (copied)
-// only for a function that reads it; the key is a string already. The caller
-// takes what the contract accumulated out of the frame, then releases it.
-func (e *entry) invoke(rec lake.Record) (*frame, Value, error) {
+// bind prepares a frame for one call of the entry function on rec, cutting
+// what the call makes from a (nil: each value one-shot). The key is a string
+// already; the payload is bound borrowed, as a call-scoped view of rec.Data
+// and only for a function that reads it. Nothing may keep that view past the
+// call: a task's records are lent, so whatever the contract builtins retain
+// passes through keep. The caller runs the frame, takes what the contract
+// accumulated out of it, then releases it.
+func (e *entry) bind(a *lake.Arena, rec lake.Record) *frame {
 	fr := e.lf.newFrame(e.lim)
-	fr.host, fr.rec, fr.locals[0] = e.host, rec, Str(rec.Key)
+	fr.host, fr.arena, fr.rec, fr.locals[0] = e.host, a, rec, Str(rec.Key)
 	if e.lf.reads[1] {
-		fr.locals[1] = Str(string(rec.Data))
+		fr.locals[1] = Str(unsafe.String(unsafe.SliceData(rec.Data), len(rec.Data)))
 	}
-	v, err := e.lf.invoke(fr)
-	return fr, v, err
+	return fr
+}
+
+// keep returns s fit to outlive the invocation: s itself, unless it is a
+// view of the borrowed payload, which is copied, cut from the frame's arena.
+func (fr *frame) keep(s string) string {
+	d := fr.rec.Data
+	if len(s) == 0 || len(d) == 0 {
+		return s
+	}
+	p, base := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.SliceData(d)))
+	if p < base || p >= base+uintptr(len(d)) {
+		return s
+	}
+	return fr.arena.CutKey(append(fr.arena.Tail(len(s)), s...))
 }
 
 // resultErr faults an entry function that returned the wrong kind.
@@ -105,7 +130,8 @@ func (p *Program) NewInterpreter(fn string, lim Limits) (core.Interpreter, error
 		return nil, err
 	}
 	return func(rec lake.Record) (core.Fields, error) {
-		fr, _, err := e.invoke(rec)
+		fr := e.bind(nil, rec)
+		_, err := e.lf.invoke(fr)
 		names, values := fr.names, fr.values
 		fr.release()
 		if err != nil {
@@ -125,7 +151,7 @@ func hostSet(fr *frame, line int, args []Value) error {
 	}
 	value := args[1].Text()
 	fr.charge(2*stringBytes+len(name)+len(value), line)
-	fr.names, fr.values = append(fr.names, name), append(fr.values, value)
+	fr.names, fr.values = append(fr.names, fr.keep(name)), append(fr.values, fr.keep(value))
 	return nil
 }
 
@@ -136,7 +162,8 @@ func (p *Program) NewFilter(fn string, lim Limits) (core.Filter, error) {
 		return nil, err
 	}
 	return func(rec lake.Record) (bool, error) {
-		fr, v, err := e.invoke(rec)
+		fr := e.bind(nil, rec)
+		v, err := e.lf.invoke(fr)
 		fr.release()
 		if err != nil {
 			return false, err
@@ -177,9 +204,18 @@ func (p *Program) NewReferencer(label, fn string, lim Limits) (*Referencer, erro
 // Name implements core.Referencer.
 func (r *Referencer) Name() string { return "Script(" + r.label + ")" }
 
-// Ref implements core.Referencer.
+// Ref implements core.Referencer: AppendRef onto nil, one-shot.
 func (r *Referencer) Ref(tc *core.TaskCtx, rec lake.Record) ([]lake.Pointer, error) {
-	fr, _, err := r.entry.invoke(rec)
+	return r.AppendRef(tc, nil, nil, rec)
+}
+
+// AppendRef implements core.AppendReferencer: the pointers the script emits
+// are appended onto dst, and what they hold that the payload backs — a key
+// sliced from it, a carry — is cut from a.
+func (r *Referencer) AppendRef(tc *core.TaskCtx, a *lake.Arena, dst []lake.Pointer, rec lake.Record) ([]lake.Pointer, error) {
+	fr := r.entry.bind(a, rec)
+	fr.out = dst
+	_, err := r.entry.lf.invoke(fr)
 	out := fr.out
 	fr.release()
 	if err != nil {
@@ -193,35 +229,35 @@ var referencerHost = map[string]hostFn{
 		if err := fr.emitted("emit", line, a, 3, pointerBytes); err != nil {
 			return err
 		}
-		fr.out = append(fr.out, lake.Pointer{File: a[0].s, PartKey: a[1].s, Key: a[2].s, Carry: fr.carry})
+		fr.out = append(fr.out, lake.Pointer{File: fr.keep(a[0].s), PartKey: fr.keep(a[1].s), Key: fr.keep(a[2].s), Carry: fr.carry})
 		return nil
 	},
 	"emitbroadcast": func(fr *frame, line int, a []Value) error {
 		if err := fr.emitted("emitbroadcast", line, a, 2, pointerBytes); err != nil {
 			return err
 		}
-		fr.out = append(fr.out, lake.Pointer{File: a[0].s, NoPart: true, Key: a[1].s, Carry: fr.carry})
+		fr.out = append(fr.out, lake.Pointer{File: fr.keep(a[0].s), NoPart: true, Key: fr.keep(a[1].s), Carry: fr.carry})
 		return nil
 	},
 	"emitrange": func(fr *frame, line int, a []Value) error {
 		if err := fr.emitted("emitrange", line, a, 3, pointerBytes); err != nil {
 			return err
 		}
-		fr.out = append(fr.out, lake.Pointer{File: a[0].s, NoPart: true, Key: a[1].s, EndKey: a[2].s, Carry: fr.carry})
+		fr.out = append(fr.out, lake.Pointer{File: fr.keep(a[0].s), NoPart: true, Key: fr.keep(a[1].s), EndKey: fr.keep(a[2].s), Carry: fr.carry})
 		return nil
 	},
 	"carry": func(fr *frame, _ int, args []Value) error {
 		if len(args) != 0 {
 			return fmt.Errorf("carry takes no arguments")
 		}
-		fr.carry = lake.EncodeSegments(fr.rec.Data)
+		fr.carry = fr.arena.EncodeSegments(fr.rec.Data)
 		return nil
 	},
 	"carrycomposite": func(fr *frame, _ int, args []Value) error {
 		if len(args) != 0 {
 			return fmt.Errorf("carrycomposite takes no arguments")
 		}
-		fr.carry = fr.rec.Data
+		fr.carry = fr.arena.Cut(append(fr.arena.Tail(len(fr.rec.Data)), fr.rec.Data...))
 		return nil
 	},
 }
@@ -234,12 +270,14 @@ func (p *Program) PartKeyFunc(fn string, lim Limits) (func(lake.Record) (lake.Ke
 		return nil, err
 	}
 	return func(rec lake.Record) (lake.Key, error) {
-		fr, v, err := e.invoke(rec)
+		fr := e.bind(nil, rec)
+		v, err := e.lf.invoke(fr)
+		s, ok := v.IsStr()
+		s = fr.keep(s)
 		fr.release()
 		if err != nil {
 			return "", err
 		}
-		s, ok := v.IsStr()
 		if !ok {
 			return "", e.resultErr("partition-key function", v, kindStr)
 		}
@@ -255,7 +293,8 @@ func (p *Program) KeysFunc(fn string, lim Limits) (func(lake.Record) ([]lake.Key
 		return nil, err
 	}
 	return func(rec lake.Record) ([]lake.Key, error) {
-		fr, _, err := e.invoke(rec)
+		fr := e.bind(nil, rec)
+		_, err := e.lf.invoke(fr)
 		keys := fr.names
 		fr.release()
 		if err != nil {
@@ -270,6 +309,6 @@ func hostEmitKey(fr *frame, line int, args []Value) error {
 	if err := fr.emitted("emit", line, args, 1, stringBytes); err != nil {
 		return err
 	}
-	fr.names = append(fr.names, args[0].s)
+	fr.names = append(fr.names, fr.keep(args[0].s))
 	return nil
 }

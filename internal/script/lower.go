@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"lakeharbor/internal/keycodec"
 	"lakeharbor/internal/lake"
@@ -83,11 +84,20 @@ type frame struct {
 	host []hostFn
 	dyn  map[string]Builtin
 
-	// What the contract builtins accumulate (hostapi.go).
+	// What the contract builtins accumulate (hostapi.go), and the arena the
+	// values the call makes are cut from: the task's under an adapter that
+	// has one, nil (each value its own allocation) otherwise.
+	arena         *lake.Arena
 	rec           lake.Record
 	out           []lake.Pointer
 	carry         []byte
 	names, values []string
+
+	// The index entry indexpart and indexkey last decoded, and its keys: a
+	// record's entry is decoded once however many of its keys are read.
+	entry               string
+	entryPart, entryKey lake.Key
+	entryDecoded        bool
 }
 
 var framePool = sync.Pool{New: func() any { return new(frame) }}
@@ -117,7 +127,9 @@ func (fr *frame) release() {
 // Call evaluates fn with the given sandbox limits, host builtins, and
 // arguments, returning the function's return value (the zero Value for a
 // bare or missing return). Programs are immutable, so concurrent Calls on
-// one Program are safe; each call meters itself independently.
+// one Program are safe; each call meters itself independently. Call borrows
+// nothing and has no arena: a string it returns is one of the caller's, or
+// part of one, or memory of its own.
 func (p *Program) Call(fn string, lim Limits, host map[string]Builtin, args ...Value) (Value, error) {
 	d, ok := p.fns[fn]
 	if !ok {
@@ -470,14 +482,15 @@ var pureBuiltins = map[string]struct {
 	// keyint(n) is the order-preserving key encoding of an int — the
 	// script-side keycodec.Int64.
 	"keyint": {[]kind{kindInt}, "one int", func(fr *frame, line int, a []Value) Value {
-		return fr.produce(keycodec.Int64(a[0].i), line)
+		return fr.produce(fr.arena.CutKey(keycodec.AppendInt64(fr.arena.Tail(8), a[0].i)), line)
 	}},
 	"keystr": {[]kind{kindStr}, "one string", func(fr *frame, line int, a []Value) Value {
-		return fr.produce(keycodec.String(a[0].s), line)
+		s := a[0].s
+		return fr.produce(fr.arena.CutKey(keycodec.AppendString(fr.arena.Tail(len(s)+2), s)), line)
 	}},
 	// indexpart and indexkey decode a structure's index entry payload into
 	// the indexed record's partition key / primary key — the script-side
-	// EntryRef.
+	// EntryRef. Both keys are cut from the frame's arena.
 	"indexpart": {[]kind{kindStr}, "one string", func(fr *frame, line int, a []Value) Value {
 		return fr.indexEntry("indexpart", line, a[0].s, false)
 	}},
@@ -495,15 +508,20 @@ func (fr *frame) produce(s string, line int) Value {
 	return Str(s)
 }
 
+// indexEntry decodes payload — read in place, never copied — unless it is
+// the entry the frame decoded last, and produces one of its keys.
 func (fr *frame) indexEntry(fn string, line int, payload string, wantKey bool) Value {
-	partKey, pk, err := lake.DecodeIndexEntry([]byte(payload))
-	if err != nil {
-		fr.fail(line, "%s: %v", fn, err)
+	if !fr.entryDecoded || payload != fr.entry {
+		partKey, pk, err := fr.arena.DecodeIndexEntry(unsafe.Slice(unsafe.StringData(payload), len(payload)))
+		if err != nil {
+			fr.fail(line, "%s: %v", fn, err)
+		}
+		fr.entry, fr.entryPart, fr.entryKey, fr.entryDecoded = payload, partKey, pk, true
 	}
 	if wantKey {
-		return fr.produce(string(pk), line)
+		return fr.produce(fr.entryKey, line)
 	}
-	return fr.produce(string(partKey), line)
+	return fr.produce(fr.entryPart, line)
 }
 
 // pureCall lowers a call to a pure builtin. A wrong argument count is

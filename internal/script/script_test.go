@@ -104,6 +104,14 @@ fn pk(key, data) { return indexkey(data) }`)
 	if _, err := p.Call("part", Limits{}, nil, Str("k"), Str("garbage")); err == nil {
 		t.Fatal("indexpart accepted a non-entry payload")
 	}
+	// A call decodes each entry once; one that reads two entries, and then
+	// the first again, must get each entry's own keys.
+	other := string(lake.EncodeIndexEntry(lake.Key("other-part"), lake.Key("other-pk")))
+	two := MustCompile(`fn two(a, b) { return indexkey(a) + "/" + indexkey(b) + "/" + indexpart(a) }`)
+	v, err = two.Call("two", Limits{}, nil, Str(entry), Str(other))
+	if want := "primary-k/other-pk/part-k"; err != nil || v.Text() != want {
+		t.Fatalf("two entries = %q, %v; want %q", v.Text(), err, want)
+	}
 }
 
 func TestRuntimeErrorsAreTypedAndPermanent(t *testing.T) {

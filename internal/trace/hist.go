@@ -81,14 +81,31 @@ func (h *Histogram) RecordDur(d time.Duration) { h.Record(int64(d)) }
 
 // Snapshot copies the live counters into an immutable HistSnapshot. It may
 // run concurrently with Record; the result is a consistent-enough view (a
-// racing Record may or may not be included).
+// racing Record may or may not be included). The occupied buckets are
+// counted first, so the bucket list is one allocation of its final size, and
+// the second pass reads only the span they occupy (a racing Record that
+// fills one more inside it costs another allocation; one outside it is left
+// for the next snapshot).
 func (h *Histogram) Snapshot() HistSnapshot {
 	s := HistSnapshot{
 		Count: h.count.Load(),
 		Sum:   h.sum.Load(),
 		Max:   h.max.Load(),
 	}
+	occupied, first, last := 0, 0, -1
 	for i := range h.counts {
+		if h.counts[i].Load() > 0 {
+			if occupied++; occupied == 1 {
+				first = i
+			}
+			last = i
+		}
+	}
+	if occupied == 0 {
+		return s
+	}
+	s.Buckets = make([]HistBucket, 0, occupied)
+	for i := first; i <= last; i++ {
 		if n := h.counts[i].Load(); n > 0 {
 			s.Buckets = append(s.Buckets, HistBucket{Hi: histBucketHi(i), N: n})
 		}

@@ -168,3 +168,23 @@ func TestRecordDurAndSummary(t *testing.T) {
 		t.Fatalf("summary = %+v", sum)
 	}
 }
+
+// TestSnapshotAllocatesOnce: however many buckets are occupied, a snapshot's
+// bucket list is one allocation, and an empty histogram's is none.
+func TestSnapshotAllocatesOnce(t *testing.T) {
+	var empty, h Histogram
+	for v := int64(0); v < 1<<20; v = v*3 + 1 {
+		h.Record(v)
+	}
+	if n := len(h.Snapshot().Buckets); n < 10 {
+		t.Fatalf("only %d buckets occupied", n)
+	}
+	for _, c := range []struct {
+		h    *Histogram
+		want float64
+	}{{&empty, 0}, {&h, 1}} {
+		if got := testing.AllocsPerRun(50, func() { _ = c.h.Snapshot() }); got != c.want {
+			t.Errorf("Snapshot of %d buckets allocates %.0f times, want %.0f", len(c.h.Snapshot().Buckets), got, c.want)
+		}
+	}
+}
