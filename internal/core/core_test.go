@@ -520,7 +520,7 @@ func TestSeedRangeRangePartitioned(t *testing.T) {
 	// Seeds must route to distinct partitions 0,1,2.
 	seen := map[int]bool{}
 	for _, s := range seeds {
-		p, bc := lake.ResolvePartition(f, s)
+		p, bc := lake.ResolvePartition(f, &s)
 		if bc {
 			t.Fatal("range seed must not broadcast")
 		}

@@ -56,7 +56,8 @@ func (d RangeDeref) AppendDeref(tc *TaskCtx, a *lake.Arena, dst []lake.Record, p
 		return dst, lake.AsPermanent(fmt.Errorf("core: %s: file is not a BtreeFile", d.Name()))
 	}
 	out := dst
-	for _, ptr := range ptrs {
+	for i := range ptrs {
+		ptr := &ptrs[i]
 		lo, hi := ptr.Key, cmp.Or(ptr.EndKey, ptr.Key) // a point pointer is the range [key, key]
 		start := len(out)
 		part, all := lake.ResolvePartition(f, ptr)
@@ -70,7 +71,7 @@ func (d RangeDeref) AppendDeref(tc *TaskCtx, a *lake.Arena, dst []lake.Record, p
 			break
 		}
 		var w int
-		if w, err = keepInto(a, d.Filter, d.Combine, ptr, out, start, out[start:]); err != nil {
+		if w, err = keepInto(a, d.Filter, d.Combine, ptr.Carry, out, start, out[start:]); err != nil {
 			break
 		}
 		clear(out[w:])
@@ -142,8 +143,8 @@ func (d LookupDeref) appendDeref(tc *TaskCtx, a *lake.Arena, dst []lake.Record, 
 	const broadcast, served = -1, -2
 	var buf [DefaultMaxBatch]int32
 	parts := buf[:0]
-	for _, ptr := range ptrs {
-		part, all := lake.ResolvePartition(f, ptr)
+	for i := range ptrs {
+		part, all := lake.ResolvePartition(f, &ptrs[i])
 		if all {
 			part = broadcast
 		}
@@ -198,7 +199,7 @@ func (d LookupDeref) appendDeref(tc *TaskCtx, a *lake.Arena, dst []lake.Record, 
 			}
 			k++
 			from := w
-			if w, err = keepInto(a, d.Filter, d.Combine, ptrs[j], out, w, out[r:end]); err != nil {
+			if w, err = keepInto(a, d.Filter, d.Combine, ptrs[j].Carry, out, w, out[r:end]); err != nil {
 				clear(out[len(dst):])
 				return out[:len(dst)], err
 			}
@@ -237,7 +238,7 @@ func (d ScanDeref) Deref(tc *TaskCtx, ptr lake.Pointer) ([]lake.Record, error) {
 		return nil, err
 	}
 	var out []lake.Record
-	part, all := lake.ResolvePartition(f, ptr)
+	part, all := lake.ResolvePartition(f, &ptr)
 	for p := 0; p < f.NumPartitions(); p++ {
 		if !tc.serves(p, part, all) {
 			continue
@@ -263,17 +264,18 @@ func (d ScanDeref) Deref(tc *TaskCtx, ptr lake.Pointer) ([]lake.Record, error) {
 }
 
 // keepInto moves the records of src that pass filter (every one, for a nil
-// filter) to dst from w on, joined onto ptr's carry when combine is set, and
-// returns where they end. src may be dst[r:] for any r >= w: records only move
-// down. A combine joins each record in a's uncommitted room; a filtered one
-// shows the filter it there and cuts only the records it keeps, scribbling
-// the rest in a test binary, so a filter that kept its rec reads poison.
-func keepInto(a *lake.Arena, filter Filter, combine bool, ptr lake.Pointer, dst []lake.Record, w int, src []lake.Record) (int, error) {
+// filter) to dst from w on, joined onto their pointer's carry when combine is
+// set, and returns where they end. src may be dst[r:] for any r >= w: records
+// only move down. A combine joins each record in a's uncommitted room; a
+// filtered one shows the filter it there and cuts only the records it keeps,
+// scribbling the rest in a test binary, so a filter that kept its rec reads
+// poison.
+func keepInto(a *lake.Arena, filter Filter, combine bool, carry []byte, dst []lake.Record, w int, src []lake.Record) (int, error) {
 	for _, r := range src {
 		ok, err := true, error(nil)
 		switch {
 		case combine && filter != nil:
-			joined := a.Join(ptr.Carry, r.Data)
+			joined := a.Join(carry, r.Data)
 			ok, err = filter(lake.Record{Key: r.Key, Data: joined})
 			keep := ok && err == nil
 			if !keep || poisoning && failpoint(FailpointCombineKeepsScratch) {
@@ -287,7 +289,7 @@ func keepInto(a *lake.Arena, filter Filter, combine bool, ptr lake.Pointer, dst 
 				r.Data = a.Cut(joined)
 			}
 		case combine: // and no filter
-			r.Data = a.Cut(a.Join(ptr.Carry, r.Data))
+			r.Data = a.Cut(a.Join(carry, r.Data))
 		case filter != nil:
 			ok, err = filter(r)
 		}
@@ -350,7 +352,11 @@ func (r EntryRef) AppendRef(tc *TaskCtx, a *lake.Arena, dst []lake.Pointer, rec 
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
 	}
-	return append(dst, lake.Pointer{File: r.Target, PartKey: partKey, Key: pk, Carry: carry}), nil
+	// Fill the new slot in place: a Pointer is 96 bytes.
+	dst = slices.Grow(dst, 1)[:len(dst)+1]
+	p := &dst[len(dst)-1]
+	p.File, p.PartKey, p.NoPart, p.Key, p.EndKey, p.Carry = r.Target, partKey, false, pk, "", carry
+	return dst, nil
 }
 
 // CarryMode selects what context a Referencer attaches to the pointers it

@@ -21,7 +21,7 @@ func TestJobFixedCostBudget(t *testing.T) {
 	if lossyPools() {
 		t.Skip("sync.Pool drops what it is given here (the race detector does, on purpose): no warm pool to measure")
 	}
-	const jobAllocs, jobBytes = 74, 8 << 10
+	const jobAllocs, jobBytes = 66, 6 << 10
 	run := pingJob(t)
 	for i := 0; i < 10; i++ {
 		run() // warm the standing workers and every pool

@@ -66,7 +66,7 @@ func TestTimelineCapturedByDefault(t *testing.T) {
 			if ev.Dur < 0 || ev.Wait < 0 {
 				t.Fatalf("task event with negative duration or wait: %+v", ev)
 			}
-			if ev.Stage < 0 || ev.Stage >= len(tr.Stages) {
+			if ev.Stage < 0 || int(ev.Stage) >= len(tr.Stages) {
 				t.Fatalf("task event with out-of-range stage: %+v", ev)
 			}
 		}

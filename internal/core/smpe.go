@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"lakeharbor/internal/lake"
+	"lakeharbor/internal/sim"
 	"lakeharbor/internal/trace"
 )
 
@@ -250,8 +251,8 @@ func Execute(ctx context.Context, job *Job, catalog lake.Catalog, topo Topology,
 	// drive the in-flight counter to zero, declare the job done, and drop
 	// every later seed's work at finish — a wrong (partial) result.
 	e.inflight.Add(1)
-	for _, seed := range job.Seeds {
-		e.enqueuePointer(0 /* fromNode: seeds route to their owner */, 0, seed, true)
+	for i := range job.Seeds {
+		e.enqueuePointer(0 /* fromNode: seeds route to their owner */, 0, &job.Seeds[i], true)
 	}
 	e.finishN(1)
 
@@ -408,7 +409,7 @@ func (e *executor) firstErr() error {
 // (lines 28–33, 47–51) for a single pointer. fromNode is the node whose
 // queue routed pointers land on; seeds instead land on the owner of their
 // target partition.
-func (e *executor) enqueuePointer(fromNode, stage int, ptr lake.Pointer, isSeed bool) {
+func (e *executor) enqueuePointer(fromNode, stage int, ptr *lake.Pointer, isSeed bool) {
 	if ptr.NoPart {
 		// BROADCAST: enqueue to every node; each node will treat it as
 		// addressing its local partitions.
@@ -434,9 +435,9 @@ func (e *executor) enqueuePointer(fromNode, stage int, ptr lake.Pointer, isSeed 
 
 // dispatchOne dispatches ptr as a one-pointer batch in a buffer lent by
 // ptrBufs, which process releases as it does any batch's.
-func (e *executor) dispatchOne(node, stage int, ptr lake.Pointer) {
+func (e *executor) dispatchOne(node, stage int, ptr *lake.Pointer) {
 	buf := ptrBufs.get()
-	buf.s = append(buf.s, ptr)
+	buf.s = append(buf.s, *ptr)
 	e.dispatch(node, task{stage: stage, ptrs: buf.s, buf: buf})
 }
 
@@ -534,8 +535,8 @@ var arenas = sync.Pool{New: func() any { return new(lake.Arena) }}
 // add routes one emitted pointer: buffered under its (stage, file,
 // partition) when coalescible, dispatched immediately otherwise. A buffer
 // reaching Options.MaxBatch is flushed at once.
-func (b *batcher) add(stage int, ptr lake.Pointer) {
-	if b.e.opts.MaxBatch <= 1 || ptr.NoPart || ptr.IsRange() {
+func (b *batcher) add(stage int, ptr *lake.Pointer) {
+	if b.e.opts.MaxBatch <= 1 || ptr.NoPart || ptr.EndKey != "" { // a range: IsRange would copy *ptr
 		b.e.enqueuePointer(b.node, stage, ptr, false)
 		return
 	}
@@ -565,7 +566,7 @@ func (b *batcher) add(stage int, ptr lake.Pointer) {
 	if bb.buf == nil {
 		bb.buf = ptrBufs.get()
 	}
-	bb.buf.s = append(bb.buf.s, ptr)
+	bb.buf.s = append(bb.buf.s, *ptr)
 	if len(bb.buf.s) >= b.e.opts.MaxBatch {
 		b.e.dispatch(b.node, task{stage: stage, ptrs: bb.buf.s, buf: bb.buf})
 		bb.buf = nil // the task owns the buffer now
@@ -671,8 +672,8 @@ func (e *executor) refer(tc *TaskCtx, a *lake.Arena, stage int, recs ...lake.Rec
 			return
 		}
 		e.tr.AddEmits(stage, len(ptrs))
-		for _, p := range ptrs {
-			b.add(stage+1, p)
+		for i := range ptrs {
+			b.add(stage+1, &ptrs[i])
 		}
 		if scratch != nil {
 			clear(ptrs) // the batcher copied them
@@ -747,14 +748,8 @@ func (e *executor) derefWithRetry(tc *TaskCtx, a *lake.Arena, stage int, d Deref
 		if Permanent(err) || tc.Ctx.Err() != nil {
 			return recs, err
 		}
-		if e.opts.RetryBackoff > 0 {
-			t := time.NewTimer(e.opts.RetryBackoff)
-			select {
-			case <-t.C:
-			case <-tc.Ctx.Done():
-				t.Stop()
-				return recs, err
-			}
+		if sim.Wait(tc.Ctx, e.opts.RetryBackoff) != nil {
+			return recs, err
 		}
 		e.tr.AddRetry(stage)
 		e.tr.Mark(trace.EvRetry, stage, tc.Node, 0)

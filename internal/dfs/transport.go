@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"lakeharbor/internal/lake"
+	"lakeharbor/internal/sim"
 	"lakeharbor/internal/trace"
 )
 
@@ -316,12 +317,8 @@ func (f *file) access(ctx context.Context, owner *node, partition int, op Op, ke
 func inject(ctx context.Context, h FaultHook, a Access) error {
 	wait, err := h(a)
 	if wait > 0 {
-		t := time.NewTimer(wait)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
+		if werr := sim.Wait(ctx, wait); werr != nil {
+			return werr
 		}
 	}
 	if err != nil {

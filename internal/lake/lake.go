@@ -349,7 +349,7 @@ type Catalog interface {
 // ResolvePartition routes ptr to a partition of f, honoring the broadcast
 // convention: it returns (0, true) when the pointer has no partition
 // information, meaning "all partitions".
-func ResolvePartition(f File, ptr Pointer) (partition int, broadcast bool) {
+func ResolvePartition(f File, ptr *Pointer) (partition int, broadcast bool) {
 	if ptr.NoPart {
 		return 0, true
 	}

@@ -130,14 +130,14 @@ func (f fixedPartFile) Partitioner() Partitioner { return f.p }
 
 func TestResolvePartition(t *testing.T) {
 	f := fixedPartFile{n: 4, p: HashPartitioner{}}
-	part, bc := ResolvePartition(f, Pointer{PartKey: "k"})
+	part, bc := ResolvePartition(f, &Pointer{PartKey: "k"})
 	if bc {
 		t.Error("unexpected broadcast")
 	}
 	if want := (HashPartitioner{}).Partition("k", 4); part != want {
 		t.Errorf("part = %d, want %d", part, want)
 	}
-	if _, bc := ResolvePartition(f, (Pointer{NoPart: true})); !bc {
+	if _, bc := ResolvePartition(f, &Pointer{NoPart: true}); !bc {
 		t.Error("NoPart pointer must resolve to broadcast")
 	}
 }

@@ -17,6 +17,7 @@ package sim
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -196,15 +197,42 @@ func (g *Gate) occupy(ctx context.Context, d time.Duration) error {
 			return ctx.Err()
 		}
 	}
+	return Wait(ctx, d)
+}
+
+// timers holds stopped, drained timers for Wait.
+var timers sync.Pool
+
+// Wait is the sim plane's one modelled wait: it blocks for d and returns
+// nil, or returns ctx.Err() as soon as ctx ends first. A non-positive d
+// only reports ctx.Err(). The timer it waits on comes from a pool and goes
+// back stopped and drained, so a warm Wait allocates nothing and a stale
+// fire never shortens a later wait.
+func Wait(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	t, _ := timers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(d)
+	} else {
+		t.Reset(d)
+	}
 	select {
 	case <-t.C:
+		timers.Put(t)
 		return nil
 	case <-ctx.Done():
+		if !t.Stop() {
+			// It fired as ctx ended: drain the fire, without blocking —
+			// with synchronous timer channels (Go 1.23's, GODEBUG
+			// asynctimerchan=0) a false Stop leaves nothing to receive.
+			select {
+			case <-t.C:
+			default:
+			}
+		}
+		timers.Put(t)
 		return ctx.Err()
 	}
 }

@@ -14,36 +14,70 @@ import (
 // format Perfetto and chrome://tracing load), and a critical-path extractor
 // that reports where a job's wall time actually went.
 
-// EventKind labels one entry of a job's event log.
-type EventKind string
+// EventKind labels one entry of a job's event log. It is one byte in memory
+// and its name in text and JSON ("task", "enqueue", ...); the zero kind is
+// the empty name.
+type EventKind uint8
 
 const (
 	// EvTask is a completed task: TS is its execution begin, Dur its
 	// service time, Wait the queue wait that preceded it, Ptrs its batch
 	// size (0 for record tasks).
-	EvTask EventKind = "task"
+	EvTask EventKind = iota + 1
 	// EvEnqueue marks a task landing on a node's queue; Ptrs carries the
 	// resulting queue depth.
-	EvEnqueue EventKind = "enqueue"
+	EvEnqueue
 	// EvRetry marks one Dereferencer retry after a transient failure.
-	EvRetry EventKind = "retry"
+	EvRetry
 	// EvSplit marks a failed batch falling back to per-pointer retries;
 	// Ptrs carries the batch size that split.
-	EvSplit EventKind = "split"
+	EvSplit
 	// EvRPC is a completed remote storage round trip issued by a node: TS
 	// is the call begin, Dur its round-trip time. The interval nests inside
 	// the issuing task's EvTask span, so the critical-path extractor can
 	// name wire-dominated segments as (stage, node, rpc).
-	EvRPC EventKind = "rpc"
+	EvRPC
 )
 
+// eventKindNames maps each kind to its name; index 0 is the zero kind.
+var eventKindNames = [...]string{"", "task", "enqueue", "retry", "split", "rpc"}
+
+// String returns the kind's name, or EventKind(n) for a kind with none.
+func (k EventKind) String() string {
+	if int(k) < len(eventKindNames) {
+		return eventKindNames[k]
+	}
+	return fmt.Sprintf("EventKind(%d)", uint8(k))
+}
+
+// MarshalText encodes the kind as its name; a kind with no name is an error.
+func (k EventKind) MarshalText() ([]byte, error) {
+	if int(k) >= len(eventKindNames) {
+		return nil, fmt.Errorf("trace: unknown event kind %d", uint8(k))
+	}
+	return []byte(eventKindNames[k]), nil
+}
+
+// UnmarshalText decodes a kind's name; an unknown name is an error.
+func (k *EventKind) UnmarshalText(text []byte) error {
+	for i, name := range eventKindNames {
+		if string(text) == name {
+			*k = EventKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("trace: unknown event kind %q", text)
+}
+
 // Event is one entry of a job's timeline. All times are nanosecond offsets
-// from the job's start, so logs are compact and trivially comparable.
+// from the job's start, so logs are compact and trivially comparable. The
+// kind and the attributions are narrow so an event is 48 bytes: a job's
+// snapshot copies every one it retained.
 type Event struct {
 	Kind   EventKind `json:"kind"`
-	Stage  int       `json:"stage"`
-	Node   int       `json:"node"`
-	Worker int       `json:"worker,omitempty"`
+	Stage  int32     `json:"stage"`
+	Node   int32     `json:"node"`
+	Worker int32     `json:"worker,omitempty"`
 	// TS is the event time (for EvTask: execution begin), ns from job start.
 	TS int64 `json:"ts"`
 	// Dur is the task's service time in ns (EvTask only).
@@ -52,11 +86,11 @@ type Event struct {
 	Wait int64 `json:"wait,omitempty"`
 	// Ptrs is the task's batch size, the queue depth (EvEnqueue), or the
 	// split batch's size (EvSplit).
-	Ptrs int `json:"ptrs,omitempty"`
+	Ptrs int32 `json:"ptrs,omitempty"`
 }
 
 // DefaultEventCap is the event-ring capacity used when a caller enables
-// timeline capture without choosing one. 8192 events is ~0.5 MB and covers
+// timeline capture without choosing one. 8192 events is 384 KiB and covers
 // every job the harnesses run; longer jobs keep their newest events and
 // report the overwritten count.
 const DefaultEventCap = 8192
@@ -128,27 +162,27 @@ func (s *Snapshot) WriteChromeTrace(w io.Writer) error {
 	evs := append([]Event(nil), s.Events...)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
 
-	stageName := func(i int) string {
-		if i >= 0 && i < len(s.Stages) {
+	stageName := func(i int32) string {
+		if i >= 0 && int(i) < len(s.Stages) {
 			return fmt.Sprintf("s%d %s", i, s.Stages[i].Name)
 		}
 		return fmt.Sprintf("s%d", i)
 	}
 	out := make([]chromeEvent, 0, len(evs)+2*len(s.Nodes))
-	seenNode := map[int]bool{}
+	seenNode := map[int32]bool{}
 	for _, ev := range evs {
 		if !seenNode[ev.Node] {
 			seenNode[ev.Node] = true
 			out = append(out, chromeEvent{
-				Name: "process_name", Ph: "M", Pid: ev.Node,
+				Name: "process_name", Ph: "M", Pid: int(ev.Node),
 				Args: map[string]any{"name": fmt.Sprintf("node %d", ev.Node)},
 			})
 		}
 		ce := chromeEvent{
 			TS:  float64(ev.TS) / 1e3,
-			Pid: ev.Node,
-			Tid: ev.Worker,
-			Cat: string(ev.Kind),
+			Pid: int(ev.Node),
+			Tid: int(ev.Worker),
+			Cat: ev.Kind.String(),
 		}
 		switch ev.Kind {
 		case EvTask:
@@ -170,7 +204,7 @@ func (s *Snapshot) WriteChromeTrace(w io.Writer) error {
 			ce.S = "t"
 			ce.Args = map[string]any{"stage": ev.Stage, "depth": ev.Ptrs}
 		default: // retry, split, future kinds
-			ce.Name = string(ev.Kind) + " " + stageName(ev.Stage)
+			ce.Name = ev.Kind.String() + " " + stageName(ev.Stage)
 			ce.Ph = "i"
 			ce.S = "t"
 			ce.Args = map[string]any{"stage": ev.Stage, "ptrs": ev.Ptrs}
@@ -258,16 +292,16 @@ func CriticalPath(events []Event, k int) []CritSegment {
 		switch ev.Kind {
 		case EvTask:
 			if ev.Dur > 0 {
-				key := critKey{stage: ev.Stage, node: ev.Node, ph: phaseExec}
+				key := critKey{stage: int(ev.Stage), node: int(ev.Node), ph: phaseExec}
 				pts = append(pts, point{t: ev.TS, key: key, delta: +1}, point{t: ev.TS + ev.Dur, key: key, delta: -1})
 			}
 			if ev.Wait > 0 {
-				key := critKey{stage: ev.Stage, node: ev.Node, ph: phaseQueue}
+				key := critKey{stage: int(ev.Stage), node: int(ev.Node), ph: phaseQueue}
 				pts = append(pts, point{t: ev.TS - ev.Wait, key: key, delta: +1}, point{t: ev.TS, key: key, delta: -1})
 			}
 		case EvRPC:
 			if ev.Dur > 0 {
-				key := critKey{stage: ev.Stage, node: ev.Node, ph: phaseRPC}
+				key := critKey{stage: int(ev.Stage), node: int(ev.Node), ph: phaseRPC}
 				pts = append(pts, point{t: ev.TS, key: key, delta: +1}, point{t: ev.TS + ev.Dur, key: key, delta: -1})
 			}
 		}

@@ -39,7 +39,7 @@ func TestEventRingConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Add(Event{Kind: EvEnqueue, Node: g, TS: int64(i)})
+				r.Add(Event{Kind: EvEnqueue, Node: int32(g), TS: int64(i)})
 			}
 		}(g)
 	}
@@ -194,7 +194,7 @@ func TestCriticalPathTopK(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		// Disjoint tasks with growing durations on distinct stages.
 		events = append(events, Event{
-			Kind: EvTask, Stage: i, Node: 0,
+			Kind: EvTask, Stage: int32(i), Node: 0,
 			TS: int64(i * 1000), Dur: int64(10 * (i + 1)),
 		})
 	}

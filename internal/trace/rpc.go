@@ -20,20 +20,37 @@ type RPCInfo struct {
 	Attempt int
 }
 
-// rpcKey carries an RPCInfo through a context.
+// rpcKey is the key an rpcCtx answers Value for.
 type rpcKey struct{}
+
+// rpcCtx carries an RPCInfo by value: stamping a context costs this one
+// allocation, where context.WithValue would box the info as well.
+type rpcCtx struct {
+	context.Context
+	info RPCInfo
+}
+
+// Value answers rpcKey with the rpcCtx itself and delegates every other key.
+func (c *rpcCtx) Value(key any) any {
+	if key == (rpcKey{}) {
+		return c
+	}
+	return c.Context.Value(key)
+}
 
 // WithRPC attaches the RPC trace context to ctx. The storage transports read
 // it back with RPCFrom to attribute remote work to (job, stage, tenant).
 func WithRPC(ctx context.Context, info RPCInfo) context.Context {
-	return context.WithValue(ctx, rpcKey{}, info)
+	return &rpcCtx{Context: ctx, info: info}
 }
 
 // RPCFrom returns the RPC trace context attached to ctx; the zero RPCInfo
 // (Job == "") when the caller is untraced.
 func RPCFrom(ctx context.Context) RPCInfo {
-	info, _ := ctx.Value(rpcKey{}).(RPCInfo)
-	return info
+	if c, ok := ctx.Value(rpcKey{}).(*rpcCtx); ok {
+		return c.info
+	}
+	return RPCInfo{}
 }
 
 // WithRPCAttempt re-stamps ctx's RPC trace context with the given retry

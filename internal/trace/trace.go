@@ -166,7 +166,7 @@ func (n *NodeIO) ObserveRPC(stage int, begin time.Time, d time.Duration) {
 	}
 	t.live()
 	t.ring.Add(Event{
-		Kind: EvRPC, Stage: stage, Node: n.node,
+		Kind: EvRPC, Stage: int32(stage), Node: int32(n.node),
 		TS: begin.Sub(t.start).Nanoseconds(), Dur: int64(d),
 	})
 }
@@ -293,8 +293,8 @@ func (t *Trace) TaskEvent(stage, node, worker int, begin time.Time, dur, wait ti
 		return
 	}
 	t.ring.Add(Event{
-		Kind: EvTask, Stage: stage, Node: node, Worker: worker,
-		TS: begin.Sub(t.start).Nanoseconds(), Dur: int64(dur), Wait: int64(wait), Ptrs: ptrs,
+		Kind: EvTask, Stage: int32(stage), Node: int32(node), Worker: int32(worker),
+		TS: begin.Sub(t.start).Nanoseconds(), Dur: int64(dur), Wait: int64(wait), Ptrs: int32(ptrs),
 	})
 }
 
@@ -306,7 +306,7 @@ func (t *Trace) Mark(kind EventKind, stage, node, v int) {
 	if t.ring.limit == 0 {
 		return
 	}
-	t.ring.Add(Event{Kind: kind, Stage: stage, Node: node, TS: time.Since(t.start).Nanoseconds(), Ptrs: v})
+	t.ring.Add(Event{Kind: kind, Stage: int32(stage), Node: int32(node), TS: time.Since(t.start).Nanoseconds(), Ptrs: int32(v)})
 }
 
 // AddEmits records n outputs produced by the stage.
