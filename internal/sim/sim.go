@@ -11,13 +11,21 @@
 // concurrency), while scans finish in time proportional to (records ÷
 // static parallelism) — at laptop scale.
 //
+// Every modelled wait goes through Wait, which parks the caller on one
+// process-wide heap of deadlines. A single waker goroutine, started by the
+// first positive wait and never stopped, sleeps on one alarm set for the
+// earliest deadline plus a little slack, and on each fire releases every
+// wait that is due. On Linux the alarm is a timerfd the netpoller watches,
+// so a modelled 400µs wait costs about 400µs; the runtime's own timers,
+// which the other platforms use, wake an idle process only on millisecond
+// boundaries.
+//
 // The zero CostModel is free and instant, which keeps unit tests fast and
 // deterministic.
 package sim
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -200,39 +208,11 @@ func (g *Gate) occupy(ctx context.Context, d time.Duration) error {
 	return Wait(ctx, d)
 }
 
-// timers holds stopped, drained timers for Wait.
-var timers sync.Pool
-
 // Wait is the sim plane's one modelled wait: it blocks for d and returns
 // nil, or returns ctx.Err() as soon as ctx ends first. A non-positive d
-// only reports ctx.Err(). The timer it waits on comes from a pool and goes
-// back stopped and drained, so a warm Wait allocates nothing and a stale
-// fire never shortens a later wait.
+// only reports ctx.Err(). It never returns nil early, it is released at
+// most slack plus the waker's wake-up latency past d, and a warm Wait
+// allocates nothing (see deadlines).
 func Wait(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t, _ := timers.Get().(*time.Timer)
-	if t == nil {
-		t = time.NewTimer(d)
-	} else {
-		t.Reset(d)
-	}
-	select {
-	case <-t.C:
-		timers.Put(t)
-		return nil
-	case <-ctx.Done():
-		if !t.Stop() {
-			// It fired as ctx ended: drain the fire, without blocking —
-			// with synchronous timer channels (Go 1.23's, GODEBUG
-			// asynctimerchan=0) a false Stop leaves nothing to receive.
-			select {
-			case <-t.C:
-			default:
-			}
-		}
-		timers.Put(t)
-		return ctx.Err()
-	}
+	return waits.wait(ctx, d)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -156,21 +157,55 @@ func lossyPools() bool {
 	return false
 }
 
-// BenchmarkGateLookup is the gate hop on its own: one local point lookup on
-// an HDDProfile gate, admission, spindle and the modelled 400µs service.
-// ns/op against the model is what the real timer adds to a modelled I/O;
-// x-model reports it as a ratio.
+// BenchmarkGateLookup is the gate hop on its own: local point lookups on
+// HDDProfile gates, each through admission, a spindle and the modelled
+// 400µs service. x-model is the measured time of one lookup over the model:
+// what the deadline heap, its alarm and the wake-up add to a modelled I/O.
+// serial is one caller on one gate; parallel is 96 callers on 4 gates, every
+// spindle of each busy, so one alarm fire releases several waits.
 func BenchmarkGateLookup(b *testing.B) {
 	m := HDDProfile()
-	g := NewGate(m)
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if err := g.Lookup(ctx, false); err != nil {
-			b.Fatal(err)
+	b.Run("serial", func(b *testing.B) {
+		g := NewGate(m)
+		b.ReportAllocs()
+		b.ResetTimer()
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			if err := g.Lookup(ctx, false); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
-	b.ReportMetric(float64(time.Since(start))/float64(b.N)/float64(m.LookupLatency), "x-model")
+		b.ReportMetric(float64(time.Since(start))/float64(b.N)/float64(m.LookupLatency), "x-model")
+	})
+	b.Run("parallel", func(b *testing.B) {
+		const nodes = 4
+		gates := make([]*Gate, nodes)
+		for i := range gates {
+			gates[i] = NewGate(m)
+		}
+		// Each caller times its own lookups: the mean is x-model at any
+		// b.N, however the lookups fall among the callers.
+		var left, total atomic.Int64
+		left.Store(int64(b.N))
+		var wg sync.WaitGroup
+		b.ReportAllocs()
+		b.ResetTimer()
+		for c := 0; c < nodes*m.Spindles; c++ {
+			wg.Add(1)
+			go func(g *Gate) {
+				defer wg.Done()
+				for left.Add(-1) >= 0 {
+					start := time.Now()
+					if err := g.Lookup(ctx, false); err != nil {
+						b.Error(err)
+						return
+					}
+					total.Add(int64(time.Since(start)))
+				}
+			}(gates[c%nodes])
+		}
+		wg.Wait()
+		b.ReportMetric(float64(total.Load())/float64(b.N)/float64(m.LookupLatency), "x-model")
+	})
 }
