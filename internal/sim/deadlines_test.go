@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -12,7 +13,8 @@ import (
 )
 
 // eachAlarm runs f on a fresh deadline heap over each alarm: the runtime
-// timer, and the precise alarm where the platform has one.
+// timer, and the precise alarm, alone and backstopped, where the platform
+// has one.
 func eachAlarm(t *testing.T, f func(t *testing.T, q *deadlines)) {
 	t.Run("timer", func(t *testing.T) { f(t, newDeadlines(newTimerAlarm)) })
 	t.Run("precise", func(t *testing.T) {
@@ -22,7 +24,17 @@ func eachAlarm(t *testing.T, f func(t *testing.T, q *deadlines)) {
 		}
 		f(t, newDeadlines(func() alarm { return a }))
 	})
+	t.Run("backstopped", func(t *testing.T) {
+		a := preciseAlarm()
+		if a == nil {
+			t.Skip("no precise alarm on this platform")
+		}
+		f(t, newDeadlines(func() alarm { return backstopped{precise: a, backstop: newTimerAlarm()} }))
+	})
 }
+
+// raceEnabled reports a -race build, whose slowdown latency bounds skip.
+var raceEnabled bool
 
 // pending reports how many waits are parked on q.
 func pending(q *deadlines) int {
@@ -64,22 +76,36 @@ func TestDeadlinesNeverEarly(t *testing.T) {
 }
 
 // TestDeadlinesRearm: a short wait pushed behind a long one re-arms the
-// alarm for itself instead of waiting out the long one's.
+// alarm for itself instead of waiting out the long one's: it returns while
+// the long one is still parked, within a few milliseconds. The long wait is
+// long, and the latency bound takes the best of 3 trials, because the
+// machine may stall the process for milliseconds now and then; a wait that
+// never re-arms fails every trial.
 func TestDeadlinesRearm(t *testing.T) {
 	eachAlarm(t, func(t *testing.T, q *deadlines) {
-		long := make(chan error, 1)
-		go func() { long <- q.wait(context.Background(), 5*time.Millisecond) }()
-		parked(q, 1)
-		const d = 300 * time.Microsecond
-		start := time.Now()
-		if err := q.wait(context.Background(), d); err != nil {
-			t.Fatal(err)
+		const d, long = 300 * time.Microsecond, time.Second
+		best := time.Duration(math.MaxInt64)
+		for trial := 0; trial < 3 && best >= 4*time.Millisecond; trial++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			longErr := make(chan error, 1)
+			go func() { longErr <- q.wait(ctx, long) }()
+			parked(q, 1)
+			start := time.Now()
+			if err := q.wait(context.Background(), d); err != nil {
+				t.Fatal(err)
+			}
+			el := time.Since(start)
+			if n := pending(q); n != 1 || el < d {
+				t.Fatalf("a %v wait behind a %v one returned after %v with %d waits parked, want >= %v with the long one still parked", d, long, el, n, d)
+			}
+			best = min(best, el)
+			cancel()
+			if err := <-longErr; !errors.Is(err, context.Canceled) {
+				t.Fatalf("the cancelled %v wait returned %v", long, err)
+			}
 		}
-		if el := time.Since(start); el < d || el >= 2*time.Millisecond {
-			t.Fatalf("a %v wait behind a 5ms one returned after %v, want [%v, 2ms)", d, el, d)
-		}
-		if err := <-long; err != nil {
-			t.Fatal(err)
+		if best >= 4*time.Millisecond && !raceEnabled {
+			t.Fatalf("a %v wait behind a %v one returned after %v in the best of 3 trials, want < 4ms", d, long, best)
 		}
 	})
 }
@@ -175,8 +201,13 @@ func TestDeadlinesCancelKeepsOrder(t *testing.T) {
 
 // TestWaitHonoursModel: where the platform has a precise alarm, a modelled
 // 400µs wait costs about 400µs, not the millisecond an idle runtime rounds
-// its own timers up to.
+// its own timers up to. A machine busy with other work only slows a round,
+// so the test takes the best of three rounds; an alarm that rounds to the
+// millisecond reads ~1.1ms in every one.
 func TestWaitHonoursModel(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a latency bound: the race detector's slowdown is not the alarm's")
+	}
 	const d = 400 * time.Microsecond
 	if err := Wait(context.Background(), d); err != nil {
 		t.Fatal(err)
@@ -185,15 +216,47 @@ func TestWaitHonoursModel(t *testing.T) {
 		t.Skip("no precise alarm on this platform")
 	}
 	took := make([]time.Duration, 50)
-	for i := range took {
-		start := time.Now()
-		if err := Wait(context.Background(), d); err != nil {
-			t.Fatal(err)
+	best := time.Duration(math.MaxInt64)
+	for round := 0; round < 3 && best >= 700*time.Microsecond; round++ {
+		for i := range took {
+			start := time.Now()
+			if err := Wait(context.Background(), d); err != nil {
+				t.Fatal(err)
+			}
+			took[i] = time.Since(start)
 		}
-		took[i] = time.Since(start)
+		sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+		best = min(best, took[len(took)/2])
 	}
-	sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
-	if p50 := took[len(took)/2]; p50 >= 700*time.Microsecond {
-		t.Fatalf("median of %d sequential %v waits is %v, want < 700µs", len(took), d, p50)
+	if best >= 700*time.Microsecond {
+		t.Fatalf("median of %d sequential %v waits is %v in the best of 3 rounds, want < 700µs", len(took), d, best)
+	}
+}
+
+// TestWaitBusyProcess: with every P kept busy, so the runtime polls the
+// netpoller only from sysmon (every ~10ms), a modelled 400µs wait still
+// costs about 400µs: the backstop timer releases it. The median reads
+// ~460µs; without the backstop it reads ~10ms.
+func TestWaitBusyProcess(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a latency bound: the race detector's slowdown is not the alarm's")
+	}
+	const d = 400 * time.Microsecond
+	defer keepEveryPBusy()()
+	took := make([]time.Duration, 30)
+	best := time.Duration(math.MaxInt64)
+	for round := 0; round < 3 && best >= 2*time.Millisecond; round++ {
+		for i := range took {
+			start := time.Now()
+			if err := Wait(context.Background(), d); err != nil {
+				t.Fatal(err)
+			}
+			took[i] = time.Since(start)
+		}
+		sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+		best = min(best, took[len(took)/2])
+	}
+	if best >= 2*time.Millisecond {
+		t.Fatalf("median of %d sequential %v waits beside a busy goroutine per P is %v in the best of 3 rounds, want < 2ms", len(took), d, best)
 	}
 }

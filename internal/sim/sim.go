@@ -18,7 +18,10 @@
 // wait that is due. On Linux the alarm is a timerfd the netpoller watches,
 // so a modelled 400µs wait costs about 400µs; the runtime's own timers,
 // which the other platforms use, wake an idle process only on millisecond
-// boundaries.
+// boundaries. A runtime timer set slack after the timerfd backs it up: the
+// runtime polls the netpoller only when a P runs out of work, so when every
+// P is busy the timer, which the runtime checks on every schedule, fires
+// first.
 //
 // The zero CostModel is free and instant, which keeps unit tests fast and
 // deterministic.
@@ -211,8 +214,8 @@ func (g *Gate) occupy(ctx context.Context, d time.Duration) error {
 // Wait is the sim plane's one modelled wait: it blocks for d and returns
 // nil, or returns ctx.Err() as soon as ctx ends first. A non-positive d
 // only reports ctx.Err(). It never returns nil early, it is released at
-// most slack plus the waker's wake-up latency past d, and a warm Wait
-// allocates nothing (see deadlines).
+// most slack plus the waker's wake-up latency past d (two slacks when every
+// P is busy), and a warm Wait allocates nothing (see deadlines).
 func Wait(ctx context.Context, d time.Duration) error {
 	return waits.wait(ctx, d)
 }

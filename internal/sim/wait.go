@@ -17,9 +17,9 @@ import (
 const slack = 50 * time.Microsecond
 
 // alarm is what the waker sleeps on. arm sets one fire, d from now,
-// replacing any earlier setting. run calls fire after each fire, forever;
-// it may also call it for a stale one, which costs the waker a pass over the
-// heap and nothing else.
+// replacing any earlier setting. run calls fire after each fire, forever,
+// from one goroutine or two; it may also call it for a stale one, which
+// costs a pass over the heap and nothing else.
 type alarm interface {
 	arm(d time.Duration)
 	run(fire func())
@@ -28,13 +28,33 @@ type alarm interface {
 // waits holds every modelled wait in the process.
 var waits = newDeadlines(defaultAlarm)
 
-// defaultAlarm is the precise alarm where the platform has one, and a
-// runtime timer elsewhere.
+// defaultAlarm is the precise alarm where the platform has one, backed by a
+// runtime timer, and a runtime timer alone elsewhere.
 func defaultAlarm() alarm {
 	if a := preciseAlarm(); a != nil {
-		return a
+		return backstopped{precise: a, backstop: newTimerAlarm()}
 	}
 	return newTimerAlarm()
+}
+
+// backstopped is the precise alarm with a runtime timer set slack after it.
+// The precise alarm reaches the waker through the netpoller, which the
+// runtime polls when a P runs out of work, or every ~10ms from sysmon: when
+// every P has goroutines to run, its fire waits for that. The runtime checks
+// its own timers on every schedule, so then the backstop fires instead, and
+// a modelled wait is late by one more slack rather than by ~10ms. When a P
+// is idle the precise alarm fires first and the waker re-arms both before
+// the backstop is due.
+type backstopped struct{ precise, backstop alarm }
+
+func (a backstopped) arm(d time.Duration) {
+	a.precise.arm(d)
+	a.backstop.arm(d + slack)
+}
+
+func (a backstopped) run(fire func()) {
+	go a.backstop.run(fire)
+	a.precise.run(fire)
 }
 
 // timerAlarm is the portable alarm: one runtime timer, owned by the waker.
@@ -98,8 +118,10 @@ type deadlines struct {
 	// nothing to wake for.
 	fireAt time.Duration
 
-	// due holds the waiters one fire releases; only the waker uses it.
-	due []*waiter
+	// releasing is held by one release at a time; due holds the waiters
+	// that release signals.
+	releasing sync.Mutex
+	due       []*waiter
 }
 
 func newDeadlines(newAlarm func() alarm) *deadlines {
@@ -148,15 +170,19 @@ func (q *deadlines) wait(ctx context.Context, d time.Duration) error {
 }
 
 // run creates the alarm and starts the waker, which releases due waiters
-// on every fire for the life of the process.
+// on every fire for the life of the process (with the backstop's goroutine,
+// where the alarm has one).
 func (q *deadlines) run() {
 	q.alarm = q.newAlarm()
 	go q.alarm.run(q.release)
 }
 
 // release is one fire: it pops every waiter that is due, re-arms the alarm
-// for the new head, and signals the popped waiters. Only the waker calls it.
+// for the new head, and signals the popped waiters. Only the alarm's
+// goroutines call it.
 func (q *deadlines) release() {
+	q.releasing.Lock()
+	defer q.releasing.Unlock()
 	q.mu.Lock()
 	now := clock()
 	for len(q.heap) > 0 && q.heap[0].deadline <= now {

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -162,7 +163,9 @@ func lossyPools() bool {
 // 400µs service. x-model is the measured time of one lookup over the model:
 // what the deadline heap, its alarm and the wake-up add to a modelled I/O.
 // serial is one caller on one gate; parallel is 96 callers on 4 gates, every
-// spindle of each busy, so one alarm fire releases several waits.
+// spindle of each busy, so one alarm fire releases several waits; saturated
+// is parallel while two goroutines per P compute in 20µs slices and yield,
+// so no P ever runs out of work.
 func BenchmarkGateLookup(b *testing.B) {
 	m := HDDProfile()
 	ctx := context.Background()
@@ -178,34 +181,67 @@ func BenchmarkGateLookup(b *testing.B) {
 		}
 		b.ReportMetric(float64(time.Since(start))/float64(b.N)/float64(m.LookupLatency), "x-model")
 	})
-	b.Run("parallel", func(b *testing.B) {
-		const nodes = 4
-		gates := make([]*Gate, nodes)
-		for i := range gates {
-			gates[i] = NewGate(m)
-		}
-		// Each caller times its own lookups: the mean is x-model at any
-		// b.N, however the lookups fall among the callers.
-		var left, total atomic.Int64
-		left.Store(int64(b.N))
-		var wg sync.WaitGroup
-		b.ReportAllocs()
-		b.ResetTimer()
-		for c := 0; c < nodes*m.Spindles; c++ {
-			wg.Add(1)
-			go func(g *Gate) {
-				defer wg.Done()
-				for left.Add(-1) >= 0 {
-					start := time.Now()
-					if err := g.Lookup(ctx, false); err != nil {
-						b.Error(err)
-						return
-					}
-					total.Add(int64(time.Since(start)))
-				}
-			}(gates[c%nodes])
-		}
-		wg.Wait()
-		b.ReportMetric(float64(total.Load())/float64(b.N)/float64(m.LookupLatency), "x-model")
+	b.Run("parallel", func(b *testing.B) { lookupParallel(b, m) })
+	b.Run("saturated", func(b *testing.B) {
+		defer keepEveryPBusy()()
+		lookupParallel(b, m)
 	})
+}
+
+// keepEveryPBusy starts two goroutines per P that compute in 20µs slices
+// and yield between them, so no P runs out of work and the run queues are
+// never empty, and returns the function that stops them.
+func keepEveryPBusy() (stop func()) {
+	var done atomic.Bool
+	var spun sync.WaitGroup
+	for i := 0; i < 2*runtime.GOMAXPROCS(0); i++ {
+		spun.Add(1)
+		go func() {
+			defer spun.Done()
+			for !done.Load() {
+				for start := time.Now(); time.Since(start) < 20*time.Microsecond; {
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	return func() {
+		done.Store(true)
+		spun.Wait()
+	}
+}
+
+// lookupParallel runs b.N lookups from 96 callers on 4 gates of model m and
+// reports x-model.
+func lookupParallel(b *testing.B, m CostModel) {
+	const nodes = 4
+	ctx := context.Background()
+	gates := make([]*Gate, nodes)
+	for i := range gates {
+		gates[i] = NewGate(m)
+	}
+	// Each caller times its own lookups: the mean is x-model at any b.N,
+	// however the lookups fall among the callers.
+	var left, total atomic.Int64
+	left.Store(int64(b.N))
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for c := 0; c < nodes*m.Spindles; c++ {
+		wg.Add(1)
+		go func(g *Gate) {
+			defer wg.Done()
+			for left.Add(-1) >= 0 {
+				start := time.Now()
+				if err := g.Lookup(ctx, false); err != nil {
+					b.Error(err)
+					return
+				}
+				total.Add(int64(time.Since(start)))
+			}
+		}(gates[c%nodes])
+	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(total.Load())/float64(b.N)/float64(m.LookupLatency), "x-model")
 }

@@ -229,9 +229,9 @@ type CritSegment struct {
 	Stage int `json:"stage"`
 	Node  int `json:"node"`
 	// Phase is "exec" (tasks running), "queue" (tasks waiting for a
-	// worker), or "rpc" (remote storage round trips in flight). A
-	// queue-dominated segment means the node's pool, not the storage path,
-	// was the bottleneck; an rpc-dominated segment means the wire was.
+	// worker), or "rpc" (remote storage round trips in flight). A queue
+	// segment means the job's tasks waited and none of them ran: dispatch
+	// or admission held the job. An rpc segment means the wire did.
 	Phase string `json:"phase"`
 	// Start and End are ns offsets from job start; Span = End - Start.
 	Start int64 `json:"start"`
@@ -281,6 +281,13 @@ func (k critKey) phase() string {
 // instants with the same winner merge into segments, and the k longest
 // segments are returned, longest first. Idle gaps (no active interval)
 // separate segments.
+//
+// Queued tasks weigh below any task that runs: a queue group wins an
+// instant only when no task executes or is on the wire. A queued task is
+// behind the tasks holding the workers (or the admission slots), so those
+// tasks are what hold the job open; counting the queue by its length
+// would hand a job whose tasks sit in a shared scheduler to the queue at
+// every instant, and hide the one round trip that is actually in flight.
 func CriticalPath(events []Event, k int) []CritSegment {
 	type point struct {
 		t     int64
@@ -356,7 +363,15 @@ func CriticalPath(events []Event, k int) []CritSegment {
 				// executing: its nested rpc interval leaves the exec count.
 				n -= active[critKey{stage: key.stage, node: key.node, ph: phaseRPC}]
 			}
-			if n > best || (n == best && best > 0 && prefer(key, winner)) {
+			if n <= 0 {
+				continue
+			}
+			// A running group beats a waiting one whatever the counts.
+			running, winnerRunning := key.ph != phaseQueue, winner.ph != phaseQueue
+			switch {
+			case best == 0, running && !winnerRunning:
+				best, winner = n, key
+			case running == winnerRunning && (n > best || n == best && prefer(key, winner)):
 				best, winner = n, key
 			}
 		}

@@ -189,6 +189,35 @@ func TestCriticalPathTaskInRPCCountsAsRPC(t *testing.T) {
 	}
 }
 
+func TestCriticalPathQueueWeighsBelowWire(t *testing.T) {
+	// Six tasks of stage 0 / node 0 queue over [0, 1000) behind the one task
+	// of stage 1 / node 1 that runs over [100, 900), on the wire during
+	// [200, 800). The running task holds the job open while it runs, and its
+	// round trip is the longest pole; a sweep that counted the queue by its
+	// length would name queue s0 n0 for the whole job.
+	events := []Event{{Kind: EvTask, Stage: 1, Node: 1, TS: 100, Dur: 800}, {Kind: EvRPC, Stage: 1, Node: 1, TS: 200, Dur: 600}}
+	for i := 0; i < 6; i++ {
+		events = append(events, Event{Kind: EvTask, Stage: 0, Node: 0, TS: 1000, Dur: 10, Wait: 1000})
+	}
+	segs := CriticalPath(events, 10)
+	want := []CritSegment{
+		{Stage: 1, Node: 1, Phase: "rpc", Start: 200, End: 800, Span: 600, Tasks: 1},
+		{Stage: 0, Node: 0, Phase: "queue", Start: 0, End: 100, Span: 100, Tasks: 6},
+		{Stage: 1, Node: 1, Phase: "exec", Start: 100, End: 200, Span: 100, Tasks: 1},
+		{Stage: 1, Node: 1, Phase: "exec", Start: 800, End: 900, Span: 100, Tasks: 1},
+		{Stage: 0, Node: 0, Phase: "queue", Start: 900, End: 1000, Span: 100, Tasks: 6},
+		{Stage: 0, Node: 0, Phase: "exec", Start: 1000, End: 1010, Span: 10, Tasks: 6},
+	}
+	if len(segs) != len(want) {
+		t.Fatalf("got %d segments %+v, want %d", len(segs), segs, len(want))
+	}
+	for i := range want {
+		if segs[i] != want[i] {
+			t.Fatalf("segment %d = %+v, want %+v", i, segs[i], want[i])
+		}
+	}
+}
+
 func TestCriticalPathTopK(t *testing.T) {
 	var events []Event
 	for i := 0; i < 8; i++ {
