@@ -309,14 +309,16 @@ func (a *Armed) hook(acc dfs.Access) (wait time.Duration, err error) {
 		if left <= 0 {
 			return wait, nil
 		}
-		if budget.CompareAndSwap(left, max(left-int64(acc.Keys), 0)) {
-			a.fired.Add(1)
+		if spent := min(left, int64(acc.Keys)); budget.CompareAndSwap(left, left-spent) {
+			a.fired.Add(spent)
 			return wait, ErrInjected
 		}
 	}
 }
 
-// Fired reports how many accesses the schedule has failed so far.
+// Fired reports how many key accesses the schedule has failed so far: the
+// heal budget its faults consumed, whichever accesses consumed it, so the
+// count does not depend on how concurrent batches raced for the budget.
 func (a *Armed) Fired() int64 { return a.fired.Load() }
 
 // Disarm removes every installed event: the fault hook is uninstalled —

@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -365,5 +366,57 @@ func TestArmedHookConcurrent(t *testing.T) {
 	wg.Wait()
 	if n := failed.Load(); n != heals || armed.Fired() != heals {
 		t.Errorf("%d accesses failed and Fired = %d, want both %d", n, armed.Fired(), heals)
+	}
+}
+
+// TestFiredCountsHealsConsumed: a 5-key and a 2-key access race for one
+// partition's 3 heals. Whichever wins, the budget is spent and Fired is 3 —
+// the key accesses failed, not the accesses — both in the two serial orders
+// and when the two run concurrently.
+func TestFiredCountsHealsConsumed(t *testing.T) {
+	c := dfs.NewCluster(dfs.Config{Nodes: 1})
+	if _, err := c.CreateFile("a", dfs.Heap, 1, lake.HashPartitioner{}); err != nil {
+		t.Fatal(err)
+	}
+	access := func(keys int) dfs.Access { return dfs.Access{File: "a", Partition: 0, Op: dfs.OpLookup, Keys: keys} }
+	arm := func() *Armed {
+		armed, err := (&Schedule{Faults: []Fault{{File: "a", Partition: 0, Heals: 3}}}).Arm(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return armed
+	}
+	check := func(name string, armed *Armed) {
+		t.Helper()
+		if _, err := armed.hook(access(1)); err != nil {
+			t.Errorf("%s: the budget outlived both accesses: %v", name, err)
+		}
+		if n := armed.Fired(); n != 3 {
+			t.Errorf("%s: Fired = %d, want 3", name, n)
+		}
+		armed.Disarm()
+	}
+	for _, order := range [][2]int{{5, 2}, {2, 5}} {
+		armed := arm()
+		for _, keys := range order {
+			armed.hook(access(keys))
+		}
+		check(fmt.Sprintf("serial %v", order), armed)
+	}
+	for round := 0; round < 100; round++ {
+		armed := arm()
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for _, keys := range []int{5, 2} {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				start.Wait()
+				armed.hook(access(keys))
+			}()
+		}
+		start.Done()
+		done.Wait()
+		check(fmt.Sprintf("concurrent round %d", round), armed)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
-
-	"lakeharbor/internal/trace"
 )
 
 // dispatcher is the one path a task takes from the executor to the workers
@@ -91,7 +89,6 @@ func (e *executor) dispatch(node int, t task) {
 		return
 	}
 	e.tr.Enqueue(node, depth)
-	e.tr.Mark(trace.EvEnqueue, t.stage, node, depth)
 }
 
 // run is what a worker does with a dispatched task, whichever dispatcher the

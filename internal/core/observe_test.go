@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"lakeharbor/internal/chaos"
 	"lakeharbor/internal/trace"
 )
 
@@ -46,44 +49,79 @@ func TestLatencyHistogramsPopulated(t *testing.T) {
 }
 
 // TestTimelineCapturedByDefault: Execute records timeline events without
-// any opt-in, and the log contains task and enqueue events for every stage.
+// any opt-in, exactly one per task and one per retry, split and remote round
+// trip — a task's enqueue is its event's TS − Wait, never an event of its own
+// — under both dispatchers, on a clean run and on one whose transient faults
+// are retried and split.
 func TestTimelineCapturedByDefault(t *testing.T) {
-	fx := newFixture(t, 2, 8, 2)
-	res, err := Execute(fx.ctx, fx.joinJob(0, 1000, false), fx.cluster, fx.cluster, Options{})
-	if err != nil {
-		t.Fatal(err)
+	for _, impl := range dispatcherImpls {
+		for _, faults := range []bool{false, true} {
+			fx := newFixture(t, 2, 8, 2)
+			opts := impl.opts(0)
+			opts.EventCap = 0
+			if faults {
+				lif, _ := fx.cluster.File(fLine)
+				s := &chaos.Schedule{}
+				for p := 0; p < lif.NumPartitions(); p++ {
+					s.Faults = append(s.Faults, chaos.Fault{File: fLine, Partition: p, Heals: 2})
+				}
+				armed, err := s.Arm(fx.cluster)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer armed.Disarm()
+				opts.MaxRetries = 3
+			}
+			res, err := Execute(fx.ctx, fx.joinJob(0, 1000, false), fx.cluster, fx.cluster, opts)
+			if err != nil {
+				t.Fatalf("%s, faults %v: %v", impl.name, faults, err)
+			}
+			checkOneEventPerTask(t, fmt.Sprintf("%s, faults %v", impl.name, faults), res.Trace, faults)
+		}
 	}
-	tr := res.Trace
-	if len(tr.Events) == 0 {
-		t.Fatal("no timeline events captured by default")
+}
+
+// checkOneEventPerTask fails t unless the job's timeline holds exactly its
+// tasks, retries, splits and remote round trips, each of a named kind, with
+// retries or splits present when the job ran under faults.
+func checkOneEventPerTask(t *testing.T, name string, tr *trace.Snapshot, faults bool) {
+	t.Helper()
+	if tr.EventsDropped != 0 {
+		t.Fatalf("%s: %d events dropped: the ring overflowed on a small job", name, tr.EventsDropped)
 	}
-	var taskEvents int64
-	kinds := map[trace.EventKind]int{}
+	kinds := map[trace.EventKind]int64{}
 	for _, ev := range tr.Events {
 		kinds[ev.Kind]++
+		if k := ev.Kind.String(); k == "" || strings.HasPrefix(k, "EventKind(") {
+			t.Fatalf("%s: event of an unnamed kind: %+v", name, ev)
+		}
 		if ev.Kind == trace.EvTask {
-			taskEvents++
 			if ev.Dur < 0 || ev.Wait < 0 {
-				t.Fatalf("task event with negative duration or wait: %+v", ev)
+				t.Fatalf("%s: task event with negative duration or wait: %+v", name, ev)
 			}
 			if ev.Stage < 0 || int(ev.Stage) >= len(tr.Stages) {
-				t.Fatalf("task event with out-of-range stage: %+v", ev)
+				t.Fatalf("%s: task event with out-of-range stage: %+v", name, ev)
 			}
 		}
 	}
-	var tasks int64
+	var splits int64
 	for _, st := range tr.Stages {
-		tasks += st.Tasks
+		splits += st.BatchSplits
 	}
-	if tr.EventsDropped == 0 && taskEvents != tasks {
-		t.Errorf("task events = %d, want %d (ring did not overflow)", taskEvents, tasks)
+	tasks, retries, rpcs := tr.TotalTasks(), tr.TotalRetries(), kinds[trace.EvRPC]
+	if tasks == 0 || faults && retries+splits == 0 {
+		t.Errorf("%s: %d tasks, %d retries, %d splits", name, tasks, retries, splits)
 	}
-	if kinds[trace.EvEnqueue] == 0 {
-		t.Error("no enqueue events captured")
+	if kinds[trace.EvTask] != tasks || kinds[trace.EvRetry] != retries || kinds[trace.EvSplit] != splits {
+		t.Errorf("%s: events by kind %v, want %d tasks, %d retries, %d splits", name, kinds, tasks, retries, splits)
+	}
+	if want := tasks + retries + splits + rpcs; int64(len(tr.Events)) != want {
+		t.Errorf("%s: %d events, want %d: tasks %d + retries %d + splits %d + rpcs %d",
+			name, len(tr.Events), want, tasks, retries, splits, rpcs)
 	}
 	// The captured log must yield a critical path.
 	if segs := trace.CriticalPath(tr.Events, 3); len(segs) == 0 {
-		t.Error("critical path empty on a non-trivial job")
+		t.Errorf("%s: critical path empty on a non-trivial job", name)
 	}
 }
 

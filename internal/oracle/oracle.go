@@ -171,8 +171,8 @@ type Report struct {
 	// stats: hedged second attempts launched, and connections still open
 	// after the client pools closed (each leak is also a failure).
 	NetHedgeFires, NetLeakedConns int64
-	// FaultsFired totals, per plane (sim, net), the accesses the armed
-	// fault schedules failed at faults=on.
+	// FaultsFired totals, per plane (sim, net), the key accesses the armed
+	// fault schedules failed at faults=on (chaos.Armed.Fired).
 	FaultsFired [2]int64
 }
 

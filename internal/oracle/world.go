@@ -40,7 +40,7 @@ type outcome struct {
 	trace *trace.Snapshot
 	// schedule is the fault schedule armed at faults=on.
 	schedule *chaos.Schedule
-	// fired counts the faults the armed schedule fired.
+	// fired counts the key accesses the armed schedule failed.
 	fired int64
 	// hedges and leaks are the net plane's transport stats.
 	hedges, leaks int64

@@ -31,7 +31,7 @@ func goldenEvents() []Event {
 // goldenEventsJSON is goldenEvents as encoded when EventKind was a string
 // and the attributions were int: kinds by name, the same field order, names
 // and omissions.
-const goldenEventsJSON = `[{"kind":"task","stage":0,"node":0,"ts":0,"dur":100,"ptrs":4},{"kind":"enqueue","stage":1,"node":1,"ts":50,"ptrs":2},{"kind":"retry","stage":0,"node":0,"ts":60},{"kind":"split","stage":0,"node":0,"ts":70,"ptrs":8},{"kind":"task","stage":1,"node":1,"worker":1,"ts":200,"dur":300,"wait":150},{"kind":"rpc","stage":2,"node":3,"ts":1099511627776,"dur":12345},{"kind":"task","stage":2147483647,"node":127,"worker":1023,"ts":-5,"dur":9223372036854775807,"wait":1,"ptrs":2147483647},{"kind":"","stage":0,"node":0,"ts":0}]`
+const goldenEventsJSON = `[{"kind":"task","stage":0,"node":0,"ts":0,"dur":100,"ptrs":4},{"kind":"retry","stage":0,"node":0,"ts":60},{"kind":"split","stage":0,"node":0,"ts":70,"ptrs":8},{"kind":"task","stage":1,"node":1,"worker":1,"ts":200,"dur":300,"wait":150},{"kind":"rpc","stage":2,"node":3,"ts":1099511627776,"dur":12345},{"kind":"task","stage":2147483647,"node":127,"worker":1023,"ts":-5,"dur":9223372036854775807,"wait":1,"ptrs":2147483647},{"kind":"","stage":0,"node":0,"ts":0}]`
 
 func TestEventsJSONGolden(t *testing.T) {
 	got, err := json.Marshal(goldenEvents())
@@ -51,7 +51,7 @@ func TestEventsJSONGolden(t *testing.T) {
 }
 
 func TestEventKindText(t *testing.T) {
-	for _, k := range []EventKind{EvTask, EvEnqueue, EvRetry, EvSplit, EvRPC} {
+	for _, k := range []EventKind{EvTask, EvRetry, EvSplit, EvRPC} {
 		text, err := k.MarshalText()
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
@@ -64,7 +64,7 @@ func TestEventKindText(t *testing.T) {
 			t.Fatalf("UnmarshalText(%q) = %v, %v; want %v", text, back, err, k)
 		}
 	}
-	for _, bad := range []string{"Task", "tasks", "span", "7"} {
+	for _, bad := range []string{"Task", "tasks", "span", "7", "enqueue"} {
 		k := EvRetry
 		if err := k.UnmarshalText([]byte(bad)); err == nil {
 			t.Errorf("UnmarshalText(%q) accepted as %v", bad, k)
@@ -79,24 +79,21 @@ func TestEventKindText(t *testing.T) {
 	}
 }
 
-// BenchmarkSnapshot snapshots a Q5′-sized job: 773 events, the mean a
-// q5_hdd job records, over 5 stages and 4 nodes. Its B/op is what each
-// job's Result.Trace costs.
+// BenchmarkSnapshot snapshots a Q5′-sized job: 386 task events, the mean a
+// Q5′ job records (one per task), over 5 stages and 4 nodes. Its B/op is what
+// each job's Result.Trace costs.
 func BenchmarkSnapshot(b *testing.B) {
+	const events = 386
 	stages := make([]StageInfo, 5)
 	tr := New("bench", stages, 4)
 	tr.EnableEvents(0)
-	for i := 0; i < 773; i++ {
-		if i%3 == 0 {
-			tr.Mark(EvEnqueue, i%5, i%4, i%64)
-		} else {
-			tr.TaskEvent(i%5, i%4, i%32, tr.start, time.Duration(i), time.Duration(2*i), i%64)
-		}
+	for i := 0; i < events; i++ {
+		tr.TaskEvent(i%5, i%4, i%32, tr.start, time.Duration(i), time.Duration(2*i), i%64)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if s := tr.Snapshot(nil); len(s.Events) != 773 {
+		if s := tr.Snapshot(nil); len(s.Events) != events {
 			b.Fatalf("snapshot holds %d events", len(s.Events))
 		}
 	}

@@ -9,24 +9,23 @@ import (
 )
 
 // This file implements the per-job event timeline: a bounded ring of
-// execution events (completed tasks, enqueues, retries, batch splits) with
-// node + stage attribution, an exporter to Chrome trace-event JSON (the
-// format Perfetto and chrome://tracing load), and a critical-path extractor
-// that reports where a job's wall time actually went.
+// execution events (one per completed task, plus retries, batch splits and
+// remote round trips) with node + stage attribution, an exporter to Chrome
+// trace-event JSON (the format Perfetto and chrome://tracing load), and a
+// critical-path extractor that reports where a job's wall time actually
+// went.
 
 // EventKind labels one entry of a job's event log. It is one byte in memory
-// and its name in text and JSON ("task", "enqueue", ...); the zero kind is
+// and its name in text and JSON ("task", "retry", ...); the zero kind is
 // the empty name.
 type EventKind uint8
 
 const (
 	// EvTask is a completed task: TS is its execution begin, Dur its
 	// service time, Wait the queue wait that preceded it, Ptrs its batch
-	// size (0 for record tasks).
+	// size (0 for record tasks). The task was enqueued at TS − Wait, so an
+	// enqueue needs no event of its own.
 	EvTask EventKind = iota + 1
-	// EvEnqueue marks a task landing on a node's queue; Ptrs carries the
-	// resulting queue depth.
-	EvEnqueue
 	// EvRetry marks one Dereferencer retry after a transient failure.
 	EvRetry
 	// EvSplit marks a failed batch falling back to per-pointer retries;
@@ -40,7 +39,7 @@ const (
 )
 
 // eventKindNames maps each kind to its name; index 0 is the zero kind.
-var eventKindNames = [...]string{"", "task", "enqueue", "retry", "split", "rpc"}
+var eventKindNames = [...]string{"", "task", "retry", "split", "rpc"}
 
 // String returns the kind's name, or EventKind(n) for a kind with none.
 func (k EventKind) String() string {
@@ -84,8 +83,7 @@ type Event struct {
 	Dur int64 `json:"dur,omitempty"`
 	// Wait is the queue wait that preceded TS in ns (EvTask only).
 	Wait int64 `json:"wait,omitempty"`
-	// Ptrs is the task's batch size, the queue depth (EvEnqueue), or the
-	// split batch's size (EvSplit).
+	// Ptrs is the task's batch size, or the split batch's size (EvSplit).
 	Ptrs int32 `json:"ptrs,omitempty"`
 }
 
@@ -97,7 +95,8 @@ const DefaultEventCap = 8192
 
 // A new ring starts at eventRingStart events; a released Trace keeps its ring
 // for the next job up to eventRingKeep: memory follows the events recent jobs
-// recorded (Q5′ at the benchmark's scale, 1 024), not the cap.
+// recorded (a Q5′ job at the benchmark's scale, ~390, grows it once to 512),
+// not the cap.
 const eventRingStart, eventRingKeep = 256, 2048
 
 // EventRing is a bounded ring of timeline events. It grows on demand up to
@@ -156,21 +155,19 @@ type chromeEvent struct {
 // WriteChromeTrace renders the snapshot's event log as Chrome trace-event
 // JSON, loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Nodes
 // map to processes and workers to threads, so each worker's tasks form one
-// non-overlapping track; retries, splits, and enqueues appear as instant
-// markers. Timestamps are microseconds from job start.
+// non-overlapping track; retries and splits appear as instant markers, and
+// so does each task's enqueue, derived from its event at TS − Wait on the
+// task's own track. Timestamps are microseconds from job start.
 func (s *Snapshot) WriteChromeTrace(w io.Writer) error {
-	evs := append([]Event(nil), s.Events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
-
 	stageName := func(i int32) string {
 		if i >= 0 && int(i) < len(s.Stages) {
 			return fmt.Sprintf("s%d %s", i, s.Stages[i].Name)
 		}
 		return fmt.Sprintf("s%d", i)
 	}
-	out := make([]chromeEvent, 0, len(evs)+2*len(s.Nodes))
+	out := make([]chromeEvent, 0, 2*len(s.Events)+len(s.Nodes))
 	seenNode := map[int32]bool{}
-	for _, ev := range evs {
+	for _, ev := range s.Events {
 		if !seenNode[ev.Node] {
 			seenNode[ev.Node] = true
 			out = append(out, chromeEvent{
@@ -190,6 +187,8 @@ func (s *Snapshot) WriteChromeTrace(w io.Writer) error {
 			ce.Ph = "X"
 			ce.Dur = float64(ev.Dur) / 1e3
 			ce.Args = map[string]any{"stage": ev.Stage, "ptrs": ev.Ptrs, "queueWaitUs": float64(ev.Wait) / 1e3}
+			out = append(out, chromeEvent{Name: "enqueue " + ce.Name, Cat: "enqueue", Ph: "i", S: "t",
+				TS: float64(ev.TS-ev.Wait) / 1e3, Pid: ce.Pid, Tid: ce.Tid, Args: map[string]any{"stage": ev.Stage}})
 		case EvRPC:
 			// RPC spans get their own per-node track (tasks live on worker
 			// tids) so wire time is visible without overlapping task slices.
@@ -198,11 +197,6 @@ func (s *Snapshot) WriteChromeTrace(w io.Writer) error {
 			ce.Tid = rpcTrackTid
 			ce.Dur = float64(ev.Dur) / 1e3
 			ce.Args = map[string]any{"stage": ev.Stage}
-		case EvEnqueue:
-			ce.Name = "enqueue " + stageName(ev.Stage)
-			ce.Ph = "i"
-			ce.S = "t"
-			ce.Args = map[string]any{"stage": ev.Stage, "depth": ev.Ptrs}
 		default: // retry, split, future kinds
 			ce.Name = ev.Kind.String() + " " + stageName(ev.Stage)
 			ce.Ph = "i"
@@ -211,6 +205,9 @@ func (s *Snapshot) WriteChromeTrace(w io.Writer) error {
 		}
 		out = append(out, ce)
 	}
+	// In time order; the stable sort keeps a task's enqueue before its slice
+	// when it did not wait.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]any{
 		"displayTimeUnit": "ms",

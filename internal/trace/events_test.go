@@ -39,7 +39,7 @@ func TestEventRingConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Add(Event{Kind: EvEnqueue, Node: int32(g), TS: int64(i)})
+				r.Add(Event{Kind: EvTask, Node: int32(g), TS: int64(i)})
 			}
 		}(g)
 	}
@@ -55,7 +55,7 @@ func TestEventRingConcurrent(t *testing.T) {
 
 // timelineSnapshot is the fixed event log the Chrome-export and
 // critical-path tests share: two nodes, two stages, with a queue-heavy
-// phase on node 1.
+// phase on node 1 (its task was enqueued at 50 ns).
 func timelineSnapshot() *Snapshot {
 	return &Snapshot{
 		Job: "golden",
@@ -66,7 +66,6 @@ func timelineSnapshot() *Snapshot {
 		Nodes: []NodeSnapshot{{Node: 0}, {Node: 1}},
 		Events: []Event{
 			{Kind: EvTask, Stage: 0, Node: 0, Worker: 0, TS: 0, Dur: 100, Ptrs: 4},
-			{Kind: EvEnqueue, Stage: 1, Node: 1, TS: 50, Ptrs: 2},
 			{Kind: EvRetry, Stage: 0, Node: 0, TS: 60},
 			{Kind: EvSplit, Stage: 0, Node: 0, TS: 70, Ptrs: 8},
 			{Kind: EvTask, Stage: 1, Node: 1, Worker: 1, TS: 200, Dur: 300, Wait: 150},
@@ -75,7 +74,7 @@ func timelineSnapshot() *Snapshot {
 	}
 }
 
-const goldenChromeTrace = `{"displayTimeUnit":"ms","otherData":{"eventsDropped":3,"job":"golden"},"traceEvents":[{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"node 0"}},{"name":"s0 deref","cat":"task","ph":"X","ts":0,"dur":0.1,"pid":0,"tid":0,"args":{"ptrs":4,"queueWaitUs":0,"stage":0}},{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"node 1"}},{"name":"enqueue s1 ref","cat":"enqueue","ph":"i","ts":0.05,"pid":1,"tid":0,"s":"t","args":{"depth":2,"stage":1}},{"name":"retry s0 deref","cat":"retry","ph":"i","ts":0.06,"pid":0,"tid":0,"s":"t","args":{"ptrs":0,"stage":0}},{"name":"split s0 deref","cat":"split","ph":"i","ts":0.07,"pid":0,"tid":0,"s":"t","args":{"ptrs":8,"stage":0}},{"name":"s1 ref","cat":"task","ph":"X","ts":0.2,"dur":0.3,"pid":1,"tid":1,"args":{"ptrs":0,"queueWaitUs":0.15,"stage":1}}]}
+const goldenChromeTrace = `{"displayTimeUnit":"ms","otherData":{"eventsDropped":3,"job":"golden"},"traceEvents":[{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"node 0"}},{"name":"enqueue s0 deref","cat":"enqueue","ph":"i","ts":0,"pid":0,"tid":0,"s":"t","args":{"stage":0}},{"name":"s0 deref","cat":"task","ph":"X","ts":0,"dur":0.1,"pid":0,"tid":0,"args":{"ptrs":4,"queueWaitUs":0,"stage":0}},{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"node 1"}},{"name":"enqueue s1 ref","cat":"enqueue","ph":"i","ts":0.05,"pid":1,"tid":1,"s":"t","args":{"stage":1}},{"name":"retry s0 deref","cat":"retry","ph":"i","ts":0.06,"pid":0,"tid":0,"s":"t","args":{"ptrs":0,"stage":0}},{"name":"split s0 deref","cat":"split","ph":"i","ts":0.07,"pid":0,"tid":0,"s":"t","args":{"ptrs":8,"stage":0}},{"name":"s1 ref","cat":"task","ph":"X","ts":0.2,"dur":0.3,"pid":1,"tid":1,"args":{"ptrs":0,"queueWaitUs":0.15,"stage":1}}]}
 `
 
 func TestWriteChromeTraceGolden(t *testing.T) {
@@ -113,8 +112,9 @@ func TestWriteChromeTraceWellFormed(t *testing.T) {
 		}
 		phases[ph]++
 	}
-	if phases["X"] != 2 || phases["i"] != 3 || phases["M"] != 2 {
-		t.Fatalf("phase counts = %v, want 2 X, 3 i, 2 M", phases)
+	// Two tasks and their two derived enqueues, one retry, one split.
+	if phases["X"] != 2 || phases["i"] != 4 || phases["M"] != 2 {
+		t.Fatalf("phase counts = %v, want 2 X, 4 i, 2 M", phases)
 	}
 	if got := doc.OtherData["eventsDropped"]; got != float64(3) {
 		t.Fatalf("otherData.eventsDropped = %v, want 3", got)
@@ -139,7 +139,7 @@ func TestCriticalPathHandBuilt(t *testing.T) {
 		{Kind: EvTask, Stage: 1, Node: 1, TS: 100, Dur: 60, Wait: 60},
 		{Kind: EvTask, Stage: 1, Node: 1, TS: 200, Dur: 30},
 		// Non-task events must be ignored by the extractor.
-		{Kind: EvEnqueue, Stage: 1, Node: 1, TS: 40, Ptrs: 1},
+		{Kind: EvSplit, Stage: 1, Node: 1, TS: 40, Ptrs: 2},
 	}
 	segs := CriticalPath(events, 10)
 	want := []CritSegment{

@@ -30,7 +30,7 @@ func recordJob(tr *Trace, stages, nodes, events int) {
 		io.ObserveRPC(n%stages, tr.start, time.Duration(300*(n+1)))
 	}
 	for i := 0; i < events; i++ {
-		tr.Mark(EvEnqueue, i%stages, i%nodes, i)
+		tr.Mark(EvSplit, i%stages, i%nodes, i)
 		tr.TaskEvent(i%stages, i%nodes, i, tr.start, time.Duration(i), time.Duration(2*i), i%64)
 	}
 }
@@ -61,7 +61,7 @@ func TestLentTraceIsFresh(t *testing.T) {
 		a.SetTenant("acme")
 		a.SetSlowTask(time.Nanosecond, func(format string, args ...any) { logged.Store(args[0], true) })
 		a.EnableEvents(0)
-		recordJob(a, len(stagesA), 5, 900) // the ring grows to 1 024 events, and is kept
+		recordJob(a, len(stagesA), 5, 900) // 1 805 events: the ring grows to 2 048, and is kept
 		a.Release()
 
 		logged = sync.Map{}

@@ -13,7 +13,7 @@
 // On top of the counters sits the latency-observability layer: lock-free
 // log-bucketed histograms (hist.go) record task service time, queue wait,
 // batch size, and local/remote storage round-trips, and a bounded per-job
-// event ring (events.go) captures a timeline of task/enqueue/retry/split
+// event ring (events.go) captures a timeline of task/retry/split/rpc
 // events exportable as Chrome trace-event JSON plus a critical-path
 // extractor reporting where the job's wall time went.
 //
@@ -298,9 +298,9 @@ func (t *Trace) TaskEvent(stage, node, worker int, begin time.Time, dur, wait ti
 	})
 }
 
-// Mark appends an instant event (enqueue, retry, batch split) to the
-// timeline event log; v rides in the event's Ptrs field (queue depth for
-// enqueues, batch size for splits). A no-op unless EnableEvents was called.
+// Mark appends an instant event (retry, batch split) to the timeline event
+// log; v rides in the event's Ptrs field (the batch size, for splits). A
+// no-op unless EnableEvents was called.
 func (t *Trace) Mark(kind EventKind, stage, node, v int) {
 	t.live()
 	if t.ring.limit == 0 {
