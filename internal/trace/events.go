@@ -157,7 +157,9 @@ type chromeEvent struct {
 // map to processes and workers to threads, so each worker's tasks form one
 // non-overlapping track; retries and splits appear as instant markers, and
 // so does each task's enqueue, derived from its event at TS − Wait on the
-// task's own track. Timestamps are microseconds from job start.
+// task's own track. Only a task that ran has an event: the tasks a failed or
+// cancelled job drains without running leave none, so their enqueues do not
+// show. Timestamps are microseconds from job start.
 func (s *Snapshot) WriteChromeTrace(w io.Writer) error {
 	stageName := func(i int32) string {
 		if i >= 0 && int(i) < len(s.Stages) {

@@ -1,18 +1,19 @@
 // Command benchpairs compares two checkouts of this repository on the
-// benchmark that BENCHMARK.json declares. It builds each side's lakebench the
-// way lakebench/run.sh does — from that side's own source, into that side's
-// own .bench_build/, with Go's caches pointed there — and then runs
-// alternating parent/change pairs of one workload at one seed, the side that
-// runs first alternating from pair to pair. It prints one table per
-// workload: each metric's median and quartiles on both sides, the change's
-// median delta, its wins over the pairs, the median and range of the
-// per-pair change ÷ parent ratio, and a verdict.
+// benchmark that BENCHMARK.json declares. It runs alternating parent/change
+// pairs of one workload at one seed through each side's own
+// lakebench/run.sh, which builds that side's lakebench from its own source
+// into its own .bench_build/; the side that runs first alternates from pair
+// to pair. It prints a table: each metric's median and quartiles on both
+// sides, the change's median delta, its wins over the pairs, the median and
+// range of the per-pair change ÷ parent ratio, and a verdict against the
+// metric's direction and bound in the parent's BENCHMARK.json.
 //
 //	go run ./scripts/benchpairs -workload q5_cpu -seed 1 -pairs 10 PARENT CHANGE
 //
-// -randlayout 1,2,3 links both sides with -ldflags=-randlayout=N, pair i
-// using the i-th layout (cycling), so the comparison does not rest on one
-// link layout. Neither checkout is modified outside its .bench_build/.
+// -randlayout 1,2,3 instead builds both sides with -ldflags=-randlayout=N,
+// in run.sh's build environment, pair i using the i-th layout (cycling), so
+// the comparison does not rest on one link layout. Neither checkout is
+// modified outside its .bench_build/.
 package main
 
 import (
@@ -56,13 +57,12 @@ type side struct {
 
 func main() {
 	var (
-		workloads = flag.String("workload", "q5_cpu", "comma-separated workloads, one table each")
-		seed      = flag.Int64("seed", 1, "seed every run uses")
-		seconds   = flag.Float64("seconds", 15, "seconds one run measures")
-		traced    = flag.Int("trace", 0, "0: end-to-end metrics; 1: per-layer metrics")
-		pairs     = flag.Int("pairs", 10, "parent/change pairs per workload")
-		layouts   = flag.String("randlayout", "", "comma-separated -randlayout seeds, cycled over the pairs (empty: the default layout)")
-		title     = flag.String("title", "", "text after the workload and seed in each table's heading")
+		workload = flag.String("workload", "q5_cpu", "workload every run measures")
+		seed     = flag.Int64("seed", 1, "seed every run uses")
+		seconds  = flag.Float64("seconds", 15, "seconds one run measures")
+		traced   = flag.Int("trace", 0, "0: end-to-end metrics; 1: per-layer metrics")
+		pairs    = flag.Int("pairs", 10, "parent/change pairs")
+		layouts  = flag.String("randlayout", "", "comma-separated -randlayout seeds, cycled over the pairs (empty: the default layout)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchpairs [flags] PARENT CHANGE\n")
@@ -73,7 +73,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	lays := []int{0}
+	lays := []int{0} // 0: the default layout, built and run by run.sh
 	if *layouts != "" {
 		lays = lays[:0]
 		for _, f := range strings.Split(*layouts, ",") {
@@ -92,6 +92,9 @@ func main() {
 		}
 		s.root, s.bins = abs, map[int]string{}
 		for _, l := range lays {
+			if l == 0 {
+				continue
+			}
 			if s.bins[l], err = build(s.root, l); err != nil {
 				fatalf("build %s (layout %d): %v", s.root, l, err)
 			}
@@ -101,28 +104,25 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	for _, w := range strings.Split(*workloads, ",") {
-		args := []string{"--workload", w, "--seed", fmt.Sprint(*seed), "--seconds", fmt.Sprint(*seconds), "--trace", fmt.Sprint(*traced)}
-		var runs [2][]result
-		for i := 0; i < *pairs; i++ {
-			l := lays[i%len(lays)]
-			for _, k := range [2]int{i % 2, 1 - i%2} {
-				fmt.Fprintf(os.Stderr, "benchpairs: %s pair %d/%d layout %d: %s\n", w, i+1, *pairs, l, sides[k].label)
-				r, err := run(sides[k], l, args)
-				if err != nil {
-					fatalf("%s %s: %v", sides[k].label, w, err)
-				}
-				runs[k] = append(runs[k], r)
+	args := []string{"--workload", *workload, "--seed", fmt.Sprint(*seed), "--seconds", fmt.Sprint(*seconds), "--trace", fmt.Sprint(*traced)}
+	var runs [2][]result
+	for i := 0; i < *pairs; i++ {
+		l := lays[i%len(lays)]
+		for _, k := range [2]int{i % 2, 1 - i%2} {
+			fmt.Fprintf(os.Stderr, "benchpairs: %s pair %d/%d layout %d: %s\n", *workload, i+1, *pairs, l, sides[k].label)
+			r, err := run(sides[k], l, args)
+			if err != nil {
+				fatalf("%s %s: %v", sides[k].label, *workload, err)
 			}
+			runs[k] = append(runs[k], r)
 		}
-		heading := fmt.Sprintf("%s seed %d", w, *seed)
-		if *title != "" {
-			heading += " " + *title
-		}
-		if len(lays) > 1 || lays[0] != 0 {
-			heading += fmt.Sprintf(" (-randlayout %s)", *layouts)
-		}
-		report(os.Stdout, heading, runs, specs)
+	}
+	heading := fmt.Sprintf("%s seed %d", *workload, *seed)
+	if *layouts != "" {
+		heading += fmt.Sprintf(" (-randlayout %s)", *layouts)
+	}
+	if err := report(os.Stdout, heading, runs, specs); err != nil {
+		fatalf("%v", err)
 	}
 }
 
@@ -131,22 +131,17 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// build compiles root's lakebench as lakebench/run.sh does — Go's build
-// cache, module cache and configuration under root/.bench_build, no network,
-// the local toolchain — linked at layout when it is non-zero, and returns
-// the binary's path.
+// build compiles root's lakebench linked at a non-zero -randlayout seed, in
+// the build environment lakebench/run.sh sets up — Go's build cache, module
+// cache and configuration under root/.bench_build, no network, the local
+// toolchain — and returns the binary's path.
 func build(root string, layout int) (string, error) {
 	dir := filepath.Join(root, ".bench_build")
-	bin := filepath.Join(dir, "lakebench.bin")
-	args := []string{"build", "-o", bin}
-	if layout != 0 {
-		bin = filepath.Join(dir, fmt.Sprintf("lakebench-randlayout%d.bin", layout))
-		args = []string{"build", "-o", bin, fmt.Sprintf("-ldflags=-randlayout=%d", layout)}
-	}
+	bin := filepath.Join(dir, fmt.Sprintf("lakebench-randlayout%d.bin", layout))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	cmd := exec.Command("go", append(args, ".")...)
+	cmd := exec.Command("go", "build", "-o", bin, fmt.Sprintf("-ldflags=-randlayout=%d", layout), ".")
 	cmd.Dir = filepath.Join(root, "lakebench")
 	cmd.Env = append(os.Environ(),
 		"GOCACHE="+filepath.Join(dir, "go-cache"), "GOMODCACHE="+filepath.Join(dir, "go-mod"),
@@ -158,11 +153,15 @@ func build(root string, layout int) (string, error) {
 	return bin, nil
 }
 
-// run runs one lakebench from the side's root, as run.sh does, and decodes
-// the result line it prints last.
+// run runs one lakebench on the side — through its lakebench/run.sh at the
+// default layout, else the binary build made, with the arguments run.sh
+// adds — and decodes the result line it prints last.
 func run(s *side, layout int, args []string) (result, error) {
 	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(s.bins[layout], append([]string{"-out", filepath.Join(s.root, ".bench_build", "lakebench")}, args...)...)
+	cmd := exec.Command("bash", append([]string{filepath.Join(s.root, "lakebench", "run.sh")}, args...)...)
+	if layout != 0 {
+		cmd = exec.Command(s.bins[layout], append([]string{"-out", filepath.Join(s.root, ".bench_build", "lakebench")}, args...)...)
+	}
 	cmd.Dir, cmd.Stdout, cmd.Stderr = s.root, &stdout, &stderr
 	if err := cmd.Run(); err != nil {
 		return result{}, fmt.Errorf("%v\n%s", err, tail(stderr.String(), 2000))
@@ -183,7 +182,10 @@ func readSpecs(path string) (map[string]metricSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	var doc struct{ EndToEnd, PerLayer []metricSpec }
+	var doc struct {
+		EndToEnd []metricSpec `json:"end_to_end"`
+		PerLayer []metricSpec `json:"per_layer"`
+	}
 	if err := json.Unmarshal(buf, &doc); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
@@ -191,12 +193,17 @@ func readSpecs(path string) (map[string]metricSpec, error) {
 	for _, m := range append(doc.EndToEnd, doc.PerLayer...) {
 		specs[m.Name] = m
 	}
+	if len(doc.EndToEnd) == 0 {
+		return nil, fmt.Errorf("%s declares no end_to_end metric", path)
+	}
 	return specs, nil
 }
 
 // report prints one workload's table: a heading with the operations each
-// side attempted and failed, then one row per metric, by name.
-func report(w io.Writer, heading string, runs [2][]result, specs map[string]metricSpec) {
+// side attempted and failed, then one row per metric, by name. A measured
+// metric that specs does not declare is an error: its verdict would rest on
+// a guessed direction and no bound.
+func report(w io.Writer, heading string, runs [2][]result, specs map[string]metricSpec) error {
 	var attempted, failed [2]int
 	correct := true
 	names := map[string]bool{}
@@ -220,6 +227,9 @@ func report(w io.Writer, heading string, runs [2][]result, specs map[string]metr
 	fmt.Fprintln(w, "|---|---|---|---|---|---|---|")
 	sorted := make([]string, 0, len(names))
 	for name := range names {
+		if _, ok := specs[name]; !ok {
+			return fmt.Errorf("metric %q is not declared in BENCHMARK.json", name)
+		}
 		sorted = append(sorted, name)
 	}
 	sort.Strings(sorted)
@@ -239,6 +249,7 @@ func report(w io.Writer, heading string, runs [2][]result, specs map[string]metr
 			pct(c.a[1], c.b[1]), wins, ratios(c.ratio), c.verdict)
 	}
 	fmt.Fprintln(w)
+	return nil
 }
 
 // comparison is one metric over the pairs: each side's quartiles (q1,
@@ -257,7 +268,10 @@ type comparison struct {
 // over bound when its median is worse by more than the metric's bound;
 // worse within bound when it loses the same way it would have to win;
 // unchanged when the medians lie within the parent's interquartile
-// distance; otherwise unresolved.
+// distance; otherwise unresolved. A parent whose interquartile distance is
+// wider than the metric's bound cannot show a move within the bound: such a
+// metric is better only if every change run beats every parent run, worse
+// over bound as above, and otherwise unresolved, never unchanged.
 func compare(a, b []float64, spec metricSpec) comparison {
 	c := comparison{a: quartiles(a), b: quartiles(b)}
 	sign := 1.0 // gain = sign·(change − parent)
@@ -265,6 +279,7 @@ func compare(a, b []float64, spec metricSpec) comparison {
 		sign = -1
 	}
 	losses := 0
+	bestParent, worstChange := math.Inf(-1), math.Inf(1) // in gain terms
 	for i := range a {
 		switch d := sign * (b[i] - a[i]); {
 		case d > 0:
@@ -277,16 +292,21 @@ func compare(a, b []float64, spec metricSpec) comparison {
 		if a[i] > 0 { // a ratio to a zero or negative base says nothing
 			c.ratio = append(c.ratio, b[i]/a[i])
 		}
+		bestParent, worstChange = max(bestParent, sign*a[i]), min(worstChange, sign*b[i])
 	}
 	sort.Float64s(c.ratio)
 	gain, spread, n := sign*(c.b[1]-c.a[1]), c.a[2]-c.a[0], len(a)
+	wide := spec.Bound > 0 && spread > spec.Bound*math.Abs(c.a[1])
+	better := gain > spread && 10*c.wins >= 9*n && (!wide || worstChange > bestParent)
 	switch {
-	case gain > spread && 10*c.wins >= 9*n && c.wins == n:
+	case better && c.wins == n:
 		c.verdict = "better (every run)"
-	case gain > spread && 10*c.wins >= 9*n:
+	case better:
 		c.verdict = "better"
 	case spec.Bound > 0 && -gain > spec.Bound*math.Abs(c.a[1]):
 		c.verdict = "WORSE, over bound"
+	case wide:
+		c.verdict = "unresolved"
 	case -gain > spread && 10*losses >= 9*n:
 		c.verdict = "worse, within bound"
 	case math.Abs(gain) <= spread:
